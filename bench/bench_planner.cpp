@@ -14,7 +14,10 @@
 //  * hetdev   — GHZ on two explicit 4-qubit QPUs (heterogeneous DeviceModel
 //    caps instead of a uniform width bound);
 //  * hetlink  — GHZ over two entangled links of different quality: the
-//    planner must grant the best (lowest-κ) slot first.
+//    planner must grant the best (lowest-κ) slot first;
+//  * nme      — the paper's NME setting: hwe_ansatz_8 at cap 6 with two
+//    f = 0.9 pairs (fixed, independent of --f/--budget). Its search-node
+//    count is gated: a weaker branch-and-bound bound fails the smoke run.
 //
 // For every instance the planner runs under a width cap; reported per row:
 // candidate count, chosen cuts, total κ, overhead Π κ_i², search nodes,
@@ -28,8 +31,8 @@
 // (the build tree), so running from a source checkout leaves no stray file;
 // --out (or the legacy --json) overrides the destination.
 // --smoke runs the small deterministic subset and exits non-zero when a plan
-// misses brute-force optimality or the executed error leaves the 3ε band —
-// the CI gate.
+// misses brute-force optimality, the executed error leaves the 3ε band, or
+// the nme row visits more than kNmeMaxNodes search nodes — the CI gate.
 #include <chrono>
 #include <cmath>
 #include <complex>
@@ -44,11 +47,21 @@
 #include "qcut/plan/circuit_graph.hpp"
 #include "qcut/plan/cut_planner.hpp"
 #include "qcut/plan/planned_executor.hpp"
+#include "qcut/sim/qasm_import.hpp"
+
+#ifndef QCUT_QASM_CORPUS_DIR
+#define QCUT_QASM_CORPUS_DIR "tests/qasm_corpus"
+#endif
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 using namespace qcut;
+
+// The slot-aware bound plans the nme row in 266 nodes; a bound that charges
+// every wire cut the best slot's κ needs 77,902, so the ceiling separates
+// the two by two orders of magnitude.
+constexpr std::size_t kNmeMaxNodes = 1000;
 
 Circuit ghz_line(int n) {
   Circuit c(n, 0);
@@ -124,7 +137,8 @@ struct Row {
 std::string all_z(int n) { return std::string(static_cast<std::size_t>(n), 'Z'); }
 
 Row run_instance(const std::string& family, const Circuit& circ, const PlannerConfig& pcfg,
-                 bool execute, bool brute_check, std::uint64_t seed) {
+                 bool execute, bool brute_check, std::uint64_t seed,
+                 std::size_t brute_max_candidates = 16) {
   Row row;
   row.family = family;
   row.n = circ.n_qubits();
@@ -132,7 +146,8 @@ Row run_instance(const std::string& family, const Circuit& circ, const PlannerCo
 
   const CutPlanner planner(circ, pcfg);
   // The search space (wire gaps + gate candidates when allowed) — also the
-  // brute-force oracle's domain, so the <= 16 guard below bounds its 2^m scan.
+  // brute-force oracle's domain, so the candidate guard below bounds its 2^m
+  // scan (16 by default: 65k subsets; 20 is about 1M, a second in Release).
   row.candidates = planner.search_candidates().size();
   const auto start = Clock::now();
   const CutPlan plan = planner.plan();
@@ -145,7 +160,7 @@ Row run_instance(const std::string& family, const Circuit& circ, const PlannerCo
   row.max_sim_width = plan.max_sim_width;
   row.nodes = plan.nodes_explored;
 
-  if (brute_check && row.candidates <= 16) {
+  if (brute_check && row.candidates <= brute_max_candidates) {
     row.brute_checked = true;
     const Real ref = planner.reference_overhead();  // bitmask scan of all subsets
     row.brute_optimal = std::abs(plan.total_overhead - ref) <= 1e-9 * (1.0 + ref);
@@ -228,6 +243,18 @@ int main(int argc, char** argv) {
     rows.push_back(run_instance("hetlink", ghz_line(6), cfg, true, true, seed));
   }
 
+  // The paper's NME setting (the qbench nme_plan instance).
+  std::size_t nme_nodes = 0;
+  {
+    PlannerConfig cfg = base;
+    cfg.max_fragment_width = 6;
+    cfg.resource_overlap = 0.9;
+    cfg.pair_budget = 2;
+    const Circuit hwe = import_qasm_file(std::string(QCUT_QASM_CORPUS_DIR) + "/hwe_ansatz_8.qasm");
+    rows.push_back(run_instance("nme", hwe, cfg, true, true, seed, /*brute_max_candidates=*/20));
+    nme_nodes = rows.back().nodes;
+  }
+
   if (!smoke) {
     // Larger planning-only instances (execution cost grows exponentially with
     // the spliced width; the planner itself stays cheap). The IR allows up to
@@ -305,13 +332,18 @@ int main(int argc, char** argv) {
     std::printf("ERROR: an executed plan left the 3*eps error band at the predicted budget\n");
     return 1;
   }
+  if (nme_nodes > kNmeMaxNodes) {
+    std::printf("ERROR: the nme plan search visited %zu nodes (limit %zu)\n", nme_nodes,
+                kNmeMaxNodes);
+    return 1;
+  }
   if (cpgate_overhead >= cpwire_overhead) {
     std::printf("ERROR: the gate-cut plan (%.3f) did not beat the wire-only plan (%.3f)\n",
                 cpgate_overhead, cpwire_overhead);
     return 1;
   }
   std::printf("all plans brute-force optimal; executed errors within 3*eps at predicted "
-              "budgets; gate cut beat wire-only %.3f < %.3f\n",
-              cpgate_overhead, cpwire_overhead);
+              "budgets; nme search %zu <= %zu nodes; gate cut beat wire-only %.3f < %.3f\n",
+              nme_nodes, kNmeMaxNodes, cpgate_overhead, cpwire_overhead);
   return 0;
 }

@@ -40,11 +40,13 @@
 // is bit-identical for any pool size (including none).
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "qcut/common/threadpool.hpp"
@@ -144,7 +146,9 @@ class SplitSkeletonCache {
   explicit SplitSkeletonCache(std::size_t capacity = 0) : capacity_(capacity) {}
 
   /// Returns the shared skeleton for circuits structurally identical to `c`,
-  /// building it on first use.
+  /// building it on first use. Single flight per structure: a caller that
+  /// finds the structure being built waits for that build instead of
+  /// repeating it, so each structure counts one miss.
   std::shared_ptr<const SplitSkeleton> get(const Circuit& c);
 
   /// Distinct structures currently cached (introspection for tests/benches).
@@ -160,6 +164,8 @@ class SplitSkeletonCache {
   mutable std::mutex mu_;
   mutable std::uint64_t tick_ = 0;
   std::unordered_map<std::string, Entry> by_key_;
+  std::unordered_set<std::string> building_;  ///< keys with a build in flight
+  std::condition_variable built_;             ///< signalled when a build ends
 };
 
 /// Rewrites every fragment circuit of `split` through the gate-fusion passes

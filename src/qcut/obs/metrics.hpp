@@ -14,9 +14,10 @@
 // The registry is process-global. Snapshots are cheap (kCounterCount relaxed
 // loads); callers that want per-run numbers take a snapshot before and after
 // and subtract (metrics_delta) — see obs/run_report.hpp. Concurrent runs in
-// one process therefore see each other's counts; the engine is run-at-a-time
-// today, and the service layer (ROADMAP item 1) will scope registries per
-// request when that changes.
+// one process therefore see each other's counts in the registry. Per-request
+// numbers come from a ScopedMetricsSink instead: the server sets
+// CutRunConfig::scoped_report on every request, and the run records its
+// report's counters from a sink installed on its own thread.
 //
 // Knobs: metrics start enabled; QCUT_METRICS=0 (or "off") disables them at
 // process start, set_metrics_enabled() toggles at run time.

@@ -14,9 +14,11 @@
 //    over the run), PlannedExecutor adds the plan's predicted budget, and
 //    example_auto_cut --report writes it to disk.
 //
-// The counter delta is taken on the process-global registry, so two runs
-// estimating concurrently in one process see each other's counts — fine for
-// today's run-at-a-time drivers; the service layer will scope registries.
+// By default the counter delta is taken on the process-global registry, so
+// two runs estimating concurrently in one process see each other's counts.
+// With CutRunConfig::scoped_report (set by the server on every request) the
+// counters come from a per-request ScopedMetricsSink instead, exact under
+// concurrent requests.
 #pragma once
 
 #include <cstdint>

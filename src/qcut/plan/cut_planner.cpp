@@ -144,7 +144,6 @@ CutPlanner::CutPlanner(const Circuit& circ, PlannerConfig cfg)
   if (slots_.size() > cfg_.max_cuts) {
     slots_.resize(cfg_.max_cuts);
   }
-  min_wire_kappa_ = slots_.empty() ? 3.0 : std::min<Real>(3.0, slots_.front().kappa);
 
   if (cfg_.allow_gate_cuts) {
     search_cands_ = graph_.all_candidates();
@@ -157,9 +156,29 @@ CutPlanner::CutPlanner(const Circuit& circ, PlannerConfig cfg)
   }
 }
 
-Real CutPlanner::kappa_lower_bound(std::size_t candidate) const {
+Real CutPlanner::bound_factor(std::size_t candidate, std::size_t wires_before) const {
   const CutCandidate& c = search_cands_[candidate];
-  return c.site.kind == CutKind::kGate ? c.gate_kappa : min_wire_kappa_;
+  Real k = 3.0;
+  if (c.site.kind == CutKind::kGate) {
+    k = c.gate_kappa;
+  } else if (wires_before < slots_.size()) {
+    k = slots_[wires_before].kappa;
+  }
+  return k * k;
+}
+
+Real CutPlanner::cost_lower_bound(const std::vector<std::size_t>& subset) const {
+  // assign_protocols' overhead with every slot granted, multiplied in the
+  // same order with the same `cost *= k * k` steps: equal to it bit for bit
+  // when no pair is withheld, and below it otherwise (a withheld slot's
+  // κ < 3 becomes harada's 3; rounding is monotone in each factor).
+  Real cost = 1.0;
+  std::size_t wires = 0;
+  for (std::size_t idx : subset) {
+    cost *= bound_factor(idx, wires);
+    wires += search_cands_[idx].site.kind == CutKind::kWire ? 1 : 0;
+  }
+  return cost;
 }
 
 ProtocolAssignment CutPlanner::assign_protocols(const std::vector<std::size_t>& subset) const {
@@ -272,12 +291,11 @@ ProtocolAssignment CutPlanner::assign_protocols(const std::vector<std::size_t>& 
   return out;
 }
 
-namespace {
-
 /// Shared DFS over candidate subsets in lexicographic index order. With
 /// `prune` false this is the plain exhaustive scan; with it true, the
-/// branch-and-bound (cost lower bound; never a width bound — fragment width
-/// is not monotone under adding cuts).
+/// branch-and-bound (slot-aware cost bound; never a width bound — fragment
+/// width is not monotone under adding cuts). A friend of CutPlanner, so it
+/// builds cost_lower_bound incrementally from bound_factor.
 class SubsetSearch {
  public:
   SubsetSearch(const CutPlanner& planner, bool prune)
@@ -287,7 +305,7 @@ class SubsetSearch {
         max_nodes_(planner.config().max_nodes),
         prune_(prune) {}
 
-  void run() { dfs(0, 1.0); }
+  void run() { dfs(0, 1.0, 0); }
 
   bool found() const noexcept { return found_; }
   const ProtocolAssignment& best() const noexcept { return best_; }
@@ -295,7 +313,7 @@ class SubsetSearch {
   bool budget_exhausted() const noexcept { return aborted_; }
 
  private:
-  void dfs(std::size_t start, Real lb_cost) {
+  void dfs(std::size_t start, Real lb_cost, std::size_t wires) {
     if (aborted_) {
       return;
     }
@@ -310,10 +328,10 @@ class SubsetSearch {
       cancel_poll();
     }
     ++nodes_;
-    // Cost first: Π κ_lb² lower-bounds the assignment's overhead, so a node
-    // that cannot beat the incumbent never needs the (much more expensive)
-    // union-find + protocol assignment — recording only strict improvements
-    // makes the skip behavior-identical.
+    // Cost first: lb_cost is cost_lower_bound(current_), which lower-bounds
+    // the assignment's overhead, so a node that cannot beat the incumbent
+    // never needs the (much more expensive) union-find + protocol assignment
+    // — recording only strict improvements makes the skip behavior-identical.
     const bool can_improve = !found_ || lb_cost < best_cost_;
     if (can_improve) {
       ProtocolAssignment assign = planner_.assign_protocols(current_);
@@ -327,18 +345,19 @@ class SubsetSearch {
       return;
     }
     if (prune_) {
-      // Cost bound: every per-cut κ is >= 1, so every strict extension's
-      // lower bound is >= this node's. (No width-based prune: fragment width
-      // is NOT monotone under adding cuts — a split segment's halves can
-      // reconnect through other wires and grow a component.)
+      // Cost bound: extensions append later candidates, which multiply the
+      // bound by κ² >= 1, so every strict extension's bound is >= this
+      // node's. (No width-based prune: fragment width is NOT monotone under
+      // adding cuts — a split segment's halves can reconnect through other
+      // wires and grow a component.)
       if (found_ && lb_cost >= best_cost_) {
         return;
       }
     }
     for (std::size_t i = start; i < n_cands_; ++i) {
-      const Real lb = planner_.kappa_lower_bound(i);
+      const bool wire = planner_.search_candidates()[i].site.kind == CutKind::kWire;
       current_.push_back(i);
-      dfs(i + 1, lb_cost * lb * lb);
+      dfs(i + 1, lb_cost * planner_.bound_factor(i, wires), wires + (wire ? 1 : 0));
       current_.pop_back();
     }
   }
@@ -356,8 +375,6 @@ class SubsetSearch {
   bool aborted_ = false;
   std::size_t nodes_ = 0;
 };
-
-}  // namespace
 
 CutPlan CutPlanner::make_plan(const ProtocolAssignment& assign, std::size_t nodes) const {
   CutPlan plan;

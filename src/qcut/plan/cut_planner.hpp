@@ -25,12 +25,19 @@
 //     fewer/no pairs) at plan time.
 //
 // Search: subsets of the candidates. Small candidate sets are scanned
-// exhaustively; larger ones run a depth-first branch-and-bound where the
-// product of per-candidate κ lower bounds is a valid cost bound (each
-// additional cut multiplies the overhead by κ² >= 1). Fragment width is
-// deliberately NOT used as a bound: it is not monotone under adding cuts.
-// Ties in cost resolve to the first subset in lexicographic candidate order,
-// so the result is deterministic and brute-force reproducible.
+// exhaustively; larger ones run a depth-first branch-and-bound whose cost
+// bound is slot-aware (cost_lower_bound): in subset order a gate cut charges
+// its κ(θ)², the w-th wire cut charges slot w's κ² while a slot is left, and
+// every later wire cut charges harada's 3² = 9. The bound is admissible:
+// assign_protocols grants slots best-first to the earliest wire cuts, every
+// kept slot has κ < 3, and a back-off only swaps a slot for harada — so the
+// bound never exceeds the overhead, and equals it bit for bit when no pair
+// is withheld (both multiply the same κ² sequence in the same order). Each
+// added cut multiplies the bound by κ² >= 1, so it is monotone down the
+// tree. Fragment width is deliberately NOT used as a bound: it is not
+// monotone under adding cuts. Ties in cost resolve to the first subset in
+// lexicographic candidate order, so the result is deterministic and
+// brute-force reproducible.
 #pragma once
 
 #include <cstddef>
@@ -161,11 +168,12 @@ class CutPlanner {
   /// own copy of this scan.
   Real reference_overhead() const;
 
-  /// Lower bound on candidate i's κ under any assignment (gate cuts: the
-  /// fixed κ(θ); wire cuts: the best link slot's κ, or 3 without one). The
-  /// product of these over a subset lower-bounds assign_protocols' overhead —
-  /// the branch-and-bound cost bound.
-  Real kappa_lower_bound(std::size_t candidate) const;
+  /// The branch-and-bound cost bound: assign_protocols' overhead with every
+  /// slot granted and no back-off (gate cuts κ(θ)², the w-th wire cut slot
+  /// w's κ² while slots last, later wire cuts 9), multiplied in subset order.
+  /// Never exceeds assign_protocols(subset).overhead for a feasible subset,
+  /// and equals it exactly when min(wire cuts, slots) pairs are granted.
+  Real cost_lower_bound(const std::vector<std::size_t>& subset) const;
 
  private:
   /// One granted entangled-link slot, κ-sorted best first.
@@ -178,13 +186,18 @@ class CutPlanner {
 
   CutPlan make_plan(const ProtocolAssignment& assign, std::size_t nodes) const;
 
+  /// The κ² candidate `candidate` contributes to cost_lower_bound when
+  /// `wires_before` wire cuts precede it in the subset. The search applies
+  /// it incrementally, one appended candidate at a time.
+  Real bound_factor(std::size_t candidate, std::size_t wires_before) const;
+  friend class SubsetSearch;
+
   Circuit circ_;       ///< owned copy; graph_ points into it
   CircuitGraph graph_;
   PlannerConfig cfg_;
   DeviceModel model_;  ///< effective model (legacy scalars resolved)
   std::vector<CutCandidate> search_cands_;
   std::vector<LinkSlot> slots_;  ///< useful (κ < 3) slots, best first
-  Real min_wire_kappa_ = 3.0;    ///< min over {3, slot κs}
   int sim_cap_ = 0;              ///< Statevector::kMaxQubits
 };
 

@@ -1058,7 +1058,14 @@ Circuit strip_trailing_measurements(const Circuit& c, int* n_stripped) {
   while (keep > 0 && c.ops()[keep - 1].kind == OpKind::kMeasure) {
     --keep;
   }
-  Circuit out(c.n_qubits(), c.n_cbits());
+  // The classical register survives only while a kept op still writes or
+  // reads it; a circuit whose every measure was stripped is purely quantum.
+  bool uses_cbits = false;
+  for (std::size_t i = 0; i < keep; ++i) {
+    const OpKind kind = c.ops()[i].kind;
+    uses_cbits = uses_cbits || kind == OpKind::kMeasure || kind == OpKind::kCondUnitary;
+  }
+  Circuit out(c.n_qubits(), uses_cbits ? c.n_cbits() : 0);
   for (std::size_t i = 0; i < keep; ++i) {
     const Operation& op = c.ops()[i];
     switch (op.kind) {

@@ -42,8 +42,11 @@ Circuit import_qasm_file(const std::string& path);
 /// Copy of `c` without its trailing run of measure ops (benchmark circuits
 /// conventionally end by measuring every qubit; the planner and the
 /// observable-estimation path want the unitary part). Measurements *followed*
-/// by other ops — mid-circuit measurement, feed-forward — are kept. The
-/// number of dropped ops is written to `*n_stripped` when non-null.
+/// by other ops — mid-circuit measurement, feed-forward — are kept. The copy
+/// keeps the classical bits only when a kept op is a measure or a
+/// classically conditioned gate; otherwise it has none, so a fully measured
+/// circuit comes back purely quantum (cuttable). The number of dropped ops
+/// is written to `*n_stripped` when non-null.
 Circuit strip_trailing_measurements(const Circuit& c, int* n_stripped = nullptr);
 
 /// Structural equivalence up to global phase per operation: identical

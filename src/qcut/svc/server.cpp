@@ -184,12 +184,15 @@ void QcutServer::stop() {
     }
     return;
   }
+  // Wake accept() with shutdown and join the accept thread before closing:
+  // the loop reads listen_fd_, and a closed fd number could be reused by
+  // another socket while accept() still runs on it.
   ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  listen_fd_ = -1;
   if (accept_thread_.joinable()) {
     accept_thread_.join();
   }
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
@@ -263,7 +266,7 @@ void QcutServer::accept_loop() {
       if (errno == EINTR) {
         continue;
       }
-      break;  // listen socket closed by stop()
+      break;  // listen socket shut down by stop() or drain()
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "qcut/core/overhead.hpp"
@@ -20,8 +21,13 @@
 #include "qcut/plan/planned_executor.hpp"
 #include "qcut/qpd/estimator.hpp"
 #include "qcut/sim/gates.hpp"
+#include "qcut/sim/qasm_import.hpp"
 #include "qcut/sim/statevector.hpp"
 #include "test_helpers.hpp"
+
+#ifndef QCUT_QASM_CORPUS_DIR
+#define QCUT_QASM_CORPUS_DIR "tests/qasm_corpus"
+#endif
 
 namespace qcut {
 namespace {
@@ -228,20 +234,24 @@ BruteResult brute_force(const CutPlanner& planner) {
   return best;
 }
 
-void expect_plan_matches_brute(const Circuit& circ, const PlannerConfig& cfg) {
-  const CutPlanner planner(circ, cfg);
-  const CutPlan plan = planner.plan();
-  const BruteResult ref = brute_force(planner);
-  ASSERT_TRUE(ref.found);
+void expect_same_as_brute(const CutPlanner& planner, const CutPlan& plan, const BruteResult& ref) {
   EXPECT_NEAR(plan.total_overhead, ref.cost, 1e-9);
-  // The library's own reference scan must agree with this test's oracle.
-  EXPECT_NEAR(planner.reference_overhead(), ref.cost, 1e-9);
   ASSERT_EQ(plan.cuts.size(), ref.set.size());
   for (std::size_t i = 0; i < ref.set.size(); ++i) {
     EXPECT_TRUE(plan.cuts[i].site == planner.search_candidates()[ref.set[i]].site)
         << "cut " << i << " differs from brute force";
   }
   EXPECT_LE(plan.max_sim_width, Statevector::kMaxQubits);
+}
+
+void expect_plan_matches_brute(const Circuit& circ, const PlannerConfig& cfg) {
+  const CutPlanner planner(circ, cfg);
+  const CutPlan plan = planner.plan();
+  const BruteResult ref = brute_force(planner);
+  ASSERT_TRUE(ref.found);
+  // The library's own reference scan must agree with this test's oracle.
+  EXPECT_NEAR(planner.reference_overhead(), ref.cost, 1e-9);
+  expect_same_as_brute(planner, plan, ref);
 }
 
 TEST(CutPlanner, WidthCappedGhzMatchesBruteForce) {
@@ -321,6 +331,181 @@ TEST(CutPlanner, BranchAndBoundHandlesReconnectingSegments) {
     EXPECT_TRUE(full.cuts[i].site == pruned.cuts[i].site);
   }
   EXPECT_NEAR(full.total_overhead, pruned.total_overhead, 1e-12);
+}
+
+// ---- the slot-aware branch-and-bound bound ----------------------------------
+
+/// Calls `fn` on every subset of {0..m-1} with at most `max_k` elements, each
+/// by increasing index.
+void for_each_subset(std::size_t m, std::size_t max_k,
+                     const std::function<void(const std::vector<std::size_t>&)>& fn) {
+  std::vector<std::size_t> cur;
+  std::function<void(std::size_t)> rec = [&](std::size_t start) {
+    fn(cur);
+    if (cur.size() >= max_k) {
+      return;
+    }
+    for (std::size_t i = start; i < m; ++i) {
+      cur.push_back(i);
+      rec(i + 1);
+      cur.pop_back();
+    }
+  };
+  rec(0);
+}
+
+struct BoundCheck {
+  std::size_t fully_granted = 0;
+  std::size_t backed_off = 0;
+};
+
+/// Every subset: cost_lower_bound never exceeds the assigned overhead (no
+/// tolerance), and equals it bit for bit when all min(wire cuts, slots)
+/// pairs are granted.
+BoundCheck check_bound(const Circuit& circ, const PlannerConfig& cfg, std::size_t slots) {
+  const CutPlanner planner(circ, cfg);
+  BoundCheck out;
+  for_each_subset(planner.search_candidates().size(), cfg.max_cuts,
+                  [&](const std::vector<std::size_t>& subset) {
+    const ProtocolAssignment assign = planner.assign_protocols(subset);
+    if (!assign.feasible) {
+      return;
+    }
+    std::size_t wires = 0;
+    std::size_t granted = 0;
+    for (const PlannedCut& pc : assign.cuts) {
+      wires += pc.site.kind == CutKind::kWire ? 1 : 0;
+      granted += pc.entangled ? 1 : 0;
+    }
+    const Real lb = planner.cost_lower_bound(subset);
+    EXPECT_LE(lb, assign.overhead) << "inadmissible bound, subset size " << subset.size();
+    if (granted == std::min(wires, slots)) {
+      ++out.fully_granted;
+      EXPECT_EQ(lb, assign.overhead) << "bound not exact without back-off";
+    } else {
+      ++out.backed_off;
+      EXPECT_LT(lb, assign.overhead);
+    }
+  });
+  return out;
+}
+
+TEST(CutPlannerBound, AdmissibleAndExactAcrossBudgets) {
+  for (int budget : {1, 2, 3}) {
+    for (Real f : {0.6, 0.9}) {
+      PlannerConfig cfg;
+      cfg.max_fragment_width = 3;
+      cfg.resource_overlap = f;
+      cfg.pair_budget = budget;
+      const BoundCheck r = check_bound(ghz_line(7), cfg, static_cast<std::size_t>(budget));
+      EXPECT_GT(r.fully_granted, 0u) << "budget " << budget;
+    }
+  }
+}
+
+TEST(CutPlannerBound, AdmissibleOnHeterogeneousLinks) {
+  // bench_planner's hetlink shape: a perfect pair (κ = 1) and an f = 0.8
+  // pair (κ = 1.5) — the bound must charge them best-first like the grants.
+  PlannerConfig cfg;
+  cfg.max_fragment_width = 3;
+  cfg.device_model.links = {LinkSpec{0.8, 1, LinkFamily::kNme},
+                            LinkSpec{1.0, 1, LinkFamily::kNme}};
+  const BoundCheck r = check_bound(ghz_line(6), cfg, 2);
+  EXPECT_GT(r.fully_granted, 0u);
+}
+
+TEST(CutPlannerBound, AdmissibleWithGateCuts) {
+  // Non-integer gate κ(θ)² interleaved with slot κ²: equality needs the
+  // bound to multiply in exactly assign_protocols' order.
+  Circuit c(4, 0);
+  c.h(0).h(1).h(2).h(3);
+  c.cx(0, 1).cz(2, 3);
+  c.gate(cp_matrix(0.8), {1, 2});
+  c.cx(0, 1).cz(2, 3);
+  for (int budget : {1, 2, 3}) {
+    PlannerConfig cfg;
+    cfg.max_fragment_width = 3;
+    cfg.resource_overlap = 0.85;
+    cfg.pair_budget = budget;
+    const BoundCheck r = check_bound(c, cfg, static_cast<std::size_t>(budget));
+    EXPECT_GT(r.fully_granted, 0u) << "budget " << budget;
+  }
+}
+
+TEST(CutPlannerBound, StaysBelowTheOverheadWhenPairsBackOff) {
+  // GHZ(26) at cap 16: one merged cut holds 27 segments + 1 helper = 28
+  // qubits, which fits the engine cap, but two merged cuts hold 28 + 2 = 30,
+  // so assign_protocols withholds the second pair. The bound still charges
+  // that slot's κ and must stay strictly below the overhead there.
+  PlannerConfig cfg;
+  cfg.max_fragment_width = 16;
+  cfg.resource_overlap = 0.85;
+  cfg.pair_budget = 2;
+  cfg.max_cuts = 2;
+  const BoundCheck r = check_bound(ghz_line(26), cfg, 2);
+  EXPECT_GT(r.backed_off, 0u);
+  EXPECT_GT(r.fully_granted, 0u);
+}
+
+/// Seeded random circuit: an ry layer, then `n_cx` nearest-neighbour cx
+/// gates. Every wire gap is a candidate, so there are at most 2 * n_cx.
+Circuit random_ry_cx(int n, int n_cx, Rng& rng) {
+  Circuit c(n, 0);
+  for (int q = 0; q < n; ++q) {
+    c.ry(q, rng.uniform(0.0, kPi));
+  }
+  for (int g = 0; g < n_cx; ++g) {
+    const int q = static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(n - 1)));
+    c.cx(q, q + 1);
+  }
+  return c;
+}
+
+TEST(CutPlannerBound, PrunedSearchMatchesBruteForceOnRandomCircuits) {
+  // exhaustive_limit = 0 forces the branch-and-bound on every instance.
+  Rng rng(4242);
+  int planned = 0;
+  for (int n : {6, 7, 8}) {
+    const Circuit circ = random_ry_cx(n, n, rng);
+    for (int cap : {3, 4}) {
+      for (int budget : {1, 2, 3}) {
+        for (Real f : {0.6, 0.9, 1.0}) {
+          SCOPED_TRACE("n " + std::to_string(n) + " cap " + std::to_string(cap) + " budget " +
+                       std::to_string(budget) + " f " + std::to_string(f));
+          PlannerConfig cfg;
+          cfg.max_fragment_width = cap;
+          cfg.resource_overlap = f;
+          cfg.pair_budget = budget;
+          cfg.exhaustive_limit = 0;
+          const CutPlanner planner(circ, cfg);
+          ASSERT_LE(planner.search_candidates().size(), 16u);
+          const BruteResult ref = brute_force(planner);
+          if (!ref.found) {
+            EXPECT_THROW(planner.plan(), Error);
+            continue;
+          }
+          expect_same_as_brute(planner, planner.plan(), ref);
+          ++planned;
+        }
+      }
+    }
+  }
+  EXPECT_GE(planned, 27);
+}
+
+TEST(CutPlannerBound, NmeSettingPlansInFewNodes) {
+  // The paper's NME setting on hwe_ansatz_8: cap 6, two f = 0.9 pairs. A
+  // bound that charges every wire cut the best slot's κ visits 77,902 nodes
+  // here; the slot-aware bound prunes from the first incumbent (266 nodes).
+  const Circuit hwe = import_qasm_file(std::string(QCUT_QASM_CORPUS_DIR) + "/hwe_ansatz_8.qasm");
+  PlannerConfig cfg;
+  cfg.max_fragment_width = 6;
+  cfg.pair_budget = 2;
+  cfg.resource_overlap = 0.9;
+  expect_plan_matches_brute(hwe, cfg);
+  const CutPlan plan = CutPlanner(hwe, cfg).plan();
+  EXPECT_LE(plan.nodes_explored, 1000u);
+  EXPECT_FALSE(plan.budget_exhausted);
 }
 
 TEST(CutPlanner, EntanglementBudgetSetsKappa) {

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "qcut/core/cut_executor.hpp"
@@ -136,6 +138,43 @@ TEST_F(ObsTest, SkeletonCacheSharesOneBuildAcrossGadgetVariants) {
   // first lookup builds.
   EXPECT_EQ(d[Counter::kSkeletonCacheMiss], 1u);
   EXPECT_EQ(d[Counter::kSkeletonCacheHit], qpd.size() - 1);
+}
+
+TEST_F(ObsTest, SkeletonCacheBuildsOnceUnderConcurrentLookups) {
+  // Single flight: threads racing on one structure wait for the first build
+  // instead of repeating it, so the miss count stays exactly one.
+  const Circuit circ = ghz_line(4);
+  const HaradaCut proto;
+  const Qpd qpd = cut_circuit(circ, CutPoint{2, 1}, proto, "ZZZZ");
+  SplitSkeletonCache cache;
+  constexpr int kThreads = 8;
+  std::vector<std::vector<std::shared_ptr<const SplitSkeleton>>> got(kThreads);
+  std::atomic<bool> go{false};
+
+  const obs::MetricsSnapshot before = obs::metrics_snapshot();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) {
+        std::this_thread::yield();
+      }
+      for (const QpdTerm& term : qpd.terms()) {
+        got[static_cast<std::size_t>(t)].push_back(cache.get(term.circuit));
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  const obs::MetricsSnapshot d = obs::metrics_delta(before, obs::metrics_snapshot());
+  EXPECT_EQ(d[Counter::kSkeletonCacheMiss], 1u);
+  EXPECT_EQ(d[Counter::kSkeletonCacheHit], kThreads * qpd.size() - 1);
+  for (const auto& per_thread : got) {
+    for (const auto& skel : per_thread) {
+      EXPECT_EQ(skel, got[0][0]);
+    }
+  }
 }
 
 TEST_F(ObsTest, FusionRegistryMirrorsReturnedStatsAndCountsStatlessCalls) {

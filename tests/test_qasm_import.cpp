@@ -455,10 +455,32 @@ TEST(QasmImport, StripTrailingMeasurementsKeepsMidCircuitOnes) {
   EXPECT_EQ(stripped, 2);
   ASSERT_EQ(s.size(), 4u);
   EXPECT_EQ(s.ops()[1].kind, OpKind::kMeasure);  // the mid-circuit one survives
+  EXPECT_EQ(s.n_cbits(), 2);  // ...and so does the register it writes
 
   const Circuit none = strip_trailing_measurements(s, &stripped);
   EXPECT_EQ(stripped, 0);
   EXPECT_EQ(none.size(), s.size());
+}
+
+TEST(QasmImport, StripTrailingMeasurementsDropsAnUnusedRegister) {
+  // `creg c[3]; measure q -> c;` after a unitary body: once every measure
+  // is stripped nothing touches the register, so the copy is purely quantum.
+  const Circuit c = import_qasm(
+      "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[3];\n"
+      "h q[0];\ncx q[0],q[1];\ncx q[1],q[2];\nmeasure q -> c;\n");
+  ASSERT_EQ(c.n_cbits(), 3);
+  int stripped = 0;
+  const Circuit s = strip_trailing_measurements(c, &stripped);
+  EXPECT_EQ(stripped, 3);
+  EXPECT_EQ(s.n_cbits(), 0);
+  EXPECT_EQ(s.size(), 3u);
+
+  // A conditioned gate reads the register, so it stays.
+  Circuit f(2, 1);
+  f.h(0).x_if(0, 1).measure(1, 0);
+  const Circuit kept = strip_trailing_measurements(f, &stripped);
+  EXPECT_EQ(stripped, 1);
+  EXPECT_EQ(kept.n_cbits(), 1);
 }
 
 TEST(QasmImport, CircuitsEquivalentDetectsMismatches) {

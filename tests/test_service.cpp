@@ -117,6 +117,29 @@ TEST(ServiceEstimate, QasmAndIrRequestsAgreeBitIdentically) {
   EXPECT_TRUE(via_qasm.plan_cache_hit);
 }
 
+TEST(ServiceEstimate, MeasuredAndUnmeasuredQasmAgreeBitIdentically) {
+  // Benchmark circuits conventionally end in `creg c[n]; measure q -> c;`.
+  // The request path strips those measurements, and with them the unused
+  // register, so the measured form plans, cuts and answers exactly like the
+  // measurement-free one.
+  EstimateRequest plain = workload_request();
+  plain.circuit.reset();
+  plain.circuit_qasm = to_qasm(workload_circuit());
+  EstimateRequest measured = plain;
+  measured.circuit_qasm += "creg c[4];\nmeasure q -> c;\n";
+  const EstimateResult a = estimate(plain, nullptr);
+  const EstimateResult b = estimate(measured, nullptr);
+  EXPECT_EQ(a.estimate, b.estimate);
+  EXPECT_EQ(a.exact, b.exact);
+  EXPECT_EQ(a.shots_used, b.shots_used);
+  EXPECT_EQ(a.ci_halfwidth, b.ci_halfwidth);
+  EXPECT_EQ(a.plan_summary.cuts, b.plan_summary.cuts);
+
+  ServiceCaches caches;
+  (void)estimate(plain, &caches);
+  EXPECT_TRUE(estimate(measured, &caches).plan_cache_hit);
+}
+
 TEST(ServiceEstimate, EpsilonDrivesBudgetAndShotCapBoundsIt) {
   EstimateRequest req = workload_request();
   req.run_cfg.shots = 0;  // run at the ε-predicted budget
