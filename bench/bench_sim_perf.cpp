@@ -29,8 +29,8 @@
 // single-thread kernel win.
 //
 // SIMD tier section: the same kernels measured under each *forced* dispatch
-// tier (scalar / AVX2 / AVX-512) — tiers the build or CPU lacks are skipped
-// with an explicit row. The AVX2 dense 1q/2q GB/s must be >= 2x scalar.
+// tier (scalar / AVX2) — a tier the build or CPU lacks is skipped with an
+// explicit row. The AVX2 dense 1q/2q GB/s must be >= 2x scalar.
 //
 // Fusion section: an rz-ry-rz + cx-ladder workload applied unfused vs fused
 // (fuse_circuit), with op counts, wall time, and an amplitude cross-check.
@@ -646,9 +646,8 @@ int main(int argc, char** argv) {
   std::printf("%-8s %-14s %10s\n", "tier", "kernel", "GB/s");
   std::vector<TierKernelRow> tier_rows;
   // [tier][0] = dense 1q, [1] = dense 2q — for the AVX2-vs-scalar floor.
-  double dense_gbs[3][2] = {{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}};
-  for (const qcut::SimdTier tier :
-       {qcut::SimdTier::kScalar, qcut::SimdTier::kAvx2, qcut::SimdTier::kAvx512}) {
+  double dense_gbs[2][2] = {{0.0, 0.0}, {0.0, 0.0}};
+  for (const qcut::SimdTier tier : {qcut::SimdTier::kScalar, qcut::SimdTier::kAvx2}) {
     const char* tname = qcut::simd_tier_name(tier);
     if (!qcut::simd_tier_available(tier)) {
       std::printf("%-8s %-14s %10s\n", tname, "-", "absent");
@@ -744,8 +743,7 @@ int main(int argc, char** argv) {
        << "\",\n    \"available\": [";
   {
     bool first = true;
-    for (const qcut::SimdTier tier :
-         {qcut::SimdTier::kScalar, qcut::SimdTier::kAvx2, qcut::SimdTier::kAvx512}) {
+    for (const qcut::SimdTier tier : {qcut::SimdTier::kScalar, qcut::SimdTier::kAvx2}) {
       if (qcut::simd_tier_available(tier)) {
         json << (first ? "" : ", ") << "\"" << qcut::simd_tier_name(tier) << "\"";
         first = false;

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   std::printf("cut: wire 1 after op 2, protocol %s, kappa = %.4f\n\n", proto.name().c_str(),
               proto.kappa());
 
-  for (const std::string& obs : {"XXX", "ZZI", "IZZ"}) {
+  for (const char* obs : {"XXX", "ZZI", "IZZ"}) {
     const Qpd qpd = cut_circuit(ghz, {/*after_op=*/2, /*qubit=*/1}, proto, obs);
     const auto probs = exact_term_prob_one(qpd);
     const Real exact = uncut_circuit_expectation(ghz, obs);
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       stats.add(estimate_sampled_fast(qpd, probs, shots, rng).estimate);
     }
     std::printf("<%s>: exact %+.4f   cut estimate %+.4f +- %.4f  (%llu shots x 25 runs)\n",
-                obs.c_str(), exact, stats.mean(), stats.sem(),
+                obs, exact, stats.mean(), stats.sem(),
                 static_cast<unsigned long long>(shots));
   }
 

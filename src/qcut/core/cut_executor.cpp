@@ -134,22 +134,4 @@ std::shared_ptr<const WireCutProtocol> make_wire_protocol(const ProtocolSpec& sp
   return std::static_pointer_cast<const WireCutProtocol>(make_protocol(spec));
 }
 
-std::shared_ptr<const WireCutProtocol> make_protocol(const std::string& name, Real k) {
-  ProtocolSpec spec;
-  if (name == "peng") {
-    spec = ProtocolSpec{ProtocolId::kPeng, 0.0};
-  } else if (name == "harada") {
-    spec = ProtocolSpec{ProtocolId::kHarada, 0.0};
-  } else if (name == "teleport") {
-    spec = ProtocolSpec{ProtocolId::kTeleport, 0.0};
-  } else if (name == "nme") {
-    spec = ProtocolSpec{ProtocolId::kNme, k};
-  } else if (name == "distill") {
-    spec = ProtocolSpec{ProtocolId::kDistill, k};
-  } else {
-    throw Error("make_protocol: unknown protocol '" + name + "'");
-  }
-  return std::static_pointer_cast<const WireCutProtocol>(make_protocol(spec));
-}
-
 }  // namespace qcut

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "qcut/cut/wire_cut.hpp"
 #include "qcut/exec/engine.hpp"
@@ -46,9 +45,6 @@ struct CutRunConfig {
   /// on pool workers, where the engine and fragment evaluator fall back
   /// inline); the default global delta is exact for run-at-a-time drivers.
   bool scoped_report = false;
-
-  /// Deprecated shim for the retired `fast` switch — now simply `backend`.
-  BackendKind effective_backend() const noexcept { return backend; }
 };
 
 struct CutRunResult {
@@ -102,13 +98,5 @@ std::shared_ptr<const CutProtocol> make_protocol(const ProtocolSpec& spec);
 /// constructor wants a WireCutProtocol, and every wire-cut ProtocolSpec
 /// instantiates one. Throws qcut::Error for gate-cut specs (kZzGate).
 std::shared_ptr<const WireCutProtocol> make_wire_protocol(const ProtocolSpec& spec);
-
-/// Legacy factory by name: "peng", "harada", "teleport", "nme", "distill".
-/// For "nme"/"distill" the `k` parameter selects the resource |Φk⟩.
-/// Documented shim kept for external callers and scripts that configure
-/// protocols from text; in-tree code passes typed ProtocolSpec descriptors
-/// to make_protocol/make_wire_protocol instead. Delegates to the typed
-/// overload — the string form can never drift from it.
-std::shared_ptr<const WireCutProtocol> make_protocol(const std::string& name, Real k = 1.0);
 
 }  // namespace qcut

@@ -271,21 +271,9 @@ Qpd cut_circuit_sites(const Circuit& circ, const std::vector<CutSite>& cut_sites
   return qpd;
 }
 
-Qpd cut_circuit_multi(const Circuit& circ, const std::vector<CutPoint>& points,
-                      const std::vector<const WireCutProtocol*>& protocols,
-                      const std::string& observable) {
-  std::vector<CutSite> sites;
-  sites.reserve(points.size());
-  for (const CutPoint& p : points) {
-    sites.push_back(CutSite::wire(p));
-  }
-  std::vector<const CutProtocol*> protos(protocols.begin(), protocols.end());
-  return cut_circuit_sites(circ, sites, protos, observable);
-}
-
 Qpd cut_circuit(const Circuit& circ, const CutPoint& point, const WireCutProtocol& protocol,
                 const std::string& observable) {
-  return cut_circuit_multi(circ, {point}, {&protocol}, observable);
+  return cut_circuit_sites(circ, {CutSite::wire(point)}, {&protocol}, observable);
 }
 
 Qpd uncut_qpd(const Circuit& circ, const std::string& observable) {

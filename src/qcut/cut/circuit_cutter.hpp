@@ -11,12 +11,12 @@
 // on a fresh receiver wire (a different device); the sender-side wire is
 // consumed by the gadget.
 //
-// cut_circuit_multi is the n-cut generalization: each cut consumes the
+// cut_circuit_sites is the n-cut generalization: each wire cut consumes the
 // current carrier of its wire and delivers onto a fresh receiver, so cuts may
-// chain along one wire. The joint QPD is the product decomposition — Π m_i
-// terms, coefficient products, κ = Π κ_i — exactly product_qpd's semantics
-// realized inside one host circuit. This is what the automatic planner
-// (qcut/plan/) executes.
+// chain along one wire, and gate cuts replace their host op in place. The
+// joint QPD is the product decomposition — Π m_i terms, coefficient products,
+// κ = Π κ_i — exactly product_qpd's semantics realized inside one host
+// circuit. This is what the automatic planner (qcut/plan/) executes.
 #pragma once
 
 #include <string>
@@ -93,11 +93,6 @@ Qpd cut_circuit(const Circuit& circ, const CutPoint& point, const WireCutProtoco
 /// require a two-qubit unitary host op cut by at most one site.
 Qpd cut_circuit_sites(const Circuit& circ, const std::vector<CutSite>& sites,
                       const std::vector<const CutProtocol*>& protocols,
-                      const std::string& observable);
-
-/// Wire-cut-only convenience over cut_circuit_sites (the pre-gate-cut API).
-Qpd cut_circuit_multi(const Circuit& circ, const std::vector<CutPoint>& points,
-                      const std::vector<const WireCutProtocol*>& protocols,
                       const std::string& observable);
 
 /// The single-term "QPD" of the uncut circuit: coefficient 1, κ = 1, the

@@ -35,38 +35,19 @@ BatchedBranchBackend::BatchedBranchBackend(const Qpd& qpd)
 BatchedBranchBackend::BatchedBranchBackend(const Qpd& qpd, std::vector<Real> prob_one)
     : qpd_(&qpd), cache_(std::make_shared<BranchCache>(qpd, std::move(prob_one))) {}
 
-BatchedBranchBackend::BatchedBranchBackend(const Qpd& qpd, std::shared_ptr<BranchCache> cache)
-    : qpd_(&qpd), cache_(std::move(cache)) {
-  QCUT_CHECK(cache_ != nullptr, "BatchedBranchBackend: null cache");
-  QCUT_CHECK(&cache_->qpd() == qpd_, "BatchedBranchBackend: cache bound to a different QPD");
-}
-
 std::uint64_t BatchedBranchBackend::run_batch(const TermBatch& batch, Rng& rng) const {
   QCUT_CHECK(batch.term < qpd_->size(), "BatchedBranchBackend: term out of range");
   return rng.binomial(batch.shots, cache_->prob_one(batch.term));
 }
 
-FragmentBackend::FragmentBackend(const Qpd& qpd, int max_fragment_width, ThreadPool* pool)
-    : FragmentBackend(qpd, max_fragment_width, pool, nullptr, nullptr) {}
-
 FragmentBackend::FragmentBackend(const Qpd& qpd, int max_fragment_width, ThreadPool* pool,
-                                 std::shared_ptr<SplitSkeletonCache> skeletons,
-                                 std::shared_ptr<BranchCache> cache)
-    : qpd_(&qpd),
-      max_fragment_width_(max_fragment_width > 0 ? max_fragment_width
-                                                 : Statevector::kMaxQubits),
-      pool_(pool),
-      skeletons_(skeletons != nullptr ? std::move(skeletons)
-                                      : std::make_shared<SplitSkeletonCache>()) {
-  QCUT_CHECK(max_fragment_width_ <= Statevector::kMaxQubits,
+                                 std::shared_ptr<SplitSkeletonCache> skeletons)
+    : qpd_(&qpd), pool_(pool) {
+  const int cap = max_fragment_width > 0 ? max_fragment_width : Statevector::kMaxQubits;
+  QCUT_CHECK(cap <= Statevector::kMaxQubits,
              "FragmentBackend: width cap exceeds the statevector engine cap");
-  if (cache != nullptr) {
-    QCUT_CHECK(&cache->qpd() == qpd_, "FragmentBackend: cache bound to a different QPD");
-    cache_ = std::move(cache);
-    return;
-  }
-  const int cap = max_fragment_width_;
-  const auto skels = skeletons_;
+  const auto skels =
+      skeletons != nullptr ? std::move(skeletons) : std::make_shared<SplitSkeletonCache>();
   cache_ = std::make_shared<BranchCache>(qpd, [cap, pool, skels](const QpdTerm& term) {
     FragmentSplit split = [&] {
       obs::TraceSpan span("fragment.split");
@@ -128,7 +109,7 @@ std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind, const Qpd& qpd,
       // that never use a pool cannot construct it as a side effect.
       return std::make_unique<FragmentBackend>(qpd, /*max_fragment_width=*/0,
                                                pool != nullptr ? pool : &global_pool(),
-                                               std::move(skeletons), nullptr);
+                                               std::move(skeletons));
   }
   throw Error("make_backend: unknown backend kind");
 }

@@ -1,18 +1,21 @@
 // Execution backends: how a TermBatch turns into an outcome count.
 //
-// Both backends produce the number of −1 outcomes ("ones") among the batch's
+// Every backend produces the number of −1 outcomes ("ones") among the batch's
 // shots. They are interchangeable in law:
 //  * SerialShotBackend    — the reference semantics: every shot is a full
 //    stochastic statevector simulation of the term circuit (what a quantum
 //    device does). Kept for validation and as the honest-cost baseline.
 //  * BatchedBranchBackend — enumerates the term's measurement branches once
-//    (through a shared BranchCache) and services the whole batch with a
+//    (through its own BranchCache) and services the whole batch with a
 //    single binomial draw. Orders of magnitude fewer statevector evolutions;
 //    the engine-equivalence tests pin the distributional match.
+//  * FragmentBackend      — the same binomial draw, with each term's P(−1)
+//    computed fragment by fragment; only the split-skeleton cache can be
+//    shared across backends.
 //
 // Backends are bound to one Qpd and must be callable concurrently from many
-// threads (they are — SerialShotBackend is stateless, BatchedBranchBackend's
-// cache is thread-safe).
+// threads (they are — SerialShotBackend is stateless, the branch caches are
+// thread-safe).
 #pragma once
 
 #include <memory>
@@ -55,8 +58,6 @@ class BatchedBranchBackend final : public ExecutionBackend {
   explicit BatchedBranchBackend(const Qpd& qpd);
   /// Reuses precomputed per-term probabilities (e.g. across repetitions).
   BatchedBranchBackend(const Qpd& qpd, std::vector<Real> prob_one);
-  /// Shares an existing cache (e.g. across shot-grid entries of one input).
-  BatchedBranchBackend(const Qpd& qpd, std::shared_ptr<BranchCache> cache);
 
   std::string name() const override { return "batched-branch"; }
   std::uint64_t run_batch(const TermBatch& batch, Rng& rng) const override;
@@ -86,18 +87,12 @@ class FragmentBackend final : public ExecutionBackend {
   /// the engine already parallelizes across terms). Splitting reuses one
   /// SplitSkeletonCache across all terms: the 8^K gadget variants of a cut
   /// plan share their split structure, so per-term splitting is a cheap op
-  /// replay. Results are bit-identical for any pool (or none).
+  /// replay; `skeletons` shares a caller-owned cache across requests (the
+  /// service layer's process-lifetime one), nullptr gives a private one.
+  /// Results are bit-identical for any pool (or none).
   explicit FragmentBackend(const Qpd& qpd, int max_fragment_width = 0,
-                           ThreadPool* pool = nullptr);
-
-  /// Cross-request construction: shares a caller-owned skeleton cache (e.g.
-  /// the service layer's process-lifetime cache) and, optionally, an existing
-  /// BranchCache bound to the *same* Qpd object — a warm cache from a prior
-  /// run of the identical request skips every enumeration. Pass nullptr for
-  /// either to get a fresh private one.
-  FragmentBackend(const Qpd& qpd, int max_fragment_width, ThreadPool* pool,
-                  std::shared_ptr<SplitSkeletonCache> skeletons,
-                  std::shared_ptr<BranchCache> cache);
+                           ThreadPool* pool = nullptr,
+                           std::shared_ptr<SplitSkeletonCache> skeletons = nullptr);
 
   std::string name() const override { return "fragment"; }
   std::uint64_t run_batch(const TermBatch& batch, Rng& rng) const override;
@@ -109,14 +104,10 @@ class FragmentBackend final : public ExecutionBackend {
   void prewarm() const;
 
   const BranchCache& cache() const noexcept { return *cache_; }
-  const SplitSkeletonCache& skeletons() const noexcept { return *skeletons_; }
-  int max_fragment_width() const noexcept { return max_fragment_width_; }
 
  private:
   const Qpd* qpd_;
-  int max_fragment_width_ = 0;
   ThreadPool* pool_ = nullptr;
-  std::shared_ptr<SplitSkeletonCache> skeletons_;
   std::shared_ptr<BranchCache> cache_;
 };
 

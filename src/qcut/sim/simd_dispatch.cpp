@@ -18,9 +18,6 @@ bool cpu_supports(SimdTier tier) {
       return true;
     case SimdTier::kAvx2:
       return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-    case SimdTier::kAvx512:
-      return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
-             __builtin_cpu_supports("avx512vl");
   }
   return false;
 #else
@@ -34,8 +31,6 @@ const SimdKernels* compiled_table(SimdTier tier) {
       return simd_kernels_scalar();
     case SimdTier::kAvx2:
       return simd_kernels_avx2();
-    case SimdTier::kAvx512:
-      return simd_kernels_avx512();
   }
   return nullptr;
 }
@@ -45,26 +40,17 @@ SimdTier detect_tier() {
   // unavailable value throws — a silently ignored QCUT_SIMD would let a
   // forced-AVX2 CI job quietly measure the wrong tier.
   if (const char* env = std::getenv("QCUT_SIMD")) {
-    if (std::strcmp(env, "scalar") == 0 || std::strcmp(env, "avx2") == 0 ||
-        std::strcmp(env, "avx512") == 0) {
-      const SimdTier t = std::strcmp(env, "scalar") == 0
-                             ? SimdTier::kScalar
-                             : (std::strcmp(env, "avx2") == 0 ? SimdTier::kAvx2
-                                                              : SimdTier::kAvx512);
+    if (std::strcmp(env, "scalar") == 0 || std::strcmp(env, "avx2") == 0) {
+      const SimdTier t = std::strcmp(env, "scalar") == 0 ? SimdTier::kScalar : SimdTier::kAvx2;
       QCUT_CHECK(simd_tier_available(t),
                  std::string("QCUT_SIMD requests tier '") + env +
                      "' which this build/CPU does not support");
       return t;
     }
     throw Error(std::string("QCUT_SIMD: unknown tier '") + env +
-                "' (expected scalar|avx2|avx512)");
+                "' (expected scalar|avx2)");
   }
-  for (const SimdTier t : {SimdTier::kAvx512, SimdTier::kAvx2}) {
-    if (simd_tier_available(t)) {
-      return t;
-    }
-  }
-  return SimdTier::kScalar;
+  return simd_tier_available(SimdTier::kAvx2) ? SimdTier::kAvx2 : SimdTier::kScalar;
 }
 
 struct Dispatch {
@@ -91,8 +77,6 @@ const char* simd_tier_name(SimdTier tier) {
       return "scalar";
     case SimdTier::kAvx2:
       return "avx2";
-    case SimdTier::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }

@@ -1,10 +1,10 @@
 // Runtime SIMD tier selection for the statevector run kernels.
 //
 // The library ships every tier the toolchain could compile (scalar always,
-// AVX2 / AVX-512 on x86 — each in its own translation unit with its own -m
-// flags) and picks the widest one the executing CPU supports, once, on first
-// use. The choice can be overridden:
-//   * environment: QCUT_SIMD=scalar|avx2|avx512, read at first dispatch —
+// AVX2 on x86 — in its own translation unit with its own -m flags) and picks
+// the widest one the executing CPU supports, once, on first use. The choice
+// can be overridden:
+//   * environment: QCUT_SIMD=scalar|avx2, read at first dispatch —
 //     the debugging/CI knob (forcing a tier the CPU lacks throws);
 //   * programmatic: force_simd_tier(), used by the equivalence tests and
 //     bench_sim_perf to measure every available tier in one process.
@@ -21,10 +21,9 @@ namespace qcut {
 enum class SimdTier : int {
   kScalar = 0,
   kAvx2 = 1,
-  kAvx512 = 2,
 };
 
-/// "scalar" / "avx2" / "avx512".
+/// "scalar" / "avx2".
 const char* simd_tier_name(SimdTier tier);
 
 /// True when `tier` was compiled in AND the executing CPU supports it.

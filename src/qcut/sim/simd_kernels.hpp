@@ -4,7 +4,7 @@
 // *contiguous runs* of interleaved complex<double> amplitudes (the layout
 // std::vector<std::complex<double>> already has: re, im, re, im, ...).
 // This header defines a function-pointer table of exactly those run
-// operations; one translation unit per ISA tier (scalar / AVX2 / AVX-512)
+// operations; one translation unit per ISA tier (scalar / AVX2)
 // provides an implementation, and sim/simd_dispatch.cpp selects one table at
 // startup. statevector.cpp enumerates the runs (strides, group bases, chunk
 // boundaries) and stays ISA-agnostic.
@@ -59,6 +59,5 @@ struct SimdKernels {
 /// dispatch.
 const SimdKernels* simd_kernels_scalar();
 const SimdKernels* simd_kernels_avx2();
-const SimdKernels* simd_kernels_avx512();
 
 }  // namespace qcut

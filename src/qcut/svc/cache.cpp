@@ -119,10 +119,5 @@ std::shared_ptr<EvalEntry> EvalEntry::build(PlannedExecutor executor, const Obse
   return entry;
 }
 
-ServiceCaches& global_service_caches() {
-  static ServiceCaches caches;
-  return caches;
-}
-
 }  // namespace svc
 }  // namespace qcut

@@ -161,7 +161,9 @@ struct ServiceCachesConfig {
   std::size_t skeleton_capacity = 512;
 };
 
-/// The process-lifetime cache bundle one service instance owns.
+/// The process-lifetime cache bundle one service instance owns: the daemon
+/// holds one, and in-process callers that opt into caching pass their own to
+/// svc::estimate.
 class ServiceCaches {
  public:
   explicit ServiceCaches(ServiceCachesConfig cfg = {})
@@ -173,10 +175,6 @@ class ServiceCaches {
   LruCache<EvalEntry> evals;
   std::shared_ptr<SplitSkeletonCache> skeletons;
 };
-
-/// Shared default instance for in-process callers that opt into caching;
-/// the daemon owns its own ServiceCaches instead.
-ServiceCaches& global_service_caches();
 
 }  // namespace svc
 }  // namespace qcut

@@ -196,15 +196,18 @@ void QcutServer::stop() {
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : conn_fds_) {
+    for (auto& [fd, thread] : conns_) {
       ::shutdown(fd, SHUT_RDWR);
+      threads.push_back(std::move(thread));
     }
-    threads.swap(conn_threads_);
+    conns_.clear();
+    for (std::thread& t : finished_conns_) {
+      threads.push_back(std::move(t));
+    }
+    finished_conns_.clear();
   }
   for (std::thread& t : threads) {
-    if (t.joinable()) {
-      t.join();
-    }
+    t.join();
   }
 }
 
@@ -270,13 +273,21 @@ void QcutServer::accept_loop() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (!running_.load()) {
-      ::close(fd);
-      break;
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      if (!running_.load()) {
+        ::close(fd);
+        break;
+      }
+      finished.swap(finished_conns_);
+      conns_.emplace(fd, std::thread([this, fd] { serve_connection(fd); }));
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
+    // Reap connections that have ended: each has left conns_ and is at
+    // most a close() away from returning.
+    for (std::thread& t : finished) {
+      t.join();
+    }
   }
 }
 
@@ -326,6 +337,16 @@ void QcutServer::serve_connection(int fd) {
   } catch (const std::exception&) {
     // Frame-desync or transport failure: drop the connection. The protocol
     // has no resync point inside a stream, so closing is the safe answer.
+  }
+  {
+    // Deregister before closing: once the number is free, accept() or any
+    // other socket may reuse it, and stop() must not shut that one down.
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    const auto it = conns_.find(fd);
+    if (it != conns_.end()) {  // absent when stop() has already taken it
+      finished_conns_.push_back(std::move(it->second));
+      conns_.erase(it);
+    }
   }
   ::close(fd);
 }

@@ -1,8 +1,9 @@
 // qcut-server: a daemon answering wire-protocol estimation requests over TCP.
 //
 // Architecture (one process, three thread populations):
-//  * the accept thread hands each connection to a detachable connection
-//    thread (connections are long-lived: a client streams many frames);
+//  * the accept thread hands each connection to a connection thread
+//    (connections are long-lived: a client streams many frames) and joins
+//    the threads of connections that have ended;
 //  * connection threads parse frames and submit request execution to the
 //    shared ThreadPool, then block on the result — so the POOL, not the
 //    connection count, bounds estimation concurrency;
@@ -239,9 +240,13 @@ class QcutServer {
   std::map<std::uint64_t, std::shared_ptr<CancelToken>> active_tokens_;
 
   std::thread accept_thread_;
+  /// Live connections by fd. A connection leaves the map under conn_mu_
+  /// before it closes its fd, so stop() only ever shuts down sockets that
+  /// are still this server's; its thread moves to `finished_conns_`, which
+  /// the accept loop and stop() join.
   std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
+  std::map<int, std::thread> conns_;
+  std::vector<std::thread> finished_conns_;
 };
 
 /// Blocking client for the wire protocol. One connection, sequential

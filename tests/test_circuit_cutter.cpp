@@ -28,7 +28,7 @@ TEST(CircuitCutter, GhzCircuitCutInTheMiddle) {
   Circuit ghz(3, 0);
   ghz.h(0).cx(0, 1).cx(1, 2);
   const NmeCut proto(0.7);
-  for (const std::string& obs : {"ZZZ", "ZIZ", "IZZ", "XXX"}) {
+  for (const char* obs : {"ZZZ", "ZIZ", "IZZ", "XXX"}) {
     const Qpd qpd = cut_circuit(ghz, {/*after_op=*/2, /*qubit=*/1}, proto, obs);
     EXPECT_NEAR(exact_value(qpd), uncut_circuit_expectation(ghz, obs), 1e-9) << obs;
   }
@@ -189,10 +189,13 @@ TEST(CircuitCutter, RejectsOutOfRangeMultiCut) {
   const NmeCut nme(0.7);
   // Out-of-range members of a multi-cut set fail with the same errors as the
   // single-cut path.
-  EXPECT_THROW(cut_circuit_multi(c, {{1, 0}, {2, 7}}, {&proto, &nme}, "ZZZ"), Error);
-  EXPECT_THROW(cut_circuit_multi(c, {{9, 0}, {2, 1}}, {&proto, &nme}, "ZZZ"), Error);
+  const auto cut2 = [&](CutPoint a, CutPoint b, const std::string& obs) {
+    return cut_circuit_sites(c, {CutSite::wire(a), CutSite::wire(b)}, {&proto, &nme}, obs);
+  };
+  EXPECT_THROW(cut2({1, 0}, {2, 7}, "ZZZ"), Error);
+  EXPECT_THROW(cut2({9, 0}, {2, 1}, "ZZZ"), Error);
   // A dead member is rejected even when the other cut is live.
-  EXPECT_THROW(cut_circuit_multi(c, {{2, 1}, {3, 0}}, {&proto, &nme}, "IZZ"), Error);
+  EXPECT_THROW(cut2({2, 1}, {3, 0}, "IZZ"), Error);
 }
 
 TEST(CircuitCutter, KappaIndependentOfHostCircuit) {

@@ -779,14 +779,14 @@ TEST(CutPlanner, DefaultedWidthCapTracksTheEngineCap) {
 
 // ---- multi-cut splicing -----------------------------------------------------
 
-TEST(CutCircuitMulti, TwoCutExactValueAndKappa) {
+TEST(CutCircuitSites, TwoCutExactValueAndKappa) {
   Rng rng(21);
   const NmeCut nme(0.7);
   const HaradaCut harada;
   for (int trial = 0; trial < 3; ++trial) {
     const Circuit circ = random_unitary_circuit(4, 6, rng);
-    const std::vector<CutPoint> points = {{2, 1}, {4, 2}};
-    const Qpd qpd = cut_circuit_multi(circ, points, {&nme, &harada}, "ZXZY");
+    const std::vector<CutSite> sites = {CutSite::wire({2, 1}), CutSite::wire({4, 2})};
+    const Qpd qpd = cut_circuit_sites(circ, sites, {&nme, &harada}, "ZXZY");
     EXPECT_NEAR(exact_value(qpd), uncut_circuit_expectation(circ, "ZXZY"), 1e-8)
         << "trial " << trial;
     EXPECT_NEAR(qpd.kappa(), nme.kappa() * harada.kappa(), 1e-9);
@@ -795,22 +795,23 @@ TEST(CutCircuitMulti, TwoCutExactValueAndKappa) {
   }
 }
 
-TEST(CutCircuitMulti, ChainedCutsOnOneWire) {
+TEST(CutCircuitSites, ChainedCutsOnOneWire) {
   // Two cuts on the same wire: the second consumes the first's receiver.
   Rng rng(22);
   const Circuit circ = random_unitary_circuit(3, 6, rng);
   const NmeCut a(0.9), b(0.6);
-  const Qpd qpd = cut_circuit_multi(circ, {{2, 1}, {4, 1}}, {&a, &b}, "ZZZ");
+  const Qpd qpd =
+      cut_circuit_sites(circ, {CutSite::wire({2, 1}), CutSite::wire({4, 1})}, {&a, &b}, "ZZZ");
   EXPECT_NEAR(exact_value(qpd), uncut_circuit_expectation(circ, "ZZZ"), 1e-8);
   EXPECT_NEAR(qpd.kappa(), a.kappa() * b.kappa(), 1e-9);
 }
 
-TEST(CutCircuitMulti, SinglePointReproducesCutCircuit) {
+TEST(CutCircuitSites, SinglePointReproducesCutCircuit) {
   Rng rng(23);
   const Circuit circ = random_unitary_circuit(3, 5, rng);
   const NmeCut proto(0.55);
   const Qpd single = cut_circuit(circ, {3, 1}, proto, "ZXZ");
-  const Qpd multi = cut_circuit_multi(circ, {{3, 1}}, {&proto}, "ZXZ");
+  const Qpd multi = cut_circuit_sites(circ, {CutSite::wire({3, 1})}, {&proto}, "ZXZ");
   ASSERT_EQ(single.size(), multi.size());
   for (std::size_t i = 0; i < single.size(); ++i) {
     EXPECT_EQ(single.terms()[i].coefficient, multi.terms()[i].coefficient);
@@ -859,15 +860,11 @@ TEST(CutCircuitSites, RejectsBadArguments) {
   EXPECT_THROW(cut_circuit_sites(c, {CutSite::gate(3)}, {&zz}, "ZZ"), Error);
   EXPECT_THROW(cut_circuit_sites(c, {CutSite::gate(2), CutSite::gate(2)}, {&zz, &zz}, "ZZ"),
                Error);
-}
-
-TEST(CutCircuitMulti, RejectsBadArguments) {
-  const HaradaCut h;
-  Circuit c(2, 0);
-  c.h(0).cx(0, 1);
-  EXPECT_THROW(cut_circuit_multi(c, {}, {}, "ZZ"), Error);
-  EXPECT_THROW(cut_circuit_multi(c, {{1, 0}}, {&h, &h}, "ZZ"), Error);
-  EXPECT_THROW(cut_circuit_multi(c, {{1, 0}}, {nullptr}, "ZZ"), Error);
+  // No sites, a site/protocol count mismatch, and a null protocol.
+  const CutSite wire = CutSite::wire(CutPoint{1, 0});
+  EXPECT_THROW(cut_circuit_sites(c, {}, {}, "ZZ"), Error);
+  EXPECT_THROW(cut_circuit_sites(c, {wire}, {&h, &h}, "ZZ"), Error);
+  EXPECT_THROW(cut_circuit_sites(c, {wire}, {nullptr}, "ZZ"), Error);
 }
 
 // ---- end-to-end planned execution ------------------------------------------

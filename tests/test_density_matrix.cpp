@@ -106,7 +106,7 @@ TEST(DensityMatrix, ExpectationPauli) {
   const Vector psi = random_statevector(4, rng);
   DensityMatrix dm = DensityMatrix::from_statevector(2, psi);
   Statevector sv(2, psi);
-  for (const std::string& p : {"ZI", "IZ", "XX", "YZ"}) {
+  for (const char* p : {"ZI", "IZ", "XX", "YZ"}) {
     EXPECT_NEAR(dm.expectation_pauli(p), sv.expectation_pauli(p), 1e-10) << p;
   }
 }

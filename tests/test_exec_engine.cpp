@@ -237,7 +237,6 @@ TEST(EngineTest, CutExecutorDefaultsToBatchedBackend) {
   // batched-branch engine, and the old fast=false reference path is spelled
   // backend = kSerialShot explicitly.
   EXPECT_EQ(cfg.backend, BackendKind::kBatchedBranch);
-  EXPECT_EQ(cfg.effective_backend(), cfg.backend);
 
   cfg = CutRunConfig{};
   cfg.shots = 20000;

@@ -88,23 +88,23 @@ TEST(FragmentBackend, MatchesSplicedProbabilitiesOnRandomCutCircuits) {
       continue;
     }
     const std::size_t n_cuts = 1 + rng.uniform_u64(2);  // 1..2
-    std::vector<CutPoint> points;
-    std::vector<const WireCutProtocol*> protos;
+    std::vector<CutSite> sites;
+    std::vector<const CutProtocol*> protos;
     for (std::size_t j = 0; j < n_cuts; ++j) {
       const auto& cand = graph.candidates();
       const CutPoint p = cand[rng.uniform_u64(cand.size())];
       bool dup = false;
-      for (const CutPoint& q : points) {
-        dup = dup || (q == p);
+      for (const CutSite& q : sites) {
+        dup = dup || (q.point == p);
       }
       if (dup) {
         continue;
       }
-      points.push_back(p);
-      protos.push_back(rng.bernoulli(0.5) ? static_cast<const WireCutProtocol*>(&harada)
-                                          : static_cast<const WireCutProtocol*>(&peng));
+      sites.push_back(CutSite::wire(p));
+      protos.push_back(rng.bernoulli(0.5) ? static_cast<const CutProtocol*>(&harada)
+                                          : static_cast<const CutProtocol*>(&peng));
     }
-    const Qpd qpd = cut_circuit_multi(circ, points, protos, all_z(n));
+    const Qpd qpd = cut_circuit_sites(circ, sites, protos, all_z(n));
     ++cut_instances;
 
     const FragmentBackend frag(qpd);
@@ -310,9 +310,8 @@ TEST(FragmentSplit, SkeletonCacheMatchesFreshSplitAcrossAllGadgetVariants) {
   const Circuit circ = ghz_line(8);
   const HaradaCut harada;
   const PengCut peng;
-  const std::vector<CutPoint> points{{2, 1}, {5, 4}};
-  const std::vector<const WireCutProtocol*> protos{&harada, &peng};
-  const Qpd qpd = cut_circuit_multi(circ, points, protos, all_z(8));
+  const std::vector<CutSite> sites{CutSite::wire({2, 1}), CutSite::wire({5, 4})};
+  const Qpd qpd = cut_circuit_sites(circ, sites, {&harada, &peng}, all_z(8));
   ASSERT_GE(qpd.size(), 9u);
 
   SplitSkeletonCache cache;

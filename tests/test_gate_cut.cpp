@@ -88,7 +88,7 @@ TEST(GateCut, CutCzMatchesRealCz) {
     Circuit with_cz(2, 0);
     with_cz.gate(base.ops()[0].matrix, {0, 1}, "U");
     with_cz.cz(0, 1);
-    for (const std::string& obs : {"ZZ", "XI", "YX"}) {
+    for (const char* obs : {"ZZ", "XI", "YX"}) {
       const Qpd qpd = cut_cz_gate(base, /*pos=*/1, 0, 1, obs);
       EXPECT_NEAR(exact_value(qpd), uncut_circuit_expectation(with_cz, obs), 1e-9) << obs;
       EXPECT_NEAR(qpd.kappa(), 3.0, 1e-10);

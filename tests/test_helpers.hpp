@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
+#include "qcut/common/rng.hpp"
 #include "qcut/linalg/matrix.hpp"
 #include "qcut/linalg/random.hpp"
 #include "qcut/sim/circuit.hpp"
@@ -50,6 +54,71 @@ inline void expect_vector_near(const Vector& a, const Vector& b, Real tol = 1e-9
     EXPECT_NEAR(a[i].real(), b[i].real(), tol) << "entry " << i;
     EXPECT_NEAR(a[i].imag(), b[i].imag(), tol) << "entry " << i;
   }
+}
+
+/// The byte mutations of the parser robustness tests.
+enum class Mutation { kFlip, kInsert, kDelete, kDuplicate, kTruncate };
+
+inline constexpr Mutation kAllMutations[] = {Mutation::kFlip, Mutation::kInsert,
+                                             Mutation::kDelete, Mutation::kDuplicate,
+                                             Mutation::kTruncate};
+
+inline const char* mutation_name(Mutation m) {
+  switch (m) {
+    case Mutation::kFlip:
+      return "flip";
+    case Mutation::kInsert:
+      return "insert";
+    case Mutation::kDelete:
+      return "delete";
+    case Mutation::kDuplicate:
+      return "duplicate";
+    case Mutation::kTruncate:
+      return "truncate";
+  }
+  return "?";
+}
+
+/// `bytes` with one `kind` mutation at a position drawn from `rng`: flip one
+/// bit, insert a random byte, delete a byte, copy a span of up to 16 bytes
+/// to a random position, or cut the tail off. `Bytes` is std::string or
+/// std::vector<std::uint8_t>.
+template <class Bytes>
+Bytes mutate_bytes(Bytes bytes, Mutation kind, Rng& rng) {
+  using Byte = typename Bytes::value_type;
+  const std::size_t n = bytes.size();
+  switch (kind) {
+    case Mutation::kFlip:
+      if (n > 0) {
+        bytes[rng.uniform_u64(n)] ^= static_cast<Byte>(1u << rng.uniform_u64(8));
+      }
+      break;
+    case Mutation::kInsert:
+      bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(rng.uniform_u64(n + 1)),
+                   static_cast<Byte>(rng.uniform_u64(256)));
+      break;
+    case Mutation::kDelete:
+      if (n > 0) {
+        bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(rng.uniform_u64(n)));
+      }
+      break;
+    case Mutation::kDuplicate:
+      if (n > 0) {
+        const std::size_t from = rng.uniform_u64(n);
+        const std::size_t len = 1 + rng.uniform_u64(std::min<std::size_t>(16, n - from));
+        const Bytes span(bytes.begin() + static_cast<std::ptrdiff_t>(from),
+                         bytes.begin() + static_cast<std::ptrdiff_t>(from + len));
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(rng.uniform_u64(n + 1)),
+                     span.begin(), span.end());
+      }
+      break;
+    case Mutation::kTruncate:
+      if (n > 0) {
+        bytes.resize(rng.uniform_u64(n));
+      }
+      break;
+  }
+  return bytes;
 }
 
 }  // namespace qcut::testing

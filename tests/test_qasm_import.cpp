@@ -8,9 +8,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "qcut/common/error.hpp"
 #include "qcut/linalg/random.hpp"
 #include "qcut/sim/executor.hpp"
 #include "qcut/sim/gates.hpp"
@@ -419,6 +421,36 @@ TEST(QasmImport, CorpusImportsAndRoundTrips) {
     // ...and the export itself is deterministic.
     EXPECT_EQ(exported, to_qasm(c1));
   }
+}
+
+TEST(QasmImport, MutatedCorpusFilesParseOrThrowTypedErrors) {
+  // Byte-mutated corpus programs either import or fail with qcut::Error —
+  // never a crash, a hang, or an untyped exception.
+  Rng rng(20261017);
+  int parsed = 0;
+  int rejected = 0;
+  for (const auto& path : corpus_files()) {
+    std::ifstream in(path);
+    const std::string src((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    ASSERT_FALSE(src.empty()) << path;
+    for (const testing::Mutation kind : testing::kAllMutations) {
+      for (int i = 0; i < 100; ++i) {
+        const std::string mutant = testing::mutate_bytes(src, kind, rng);
+        try {
+          (void)strip_trailing_measurements(import_qasm(mutant, path.filename().string()));
+          ++parsed;
+        } catch (const Error&) {
+          ++rejected;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << path.filename() << " " << testing::mutation_name(kind) << " #" << i
+                        << ": untyped exception: " << e.what();
+        }
+      }
+    }
+  }
+  // Both outcomes occur, so the mutants reach past the first token.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(QasmImport, CorpusCoversTheAdvertisedScenarios) {

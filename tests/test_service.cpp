@@ -2,7 +2,10 @@
 // cross-request plan/eval caching, the LRU and coalescing primitives, and a
 // live qcut-server driven over loopback TCP (concurrent clients, admission
 // control, metrics dump schema, malformed-request recovery).
+#include <dirent.h>
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cctype>
 #include <chrono>
@@ -489,6 +492,58 @@ TEST(ServerTest, MetricsDumpHasTheDocumentedSchema) {
   EXPECT_TRUE(names.count("qcut_plan_cache_size"));
   EXPECT_TRUE(names.count("qcut_eval_cache_size"));
   server.stop();
+}
+
+/// Open file descriptors of this process (the directory stream's own fd
+/// included, so only differences are meaningful).
+int open_fd_count() {
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) {
+    return -1;
+  }
+  int n = 0;
+  while (::readdir(dir) != nullptr) {
+    ++n;
+  }
+  ::closedir(dir);
+  return n;
+}
+
+TEST(ServerTest, StopLeavesSocketsThatReuseAClosedConnectionsFdAlone) {
+  // A finished connection must leave the server's registry before its fd is
+  // closed: otherwise stop() shuts down whichever socket owns that number
+  // by then. Socket pairs opened after the disconnect take the lowest free
+  // numbers, the freed connection fd among them.
+  QcutServer server{ServerConfig{}};
+  server.start();
+  const int baseline = open_fd_count();
+  ASSERT_GT(baseline, 0);
+  {
+    QcutClient client("127.0.0.1", server.port());
+    (void)client.metrics();
+  }
+  // Wait for the connection thread to see the hangup and close its end.
+  const auto t_end = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (open_fd_count() > baseline && std::chrono::steady_clock::now() < t_end) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(open_fd_count(), baseline);
+
+  constexpr int kPairs = 4;
+  int pairs[kPairs][2];
+  for (auto& pair : pairs) {
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  }
+  server.stop();
+  for (auto& pair : pairs) {
+    const char out = 'q';
+    char in = 0;
+    EXPECT_EQ(::send(pair[0], &out, 1, MSG_NOSIGNAL), 1) << "fd " << pair[0];
+    EXPECT_EQ(::recv(pair[1], &in, 1, MSG_DONTWAIT), 1) << "fd " << pair[1];
+    EXPECT_EQ(in, out);
+    ::close(pair[0]);
+    ::close(pair[1]);
+  }
 }
 
 TEST(ServerTest, MalformedRequestsGetDiagnosticsAndTheConnectionSurvives) {

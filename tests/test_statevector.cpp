@@ -192,7 +192,7 @@ TEST(Statevector, ExpectationPauliMatchesDense) {
   Rng rng(9);
   const Vector psi = random_statevector(8, rng);
   Statevector sv(3, psi);
-  for (const std::string& p : {"ZII", "IXI", "IIY", "XYZ", "ZZZ", "III"}) {
+  for (const char* p : {"ZII", "IXI", "IIY", "XYZ", "ZZZ", "III"}) {
     const Real dense = expectation(pauli_string(p), psi).real();
     EXPECT_NEAR(sv.expectation_pauli(p), dense, 1e-10) << p;
   }

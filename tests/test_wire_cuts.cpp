@@ -247,9 +247,5 @@ TEST(WireCutValidation, FromOverlapRoundTrips) {
   }
 }
 
-TEST(WireCutValidation, UnknownProtocolThrows) {
-  EXPECT_THROW(make_protocol("bogus"), Error);
-}
-
 }  // namespace
 }  // namespace qcut

@@ -12,6 +12,7 @@
 #include "qcut/common/error.hpp"
 #include "qcut/common/rng.hpp"
 #include "qcut/svc/wire.hpp"
+#include "test_helpers.hpp"
 
 namespace qcut {
 namespace svc {
@@ -112,6 +113,32 @@ TEST(WireProtocol, RequestRoundTripIsIdentity) {
     EXPECT_EQ(back.request_id, req.request_id);
     EXPECT_EQ(back.deadline_ms, req.deadline_ms);
   }
+}
+
+TEST(WireProtocol, MutatedRequestsDecodeOrThrowTypedErrors) {
+  // Byte-mutated request payloads either decode or fail with qcut::Error —
+  // never a crash or an untyped exception.
+  Rng rng(2024, 7);
+  int decoded = 0;
+  int rejected = 0;
+  for (const testing::Mutation kind : testing::kAllMutations) {
+    for (int i = 0; i < 2000; ++i) {
+      const std::vector<std::uint8_t> payload = encode_estimate_request(random_request(rng));
+      const std::vector<std::uint8_t> mutant = testing::mutate_bytes(payload, kind, rng);
+      try {
+        (void)decode_estimate_request(mutant);
+        ++decoded;
+      } catch (const Error&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << testing::mutation_name(kind) << " #" << i
+                      << ": untyped exception: " << e.what();
+      }
+    }
+  }
+  // Flips inside a field still decode; the other mutations shift the layout.
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(WireProtocol, ResponseRoundTripIsIdentity) {

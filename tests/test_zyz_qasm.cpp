@@ -179,7 +179,8 @@ TEST(Qasm, CutFragmentWithConditionalsAndInitializeExports) {
   Circuit line(4, 0);
   line.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
   const HaradaCut harada;
-  const Qpd multi = cut_circuit_multi(line, {{2, 1}, {3, 2}}, {&proto, &harada}, "ZZZZ");
+  const Qpd multi = cut_circuit_sites(line, {CutSite::wire({2, 1}), CutSite::wire({3, 2})},
+                                      {&proto, &harada}, "ZZZZ");
   for (const auto& term : multi.terms()) {
     EXPECT_NO_THROW(to_qasm(term.circuit)) << term.label;
   }
