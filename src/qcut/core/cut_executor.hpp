@@ -4,7 +4,9 @@
 // Estimation runs on the qcut::exec engine: shots are planned as term
 // batches, executed on the configured ExecutionBackend, and recombined
 // deterministically. BatchedBranchBackend (branch-cached binomial sampling,
-// statistically identical in law to per-shot simulation) is the default;
+// statistically identical in law to per-shot simulation) is the default here;
+// planned runs (PlannedExecutor) execute that default on FragmentBackend,
+// which computes the same per-term probabilities fragment by fragment.
 // SerialShotBackend is the full per-shot statevector reference.
 #pragma once
 
@@ -23,17 +25,14 @@ struct CutRunConfig {
   std::uint64_t seed = 1234;
   /// Execution backend. This absorbed the retired `fast` bool (PR 9): the
   /// old `fast = false` is spelled `backend = BackendKind::kSerialShot`.
+  /// Planned execution (PlannedExecutor, svc::estimate) runs the default
+  /// kBatchedBranch as kFragment — see PlannedExecutor::routed_backend;
+  /// unplanned runs (CutExecutor, run_qpd_estimate) use it as given.
   BackendKind backend = BackendKind::kBatchedBranch;
   /// Thread pool for the engine's batch-parallel driver; nullptr → global.
   ThreadPool* pool = nullptr;
   /// Shots per term batch (parallelism granularity, never affects the law).
   std::uint64_t max_batch_shots = ShotPlan::kDefaultMaxBatchShots;
-  /// Planned execution only: when the spliced term circuits are wider than
-  /// this many qubits and `backend` is the default BatchedBranch, the run is
-  /// automatically routed through BackendKind::kFragment (per-fragment
-  /// statevectors, memory bounded by the max *fragment* width). Set `backend`
-  /// explicitly to force either path. 0 → the statevector engine cap.
-  int auto_fragment_threshold = 0;
   /// Service-layer hook: run against this caller-owned backend (bound to the
   /// same QPD, outliving the call) instead of constructing one — a warm
   /// backend carries branch/skeleton caches across requests. `backend` must

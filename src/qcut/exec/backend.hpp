@@ -52,7 +52,9 @@ class SerialShotBackend final : public ExecutionBackend {
   const Qpd* qpd_;
 };
 
-/// Branch-cached binomial sampling (the fast default).
+/// Branch-cached binomial sampling over the whole spliced circuit: the
+/// default for unplanned runs. Planned runs execute FragmentBackend instead
+/// (PlannedExecutor::routed_backend); this one remains their test oracle.
 class BatchedBranchBackend final : public ExecutionBackend {
  public:
   explicit BatchedBranchBackend(const Qpd& qpd);

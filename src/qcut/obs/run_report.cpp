@@ -109,24 +109,31 @@ struct JsonWriter {
 }  // namespace
 
 Provenance provenance() {
-  Provenance p;
+  // Build identity and core count never change while the process runs, and
+  // hardware_concurrency() is a sysfs read: compute them once. The SIMD tier
+  // (force_simd_tier can switch it) and the timestamp are read per call.
+  static const Provenance constant = [] {
+    Provenance p;
 #ifdef QCUT_GIT_SHA
-  p.git_sha = QCUT_GIT_SHA;
+    p.git_sha = QCUT_GIT_SHA;
 #else
-  p.git_sha = "unknown";
+    p.git_sha = "unknown";
 #endif
 #if defined(__VERSION__)
-  p.compiler = __VERSION__;
+    p.compiler = __VERSION__;
 #else
-  p.compiler = "unknown";
+    p.compiler = "unknown";
 #endif
 #ifdef NDEBUG
-  p.build_type = "release";
+    p.build_type = "release";
 #else
-  p.build_type = "debug";
+    p.build_type = "debug";
 #endif
+    p.hardware_threads = std::thread::hardware_concurrency();
+    return p;
+  }();
+  Provenance p = constant;
   p.simd_tier = simd_tier_name(active_simd_tier());
-  p.hardware_threads = std::thread::hardware_concurrency();
   p.timestamp_utc = utc_timestamp();
   return p;
 }

@@ -39,6 +39,8 @@ struct Provenance {
   std::string timestamp_utc;      ///< ISO 8601, runtime
 };
 
+/// Build identity and hardware threads are computed once per process;
+/// simd_tier and timestamp_utc are read on every call.
 Provenance provenance();
 
 /// Provenance as a JSON object string (no trailing newline), for embedding:

@@ -1,6 +1,5 @@
 #include "qcut/plan/planned_executor.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "qcut/obs/trace.hpp"
@@ -43,22 +42,29 @@ Qpd PlannedExecutor::build_qpd(const std::string& observable) const {
   return build_qpd(Observable::parse(observable));
 }
 
-BackendKind PlannedExecutor::routed_backend(const Qpd& qpd, const CutRunConfig& cfg) {
-  // Route wide runs through the fragment-local backend; an explicit backend
-  // choice (anything but the BatchedBranch default) is left alone.
-  if (cfg.backend != BackendKind::kBatchedBranch) {
-    return cfg.backend;
-  }
-  int spliced_width = 0;
-  for (const QpdTerm& term : qpd.terms()) {
-    spliced_width = std::max(spliced_width, term.circuit.n_qubits());
-  }
-  const int threshold = cfg.auto_fragment_threshold > 0 ? cfg.auto_fragment_threshold
-                                                        : Statevector::kMaxQubits;
-  return spliced_width > threshold ? BackendKind::kFragment : cfg.backend;
+BackendKind PlannedExecutor::routed_backend(BackendKind requested) {
+  // Every planned term's exact P(−1) comes from fragment-by-fragment
+  // enumeration: a merged fragment is never wider than the spliced circuit,
+  // so this path is feasible wherever the spliced one is, and far cheaper.
+  // The serial-shot reference and an explicit kFragment are left alone.
+  return requested == BackendKind::kBatchedBranch ? BackendKind::kFragment : requested;
 }
 
-CutRunResult PlannedExecutor::run_with(const Qpd& qpd, const Observable& observable,
+BackendKind PlannedExecutor::routed_backend(const Qpd& /*qpd*/, const CutRunConfig& cfg) {
+  return routed_backend(cfg.backend);
+}
+
+std::optional<Real> PlannedExecutor::exact_reference(const Observable& observable) const {
+  // The monolithic uncut reference only exists below the statevector cap —
+  // above it the fragment estimate IS the answer.
+  if (circ_.n_qubits() > Statevector::kMaxQubits) {
+    return std::nullopt;
+  }
+  obs::TraceSpan span("exact.reference");
+  return uncut_circuit_expectation(circ_, observable.to_string());
+}
+
+CutRunResult PlannedExecutor::run_with(const Qpd& qpd, std::optional<Real> exact,
                                        const CutRunConfig& cfg) const {
   obs::TraceSpan run_span("planned_run", static_cast<std::uint64_t>(plan_.cuts.size()));
   CutRunConfig eff = cfg;
@@ -74,21 +80,11 @@ CutRunResult PlannedExecutor::run_with(const Qpd& qpd, const Observable& observa
   // A caller-owned shared backend already fixes the execution path; routing
   // would report a kind the run does not use.
   if (eff.shared_backend == nullptr) {
-    eff.backend = routed_backend(qpd, eff);
+    eff.backend = routed_backend(eff.backend);
   }
 
-  // The monolithic uncut reference only exists below the statevector cap —
-  // above it the analytic / fragment estimate IS the answer.
-  CutRunResult res;
-  if (circ_.n_qubits() <= Statevector::kMaxQubits) {
-    const Real exact = [this, &observable] {
-      obs::TraceSpan span("exact.reference");
-      return uncut_circuit_expectation(circ_, observable.to_string());
-    }();
-    res = run_qpd_estimate(qpd, exact, eff);
-  } else {
-    res = run_qpd_estimate(qpd, eff);
-  }
+  CutRunResult res = exact.has_value() ? run_qpd_estimate(qpd, *exact, eff)
+                                       : run_qpd_estimate(qpd, eff);
   res.report.shots_budget = plan_.predicted_shots;
   res.report.plan_cuts = plan_.cuts.size();
   res.report.max_fragment_width = plan_.max_width;
@@ -100,7 +96,7 @@ CutRunResult PlannedExecutor::run(const Observable& observable, const CutRunConf
     obs::TraceSpan span("plan.build_qpd");
     return build_qpd(observable);
   }();
-  return run_with(qpd, observable, cfg);
+  return run_with(qpd, exact_reference(observable), cfg);
 }
 
 CutRunResult PlannedExecutor::run(const std::string& observable, const CutRunConfig& cfg) const {

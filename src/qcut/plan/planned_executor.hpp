@@ -7,20 +7,22 @@
 // κ = Π κ_i), and estimates the observable on the batched execution engine —
 // the same engine-backed path CutExecutor uses for single-wire experiments.
 //
-// The spliced term circuits are an IR, not an execution obligation: when they
-// are wider than the statevector cap (or the caller asks for it), run()
-// executes them on the fragment-local backend, which simulates each fragment
-// of every term independently and recombines through the cut boundaries'
-// classical bits. Total width is then bounded by the plan's max *merged*
-// fragment width (CutPlan::max_sim_width): entangled-resource cuts splice a
-// pre-shared-state initialize spanning both sides, so the simulator holds
-// their two fragments as one. The planner's merge-aware feasibility keeps
-// max_sim_width within the engine cap — a plan that cannot fit is rejected
-// (or repaired by granting fewer pairs) at plan time, never discovered as a
-// width error at run time.
+// The spliced term circuits are an IR, not an execution obligation: run()
+// computes every term's exact P(−1) on the fragment-local backend, which
+// simulates each fragment of every term independently and recombines through
+// the cut boundaries' classical bits. Width is then bounded by the plan's max
+// *merged* fragment width (CutPlan::max_sim_width): entangled-resource cuts
+// splice a pre-shared-state initialize spanning both sides, so the simulator
+// holds their two fragments as one. A merged fragment is never wider than the
+// spliced circuit, so this path is feasible wherever whole-circuit
+// enumeration is, and much cheaper. The planner's merge-aware feasibility
+// keeps max_sim_width within the engine cap — a plan that cannot fit is
+// rejected (or repaired by granting fewer pairs) at plan time, never
+// discovered as a width error at run time.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,18 +51,7 @@ class PlannedExecutor {
   Qpd build_qpd(const std::string& observable) const;
 
   /// One estimation run. cfg.shots = 0 uses the plan's predicted budget κ²/ε²
-  /// (rounded up).
-  ///
-  /// Backend routing: when the spliced term circuits are wider than
-  /// cfg.auto_fragment_threshold (default: the statevector cap) and the
-  /// backend is the default BatchedBranch, the run automatically switches to
-  /// the fragment-local backend — execution memory is then bounded by the max
-  /// *merged* fragment width, which planner-produced plans keep within the
-  /// engine cap (see CutPlan::max_sim_width).
-  /// Choosing any non-default backend kind disables the rerouting; a
-  /// BatchedBranch request is indistinguishable from the default, so to force
-  /// the spliced batched path on a wide run raise auto_fragment_threshold
-  /// instead.
+  /// (rounded up). The backend kind is routed_backend(cfg.backend).
   ///
   /// The exact uncut expectation is attached when the circuit is narrow
   /// enough to simulate monolithically; otherwise result.has_exact is false.
@@ -68,17 +59,25 @@ class PlannedExecutor {
   /// String shim: parses the Pauli string, then delegates.
   CutRunResult run(const std::string& observable, const CutRunConfig& cfg) const;
 
-  /// Service hook: run() with the QPD construction hoisted out. `qpd` must be
-  /// build_qpd(observable) of THIS executor (possibly cached across requests
-  /// by the service layer); everything else — shot-budget resolution, backend
-  /// routing, exact reference, report fields — is identical to run(), so a
-  /// cached QPD estimates bit-identically to a freshly built one.
-  CutRunResult run_with(const Qpd& qpd, const Observable& observable,
+  /// The monolithic uncut ⟨O⟩ of the circuit, or nullopt when the circuit is
+  /// wider than Statevector::kMaxQubits (no cheap exact value exists there).
+  std::optional<Real> exact_reference(const Observable& observable) const;
+
+  /// Service hook: run() with the QPD construction and the exact reference
+  /// hoisted out. `qpd` must be build_qpd(observable) and `exact`
+  /// exact_reference(observable) of THIS executor (possibly cached across
+  /// requests by the service layer); everything else — shot-budget
+  /// resolution, backend routing, report fields — is identical to run(), so
+  /// cached inputs estimate bit-identically to freshly built ones.
+  CutRunResult run_with(const Qpd& qpd, std::optional<Real> exact,
                         const CutRunConfig& cfg) const;
 
-  /// The backend kind run() would execute `qpd` on under `cfg` (the
-  /// auto-fragment width routing rule). Exposed so the service layer can
-  /// construct its cross-request shared backend with the same kind.
+  /// The backend kind a planned run executes when `requested` is asked for:
+  /// the default kBatchedBranch becomes kFragment whatever the width, and
+  /// kSerialShot / kFragment are kept. Spliced whole-circuit enumeration
+  /// (BatchedBranchBackend) serves only unplanned runs and test oracles.
+  static BackendKind routed_backend(BackendKind requested);
+  /// routed_backend(cfg.backend): the choice does not depend on the QPD.
   static BackendKind routed_backend(const Qpd& qpd, const CutRunConfig& cfg);
 
  private:

@@ -17,13 +17,39 @@ namespace svc {
 
 namespace {
 
-Circuit resolve_circuit(const EstimateRequest& req) {
+Circuit parse_circuit(const EstimateRequest& req) {
   if (req.circuit.has_value()) {
     return *req.circuit;
   }
   QCUT_CHECK(!req.circuit_qasm.empty(),
              "svc::estimate: request carries neither a circuit IR nor QASM text");
   return strip_trailing_measurements(import_qasm(req.circuit_qasm, "<request>"));
+}
+
+/// The request's circuit, hashed when caches are in play. A QASM request
+/// with caches is served from the circuit memo when its exact bytes were
+/// parsed before; IR requests and cache-less calls always resolve afresh.
+ParsedCircuit resolve_circuit(const EstimateRequest& req, ServiceCaches* caches) {
+  const bool memo = caches != nullptr && !req.circuit.has_value();
+  if (memo) {
+    if (std::shared_ptr<const ParsedCircuit> hit = caches->circuits.get(req.circuit_qasm)) {
+      return *hit;
+    }
+  }
+  ParsedCircuit parsed;
+  try {
+    parsed.circuit = std::make_shared<const Circuit>(parse_circuit(req));
+  } catch (const Error& e) {
+    // QASM parse problems are the requester's, not the service's.
+    throw Error(e.what(), ErrorCode::kInvalidRequest);
+  }
+  if (caches != nullptr) {
+    parsed.hash = circuit_hash(*parsed.circuit);
+  }
+  if (memo) {
+    caches->circuits.put(req.circuit_qasm, std::make_shared<const ParsedCircuit>(parsed));
+  }
+  return parsed;
 }
 
 PlanSummary summarize(const CutPlan& plan) {
@@ -69,13 +95,8 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
     cancel_poll();  // an already-tripped token fails at the door, not mid-plan
   }
 
-  Circuit circ;
-  try {
-    circ = resolve_circuit(req);
-  } catch (const Error& e) {
-    // QASM parse problems are the requester's, not the service's.
-    throw Error(e.what(), ErrorCode::kInvalidRequest);
-  }
+  const ParsedCircuit parsed = resolve_circuit(req, caches);
+  const Circuit& circ = *parsed.circuit;
 
   // Front-door validation: every failure below names the request's problem
   // instead of surfacing as a cutter error three layers down, and carries
@@ -111,7 +132,7 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
   std::shared_ptr<CutPlan> plan;
   std::string pkey;
   if (caches != nullptr) {
-    pkey = plan_key(circuit_hash(circ), pcfg);
+    pkey = plan_key(parsed.hash, pcfg);
     plan = caches->plans.get(pkey);
     if (plan != nullptr) {
       res.plan_cache_hit = true;
@@ -155,7 +176,7 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
     // Run against the entry's warm backend; report the kind it realizes.
     rcfg.backend = entry->kind;
     rcfg.shared_backend = entry->backend.get();
-    res.run = entry->executor.run_with(entry->qpd, req.observable, rcfg);
+    res.run = entry->executor.run_with(entry->qpd, entry->exact, rcfg);
   } else {
     const PlannedExecutor executor(circ, *plan);
     res.run = executor.run(req.observable, rcfg);

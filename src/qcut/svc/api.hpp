@@ -94,8 +94,9 @@ struct EstimateResult {
 };
 
 /// Validates and executes one request. `caches` null → plan and evaluate
-/// from scratch (the plan_and_run path); non-null → serve the plan and the
-/// warm QPD/backend from the caches when keys match, bit-identically.
+/// from scratch (the plan_and_run path); non-null → serve the parsed QASM
+/// circuit, the plan and the warm QPD/backend/exact reference from the
+/// caches when keys match, bit-identically.
 /// Throws qcut::Error with request-level diagnostics on invalid input.
 EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches = nullptr);
 

@@ -102,8 +102,8 @@ std::string plan_key(std::uint64_t circuit_hash, const PlannerConfig& cfg) {
 std::string eval_key(const std::string& plan_key, const Observable& observable,
                      const CutRunConfig& cfg) {
   std::ostringstream os;
-  os << plan_key << "|" << observable.to_string() << "|b" << static_cast<int>(cfg.backend) << ";t"
-     << cfg.auto_fragment_threshold;
+  os << plan_key << "|" << observable.to_string() << "|b"
+     << static_cast<int>(PlannedExecutor::routed_backend(cfg.backend));
   return os.str();
 }
 
@@ -111,8 +111,9 @@ std::shared_ptr<EvalEntry> EvalEntry::build(PlannedExecutor executor, const Obse
                                             const CutRunConfig& cfg,
                                             std::shared_ptr<SplitSkeletonCache> skeletons) {
   Qpd qpd = executor.build_qpd(observable);
-  const BackendKind kind = PlannedExecutor::routed_backend(qpd, cfg);
-  auto entry = std::make_shared<EvalEntry>(std::move(executor), std::move(qpd), kind);
+  const BackendKind kind = PlannedExecutor::routed_backend(cfg.backend);
+  const std::optional<Real> exact = executor.exact_reference(observable);
+  auto entry = std::make_shared<EvalEntry>(std::move(executor), std::move(qpd), kind, exact);
   // Bound to entry->qpd, whose address is stable for the entry's lifetime
   // (the entry is heap-allocated and the Qpd never reassigned).
   entry->backend = make_backend(kind, entry->qpd, cfg.pool, std::move(skeletons));

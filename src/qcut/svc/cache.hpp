@@ -2,34 +2,40 @@
 //
 // The daemon answers many estimation requests per process, and most fleets
 // send the same few circuits over and over (parameter sweeps, retries,
-// dashboards re-polling). Three artifacts are worth keeping warm across
-// requests, in increasing order of cost to rebuild:
+// dashboards re-polling). Four artifacts are worth keeping warm across
+// requests:
 //
+//  * the parsed circuit — a memo from a QASM request's exact bytes to the
+//    parsed, measurement-stripped Circuit and its canonical hash, so a
+//    repeated request skips the parse and the hash. Only successful parses
+//    are stored; IR requests bypass it;
 //  * the CutPlan — the planner's subset search over cut candidates, keyed by
 //    (canonical circuit hash, planner config);
-//  * the spliced QPD plus its warm ExecutionBackend — term-circuit splicing,
-//    protocol instantiation, and (for branch-cached backends) the exact
-//    per-term P(−1) probabilities, keyed by (plan key, observable, backend
-//    routing config);
+//  * the eval entry — the spliced QPD, its warm ExecutionBackend (holding
+//    the exact per-term P(−1) probabilities once computed) and the uncut
+//    exact reference ⟨O⟩, keyed by (plan key, observable, routed backend
+//    kind);
 //  * the SplitSkeletonCache — per-term fragment split structure, shared by
 //    every fragment-backend entry (cut/fragment.hpp owns the type; the
 //    service just holds a capacity-bounded, process-lifetime instance).
 //
-// Reuse is always bit-identical: plans are deterministic functions of their
-// key, and a warm backend holds exact probabilities (or replays exact
-// per-shot simulation), so a cache hit changes wall-clock time and nothing
-// else — pinned by test_service.cpp.
+// Reuse is always bit-identical: parses, plans and references are
+// deterministic functions of their key, and a warm backend holds exact
+// probabilities (or replays exact per-shot simulation), so a cache hit
+// changes wall-clock time and nothing else — pinned by test_service.cpp.
 //
-// Keys are strings: a canonical FNV-1a circuit hash plus an exact textual
-// serialization of the relevant config (doubles by bit pattern, so two
-// configs collide only when they are the same config). Eviction is LRU with
-// a per-cache capacity; hit/miss traffic lands on the obs counters
+// Keys are strings: the QASM text itself for the circuit memo, else a
+// canonical FNV-1a circuit hash plus an exact textual serialization of the
+// relevant config (doubles by bit pattern, so two configs collide only when
+// they are the same config). Eviction is LRU with a per-cache capacity;
+// plan and eval hit/miss traffic lands on the obs counters
 // (kPlanCacheHit/Miss, kEvalCacheHit/Miss) at the call sites.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -59,9 +65,10 @@ std::string planner_config_key(const PlannerConfig& cfg);
 /// Plan-cache key: circuit identity + planner configuration.
 std::string plan_key(std::uint64_t circuit_hash, const PlannerConfig& cfg);
 
-/// Eval-cache key: plan identity + observable + the config that determines
-/// backend routing (requested kind and auto-fragment threshold). Shots and
-/// seed are deliberately absent — a warm backend is exact, so it serves any
+/// Eval-cache key: plan identity + observable + the backend kind that
+/// actually runs (PlannedExecutor::routed_backend of the requested one, so a
+/// kBatchedBranch and a kFragment request share one entry). Shots and seed
+/// are deliberately absent — a warm backend is exact, so it serves any
 /// budget and any seed bit-identically.
 std::string eval_key(const std::string& plan_key, const Observable& observable,
                      const CutRunConfig& cfg);
@@ -131,23 +138,32 @@ class LruCache {
   std::unordered_map<std::string, Entry> by_key_;
 };
 
+/// A request circuit past the front door's parse: trailing measurements
+/// stripped, with its canonical circuit_hash. The circuit-memo value.
+struct ParsedCircuit {
+  std::shared_ptr<const Circuit> circuit;
+  std::uint64_t hash = 0;
+};
+
 /// One warm evaluation context: the executor (plan protocols instantiated),
-/// the spliced QPD, and an ExecutionBackend bound to it. The backend's
-/// probability caches (BranchCache / skeletons) fill on first use and serve
-/// every later request with the same key. All members are immutable or
-/// internally synchronized after build(), so one entry serves concurrent
-/// requests.
+/// the spliced QPD, an ExecutionBackend bound to it, and the uncut exact
+/// reference. The backend's probability caches (BranchCache / skeletons)
+/// fill on first use and serve every later request with the same key. All
+/// members are immutable or internally synchronized after build(), so one
+/// entry serves concurrent requests.
 struct EvalEntry {
   PlannedExecutor executor;
   Qpd qpd;                ///< executor.build_qpd(observable); backend points at it
   BackendKind kind;       ///< the routed kind the backend realizes
+  std::optional<Real> exact;  ///< executor.exact_reference(observable)
   std::unique_ptr<ExecutionBackend> backend;
 
-  EvalEntry(PlannedExecutor ex, Qpd q, BackendKind k)
-      : executor(std::move(ex)), qpd(std::move(q)), kind(k) {}
+  EvalEntry(PlannedExecutor ex, Qpd q, BackendKind k, std::optional<Real> e)
+      : executor(std::move(ex)), qpd(std::move(q)), kind(k), exact(e) {}
 
   /// Builds a ready entry: routes the backend kind exactly as
-  /// PlannedExecutor::run would under `cfg`, then constructs the backend
+  /// PlannedExecutor::run would under `cfg`, computes the exact reference
+  /// under the same width rule as run(), then constructs the backend
   /// against the entry's own (heap-stable) QPD. Fragment backends share
   /// `skeletons` so split structure is reused across entries.
   static std::shared_ptr<EvalEntry> build(PlannedExecutor executor, const Observable& observable,
@@ -167,10 +183,14 @@ struct ServiceCachesConfig {
 class ServiceCaches {
  public:
   explicit ServiceCaches(ServiceCachesConfig cfg = {})
-      : plans(cfg.plan_capacity),
+      : circuits(cfg.plan_capacity),
+        plans(cfg.plan_capacity),
         evals(cfg.eval_capacity),
         skeletons(std::make_shared<SplitSkeletonCache>(cfg.skeleton_capacity)) {}
 
+  /// QASM text → parsed circuit. Sized like `plans`: a memo entry only pays
+  /// while the plan it leads to is resident.
+  LruCache<const ParsedCircuit> circuits;
   LruCache<CutPlan> plans;
   LruCache<EvalEntry> evals;
   std::shared_ptr<SplitSkeletonCache> skeletons;

@@ -24,8 +24,9 @@
 // same execution, response flagged `coalesced`. Only exact twins merge, so
 // coalescing can never change any answer.
 //
-// Caching: the server owns a process-lifetime ServiceCaches (plans, warm
-// QPD+backend entries, fragment skeletons) — see svc/cache.hpp.
+// Caching: the server owns a process-lifetime ServiceCaches (parsed QASM
+// circuits, plans, warm QPD+backend+exact-reference entries, fragment
+// skeletons) — see svc/cache.hpp.
 #pragma once
 
 #include <atomic>

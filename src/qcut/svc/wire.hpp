@@ -133,7 +133,9 @@ struct WireEstimateRequest {
   std::uint64_t max_cuts = 8;
   std::uint64_t exhaustive_limit = 12;
   std::uint64_t max_nodes = 1000000;
-  std::uint8_t backend = 1;  ///< BackendKind as integer (1 = batched-branch)
+  /// BackendKind as integer: 0 serial-shot, 1 batched-branch (the default,
+  /// which planned execution runs as 2 = fragment), 2 fragment.
+  std::uint8_t backend = 1;
   std::string request_id;
   /// Client deadline in milliseconds, measured from server admission; the
   /// server clamps it to --max-deadline-ms. 0 → none (v2).

@@ -14,6 +14,7 @@
 #include "qcut/exec/backend.hpp"
 #include "qcut/plan/circuit_graph.hpp"
 #include "qcut/plan/planned_executor.hpp"
+#include "qcut/sim/qasm_import.hpp"
 #include "qcut/sim/statevector.hpp"
 #include "test_helpers.hpp"
 
@@ -72,10 +73,33 @@ TEST(FragmentSplit, EntangledResourceMergesFragments) {
   EXPECT_TRUE(saw_merged);
 }
 
+/// The planned QPD of `circ` under `pcfg` for the all-Z observable.
+Qpd planned_qpd(const Circuit& circ, const PlannerConfig& pcfg) {
+  const PlannedExecutor exec(circ, CutPlanner(circ, pcfg).plan());
+  return exec.build_qpd(all_z(circ.n_qubits()));
+}
+
+Circuit hwe_ansatz_8() {
+  return import_qasm_file(std::string(QCUT_QASM_CORPUS_DIR) + "/hwe_ansatz_8.qasm");
+}
+
 TEST(FragmentBackend, MatchesSplicedProbabilitiesOnRandomCutCircuits) {
-  // Property test: on random circuits with 1–2 random wire cuts, the
+  // Property test: on random circuits with 1–2 random wire cuts, and on the
+  // planned 8-qubit QPDs of the narrow benchmark workloads, the
   // fragment-local backend and the spliced BranchCache must agree on every
   // term's exact −1-outcome probability to 1e-12.
+  const auto expect_match = [](const Qpd& qpd, const std::string& what) {
+    const FragmentBackend frag(qpd);
+    const BranchCache spliced(qpd);
+    const std::vector<Real> frag_p = frag.cache().all_prob_one();
+    const std::vector<Real> ref_p = spliced.all_prob_one();
+    ASSERT_EQ(frag_p.size(), ref_p.size());
+    for (std::size_t i = 0; i < frag_p.size(); ++i) {
+      EXPECT_NEAR(frag_p[i], ref_p[i], 1e-12)
+          << what << " term " << i << " (" << qpd.terms()[i].label << ")";
+    }
+  };
+
   Rng rng(101);
   const HaradaCut harada;
   const PengCut peng;
@@ -106,18 +130,22 @@ TEST(FragmentBackend, MatchesSplicedProbabilitiesOnRandomCutCircuits) {
     }
     const Qpd qpd = cut_circuit_sites(circ, sites, protos, all_z(n));
     ++cut_instances;
-
-    const FragmentBackend frag(qpd);
-    const BranchCache spliced(qpd);
-    const std::vector<Real> frag_p = frag.cache().all_prob_one();
-    const std::vector<Real> ref_p = spliced.all_prob_one();
-    ASSERT_EQ(frag_p.size(), ref_p.size());
-    for (std::size_t i = 0; i < frag_p.size(); ++i) {
-      EXPECT_NEAR(frag_p[i], ref_p[i], 1e-12)
-          << "trial " << trial << " term " << i << " (" << qpd.terms()[i].label << ")";
-    }
+    expect_match(qpd, "trial " + std::to_string(trial));
   }
   EXPECT_GE(cut_instances, 8);
+
+  PlannerConfig ghz_cap3;
+  ghz_cap3.max_fragment_width = 3;
+  expect_match(planned_qpd(ghz_line(8), ghz_cap3), "ghz_8 cap 3");
+  PlannerConfig hwe_cap4;
+  hwe_cap4.max_fragment_width = 4;
+  expect_match(planned_qpd(hwe_ansatz_8(), hwe_cap4), "hwe_ansatz_8 cap 4");
+  // The paper's NME setting: cap 6, two pairs at overlap 0.9.
+  PlannerConfig nme;
+  nme.max_fragment_width = 6;
+  nme.pair_budget = 2;
+  nme.resource_overlap = 0.9;
+  expect_match(planned_qpd(hwe_ansatz_8(), nme), "hwe_ansatz_8 nme cap 6");
 }
 
 TEST(FragmentBackend, UncutTermIsSingleFragmentPerComponent) {
@@ -378,7 +406,9 @@ TEST(FragmentParallel, OptimizedEvaluatorMatchesBaselineOnRandomCutCircuits) {
 TEST(FragmentBackend, SmallPlannedRunsAgreeBetweenFragmentAndSplicedBackends) {
   // On circuits small enough to run both ways, the two backends draw from
   // binomials with probabilities equal to 1e-12 — same seed, same plan, and
-  // (numerically always, here pinned) the same estimates.
+  // (numerically always, here pinned) the same estimates. Planned runs only
+  // execute on the fragment backend, so the spliced side runs the same QPD
+  // through run_qpd_estimate directly.
   const Circuit circ = ghz_line(6);
   PlannerConfig pcfg;
   pcfg.max_fragment_width = 3;
@@ -391,15 +421,41 @@ TEST(FragmentBackend, SmallPlannedRunsAgreeBetweenFragmentAndSplicedBackends) {
   CutRunConfig spliced_cfg;
   spliced_cfg.shots = 5000;
   spliced_cfg.seed = 99;
-  CutRunConfig frag_cfg = spliced_cfg;
-  frag_cfg.backend = BackendKind::kFragment;
+  ASSERT_EQ(spliced_cfg.backend, BackendKind::kBatchedBranch);
 
-  const CutRunResult a = exec.run(all_z(6), spliced_cfg);
-  const CutRunResult b = exec.run(all_z(6), frag_cfg);
+  const CutRunResult a =
+      run_qpd_estimate(exec.build_qpd(all_z(6)), *exec.exact_reference(Observable::z_all(6)),
+                       spliced_cfg);
+  const CutRunResult b = exec.run(all_z(6), spliced_cfg);
+  EXPECT_EQ(a.report.backend, "batched-branch");
+  EXPECT_EQ(b.report.backend, "fragment");
   EXPECT_TRUE(a.has_exact);
   EXPECT_TRUE(b.has_exact);
   EXPECT_DOUBLE_EQ(a.exact, b.exact);
   EXPECT_NEAR(a.estimate, b.estimate, 1e-9);
+}
+
+TEST(FragmentBackend, DefaultPlannedRunsExecuteOnTheFragmentPath) {
+  // Planned execution routes the default backend kind to the fragment path
+  // at every width, including below the statevector cap: an 8-qubit
+  // hwe_ansatz_8 plan at cap 4 runs fragment by fragment.
+  const Circuit hwe = hwe_ansatz_8();
+  ASSERT_LE(hwe.n_qubits(), Statevector::kMaxQubits);
+  PlannerConfig pcfg;
+  pcfg.max_fragment_width = 4;
+  const CutRunConfig rcfg;
+  ASSERT_EQ(rcfg.backend, BackendKind::kBatchedBranch);
+  const PlannedRunResult out = plan_and_run(hwe, all_z(8), pcfg, rcfg);
+  EXPECT_FALSE(out.plan.cuts.empty());
+  EXPECT_EQ(out.run.report.backend, "fragment");
+  EXPECT_TRUE(out.run.has_exact);
+  if (out.run.report.metrics_enabled) {
+    EXPECT_GT(out.run.report.counters[obs::Counter::kFragmentUnits], 0u);
+  }
+
+  EXPECT_EQ(PlannedExecutor::routed_backend(BackendKind::kBatchedBranch), BackendKind::kFragment);
+  EXPECT_EQ(PlannedExecutor::routed_backend(BackendKind::kFragment), BackendKind::kFragment);
+  EXPECT_EQ(PlannedExecutor::routed_backend(BackendKind::kSerialShot), BackendKind::kSerialShot);
 }
 
 }  // namespace

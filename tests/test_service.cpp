@@ -9,6 +9,7 @@
 
 #include <cctype>
 #include <chrono>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "qcut/common/error.hpp"
+#include "qcut/common/threadpool.hpp"
 #include "qcut/obs/metrics.hpp"
 #include "qcut/plan/planned_executor.hpp"
 #include "qcut/sim/qasm.hpp"
@@ -60,6 +62,44 @@ WireEstimateRequest wire_workload_request() {
   return req;
 }
 
+/// hwe_ansatz_8 at cap 4, as QASM: an 8-qubit multi-cut plan that planned
+/// execution runs fragment by fragment.
+std::string hwe8_qasm() {
+  std::ifstream in(std::string(QCUT_QASM_CORPUS_DIR) + "/hwe_ansatz_8.qasm");
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+EstimateRequest hwe8_request() {
+  EstimateRequest req;
+  req.circuit_qasm = hwe8_qasm();
+  req.observable = Observable::z_all(8);
+  req.planner.max_fragment_width = 4;
+  req.run_cfg.shots = 20000;
+  req.run_cfg.seed = 5;
+  return req;
+}
+
+WireEstimateRequest wire_hwe8_request() {
+  WireEstimateRequest req;
+  req.circuit_qasm = hwe8_qasm();
+  req.observable = "ZZZZZZZZ";
+  req.max_fragment_width = 4;
+  req.shots = 20000;
+  req.seed = 5;
+  req.request_id = "hwe8";
+  return req;
+}
+
+/// Kernel dispatches of every structure class in a metrics delta.
+std::uint64_t kernel_ops(const obs::MetricsSnapshot& d) {
+  using obs::Counter;
+  return d[Counter::kDispatchDense1q] + d[Counter::kDispatchDense2q] +
+         d[Counter::kDispatchGeneric] + d[Counter::kDispatchDiagonal] +
+         d[Counter::kDispatchSparsePhase] + d[Counter::kDispatchPermutation];
+}
+
 // ---- svc::estimate (no sockets) -------------------------------------------
 
 TEST(ServiceEstimate, CachelessPathIsPlanAndRun) {
@@ -77,29 +117,134 @@ TEST(ServiceEstimate, CachelessPathIsPlanAndRun) {
 }
 
 TEST(ServiceEstimate, CachedRepeatIsBitIdenticalAndHits) {
+  // The 4-qubit IR workload and the fragment-routed 8-qubit QASM one (whose
+  // warm repeat is also a circuit-memo hit).
+  for (const EstimateRequest& req : {workload_request(), hwe8_request()}) {
+    const int n = req.observable.n_qubits();
+    ServiceCaches caches;
+    const EstimateResult cold = estimate(req, &caches);
+    EXPECT_FALSE(cold.plan_cache_hit) << n;
+    EXPECT_FALSE(cold.eval_cache_hit) << n;
+    EXPECT_EQ(cold.run.report.backend, "fragment") << n;
+    const EstimateResult warm = estimate(req, &caches);
+    EXPECT_TRUE(warm.plan_cache_hit) << n;
+    EXPECT_TRUE(warm.eval_cache_hit) << n;
+    EXPECT_EQ(warm.estimate, cold.estimate) << n;
+    EXPECT_EQ(warm.shots_used, cold.shots_used) << n;
+    EXPECT_EQ(warm.exact, cold.exact) << n;
+    EXPECT_EQ(caches.circuits.size(), req.circuit.has_value() ? 0u : 1u) << n;
+
+    // And both equal the cacheless answer: caching only ever saves time.
+    const EstimateResult fresh = estimate(req, nullptr);
+    EXPECT_EQ(warm.estimate, fresh.estimate) << n;
+    EXPECT_EQ(warm.shots_used, fresh.shots_used) << n;
+    EXPECT_EQ(warm.exact, fresh.exact) << n;
+
+    // A different seed reuses the warm plan+backend but redraws: same caches,
+    // different answer, still bit-identical to its own cacheless run.
+    EstimateRequest other = req;
+    other.run_cfg.seed = 12;
+    const EstimateResult warm_other = estimate(other, &caches);
+    EXPECT_TRUE(warm_other.plan_cache_hit) << n;
+    EXPECT_TRUE(warm_other.eval_cache_hit) << n;
+    EXPECT_EQ(warm_other.estimate, estimate(other, nullptr).estimate) << n;
+
+    // Pool size never changes a bit: cold, warm and cacheless at pools
+    // {1, 2, 8} all reproduce the answer above.
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      ThreadPool pool(workers);
+      EstimateRequest pooled = req;
+      pooled.run_cfg.pool = &pool;
+      ServiceCaches pool_caches;
+      for (const EstimateResult& r : {estimate(pooled, &pool_caches),
+                                      estimate(pooled, &pool_caches), estimate(pooled, nullptr)}) {
+        EXPECT_EQ(r.estimate, cold.estimate) << n << " qubits, pool " << workers;
+        EXPECT_EQ(r.shots_used, cold.shots_used) << n << " qubits, pool " << workers;
+      }
+    }
+  }
+}
+
+TEST(ServiceEstimate, WarmQasmHitSkipsTheParseAndTheExactReference) {
+  // A warm hit reuses the memoized circuit, the plan, the eval entry's exact
+  // reference and its term probabilities: no statevector kernel runs and no
+  // term probability is computed. The cold request shows the check bites.
+  obs::set_metrics_enabled(true);
   ServiceCaches caches;
-  const EstimateRequest req = workload_request();
+  const EstimateRequest req = hwe8_request();
+  const obs::MetricsSnapshot t0 = obs::metrics_snapshot();
   const EstimateResult cold = estimate(req, &caches);
-  EXPECT_FALSE(cold.plan_cache_hit);
-  EXPECT_FALSE(cold.eval_cache_hit);
+  const obs::MetricsSnapshot t1 = obs::metrics_snapshot();
   const EstimateResult warm = estimate(req, &caches);
-  EXPECT_TRUE(warm.plan_cache_hit);
+  const obs::MetricsSnapshot t2 = obs::metrics_snapshot();
+
+  const obs::MetricsSnapshot cold_delta = obs::metrics_delta(t0, t1);
+  const obs::MetricsSnapshot warm_delta = obs::metrics_delta(t1, t2);
+  EXPECT_GT(kernel_ops(cold_delta), 0u);
+  EXPECT_GT(cold_delta[obs::Counter::kBranchCacheMiss], 0u);
   EXPECT_TRUE(warm.eval_cache_hit);
+  EXPECT_EQ(kernel_ops(warm_delta), 0u);
+  EXPECT_EQ(warm_delta[obs::Counter::kBranchCacheMiss], 0u);
+  EXPECT_EQ(warm.exact, cold.exact);
   EXPECT_EQ(warm.estimate, cold.estimate);
-  EXPECT_EQ(warm.shots_used, cold.shots_used);
+}
 
-  // And both equal the cacheless answer: caching only ever saves time.
-  const EstimateResult fresh = estimate(req, nullptr);
-  EXPECT_EQ(warm.estimate, fresh.estimate);
+TEST(ServiceEstimate, BatchedAndFragmentRequestsShareOneEvalEntry) {
+  // The eval key holds the kind that runs, not the kind asked for: the
+  // default (kBatchedBranch, wire value 1) and kFragment (2) both run on the
+  // fragment backend, so the second request is a warm hit on the first's
+  // entry and draws the same bits.
+  ServiceCaches caches;
+  EstimateRequest batched = hwe8_request();
+  batched.run_cfg.backend = BackendKind::kBatchedBranch;
+  EstimateRequest fragment = batched;
+  fragment.run_cfg.backend = BackendKind::kFragment;
+  const EstimateResult a = estimate(batched, &caches);
+  const EstimateResult b = estimate(fragment, &caches);
+  EXPECT_FALSE(a.eval_cache_hit);
+  EXPECT_TRUE(b.eval_cache_hit);
+  EXPECT_EQ(caches.evals.size(), 1u);
+  EXPECT_EQ(a.estimate, b.estimate);
+  EXPECT_EQ(a.shots_used, b.shots_used);
+  EXPECT_EQ(b.run.report.backend, "fragment");
 
-  // A different seed reuses the warm plan+backend but redraws: same caches,
-  // different answer, still bit-identical to its own cacheless run.
-  EstimateRequest other = req;
-  other.run_cfg.seed = 12;
-  const EstimateResult warm_other = estimate(other, &caches);
-  EXPECT_TRUE(warm_other.plan_cache_hit);
-  EXPECT_TRUE(warm_other.eval_cache_hit);
-  EXPECT_EQ(warm_other.estimate, estimate(other, nullptr).estimate);
+  // The serial-shot reference is a different execution path with its own
+  // entry.
+  EXPECT_NE(eval_key("p", Observable::z_all(2), batched.run_cfg),
+            eval_key("p", Observable::z_all(2), [] {
+              CutRunConfig c;
+              c.backend = BackendKind::kSerialShot;
+              return c;
+            }()));
+}
+
+TEST(ServiceEstimate, MalformedQasmIsRejectedEveryTimeAndNeverMemoized) {
+  ServiceCaches caches;
+  EstimateRequest bad = hwe8_request();
+  bad.circuit_qasm = "OPENQASM 2.0;\nqreg q[8];\nfoo q[0];\n";
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    try {
+      (void)estimate(bad, &caches);
+      ADD_FAILURE() << "malformed QASM accepted on attempt " << attempt;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidRequest) << e.what();
+    }
+  }
+  EXPECT_EQ(caches.circuits.size(), 0u);
+
+  // A parse that succeeds is memoized even when the request then fails
+  // validation, and the memoized circuit is validated again on every use.
+  EstimateRequest narrow_obs = hwe8_request();
+  narrow_obs.observable = Observable::z_all(4);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    try {
+      (void)estimate(narrow_obs, &caches);
+      ADD_FAILURE() << "width mismatch accepted on attempt " << attempt;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidRequest) << e.what();
+    }
+  }
+  EXPECT_EQ(caches.circuits.size(), 1u);
 }
 
 TEST(ServiceEstimate, QasmAndIrRequestsAgreeBitIdentically) {
@@ -118,6 +263,14 @@ TEST(ServiceEstimate, QasmAndIrRequestsAgreeBitIdentically) {
   (void)estimate(ir_req, &caches);
   const EstimateResult via_qasm = estimate(qasm_req, &caches);
   EXPECT_TRUE(via_qasm.plan_cache_hit);
+
+  // The other order too: a memoized QASM parse carries the canonical hash,
+  // so the IR form still finds the QASM form's plan.
+  ServiceCaches qasm_first;
+  (void)estimate(qasm_req, &qasm_first);
+  const EstimateResult via_ir = estimate(ir_req, &qasm_first);
+  EXPECT_TRUE(via_ir.plan_cache_hit);
+  EXPECT_EQ(via_ir.estimate, a.estimate);
 }
 
 TEST(ServiceEstimate, MeasuredAndUnmeasuredQasmAgreeBitIdentically) {
@@ -333,33 +486,47 @@ TEST(ServerTest, AnswersBitIdenticallyToInProcessAndCachesRepeats) {
 }
 
 TEST(ServerTest, ConcurrentClientsGetBitIdenticalAnswersAtEveryConcurrency) {
-  ServerConfig cfg;
-  cfg.workers = 4;
-  QcutServer server(cfg);
-  server.start();
+  // The 4-qubit workload and the fragment-routed 8-qubit one, at server
+  // pools of {1, 2, 8} workers and client concurrency {1, 2, 8}: every
+  // answer equals the in-process one, bit for bit.
+  const Real ref4 = plan_and_run(workload_circuit(), Observable::z_all(4), workload_planner(),
+                                 workload_request().run_cfg)
+                        .run.estimate;
+  const EstimateResult ref8 = estimate(hwe8_request(), nullptr);
+  const std::vector<std::pair<WireEstimateRequest, Real>> cases = {
+      {wire_workload_request(), ref4}, {wire_hwe8_request(), ref8.estimate}};
 
-  const PlannedRunResult ref = plan_and_run(workload_circuit(), Observable::z_all(4),
-                                            workload_planner(), workload_request().run_cfg);
-
-  for (int concurrency : {1, 2, 8}) {
-    std::vector<Real> estimates(static_cast<std::size_t>(concurrency), 0.0);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < concurrency; ++t) {
-      threads.emplace_back([&, t] {
-        QcutClient client("127.0.0.1", server.port());
-        const WireEstimateResponse resp = client.estimate(wire_workload_request());
-        ASSERT_EQ(resp.status, static_cast<std::uint8_t>(WireStatus::kOk)) << resp.error;
-        estimates[static_cast<std::size_t>(t)] = resp.estimate;
-      });
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    ServerConfig cfg;
+    cfg.workers = workers;
+    QcutServer server(cfg);
+    server.start();
+    for (const auto& [wreq, ref] : cases) {
+      for (int concurrency : {1, 2, 8}) {
+        std::vector<Real> estimates(static_cast<std::size_t>(concurrency), 0.0);
+        std::vector<std::uint64_t> shots(static_cast<std::size_t>(concurrency), 0);
+        std::vector<std::thread> threads;
+        for (int t = 0; t < concurrency; ++t) {
+          threads.emplace_back([&, t] {
+            QcutClient client("127.0.0.1", server.port());
+            const WireEstimateResponse resp = client.estimate(wreq);
+            ASSERT_EQ(resp.status, static_cast<std::uint8_t>(WireStatus::kOk)) << resp.error;
+            estimates[static_cast<std::size_t>(t)] = resp.estimate;
+            shots[static_cast<std::size_t>(t)] = resp.shots_used;
+          });
+        }
+        for (auto& t : threads) {
+          t.join();
+        }
+        for (std::size_t t = 0; t < estimates.size(); ++t) {
+          EXPECT_EQ(estimates[t], ref) << wreq.observable << " workers " << workers
+                                       << " concurrency " << concurrency;
+          EXPECT_EQ(shots[t], wreq.shots) << wreq.observable;
+        }
+      }
     }
-    for (auto& t : threads) {
-      t.join();
-    }
-    for (Real e : estimates) {
-      EXPECT_EQ(e, ref.run.estimate) << "concurrency " << concurrency;
-    }
+    server.stop();
   }
-  server.stop();
 }
 
 TEST(ServerTest, CoalescingMergesIdenticalInFlightRequests) {
@@ -369,16 +536,21 @@ TEST(ServerTest, CoalescingMergesIdenticalInFlightRequests) {
   QcutServer server(cfg);
   server.start();
 
+  // The fragment-routed 8-qubit request; coalesced answers must equal the
+  // in-process one bit for bit.
+  const EstimateResult ref = estimate(hwe8_request(), nullptr);
   const obs::MetricsSnapshot before = obs::metrics_snapshot();
   constexpr int kClients = 6;
   std::vector<Real> estimates(kClients, 0.0);
+  std::vector<std::uint64_t> shots(kClients, 0);
   std::vector<std::thread> threads;
   for (int t = 0; t < kClients; ++t) {
     threads.emplace_back([&, t] {
       QcutClient client("127.0.0.1", server.port());
-      const WireEstimateResponse resp = client.estimate(wire_workload_request());
+      const WireEstimateResponse resp = client.estimate(wire_hwe8_request());
       ASSERT_EQ(resp.status, static_cast<std::uint8_t>(WireStatus::kOk)) << resp.error;
       estimates[static_cast<std::size_t>(t)] = resp.estimate;
+      shots[static_cast<std::size_t>(t)] = resp.shots_used;
     });
   }
   for (auto& t : threads) {
@@ -386,8 +558,9 @@ TEST(ServerTest, CoalescingMergesIdenticalInFlightRequests) {
   }
   // Coalescing must never change answers; with the delay, at least one of
   // the six identical requests overlapped a twin and was merged.
-  for (Real e : estimates) {
-    EXPECT_EQ(e, estimates[0]);
+  for (int t = 0; t < kClients; ++t) {
+    EXPECT_EQ(estimates[static_cast<std::size_t>(t)], ref.estimate);
+    EXPECT_EQ(shots[static_cast<std::size_t>(t)], ref.shots_used);
   }
   const obs::MetricsSnapshot delta = obs::metrics_delta(before, obs::metrics_snapshot());
   EXPECT_GE(delta[obs::Counter::kSvcCoalesced], 1u);
