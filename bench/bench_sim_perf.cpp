@@ -152,7 +152,9 @@ qcut::Qpd strip_classification(const qcut::Qpd& qpd) {
     qcut::QpdTerm nt = t;
     qcut::Circuit c(t.circuit.n_qubits(), t.circuit.n_cbits());
     for (qcut::Operation op : t.circuit.ops()) {
-      op.gclass = qcut::GateClass{};
+      if (op.kind == qcut::OpKind::kUnitary || op.kind == qcut::OpKind::kCondUnitary) {
+        op.set_gate(op.matrix(), qcut::GateClass{});
+      }
       c.push_op(std::move(op));
     }
     nt.circuit = std::move(c);
@@ -300,7 +302,7 @@ QftKernelResult measure_qft_kernels(int n, int reps) {
   auto t0 = Clock::now();
   for (int r = 0; r < reps; ++r) {
     for (const qcut::Operation& op : qft.ops()) {
-      sv.apply(op.matrix, op.qubits, dense);
+      sv.apply(op.matrix(), op.qubits, dense);
     }
   }
   res.dense_seconds = seconds_since(t0);
@@ -309,7 +311,7 @@ QftKernelResult measure_qft_kernels(int n, int reps) {
   t0 = Clock::now();
   for (int r = 0; r < reps; ++r) {
     for (const qcut::Operation& op : qft.ops()) {
-      sv2.apply(op.matrix, op.qubits, op.gclass);
+      sv2.apply(op.matrix(), op.qubits, op.gclass());
     }
   }
   res.classified_seconds = seconds_since(t0);
@@ -371,7 +373,7 @@ FusionBench measure_fusion(int n, int layers, int reps) {
   auto t0 = Clock::now();
   for (int r = 0; r < reps; ++r) {
     for (const qcut::Operation& op : c.ops()) {
-      a.apply(op.matrix, op.qubits, op.gclass);
+      a.apply(op.matrix(), op.qubits, op.gclass());
     }
   }
   res.unfused_seconds = seconds_since(t0);
@@ -380,7 +382,7 @@ FusionBench measure_fusion(int n, int layers, int reps) {
   t0 = Clock::now();
   for (int r = 0; r < reps; ++r) {
     for (const qcut::Operation& op : fused.ops()) {
-      b.apply(op.matrix, op.qubits, op.gclass);
+      b.apply(op.matrix(), op.qubits, op.gclass());
     }
   }
   res.fused_seconds = seconds_since(t0);
@@ -426,7 +428,7 @@ ObsOverheadBench measure_obs_overhead(int n, int reps) {
     qcut::obs::set_metrics_enabled(false);
     auto t0 = Clock::now();
     for (const qcut::Operation& op : qft.ops()) {
-      sv.apply(op.matrix, op.qubits, op.gclass);
+      sv.apply(op.matrix(), op.qubits, op.gclass());
     }
     const double off = seconds_since(t0);
     if (r == 0 || off < best_off) best_off = off;
@@ -434,7 +436,7 @@ ObsOverheadBench measure_obs_overhead(int n, int reps) {
     qcut::obs::set_metrics_enabled(true);
     t0 = Clock::now();
     for (const qcut::Operation& op : qft.ops()) {
-      sv.apply(op.matrix, op.qubits, op.gclass);
+      sv.apply(op.matrix(), op.qubits, op.gclass());
     }
     const double on = seconds_since(t0);
     if (r == 0 || on < best_on) best_on = on;

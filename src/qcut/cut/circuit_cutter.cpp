@@ -45,14 +45,29 @@ bool wire_used_from(const Circuit& circ, std::size_t pos, int wire) {
 }
 
 void append_original_op(Circuit& c, const Operation& op, const std::vector<int>& cur) {
-  std::vector<int> qs = op.qubits;
-  for (int& q : qs) {
+  // Copy the op whole, so its gate classification rides along instead of
+  // being recomputed per term, and move it onto the current carrier wires.
+  Operation moved = op;
+  for (int& q : moved.qubits) {
     q = cur[static_cast<std::size_t>(q)];
   }
-  if (op.kind == OpKind::kInitialize) {
-    c.initialize(qs, op.init_state, op.label);
-  } else {
-    c.gate(op.matrix, qs, op.label);
+  c.push_op(std::move(moved));
+}
+
+/// Replays ops recorded on canonical wires (0, 1, 2, ...) and classical bits
+/// (0, 1, ...) onto `wires` and bits from `cbit0`. The copies share the
+/// recorded ops' gate payloads, so a branch's gates are built once per QPD
+/// instead of once per term.
+void replay_ops(Circuit& c, const Circuit& recorded, const std::vector<int>& wires, int cbit0) {
+  for (const Operation& op : recorded.ops()) {
+    Operation moved = op;
+    for (int& q : moved.qubits) {
+      q = wires[static_cast<std::size_t>(q)];
+    }
+    if (moved.cbit >= 0) {
+      moved.cbit += cbit0;
+    }
+    c.push_op(std::move(moved));
   }
 }
 
@@ -177,8 +192,44 @@ Qpd cut_circuit_sites(const Circuit& circ, const std::vector<CutSite>& cut_sites
            std::abs(m(0, 1)) < 1e-15 && std::abs(m(1, 0)) < 1e-15;
   };
 
+  // Every branch's ops, recorded once on canonical wires — 0 = the cut wire
+  // (or the gate's first qubit), 1 = its receiver (or second qubit), 2.. =
+  // helpers — and replayed into each term that takes the branch. A gate
+  // branch's recording starts with the cut's branch-independent locals.
+  std::vector<std::vector<Circuit>> branch_ops(n_cuts);
+  for (std::size_t j = 0; j < n_cuts; ++j) {
+    for (const Branch& b : branch_sets[j]) {
+      Circuit rec(2 + b.extra_qubits, b.cbits);
+      if (b.wire != nullptr) {
+        std::vector<int> helpers(static_cast<std::size_t>(b.extra_qubits));
+        std::iota(helpers.begin(), helpers.end(), 2);
+        b.wire->append(rec, 0, 1, helpers, 0);
+      } else {
+        if (!is_identity2(gate_local_a[j])) {
+          rec.gate(gate_local_a[j], {0}, "gc-local");
+        }
+        if (!is_identity2(gate_local_b[j])) {
+          rec.gate(gate_local_b[j], {1}, "gc-local");
+        }
+        b.gate->append(rec, 0, 1, 0);
+      }
+      branch_ops[j].push_back(std::move(rec));
+    }
+  }
+  // Observable basis changes and measurements, recorded per site on wire 0
+  // and bit 0.
+  std::vector<Circuit> measure_ops;
+  for (const auto& [q, p] : sites) {
+    Circuit rec(1, 1);
+    append_pauli_measurement(rec, 0, p, 0);
+    measure_ops.push_back(std::move(rec));
+  }
+
   Qpd qpd;
   std::vector<std::size_t> idx(n_cuts, 0);  // current branch per cut
+  // Terms differ only in their gadgets, so the longest term so far sizes the
+  // next one's op list up front.
+  std::size_t ops_hint = circ.size() + sites.size();
   for (std::size_t t = 0; t < total_terms; ++t) {
     // Layout for this branch tuple: receivers, then per-cut helper blocks,
     // then per-cut classical-bit blocks followed by the observable bits.
@@ -199,6 +250,7 @@ Qpd cut_circuit_sites(const Circuit& circ, const std::vector<CutSite>& cut_sites
       label += (j ? "*" : "") + *b.label;
     }
     Circuit c(n_qubits, cbit + static_cast<int>(sites.size()));
+    c.reserve(ops_hint);
 
     QpdTerm term;
     term.estimate_cbits.clear();
@@ -213,12 +265,12 @@ Qpd cut_circuit_sites(const Circuit& circ, const std::vector<CutSite>& cut_sites
         const std::size_t j = order[next_cut];
         const Branch& b = branch_sets[j][idx[j]];
         const int dst = receiver[j];
-        std::vector<int> helpers;
-        for (int h = 0; h < b.extra_qubits; ++h) {
-          helpers.push_back(helper_base[j] + h);
-        }
         const int src = cur[static_cast<std::size_t>(cut_sites[j].point.qubit)];
-        b.wire->append(c, src, dst, helpers, cbit_base[j]);
+        std::vector<int> wires = {src, dst};
+        for (int h = 0; h < b.extra_qubits; ++h) {
+          wires.push_back(helper_base[j] + h);
+        }
+        replay_ops(c, branch_ops[j][idx[j]], wires, cbit_base[j]);
         cur[static_cast<std::size_t>(cut_sites[j].point.qubit)] = dst;
         ++next_cut;
       }
@@ -231,13 +283,7 @@ Qpd cut_circuit_sites(const Circuit& circ, const std::vector<CutSite>& cut_sites
           const Operation& op = circ.ops()[pos];
           const int qa = cur[static_cast<std::size_t>(op.qubits[0])];
           const int qb = cur[static_cast<std::size_t>(op.qubits[1])];
-          if (!is_identity2(gate_local_a[j])) {
-            c.gate(gate_local_a[j], {qa}, "gc-local");
-          }
-          if (!is_identity2(gate_local_b[j])) {
-            c.gate(gate_local_b[j], {qb}, "gc-local");
-          }
-          b.gate->append(c, qa, qb, cbit_base[j]);
+          replay_ops(c, branch_ops[j][idx[j]], {qa, qb}, cbit_base[j]);
           if (b.sign_cbit >= 0) {
             term.estimate_cbits.push_back(cbit_base[j] + b.sign_cbit);
           }
@@ -249,11 +295,12 @@ Qpd cut_circuit_sites(const Circuit& circ, const std::vector<CutSite>& cut_sites
 
     // Observable measurements; estimate = parity of the recorded bits
     // (signed gate-cut measurements included above).
-    for (const auto& [q, p] : sites) {
-      append_pauli_measurement(c, cur[static_cast<std::size_t>(q)], p, cbit);
+    for (std::size_t k = 0; k < sites.size(); ++k) {
+      replay_ops(c, measure_ops[k], {cur[static_cast<std::size_t>(sites[k].first)]}, cbit);
       term.estimate_cbits.push_back(cbit);
       ++cbit;
     }
+    ops_hint = std::max(ops_hint, c.size());
     term.coefficient = coeff;
     term.circuit = std::move(c);
     term.entangled_pairs = pairs;

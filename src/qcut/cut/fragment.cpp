@@ -445,7 +445,7 @@ std::string split_structure_key(const Circuit& c) {
     if (op.qubits.size() < 2) {
       continue;
     }
-    std::vector<int> qs = op.qubits;
+    QubitList qs = op.qubits;
     std::sort(qs.begin(), qs.end());
     std::string e;
     e.reserve(qs.size() * 2);

@@ -151,18 +151,18 @@ Qpd cut_zz_gate(const Circuit& circ, std::size_t pos, int qa, int qb, Real theta
     for (; idx < pos; ++idx) {
       const Operation& op = circ.ops()[idx];
       if (op.kind == OpKind::kInitialize) {
-        c.initialize(op.qubits, op.init_state, op.label);
+        c.initialize(op.qubits, op.init_state(), op.label);
       } else {
-        c.gate(op.matrix, op.qubits, op.label);
+        c.gate(op.matrix(), op.qubits, op.label);
       }
     }
     g.append(c, qa, qb, /*cbit0=*/0);
     for (; idx < circ.size(); ++idx) {
       const Operation& op = circ.ops()[idx];
       if (op.kind == OpKind::kInitialize) {
-        c.initialize(op.qubits, op.init_state, op.label);
+        c.initialize(op.qubits, op.init_state(), op.label);
       } else {
-        c.gate(op.matrix, op.qubits, op.label);
+        c.gate(op.matrix(), op.qubits, op.label);
       }
     }
 
@@ -196,9 +196,9 @@ Qpd cut_cz_gate(const Circuit& circ, std::size_t pos, int qa, int qb,
   for (; idx < pos; ++idx) {
     const Operation& op = circ.ops()[idx];
     if (op.kind == OpKind::kInitialize) {
-      with_local.initialize(op.qubits, op.init_state, op.label);
+      with_local.initialize(op.qubits, op.init_state(), op.label);
     } else {
-      with_local.gate(op.matrix, op.qubits, op.label);
+      with_local.gate(op.matrix(), op.qubits, op.label);
     }
   }
   const Matrix local = gates::rz(-kPi / 2.0);  // e^{iπ/4 Z}
@@ -207,9 +207,9 @@ Qpd cut_cz_gate(const Circuit& circ, std::size_t pos, int qa, int qb,
   for (; idx < circ.size(); ++idx) {
     const Operation& op = circ.ops()[idx];
     if (op.kind == OpKind::kInitialize) {
-      with_local.initialize(op.qubits, op.init_state, op.label);
+      with_local.initialize(op.qubits, op.init_state(), op.label);
     } else {
-      with_local.gate(op.matrix, op.qubits, op.label);
+      with_local.gate(op.matrix(), op.qubits, op.label);
     }
   }
   return cut_zz_gate(with_local, pos + 2, qa, qb, -kPi / 4.0, observable);

@@ -50,7 +50,7 @@ Vector kron_all(const std::vector<Vector>& states) {
   return acc;
 }
 
-Matrix embed(const Matrix& op, const std::vector<int>& qubits, int n_qubits) {
+Matrix embed(const Matrix& op, const QubitList& qubits, int n_qubits) {
   const Index k = static_cast<Index>(qubits.size());
   QCUT_CHECK(op.rows() == (Index{1} << k) && op.cols() == op.rows(),
              "embed: operator dimension does not match qubit count");

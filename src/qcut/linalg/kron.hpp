@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "qcut/common/small_vector.hpp"
 #include "qcut/linalg/matrix.hpp"
 
 namespace qcut {
@@ -21,6 +22,6 @@ Vector kron_all(const std::vector<Vector>& states);
 /// into an n-qubit operator, identity elsewhere. Qubit 0 is the most
 /// significant bit of the basis index (big-endian, matching the circuit
 /// diagrams in the paper where the top wire is qubit 0).
-Matrix embed(const Matrix& op, const std::vector<int>& qubits, int n_qubits);
+Matrix embed(const Matrix& op, const QubitList& qubits, int n_qubits);
 
 }  // namespace qcut

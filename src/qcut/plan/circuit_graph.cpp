@@ -35,7 +35,7 @@ CircuitGraph::CircuitGraph(const Circuit& circ) : circ_(&circ) {
     // are severable, so they do not raise the with-gate-cuts width floor.
     bool severable = false;
     if (op.kind == OpKind::kUnitary && op.qubits.size() == 2) {
-      const ZzFactorization f = zz_factor_diagonal(op.matrix);
+      const ZzFactorization f = zz_factor_diagonal(op.matrix());
       if (f.ok) {
         severable = true;
         gate_candidates_.push_back(GateCandidate{t, f.theta, zz_gate_cut_overhead(f.theta)});

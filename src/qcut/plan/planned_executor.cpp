@@ -17,7 +17,7 @@ PlannedExecutor::PlannedExecutor(Circuit circ, CutPlan plan)
       // the spliced branches also need the gate's local factors.
       QCUT_CHECK(pc.site.kind == CutKind::kGate && pc.site.op_index < circ_.size(),
                  "PlannedExecutor: gate-cut site out of range");
-      const ZzFactorization f = zz_factor_diagonal(circ_.ops()[pc.site.op_index].matrix);
+      const ZzFactorization f = zz_factor_diagonal(circ_.ops()[pc.site.op_index].matrix());
       QCUT_CHECK(f.ok, "PlannedExecutor: gate-cut host op is not a diagonal two-qubit unitary");
       protocols_.push_back(std::make_shared<ZzGateCut>(f.theta, f.local_a, f.local_b));
     } else {

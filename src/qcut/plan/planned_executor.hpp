@@ -78,6 +78,8 @@ class PlannedExecutor {
   /// (BatchedBranchBackend) serves only unplanned runs and test oracles.
   static BackendKind routed_backend(BackendKind requested);
   /// routed_backend(cfg.backend): the choice does not depend on the QPD.
+  /// Kept only because qbench/src/stages.cpp calls this form; it goes, with
+  /// the planned-path kBatchedBranch alias, in the next benchmark change.
   static BackendKind routed_backend(const Qpd& qpd, const CutRunConfig& cfg);
 
  private:

@@ -1,6 +1,7 @@
 #include "qcut/sim/circuit.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 
 #include "qcut/linalg/kron.hpp"
@@ -8,12 +9,44 @@
 
 namespace qcut {
 
+namespace {
+
+/// A payload-free op (measure / reset) on one qubit.
+Operation simple_op(OpKind kind, int q, int cbit, const char* label) {
+  Operation op;
+  op.kind = kind;
+  op.qubits = {q};
+  op.cbit = cbit;
+  op.label = label;
+  return op;
+}
+
+}  // namespace
+
+void Operation::set_gate(Matrix u) {
+  GateClass cls = classify_gate(u);
+  set_gate(std::move(u), std::move(cls));
+}
+
+void Operation::set_gate(Matrix u, GateClass cls) {
+  payload_ = std::make_shared<const OpPayload>(OpPayload{std::move(u), std::move(cls), {}});
+}
+
+void Operation::set_init_state(Vector state) {
+  payload_ = std::make_shared<const OpPayload>(OpPayload{{}, {}, std::move(state)});
+}
+
+const OpPayload& Operation::empty_payload() noexcept {
+  static const OpPayload empty;
+  return empty;
+}
+
 Circuit::Circuit(int n_qubits, int n_cbits) : n_qubits_(n_qubits), n_cbits_(n_cbits) {
   QCUT_CHECK(n_qubits >= 1 && n_qubits <= kMaxQubits, "Circuit: unsupported qubit count");
   QCUT_CHECK(n_cbits >= 0, "Circuit: negative classical bit count");
 }
 
-void Circuit::check_qubits(const std::vector<int>& qubits) const {
+void Circuit::check_qubits(const QubitList& qubits) const {
   QCUT_CHECK(!qubits.empty(), "Circuit: operation needs at least one qubit");
   for (int q : qubits) {
     QCUT_CHECK(q >= 0 && q < n_qubits_, "Circuit: qubit index out of range");
@@ -25,21 +58,32 @@ void Circuit::check_cbit(int cbit) const {
   QCUT_CHECK(cbit >= 0 && cbit < n_cbits_, "Circuit: classical bit index out of range");
 }
 
-Circuit& Circuit::gate(const Matrix& u, const std::vector<int>& qubits, std::string label) {
+Circuit& Circuit::gate(const Matrix& u, const QubitList& qubits, std::string label) {
   check_qubits(qubits);
   const Index dim = Index{1} << static_cast<Index>(qubits.size());
   QCUT_CHECK(u.rows() == dim && u.cols() == dim, "Circuit::gate: matrix/qubit-count mismatch");
-  ops_.push_back({OpKind::kUnitary, qubits, u, {}, -1, std::move(label), classify_gate(u)});
+  Operation op;
+  op.kind = OpKind::kUnitary;
+  op.qubits = qubits;
+  op.label = std::move(label);
+  op.set_gate(u);
+  ops_.push_back(std::move(op));
   return *this;
 }
 
-Circuit& Circuit::gate_if(int cbit, const Matrix& u, const std::vector<int>& qubits,
+Circuit& Circuit::gate_if(int cbit, const Matrix& u, const QubitList& qubits,
                           std::string label) {
   check_qubits(qubits);
   check_cbit(cbit);
   const Index dim = Index{1} << static_cast<Index>(qubits.size());
   QCUT_CHECK(u.rows() == dim && u.cols() == dim, "Circuit::gate_if: matrix/qubit-count mismatch");
-  ops_.push_back({OpKind::kCondUnitary, qubits, u, {}, cbit, std::move(label), classify_gate(u)});
+  Operation op;
+  op.kind = OpKind::kCondUnitary;
+  op.qubits = qubits;
+  op.cbit = cbit;
+  op.label = std::move(label);
+  op.set_gate(u);
+  ops_.push_back(std::move(op));
   return *this;
 }
 
@@ -63,24 +107,29 @@ Circuit& Circuit::z_if(int cbit, int q) { return gate_if(cbit, gates::z(), {q}, 
 Circuit& Circuit::measure(int q, int cbit) {
   check_qubits({q});
   check_cbit(cbit);
-  ops_.push_back({OpKind::kMeasure, {q}, Matrix{}, {}, cbit, "measure", {}});
+  ops_.push_back(simple_op(OpKind::kMeasure, q, cbit, "measure"));
   return *this;
 }
 
 Circuit& Circuit::reset(int q) {
   check_qubits({q});
-  ops_.push_back({OpKind::kReset, {q}, Matrix{}, {}, -1, "reset", {}});
+  ops_.push_back(simple_op(OpKind::kReset, q, -1, "reset"));
   return *this;
 }
 
-Circuit& Circuit::initialize(const std::vector<int>& qubits, const Vector& state,
+Circuit& Circuit::initialize(const QubitList& qubits, const Vector& state,
                              std::string label) {
   check_qubits(qubits);
   const Index dim = Index{1} << static_cast<Index>(qubits.size());
   QCUT_CHECK(static_cast<Index>(state.size()) == dim,
              "Circuit::initialize: state/qubit-count mismatch");
   QCUT_CHECK(approx_eq(vec_norm(state), 1.0, 1e-9), "Circuit::initialize: unnormalized state");
-  ops_.push_back({OpKind::kInitialize, qubits, Matrix{}, state, -1, std::move(label), {}});
+  Operation op;
+  op.kind = OpKind::kInitialize;
+  op.qubits = qubits;
+  op.label = std::move(label);
+  op.set_init_state(state);
+  ops_.push_back(std::move(op));
   return *this;
 }
 
@@ -107,11 +156,11 @@ Circuit& Circuit::push_op(Operation op) {
   const Index dim = Index{1} << static_cast<Index>(op.qubits.size());
   switch (op.kind) {
     case OpKind::kUnitary:
-      QCUT_CHECK(op.matrix.rows() == dim && op.matrix.cols() == dim,
+      QCUT_CHECK(op.matrix().rows() == dim && op.matrix().cols() == dim,
                  "Circuit::push_op: matrix/qubit-count mismatch");
       break;
     case OpKind::kCondUnitary:
-      QCUT_CHECK(op.matrix.rows() == dim && op.matrix.cols() == dim,
+      QCUT_CHECK(op.matrix().rows() == dim && op.matrix().cols() == dim,
                  "Circuit::push_op: matrix/qubit-count mismatch");
       check_cbit(op.cbit);
       break;
@@ -123,7 +172,7 @@ Circuit& Circuit::push_op(Operation op) {
       QCUT_CHECK(op.qubits.size() == 1, "Circuit::push_op: reset takes one qubit");
       break;
     case OpKind::kInitialize:
-      QCUT_CHECK(static_cast<Index>(op.init_state.size()) == dim,
+      QCUT_CHECK(static_cast<Index>(op.init_state().size()) == dim,
                  "Circuit::push_op: state/qubit-count mismatch");
       break;
   }
@@ -137,7 +186,7 @@ Matrix Circuit::to_unitary() const {
   for (const auto& op : ops_) {
     QCUT_CHECK(op.kind == OpKind::kUnitary,
                "Circuit::to_unitary: circuit contains non-unitary operations");
-    acc = embed(op.matrix, op.qubits, n_qubits_) * acc;
+    acc = embed(op.matrix(), op.qubits, n_qubits_) * acc;
   }
   return acc;
 }

@@ -10,10 +10,12 @@
 // bit — the top wire of the paper's circuit diagrams.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "qcut/common/small_vector.hpp"
 #include "qcut/linalg/matrix.hpp"
 #include "qcut/sim/gate_class.hpp"
 
@@ -27,17 +29,47 @@ enum class OpKind {
   kInitialize,   ///< set listed (fresh / reset) qubits to a given pure state
 };
 
-struct Operation {
-  OpKind kind = OpKind::kUnitary;
-  std::vector<int> qubits;
-  Matrix matrix;       ///< gate for kUnitary / kCondUnitary
-  Vector init_state;   ///< target state for kInitialize
-  int cbit = -1;       ///< destination for kMeasure, condition for kCondUnitary
-  std::string label;
+/// The immutable payload of one op: a gate's matrix and its structure class,
+/// or an initialize op's target state.
+struct OpPayload {
+  Matrix matrix;
   /// Structure of `matrix` (diagonal / permutation / generic), classified
   /// once when the op enters a Circuit; the statevector engine dispatches its
   /// specialized kernels on this tag instead of re-inspecting the matrix.
   GateClass gclass;
+  Vector init_state;
+};
+
+/// One circuit op. Its payload is immutable and shared by every copy of the
+/// op: a spliced QPD copies each host op and each cut branch's ops into many
+/// terms, and the fragment splitter copies them again, so a copy costs one
+/// reference-count bump instead of allocations.
+struct Operation {
+  OpKind kind = OpKind::kUnitary;
+  QubitList qubits;
+  int cbit = -1;  ///< destination for kMeasure, condition for kCondUnitary
+  std::string label;
+
+  /// Gate for kUnitary / kCondUnitary; empty for other kinds.
+  const Matrix& matrix() const noexcept { return payload().matrix; }
+  const GateClass& gclass() const noexcept { return payload().gclass; }
+  /// Target state for kInitialize; empty for other kinds.
+  const Vector& init_state() const noexcept { return payload().init_state; }
+
+  /// Makes the op's payload the gate `u` with its classification.
+  void set_gate(Matrix u);
+  /// As set_gate(u), with the class given instead of classified (a caller
+  /// that wants the generic kernels passes GateClass{}).
+  void set_gate(Matrix u, GateClass cls);
+  void set_init_state(Vector state);
+
+ private:
+  const OpPayload& payload() const noexcept {
+    return payload_ != nullptr ? *payload_ : empty_payload();
+  }
+  static const OpPayload& empty_payload() noexcept;
+
+  std::shared_ptr<const OpPayload> payload_;
 };
 
 class Circuit {
@@ -62,8 +94,8 @@ class Circuit {
   std::size_t size() const noexcept { return ops_.size(); }
 
   // -- builder interface (returns *this for chaining) -----------------------
-  Circuit& gate(const Matrix& u, const std::vector<int>& qubits, std::string label = "U");
-  Circuit& gate_if(int cbit, const Matrix& u, const std::vector<int>& qubits,
+  Circuit& gate(const Matrix& u, const QubitList& qubits, std::string label = "U");
+  Circuit& gate_if(int cbit, const Matrix& u, const QubitList& qubits,
                    std::string label = "U?");
 
   Circuit& h(int q);
@@ -87,7 +119,7 @@ class Circuit {
   Circuit& reset(int q);
   /// Prepares `state` on the listed qubits, which must currently be in |0..0⟩
   /// (true for fresh wires or immediately after reset/measure-to-zero).
-  Circuit& initialize(const std::vector<int>& qubits, const Vector& state,
+  Circuit& initialize(const QubitList& qubits, const Vector& state,
                       std::string label = "init");
 
   /// Appends all ops of `other` with qubit/cbit index offsets.
@@ -99,6 +131,9 @@ class Circuit {
   /// not re-classify (or re-copy-check) every gadget matrix per QPD term.
   Circuit& push_op(Operation op);
 
+  /// Reserves room for `n_ops` ops (builders that know their size up front).
+  void reserve(std::size_t n_ops) { ops_.reserve(n_ops); }
+
   /// Total unitary of a measurement-free circuit (throws otherwise).
   Matrix to_unitary() const;
 
@@ -109,7 +144,7 @@ class Circuit {
   std::string to_string() const;
 
  private:
-  void check_qubits(const std::vector<int>& qubits) const;
+  void check_qubits(const QubitList& qubits) const;
   void check_cbit(int cbit) const;
 
   int n_qubits_;

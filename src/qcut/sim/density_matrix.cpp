@@ -21,12 +21,12 @@ DensityMatrix DensityMatrix::from_statevector(int n_qubits, const Vector& psi) {
   return DensityMatrix(n_qubits, density(psi));
 }
 
-void DensityMatrix::apply_unitary(const Matrix& u, const std::vector<int>& qubits) {
+void DensityMatrix::apply_unitary(const Matrix& u, const QubitList& qubits) {
   const Matrix full = embed(u, qubits, n_qubits_);
   rho_ = full * rho_ * full.dagger();
 }
 
-void DensityMatrix::apply_channel(const Channel& e, const std::vector<int>& qubits) {
+void DensityMatrix::apply_channel(const Channel& e, const QubitList& qubits) {
   const Index dim = Index{1} << n_qubits_;
   Matrix acc(dim, dim);
   for (const auto& k : e.kraus()) {

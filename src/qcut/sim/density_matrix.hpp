@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "qcut/common/small_vector.hpp"
 #include "qcut/linalg/channel.hpp"
 #include "qcut/linalg/matrix.hpp"
 
@@ -27,10 +28,10 @@ class DensityMatrix {
   Matrix& rho() noexcept { return rho_; }
 
   /// ρ ← (U ⊗ I) ρ (U ⊗ I)† on the listed qubits.
-  void apply_unitary(const Matrix& u, const std::vector<int>& qubits);
+  void apply_unitary(const Matrix& u, const QubitList& qubits);
 
   /// Applies a Kraus channel on the listed qubits.
-  void apply_channel(const Channel& e, const std::vector<int>& qubits);
+  void apply_channel(const Channel& e, const QubitList& qubits);
 
   /// Probability of measuring 1 on `qubit` (no collapse).
   Real prob_one(int qubit) const;

@@ -36,11 +36,11 @@ ShotOutcome run_shot(const Circuit& c, Rng& rng, const Vector& initial) {
   for (const auto& op : c.ops()) {
     switch (op.kind) {
       case OpKind::kUnitary:
-        sv.apply(op.matrix, op.qubits, op.gclass);
+        sv.apply(op.matrix(), op.qubits, op.gclass());
         break;
       case OpKind::kCondUnitary:
         if (cbits[static_cast<std::size_t>(op.cbit)] == 1) {
-          sv.apply(op.matrix, op.qubits, op.gclass);
+          sv.apply(op.matrix(), op.qubits, op.gclass());
         }
         break;
       case OpKind::kMeasure:
@@ -50,7 +50,7 @@ ShotOutcome run_shot(const Circuit& c, Rng& rng, const Vector& initial) {
         sv.reset(op.qubits[0], rng);
         break;
       case OpKind::kInitialize:
-        sv.initialize(op.qubits, op.init_state);
+        sv.initialize(op.qubits, op.init_state());
         break;
     }
   }
@@ -102,19 +102,19 @@ void advance_branches(std::vector<Branch>& branches, const Circuit& c, std::size
     switch (op.kind) {
       case OpKind::kUnitary:
         for (auto& b : branches) {
-          b.state.apply(op.matrix, op.qubits, op.gclass);
+          b.state.apply(op.matrix(), op.qubits, op.gclass());
         }
         break;
       case OpKind::kCondUnitary:
         for (auto& b : branches) {
           if (b.cbits[static_cast<std::size_t>(op.cbit)] == 1) {
-            b.state.apply(op.matrix, op.qubits, op.gclass);
+            b.state.apply(op.matrix(), op.qubits, op.gclass());
           }
         }
         break;
       case OpKind::kInitialize:
         for (auto& b : branches) {
-          b.state.initialize(op.qubits, op.init_state);
+          b.state.initialize(op.qubits, op.init_state());
         }
         break;
       case OpKind::kMeasure:
@@ -195,13 +195,13 @@ Matrix run_density(const Circuit& c, const Matrix& initial_rho) {
     switch (op.kind) {
       case OpKind::kUnitary:
         for (auto& b : branches) {
-          b.dm.apply_unitary(op.matrix, op.qubits);
+          b.dm.apply_unitary(op.matrix(), op.qubits);
         }
         break;
       case OpKind::kCondUnitary:
         for (auto& b : branches) {
           if (b.cbits[static_cast<std::size_t>(op.cbit)] == 1) {
-            b.dm.apply_unitary(op.matrix, op.qubits);
+            b.dm.apply_unitary(op.matrix(), op.qubits);
           }
         }
         break;
@@ -209,7 +209,7 @@ Matrix run_density(const Circuit& c, const Matrix& initial_rho) {
         // Prepare via the state-preparation unitary: the affected qubits are
         // in |0..0⟩ in every branch (library contract), so U_prep acts as the
         // intended initialization.
-        const Matrix u = gates::prep_unitary(op.init_state);
+        const Matrix u = gates::prep_unitary(op.init_state());
         for (auto& b : branches) {
           b.dm.apply_unitary(u, op.qubits);
         }

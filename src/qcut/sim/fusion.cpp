@@ -45,12 +45,12 @@ class OneQubitFuser {
     if (op.kind == OpKind::kUnitary && op.qubits.size() == 1) {
       Pending& p = pending_[static_cast<std::size_t>(op.qubits[0])];
       if (p.active) {
-        p.u = op.matrix * p.u;  // op is applied after the pending run
+        p.u = op.matrix() * p.u;  // op is applied after the pending run
         p.label = fused_label(op.label, p.label);
         ++stats_.fused_1q;
       } else {
         p.active = true;
-        p.u = op.matrix;
+        p.u = op.matrix();
         p.label = op.label;
       }
       return;
@@ -97,9 +97,8 @@ class OneQubitFuser {
     Operation op;
     op.kind = OpKind::kUnitary;
     op.qubits = {q};
-    op.matrix = std::move(p.u);
+    op.set_gate(std::move(p.u));
     op.label = std::move(p.label);
-    op.gclass = classify_gate(op.matrix);
     out.push_back(std::move(op));
   }
 
@@ -108,12 +107,12 @@ class OneQubitFuser {
 };
 
 bool is_unconditioned_diagonal(const Operation& op) {
-  return op.kind == OpKind::kUnitary && op.gclass.structure == GateStructure::kDiagonal;
+  return op.kind == OpKind::kUnitary && op.gclass().structure == GateStructure::kDiagonal;
 }
 
 bool is_monomial_unitary(const Operation& op) {
-  return op.kind == OpKind::kUnitary && (op.gclass.structure == GateStructure::kDiagonal ||
-                                         op.gclass.structure == GateStructure::kPermutation);
+  return op.kind == OpKind::kUnitary && (op.gclass().structure == GateStructure::kDiagonal ||
+                                         op.gclass().structure == GateStructure::kPermutation);
 }
 
 /// Column form of a product of diagonal / permutation (monomial) gates over a
@@ -127,8 +126,8 @@ struct MonomialState {
   std::vector<Index> rowof;
   Vector val;
 
-  void init(const std::vector<int>& q) {
-    wires = q;
+  void init(const QubitList& q) {
+    wires = q.to_vector();
     const std::size_t dim = std::size_t{1} << wires.size();
     rowof.resize(dim);
     val.assign(dim, Cplx{1.0, 0.0});
@@ -147,7 +146,7 @@ struct MonomialState {
     return -1;
   }
 
-  bool covers(const std::vector<int>& q) const {
+  bool covers(const QubitList& q) const {
     for (const int qb : q) {
       if (bit_of(qb) < 0) {
         return false;
@@ -158,7 +157,7 @@ struct MonomialState {
 
   /// Re-embeds the composed form into the larger wire set `q` (a superset of
   /// the current wires), adopting q's bit order.
-  void expand(const std::vector<int>& q) {
+  void expand(const QubitList& q) {
     MonomialState old = *this;
     init(q);
     const int k = static_cast<int>(old.wires.size());
@@ -192,7 +191,7 @@ struct MonomialState {
     Vector a_val(subdim, Cplx{1.0, 0.0});
     for (std::size_t c = 0; c < subdim; ++c) {
       for (std::size_t r = 0; r < subdim; ++r) {
-        const Cplx v = op.matrix(static_cast<Index>(r), static_cast<Index>(c));
+        const Cplx v = op.matrix()(static_cast<Index>(r), static_cast<Index>(c));
         if (v != Cplx{0.0, 0.0}) {
           a_row[c] = r;
           a_val[c] = v;
@@ -276,7 +275,7 @@ void merge_monomial_runs(std::vector<Operation>& ops, FusionStats& stats) {
     std::string best_label = label;
     std::size_t count = 1;
     for (std::size_t j = i + 1; j < ops.size() && is_monomial_unitary(ops[j]); ++j) {
-      const std::vector<int>& q = ops[j].qubits;
+      const QubitList& q = ops[j].qubits;
       const bool q_covers_wires =
           std::all_of(st.wires.begin(), st.wires.end(), [&q](const int w) {
             return std::find(q.begin(), q.end(), w) != q.end();
@@ -311,9 +310,8 @@ void merge_monomial_runs(std::vector<Operation>& ops, FusionStats& stats) {
     Operation op;
     op.kind = OpKind::kUnitary;
     op.qubits = best_state.wires;
-    op.matrix = best_state.to_matrix();
+    op.set_gate(best_state.to_matrix());
     op.label = std::move(best_label);
-    op.gclass = classify_gate(op.matrix);
     out.push_back(std::move(op));
   }
   ops = std::move(out);
@@ -343,14 +341,14 @@ void emit_diagonal_merged(const std::vector<Operation>& ops, Circuit& out, Fusio
       if (used[a - i]) {
         continue;
       }
-      Vector diag = ops[a].gclass.diag;
+      Vector diag = ops[a].gclass().diag;
       std::string label = ops[a].label;
       std::size_t merged = 0;
       for (std::size_t b = a + 1; b < j; ++b) {
         if (!used[b - i] && ops[b].qubits == ops[a].qubits) {
           used[b - i] = 1;
           ++merged;
-          const Vector& d = ops[b].gclass.diag;
+          const Vector& d = ops[b].gclass().diag;
           for (std::size_t e = 0; e < diag.size(); ++e) {
             diag[e] *= d[e];
           }

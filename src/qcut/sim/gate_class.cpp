@@ -18,11 +18,15 @@ bool is_diagonal(const Matrix& u) {
   return true;
 }
 
+// Scratch lists sized for gates up to three qubits stay off the heap.
+using IndexScratch = SmallVector<Index, 8>;
+using FlagScratch = SmallVector<char, 8>;
+
 /// Fills `image` when u is exactly a 0/1 permutation matrix.
-bool is_permutation(const Matrix& u, std::vector<Index>& image) {
+bool is_permutation(const Matrix& u, IndexScratch& image) {
   const Index n = u.rows();
   image.assign(static_cast<std::size_t>(n), -1);
-  std::vector<char> row_hit(static_cast<std::size_t>(n), 0);
+  FlagScratch row_hit(static_cast<std::size_t>(n), 0);
   for (Index c = 0; c < n; ++c) {
     Index one_row = -1;
     for (Index r = 0; r < n; ++r) {
@@ -45,21 +49,22 @@ bool is_permutation(const Matrix& u, std::vector<Index>& image) {
   return true;
 }
 
-std::vector<std::vector<Index>> permutation_cycles(const std::vector<Index>& image) {
-  std::vector<std::vector<Index>> cycles;
-  std::vector<char> seen(image.size(), 0);
+SmallVector<Index, 8> permutation_cycles(const IndexScratch& image) {
+  SmallVector<Index, 8> cycles;
+  FlagScratch seen(image.size(), 0);
   for (std::size_t s = 0; s < image.size(); ++s) {
     if (seen[s] || image[s] == static_cast<Index>(s)) {
       continue;  // fixed point
     }
-    std::vector<Index> cycle;
+    const std::size_t len_at = cycles.size();
+    cycles.push_back(0);
     Index cur = static_cast<Index>(s);
     while (!seen[static_cast<std::size_t>(cur)]) {
       seen[static_cast<std::size_t>(cur)] = 1;
-      cycle.push_back(cur);
+      cycles.push_back(cur);
       cur = image[static_cast<std::size_t>(cur)];
     }
-    cycles.push_back(std::move(cycle));
+    cycles[len_at] = static_cast<Index>(cycles.size() - len_at - 1);
   }
   return cycles;
 }
@@ -91,7 +96,7 @@ GateClass classify_gate(const Matrix& u) {
     }
     return cls;
   }
-  std::vector<Index> image;
+  IndexScratch image;
   if (is_permutation(u, image)) {
     cls.structure = GateStructure::kPermutation;
     cls.dim = u.rows();

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "qcut/common/small_vector.hpp"
 #include "qcut/linalg/matrix.hpp"
 
 namespace qcut {
@@ -52,10 +53,12 @@ struct GateClass {
   // -- kPermutation -----------------------------------------------------------
   /// Nontrivial cycles (length >= 2) of the permutation |s> -> |r> with
   /// u(r, s) = 1, precomputed so the kernel rotates amplitudes in place
-  /// without revisiting fixed points. Involutions (x, cx, swap) yield
-  /// length-2 cycles — plain swaps. The full image is not retained: cycles
-  /// are all the kernel needs, and every Operation carries this struct.
-  std::vector<std::vector<Index>> cycles;
+  /// without revisiting fixed points. Flattened: each cycle is its length
+  /// followed by its members, so a two-qubit permutation's cycles stay in
+  /// place. Involutions (x, cx, swap) yield length-2 cycles — plain swaps;
+  /// cx is {2, 2, 3}. The full image is not retained: cycles are all the
+  /// kernel needs, and every gate op's payload carries this struct.
+  SmallVector<Index, 8> cycles;
 };
 
 /// Classifies `u` by exact entry inspection. Non-square or empty matrices

@@ -45,7 +45,7 @@ bool emit_named_one_qubit(std::ostringstream& os, const Operation& op, const std
       {"T", gates::t, "t"}, {"Tdg", gates::tdg, "tdg"},
   };
   for (const auto& f : kFixed) {
-    if (label == f.label && op.matrix.approx_equal(f.matrix(), 1e-12)) {
+    if (label == f.label && op.matrix().approx_equal(f.matrix(), 1e-12)) {
       os << cond << f.name << " q[" << op.qubits[0] << "];\n";
       return true;
     }
@@ -85,9 +85,9 @@ bool emit_named_three_qubit(std::ostringstream& os, const Operation& op,
     label.pop_back();
   }
   const char* name = nullptr;
-  if (label == "CCX" && op.matrix.approx_equal(gates::ccx(), 1e-12)) {
+  if (label == "CCX" && op.matrix().approx_equal(gates::ccx(), 1e-12)) {
     name = "ccx";
-  } else if (label == "CSWAP" && op.matrix.approx_equal(gates::cswap(), 1e-12)) {
+  } else if (label == "CSWAP" && op.matrix().approx_equal(gates::cswap(), 1e-12)) {
     name = "cswap";
   }
   if (name == nullptr) {
@@ -102,7 +102,7 @@ bool emit_named_three_qubit(std::ostringstream& os, const Operation& op,
 // sinθ|11⟩) from its Schmidt decomposition: ry(2θ) on a, cx(a,b), then the
 // local basis changes.
 void emit_two_qubit_init(std::ostringstream& os, const Operation& op) {
-  const SchmidtResult s = schmidt_decompose(op.init_state, 1, 1);
+  const SchmidtResult s = schmidt_decompose(op.init_state(), 1, 1);
   const Real theta = 2.0 * std::atan2(s.coeffs[1], s.coeffs[0]);
   const int qa = op.qubits[0];
   const int qb = op.qubits[1];
@@ -160,7 +160,7 @@ std::string to_qasm(const Circuit& c) {
       case OpKind::kCondUnitary:
         if (op.qubits.size() == 1) {
           if (!emit_named_one_qubit(os, op, cond)) {
-            emit_u3(os, op.matrix, op.qubits[0], cond);
+            emit_u3(os, op.matrix(), op.qubits[0], cond);
           }
         } else if (op.qubits.size() == 2 && emit_named_two_qubit(os, op, cond)) {
           // emitted
@@ -180,7 +180,7 @@ std::string to_qasm(const Circuit& c) {
       case OpKind::kInitialize:
         if (op.qubits.size() == 1) {
           // Single-qubit prep from |0⟩.
-          emit_u3(os, gates::prep_unitary(op.init_state), op.qubits[0], "");
+          emit_u3(os, gates::prep_unitary(op.init_state()), op.qubits[0], "");
         } else if (op.qubits.size() == 2) {
           emit_two_qubit_init(os, op);
         } else {

@@ -1070,10 +1070,10 @@ Circuit strip_trailing_measurements(const Circuit& c, int* n_stripped) {
     const Operation& op = c.ops()[i];
     switch (op.kind) {
       case OpKind::kUnitary:
-        out.gate(op.matrix, op.qubits, op.label);
+        out.gate(op.matrix(), op.qubits, op.label);
         break;
       case OpKind::kCondUnitary:
-        out.gate_if(op.cbit, op.matrix, op.qubits, op.label);
+        out.gate_if(op.cbit, op.matrix(), op.qubits, op.label);
         break;
       case OpKind::kMeasure:
         out.measure(op.qubits[0], op.cbit);
@@ -1082,7 +1082,7 @@ Circuit strip_trailing_measurements(const Circuit& c, int* n_stripped) {
         out.reset(op.qubits[0]);
         break;
       case OpKind::kInitialize:
-        out.initialize(op.qubits, op.init_state, op.label);
+        out.initialize(op.qubits, op.init_state(), op.label);
         break;
     }
   }
@@ -1128,12 +1128,12 @@ bool circuits_equivalent(const Circuit& a, const Circuit& b, Real tol, std::stri
     switch (oa.kind) {
       case OpKind::kUnitary:
       case OpKind::kCondUnitary:
-        if (!matrix_equal_up_to_phase(oa.matrix, ob.matrix, tol)) {
+        if (!matrix_equal_up_to_phase(oa.matrix(), ob.matrix(), tol)) {
           return mismatch(at + "unitaries differ beyond a global phase");
         }
         break;
       case OpKind::kInitialize:
-        if (!vector_equal_up_to_phase(oa.init_state, ob.init_state, tol)) {
+        if (!vector_equal_up_to_phase(oa.init_state(), ob.init_state(), tol)) {
           return mismatch(at + "initialize states differ beyond a global phase");
         }
         break;

@@ -157,11 +157,11 @@ Statevector::Statevector(int n_qubits, Vector amplitudes)
   QCUT_CHECK(approx_eq(vec_norm(amp_), 1.0, 1e-8), "Statevector: state must be normalized");
 }
 
-void Statevector::apply(const Matrix& u, const std::vector<int>& qubits) {
+void Statevector::apply(const Matrix& u, const QubitList& qubits) {
   apply(u, qubits, classify_gate(u));
 }
 
-void Statevector::apply(const Matrix& u, const std::vector<int>& qubits, const GateClass& cls) {
+void Statevector::apply(const Matrix& u, const QubitList& qubits, const GateClass& cls) {
   const int k = static_cast<int>(qubits.size());
   const Index subdim = Index{1} << k;
   QCUT_CHECK(u.rows() == subdim && u.cols() == subdim,
@@ -281,7 +281,7 @@ void Statevector::apply(const Matrix& u, const std::vector<int>& qubits, const G
   });
 }
 
-void Statevector::apply_diagonal(const GateClass& cls, const std::vector<int>& qubits) {
+void Statevector::apply_diagonal(const GateClass& cls, const QubitList& qubits) {
   const int k = static_cast<int>(qubits.size());
   const Index dim_ = dim();
   const SimdKernels& kr = active_kernels();
@@ -359,7 +359,7 @@ void Statevector::apply_diagonal(const GateClass& cls, const std::vector<int>& q
   });
 }
 
-void Statevector::apply_permutation(const GateClass& cls, const std::vector<int>& qubits) {
+void Statevector::apply_permutation(const GateClass& cls, const QubitList& qubits) {
   if (cls.cycles.empty()) {
     return;  // identity permutation
   }
@@ -382,12 +382,12 @@ void Statevector::apply_permutation(const GateClass& cls, const std::vector<int>
   std::vector<Index> sorted = strides;
   std::sort(sorted.begin(), sorted.end());
 
-  if (cls.cycles.size() == 1 && cls.cycles[0].size() == 2) {
+  if (cls.cycles.size() == 3 && cls.cycles[0] == 2) {
     // The ubiquitous involution shape (x, cx, swap): one pairwise swap per
     // group, touching only the cycle's slice of the state. Distinct offsets
     // differ by at least the lowest stride, so the swapped runs never overlap.
-    const Index oa = offs[static_cast<std::size_t>(cls.cycles[0][0])];
-    const Index ob = offs[static_cast<std::size_t>(cls.cycles[0][1])];
+    const Index oa = offs[static_cast<std::size_t>(cls.cycles[1])];
+    const Index ob = offs[static_cast<std::size_t>(cls.cycles[2])];
     sweep(dim_ >> k, n_qubits_, [&](Index g0, Index g1) {
       for_runs(g0, g1, sorted.data(), k, [&](Index base, Index len) {
         std::swap_ranges(amp + base + oa, amp + base + oa + len, amp + base + ob);
@@ -402,15 +402,17 @@ void Statevector::apply_permutation(const GateClass& cls, const std::vector<int>
       for (int j = 0; j < k; ++j) {
         base = insert_zero(base, sorted[static_cast<std::size_t>(j)]);
       }
-      for (const std::vector<Index>& cyc : cls.cycles) {
+      for (std::size_t at = 0; at < cls.cycles.size();) {
         // image[s_i] = s_{i+1}: new[s_{i+1}] = old[s_i], rotated in place.
-        const std::size_t m = cyc.size();
+        const std::size_t m = static_cast<std::size_t>(cls.cycles[at]);
+        const Index* cyc = cls.cycles.data() + at + 1;
         Cplx t = amp[base + offs[static_cast<std::size_t>(cyc[m - 1])]];
         for (std::size_t i = m - 1; i >= 1; --i) {
           amp[base + offs[static_cast<std::size_t>(cyc[i])]] =
               amp[base + offs[static_cast<std::size_t>(cyc[i - 1])]];
         }
         amp[base + offs[static_cast<std::size_t>(cyc[0])]] = t;
+        at += m + 1;
       }
     }
   });
@@ -541,7 +543,7 @@ void Statevector::reset(int qubit, Rng& rng) {
   }
 }
 
-void Statevector::initialize(const std::vector<int>& qubits, const Vector& state) {
+void Statevector::initialize(const QubitList& qubits, const Vector& state) {
   const int k = static_cast<int>(qubits.size());
   const Index subdim = Index{1} << k;
   QCUT_CHECK(static_cast<Index>(state.size()) == subdim,

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "qcut/common/rng.hpp"
+#include "qcut/common/small_vector.hpp"
 #include "qcut/linalg/matrix.hpp"
 #include "qcut/sim/gate_class.hpp"
 
@@ -45,14 +46,14 @@ class Statevector {
   /// Applies a k-qubit unitary to the listed qubits. Classifies the matrix
   /// structure on the fly; hot paths that hold a precomputed classification
   /// (Operation::gclass) use the three-argument overload instead.
-  void apply(const Matrix& u, const std::vector<int>& qubits);
+  void apply(const Matrix& u, const QubitList& qubits);
 
   /// Applies `u` dispatching on a precomputed classification: diagonal gates
   /// run the amplitude-wise multiply kernel (no gather), permutation gates
   /// the amplitude-move kernel (no arithmetic), everything else the dense
   /// kernels. Passing a default-constructed GateClass forces the dense path
   /// (the benchmark yardstick for the specialized kernels).
-  void apply(const Matrix& u, const std::vector<int>& qubits, const GateClass& cls);
+  void apply(const Matrix& u, const QubitList& qubits, const GateClass& cls);
 
   /// Probability that measuring `qubit` yields 1.
   Real prob_one(int qubit) const;
@@ -79,7 +80,7 @@ class Statevector {
 
   /// Sets the listed qubits (which must be in |0..0⟩ and unentangled with the
   /// rest) to `state`.
-  void initialize(const std::vector<int>& qubits, const Vector& state);
+  void initialize(const QubitList& qubits, const Vector& state);
 
   /// ⟨ψ|P|ψ⟩ for an n-qubit Pauli string (e.g. "ZII").
   Real expectation_pauli(const std::string& pauli) const;
@@ -111,8 +112,8 @@ class Statevector {
 
   int bitpos(int qubit) const noexcept { return n_qubits_ - 1 - qubit; }
 
-  void apply_diagonal(const GateClass& cls, const std::vector<int>& qubits);
-  void apply_permutation(const GateClass& cls, const std::vector<int>& qubits);
+  void apply_diagonal(const GateClass& cls, const QubitList& qubits);
+  void apply_permutation(const GateClass& cls, const QubitList& qubits);
 
   int n_qubits_;
   Vector amp_;

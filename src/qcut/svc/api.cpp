@@ -29,7 +29,12 @@ Circuit parse_circuit(const EstimateRequest& req) {
 /// The request's circuit, hashed when caches are in play. A QASM request
 /// with caches is served from the circuit memo when its exact bytes were
 /// parsed before; IR requests and cache-less calls always resolve afresh.
-ParsedCircuit resolve_circuit(const EstimateRequest& req, ServiceCaches* caches) {
+/// `*memoize` is set when the caller should insert the parse into the memo —
+/// estimate() does so only once the request has passed validation and its
+/// plan is resolved, so requests that never produce a plan pin nothing.
+ParsedCircuit resolve_circuit(const EstimateRequest& req, ServiceCaches* caches,
+                              bool* memoize) {
+  *memoize = false;
   const bool memo = caches != nullptr && !req.circuit.has_value();
   if (memo) {
     if (std::shared_ptr<const ParsedCircuit> hit = caches->circuits.get(req.circuit_qasm)) {
@@ -46,9 +51,7 @@ ParsedCircuit resolve_circuit(const EstimateRequest& req, ServiceCaches* caches)
   if (caches != nullptr) {
     parsed.hash = circuit_hash(*parsed.circuit);
   }
-  if (memo) {
-    caches->circuits.put(req.circuit_qasm, std::make_shared<const ParsedCircuit>(parsed));
-  }
+  *memoize = memo;
   return parsed;
 }
 
@@ -95,7 +98,8 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
     cancel_poll();  // an already-tripped token fails at the door, not mid-plan
   }
 
-  const ParsedCircuit parsed = resolve_circuit(req, caches);
+  bool memoize = false;
+  const ParsedCircuit parsed = resolve_circuit(req, caches, &memoize);
   const Circuit& circ = *parsed.circuit;
 
   // Front-door validation: every failure below names the request's problem
@@ -147,6 +151,9 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
     if (caches != nullptr) {
       plan = caches->plans.put(pkey, plan);
     }
+  }
+  if (memoize) {
+    caches->circuits.put(req.circuit_qasm, std::make_shared<const ParsedCircuit>(parsed));
   }
 
   // Resolve the shot policy before execution so the cap can bound the

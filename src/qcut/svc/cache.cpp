@@ -60,17 +60,17 @@ std::uint64_t circuit_hash(const Circuit& circ) {
       h.i64(q);
     }
     h.i64(op.cbit);
-    h.i64(op.matrix.rows());
-    h.i64(op.matrix.cols());
-    const std::size_t mn = static_cast<std::size_t>(op.matrix.rows() * op.matrix.cols());
+    h.i64(op.matrix().rows());
+    h.i64(op.matrix().cols());
+    const std::size_t mn = static_cast<std::size_t>(op.matrix().rows() * op.matrix().cols());
     for (std::size_t i = 0; i < mn; ++i) {
-      h.cplx(op.matrix.data()[i]);
+      h.cplx(op.matrix().data()[i]);
     }
-    h.u64(op.init_state.size());
-    for (Cplx a : op.init_state) {
+    h.u64(op.init_state().size());
+    for (Cplx a : op.init_state()) {
       h.cplx(a);
     }
-    // op.label and op.gclass are derived/presentation — excluded.
+    // op.label and op.gclass() are derived/presentation — excluded.
   }
   return h.value();
 }

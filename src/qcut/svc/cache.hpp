@@ -7,8 +7,9 @@
 //
 //  * the parsed circuit — a memo from a QASM request's exact bytes to the
 //    parsed, measurement-stripped Circuit and its canonical hash, so a
-//    repeated request skips the parse and the hash. Only successful parses
-//    are stored; IR requests bypass it;
+//    repeated request skips the parse and the hash. Only parses whose
+//    request passed validation and resolved a plan are stored; IR requests
+//    bypass it;
 //  * the CutPlan — the planner's subset search over cut candidates, keyed by
 //    (canonical circuit hash, planner config);
 //  * the eval entry — the spliced QPD, its warm ExecutionBackend (holding
@@ -189,7 +190,8 @@ class ServiceCaches {
         skeletons(std::make_shared<SplitSkeletonCache>(cfg.skeleton_capacity)) {}
 
   /// QASM text → parsed circuit. Sized like `plans`: a memo entry only pays
-  /// while the plan it leads to is resident.
+  /// while the plan it leads to is resident, so a parse is inserted only
+  /// after its request passed validation and resolved a plan.
   LruCache<const ParsedCircuit> circuits;
   LruCache<CutPlan> plans;
   LruCache<EvalEntry> evals;

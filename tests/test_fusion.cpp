@@ -89,11 +89,11 @@ TEST(Fusion, UnitaryCircuitsKeepTheirAmplitudes) {
 
     Statevector a(n);
     for (const Operation& op : c.ops()) {
-      a.apply(op.matrix, op.qubits, op.gclass);
+      a.apply(op.matrix(), op.qubits, op.gclass());
     }
     Statevector b(n);
     for (const Operation& op : fused.ops()) {
-      b.apply(op.matrix, op.qubits, op.gclass);
+      b.apply(op.matrix(), op.qubits, op.gclass());
     }
     for (std::size_t i = 0; i < a.amplitudes().size(); ++i) {
       EXPECT_NEAR(a.amplitudes()[i].real(), b.amplitudes()[i].real(), 1e-12)
@@ -159,7 +159,7 @@ TEST(Fusion, KeepsGlobalPhaseIdentity) {
   ASSERT_GE(fused.size(), 1u);  // -I survives; z·z may merge into it
   Statevector sv(1);
   for (const Operation& op : fused.ops()) {
-    sv.apply(op.matrix, op.qubits, op.gclass);
+    sv.apply(op.matrix(), op.qubits, op.gclass());
   }
   EXPECT_NEAR(sv.amplitudes()[0].real(), -1.0, 1e-12);
 }
@@ -190,7 +190,7 @@ TEST(Fusion, CollapsesDiagonalPermutationSandwiches) {
   const Circuit fused = fuse_circuit(c, &stats);
   ASSERT_EQ(fused.size(), 1u);
   EXPECT_EQ(stats.merged_monomial, 2u);
-  EXPECT_EQ(fused.ops()[0].gclass.structure, GateStructure::kDiagonal);
+  EXPECT_EQ(fused.ops()[0].gclass().structure, GateStructure::kDiagonal);
 
   // x(1)·cz(0,1)·x(1): the 1q permutation seeds the run and the cluster
   // grows to the cz's wire pair; the collapse is cz with its phase moved —
@@ -202,10 +202,10 @@ TEST(Fusion, CollapsesDiagonalPermutationSandwiches) {
   ASSERT_EQ(dfused.size(), 1u);
   EXPECT_EQ(dstats.merged_monomial, 2u);
   const Operation& op = dfused.ops()[0];
-  ASSERT_EQ(op.gclass.structure, GateStructure::kDiagonal);
-  ASSERT_EQ(op.gclass.diag.size(), 4u);
-  EXPECT_EQ(op.gclass.diag[2], (Cplx{-1.0, 0.0}));
-  EXPECT_EQ(op.gclass.diag[3], (Cplx{1.0, 0.0}));
+  ASSERT_EQ(op.gclass().structure, GateStructure::kDiagonal);
+  ASSERT_EQ(op.gclass().diag.size(), 4u);
+  EXPECT_EQ(op.gclass().diag[2], (Cplx{-1.0, 0.0}));
+  EXPECT_EQ(op.gclass().diag[3], (Cplx{1.0, 0.0}));
 }
 
 TEST(Fusion, TwoQubitInvolutionsCancelExactly) {
@@ -261,11 +261,11 @@ TEST(Fusion, MonomialHeavyCircuitsKeepTheirAmplitudes) {
 
     Statevector a(n);
     for (const Operation& op : c.ops()) {
-      a.apply(op.matrix, op.qubits, op.gclass);
+      a.apply(op.matrix(), op.qubits, op.gclass());
     }
     Statevector b(n);
     for (const Operation& op : fused.ops()) {
-      b.apply(op.matrix, op.qubits, op.gclass);
+      b.apply(op.matrix(), op.qubits, op.gclass());
     }
     for (std::size_t i = 0; i < a.amplitudes().size(); ++i) {
       EXPECT_NEAR(a.amplitudes()[i].real(), b.amplitudes()[i].real(), 1e-12)

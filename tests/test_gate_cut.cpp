@@ -71,7 +71,7 @@ TEST(GateCut, CutZzInsideCircuitMatchesUncut) {
     // Reference: same circuit WITH the ZZ gate on (0, 2).
     const Real theta = rng.uniform(-1.5, 1.5);
     Circuit with_gate(3, 0);
-    with_gate.gate(circ.ops()[0].matrix, {0, 1, 2}, "U");
+    with_gate.gate(circ.ops()[0].matrix(), {0, 1, 2}, "U");
     with_gate.gate(zz_unitary(theta), {0, 2}, "ZZ");
 
     const Qpd qpd = cut_zz_gate(circ, /*pos=*/1, 0, 2, theta, "ZXZ");
@@ -86,7 +86,7 @@ TEST(GateCut, CutCzMatchesRealCz) {
     Circuit base(2, 0);
     base.gate(haar_unitary(4, rng), {0, 1}, "U");
     Circuit with_cz(2, 0);
-    with_cz.gate(base.ops()[0].matrix, {0, 1}, "U");
+    with_cz.gate(base.ops()[0].matrix(), {0, 1}, "U");
     with_cz.cz(0, 1);
     for (const char* obs : {"ZZ", "XI", "YX"}) {
       const Qpd qpd = cut_cz_gate(base, /*pos=*/1, 0, 1, obs);

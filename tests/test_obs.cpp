@@ -97,7 +97,7 @@ TEST_F(ObsTest, KernelDispatchCountsAreExactPerStructure) {
   const obs::MetricsSnapshot before = obs::metrics_snapshot();
   Statevector sv(3);
   for (const Operation& op : c.ops()) {
-    sv.apply(op.matrix, op.qubits, op.gclass);
+    sv.apply(op.matrix(), op.qubits, op.gclass());
   }
   const obs::MetricsSnapshot d = obs::metrics_delta(before, obs::metrics_snapshot());
   EXPECT_EQ(d[Counter::kDispatchDense1q], 2u);

@@ -108,10 +108,10 @@ TEST(QasmImport, ParsesRegistersAndNamedGates) {
   EXPECT_EQ(c.n_cbits(), 2);
   ASSERT_EQ(c.size(), 4u);
   EXPECT_EQ(c.ops()[0].label, "H");
-  expect_matrix_near(c.ops()[0].matrix, gates::h(), 1e-15);
+  expect_matrix_near(c.ops()[0].matrix(), gates::h(), 1e-15);
   EXPECT_EQ(c.ops()[1].label, "CX");
   EXPECT_EQ(c.ops()[1].qubits, (std::vector<int>{0, 1}));
-  expect_matrix_near(c.ops()[2].matrix, gates::rz(kPi / 2.0), 1e-15);
+  expect_matrix_near(c.ops()[2].matrix(), gates::rz(kPi / 2.0), 1e-15);
   EXPECT_EQ(c.ops()[3].kind, OpKind::kMeasure);
   EXPECT_EQ(c.ops()[3].qubits, (std::vector<int>{0}));
   EXPECT_EQ(c.ops()[3].cbit, 1);
@@ -156,17 +156,17 @@ TEST(QasmImport, PreludeCompositesNeedNoInFileDefinitions) {
       "cswap q[2],q[0],q[1];\n");
   ASSERT_EQ(c.size(), 2u);
   EXPECT_EQ(c.ops()[0].label, "CCX");
-  expect_matrix_near(c.ops()[0].matrix, gates::ccx(), 1e-15);
+  expect_matrix_near(c.ops()[0].matrix(), gates::ccx(), 1e-15);
   EXPECT_EQ(c.ops()[0].qubits, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(c.ops()[0].gclass.structure, GateStructure::kPermutation);
+  EXPECT_EQ(c.ops()[0].gclass().structure, GateStructure::kPermutation);
   EXPECT_EQ(c.ops()[1].label, "CSWAP");
-  expect_matrix_near(c.ops()[1].matrix, gates::cswap(), 1e-15);
+  expect_matrix_near(c.ops()[1].matrix(), gates::cswap(), 1e-15);
 
   // Semantics: |110⟩ --ccx--> |111⟩; Toffoli arity is enforced.
   Statevector sv(3);
   sv.apply(gates::x(), {0}, classify_gate(gates::x()));
   sv.apply(gates::x(), {1}, classify_gate(gates::x()));
-  sv.apply(c.ops()[0].matrix, c.ops()[0].qubits, c.ops()[0].gclass);
+  sv.apply(c.ops()[0].matrix(), c.ops()[0].qubits, c.ops()[0].gclass());
   EXPECT_NEAR(std::abs(sv.amplitudes()[7]), 1.0, 1e-12);
   EXPECT_THROW(import_qasm("OPENQASM 2.0;\nqreg q[2];\nccx q[0],q[1];\n"), Error);
 
@@ -209,10 +209,10 @@ TEST(QasmImport, GateMacrosExpandWithParameterSubstitution) {
       "qreg q[2];\n"
       "foo(pi/3) q[1],q[0];\n");
   ASSERT_EQ(c.size(), 3u);
-  expect_matrix_near(c.ops()[0].matrix, gates::ry(kPi / 3.0), 1e-15);
+  expect_matrix_near(c.ops()[0].matrix(), gates::ry(kPi / 3.0), 1e-15);
   EXPECT_EQ(c.ops()[0].qubits, (std::vector<int>{1}));
   EXPECT_EQ(c.ops()[1].qubits, (std::vector<int>{1, 0}));
-  expect_matrix_near(c.ops()[2].matrix, gates::ry(-kPi / 6.0), 1e-15);
+  expect_matrix_near(c.ops()[2].matrix(), gates::ry(-kPi / 6.0), 1e-15);
 }
 
 TEST(QasmImport, ConditionalTwoQubitGatesRoundTrip) {
@@ -239,7 +239,7 @@ TEST(QasmImport, ConditionalGatesMapToCondUnitary) {
   ASSERT_EQ(c.size(), 2u);
   EXPECT_EQ(c.ops()[1].kind, OpKind::kCondUnitary);
   EXPECT_EQ(c.ops()[1].cbit, 1);
-  expect_matrix_near(c.ops()[1].matrix, gates::x(), 1e-15);
+  expect_matrix_near(c.ops()[1].matrix(), gates::x(), 1e-15);
 }
 
 TEST(QasmImport, BarrierAndIdAreDropped) {
@@ -260,11 +260,11 @@ TEST(QasmImport, ConstantExpressionsEvaluate) {
       "rz(pi^2/10) q[0];\n"
       "rx(sqrt(2)/2) q[0];\n"
       "ry(sin(pi/6)) q[0];\n");
-  expect_matrix_near(c.ops()[0].matrix, gates::rx(3.0 * kPi / 4.0), 1e-15);
-  expect_matrix_near(c.ops()[1].matrix, gates::ry(-kPi / 8.0 + kPi / 16.0), 1e-15);
-  expect_matrix_near(c.ops()[2].matrix, gates::rz(kPi * kPi / 10.0), 1e-15);
-  expect_matrix_near(c.ops()[3].matrix, gates::rx(std::sqrt(2.0) / 2.0), 1e-15);
-  expect_matrix_near(c.ops()[4].matrix, gates::ry(std::sin(kPi / 6.0)), 1e-15);
+  expect_matrix_near(c.ops()[0].matrix(), gates::rx(3.0 * kPi / 4.0), 1e-15);
+  expect_matrix_near(c.ops()[1].matrix(), gates::ry(-kPi / 8.0 + kPi / 16.0), 1e-15);
+  expect_matrix_near(c.ops()[2].matrix(), gates::rz(kPi * kPi / 10.0), 1e-15);
+  expect_matrix_near(c.ops()[3].matrix(), gates::rx(std::sqrt(2.0) / 2.0), 1e-15);
+  expect_matrix_near(c.ops()[4].matrix(), gates::ry(std::sin(kPi / 6.0)), 1e-15);
 }
 
 TEST(QasmImport, SkipsUtf8ByteOrderMark) {

@@ -232,8 +232,8 @@ TEST(ServiceEstimate, MalformedQasmIsRejectedEveryTimeAndNeverMemoized) {
   }
   EXPECT_EQ(caches.circuits.size(), 0u);
 
-  // A parse that succeeds is memoized even when the request then fails
-  // validation, and the memoized circuit is validated again on every use.
+  // A parse that succeeds is not memoized when the request then fails
+  // validation: only requests that resolve a plan pin their circuit.
   EstimateRequest narrow_obs = hwe8_request();
   narrow_obs.observable = Observable::z_all(4);
   for (int attempt = 0; attempt < 2; ++attempt) {
@@ -244,6 +244,10 @@ TEST(ServiceEstimate, MalformedQasmIsRejectedEveryTimeAndNeverMemoized) {
       EXPECT_EQ(e.code(), ErrorCode::kInvalidRequest) << e.what();
     }
   }
+  EXPECT_EQ(caches.circuits.size(), 0u);
+
+  // The same circuit with a valid observable is memoized once it plans.
+  (void)estimate(hwe8_request(), &caches);
   EXPECT_EQ(caches.circuits.size(), 1u);
 }
 
@@ -363,7 +367,7 @@ TEST(ServiceCachesTest, CircuitHashIgnoresLabelsButNotStructure) {
   Circuit a(2, 0);
   a.h(0).cx(0, 1);
   Circuit b(2, 0);
-  b.gate(a.ops()[0].matrix, {0}, "renamed").cx(0, 1);
+  b.gate(a.ops()[0].matrix(), {0}, "renamed").cx(0, 1);
   EXPECT_EQ(circuit_hash(a), circuit_hash(b));
 
   Circuit c(2, 0);

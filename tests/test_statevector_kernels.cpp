@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "qcut/common/threadpool.hpp"
+#include "qcut/linalg/kron.hpp"
 #include "qcut/linalg/random.hpp"
 #include "qcut/sim/circuit.hpp"
 #include "qcut/sim/gate_class.hpp"
@@ -53,19 +54,20 @@ TEST(GateClass, SparsePhaseDetection) {
 }
 
 TEST(GateClass, PermutationCyclesArePrecomputed) {
+  // Cycles are flattened as (length, members...) runs.
   const GateClass cx = classify_gate(gates::cx());
-  ASSERT_EQ(cx.cycles.size(), 1u);
-  EXPECT_EQ(cx.cycles[0], (std::vector<Index>{2, 3}));
+  EXPECT_EQ(cx.cycles, (std::vector<Index>{2, 2, 3}));
   const GateClass sw = classify_gate(gates::swap());
-  ASSERT_EQ(sw.cycles.size(), 1u);
-  EXPECT_EQ(sw.cycles[0], (std::vector<Index>{1, 2}));
+  EXPECT_EQ(sw.cycles, (std::vector<Index>{2, 1, 2}));
   // A 4-cycle: |s> -> |s+1 mod 4>.
   Matrix rot(4, 4);
   rot(1, 0) = rot(2, 1) = rot(3, 2) = rot(0, 3) = Cplx{1.0, 0.0};
   const GateClass rc = classify_gate(rot);
   ASSERT_EQ(rc.structure, GateStructure::kPermutation);
-  ASSERT_EQ(rc.cycles.size(), 1u);
-  EXPECT_EQ(rc.cycles[0].size(), 4u);
+  EXPECT_EQ(rc.cycles, (std::vector<Index>{4, 0, 1, 2, 3}));
+  // Two disjoint 2-cycles: |0> <-> |1>, |2> <-> |3> (x on the low qubit).
+  const GateClass xl = classify_gate(kron(Matrix::identity(2), gates::x()));
+  EXPECT_EQ(xl.cycles, (std::vector<Index>{2, 0, 1, 2, 2, 3}));
 }
 
 TEST(GateClass, NearZeroEntriesStayGeneric) {
@@ -205,8 +207,8 @@ TEST(KernelEquivalence, CircuitBuilderClassificationMatchesOnTheFly) {
   Statevector via_ops(n, random_statevector(Index{1} << n, rng));
   Statevector via_fresh = via_ops;
   for (const Operation& op : c.ops()) {
-    via_ops.apply(op.matrix, op.qubits, op.gclass);
-    via_fresh.apply(op.matrix, op.qubits);
+    via_ops.apply(op.matrix(), op.qubits, op.gclass());
+    via_fresh.apply(op.matrix(), op.qubits);
   }
   for (std::size_t i = 0; i < via_ops.amplitudes().size(); ++i) {
     EXPECT_EQ(via_ops.amplitudes()[i], via_fresh.amplitudes()[i]) << "amp " << i;
@@ -325,7 +327,7 @@ TEST(SimdTiers, EveryAvailableTierMatchesScalar) {
     TierResult res;
     Statevector sv(n, amps);
     for (const Operation& op : c.ops()) {
-      sv.apply(op.matrix, op.qubits, op.gclass);
+      sv.apply(op.matrix(), op.qubits, op.gclass());
     }
     res.amp = sv.amplitudes();
     for (int q = 0; q < n; ++q) {
@@ -399,7 +401,7 @@ TEST(ParallelSweeps, PoolSizeBitIdentity) {
     Statevector::set_parallel_config(pool, threshold);
     Statevector sv(n, amps);
     for (const Operation& op : c.ops()) {
-      sv.apply(op.matrix, op.qubits, op.gclass);
+      sv.apply(op.matrix(), op.qubits, op.gclass());
     }
     const Real p = sv.prob_one(3);
     sv.project(3, p >= 0.5 ? 1 : 0);
