@@ -37,7 +37,7 @@ enum class Site : int {
   kSvcPlan,         ///< svc.plan — plan resolution in svc::estimate
   kExecBatch,       ///< exec.batch — engine per-batch execution
   kFragmentUnit,    ///< fragment.unit — per (fragment, read-assignment) unit
-  kCacheInsert,     ///< cache.insert — service LRU cache insertion
+  kCacheInsert,     ///< cache.insert — every SingleFlightCache insert
   kPoolTask,        ///< pool.task — thread-pool task execution
   kCount
 };

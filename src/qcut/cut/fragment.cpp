@@ -484,57 +484,19 @@ std::string split_structure_key(const Circuit& c) {
   return key;
 }
 
-std::shared_ptr<const SplitSkeleton> SplitSkeletonCache::get(const Circuit& c) {
-  const std::string key = split_structure_key(c);
-  std::unique_lock<std::mutex> lock(mu_);
-  built_.wait(lock, [&] { return building_.count(key) == 0; });
-  const auto it = by_key_.find(key);
-  if (it != by_key_.end()) {
-    obs::count(obs::Counter::kSkeletonCacheHit);
-    it->second.last_use = ++tick_;
-    return it->second.skeleton;
-  }
-  obs::count(obs::Counter::kSkeletonCacheMiss);
-  // Built outside the lock, so distinct structures build concurrently. The
-  // in-flight mark is cleared and waiters woken on every exit; after a
-  // throwing build a waiter retries the build itself.
-  building_.insert(key);
-  lock.unlock();
-  std::shared_ptr<const SplitSkeleton> skel;
-  try {
+std::shared_ptr<const SplitSkeleton> cached_skeleton(SplitSkeletonCache& cache, const Circuit& c) {
+  const auto build = [&c] {
+    obs::count(obs::Counter::kSkeletonCacheMiss);  // counted even if the build throws
     obs::TraceSpan span("skeleton.build");
-    skel = std::make_shared<const SplitSkeleton>(build_split_skeleton(c));
-  } catch (...) {
-    lock.lock();
-    building_.erase(key);
-    built_.notify_all();
-    throw;
-  }
-  lock.lock();
-  building_.erase(key);
-  built_.notify_all();
-  Entry& entry = by_key_[key];
-  entry.skeleton = skel;
-  entry.last_use = ++tick_;
-  if (capacity_ > 0 && by_key_.size() > capacity_) {
-    // Evict the least-recently-used entry. Linear scan: capacities are small
-    // (hundreds) and eviction only runs past the bound, never per hit.
-    auto victim = by_key_.begin();
-    for (auto e = by_key_.begin(); e != by_key_.end(); ++e) {
-      if (e->second.last_use < victim->second.last_use) {
-        victim = e;
-      }
-    }
-    if (victim->first != key) {
-      by_key_.erase(victim);
-    }
+    return std::make_shared<const SplitSkeleton>(build_split_skeleton(c));
+  };
+  bool hit = false;
+  std::shared_ptr<const SplitSkeleton> skel =
+      cache.get_or_build(split_structure_key(c), build, &hit);
+  if (hit) {
+    obs::count(obs::Counter::kSkeletonCacheHit);
   }
   return skel;
-}
-
-std::size_t SplitSkeletonCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return by_key_.size();
 }
 
 void fuse_split_circuits(FragmentSplit& split, FusionStats* stats) {

@@ -40,15 +40,12 @@
 // is bit-identical for any pool size (including none).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "qcut/common/single_flight_cache.hpp"
 #include "qcut/common/threadpool.hpp"
 #include "qcut/qpd/qpd.hpp"
 #include "qcut/sim/fusion.hpp"
@@ -132,41 +129,14 @@ FragmentSplit split_term(const QpdTerm& term, const SplitSkeleton& skel);
 /// structure, so gadget variants that only differ there share a skeleton.
 std::string split_structure_key(const Circuit& c);
 
-/// Thread-safe cache of split skeletons keyed by structure. One instance per
-/// QPD amortizes skeleton construction over all 8^K gadget variants; the
-/// service layer shares one *process-lifetime* instance across requests
-/// (bounded by `capacity`), so repeated estimations of the same circuit
-/// family skip skeleton construction entirely.
-class SplitSkeletonCache {
- public:
-  /// `capacity` = 0: unbounded (the per-run default — a run touches one cut
-  /// plan's handful of structures). Non-zero: at most `capacity` skeletons
-  /// are retained, evicting least-recently-used — the cross-request setting.
-  /// Evicted skeletons stay alive for callers still holding their shared_ptr.
-  explicit SplitSkeletonCache(std::size_t capacity = 0) : capacity_(capacity) {}
+/// Split skeletons by split_structure_key. Per run it is unbounded (one plan
+/// touches a handful of structures); the service shares one bounded,
+/// process-lifetime instance across requests.
+using SplitSkeletonCache = SingleFlightCache<const SplitSkeleton>;
 
-  /// Returns the shared skeleton for circuits structurally identical to `c`,
-  /// building it on first use. Single flight per structure: a caller that
-  /// finds the structure being built waits for that build instead of
-  /// repeating it, so each structure counts one miss.
-  std::shared_ptr<const SplitSkeleton> get(const Circuit& c);
-
-  /// Distinct structures currently cached (introspection for tests/benches).
-  std::size_t size() const;
-
- private:
-  struct Entry {
-    std::shared_ptr<const SplitSkeleton> skeleton;
-    std::uint64_t last_use = 0;
-  };
-
-  std::size_t capacity_ = 0;
-  mutable std::mutex mu_;
-  mutable std::uint64_t tick_ = 0;
-  std::unordered_map<std::string, Entry> by_key_;
-  std::unordered_set<std::string> building_;  ///< keys with a build in flight
-  std::condition_variable built_;             ///< signalled when a build ends
-};
+/// The skeleton of `c`'s structure, built once per structure even under
+/// concurrent lookups. Counts kSkeletonCacheHit / kSkeletonCacheMiss.
+std::shared_ptr<const SplitSkeleton> cached_skeleton(SplitSkeletonCache& cache, const Circuit& c);
 
 /// Rewrites every fragment circuit of `split` through the gate-fusion passes
 /// (sim/fusion.hpp), in place. The unconditioned prefix [0, cond_suffix_begin)

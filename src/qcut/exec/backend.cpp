@@ -51,7 +51,7 @@ FragmentBackend::FragmentBackend(const Qpd& qpd, int max_fragment_width, ThreadP
   cache_ = std::make_shared<BranchCache>(qpd, [cap, pool, skels](const QpdTerm& term) {
     FragmentSplit split = [&] {
       obs::TraceSpan span("fragment.split");
-      return split_term(term, *skels->get(term.circuit));
+      return split_term(term, *cached_skeleton(*skels, term.circuit));
     }();
     QCUT_CHECK(split.max_width <= cap,
                "FragmentBackend: a term fragment exceeds the width cap (" +

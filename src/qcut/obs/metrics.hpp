@@ -35,7 +35,7 @@ enum class Counter : int {
   // BranchCache (exec/branch_cache.cpp): per-term exact-probability lookups.
   kBranchCacheHit = 0,
   kBranchCacheMiss,
-  // SplitSkeletonCache (cut/fragment.cpp): split-structure lookups.
+  // cached_skeleton (cut/fragment.cpp): split-structure lookups.
   kSkeletonCacheHit,
   kSkeletonCacheMiss,
   // Gate fusion (sim/fusion.cpp): every fuse_range call, spliced and
@@ -71,6 +71,7 @@ enum class Counter : int {
   // Cut planner (plan/cut_planner.cpp): search-tree nodes visited.
   kPlanNodesExplored,
   // Service layer (src/qcut/svc/): cross-request caches and request flow.
+  // A skeleton, plan or eval lookup that waited for a concurrent build hits.
   kPlanCacheHit,      ///< plan served from the cross-request plan cache
   kPlanCacheMiss,     ///< plan search ran
   kEvalCacheHit,      ///< QPD + warm backend reused across requests

@@ -137,20 +137,16 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
   std::string pkey;
   if (caches != nullptr) {
     pkey = plan_key(parsed.hash, pcfg);
-    plan = caches->plans.get(pkey);
-    if (plan != nullptr) {
-      res.plan_cache_hit = true;
+    const auto search = [&] {
+      obs::count(obs::Counter::kPlanCacheMiss);  // before the search, so a failed one counts
+      return std::make_shared<CutPlan>(CutPlanner(circ, pcfg).plan());
+    };
+    plan = caches->plans.get_or_build(pkey, search, &res.plan_cache_hit);
+    if (res.plan_cache_hit) {
       obs::count(obs::Counter::kPlanCacheHit);
-    } else {
-      obs::count(obs::Counter::kPlanCacheMiss);
     }
-  }
-  if (plan == nullptr) {
-    const CutPlanner planner(circ, pcfg);
-    plan = std::make_shared<CutPlan>(planner.plan());
-    if (caches != nullptr) {
-      plan = caches->plans.put(pkey, plan);
-    }
+  } else {
+    plan = std::make_shared<CutPlan>(CutPlanner(circ, pcfg).plan());
   }
   if (memoize) {
     caches->circuits.put(req.circuit_qasm, std::make_shared<const ParsedCircuit>(parsed));
@@ -169,16 +165,16 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
   }
 
   if (caches != nullptr) {
-    const std::string ekey = eval_key(pkey, req.observable, rcfg);
-    std::shared_ptr<EvalEntry> entry = caches->evals.get(ekey);
-    if (entry != nullptr) {
-      res.eval_cache_hit = true;
-      obs::count(obs::Counter::kEvalCacheHit);
-    } else {
+    const auto build = [&] {
       obs::count(obs::Counter::kEvalCacheMiss);
-      entry = caches->evals.put(
-          ekey, EvalEntry::build(PlannedExecutor(circ, *plan), req.observable, rcfg,
-                                 caches->skeletons));
+      return EvalEntry::build(PlannedExecutor(circ, *plan), req.observable, rcfg,
+                              caches->skeletons);
+    };
+    const std::string ekey = eval_key(pkey, req.observable, rcfg);
+    const std::shared_ptr<EvalEntry> entry =
+        caches->evals.get_or_build(ekey, build, &res.eval_cache_hit);
+    if (res.eval_cache_hit) {
+      obs::count(obs::Counter::kEvalCacheHit);
     }
     // Run against the entry's warm backend; report the kind it realizes.
     rcfg.backend = entry->kind;

@@ -28,19 +28,18 @@
 // Keys are strings: the QASM text itself for the circuit memo, else a
 // canonical FNV-1a circuit hash plus an exact textual serialization of the
 // relevant config (doubles by bit pattern, so two configs collide only when
-// they are the same config). Eviction is LRU with a per-cache capacity;
-// plan and eval hit/miss traffic lands on the obs counters
-// (kPlanCacheHit/Miss, kEvalCacheHit/Miss) at the call sites.
+// they are the same config). Each is a single-flight LRU SingleFlightCache:
+// concurrent cold requests for one plan or eval key share one build. Plan and
+// eval hit/miss traffic lands on the obs counters (kPlanCacheHit/Miss,
+// kEvalCacheHit/Miss) at the call sites.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
-#include "qcut/common/fault.hpp"
+#include "qcut/common/single_flight_cache.hpp"
 #include "qcut/cut/fragment.hpp"
 #include "qcut/exec/backend.hpp"
 #include "qcut/plan/cut_planner.hpp"
@@ -73,71 +72,6 @@ std::string plan_key(std::uint64_t circuit_hash, const PlannerConfig& cfg);
 /// budget and any seed bit-identically.
 std::string eval_key(const std::string& plan_key, const Observable& observable,
                      const CutRunConfig& cfg);
-
-/// Thread-safe string-keyed LRU cache of shared_ptr<V>. Lookups update
-/// recency; insertion evicts the least-recently-used entry beyond capacity.
-/// Values are built OUTSIDE the lock (plans and QPDs are expensive); when
-/// two threads race to insert the same key, the first insert wins and both
-/// get the resident value — so all concurrent users share one entry.
-template <typename V>
-class LruCache {
- public:
-  /// capacity >= 1; the cache never exceeds it.
-  explicit LruCache(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  std::shared_ptr<V> get(const std::string& key) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = by_key_.find(key);
-    if (it == by_key_.end()) {
-      return nullptr;
-    }
-    it->second.last_use = ++tick_;
-    return it->second.value;
-  }
-
-  /// Inserts `value` (first insert wins) and returns the resident entry.
-  std::shared_ptr<V> put(const std::string& key, std::shared_ptr<V> value) {
-    // Before the lock: an injected throw leaves the cache exactly as it was
-    // (the entry is simply not inserted; the next request rebuilds it).
-    fault::maybe_inject(fault::Site::kCacheInsert);
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = by_key_.try_emplace(key);
-    if (inserted) {
-      it->second.value = std::move(value);
-    }
-    it->second.last_use = ++tick_;
-    std::shared_ptr<V> resident = it->second.value;
-    while (by_key_.size() > capacity_) {
-      auto victim = by_key_.end();
-      for (auto e = by_key_.begin(); e != by_key_.end(); ++e) {
-        if (e->first != key && (victim == by_key_.end() || e->second.last_use < victim->second.last_use)) {
-          victim = e;
-        }
-      }
-      if (victim == by_key_.end()) {
-        break;  // capacity 1 holding the just-inserted key
-      }
-      by_key_.erase(victim);
-    }
-    return resident;
-  }
-
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return by_key_.size();
-  }
-
- private:
-  struct Entry {
-    std::shared_ptr<V> value;
-    std::uint64_t last_use = 0;
-  };
-
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::uint64_t tick_ = 0;
-  std::unordered_map<std::string, Entry> by_key_;
-};
 
 /// A request circuit past the front door's parse: trailing measurements
 /// stripped, with its canonical circuit_hash. The circuit-memo value.
@@ -172,6 +106,7 @@ struct EvalEntry {
                                           std::shared_ptr<SplitSkeletonCache> skeletons);
 };
 
+/// Entry caps of the service caches; 0 = unbounded.
 struct ServiceCachesConfig {
   std::size_t plan_capacity = 64;
   std::size_t eval_capacity = 32;
@@ -192,9 +127,9 @@ class ServiceCaches {
   /// QASM text → parsed circuit. Sized like `plans`: a memo entry only pays
   /// while the plan it leads to is resident, so a parse is inserted only
   /// after its request passed validation and resolved a plan.
-  LruCache<const ParsedCircuit> circuits;
-  LruCache<CutPlan> plans;
-  LruCache<EvalEntry> evals;
+  SingleFlightCache<const ParsedCircuit> circuits;
+  SingleFlightCache<CutPlan> plans;
+  SingleFlightCache<EvalEntry> evals;
   std::shared_ptr<SplitSkeletonCache> skeletons;
 };
 

@@ -230,15 +230,12 @@ bool QcutServer::drain(std::uint64_t budget_ms) {
     accept_thread_.join();
   }
 
-  const auto idle = [this] {
-    return inflight_.load(std::memory_order_relaxed) == 0 &&
-           busy_conns_.load(std::memory_order_relaxed) == 0;
-  };
-  const auto wait_idle_until = [&idle](std::chrono::steady_clock::time_point end) {
-    while (!idle() && std::chrono::steady_clock::now() < end) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    return idle();
+  const auto wait_idle_until = [this](std::chrono::steady_clock::time_point end) {
+    std::unique_lock<std::mutex> lock(idle_mu_);
+    return idle_cv_.wait_until(lock, end, [this] {
+      return inflight_.load(std::memory_order_relaxed) == 0 &&
+             busy_conns_.load(std::memory_order_relaxed) == 0;
+    });
   };
 
   bool clean = wait_idle_until(std::chrono::steady_clock::now() +
@@ -260,6 +257,12 @@ bool QcutServer::drain(std::uint64_t budget_ms) {
   }
   stop();
   return clean;
+}
+
+void QcutServer::release(std::atomic<std::size_t>& counter) {
+  std::lock_guard<std::mutex> lock(idle_mu_);  // no drop between drain's check and wait
+  counter.fetch_sub(1, std::memory_order_relaxed);
+  idle_cv_.notify_all();
 }
 
 void QcutServer::accept_loop() {
@@ -295,16 +298,14 @@ void QcutServer::serve_connection(int fd) {
   // Counts connections mid-frame (request received, response not yet sent):
   // drain() refuses to tear sockets down while any response is still owed.
   struct BusyGuard {
-    std::atomic<std::size_t>& c;
-    explicit BusyGuard(std::atomic<std::size_t>& counter) : c(counter) {
-      c.fetch_add(1, std::memory_order_relaxed);
-    }
-    ~BusyGuard() { c.fetch_sub(1, std::memory_order_relaxed); }
+    QcutServer& server;
+    ~BusyGuard() { server.release(server.busy_conns_); }
   };
   try {
     Frame frame;
     while (running_.load() && recv_frame(fd, &frame)) {
-      BusyGuard busy(busy_conns_);
+      busy_conns_.fetch_add(1, std::memory_order_relaxed);
+      const BusyGuard busy{*this};
       switch (frame.type) {
         case MsgType::kEstimateRequest: {
           WireEstimateResponse resp;
@@ -467,7 +468,7 @@ WireEstimateResponse QcutServer::handle_estimate_watched(const WireEstimateReque
         const std::uint64_t sample = static_cast<std::uint64_t>(us);
         ewma_service_us_.store(prev == 0 ? sample : prev - prev / 8 + sample / 8,
                                std::memory_order_relaxed);
-        inflight_.fetch_sub(1, std::memory_order_relaxed);
+        release(inflight_);
         {
           std::lock_guard<std::mutex> lock(tokens_mu_);
           active_tokens_.erase(serial);
@@ -511,7 +512,7 @@ WireEstimateResponse QcutServer::handle_estimate_watched(const WireEstimateReque
       resp.error = e.what();
       const Error* err = dynamic_cast<const Error*>(&e);
       resp.code = static_cast<std::uint8_t>(err != nullptr ? err->code() : ErrorCode::kInternal);
-      inflight_.fetch_sub(1, std::memory_order_relaxed);
+      release(inflight_);
       {
         std::lock_guard<std::mutex> lock(tokens_mu_);
         active_tokens_.erase(serial);

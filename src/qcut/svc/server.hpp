@@ -30,6 +30,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -216,6 +217,8 @@ class QcutServer {
   /// by cfg.max_deadline_ms (which also applies when the client asked for
   /// nothing). 0 → unbounded.
   std::uint64_t effective_deadline_ms(std::uint64_t requested_ms) const noexcept;
+  /// Decrements `inflight_` or `busy_conns_` and wakes drain().
+  void release(std::atomic<std::size_t>& counter);
 
   ServerConfig cfg_;
   ThreadPool pool_;
@@ -231,6 +234,9 @@ class QcutServer {
   /// sent): drain() waits for this to hit zero so no client loses an
   /// already-earned response to the final socket teardown.
   std::atomic<std::size_t> busy_conns_{0};
+  /// Signalled (under idle_mu_) whenever inflight_ or busy_conns_ drops.
+  std::mutex idle_mu_;
+  std::condition_variable idle_cv_;
   std::atomic<std::uint64_t> request_serial_{0};
   /// EWMA of request service time in microseconds (α = 1/8), seeded by the
   /// first completed request; the retry-after hint when admission rejects.

@@ -345,7 +345,7 @@ TEST(FragmentSplit, SkeletonCacheMatchesFreshSplitAcrossAllGadgetVariants) {
   SplitSkeletonCache cache;
   for (const QpdTerm& term : qpd.terms()) {
     const FragmentSplit fresh = split_term(term);
-    const FragmentSplit cached = split_term(term, *cache.get(term.circuit));
+    const FragmentSplit cached = split_term(term, *cached_skeleton(cache, term.circuit));
     ASSERT_EQ(fresh.fragments.size(), cached.fragments.size()) << term.label;
     EXPECT_EQ(fresh.max_width, cached.max_width);
     EXPECT_EQ(fresh.cross_cbits, cached.cross_cbits);

@@ -131,7 +131,7 @@ TEST_F(ObsTest, SkeletonCacheSharesOneBuildAcrossGadgetVariants) {
 
   const obs::MetricsSnapshot before = obs::metrics_snapshot();
   for (const QpdTerm& term : qpd.terms()) {
-    cache.get(term.circuit);
+    cached_skeleton(cache, term.circuit);
   }
   const obs::MetricsSnapshot d = obs::metrics_delta(before, obs::metrics_snapshot());
   // All gadget variants of one cut share a single skeleton (PR 5); only the
@@ -159,7 +159,7 @@ TEST_F(ObsTest, SkeletonCacheBuildsOnceUnderConcurrentLookups) {
         std::this_thread::yield();
       }
       for (const QpdTerm& term : qpd.terms()) {
-        got[static_cast<std::size_t>(t)].push_back(cache.get(term.circuit));
+        got[static_cast<std::size_t>(t)].push_back(cached_skeleton(cache, term.circuit));
       }
     });
   }

@@ -1,12 +1,14 @@
 // The service layer, end to end: svc::estimate vs plan_and_run bit-identity,
-// cross-request plan/eval caching, the LRU and coalescing primitives, and a
-// live qcut-server driven over loopback TCP (concurrent clients, admission
-// control, metrics dump schema, malformed-request recovery).
+// cross-request plan/eval caching, the single-flight LRU and coalescing
+// primitives, and a live qcut-server driven over loopback TCP (concurrent
+// clients, admission control, metrics dump schema, malformed-request
+// recovery).
 #include <dirent.h>
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <fstream>
@@ -17,6 +19,8 @@
 #include <vector>
 
 #include "qcut/common/error.hpp"
+#include "qcut/common/fault.hpp"
+#include "qcut/common/single_flight_cache.hpp"
 #include "qcut/common/threadpool.hpp"
 #include "qcut/obs/metrics.hpp"
 #include "qcut/plan/planned_executor.hpp"
@@ -332,6 +336,51 @@ TEST(ServiceEstimate, FrontDoorValidationNamesTheProblem) {
   EXPECT_THROW(estimate(req), Error);
 }
 
+TEST(ServiceEstimate, ConcurrentColdRequestsPlanOnceAndBuildOneEvalEntry) {
+  // Two cold requests for one circuit, different seeds, racing on one cache
+  // bundle: the second waits for the first's plan and eval builds instead of
+  // repeating them, and each answer equals its request run alone.
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    ThreadPool pool(workers);
+    std::vector<EstimateRequest> reqs(2, hwe8_request());
+    reqs[1].run_cfg.seed = 6;
+    std::vector<EstimateResult> alone;
+    for (EstimateRequest& req : reqs) {
+      req.run_cfg.pool = &pool;
+      alone.push_back(estimate(req, nullptr));
+    }
+
+    ServiceCaches caches;
+    std::vector<EstimateResult> raced(reqs.size());
+    std::atomic<bool> go{false};
+    const obs::MetricsSnapshot before = obs::metrics_snapshot();
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      threads.emplace_back([&, i] {
+        while (!go.load()) {
+          std::this_thread::yield();
+        }
+        raced[i] = estimate(reqs[i], &caches);
+      });
+    }
+    go.store(true);
+    for (std::thread& th : threads) {
+      th.join();
+    }
+    const obs::MetricsSnapshot d = obs::metrics_delta(before, obs::metrics_snapshot());
+    EXPECT_EQ(d[obs::Counter::kPlanCacheMiss], 1u) << "pool " << workers;
+    EXPECT_EQ(d[obs::Counter::kEvalCacheMiss], 1u) << "pool " << workers;
+    EXPECT_EQ(d[obs::Counter::kPlanCacheHit], 1u) << "pool " << workers;
+    EXPECT_EQ(d[obs::Counter::kEvalCacheHit], 1u) << "pool " << workers;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      EXPECT_EQ(raced[i].estimate, alone[i].estimate) << "pool " << workers << ", request " << i;
+      EXPECT_EQ(raced[i].shots_used, alone[i].shots_used) << "pool " << workers;
+      EXPECT_EQ(raced[i].exact, alone[i].exact) << "pool " << workers;
+    }
+    EXPECT_NE(raced[0].estimate, raced[1].estimate) << "pool " << workers;
+  }
+}
+
 TEST(ServiceEstimate, RequestIdLandsInTheReport) {
   EstimateRequest req = workload_request();
   req.request_id = "my-req-42";
@@ -343,7 +392,7 @@ TEST(ServiceEstimate, RequestIdLandsInTheReport) {
 // ---- cache primitives ------------------------------------------------------
 
 TEST(ServiceCachesTest, LruEvictsLeastRecentlyUsed) {
-  LruCache<int> cache(2);
+  SingleFlightCache<int> cache(2);
   cache.put("a", std::make_shared<int>(1));
   cache.put("b", std::make_shared<int>(2));
   ASSERT_NE(cache.get("a"), nullptr);  // refresh a; b is now LRU
@@ -355,12 +404,93 @@ TEST(ServiceCachesTest, LruEvictsLeastRecentlyUsed) {
 }
 
 TEST(ServiceCachesTest, FirstInsertWinsOnRace) {
-  LruCache<int> cache(4);
+  SingleFlightCache<int> cache(4);
   auto first = std::make_shared<int>(1);
   EXPECT_EQ(cache.put("k", first), first);
   // A racing builder's insert is discarded; everyone shares the resident.
   EXPECT_EQ(cache.put("k", std::make_shared<int>(2)), first);
   EXPECT_EQ(*cache.get("k"), 1);
+}
+
+TEST(ServiceCachesTest, ConcurrentCallersOfOneKeyShareASingleBuild) {
+  SingleFlightCache<int> cache(4);
+  constexpr int kThreads = 8;
+  std::atomic<int> builds{0};
+  std::atomic<int> hits{0};
+  std::vector<std::shared_ptr<int>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      bool hit = false;
+      got[static_cast<std::size_t>(t)] = cache.get_or_build(
+          "k",
+          [&] {
+            builds.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+            return std::make_shared<int>(7);
+          },
+          &hit);
+      hits.fetch_add(hit ? 1 : 0);
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(builds.load(), 1);
+  EXPECT_EQ(hits.load(), kThreads - 1);  // every waiter counts a hit
+  for (const std::shared_ptr<int>& p : got) {
+    EXPECT_EQ(p, got[0]);
+  }
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(ServiceCachesTest, ThrowingBuildIsNotCachedAndTheNextCallBuilds) {
+  SingleFlightCache<int> cache(4);
+  bool hit = true;
+  const auto fail = []() -> std::shared_ptr<int> { throw Error("boom"); };
+  EXPECT_THROW(cache.get_or_build("k", fail, &hit), Error);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.get("k"), nullptr);
+  const std::shared_ptr<int> v =
+      cache.get_or_build("k", [] { return std::make_shared<int>(3); }, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(*v, 3);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(ServiceCachesTest, InjectedInsertFaultLeavesTheCacheUnchanged) {
+  SingleFlightCache<int> cache(4);
+  cache.put("a", std::make_shared<int>(1));
+  int builds = 0;
+  const auto build = [&] {
+    ++builds;
+    return std::make_shared<int>(2);
+  };
+  bool hit = true;
+  fault::arm_faults("cache.insert:throw");
+  EXPECT_THROW(cache.get_or_build("b", build, &hit), Error);
+  EXPECT_THROW(cache.put("c", std::make_shared<int>(3)), Error);
+  fault::disarm_faults();
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.get("b"), nullptr);
+  EXPECT_EQ(*cache.get_or_build("b", build, &hit), 2);  // the failed build is retried
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(builds, 2);
+}
+
+TEST(ServiceCachesTest, CapacityOneHoldsOnlyTheNewestKey) {
+  SingleFlightCache<int> cache(1);
+  cache.put("a", std::make_shared<int>(1));
+  bool hit = true;
+  cache.get_or_build("b", [] { return std::make_shared<int>(2); }, &hit);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.get("a"), nullptr);
+  EXPECT_EQ(*cache.get("b"), 2);
+  cache.put("c", std::make_shared<int>(3));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.get("b"), nullptr);
+  EXPECT_EQ(*cache.get("c"), 3);
 }
 
 TEST(ServiceCachesTest, CircuitHashIgnoresLabelsButNotStructure) {

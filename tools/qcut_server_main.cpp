@@ -11,10 +11,14 @@
 // "listening on HOST:PORT" stdout line or from --port-file (written once the
 // socket is live, so waiting for the file is a race-free readiness check).
 // --max-deadline-ms clamps (and, when clients ask for nothing, imposes) the
-// per-request deadline; 0 disables the ceiling.
+// per-request deadline; 0 disables the ceiling. --plan-cache / --eval-cache
+// set the plan and eval cache capacities (at least 1). A malformed or
+// out-of-range flag prints "qcut-server: <reason>" and exits 1.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "qcut/common/cli.hpp"
 #include "qcut/common/error.hpp"
@@ -26,6 +30,16 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void handle_signal(int) { g_stop = 1; }
 
+/// --<key> as a count of at least `min` (`def` when absent).
+std::uint64_t get_count(const qcut::Cli& cli, const std::string& key, std::int64_t def,
+                        std::int64_t min) {
+  const std::int64_t v = cli.get_int(key, def);
+  if (v < min) {
+    throw qcut::Error("--" + key + " must be >= " + std::to_string(min));
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -33,16 +47,17 @@ int main(int argc, char** argv) {
 
   qcut::svc::ServerConfig cfg;
   cfg.host = cli.get("host", "127.0.0.1");
-  cfg.port = static_cast<int>(cli.get_int("port", 0));
-  cfg.workers = static_cast<std::size_t>(cli.get_int("workers", 0));
-  cfg.max_inflight = static_cast<std::size_t>(cli.get_int("max-inflight", 0));
-  cfg.caches.plan_capacity = static_cast<std::size_t>(cli.get_int("plan-cache", 64));
-  cfg.caches.eval_capacity = static_cast<std::size_t>(cli.get_int("eval-cache", 32));
-  cfg.max_deadline_ms = static_cast<std::uint64_t>(cli.get_int("max-deadline-ms", 0));
-  cfg.drain_ms = static_cast<std::uint64_t>(cli.get_int("drain-ms", 2000));
   const std::string port_file = cli.get("port-file", "");
 
   try {
+    cfg.port = static_cast<int>(cli.get_int("port", 0));
+    cfg.workers = get_count(cli, "workers", 0, 0);
+    cfg.max_inflight = get_count(cli, "max-inflight", 0, 0);
+    cfg.caches.plan_capacity = get_count(cli, "plan-cache", 64, 1);
+    cfg.caches.eval_capacity = get_count(cli, "eval-cache", 32, 1);
+    cfg.max_deadline_ms = get_count(cli, "max-deadline-ms", 0, 0);
+    cfg.drain_ms = get_count(cli, "drain-ms", 2000, 0);
+
     qcut::svc::QcutServer server(cfg);
     server.start();
     std::printf("qcut-server listening on %s:%d\n", cfg.host.c_str(), server.port());
