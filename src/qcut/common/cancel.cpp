@@ -5,8 +5,6 @@
 namespace qcut {
 namespace detail {
 
-thread_local CancelToken* t_cancel = nullptr;
-
 void cancel_poll_slow(CancelToken* token) {
   if (token->cancelled()) {
     obs::count(obs::Counter::kCancellations);

@@ -83,7 +83,11 @@ class CancelToken {
 
 namespace detail {
 // Exposed only so cancel_poll can inline its fast path; not part of the API.
-extern thread_local CancelToken* t_cancel;
+// Defined inline with a constant initializer, so every translation unit
+// reads it directly. Declared `extern`, it was read through a TLS wrapper
+// function in other units, and gcc 12's UBSan flagged those reads as loads
+// of a null pointer.
+inline thread_local CancelToken* t_cancel = nullptr;
 
 /// Out-of-line slow path: checks the flag, then the clock; throws the typed
 /// Error (and bumps the matching obs counter) when the token tripped.

@@ -1,6 +1,7 @@
 #include "qcut/cut/fragment.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "qcut/common/cancel.hpp"
@@ -565,22 +566,12 @@ Real fragment_term_prob_one(const FragmentSplit& split, ThreadPool* pool) {
     cancel_poll();
     obs::TraceSpan span("fragment.prefix", static_cast<std::uint64_t>(f));
     const TermFragment& tf = split.fragments[f];
-    const int nq = tf.circuit.n_qubits();
-    Vector initial(std::size_t{1} << nq, Cplx{0.0, 0.0});
-    initial[0] = Cplx{1.0, 0.0};
     std::vector<Branch> branches;
     branches.push_back({1.0, std::vector<int>(static_cast<std::size_t>(tf.circuit.n_cbits()), 0),
-                        Statevector(nq, initial)});
+                        Statevector(tf.circuit.n_qubits())});
     advance_branches(branches, tf.circuit, 0, ev[f].prefix_end);
     ev[f].prefix = std::move(branches);
   };
-  if (parallel && n_frags > 1) {
-    pool->parallel_for(0, n_frags, run_prefix);
-  } else {
-    for (std::size_t f = 0; f < n_frags; ++f) {
-      run_prefix(f);
-    }
-  }
 
   // Stage B: per unit, continue the prefix through the read-dependent suffix
   // with the read bits preset, then fold the branches into the unit's table
@@ -595,12 +586,18 @@ Real fragment_term_prob_one(const FragmentSplit& split, ThreadPool* pool) {
     const TermFragment& tf = split.fragments[f];
     const std::size_t r = tf.reads.size();
     const std::size_t tail_begin = ev[f].tail.tail_begin;
+    // A fragment's sole unit consumes the prefix in place, and so does its
+    // last unit when the units run in order on this thread (the earlier ones
+    // have copied it by then). Pooled units of one fragment may run in any
+    // order, so they copy.
+    const bool last = ra + 1 == (std::size_t{1} << r);
     std::vector<Branch> branches;
-    if (r == 0) {
-      // Sole unit of this fragment: the prefix can be consumed in place.
+    if (r == 0 || (last && !parallel)) {
       branches = std::move(ev[f].prefix);
     } else {
       branches = ev[f].prefix;
+    }
+    if (r > 0) {
       for (Branch& b : branches) {
         for (std::size_t j = 0; j < r; ++j) {
           b.cbits[static_cast<std::size_t>(tf.reads[j])] = static_cast<int>((ra >> j) & 1);
@@ -614,11 +611,28 @@ Real fragment_term_prob_one(const FragmentSplit& split, ThreadPool* pool) {
       fold_branches(branches, ev[f].wr_idx, ev[f].est_idx, ev[f].tab[ra]);
     }
   };
-  if (parallel && units.size() > 1) {
-    pool->parallel_for(0, units.size(), run_unit);
+
+  if (parallel) {
+    // Pooled: every prefix, then every unit, each stage spread over the pool.
+    const auto spread = [pool](std::size_t n, const std::function<void(std::size_t)>& body) {
+      if (n > 1) {
+        pool->parallel_for(0, n, body);
+      } else if (n == 1) {
+        body(0);
+      }
+    };
+    spread(n_frags, run_prefix);
+    spread(units.size(), run_unit);
   } else {
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      run_unit(u);
+    // Inline: one fragment at a time — its prefix, then its units (units are
+    // laid out fragment-major) — so at most one fragment's branch states are
+    // alive at once and each prefix is released by its last unit.
+    std::size_t u = 0;
+    for (std::size_t f = 0; f < n_frags; ++f) {
+      run_prefix(f);
+      for (; u < units.size() && units[u].first == f; ++u) {
+        run_unit(u);
+      }
     }
   }
 

@@ -159,6 +159,14 @@ void fuse_split_circuits(FragmentSplit& split, FusionStats* stats = nullptr);
 /// work units across the pool. Per-unit results land in preassigned slots
 /// and the final reduction runs in fixed index order, so the value is
 /// bit-identical for every pool size, including the serial fallback.
+///
+/// Otherwise (no pool, or called from one of its workers, as the engine's
+/// batch-parallel driver does) the evaluation runs inline, one fragment at a
+/// time: the fragment's prefix, then its units in read-assignment order,
+/// the last of which takes the prefix by move, then the next fragment. The
+/// branch states alive at once are then those of one fragment: its prefix
+/// branches plus one unit's branches, each at most 2^width amplitudes. The
+/// pooled path holds every fragment's prefix at once.
 Real fragment_term_prob_one(const FragmentSplit& split, ThreadPool* pool = nullptr);
 
 /// Convenience: split_term + fragment_term_prob_one (serial).

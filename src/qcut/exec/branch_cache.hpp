@@ -11,7 +11,10 @@
 //
 // The cache is lazy and thread-safe: concurrent batches of the same term
 // serialize on a per-term std::call_once, while distinct terms enumerate in
-// parallel.
+// parallel — each term has its own once-flag, and ExecutionEngine::run
+// dispatches every term's first batch before any term's second, so the
+// pool's workers start the distinct terms' enumerations together instead of
+// queueing behind one term's flag.
 #pragma once
 
 #include <atomic>

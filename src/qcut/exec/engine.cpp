@@ -102,7 +102,29 @@ EstimationResult ExecutionEngine::run(const Qpd& qpd, const ShotPlan& plan,
       run_batch(b);
     }
   } else {
-    pool->parallel_for(0, plan.batches.size(), run_batch);
+    // Dispatch the first batch of every term before any term's second one. A
+    // term's first batch runs its exact enumeration under the backend's
+    // per-term once-flag (BranchCache), and later batches of that term wait
+    // on it; queued in term order, the idle workers would pick up term 0's
+    // later batches and block, so the terms would enumerate one after
+    // another. The pool's FIFO queue starts the distinct terms together.
+    const std::size_t n = plan.batches.size();
+    std::vector<std::size_t> first_batch(qpd.size(), n);  // n: term not seen yet
+    std::vector<std::size_t> order;
+    order.reserve(n);
+    for (std::size_t b = 0; b < n; ++b) {
+      std::size_t& first = first_batch[plan.batches[b].term];
+      if (first == n) {
+        first = b;
+        order.push_back(b);
+      }
+    }
+    for (std::size_t b = 0; b < n; ++b) {
+      if (first_batch[plan.batches[b].term] != b) {
+        order.push_back(b);
+      }
+    }
+    pool->parallel_for(0, n, [&](std::size_t i) { run_batch(order[i]); });
   }
 
   std::vector<std::uint64_t> ones_per_term(qpd.size(), 0);

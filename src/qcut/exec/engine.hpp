@@ -10,12 +10,16 @@
 //  * the combine step implements both estimator laws (allocated / sampled)
 //    from the per-term counts alone.
 //
-// Nesting note: the engine parallelizes over batches of ONE estimate. When
-// run() is invoked from a worker of its own pool (an outer sweep already
-// distributes work), it detects the re-entry and falls back to inline
-// execution — same bits, no deadlock. Outer sweeps that drive a single rng
-// through many estimates (e.g. run_fig6's per-state loop) use
-// run_plan_with_rng instead.
+// Nesting note: the engine parallelizes over batches of ONE estimate. It
+// queues the first batch of every distinct term ahead of all later batches,
+// so the terms' exact enumerations (one per term, behind the backend's
+// per-term once-flag) start together on different workers instead of one
+// after another; a later batch of a term still waits for that term's
+// enumeration. When run() is invoked from a worker of its own pool (an outer
+// sweep already distributes work), it detects the re-entry and falls back to
+// inline execution in batch order — same bits, no deadlock. Outer sweeps
+// that drive a single rng through many estimates (e.g. run_fig6's per-state
+// loop) use run_plan_with_rng instead.
 #pragma once
 
 #include <cstdint>

@@ -9,7 +9,6 @@ namespace obs {
 namespace detail {
 std::atomic<bool> g_metrics_enabled{true};
 std::array<std::atomic<std::uint64_t>, kCounterCount> g_counters{};
-thread_local MetricsLocal* t_sink = nullptr;
 }  // namespace detail
 
 namespace {

@@ -102,7 +102,10 @@ namespace detail {
 // Exposed only so the count() fast path can inline; not part of the API.
 extern std::atomic<bool> g_metrics_enabled;
 extern std::array<std::atomic<std::uint64_t>, kCounterCount> g_counters;
-extern thread_local MetricsLocal* t_sink;
+// Inline with a constant initializer for the same reason as
+// qcut::detail::t_cancel (common/cancel.hpp): gcc 12's UBSan flags reads of
+// an `extern thread_local` pointer through its TLS wrapper as null loads.
+inline thread_local MetricsLocal* t_sink = nullptr;
 }  // namespace detail
 
 inline bool metrics_enabled() noexcept {

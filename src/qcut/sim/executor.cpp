@@ -125,19 +125,32 @@ void advance_branches(std::vector<Branch>& branches, const Circuit& c, std::size
         std::uint64_t pruned = 0;
         for (auto& b : branches) {
           const Real p1 = b.state.prob_one(q);
+          const Real probs[2] = {1.0 - p1, p1};
+          // An outcome lives only if p > prune_tol AND p > 0: a p = 0 branch
+          // must be dropped even when the caller passes prune_tol < 0 (a zero
+          // state would renormalize to NaN downstream), and a NaN p (corrupt
+          // upstream state) fails both comparisons, so it cannot survive.
+          bool live[2];
           for (int outcome = 0; outcome <= 1; ++outcome) {
-            const Real p = outcome ? p1 : 1.0 - p1;
-            // `!(p > ...)` instead of `p <= ...`: a p = 0 branch must be
-            // dropped even when the caller passes prune_tol < 0 (a zero state
-            // would renormalize to NaN downstream), and a NaN p (corrupt
-            // upstream state) must not survive either.
-            if (!(p > prune_tol) || !(p > 0.0)) {
-              ++pruned;
+            live[outcome] = probs[outcome] > prune_tol && probs[outcome] > 0.0;
+            pruned += live[outcome] ? 0 : 1;
+          }
+          for (int outcome = 0; outcome <= 1; ++outcome) {
+            if (!live[outcome]) {
               continue;
             }
-            // Projected copy in one pass — the measure-heavy path's dominant
-            // cost used to be copy + project + renormalize sweeps per branch.
-            Branch nb{b.prob * p, b.cbits, Statevector::projected(b.state, q, outcome)};
+            const Real p = probs[outcome];
+            // The last surviving outcome takes the parent branch and projects
+            // its state in place; an earlier one gets a projected copy built
+            // in one pass. Both are bit-equal to copy + project, and a branch
+            // with one surviving outcome allocates no new state.
+            const bool last = outcome == 1 || !live[1];
+            Branch nb = last ? Branch{b.prob * p, std::move(b.cbits), std::move(b.state)}
+                             : Branch{b.prob * p, b.cbits,
+                                      Statevector::projected(b.state, q, outcome)};
+            if (last) {
+              nb.state.project(q, outcome);
+            }
             if (op.kind == OpKind::kMeasure) {
               nb.cbits[static_cast<std::size_t>(op.cbit)] = outcome;
             } else if (outcome == 1) {

@@ -2,14 +2,19 @@
 // equivalence in law, and bit-identical parallel execution.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <thread>
+#include <utility>
 
 #include "qcut/common/stats.hpp"
 #include "qcut/core/cut_executor.hpp"
 #include "qcut/cut/harada_cut.hpp"
 #include "qcut/cut/nme_cut.hpp"
 #include "qcut/exec/engine.hpp"
+#include "qcut/obs/metrics.hpp"
 #include "qcut/qpd/estimator.hpp"
 
 namespace qcut {
@@ -268,6 +273,76 @@ TEST(EngineTest, NestedRunFromPoolWorkerFallsBackInline) {
   for (Real e : nested) {
     EXPECT_EQ(e, top_level);
   }
+}
+
+/// A BranchCache-backed binomial backend whose per-term enumeration sleeps,
+/// recording how many enumerations were ever in flight at once.
+class SlowEnumerationBackend final : public ExecutionBackend {
+ public:
+  explicit SlowEnumerationBackend(const Qpd& qpd)
+      : cache_(qpd, [this](const QpdTerm& term) {
+          const int now = in_flight_.fetch_add(1) + 1;
+          int seen = peak_.load();
+          while (now > seen && !peak_.compare_exchange_weak(seen, now)) {
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(30));
+          in_flight_.fetch_sub(1);
+          return term_prob_one(term);
+        }) {}
+
+  std::string name() const override { return "slow-enumeration"; }
+  std::uint64_t run_batch(const TermBatch& batch, Rng& rng) const override {
+    return rng.binomial(batch.shots, cache_.prob_one(batch.term));
+  }
+
+  int peak_in_flight() const { return peak_.load(); }
+
+ private:
+  mutable std::atomic<int> in_flight_{0};
+  mutable std::atomic<int> peak_{0};
+  BranchCache cache_;
+};
+
+TEST(EngineTest, DistinctTermsEnumerateConcurrently) {
+  // Each term is enumerated once, by whichever of its batches runs first;
+  // its later batches wait for that. The engine queues every term's first
+  // batch ahead of all later batches, so on a 4-worker pool the three harada
+  // terms enumerate together instead of one after another (queued in term
+  // order, the idle workers would all block on term 0 and the peak would
+  // read 1). Scheduling never changes the bits or the cache accounting.
+  const Qpd qpd = HaradaCut{}.build_qpd(fixed_input());
+  ASSERT_EQ(qpd.size(), 3u);
+  const ShotPlan plan = ShotPlan::allocated(qpd, 20000, AllocRule::kProportional,
+                                            /*sigmas=*/nullptr, /*max_batch_shots=*/128);
+  for (std::size_t t = 0; t < qpd.size(); ++t) {
+    ASSERT_GE(plan.shots_per_term[t], 4u * 128u) << "term " << t;  // many batches per term
+  }
+
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  // Returns the estimate and the peak number of enumerations in flight.
+  const auto run_on = [&](std::size_t workers) {
+    ThreadPool pool(workers);
+    EngineConfig cfg;
+    cfg.pool = &pool;
+    const ExecutionEngine engine(cfg);
+    const SlowEnumerationBackend backend(qpd);
+    const obs::MetricsSnapshot before = obs::metrics_snapshot();
+    const Real estimate = engine.run(qpd, plan, backend, /*seed=*/4242).estimate;
+    const obs::MetricsSnapshot delta = obs::metrics_delta(before, obs::metrics_snapshot());
+    EXPECT_EQ(delta[obs::Counter::kBranchCacheMiss], qpd.size()) << "pool " << workers;
+    EXPECT_EQ(delta[obs::Counter::kBranchCacheHit] + delta[obs::Counter::kBranchCacheMiss],
+              plan.batches.size())
+        << "pool " << workers;
+    return std::make_pair(estimate, backend.peak_in_flight());
+  };
+
+  const auto [on_four, peak] = run_on(4);
+  EXPECT_GE(peak, 3);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    EXPECT_EQ(run_on(workers).first, on_four) << "pool " << workers;
+  }
+  obs::set_metrics_enabled(metrics_were_enabled);
 }
 
 TEST(EngineTest, CutExecutorRunIsPoolSizeInvariant) {

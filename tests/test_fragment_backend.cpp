@@ -403,6 +403,86 @@ TEST(FragmentParallel, OptimizedEvaluatorMatchesBaselineOnRandomCutCircuits) {
   EXPECT_GE(checked, 12);
 }
 
+/// A random term circuit in fragment form: two 2-qubit sender fragments and
+/// a 3-qubit receiver. Each sender measures a cross bit mid-circuit, keeps
+/// evolving and resets a wire; the receiver reads both cross bits through
+/// conditional gates, with its own mid-circuit measure before the reads and
+/// a reset between them. The estimate is the parity of every fragment's
+/// final measurements.
+QpdTerm random_two_read_term(Rng& rng) {
+  // Wires 0-1 and 2-3 are the senders, 4-6 the receiver. Cbits 0-1 cross the
+  // cut, 2-3 hold mid-circuit outcomes nobody reads, 4-10 the final measures.
+  Circuit c(7, 11);
+  const auto scramble = [&](int q0, int width) {
+    for (int d = 0; d < 3; ++d) {
+      if (width >= 2 && rng.bernoulli(0.5)) {
+        const int q = q0 + static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(width - 1)));
+        c.gate(haar_unitary(4, rng), {q, q + 1}, "U2");
+      } else {
+        const int q = q0 + static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(width)));
+        c.gate(haar_unitary(2, rng), {q}, "U1");
+      }
+    }
+  };
+  for (int s = 0; s < 2; ++s) {
+    const int q0 = 2 * s;
+    scramble(q0, 2);
+    c.measure(q0 + static_cast<int>(rng.uniform_u64(2)), s);  // the cross bit
+    scramble(q0, 2);
+    c.reset(q0 + static_cast<int>(rng.uniform_u64(2)));
+    scramble(q0, 2);
+  }
+  scramble(4, 3);
+  c.measure(4 + static_cast<int>(rng.uniform_u64(3)), 2);
+  scramble(4, 3);
+  c.gate_if(0, haar_unitary(2, rng), {4 + static_cast<int>(rng.uniform_u64(3))});
+  scramble(4, 3);
+  c.reset(4 + static_cast<int>(rng.uniform_u64(3)));
+  c.measure(4 + static_cast<int>(rng.uniform_u64(3)), 3);
+  c.gate_if(1, haar_unitary(2, rng), {4 + static_cast<int>(rng.uniform_u64(3))});
+  scramble(4, 3);
+  QpdTerm term;
+  term.coefficient = 1.0;
+  term.label = "random two-read term";
+  for (int q = 0; q < 7; ++q) {
+    c.measure(q, 4 + q);
+    term.estimate_cbits.push_back(4 + q);
+  }
+  term.circuit = std::move(c);
+  return term;
+}
+
+TEST(FragmentParallel, InlineFragmentAtATimeMatchesTopLevelBitForBit) {
+  // Called from a pool worker, the evaluator runs inline one fragment at a
+  // time: the last unit of a fragment takes its prefix by move, and the last
+  // surviving outcome of each measure or reset projects its parent state in
+  // place. Both must leave every bit of the answer unchanged: the inline
+  // value equals the top-level pooled call and the poolless call exactly.
+  Rng rng(307);
+  ThreadPool pool(3);
+  for (int trial = 0; trial < 10; ++trial) {
+    const QpdTerm term = random_two_read_term(rng);
+    const FragmentSplit split = split_term(term);
+    ASSERT_EQ(split.fragments.size(), 3u) << "trial " << trial;
+    ASSERT_EQ(split.fragments[2].reads.size(), 2u) << "trial " << trial;
+    ASSERT_LT(split.fragments[2].cond_suffix_begin, split.fragments[2].circuit.size());
+
+    const Real top_level = fragment_term_prob_one(split, &pool);
+    const Real serial = fragment_term_prob_one(split, nullptr);
+    std::vector<Real> inline_values(4, -1.0);
+    pool.parallel_for(0, inline_values.size(), [&](std::size_t i) {
+      inline_values[i] = fragment_term_prob_one(split, &pool);
+    });
+    EXPECT_EQ(serial, top_level) << "trial " << trial;
+    for (const Real v : inline_values) {
+      EXPECT_EQ(v, top_level) << "trial " << trial;
+    }
+    EXPECT_NEAR(top_level, fragment_term_prob_one_baseline(split), 1e-12) << "trial " << trial;
+    // The spliced 7-qubit enumeration is the ground truth.
+    EXPECT_NEAR(top_level, term_prob_one(term), 1e-12) << "trial " << trial;
+  }
+}
+
 TEST(FragmentBackend, SmallPlannedRunsAgreeBetweenFragmentAndSplicedBackends) {
   // On circuits small enough to run both ways, the two backends draw from
   // binomials with probabilities equal to 1e-12 — same seed, same plan, and
