@@ -32,6 +32,13 @@
 // tier (scalar / AVX2) — a tier the build or CPU lacks is skipped with an
 // explicit row. The AVX2 dense 1q/2q GB/s must be >= 2x scalar.
 //
+// Position section: each k <= 2 kernel family (1q dense, 1q diagonal, cx,
+// cz, cu1, dense diagonal 2q, dense 2q) on a 16-qubit state with its target
+// at the highest stride and at strides 16, 8, 4, 2 and 1, each row one fixed
+// position (min over 15 round-robin batches of 12 applications). A family's
+// slowest position must cost at most 3x one 1q-dense pass at the highest
+// stride.
+//
 // Fusion section: an rz-ry-rz + cx-ladder workload applied unfused vs fused
 // (fuse_circuit), with op counts, wall time, and an amplitude cross-check.
 //
@@ -40,7 +47,9 @@
 // (checked last, after the JSON is on disk): batched/serial >= 10x,
 // fragment optimized/baseline >= 4x on a >= 4-thread pool, QFT-16
 // classified/dense >= 1.5x, AVX2 dense kernels >= 2x scalar (when AVX2 is
-// available), fusion amplitude agreement, and every bit-identity invariant.
+// available), every kernel family's slowest position <= 3x the 1q-dense
+// pass at the highest stride, fusion amplitude agreement, and every
+// bit-identity invariant.
 //
 // Usage: bench_sim_perf [--serial-shots N] [--batched-shots N] [--threads N]
 //                       [--out PATH] [--seed N]
@@ -52,7 +61,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qcut/common/cli.hpp"
@@ -329,6 +340,72 @@ struct TierKernelRow {
   double gb_per_sec = 0.0;
 };
 
+// ---- per-position kernel section ---------------------------------------------
+
+/// Target strides of the per-position rows on a 16-qubit state, as bit
+/// positions: the highest (qubit 0) and the five lowest.
+constexpr int kPositionQubits = 16;
+constexpr int kPositionBits[] = {kPositionQubits - 1, 4, 3, 2, 1, 0};
+
+struct PositionRow {
+  std::string family;
+  qcut::Index stride = 0;     ///< the target qubit's stride
+  std::vector<int> qubits;    ///< operands as applied (target last for 2q)
+  double us_per_op = 0.0;     ///< min over batches of the mean per application
+};
+
+struct PositionFamily {
+  const char* name;
+  qcut::Matrix u;
+  int k;
+};
+
+/// Every k <= 2 kernel family at each position of kPositionBits: a 1q
+/// family targets the qubit with that stride; a 2q family pairs it with its
+/// neighbour one stride up (qubit 1 for the top position), target last. Each
+/// row is the min over kPositionBatches of the mean of kPositionReps
+/// applications at one fixed position. The batches run round-robin over all
+/// rows, so a slow spell on a shared host lands on every row alike instead
+/// of on whichever family was being timed.
+constexpr int kPositionBatches = 15;
+constexpr int kPositionReps = 12;
+
+std::vector<PositionRow> measure_positions(const std::vector<PositionFamily>& families) {
+  qcut::Rng rng(37);
+  qcut::Statevector sv(kPositionQubits,
+                       qcut::random_statevector(qcut::Index{1} << kPositionQubits, rng));
+  std::vector<PositionRow> rows;
+  std::vector<const PositionFamily*> row_family;
+  for (const PositionFamily& fam : families) {
+    for (const int bit : kPositionBits) {
+      const int target = kPositionQubits - 1 - bit;
+      PositionRow row;
+      row.family = fam.name;
+      row.stride = qcut::Index{1} << bit;
+      if (fam.k == 2) {
+        row.qubits.push_back(target == 0 ? 1 : target - 1);
+      }
+      row.qubits.push_back(target);
+      rows.push_back(row);
+      row_family.push_back(&fam);
+    }
+  }
+  for (int b = 0; b < kPositionBatches; ++b) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const qcut::Matrix& u = row_family[i]->u;
+      const qcut::GateClass cls = qcut::classify_gate(u);
+      const qcut::QubitList qs(rows[i].qubits);
+      const auto t0 = Clock::now();
+      for (int r = 0; r < kPositionReps; ++r) {
+        sv.apply(u, qs, cls);
+      }
+      const double us = 1e6 * seconds_since(t0) / kPositionReps;
+      if (b == 0 || us < rows[i].us_per_op) rows[i].us_per_op = us;
+    }
+  }
+  return rows;
+}
+
 // ---- fusion A/B section -----------------------------------------------------
 
 struct FusionBench {
@@ -401,8 +478,9 @@ struct ObsOverheadBench {
   int qubits = 0;
   std::size_t ops = 0;
   int reps = 0;
-  double off_seconds = 0.0;  ///< best single pass, metrics disabled
-  double on_seconds = 0.0;   ///< best single pass, metrics enabled
+  int passes = 0;            ///< QFT passes per timed sample
+  double off_seconds = 0.0;  ///< best sample, metrics disabled
+  double on_seconds = 0.0;   ///< best sample, metrics enabled
   double overhead_frac = 0.0;
 };
 
@@ -411,34 +489,38 @@ struct ObsOverheadBench {
 /// The enabled cost (one relaxed fetch_add per Statevector::apply) upper
 /// bounds the disabled cost (one relaxed load + branch), so gating the
 /// enabled/disabled ratio at <= 2% proves the ISSUE's "compiled in but
-/// disabled" budget with margin.
-ObsOverheadBench measure_obs_overhead(int n, int reps) {
+/// disabled" budget with margin. Each sample times `passes` QFT passes: one
+/// pass of the block-granular kernels takes about 2 ms, and 4 passes give
+/// samples of the 7–9 ms one pass took when the 2% ceiling was set.
+ObsOverheadBench measure_obs_overhead(int n, int reps, int passes) {
   const qcut::Circuit qft = build_qft(n);
   qcut::Rng rng(31);
   ObsOverheadBench res;
   res.qubits = n;
   res.ops = qft.size();
   res.reps = reps;
+  res.passes = passes;
   qcut::Statevector sv(n, qcut::random_statevector(qcut::Index{1} << n, rng));
 
   const bool was_enabled = qcut::obs::metrics_enabled();
   double best_off = 0.0;
   double best_on = 0.0;
   for (int r = 0; r < reps; ++r) {
+    const auto timed_passes = [&]() {
+      const auto t0 = Clock::now();
+      for (int p = 0; p < passes; ++p) {
+        for (const qcut::Operation& op : qft.ops()) {
+          sv.apply(op.matrix(), op.qubits, op.gclass());
+        }
+      }
+      return seconds_since(t0);
+    };
     qcut::obs::set_metrics_enabled(false);
-    auto t0 = Clock::now();
-    for (const qcut::Operation& op : qft.ops()) {
-      sv.apply(op.matrix(), op.qubits, op.gclass());
-    }
-    const double off = seconds_since(t0);
+    const double off = timed_passes();
     if (r == 0 || off < best_off) best_off = off;
 
     qcut::obs::set_metrics_enabled(true);
-    t0 = Clock::now();
-    for (const qcut::Operation& op : qft.ops()) {
-      sv.apply(op.matrix(), op.qubits, op.gclass());
-    }
-    const double on = seconds_since(t0);
+    const double on = timed_passes();
     if (r == 0 || on < best_on) best_on = on;
   }
   qcut::obs::set_metrics_enabled(was_enabled);
@@ -692,6 +774,52 @@ int main(int argc, char** argv) {
                 avx2_2q_speedup);
   }
 
+  // ---- per-position kernels -------------------------------------------------
+  // The 1q-dense pass at the highest stride is the yardstick: every family's
+  // slowest position must stay within kPositionFloor of it.
+  constexpr double kPositionFloor = 3.0;
+  std::vector<PositionFamily> families;
+  {
+    qcut::Rng fam_rng(41);
+    families = {
+        {"1q-dense-ry", qcut::gates::ry(0.7), 1},
+        {"1q-diag-rz", qcut::gates::rz(0.7), 1},
+        {"2q-perm-cx", qcut::gates::cx(), 2},
+        {"2q-sparse-cz", qcut::gates::cz(), 2},
+        {"2q-sparse-cu1", qcut::gates::controlled(qcut::gates::phase(0.7)), 2},
+        {"2q-diag", qcut::Matrix::identity(4), 2},
+        {"2q-dense", qcut::haar_unitary(4, fam_rng), 2},
+    };
+    for (int i = 0; i < 4; ++i) {
+      const qcut::Real phi = fam_rng.uniform(0.0, 2.0 * qcut::kPi);
+      families[5].u(i, i) = qcut::Cplx{std::cos(phi), std::sin(phi)};
+    }
+  }
+  const std::vector<PositionRow> positions = measure_positions(families);
+  const double position_ref_us = positions.front().us_per_op;  // ry at the highest stride
+  std::printf("\n=== Kernels by target position (%d qubits, us per op, min of %d x %d) ===\n",
+              kPositionQubits, kPositionBatches, kPositionReps);
+  std::printf("%-14s", "family");
+  for (const int bit : kPositionBits) {
+    std::printf(" %9s", ("s=" + std::to_string(qcut::Index{1} << bit)).c_str());
+  }
+  std::printf(" %10s\n", "worst/ref");
+  std::vector<std::pair<std::string, double>> worst_ratio;
+  for (std::size_t f = 0; f < families.size(); ++f) {
+    std::printf("%-14s", families[f].name);
+    double worst = 0.0;
+    for (std::size_t p = 0; p < std::size(kPositionBits); ++p) {
+      const PositionRow& row = positions[f * std::size(kPositionBits) + p];
+      std::printf(" %9.1f", row.us_per_op);
+      worst = std::max(worst, row.us_per_op);
+    }
+    const double ratio = position_ref_us > 0.0 ? worst / position_ref_us : 0.0;
+    worst_ratio.emplace_back(families[f].name, ratio);
+    std::printf(" %9.2fx\n", ratio);
+  }
+  std::printf("floor: slowest position <= %.0fx the 1q-dense pass at the highest stride\n",
+              kPositionFloor);
+
   // ---- gate fusion A/B -----------------------------------------------------
   const FusionBench fusion = measure_fusion(16, 8, 10);
   std::printf("\n=== Gate fusion (rz-ry-rz Euler layers + cx ladder, 16 qubits) ===\n");
@@ -702,9 +830,10 @@ int main(int argc, char** argv) {
               fusion.max_amp_diff);
 
   // ---- observability overhead ----------------------------------------------
-  const ObsOverheadBench obs_bench = measure_obs_overhead(16, 7);
-  std::printf("\n=== Observability overhead (QFT-%d classified kernels, min of %d) ===\n",
-              obs_bench.qubits, obs_bench.reps);
+  const ObsOverheadBench obs_bench = measure_obs_overhead(16, 7, 4);
+  std::printf("\n=== Observability overhead (QFT-%d classified kernels, min of %d x %d "
+              "passes) ===\n",
+              obs_bench.qubits, obs_bench.reps, obs_bench.passes);
   std::printf("metrics off %.4fs, on %.4fs -> %+.2f%% (ceiling: 2%%)\n",
               obs_bench.off_seconds, obs_bench.on_seconds, 100.0 * obs_bench.overhead_frac);
 
@@ -773,10 +902,29 @@ int main(int argc, char** argv) {
        << ", \"max_amp_diff\": " << fusion.max_amp_diff << "},\n";
   json << "  \"observability\": {\"qubits\": " << obs_bench.qubits
        << ", \"ops\": " << obs_bench.ops << ", \"reps\": " << obs_bench.reps
+       << ", \"passes\": " << obs_bench.passes
        << ", \"metrics_off_seconds\": " << obs_bench.off_seconds
        << ", \"metrics_on_seconds\": " << obs_bench.on_seconds
        << ", \"overhead_frac\": " << obs_bench.overhead_frac
        << ", \"overhead_ceiling\": 0.02},\n";
+  json << "  \"positions\": {\"qubits\": " << kPositionQubits
+       << ", \"reference_us\": " << position_ref_us << ", \"ratio_floor\": " << kPositionFloor
+       << ",\n    \"worst_ratio\": {";
+  for (std::size_t i = 0; i < worst_ratio.size(); ++i) {
+    json << (i ? ", " : "") << "\"" << worst_ratio[i].first << "\": " << worst_ratio[i].second;
+  }
+  json << "},\n    \"rows\": [\n";
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    const PositionRow& row = positions[i];
+    json << "      {\"family\": \"" << row.family << "\", \"stride\": " << row.stride
+         << ", \"qubits\": [";
+    for (std::size_t q = 0; q < row.qubits.size(); ++q) {
+      json << (q ? ", " : "") << row.qubits[q];
+    }
+    json << "], \"us_per_op\": " << row.us_per_op << "}"
+         << (i + 1 < positions.size() ? "," : "") << "\n";
+  }
+  json << "    ]\n  },\n";
   json << "  \"kernels\": [\n";
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     const auto& kr = kernels[i];
@@ -822,6 +970,14 @@ int main(int argc, char** argv) {
                 "acceptance floor\n",
                 avx2_1q_speedup, avx2_2q_speedup);
     return 1;
+  }
+  for (const auto& [family, ratio] : worst_ratio) {
+    if (ratio > kPositionFloor) {
+      std::printf("ERROR: %s at its slowest position costs %.2fx the 1q-dense pass at the "
+                  "highest stride (floor: %.0fx)\n",
+                  family.c_str(), ratio, kPositionFloor);
+      return 1;
+    }
   }
   if (fusion.ops_after >= fusion.ops_before || fusion.max_amp_diff > 1e-10) {
     std::printf("ERROR: fusion failed (ops %zu -> %zu, max amp diff %.2e)\n", fusion.ops_before,

@@ -8,6 +8,7 @@
 #include "qcut/linalg/pauli.hpp"
 #include "qcut/obs/metrics.hpp"
 #include "qcut/sim/simd_dispatch.hpp"
+#include "qcut/sim/simd_kernels_blocks.hpp"
 
 namespace qcut {
 
@@ -22,23 +23,17 @@ std::size_t checked_dim(int n_qubits) {
   return std::size_t{1} << n_qubits;
 }
 
-/// Inserts a zero bit at the position of `stride` (a power of two): bits at or
-/// above the position shift up by one, bits below stay. Repeated over the
-/// participating qubits' strides in ascending order, this expands a dense
-/// group id into the canonical (all participating bits zero) basis index —
-/// the stride-based replacement for scanning all 2^n indices and skipping the
-/// masked ones.
-inline Index insert_zero(Index g, Index stride) {
-  return ((g & ~(stride - 1)) << 1) | (g & (stride - 1));
-}
-
 // ---- threading policy -------------------------------------------------------
 //
-// Sweeps are chunked in *group space* with a fixed chunk size. The chunk
-// boundaries depend only on the sweep's group count — never on the pool, its
-// size, or whether the chunks actually run concurrently — and reductions sum
-// per-chunk partials in chunk index order, so every sweep is bit-identical
-// for any pool configuration. The pool only decides wall-clock, not values.
+// Sweeps are chunked in *group space* with a fixed chunk size, and each chunk
+// is one call of a block-granular kernel (sim/simd_kernels.hpp) whatever the
+// op's qubit positions: the kernel walks the chunk's contiguous blocks itself.
+// The chunk boundaries depend only on the sweep's group count — never on the
+// pool, its size, or whether the chunks actually run concurrently — each
+// kernel's evaluation order depends only on its chunk and the op's strides,
+// and reductions sum per-chunk partials in chunk index order. So every sweep
+// is bit-identical for any pool configuration; the pool only decides
+// wall-clock, not values.
 
 std::atomic<ThreadPool*> g_parallel_pool{nullptr};
 std::atomic<int> g_parallel_min_qubits{22};
@@ -113,23 +108,64 @@ Real sweep_reduce(Index groups, int n_qubits, const Body& body) {
   return acc;
 }
 
-/// Calls f(base, len) for the maximal contiguous index segments of the group
-/// id range [g0, g1): a group id expands through insert_zero over the sorted
-/// strides, and ids that agree above the lowest stride expand to consecutive
-/// indices — the contiguous runs the SIMD kernels consume.
-template <typename F>
-inline void for_runs(Index g0, Index g1, const Index* sorted, int k, F&& f) {
-  const Index lo = sorted[0];
-  Index g = g0;
-  while (g < g1) {
-    const Index len = std::min(lo - (g & (lo - 1)), g1 - g);
-    Index idx = g;
-    for (int j = 0; j < k; ++j) {
-      idx = insert_zero(idx, sorted[j]);
-    }
-    f(idx, len);
-    g += len;
+/// Strides of an op's qubits, operand order or sorted. Four in place: no
+/// k <= 2 gate allocates.
+using StrideList = SmallVector<Index, 4>;
+
+/// Strides of `qubits` (big-endian: qubit 0 is the most significant bit).
+StrideList strides_of(const QubitList& qubits, int n_qubits) {
+  StrideList strides;
+  for (const int q : qubits) {
+    strides.push_back(Index{1} << (n_qubits - 1 - q));
   }
+  return strides;
+}
+
+StrideList sorted_strides(StrideList strides) {
+  std::sort(strides.begin(), strides.end());
+  return strides;
+}
+
+/// Offset of sub-index `sub` (qubits[0] is its high bit) from a group's
+/// canonical index.
+Index sub_offset(const StrideList& strides, Index sub) {
+  const int k = static_cast<int>(strides.size());
+  Index off = 0;
+  for (int j = 0; j < k; ++j) {
+    if ((sub >> (k - 1 - j)) & 1) {
+      off |= strides[static_cast<std::size_t>(j)];
+    }
+  }
+  return off;
+}
+
+/// Canonical index of group g: a zero bit inserted at every sorted stride.
+Index canonical(Index g, const StrideList& sorted) {
+  for (const Index s : sorted) {
+    g = insert_zero(g, s);
+  }
+  return g;
+}
+
+/// The kernel geometry of a one- or two-qubit op. The kernels' sub-index is
+/// 2 bit(hi) + bit(lo); when qubits[0] holds the lower stride the pair is
+/// `reversed` and the two sub-index bits swap.
+struct KernelGeometry {
+  Index lo;
+  Index hi;
+  bool reversed;
+
+  /// Operand-order sub-index of kernel sub-index `sub` (and vice versa).
+  Index sub(Index s) const { return reversed ? ((s & 1) << 1) | (s >> 1) : s; }
+  BlockSweep chunk(Index g0, Index g1) const { return BlockSweep{g0, g1 - g0, lo, hi}; }
+};
+
+KernelGeometry kernel_geometry(const StrideList& strides) {
+  if (strides.size() == 1) {
+    return {strides[0], 0, false};
+  }
+  return strides[0] > strides[1] ? KernelGeometry{strides[1], strides[0], false}
+                                 : KernelGeometry{strides[0], strides[1], true};
 }
 
 }  // namespace
@@ -196,86 +232,43 @@ void Statevector::apply(const Matrix& u, const QubitList& qubits, const GateClas
   }
 
   const Index dim_ = dim();
-  const SimdKernels& kr = active_kernels();
   Cplx* amp = amp_.data();
+  const StrideList strides = strides_of(qubits, n_qubits_);
 
-  if (k == 1) {
-    // Dense single-qubit kernel: contiguous zero-half / one-half runs, or the
-    // interleaved-pair kernel when the target is the least significant bit.
-    const Index s = Index{1} << bitpos(qubits[0]);
-    const Cplx m[4] = {u(0, 0), u(0, 1), u(1, 0), u(1, 1)};
-    sweep(dim_ >> 1, n_qubits_, [&](Index g0, Index g1) {
-      if (s == 1) {
-        kr.apply1_pairs(amp + 2 * g0, g1 - g0, m);
-        return;
-      }
-      for_runs(g0, g1, &s, 1, [&](Index base, Index len) {
-        kr.apply1_run(amp + base, amp + base + s, len, m);
-      });
-    });
-    return;
-  }
-
-  if (k == 2) {
-    // Dense two-qubit kernel. Sub-index convention matches the generic path:
-    // qubits[0] is the high bit, qubits[1] the low bit.
-    const Index s0 = Index{1} << bitpos(qubits[0]);
-    const Index s1 = Index{1} << bitpos(qubits[1]);
-    const Index sorted[2] = {std::min(s0, s1), std::max(s0, s1)};
+  if (k == 1 || k == 2) {
+    // Dense one- and two-qubit kernels, the matrix laid out in the kernels'
+    // sub-index order.
+    const SimdKernels& kr = active_kernels();
+    const KernelGeometry geo = kernel_geometry(strides);
     Cplx m[16];
-    for (Index r = 0; r < 4; ++r) {
-      for (Index c = 0; c < 4; ++c) {
-        m[4 * r + c] = u(r, c);
+    for (Index r = 0; r < subdim; ++r) {
+      for (Index c = 0; c < subdim; ++c) {
+        m[subdim * r + c] = u(geo.sub(r), geo.sub(c));
       }
     }
-    sweep(dim_ >> 2, n_qubits_, [&](Index g0, Index g1) {
-      for_runs(g0, g1, sorted, 2, [&](Index base, Index len) {
-        kr.apply2_run(amp + base, amp + base + s1, amp + base + s0, amp + base + s0 + s1, len,
-                      m);
-      });
-    });
+    const auto kernel = k == 1 ? kr.apply1 : kr.apply2;
+    sweep(dim_ >> k, n_qubits_,
+          [&](Index g0, Index g1) { kernel(amp, geo.chunk(g0, g1), m); });
     return;
   }
 
   // General k-qubit path: gather/scatter over the 2^k amplitudes of each row
   // group, enumerating the canonical representatives directly. Groups write
   // disjoint slots, so the sweep chunks distribute safely.
-  std::vector<Index> strides(static_cast<std::size_t>(k));
-  for (int j = 0; j < k; ++j) {
-    strides[static_cast<std::size_t>(j)] = Index{1} << bitpos(qubits[static_cast<std::size_t>(j)]);
-  }
-  std::vector<Index> sorted = strides;
-  std::sort(sorted.begin(), sorted.end());
+  const StrideList sorted = sorted_strides(strides);
   sweep(dim_ >> k, n_qubits_, [&](Index g0, Index g1) {
     std::vector<Cplx> scratch(static_cast<std::size_t>(subdim));
     for (Index g = g0; g < g1; ++g) {
-      Index base = g;
-      for (int j = 0; j < k; ++j) {
-        base = insert_zero(base, sorted[static_cast<std::size_t>(j)]);
-      }
-      // Gather.
+      const Index base = canonical(g, sorted);
       for (Index sub = 0; sub < subdim; ++sub) {
-        Index idx = base;
-        for (int j = 0; j < k; ++j) {
-          if ((sub >> (k - 1 - j)) & 1) {
-            idx |= strides[static_cast<std::size_t>(j)];
-          }
-        }
-        scratch[static_cast<std::size_t>(sub)] = amp[idx];
+        scratch[static_cast<std::size_t>(sub)] = amp[base + sub_offset(strides, sub)];
       }
-      // Multiply and scatter.
       for (Index row = 0; row < subdim; ++row) {
         Cplx acc{0.0, 0.0};
         for (Index col = 0; col < subdim; ++col) {
           acc += u(row, col) * scratch[static_cast<std::size_t>(col)];
         }
-        Index idx = base;
-        for (int j = 0; j < k; ++j) {
-          if ((row >> (k - 1 - j)) & 1) {
-            idx |= strides[static_cast<std::size_t>(j)];
-          }
-        }
-        amp[idx] = acc;
+        amp[base + sub_offset(strides, row)] = acc;
       }
     }
   });
@@ -284,66 +277,44 @@ void Statevector::apply(const Matrix& u, const QubitList& qubits, const GateClas
 void Statevector::apply_diagonal(const GateClass& cls, const QubitList& qubits) {
   const int k = static_cast<int>(qubits.size());
   const Index dim_ = dim();
-  const SimdKernels& kr = active_kernels();
   Cplx* amp = amp_.data();
-  std::vector<Index> strides(static_cast<std::size_t>(k));
-  for (int j = 0; j < k; ++j) {
-    strides[static_cast<std::size_t>(j)] = Index{1} << bitpos(qubits[static_cast<std::size_t>(j)]);
-  }
+  const StrideList strides = strides_of(qubits, n_qubits_);
 
   if (cls.phase_index >= 0) {
     // Sparse phase: every diagonal entry but one is exactly 1 — only the
-    // matching 2^{n-k} amplitude slice is touched (a quarter of the state for
-    // the cu1/cp gates that dominate QFT circuits), one phase sweep per run.
+    // matching 2^{n-k} amplitude slice changes (a quarter of the state for
+    // the cu1/cp gates that dominate QFT circuits).
     const Cplx phase = cls.diag[static_cast<std::size_t>(cls.phase_index)];
     if (phase == Cplx{1.0, 0.0}) {
       return;  // identity
     }
-    Index offset = 0;
-    for (int j = 0; j < k; ++j) {
-      if ((cls.phase_index >> (k - 1 - j)) & 1) {
-        offset |= strides[static_cast<std::size_t>(j)];
-      }
+    const Index offset = sub_offset(strides, cls.phase_index);
+    if (k == 1 || k == 2) {
+      const SimdKernels& kr = active_kernels();
+      const KernelGeometry geo = kernel_geometry(strides);
+      sweep(dim_ >> k, n_qubits_,
+            [&](Index g0, Index g1) { kr.phase(amp, geo.chunk(g0, g1), offset, phase); });
+      return;
     }
-    std::vector<Index> sorted = strides;
-    std::sort(sorted.begin(), sorted.end());
+    const StrideList sorted = sorted_strides(strides);
     sweep(dim_ >> k, n_qubits_, [&](Index g0, Index g1) {
-      for_runs(g0, g1, sorted.data(), k, [&](Index base, Index len) {
-        kr.scale_run(amp + base + offset, len, phase);
-      });
+      for (Index g = g0; g < g1; ++g) {
+        amp[canonical(g, sorted) + offset] *= phase;
+      }
     });
     return;
   }
 
   // Dense diagonal: one multiply per amplitude, no gather.
-  if (k == 1) {
-    const Index s = strides[0];
-    const Cplx d0 = cls.diag[0], d1 = cls.diag[1];
-    sweep(dim_ >> 1, n_qubits_, [&](Index g0, Index g1) {
-      if (s == 1) {
-        kr.diag1_pairs(amp + 2 * g0, g1 - g0, d0, d1);
-        return;
-      }
-      for_runs(g0, g1, &s, 1, [&](Index base, Index len) {
-        kr.scale_run(amp + base, len, d0);
-        kr.scale_run(amp + base + s, len, d1);
-      });
-    });
-    return;
-  }
-  if (k == 2) {
-    const Index s0 = strides[0];
-    const Index s1 = strides[1];
-    const Index sorted[2] = {std::min(s0, s1), std::max(s0, s1)};
-    const Cplx d0 = cls.diag[0], d1 = cls.diag[1], d2 = cls.diag[2], d3 = cls.diag[3];
-    sweep(dim_ >> 2, n_qubits_, [&](Index g0, Index g1) {
-      for_runs(g0, g1, sorted, 2, [&](Index base, Index len) {
-        kr.scale_run(amp + base, len, d0);
-        kr.scale_run(amp + base + s1, len, d1);
-        kr.scale_run(amp + base + s0, len, d2);
-        kr.scale_run(amp + base + s0 + s1, len, d3);
-      });
-    });
+  if (k == 1 || k == 2) {
+    const SimdKernels& kr = active_kernels();
+    const KernelGeometry geo = kernel_geometry(strides);
+    Cplx d[4];
+    for (Index sub = 0; sub < (Index{1} << k); ++sub) {
+      d[sub] = cls.diag[static_cast<std::size_t>(geo.sub(sub))];
+    }
+    sweep(dim_ >> k, n_qubits_,
+          [&](Index g0, Index g1) { kr.diag(amp, geo.chunk(g0, g1), d); });
     return;
   }
   sweep(dim_, n_qubits_, [&](Index i0, Index i1) {
@@ -367,41 +338,28 @@ void Statevector::apply_permutation(const GateClass& cls, const QubitList& qubit
   const Index dim_ = dim();
   const Index subdim = Index{1} << k;
   Cplx* amp = amp_.data();
-  std::vector<Index> strides(static_cast<std::size_t>(k));
-  for (int j = 0; j < k; ++j) {
-    strides[static_cast<std::size_t>(j)] = Index{1} << bitpos(qubits[static_cast<std::size_t>(j)]);
-  }
-  std::vector<Index> offs(static_cast<std::size_t>(subdim), 0);
-  for (Index sub = 0; sub < subdim; ++sub) {
-    for (int j = 0; j < k; ++j) {
-      if ((sub >> (k - 1 - j)) & 1) {
-        offs[static_cast<std::size_t>(sub)] |= strides[static_cast<std::size_t>(j)];
-      }
-    }
-  }
-  std::vector<Index> sorted = strides;
-  std::sort(sorted.begin(), sorted.end());
+  const StrideList strides = strides_of(qubits, n_qubits_);
 
-  if (cls.cycles.size() == 3 && cls.cycles[0] == 2) {
+  if ((k == 1 || k == 2) && cls.cycles.size() == 3 && cls.cycles[0] == 2) {
     // The ubiquitous involution shape (x, cx, swap): one pairwise swap per
-    // group, touching only the cycle's slice of the state. Distinct offsets
-    // differ by at least the lowest stride, so the swapped runs never overlap.
-    const Index oa = offs[static_cast<std::size_t>(cls.cycles[1])];
-    const Index ob = offs[static_cast<std::size_t>(cls.cycles[2])];
-    sweep(dim_ >> k, n_qubits_, [&](Index g0, Index g1) {
-      for_runs(g0, g1, sorted.data(), k, [&](Index base, Index len) {
-        std::swap_ranges(amp + base + oa, amp + base + oa + len, amp + base + ob);
-      });
-    });
+    // group, touching only the cycle's slice of the state.
+    const SimdKernels& kr = active_kernels();
+    const KernelGeometry geo = kernel_geometry(strides);
+    const Index oa = sub_offset(strides, cls.cycles[1]);
+    const Index ob = sub_offset(strides, cls.cycles[2]);
+    sweep(dim_ >> k, n_qubits_,
+          [&](Index g0, Index g1) { kr.swap(amp, geo.chunk(g0, g1), oa, ob); });
     return;
   }
 
+  SmallVector<Index, 4> offs;
+  for (Index sub = 0; sub < subdim; ++sub) {
+    offs.push_back(sub_offset(strides, sub));
+  }
+  const StrideList sorted = sorted_strides(strides);
   sweep(dim_ >> k, n_qubits_, [&](Index g0, Index g1) {
     for (Index g = g0; g < g1; ++g) {
-      Index base = g;
-      for (int j = 0; j < k; ++j) {
-        base = insert_zero(base, sorted[static_cast<std::size_t>(j)]);
-      }
+      const Index base = canonical(g, sorted);
       for (std::size_t at = 0; at < cls.cycles.size();) {
         // image[s_i] = s_{i+1}: new[s_{i+1}] = old[s_i], rotated in place.
         const std::size_t m = static_cast<std::size_t>(cls.cycles[at]);
@@ -421,23 +379,12 @@ void Statevector::apply_permutation(const GateClass& cls, const QubitList& qubit
 Real Statevector::prob_one(int qubit) const {
   QCUT_CHECK(qubit >= 0 && qubit < n_qubits_, "prob_one: qubit out of range");
   const Index s = Index{1} << bitpos(qubit);
-  const Index dim_ = dim();
   const SimdKernels& kr = active_kernels();
   const Cplx* amp = amp_.data();
-  // Sums the set-bit half, one norm2 run per group (runs combine in ascending
-  // index order within a chunk, chunks in index order — see sweep_reduce).
-  return sweep_reduce(dim_ >> 1, n_qubits_, [&](Index g0, Index g1) {
-    Real acc = 0.0;
-    if (s == 1) {
-      for (Index g = g0; g < g1; ++g) {
-        acc += norm2(amp[2 * g + 1]);
-      }
-      return acc;
-    }
-    for_runs(g0, g1, &s, 1, [&](Index base, Index len) {
-      acc += kr.norm2_run(amp + base + s, len);
-    });
-    return acc;
+  // Sums the set-bit half, one kernel call per chunk (chunks combine in index
+  // order — see sweep_reduce).
+  return sweep_reduce(dim() >> 1, n_qubits_, [&](Index g0, Index g1) {
+    return kr.norm2(amp, BlockSweep{g0, g1 - g0, s, 0}, s);
   });
 }
 
@@ -448,33 +395,36 @@ int Statevector::measure(int qubit, Rng& rng) {
   return outcome;
 }
 
-Real Statevector::project(int qubit, int outcome) {
-  QCUT_CHECK(qubit >= 0 && qubit < n_qubits_, "project: qubit out of range");
-  QCUT_CHECK(outcome == 0 || outcome == 1, "project: outcome must be 0/1");
-  const Index s = Index{1} << bitpos(qubit);
-  const Index dim_ = dim();
+namespace {
+
+/// The shared body of project() and projected(): the live half's squared norm
+/// p, then dst = src collapsed to the live half and renormalized by
+/// 1/sqrt(p) — the same kernels, chunks and combine order whether dst is src
+/// or a fresh zero-filled vector. dst is left untouched when p = 0.
+Real collapse(Cplx* dst, const Cplx* src, int n_qubits, Index s, int outcome) {
   const SimdKernels& kr = active_kernels();
-  Cplx* amp = amp_.data();
-  const Real p = sweep_reduce(dim_ >> 1, n_qubits_, [&](Index g0, Index g1) {
-    Real acc = 0.0;
-    if (s == 1) {
-      for (Index g = g0; g < g1; ++g) {
-        acc += norm2(amp[2 * g + outcome]);
-        amp[2 * g + (1 - outcome)] = Cplx{0.0, 0.0};
-      }
-      return acc;
-    }
-    for_runs(g0, g1, &s, 1, [&](Index base, Index len) {
-      const Index live = outcome ? base + s : base;
-      const Index dead = outcome ? base : base + s;
-      acc += kr.norm2_run(amp + live, len);
-      std::fill(amp + dead, amp + dead + len, Cplx{0.0, 0.0});
-    });
-    return acc;
+  const Index groups = (Index{1} << n_qubits) >> 1;
+  const Index live = outcome != 0 ? s : 0;
+  const Real p = sweep_reduce(groups, n_qubits, [&](Index g0, Index g1) {
+    return kr.norm2(src, BlockSweep{g0, g1 - g0, s, 0}, live);
   });
   if (p > 0.0) {
     const Cplx inv{1.0 / std::sqrt(p), 0.0};
-    sweep(dim_, n_qubits_, [&](Index i0, Index i1) { kr.scale_run(amp + i0, i1 - i0, inv); });
+    sweep(groups, n_qubits, [&](Index g0, Index g1) {
+      kr.project(dst, src, BlockSweep{g0, g1 - g0, s, 0}, live, inv);
+    });
+  }
+  return p;
+}
+
+}  // namespace
+
+Real Statevector::project(int qubit, int outcome) {
+  QCUT_CHECK(qubit >= 0 && qubit < n_qubits_, "project: qubit out of range");
+  QCUT_CHECK(outcome == 0 || outcome == 1, "project: outcome must be 0/1");
+  const Real p = collapse(amp_.data(), amp_.data(), n_qubits_, Index{1} << bitpos(qubit), outcome);
+  if (p <= 0.0) {
+    std::fill(amp_.begin(), amp_.end(), Cplx{0.0, 0.0});
   }
   return p;
 }
@@ -482,43 +432,8 @@ Real Statevector::project(int qubit, int outcome) {
 Statevector Statevector::projected(const Statevector& src, int qubit, int outcome) {
   QCUT_CHECK(qubit >= 0 && qubit < src.n_qubits_, "projected: qubit out of range");
   QCUT_CHECK(outcome == 0 || outcome == 1, "projected: outcome must be 0/1");
-  const Index s = Index{1} << src.bitpos(qubit);
-  const Index dim_ = src.dim();
-  const SimdKernels& kr = active_kernels();
-  const Cplx* in = src.amp_.data();
-  // Same renormalization constant as project(): identical chunking, identical
-  // run kernels over the live half, identical combine order.
-  const Real p = sweep_reduce(dim_ >> 1, src.n_qubits_, [&](Index g0, Index g1) {
-    Real acc = 0.0;
-    if (s == 1) {
-      for (Index g = g0; g < g1; ++g) {
-        acc += norm2(in[2 * g + outcome]);
-      }
-      return acc;
-    }
-    for_runs(g0, g1, &s, 1, [&](Index base, Index len) {
-      acc += kr.norm2_run(in + (outcome ? base + s : base), len);
-    });
-    return acc;
-  });
-  Vector out(static_cast<std::size_t>(dim_), Cplx{0.0, 0.0});
-  if (p > 0.0) {
-    const Cplx inv{1.0 / std::sqrt(p), 0.0};
-    Cplx* dst = out.data();
-    sweep(dim_ >> 1, src.n_qubits_, [&](Index g0, Index g1) {
-      if (s == 1) {
-        for (Index g = g0; g < g1; ++g) {
-          dst[2 * g + outcome] = in[2 * g + outcome] * inv;
-        }
-        return;
-      }
-      for_runs(g0, g1, &s, 1, [&](Index base, Index len) {
-        const Index live = outcome ? base + s : base;
-        std::copy(in + live, in + live + len, dst + live);
-        kr.scale_run(dst + live, len, inv);
-      });
-    });
-  }
+  Vector out(static_cast<std::size_t>(src.dim()), Cplx{0.0, 0.0});
+  collapse(out.data(), src.amp_.data(), src.n_qubits_, Index{1} << src.bitpos(qubit), outcome);
   return Statevector(Unchecked{}, src.n_qubits_, std::move(out));
 }
 
@@ -527,18 +442,10 @@ void Statevector::reset(int qubit, Rng& rng) {
   if (outcome == 1) {
     // Flip back to |0⟩.
     const Index s = Index{1} << bitpos(qubit);
-    const Index dim_ = dim();
+    const SimdKernels& kr = active_kernels();
     Cplx* amp = amp_.data();
-    sweep(dim_ >> 1, n_qubits_, [&](Index g0, Index g1) {
-      if (s == 1) {
-        for (Index g = g0; g < g1; ++g) {
-          std::swap(amp[2 * g], amp[2 * g + 1]);
-        }
-        return;
-      }
-      for_runs(g0, g1, &s, 1, [&](Index base, Index len) {
-        std::swap_ranges(amp + base, amp + base + len, amp + base + s);
-      });
+    sweep(dim() >> 1, n_qubits_, [&](Index g0, Index g1) {
+      kr.swap(amp, BlockSweep{g0, g1 - g0, s, 0}, 0, s);
     });
   }
 }
@@ -548,11 +455,10 @@ void Statevector::initialize(const QubitList& qubits, const Vector& state) {
   const Index subdim = Index{1} << k;
   QCUT_CHECK(static_cast<Index>(state.size()) == subdim,
              "initialize: state/qubit-count mismatch");
+  const StrideList strides = strides_of(qubits, n_qubits_);
   Index mask = 0;
-  std::vector<Index> strides(static_cast<std::size_t>(k));
-  for (int j = 0; j < k; ++j) {
-    strides[static_cast<std::size_t>(j)] = Index{1} << bitpos(qubits[static_cast<std::size_t>(j)]);
-    mask |= strides[static_cast<std::size_t>(j)];
+  for (const Index s : strides) {
+    mask |= s;
   }
   const Index dim_ = dim();
   // The qubits must currently be |0..0⟩: all amplitude weight on indices with
@@ -568,27 +474,14 @@ void Statevector::initialize(const QubitList& qubits, const Vector& state) {
   }
   QCUT_CHECK(leaked <= 1e-12, "initialize: qubits are not in |0..0⟩");
   // Distribute: amp[base | bits(sub)] = amp[base] * state[sub].
-  std::vector<Index> sorted = strides;
-  std::sort(sorted.begin(), sorted.end());
+  const StrideList sorted = sorted_strides(strides);
   Cplx* amp = amp_.data();
   sweep(dim_ >> k, n_qubits_, [&](Index g0, Index g1) {
     for (Index g = g0; g < g1; ++g) {
-      Index base = g;
-      for (int j = 0; j < k; ++j) {
-        base = insert_zero(base, sorted[static_cast<std::size_t>(j)]);
-      }
+      const Index base = canonical(g, sorted);
       const Cplx a = amp[base];
       for (Index sub = subdim - 1; sub >= 0; --sub) {
-        Index idx = base;
-        for (int j = 0; j < k; ++j) {
-          if ((sub >> (k - 1 - j)) & 1) {
-            idx |= strides[static_cast<std::size_t>(j)];
-          }
-        }
-        amp[idx] = a * state[static_cast<std::size_t>(sub)];
-        if (sub == 0) {
-          break;
-        }
+        amp[base + sub_offset(strides, sub)] = a * state[static_cast<std::size_t>(sub)];
       }
     }
   });
@@ -611,25 +504,14 @@ Real Statevector::expectation_pauli(const std::string& pauli) const {
     }
   }
   if (zi_only) {
-    const Index dim_ = dim();
+    // The sign parity(i & zmask) is constant over each aligned block of `lo`
+    // indices (lo = lowest Z stride); chunks are counted in such blocks.
     const SimdKernels& kr = active_kernels();
     const Cplx* amp = amp_.data();
-    if (zmask == 0) {
-      return sweep_reduce(dim_, n_qubits_, [&](Index i0, Index i1) {
-        return kr.norm2_run(amp + i0, i1 - i0);
-      });
-    }
-    // The sign parity64(i & zmask) is constant over each aligned block of
-    // `lo` indices (lo = lowest Z stride): one signed norm2 run per block.
-    const Index lo = static_cast<Index>(zmask & (~zmask + 1));
-    return sweep_reduce(dim_ / lo, n_qubits_, [&](Index b0, Index b1) {
-      Real acc = 0.0;
-      for (Index b = b0; b < b1; ++b) {
-        const Index base = b * lo;
-        const Real w = kr.norm2_run(amp + base, lo);
-        acc += parity64(static_cast<std::uint64_t>(base) & zmask) ? -w : w;
-      }
-      return acc;
+    const Index lo = zmask != 0 ? static_cast<Index>(zmask & (~zmask + 1)) : 1;
+    const Index z = static_cast<Index>(zmask);
+    return sweep_reduce(dim() / lo, n_qubits_, [&](Index b0, Index b1) {
+      return kr.zsum(amp, b0 * lo, b1 * lo, z);
     });
   }
   // Apply the Pauli string to a copy and take the inner product (X/Y factors

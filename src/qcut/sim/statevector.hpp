@@ -5,11 +5,13 @@
 // the engine behind shot execution; exact channel verification uses the
 // DensityMatrix engine instead.
 //
-// The hot sweeps run on the SIMD run-kernel table (sim/simd_dispatch.hpp) and
-// — for states at or above the parallel threshold — are chunked over a
-// ThreadPool. Chunk boundaries are fixed in group space, independent of the
-// pool size, and every reduction sums per-chunk partials in chunk index
-// order, so results are bit-identical for any pool size (including no pool).
+// The hot sweeps run on the block-granular SIMD kernel table
+// (sim/simd_kernels.hpp, one kernel call per sweep chunk at every qubit
+// position) and — for states at or above the parallel threshold — are
+// chunked over a ThreadPool. Chunk boundaries are fixed in group space,
+// independent of the pool size, and every reduction sums per-chunk partials
+// in chunk index order, so results are bit-identical for any pool size
+// (including no pool).
 #pragma once
 
 #include <vector>

@@ -422,5 +422,249 @@ TEST(ParallelSweeps, PoolSizeBitIdentity) {
   }
 }
 
+// ---- per-position kernels ----------------------------------------------------
+
+/// The tiers this build and CPU can run: scalar always, AVX2 when present.
+std::vector<SimdTier> available_tiers() {
+  std::vector<SimdTier> tiers = {SimdTier::kScalar};
+  if (simd_tier_available(SimdTier::kAvx2)) {
+    tiers.push_back(SimdTier::kAvx2);
+  }
+  return tiers;
+}
+
+/// The dense gather/scatter definition of applying `u` to `qubits`
+/// (qubits[0] is the high sub-index bit), one basis index at a time.
+Vector reference_apply(const Vector& in, int n, const Matrix& u, const std::vector<int>& qubits) {
+  const int k = static_cast<int>(qubits.size());
+  Index mask = 0;
+  for (const int q : qubits) {
+    mask |= Index{1} << (n - 1 - q);
+  }
+  const auto with_sub = [&](Index i, Index sub) {
+    Index idx = i & ~mask;
+    for (int j = 0; j < k; ++j) {
+      if ((sub >> (k - 1 - j)) & 1) {
+        idx |= Index{1} << (n - 1 - qubits[static_cast<std::size_t>(j)]);
+      }
+    }
+    return idx;
+  };
+  Vector out(in.size());
+  for (Index i = 0; i < static_cast<Index>(in.size()); ++i) {
+    Index row = 0;
+    for (int j = 0; j < k; ++j) {
+      row = (row << 1) | ((i >> (n - 1 - qubits[static_cast<std::size_t>(j)])) & 1);
+    }
+    Cplx acc{0.0, 0.0};
+    for (Index col = 0; col < (Index{1} << k); ++col) {
+      acc += u(row, col) * in[static_cast<std::size_t>(with_sub(i, col))];
+    }
+    out[static_cast<std::size_t>(i)] = acc;
+  }
+  return out;
+}
+
+void expect_amps_near(const Vector& got, const Vector& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_NEAR(got[i].real(), want[i].real(), 1e-12) << what << " amp " << i;
+    EXPECT_NEAR(got[i].imag(), want[i].imag(), 1e-12) << what << " amp " << i;
+  }
+}
+
+void expect_matches_reference(const Statevector& sv, const Matrix& u,
+                              const std::vector<int>& qubits, const std::string& what) {
+  Statevector got = sv;
+  got.apply(u, qubits, classify_gate(u));
+  expect_amps_near(got.amplitudes(), reference_apply(sv.amplitudes(), sv.n_qubits(), u, qubits),
+                   what);
+}
+
+TEST(KernelPositions, OneQubitFamiliesAtEveryTarget) {
+  // Every target stride, from the top qubit down to the least significant
+  // bit, under each tier: the lo == 1 and lo == 2 loop shapes included.
+  TierGuard guard;
+  Rng rng(43);
+  const int n = 12;
+  const Statevector sv(n, random_statevector(Index{1} << n, rng));
+  const Matrix dense = haar_unitary(2, rng);
+  const Matrix diag = random_diagonal(1, rng, /*sparse=*/false);
+  const Matrix phase = gates::phase(0.9);
+  ASSERT_EQ(classify_gate(dense).structure, GateStructure::kGeneric);
+  ASSERT_EQ(classify_gate(diag).phase_index, -1);
+  ASSERT_GE(classify_gate(phase).phase_index, 0);
+  for (const SimdTier tier : available_tiers()) {
+    force_simd_tier(tier);
+    for (int q = 0; q < n; ++q) {
+      const std::string tag = std::string(simd_tier_name(tier)) + " q" + std::to_string(q);
+      expect_matches_reference(sv, dense, {q}, tag + " dense");
+      expect_matches_reference(sv, diag, {q}, tag + " diag");
+      expect_matches_reference(sv, phase, {q}, tag + " phase");
+      expect_matches_reference(sv, gates::z(), {q}, tag + " z");
+      expect_matches_reference(sv, gates::x(), {q}, tag + " x");
+    }
+  }
+}
+
+TEST(KernelPositions, TwoQubitFamiliesAtBothEndsAndBothOrders) {
+  TierGuard guard;
+  Rng rng(47);
+  const int n = 12;
+  const Statevector sv(n, random_statevector(Index{1} << n, rng));
+  const std::vector<std::vector<int>> pairs = {
+      {0, 1}, {1, 0}, {n - 2, n - 1}, {n - 1, n - 2}, {0, n - 1}, {n - 1, 0},
+      {n - 3, n - 1}, {n - 1, n - 3}};
+  const Matrix dense = haar_unitary(4, rng);
+  const Matrix diag = random_diagonal(2, rng, /*sparse=*/false);
+  const Matrix perm = random_permutation_matrix(2, rng);
+  ASSERT_EQ(classify_gate(dense).structure, GateStructure::kGeneric);
+  ASSERT_EQ(classify_gate(diag).phase_index, -1);
+  ASSERT_EQ(classify_gate(perm).structure, GateStructure::kPermutation);
+  for (const SimdTier tier : available_tiers()) {
+    force_simd_tier(tier);
+    for (const auto& qs : pairs) {
+      const std::string tag = std::string(simd_tier_name(tier)) + " {" + std::to_string(qs[0]) +
+                              "," + std::to_string(qs[1]) + "}";
+      expect_matches_reference(sv, gates::cx(), qs, tag + " cx");
+      expect_matches_reference(sv, gates::swap(), qs, tag + " swap");
+      expect_matches_reference(sv, gates::cz(), qs, tag + " cz");
+      expect_matches_reference(sv, gates::controlled(gates::phase(0.8)), qs, tag + " cu1");
+      expect_matches_reference(sv, diag, qs, tag + " diag");
+      expect_matches_reference(sv, dense, qs, tag + " dense");
+      expect_matches_reference(sv, perm, qs, tag + " perm");
+    }
+  }
+}
+
+TEST(KernelPositions, MeasurementSweepsAtEveryQubit) {
+  // prob_one, project, projected, reset and a single-Z expectation at every
+  // qubit against naive basis sweeps, under each tier.
+  TierGuard guard;
+  Rng rng(53);
+  const int n = 12;
+  const Statevector sv(n, random_statevector(Index{1} << n, rng));
+  const Vector& amps = sv.amplitudes();
+  for (const SimdTier tier : available_tiers()) {
+    force_simd_tier(tier);
+    for (int q = 0; q < n; ++q) {
+      const std::string tag = std::string(simd_tier_name(tier)) + " q" + std::to_string(q);
+      const Index s = Index{1} << (n - 1 - q);
+      Real p1 = 0.0;
+      Real zexp = 0.0;
+      for (Index i = 0; i < sv.dim(); ++i) {
+        const Real w = norm2(amps[static_cast<std::size_t>(i)]);
+        p1 += (i & s) ? w : 0.0;
+        zexp += (i & s) ? -w : w;
+      }
+      EXPECT_NEAR(sv.prob_one(q), p1, 1e-12) << tag;
+      std::string pauli(static_cast<std::size_t>(n), 'I');
+      pauli[static_cast<std::size_t>(q)] = 'Z';
+      EXPECT_NEAR(sv.expectation_pauli(pauli), zexp, 1e-12) << tag;
+
+      for (int outcome = 0; outcome <= 1; ++outcome) {
+        const Real p = outcome ? p1 : 1.0 - p1;
+        Vector want(amps.size(), Cplx{0.0, 0.0});
+        for (Index i = 0; i < sv.dim(); ++i) {
+          if (((i & s) != 0) == (outcome == 1)) {
+            want[static_cast<std::size_t>(i)] = amps[static_cast<std::size_t>(i)] / std::sqrt(p);
+          }
+        }
+        Statevector in_place = sv;
+        EXPECT_NEAR(in_place.project(q, outcome), p, 1e-12) << tag;
+        expect_amps_near(in_place.amplitudes(), want, tag + " project");
+        expect_amps_near(Statevector::projected(sv, q, outcome).amplitudes(), want,
+                         tag + " projected");
+      }
+
+      // reset: the branch the same draw picks, moved back to |0> on q.
+      Rng draw(900 + static_cast<std::uint64_t>(q));
+      Rng expect_draw(900 + static_cast<std::uint64_t>(q));
+      const int outcome = expect_draw.bernoulli(p1) ? 1 : 0;
+      const Real p = outcome ? p1 : 1.0 - p1;
+      Vector want(amps.size(), Cplx{0.0, 0.0});
+      for (Index i = 0; i < sv.dim(); ++i) {
+        if (((i & s) != 0) == (outcome == 1)) {
+          want[static_cast<std::size_t>(i & ~s)] = amps[static_cast<std::size_t>(i)] / std::sqrt(p);
+        }
+      }
+      Statevector reset = sv;
+      reset.reset(q, draw);
+      expect_amps_near(reset.amplitudes(), want, tag + " reset");
+    }
+  }
+}
+
+TEST(KernelPositions, LowQubitCircuitIsPoolSizeBitIdentical) {
+  // Every family on the four lowest-stride qubits of an 18-qubit state: the
+  // sweeps span several fixed chunks and run the lo == 1 and lo == 2 loop
+  // shapes, and must be BIT-identical at pools {1, 2, 8} under each tier.
+  TierGuard tiers;
+  ParallelConfigGuard guard;
+  Rng rng(59);
+  const int n = 18;
+  const Vector amps = random_statevector(Index{1} << n, rng);
+  Circuit c(n, 0);
+  for (int d = 0; d < 6; ++d) {
+    for (int q = n - 4; q < n; ++q) {
+      const int r = q == n - 1 ? n - 4 : q + 1;
+      c.gate(haar_unitary(2, rng), {q}, "u1q");
+      c.rz(q, rng.uniform(0.0, 2.0 * kPi));
+      c.t(q);
+      c.x(q);
+      c.cx(q, r);
+      c.cz(r, q);
+      c.swap_gate(q, r);
+      c.gate(gates::controlled(gates::phase(rng.uniform(0.0, 2.0 * kPi))), {r, q}, "cu1");
+      c.gate(random_diagonal(2, rng, /*sparse=*/false), {q, r}, "diag2");
+      c.gate(haar_unitary(4, rng), {r, q}, "u2q");
+    }
+  }
+  std::string zpauli(static_cast<std::size_t>(n), 'I');
+  zpauli[static_cast<std::size_t>(n - 1)] = 'Z';
+  zpauli[static_cast<std::size_t>(n - 3)] = 'Z';
+
+  struct Run {
+    Vector amp;
+    std::vector<Real> reals;
+  };
+  const auto run_with = [&](ThreadPool* pool, int threshold) {
+    Statevector::set_parallel_config(pool, threshold);
+    Statevector sv(n, amps);
+    for (const Operation& op : c.ops()) {
+      sv.apply(op.matrix(), op.qubits, op.gclass());
+    }
+    Run res;
+    res.reals.push_back(sv.expectation_pauli(zpauli));
+    for (int q = n - 4; q < n; ++q) {
+      res.reals.push_back(sv.prob_one(q));
+    }
+    const Statevector copy = Statevector::projected(sv, n - 1, 1);
+    res.reals.push_back(sv.project(n - 2, 0));
+    res.amp = sv.amplitudes();
+    res.amp.insert(res.amp.end(), copy.amplitudes().begin(), copy.amplitudes().end());
+    return res;
+  };
+
+  for (const SimdTier tier : available_tiers()) {
+    force_simd_tier(tier);
+    const Run ref = run_with(nullptr, 22);
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      ThreadPool pool(workers);
+      const Run got = run_with(&pool, n);
+      const std::string tag =
+          std::string(simd_tier_name(tier)) + " pool " + std::to_string(workers);
+      ASSERT_EQ(got.reals.size(), ref.reals.size());
+      for (std::size_t i = 0; i < got.reals.size(); ++i) {
+        EXPECT_EQ(got.reals[i], ref.reals[i]) << tag << " real " << i;
+      }
+      ASSERT_EQ(got.amp.size(), ref.amp.size());
+      for (std::size_t i = 0; i < got.amp.size(); ++i) {
+        ASSERT_EQ(got.amp[i], ref.amp[i]) << tag << " amp " << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace qcut
