@@ -42,6 +42,12 @@
 // Fusion section: an rz-ry-rz + cx-ladder workload applied unfused vs fused
 // (fuse_circuit), with op counts, wall time, and an amplitude cross-check.
 //
+// Fusion crossover section (record only, no floor): per QPD term of planned
+// GHZ-chain and brickwork splits at fragment widths 3-16, the fuse pass, the
+// fused evaluation and the unfused evaluation, serially. The ratio column,
+// (fuse + fused) / unfused, falls below 1 where fusion pays; it is what
+// kMinFusionWidth (sim/fusion.hpp) is chosen from.
+//
 // Output: aligned tables on stdout plus machine-readable sim_perf.json so
 // future PRs have a perf trajectory to regress against. Acceptance floors
 // (checked last, after the JSON is on disk): batched/serial >= 10x,
@@ -472,6 +478,127 @@ FusionBench measure_fusion(int n, int layers, int reps) {
   return res;
 }
 
+// ---- fusion crossover section -----------------------------------------------
+
+/// Planner caps of the crossover rows: each row's planned split has
+/// fragments of about this many qubits.
+constexpr int kCrossoverWidths[] = {3, 4, 6, 8, 10, 12, 14, 16};
+constexpr int kCrossoverBatches = 15;
+
+struct CrossoverRow {
+  std::string shape;
+  int width = 0;             ///< widest fragment of the planned split
+  std::size_t terms = 0;
+  int reps = 1;              ///< passes over the terms per batch
+  double fuse_us = 0.0;      ///< per term: fuse_split_circuits
+  double fused_us = 0.0;     ///< per term: fragment_term_prob_one on the fused split
+  double unfused_us = 0.0;   ///< per term: fragment_term_prob_one on the plain split
+  std::vector<qcut::FragmentSplit> splits;  ///< one per term, unfused
+  std::vector<qcut::FragmentSplit> fused;   ///< one per term
+};
+
+/// The two fragment shapes qbench's cut requests produce, on 2w - 1 qubits:
+/// a GHZ chain (h and ry on qubit 0, then a cx line) and the ry / cz-even /
+/// rz / cz-odd brickwork.
+qcut::Circuit crossover_circuit(bool brickwork, int n, qcut::Rng& rng) {
+  qcut::Circuit c(n, 0);
+  if (!brickwork) {
+    c.h(0).ry(0, rng.uniform(-qcut::kPi, qcut::kPi));
+    for (int q = 0; q + 1 < n; ++q) {
+      c.cx(q, q + 1);
+    }
+    return c;
+  }
+  for (int q = 0; q < n; ++q) {
+    c.ry(q, rng.uniform(-qcut::kPi / 3, qcut::kPi / 3));
+  }
+  for (int q = 0; q + 1 < n; q += 2) {
+    c.cz(q, q + 1);
+  }
+  for (int q = 0; q < n; ++q) {
+    c.rz(q, rng.uniform(-qcut::kPi, qcut::kPi));
+  }
+  for (int q = 1; q + 1 < n; q += 2) {
+    c.cz(q, q + 1);
+  }
+  return c;
+}
+
+/// Per-term cost of fusing a planned split against the evaluation time it
+/// saves, serially (no pool), at each width of kCrossoverWidths for both
+/// shapes. Each batch times `reps` passes over the row's terms, with `reps`
+/// sized so one pass set lasts at least about 200 us; the rows run
+/// round-robin over kCrossoverBatches batches and each figure is the min
+/// over batches of the per-term mean, as in the position rows.
+std::vector<CrossoverRow> measure_fusion_crossover() {
+  qcut::Rng rng(43);
+  std::vector<CrossoverRow> rows;
+  for (const bool brickwork : {false, true}) {
+    for (const int cap : kCrossoverWidths) {
+      const qcut::Circuit circ = crossover_circuit(brickwork, 2 * cap - 1, rng);
+      qcut::PlannerConfig pcfg;
+      pcfg.max_fragment_width = cap;
+      pcfg.pair_budget = 0;
+      const qcut::PlannedExecutor exec(circ, qcut::CutPlanner(circ, pcfg).plan());
+      const qcut::Qpd qpd =
+          exec.build_qpd(std::string(static_cast<std::size_t>(circ.n_qubits()), 'Z'));
+      CrossoverRow row;
+      row.shape = brickwork ? "brickwork" : "ghz";
+      row.terms = qpd.size();
+      for (const qcut::QpdTerm& t : qpd.terms()) {
+        row.splits.push_back(qcut::split_term(t));
+        row.width = std::max(row.width, row.splits.back().max_width);
+        row.fused.push_back(row.splits.back());
+        qcut::fuse_split_circuits(row.fused.back());
+      }
+      const auto t0 = Clock::now();
+      for (const qcut::FragmentSplit& s : row.splits) {
+        (void)qcut::fragment_term_prob_one(s, nullptr);
+      }
+      const double pass_s = seconds_since(t0);
+      row.reps = std::clamp(static_cast<int>(200e-6 / std::max(pass_s, 1e-9)) + 1, 1, 64);
+      rows.push_back(std::move(row));
+    }
+  }
+  const auto time_evals = [](const std::vector<qcut::FragmentSplit>& splits, int reps) {
+    const auto t0 = Clock::now();
+    for (int r = 0; r < reps; ++r) {
+      for (const qcut::FragmentSplit& s : splits) {
+        (void)qcut::fragment_term_prob_one(s, nullptr);
+      }
+    }
+    return seconds_since(t0);
+  };
+  for (int b = 0; b < kCrossoverBatches; ++b) {
+    for (CrossoverRow& row : rows) {
+      const double per_term = 1e6 / (static_cast<double>(row.reps) * row.terms);
+      std::vector<qcut::FragmentSplit> copies;
+      for (int r = 0; r < row.reps; ++r) {
+        copies.insert(copies.end(), row.splits.begin(), row.splits.end());
+      }
+      const auto t0 = Clock::now();
+      for (qcut::FragmentSplit& s : copies) {
+        qcut::fuse_split_circuits(s);
+      }
+      const double fuse = per_term * seconds_since(t0);
+      // Alternate which evaluation runs first so neither always pays a cold
+      // cache after the fuse pass.
+      double fused = 0.0, unfused = 0.0;
+      if (b % 2 == 0) {
+        fused = per_term * time_evals(row.fused, row.reps);
+        unfused = per_term * time_evals(row.splits, row.reps);
+      } else {
+        unfused = per_term * time_evals(row.splits, row.reps);
+        fused = per_term * time_evals(row.fused, row.reps);
+      }
+      if (b == 0 || fuse < row.fuse_us) row.fuse_us = fuse;
+      if (b == 0 || fused < row.fused_us) row.fused_us = fused;
+      if (b == 0 || unfused < row.unfused_us) row.unfused_us = unfused;
+    }
+  }
+  return rows;
+}
+
 // ---- observability overhead section -----------------------------------------
 
 struct ObsOverheadBench {
@@ -485,7 +612,9 @@ struct ObsOverheadBench {
 };
 
 /// Times the QFT classified-kernel workload with the metrics registry off vs
-/// on, interleaved min-of-reps so frequency drift hits both sides equally.
+/// on, interleaved min-of-reps so frequency drift hits both sides equally;
+/// the side that runs first alternates from rep to rep, so neither always
+/// pays for the warm-up after the previous section.
 /// The enabled cost (one relaxed fetch_add per Statevector::apply) upper
 /// bounds the disabled cost (one relaxed load + branch), so gating the
 /// enabled/disabled ratio at <= 2% proves the ISSUE's "compiled in but
@@ -515,13 +644,12 @@ ObsOverheadBench measure_obs_overhead(int n, int reps, int passes) {
       }
       return seconds_since(t0);
     };
-    qcut::obs::set_metrics_enabled(false);
-    const double off = timed_passes();
-    if (r == 0 || off < best_off) best_off = off;
-
-    qcut::obs::set_metrics_enabled(true);
-    const double on = timed_passes();
-    if (r == 0 || on < best_on) best_on = on;
+    for (const bool enabled : {r % 2 == 1, r % 2 == 0}) {
+      qcut::obs::set_metrics_enabled(enabled);
+      const double t = timed_passes();
+      double& best = enabled ? best_on : best_off;
+      if (r == 0 || t < best) best = t;
+    }
   }
   qcut::obs::set_metrics_enabled(was_enabled);
 
@@ -830,12 +958,26 @@ int main(int argc, char** argv) {
               fusion.max_amp_diff);
 
   // ---- observability overhead ----------------------------------------------
-  const ObsOverheadBench obs_bench = measure_obs_overhead(16, 7, 4);
+  const ObsOverheadBench obs_bench = measure_obs_overhead(16, 15, 4);
   std::printf("\n=== Observability overhead (QFT-%d classified kernels, min of %d x %d "
               "passes) ===\n",
               obs_bench.qubits, obs_bench.reps, obs_bench.passes);
   std::printf("metrics off %.4fs, on %.4fs -> %+.2f%% (ceiling: 2%%)\n",
               obs_bench.off_seconds, obs_bench.on_seconds, 100.0 * obs_bench.overhead_frac);
+
+  // ---- fusion crossover ------------------------------------------------------
+  const std::vector<CrossoverRow> crossover = measure_fusion_crossover();
+  std::printf("\n=== Fusion crossover (planned fragments, serial, us per term, min of %d "
+              "batches; fused at width >= %d) ===\n",
+              kCrossoverBatches, qcut::kMinFusionWidth);
+  std::printf("%-10s %6s %6s %10s %10s %12s %8s %7s\n", "shape", "width", "terms", "fuse",
+              "fused eval", "unfused eval", "ratio", "fused?");
+  for (const CrossoverRow& row : crossover) {
+    std::printf("%-10s %6d %6zu %10.2f %10.2f %12.2f %7.2fx %7s\n", row.shape.c_str(),
+                row.width, row.terms, row.fuse_us, row.fused_us, row.unfused_us,
+                (row.fuse_us + row.fused_us) / row.unfused_us,
+                qcut::fusion_pays(row.width) ? "yes" : "no");
+  }
 
   // ---- machine-readable record for perf-trajectory tracking across PRs -----
   std::ofstream json(json_path);
@@ -900,6 +1042,17 @@ int main(int argc, char** argv) {
        << ", \"fused_seconds\": " << fusion.fused_seconds
        << ", \"speedup\": " << fusion.speedup
        << ", \"max_amp_diff\": " << fusion.max_amp_diff << "},\n";
+  json << "  \"fusion_crossover\": {\"batches\": " << kCrossoverBatches
+       << ", \"min_fusion_width\": " << qcut::kMinFusionWidth << ",\n    \"rows\": [\n";
+  for (std::size_t i = 0; i < crossover.size(); ++i) {
+    const CrossoverRow& row = crossover[i];
+    json << "      {\"shape\": \"" << row.shape << "\", \"width\": " << row.width
+         << ", \"terms\": " << row.terms << ", \"reps\": " << row.reps
+         << ", \"fuse_us\": " << row.fuse_us << ", \"fused_eval_us\": " << row.fused_us
+         << ", \"unfused_eval_us\": " << row.unfused_us << "}"
+         << (i + 1 < crossover.size() ? "," : "") << "\n";
+  }
+  json << "    ]\n  },\n";
   json << "  \"observability\": {\"qubits\": " << obs_bench.qubits
        << ", \"ops\": " << obs_bench.ops << ", \"reps\": " << obs_bench.reps
        << ", \"passes\": " << obs_bench.passes

@@ -500,17 +500,21 @@ std::shared_ptr<const SplitSkeleton> cached_skeleton(SplitSkeletonCache& cache, 
   return skel;
 }
 
+void fuse_fragment(TermFragment& tf, FusionStats* stats) {
+  const std::size_t csb = tf.cond_suffix_begin;
+  Circuit fused = fuse_range(tf.circuit, 0, csb, stats);
+  const std::size_t new_csb = fused.size();
+  const Circuit suffix = fuse_range(tf.circuit, csb, tf.circuit.size(), stats);
+  for (const Operation& op : suffix.ops()) {
+    fused.push_op(op);
+  }
+  tf.circuit = std::move(fused);
+  tf.cond_suffix_begin = new_csb;
+}
+
 void fuse_split_circuits(FragmentSplit& split, FusionStats* stats) {
   for (TermFragment& tf : split.fragments) {
-    const std::size_t csb = tf.cond_suffix_begin;
-    Circuit fused = fuse_range(tf.circuit, 0, csb, stats);
-    const std::size_t new_csb = fused.size();
-    const Circuit suffix = fuse_range(tf.circuit, csb, tf.circuit.size(), stats);
-    for (const Operation& op : suffix.ops()) {
-      fused.push_op(op);
-    }
-    tf.circuit = std::move(fused);
-    tf.cond_suffix_begin = new_csb;
+    fuse_fragment(tf, stats);
   }
 }
 

@@ -138,13 +138,17 @@ using SplitSkeletonCache = SingleFlightCache<const SplitSkeleton>;
 /// concurrent lookups. Counts kSkeletonCacheHit / kSkeletonCacheMiss.
 std::shared_ptr<const SplitSkeleton> cached_skeleton(SplitSkeletonCache& cache, const Circuit& c);
 
-/// Rewrites every fragment circuit of `split` through the gate-fusion passes
-/// (sim/fusion.hpp), in place. The unconditioned prefix [0, cond_suffix_begin)
-/// and the conditional suffix are fused *separately* — no op may drift across
-/// the prefix-caching boundary — and cond_suffix_begin is remapped onto the
-/// fused op list. Exact up to float reassociation in the composed 2x2
-/// products; fragment_term_prob_one on a fused split matches the unfused
-/// value to ~1e-12.
+/// Rewrites `tf`'s circuit through the gate-fusion passes (sim/fusion.hpp),
+/// in place. The unconditioned prefix [0, cond_suffix_begin) and the
+/// conditional suffix are fused *separately* — no op may drift across the
+/// prefix-caching boundary — and cond_suffix_begin is remapped onto the fused
+/// op list. Exact up to float reassociation in the composed 2x2 products;
+/// fragment_term_prob_one on a fused split matches the unfused value to
+/// ~1e-12. Fuses whatever its width: FragmentBackend calls it only on the
+/// fragments that pass fusion_pays.
+void fuse_fragment(TermFragment& tf, FusionStats* stats = nullptr);
+
+/// fuse_fragment on every fragment of `split`, whatever its width.
 void fuse_split_circuits(FragmentSplit& split, FusionStats* stats = nullptr);
 
 /// Exact P(outcome = −1) of the term — the parity-one probability of its

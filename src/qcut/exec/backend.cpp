@@ -59,9 +59,14 @@ FragmentBackend::FragmentBackend(const Qpd& qpd, int max_fragment_width, ThreadP
                    " qubits) — add cuts, and note that entangled-resource cuts "
                    "(nme/distill) merge both sides into one fragment: wide runs "
                    "need entanglement-free plans (pair_budget = 0)");
-    // Gate fusion before evaluation: fewer full-state sweeps per branch. The
-    // prefix/suffix boundary is preserved, so prefix caching is unaffected.
-    fuse_split_circuits(split);
+    // Gate fusion before evaluation, only on the fragments that pass
+    // sim/fusion.hpp's width rule. The prefix/suffix boundary is preserved,
+    // so prefix caching is unaffected.
+    for (TermFragment& tf : split.fragments) {
+      if (fusion_pays(tf.circuit.n_qubits())) {
+        fuse_fragment(tf);
+      }
+    }
     return fragment_term_prob_one(split, pool);
   });
 }

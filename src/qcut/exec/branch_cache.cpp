@@ -8,20 +8,25 @@
 namespace qcut {
 
 Real term_prob_one(const QpdTerm& term) {
-  // Fuse before enumerating: branch enumeration pays every op once per live
-  // branch, so composing 1q runs and diagonal runs up front multiplies out.
-  const Circuit fused = fuse_circuit(term.circuit);
-  Real acc = 0.0;
-  for (const auto& b : run_branches(fused)) {
-    int parity = 0;
-    for (int cb : term.estimate_cbits) {
-      parity ^= b.cbits[static_cast<std::size_t>(cb)];
+  const auto parity_one = [&term](const Circuit& c) {
+    Real acc = 0.0;
+    for (const auto& b : run_branches(c)) {
+      int parity = 0;
+      for (int cb : term.estimate_cbits) {
+        parity ^= b.cbits[static_cast<std::size_t>(cb)];
+      }
+      if (parity == 1) {
+        acc += b.prob;
+      }
     }
-    if (parity == 1) {
-      acc += b.prob;
-    }
-  }
-  return acc;
+    return acc;
+  };
+  // Fuse before enumerating when the circuit is wide enough to pay for it
+  // (sim/fusion.hpp's width rule): branch enumeration pays every op once per
+  // live branch, so on wide circuits composing 1q runs and diagonal runs up
+  // front multiplies out.
+  return fusion_pays(term.circuit.n_qubits()) ? parity_one(fuse_circuit(term.circuit))
+                                              : parity_one(term.circuit);
 }
 
 BranchCache::BranchCache(const Qpd& qpd) : BranchCache(qpd, ProbFn(&term_prob_one)) {}

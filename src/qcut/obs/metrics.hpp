@@ -38,8 +38,10 @@ enum class Counter : int {
   // cached_skeleton (cut/fragment.cpp): split-structure lookups.
   kSkeletonCacheHit,
   kSkeletonCacheMiss,
-  // Gate fusion (sim/fusion.cpp): every fuse_range call, spliced and
-  // fragment paths alike.
+  // Gate fusion (sim/fusion.cpp): every fuse_range call. The spliced and
+  // fragment paths call it only on circuits that pass fusion_pays, so these
+  // stay 0 on requests whose fragments are all narrower than
+  // kMinFusionWidth.
   kFusionOpsBefore,
   kFusionOpsAfter,
   kFusionFused1q,

@@ -1,6 +1,6 @@
 // Gate fusion over the Circuit IR.
 //
-// Two rewrite passes that reduce the number of full-state sweeps a circuit
+// Three rewrite passes that reduce the number of full-state sweeps a circuit
 // costs, without changing its semantics:
 //
 //  1. Single-qubit run composition: maximal runs of 1q unitaries on the same
@@ -33,6 +33,12 @@
 // Equivalence: fused and unfused circuits agree on all branch probabilities,
 // classical bits, and amplitudes to ~1e-12 (matrix products round at the
 // usual float level). The fusion-equivalence property test pins this.
+//
+// When to fuse: the pass costs time linear in the op count, while a sweep it
+// saves costs time linear in 2^width. So fusion pays only on wide circuits,
+// and the exact-probability paths apply one rule, fusion_pays(width): the
+// fragment backend per fragment, the spliced term_prob_one per term circuit.
+// fuse_range / fuse_circuit themselves always fuse.
 #pragma once
 
 #include <cstddef>
@@ -59,6 +65,20 @@ struct FusionStats {
     return *this;
   }
 };
+
+/// Narrowest circuit, in qubits, that the exact-probability paths fuse.
+/// bench_sim_perf's fusion_crossover row (sim_perf.json) times, per QPD term
+/// and serially, the fuse pass plus the fused evaluation against the unfused
+/// evaluation, on planned GHZ-chain and brickwork splits. On a 4-vCPU Xeon
+/// (AVX2), over three runs, that ratio is 3.8-6.0x at fragment widths 3-6,
+/// 2.6-3.5x at 8 and 1.1-1.3x at 12. At 14 it is 1.01-1.13x (GHZ) and
+/// 0.91-0.99x (brickwork), at 16 1.00-1.12x and 0.93-1.01x: 14 is the
+/// narrowest width at which fusion pays on either shape.
+inline constexpr int kMinFusionWidth = 14;
+
+/// The width rule: true when a circuit of `n_qubits` wires is wide enough
+/// for fusion to cost less than the sweeps it saves.
+constexpr bool fusion_pays(int n_qubits) noexcept { return n_qubits >= kMinFusionWidth; }
 
 /// Fuses the op range [begin, end) of `c` into a fresh circuit over the same
 /// registers. Exposed (rather than whole-circuit only) for callers that must

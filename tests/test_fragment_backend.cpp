@@ -162,6 +162,39 @@ TEST(FragmentBackend, RejectsFragmentsAboveTheWidthCap) {
   EXPECT_THROW(frag.cache().prob_one(0), Error);
 }
 
+TEST(FragmentBackend, FusesOnlyTheFragmentsWideEnoughForFusionToPay) {
+  // ghz_line cut on wire 1 after op 2: a 2-qubit sender {0, 1} and a
+  // receiver of kMinFusionWidth wires ({2, .., n - 1} plus the receiver
+  // wire). Only the receiver passes the width rule, so the fusion counters
+  // see exactly its ops, and every P(-1) matches the all-unfused evaluation.
+  const int n = kMinFusionWidth + 1;
+  const Qpd qpd = cut_circuit(ghz_line(n), CutPoint{2, 1}, HaradaCut(), all_z(n));
+  std::uint64_t wide_ops = 0;
+  std::vector<Real> unfused;
+  for (const QpdTerm& term : qpd.terms()) {
+    const FragmentSplit split = split_term(term);
+    ASSERT_EQ(split.fragments.size(), 2u) << term.label;
+    ASSERT_FALSE(fusion_pays(split.fragments[0].circuit.n_qubits())) << term.label;
+    ASSERT_TRUE(fusion_pays(split.fragments[1].circuit.n_qubits())) << term.label;
+    wide_ops += split.fragments[1].circuit.size();
+    unfused.push_back(fragment_term_prob_one(split, nullptr));
+  }
+
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const obs::MetricsSnapshot before = obs::metrics_snapshot();
+  const FragmentBackend frag(qpd, /*max_fragment_width=*/0, /*pool=*/nullptr);
+  const std::vector<Real> got = frag.cache().all_prob_one();
+  const obs::MetricsSnapshot d = obs::metrics_delta(before, obs::metrics_snapshot());
+  obs::set_metrics_enabled(was_enabled);
+
+  EXPECT_EQ(d[obs::Counter::kFusionOpsBefore], wide_ops);
+  ASSERT_EQ(got.size(), unfused.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_NEAR(got[i], unfused[i], 1e-12) << qpd.terms()[i].label;
+  }
+}
+
 TEST(FragmentBackend, WideEntangledCutFailsPerTermWithClearError) {
   // An NME cut on a circuit wider than the statevector cap: the teleport
   // terms merge both sides (plus the helper wire) into one fragment wider

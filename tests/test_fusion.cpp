@@ -9,6 +9,7 @@
 #include "qcut/cut/circuit_cutter.hpp"
 #include "qcut/cut/fragment.hpp"
 #include "qcut/cut/harada_cut.hpp"
+#include "qcut/exec/branch_cache.hpp"
 #include "qcut/linalg/random.hpp"
 #include "qcut/sim/executor.hpp"
 #include "qcut/sim/fusion.hpp"
@@ -323,9 +324,11 @@ TEST(Fusion, SplitCircuitsFuseWithoutCrossingThePrefixBoundary) {
       FragmentSplit plain = split_term(term);
       FragmentSplit fused = split_term(term);
       fuse_split_circuits(fused);
+      bool any_shrank = false;
       for (std::size_t f = 0; f < fused.fragments.size(); ++f) {
         const TermFragment& tf = fused.fragments[f];
         EXPECT_LE(tf.circuit.size(), plain.fragments[f].circuit.size());
+        any_shrank = any_shrank || tf.circuit.size() < plain.fragments[f].circuit.size();
         EXPECT_LE(tf.cond_suffix_begin, tf.circuit.size());
         for (std::size_t t = 0; t < tf.cond_suffix_begin; ++t) {
           const Operation& op = tf.circuit.ops()[t];
@@ -335,10 +338,38 @@ TEST(Fusion, SplitCircuitsFuseWithoutCrossingThePrefixBoundary) {
           }
         }
       }
+      // fuse_split_circuits fuses whatever the width: these 2-3 qubit
+      // fragments must still go through the fused path.
+      EXPECT_TRUE(any_shrank) << "trial " << trial << " term " << term.label;
       const Real a = fragment_term_prob_one(plain, nullptr);
       const Real b = fragment_term_prob_one(fused, nullptr);
       EXPECT_NEAR(a, b, 1e-12) << "trial " << trial << " term " << term.label;
     }
+  }
+}
+
+TEST(Fusion, NarrowSplicedTermEnumeratesTheUnfusedCircuit) {
+  // Every spliced term of a 1-cut 4-qubit circuit is narrower than
+  // kMinFusionWidth, so term_prob_one enumerates the term circuit as
+  // spliced: the same bits as a run_branches parity sum over it, although
+  // fusion would have shrunk the circuit.
+  Circuit circ(4, 0);
+  circ.h(0).t(0).cx(0, 1).rz(1, 0.3).rz(1, 0.4).cx(2, 3).t(2).t(2).h(3);
+  const Qpd qpd = cut_circuit(circ, CutPoint{3, /*qubit=*/1}, HaradaCut(), "ZZZZ");
+  for (const QpdTerm& term : qpd.terms()) {
+    ASSERT_FALSE(fusion_pays(term.circuit.n_qubits())) << term.label;
+    ASSERT_LT(fuse_circuit(term.circuit).size(), term.circuit.size()) << term.label;
+    Real unfused = 0.0;
+    for (const Branch& b : run_branches(term.circuit)) {
+      int parity = 0;
+      for (const int cb : term.estimate_cbits) {
+        parity ^= b.cbits[static_cast<std::size_t>(cb)];
+      }
+      if (parity == 1) {
+        unfused += b.prob;
+      }
+    }
+    EXPECT_EQ(term_prob_one(term), unfused) << term.label;
   }
 }
 

@@ -245,6 +245,9 @@ TEST_F(ObsTest, PinnedFragmentWorkloadHasExactCacheAccounting) {
   // so the PR-5 tail fold absorbs all of them: no branch split ever
   // materializes. The counter proving that is exactly zero.
   EXPECT_EQ(d[Counter::kBranchesEnumerated], 0u);
+  // Both fragments are at most 4 qubits wide, below kMinFusionWidth: the
+  // width rule leaves them unfused.
+  EXPECT_EQ(d[Counter::kFusionOpsBefore], 0u);
 
   // The report brackets exactly the same region.
   EXPECT_TRUE(res.report.metrics_enabled);
