@@ -19,6 +19,12 @@
 //    f = 0.9 pairs (fixed, independent of --f/--budget). Its search-node
 //    count is gated: a weaker branch-and-bound bound fails the smoke run.
 //
+// Front door (record only, no gate): the two serial stages every request
+// runs before any fragment is simulated, on the end-to-end benchmark's
+// request shapes and classes — QASM import (import_qasm +
+// strip_trailing_measurements), CutPlanner construction, and plan() — in µs
+// per call, each the min over round-robin batches, plus the search nodes.
+//
 // For every instance the planner runs under a width cap; reported per row:
 // candidate count, chosen cuts, total κ, overhead Π κ_i², search nodes,
 // planning time, and (small instances) the measured |estimate − exact| of the
@@ -33,6 +39,7 @@
 // --smoke runs the small deterministic subset and exits non-zero when a plan
 // misses brute-force optimality, the executed error leaves the 3ε band, or
 // the nme row visits more than kNmeMaxNodes search nodes — the CI gate.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <complex>
@@ -48,6 +55,7 @@
 #include "qcut/plan/cut_planner.hpp"
 #include "qcut/plan/planned_executor.hpp"
 #include "qcut/sim/qasm_import.hpp"
+#include "../tests/bench_shapes.hpp"
 
 #ifndef QCUT_QASM_CORPUS_DIR
 #define QCUT_QASM_CORPUS_DIR "tests/qasm_corpus"
@@ -176,6 +184,81 @@ Row run_instance(const std::string& family, const Circuit& circ, const PlannerCo
   return row;
 }
 
+// ---- front door --------------------------------------------------------------
+
+constexpr int kFrontDoorBatches = 15;
+
+struct FrontDoorRow {
+  std::string name;
+  PlannerConfig cfg;
+  std::string qasm;
+  int reps = 1;  ///< calls per timed batch, sized to about a millisecond
+  double import_us = 0.0;
+  double construct_us = 0.0;
+  double search_us = 0.0;
+  std::size_t nodes = 0;
+};
+
+FrontDoorRow front_door_row(const char* name, testing::BenchShape shape, int cap, int budget,
+                            Real f) {
+  FrontDoorRow row;
+  row.name = name;
+  row.cfg.max_fragment_width = cap;
+  row.cfg.pair_budget = budget;
+  row.cfg.resource_overlap = f;
+  row.qasm = testing::bench_shape_qasm(shape);
+  return row;
+}
+
+double us_since(Clock::time_point t0, int reps) {
+  return std::chrono::duration<double, std::micro>(Clock::now() - t0).count() / reps;
+}
+
+/// The end-to-end benchmark's six request classes, timed round-robin: every
+/// batch visits every row, and each figure is its row's fastest batch.
+std::vector<FrontDoorRow> measure_front_door() {
+  using testing::BenchShape;
+  std::vector<FrontDoorRow> rows = {
+      front_door_row("ghz8_cap3", BenchShape::kGhz8, 3, 0, 0.5),
+      front_door_row("hwe8_cap4", BenchShape::kHwe8, 4, 0, 0.5),
+      front_door_row("hwe8_cap6_nme", BenchShape::kHwe8, 6, 2, 0.9),
+      front_door_row("hwe8_cap5", BenchShape::kHwe8, 5, 0, 0.5),
+      front_door_row("ghz30_cap16", BenchShape::kGhz30, 16, 0, 0.5),
+      front_door_row("brick30_cap16", BenchShape::kBrick30, 16, 0, 0.5),
+  };
+  for (FrontDoorRow& row : rows) {
+    const auto t0 = Clock::now();
+    const Circuit circ = strip_trailing_measurements(import_qasm(row.qasm, "<request>"));
+    row.nodes = CutPlanner(circ, row.cfg).plan().nodes_explored;
+    row.reps = std::clamp(static_cast<int>(1000.0 / std::max(us_since(t0, 1), 1e-3)), 1, 200);
+  }
+  for (int b = 0; b < kFrontDoorBatches; ++b) {
+    for (FrontDoorRow& row : rows) {
+      auto t0 = Clock::now();
+      for (int r = 0; r < row.reps; ++r) {
+        (void)strip_trailing_measurements(import_qasm(row.qasm, "<request>"));
+      }
+      const double import_us = us_since(t0, row.reps);
+      const Circuit circ = strip_trailing_measurements(import_qasm(row.qasm, "<request>"));
+      t0 = Clock::now();
+      for (int r = 0; r < row.reps; ++r) {
+        const CutPlanner planner(circ, row.cfg);
+      }
+      const double construct_us = us_since(t0, row.reps);
+      const CutPlanner planner(circ, row.cfg);
+      t0 = Clock::now();
+      for (int r = 0; r < row.reps; ++r) {
+        (void)planner.plan();
+      }
+      const double search_us = us_since(t0, row.reps);
+      if (b == 0 || import_us < row.import_us) row.import_us = import_us;
+      if (b == 0 || construct_us < row.construct_us) row.construct_us = construct_us;
+      if (b == 0 || search_us < row.search_us) row.search_us = search_us;
+    }
+  }
+  return rows;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -302,6 +385,17 @@ int main(int argc, char** argv) {
                 r.brute_checked ? (r.brute_optimal ? "yes" : "NO") : "-", err_buf);
   }
 
+  const std::vector<FrontDoorRow> front_door = measure_front_door();
+  std::printf("\n=== Front door: QASM import, planner construction, search (us per call, "
+              "min of %d round-robin batches; record only) ===\n",
+              kFrontDoorBatches);
+  std::printf("%-14s %6s %10s %12s %10s %8s\n", "class", "bytes", "import", "construct",
+              "search", "nodes");
+  for (const FrontDoorRow& r : front_door) {
+    std::printf("%-14s %6zu %10.2f %12.2f %10.2f %8zu\n", r.name.c_str(), r.qasm.size(),
+                r.import_us, r.construct_us, r.search_us, r.nodes);
+  }
+
   std::ofstream json(json_path);
   json << "{\n  \"provenance\": " << obs::provenance_json(2) << ",\n  \"eps\": " << eps
        << ",\n  \"resource_f\": " << f << ",\n  \"pair_budget\": " << budget
@@ -319,6 +413,16 @@ int main(int argc, char** argv) {
                                                         : "null")
          << ", \"abs_error\": " << (r.executed ? r.abs_error : -1.0) << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
+  }
+  json << "  ],\n  \"front_door\": [\n";
+  for (std::size_t i = 0; i < front_door.size(); ++i) {
+    const FrontDoorRow& r = front_door[i];
+    json << "    {\"class\": \"" << r.name << "\", \"width_cap\": " << r.cfg.max_fragment_width
+         << ", \"pair_budget\": " << r.cfg.pair_budget
+         << ", \"resource_f\": " << r.cfg.resource_overlap << ", \"qasm_bytes\": " << r.qasm.size()
+         << ", \"import_us\": " << r.import_us << ", \"construct_us\": " << r.construct_us
+         << ", \"search_us\": " << r.search_us << ", \"nodes\": " << r.nodes << "}"
+         << (i + 1 < front_door.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
   json.close();

@@ -11,7 +11,11 @@ namespace qcut {
 
 class UnionFind {
  public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
+  explicit UnionFind(std::size_t n = 0) { reset(n); }
+
+  /// n singletons again, reusing the storage.
+  void reset(std::size_t n) {
+    parent_.resize(n);
     std::iota(parent_.begin(), parent_.end(), std::size_t{0});
   }
 

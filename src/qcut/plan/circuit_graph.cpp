@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "qcut/common/union_find.hpp"
 #include "qcut/cut/gate_cut.hpp"
 
 namespace qcut {
@@ -95,17 +94,31 @@ const std::vector<std::size_t>& CircuitGraph::wire_ops(int q) const {
 
 FragmentPartition CircuitGraph::partition(const std::vector<CutPoint>& wire_cuts,
                                           const std::vector<std::size_t>& gate_cut_ops) const {
+  PartitionScratch scratch;
+  FragmentPartition out;
+  partition(wire_cuts, gate_cut_ops, scratch, out);
+  return out;
+}
+
+void CircuitGraph::partition(const std::vector<CutPoint>& wire_cuts,
+                             const std::vector<std::size_t>& gate_cut_ops,
+                             PartitionScratch& scratch, FragmentPartition& out) const {
   const int n = circ_->n_qubits();
   // Cut positions per wire, sorted, deduplicated (cutting the same spot twice
   // chains receivers without refining the partition).
-  std::vector<std::vector<std::size_t>> per_wire(static_cast<std::size_t>(n));
+  auto& per_wire = scratch.per_wire;
+  per_wire.resize(static_cast<std::size_t>(n));
+  for (auto& pos : per_wire) {
+    pos.clear();
+  }
   for (const CutPoint& cp : wire_cuts) {
     QCUT_CHECK(cp.qubit >= 0 && cp.qubit < n, "partition: cut qubit out of range");
     QCUT_CHECK(cp.after_op <= circ_->size(), "partition: cut position out of range");
     per_wire[static_cast<std::size_t>(cp.qubit)].push_back(cp.after_op);
   }
   std::size_t n_segments = 0;
-  std::vector<std::size_t> seg_base(static_cast<std::size_t>(n));
+  auto& seg_base = scratch.seg_base;
+  seg_base.resize(static_cast<std::size_t>(n));
   for (int q = 0; q < n; ++q) {
     auto& pos = per_wire[static_cast<std::size_t>(q)];
     std::sort(pos.begin(), pos.end());
@@ -122,13 +135,16 @@ FragmentPartition CircuitGraph::partition(const std::vector<CutPoint>& wire_cuts
     return seg_base[static_cast<std::size_t>(q)] + k;
   };
 
-  std::vector<bool> severed(circ_->size(), false);
+  // Marked here and cleared on the way out, so the buffer stays all-zero.
+  auto& severed = scratch.severed;
+  severed.resize(circ_->size(), 0);
   for (std::size_t t : gate_cut_ops) {
     QCUT_CHECK(t < circ_->size(), "partition: gate-cut op out of range");
-    severed[t] = true;
+    severed[t] = 1;
   }
 
-  UnionFind uf(n_segments);
+  UnionFind& uf = scratch.segments;
+  uf.reset(n_segments);
   for (std::size_t t = 0; t < circ_->size(); ++t) {
     if (severed[t]) {
       continue;  // the gate cut's branches are fully local
@@ -138,10 +154,14 @@ FragmentPartition CircuitGraph::partition(const std::vector<CutPoint>& wire_cuts
       uf.unite(segment_at(qs[0], t), segment_at(qs[i], t));
     }
   }
+  for (std::size_t t : gate_cut_ops) {
+    severed[t] = 0;
+  }
 
   // Compress roots to dense fragment ids.
-  std::vector<int> frag_of_root(n_segments, -1);
-  FragmentPartition out;
+  auto& frag_of_root = scratch.frag_of_root;
+  frag_of_root.assign(n_segments, -1);
+  out.widths.clear();
   for (std::size_t s = 0; s < n_segments; ++s) {
     const std::size_t r = uf.find(s);
     if (frag_of_root[r] < 0) {
@@ -155,7 +175,7 @@ FragmentPartition CircuitGraph::partition(const std::vector<CutPoint>& wire_cuts
   // wire q sits between the segment of ops t < p and the segment of ops
   // t >= p: with k = index of p in the deduped positions, those are
   // seg_base + k and seg_base + k + 1.
-  out.cut_fragments.reserve(wire_cuts.size());
+  out.cut_fragments.clear();
   for (const CutPoint& cp : wire_cuts) {
     const auto& pos = per_wire[static_cast<std::size_t>(cp.qubit)];
     const std::size_t k = static_cast<std::size_t>(
@@ -165,7 +185,6 @@ FragmentPartition CircuitGraph::partition(const std::vector<CutPoint>& wire_cuts
     out.cut_fragments.emplace_back(frag_of_root[uf.find(sender)],
                                    frag_of_root[uf.find(receiver)]);
   }
-  return out;
 }
 
 std::vector<int> CircuitGraph::fragment_widths(const std::vector<CutPoint>& cuts) const {

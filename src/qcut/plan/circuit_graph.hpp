@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "qcut/common/union_find.hpp"
 #include "qcut/cut/circuit_cutter.hpp"
 #include "qcut/sim/circuit.hpp"
 
@@ -49,6 +50,16 @@ struct FragmentPartition {
 
   std::vector<int> widths_desc() const;
   int max_width() const;
+};
+
+/// Reusable working buffers of CircuitGraph::partition: a search that
+/// partitions once per node keeps one, so no node allocates.
+struct PartitionScratch {
+  std::vector<std::vector<std::size_t>> per_wire;  ///< sorted cut positions per wire
+  std::vector<std::size_t> seg_base;               ///< first segment id per wire
+  std::vector<char> severed;                       ///< per op: removed by a gate cut
+  UnionFind segments;
+  std::vector<int> frag_of_root;                   ///< segment root -> fragment id
 };
 
 class CircuitGraph {
@@ -85,6 +96,10 @@ class CircuitGraph {
   /// united). Wires without any op count as width-1 fragments of their own.
   FragmentPartition partition(const std::vector<CutPoint>& wire_cuts,
                               const std::vector<std::size_t>& gate_cut_ops) const;
+  /// As above, into `out`, working in `scratch` (both reused across calls).
+  void partition(const std::vector<CutPoint>& wire_cuts,
+                 const std::vector<std::size_t>& gate_cut_ops, PartitionScratch& scratch,
+                 FragmentPartition& out) const;
 
   /// Widths of the fragments induced by `cuts`, sorted descending (wire cuts
   /// only — the pre-gate-cut API).

@@ -1,10 +1,12 @@
 #include "qcut/plan/cut_planner.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <sstream>
 
 #include "qcut/common/cancel.hpp"
+#include "qcut/common/single_flight_cache.hpp"
 #include "qcut/common/union_find.hpp"
 #include "qcut/core/cut_executor.hpp"
 #include "qcut/core/overhead.hpp"
@@ -20,6 +22,18 @@ constexpr Real kHalfTol = 1e-12;
 constexpr Real kKappaTol = 1e-12;
 
 }  // namespace
+
+MergeProfile spec_merge_profile(const ProtocolSpec& spec) {
+  // Bounded: specs come from request configs, and an entry is a few words.
+  static SingleFlightCache<const MergeProfile> profiles(256);
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &spec.param, sizeof bits);
+  const std::string key = std::to_string(static_cast<int>(spec.id)) + ":" + std::to_string(bits);
+  bool hit = false;
+  return *profiles.get_or_build(
+      key, [&] { return std::make_shared<const MergeProfile>(merge_profile(*make_protocol(spec))); },
+      &hit);
+}
 
 std::vector<CutPoint> CutPlan::points() const {
   std::vector<CutPoint> out;
@@ -131,9 +145,9 @@ CutPlanner::CutPlanner(const Circuit& circ, PlannerConfig cfg)
     if (kappa >= 3.0 - kKappaTol) {
       continue;
     }
-    // Merge semantics probed once per link from the protocol itself — the
-    // feasibility model and the executor share one source of truth.
-    const MergeProfile profile = merge_profile(*make_protocol(spec));
+    // Merge semantics probed from the protocol itself — the feasibility
+    // model and the executor share one source of truth.
+    const MergeProfile profile = spec_merge_profile(spec);
     const int copies = std::min<int>(link.pair_budget, static_cast<int>(cfg_.max_cuts));
     for (int c = 0; c < copies; ++c) {
       slots_.push_back(LinkSlot{static_cast<int>(li), spec, kappa, profile});
@@ -181,33 +195,46 @@ Real CutPlanner::cost_lower_bound(const std::vector<std::size_t>& subset) const 
   return cost;
 }
 
-ProtocolAssignment CutPlanner::assign_protocols(const std::vector<std::size_t>& subset) const {
-  ProtocolAssignment out;
+struct CutPlanner::Scratch {
   std::vector<CutPoint> wire_pts;
   std::vector<std::size_t> gate_ops;
+  PartitionScratch partition;
+  FragmentPartition part;
+  std::vector<int> device_widths;  ///< descending
+  UnionFind merged;                ///< fragments united by merging grants
+  std::vector<int> comp_width;
+  std::vector<int> sim_widths;     ///< descending, at the feasible grant count
+};
+
+CutPlanner::Verdict CutPlanner::evaluate(const std::vector<std::size_t>& subset,
+                                         Scratch& scratch) const {
+  Verdict out;
+  scratch.wire_pts.clear();
+  scratch.gate_ops.clear();
   for (std::size_t idx : subset) {
     QCUT_CHECK(idx < search_cands_.size(), "assign_protocols: candidate index out of range");
     const CutCandidate& c = search_cands_[idx];
     if (c.site.kind == CutKind::kWire) {
-      wire_pts.push_back(c.site.point);
+      scratch.wire_pts.push_back(c.site.point);
     } else {
-      gate_ops.push_back(c.site.op_index);
+      scratch.gate_ops.push_back(c.site.op_index);
     }
   }
 
   // Tier 1 — device feasibility: the unmerged fragment widths against the
   // model's caps. Helper/resource qubits are the protocol's business (the
   // entangled resource is physically distributed), so they don't count here.
-  const FragmentPartition part = graph_.partition(wire_pts, gate_ops);
-  out.device_widths = part.widths_desc();
-  if (!model_.fits(out.device_widths, cfg_.max_fragment_width)) {
-    out.reason = "fragment widths exceed the device model";
+  const FragmentPartition& part = scratch.part;
+  graph_.partition(scratch.wire_pts, scratch.gate_ops, scratch.partition, scratch.part);
+  scratch.device_widths.assign(part.widths.begin(), part.widths.end());
+  std::sort(scratch.device_widths.begin(), scratch.device_widths.end(), std::greater<int>());
+  if (!model_.fits(scratch.device_widths, cfg_.max_fragment_width)) {
     return out;
   }
 
   // Map each wire cut back to its index among the wire cuts (grant order) and
   // each subset position to its fragment pair.
-  const std::size_t w = wire_pts.size();
+  const std::size_t w = scratch.wire_pts.size();
   const std::size_t s_max = std::min(w, slots_.size());
 
   // Tier 2 — simulation feasibility, merge-aware: granting slot i to wire
@@ -218,16 +245,19 @@ ProtocolAssignment CutPlanner::assign_protocols(const std::vector<std::size_t>& 
   // sound. Grants go best-slot-to-earliest-cut; when the merged width would
   // exceed the engine cap the planner backs off one pair at a time — the
   // plan is repaired at plan time instead of dying in the fragment backend.
+  out.tier = Verdict::Tier::kSimulation;
   for (std::size_t s = s_max + 1; s-- > 0;) {
     const std::size_t n_frags = part.widths.size();
-    UnionFind uf(n_frags);
+    UnionFind& uf = scratch.merged;
+    uf.reset(n_frags);
     for (std::size_t i = 0; i < s; ++i) {
       if (slots_[i].profile.merges) {
         const auto& [fs, fr] = part.cut_fragments[i];
         uf.unite(static_cast<std::size_t>(fs), static_cast<std::size_t>(fr));
       }
     }
-    std::vector<int> comp_width(n_frags, 0);
+    std::vector<int>& comp_width = scratch.comp_width;
+    comp_width.assign(n_frags, 0);
     for (std::size_t f = 0; f < n_frags; ++f) {
       comp_width[uf.find(f)] += part.widths[f];
     }
@@ -241,7 +271,8 @@ ProtocolAssignment CutPlanner::assign_protocols(const std::vector<std::size_t>& 
         comp_width[uf.find(static_cast<std::size_t>(fr))] += mp.receiver_extra;
       }
     }
-    std::vector<int> sim;
+    std::vector<int>& sim = scratch.sim_widths;
+    sim.clear();
     int max_sim = 0;
     for (std::size_t f = 0; f < n_frags; ++f) {
       if (uf.find(f) == f) {
@@ -254,41 +285,74 @@ ProtocolAssignment CutPlanner::assign_protocols(const std::vector<std::size_t>& 
     }
     std::sort(sim.begin(), sim.end(), std::greater<int>());
 
-    // Feasible at grant count s: materialize the assignment. Wire cuts are
-    // granted in subset (time) order, so the earliest cuts take the best
-    // slots — the legacy greedy in the homogeneous case.
-    out.feasible = true;
-    out.sim_widths = std::move(sim);
+    // Feasible at grant count s: wire cuts are granted in subset (time)
+    // order, so the earliest cuts take the best slots — the legacy greedy in
+    // the homogeneous case. The overhead multiplies the κ² materialize
+    // assigns, in the same order.
+    out.tier = Verdict::Tier::kFeasible;
+    out.grants = s;
     out.overhead = 1.0;
     std::size_t wire_seen = 0;
     for (std::size_t idx : subset) {
       const CutCandidate& c = search_cands_[idx];
-      PlannedCut pc;
-      pc.site = c.site;
-      if (c.site.kind == CutKind::kGate) {
-        pc.spec = ProtocolSpec{ProtocolId::kZzGate, c.gate_theta};
-        pc.kappa = c.gate_kappa;
-      } else if (wire_seen < s) {
-        pc.spec = slots_[wire_seen].spec;
-        pc.kappa = slots_[wire_seen].kappa;
-        pc.entangled = true;
-        pc.link = slots_[wire_seen].link;
-        ++wire_seen;
-      } else {
-        pc.spec = ProtocolSpec{ProtocolId::kHarada, 0.0};
-        pc.kappa = 3.0;
+      Real kappa = c.gate_kappa;
+      if (c.site.kind == CutKind::kWire) {
+        kappa = wire_seen < s ? slots_[wire_seen].kappa : 3.0;
         ++wire_seen;
       }
-      out.overhead *= pc.kappa * pc.kappa;
-      out.cuts.push_back(std::move(pc));
+      out.overhead *= kappa * kappa;
     }
     return out;
   }
-  std::ostringstream os;
-  os << "merged fragment width exceeds the simulation cap (" << sim_cap_
-     << " qubits) even with no entangled pairs granted";
-  out.reason = os.str();
   return out;
+}
+
+ProtocolAssignment CutPlanner::materialize(const std::vector<std::size_t>& subset,
+                                           const Verdict& verdict,
+                                           const Scratch& scratch) const {
+  ProtocolAssignment out;
+  out.device_widths = scratch.device_widths;
+  if (verdict.tier == Verdict::Tier::kDevice) {
+    out.reason = "fragment widths exceed the device model";
+    return out;
+  }
+  if (verdict.tier == Verdict::Tier::kSimulation) {
+    std::ostringstream os;
+    os << "merged fragment width exceeds the simulation cap (" << sim_cap_
+       << " qubits) even with no entangled pairs granted";
+    out.reason = os.str();
+    return out;
+  }
+  out.feasible = true;
+  out.sim_widths = scratch.sim_widths;
+  out.overhead = verdict.overhead;
+  std::size_t wire_seen = 0;
+  for (std::size_t idx : subset) {
+    const CutCandidate& c = search_cands_[idx];
+    PlannedCut pc;
+    pc.site = c.site;
+    if (c.site.kind == CutKind::kGate) {
+      pc.spec = ProtocolSpec{ProtocolId::kZzGate, c.gate_theta};
+      pc.kappa = c.gate_kappa;
+    } else if (wire_seen < verdict.grants) {
+      pc.spec = slots_[wire_seen].spec;
+      pc.kappa = slots_[wire_seen].kappa;
+      pc.entangled = true;
+      pc.link = slots_[wire_seen].link;
+      ++wire_seen;
+    } else {
+      pc.spec = ProtocolSpec{ProtocolId::kHarada, 0.0};
+      pc.kappa = 3.0;
+      ++wire_seen;
+    }
+    out.cuts.push_back(std::move(pc));
+  }
+  return out;
+}
+
+ProtocolAssignment CutPlanner::assign_protocols(const std::vector<std::size_t>& subset) const {
+  Scratch scratch;
+  return materialize(subset, evaluate(subset, scratch), scratch);
 }
 
 /// Shared DFS over candidate subsets in lexicographic index order. With
@@ -334,11 +398,11 @@ class SubsetSearch {
     // — recording only strict improvements makes the skip behavior-identical.
     const bool can_improve = !found_ || lb_cost < best_cost_;
     if (can_improve) {
-      ProtocolAssignment assign = planner_.assign_protocols(current_);
-      if (assign.feasible && (!found_ || assign.overhead < best_cost_)) {
+      const CutPlanner::Verdict v = planner_.evaluate(current_, scratch_);
+      if (v.tier == CutPlanner::Verdict::Tier::kFeasible && (!found_ || v.overhead < best_cost_)) {
         found_ = true;
-        best_cost_ = assign.overhead;
-        best_ = std::move(assign);
+        best_cost_ = v.overhead;
+        best_ = planner_.materialize(current_, v, scratch_);
       }
     }
     if (current_.size() >= max_cuts_ || start >= n_cands_) {
@@ -369,6 +433,7 @@ class SubsetSearch {
   bool prune_;
 
   std::vector<std::size_t> current_;
+  CutPlanner::Scratch scratch_;  ///< reused by every node's evaluation
   ProtocolAssignment best_;
   Real best_cost_ = std::numeric_limits<Real>::infinity();
   bool found_ = false;

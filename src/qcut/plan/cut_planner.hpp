@@ -38,6 +38,14 @@
 // monotone under adding cuts. Ties in cost resolve to the first subset in
 // lexicographic candidate order, so the result is deterministic and
 // brute-force reproducible.
+//
+// Cost. Construction and search are the second serial stage of every
+// request. A link's merge semantics are probed once per ProtocolSpec per
+// process (spec_merge_profile), not once per planner. A search node that
+// passes the bound runs evaluate(): partition and grant check in buffers the
+// search owns, with no allocation; only a node that improves the incumbent
+// materializes its cuts. assign_protocols is evaluate + materialize, so the
+// search and the brute-force oracle share one cost model.
 #pragma once
 
 #include <cstddef>
@@ -135,6 +143,11 @@ struct CutPlan {
   std::string to_string() const;
 };
 
+/// merge_profile(*make_protocol(spec)), memoized per spec (the protocol id
+/// plus the parameter's bit pattern): the probe stays the single source of
+/// truth for merge semantics, but runs once per spec per process.
+MergeProfile spec_merge_profile(const ProtocolSpec& spec);
+
 class CutPlanner {
  public:
   /// Keeps its own copy of the circuit, so the planner is self-contained
@@ -183,6 +196,24 @@ class CutPlanner {
     Real kappa = 3.0;
     MergeProfile profile;
   };
+
+  /// Working buffers of one subset evaluation (defined in the .cpp).
+  struct Scratch;
+
+  /// assign_protocols' verdict without the materialized cuts: which tier
+  /// rejected the subset, or the grant count and Π κ_i².
+  struct Verdict {
+    enum class Tier { kDevice, kSimulation, kFeasible } tier = Tier::kDevice;
+    std::size_t grants = 0;
+    Real overhead = 0.0;
+  };
+
+  /// Partitions `subset` and decides feasibility and grants in `scratch`,
+  /// which then holds the device and simulation widths (descending).
+  Verdict evaluate(const std::vector<std::size_t>& subset, Scratch& scratch) const;
+  /// The ProtocolAssignment of an evaluated subset.
+  ProtocolAssignment materialize(const std::vector<std::size_t>& subset, const Verdict& verdict,
+                                 const Scratch& scratch) const;
 
   CutPlan make_plan(const ProtocolAssignment& assign, std::size_t nodes) const;
 

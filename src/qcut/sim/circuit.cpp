@@ -1,7 +1,7 @@
 #include "qcut/sim/circuit.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <array>
 #include <sstream>
 
 #include "qcut/linalg/kron.hpp"
@@ -87,22 +87,26 @@ Circuit& Circuit::gate_if(int cbit, const Matrix& u, const QubitList& qubits,
   return *this;
 }
 
-Circuit& Circuit::h(int q) { return gate(gates::h(), {q}, "H"); }
-Circuit& Circuit::x(int q) { return gate(gates::x(), {q}, "X"); }
-Circuit& Circuit::y(int q) { return gate(gates::y(), {q}, "Y"); }
-Circuit& Circuit::z(int q) { return gate(gates::z(), {q}, "Z"); }
-Circuit& Circuit::s(int q) { return gate(gates::s(), {q}, "S"); }
-Circuit& Circuit::sdg(int q) { return gate(gates::sdg(), {q}, "Sdg"); }
-Circuit& Circuit::t(int q) { return gate(gates::t(), {q}, "T"); }
+Circuit& Circuit::h(int q) { return fixed_gate(FixedGate::kH, {q}); }
+Circuit& Circuit::x(int q) { return fixed_gate(FixedGate::kX, {q}); }
+Circuit& Circuit::y(int q) { return fixed_gate(FixedGate::kY, {q}); }
+Circuit& Circuit::z(int q) { return fixed_gate(FixedGate::kZ, {q}); }
+Circuit& Circuit::s(int q) { return fixed_gate(FixedGate::kS, {q}); }
+Circuit& Circuit::sdg(int q) { return fixed_gate(FixedGate::kSdg, {q}); }
+Circuit& Circuit::t(int q) { return fixed_gate(FixedGate::kT, {q}); }
 Circuit& Circuit::rx(int q, Real theta) { return gate(gates::rx(theta), {q}, "Rx"); }
 Circuit& Circuit::ry(int q, Real theta) { return gate(gates::ry(theta), {q}, "Ry"); }
 Circuit& Circuit::rz(int q, Real theta) { return gate(gates::rz(theta), {q}, "Rz"); }
-Circuit& Circuit::cx(int control, int target) { return gate(gates::cx(), {control, target}, "CX"); }
-Circuit& Circuit::cz(int control, int target) { return gate(gates::cz(), {control, target}, "CZ"); }
-Circuit& Circuit::swap_gate(int a, int b) { return gate(gates::swap(), {a, b}, "SWAP"); }
+Circuit& Circuit::cx(int control, int target) {
+  return fixed_gate(FixedGate::kCx, {control, target});
+}
+Circuit& Circuit::cz(int control, int target) {
+  return fixed_gate(FixedGate::kCz, {control, target});
+}
+Circuit& Circuit::swap_gate(int a, int b) { return fixed_gate(FixedGate::kSwap, {a, b}); }
 
-Circuit& Circuit::x_if(int cbit, int q) { return gate_if(cbit, gates::x(), {q}, "X?"); }
-Circuit& Circuit::z_if(int cbit, int q) { return gate_if(cbit, gates::z(), {q}, "Z?"); }
+Circuit& Circuit::x_if(int cbit, int q) { return fixed_gate_if(cbit, FixedGate::kX, {q}); }
+Circuit& Circuit::z_if(int cbit, int q) { return fixed_gate_if(cbit, FixedGate::kZ, {q}); }
 
 Circuit& Circuit::measure(int q, int cbit) {
   check_qubits({q});
@@ -227,6 +231,74 @@ std::string Circuit::to_string() const {
     os << "]\n";
   }
   return os.str();
+}
+
+namespace {
+
+struct FixedGateInfo {
+  const Matrix& (*matrix)();
+  const char* label;
+};
+
+/// Indexed by FixedGate.
+constexpr std::array<FixedGateInfo, 13> kFixedGates = {{
+    {gates::h, "H"},
+    {gates::x, "X"},
+    {gates::y, "Y"},
+    {gates::z, "Z"},
+    {gates::s, "S"},
+    {gates::sdg, "Sdg"},
+    {gates::t, "T"},
+    {gates::tdg, "Tdg"},
+    {gates::cx, "CX"},
+    {gates::cz, "CZ"},
+    {gates::swap, "SWAP"},
+    {gates::ccx, "CCX"},
+    {gates::cswap, "CSWAP"},
+}};
+
+}  // namespace
+
+void Operation::set_gate(FixedGate g) {
+  // One payload per fixed gate, classified once per process.
+  static const std::array<std::shared_ptr<const OpPayload>, kFixedGates.size()> payloads = [] {
+    std::array<std::shared_ptr<const OpPayload>, kFixedGates.size()> out;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const Matrix& u = kFixedGates[i].matrix();
+      out[i] = std::make_shared<const OpPayload>(OpPayload{u, classify_gate(u), {}});
+    }
+    return out;
+  }();
+  payload_ = payloads[static_cast<std::size_t>(g)];
+}
+
+Circuit& Circuit::fixed_gate(FixedGate g, const QubitList& qubits) {
+  return append_fixed(g, qubits, OpKind::kUnitary, -1);
+}
+
+Circuit& Circuit::fixed_gate_if(int cbit, FixedGate g, const QubitList& qubits) {
+  return append_fixed(g, qubits, OpKind::kCondUnitary, cbit);
+}
+
+Circuit& Circuit::append_fixed(FixedGate g, const QubitList& qubits, OpKind kind, int cbit) {
+  // The checks of gate() / gate_if(), in their order.
+  check_qubits(qubits);
+  if (kind == OpKind::kCondUnitary) {
+    check_cbit(cbit);
+  }
+  Operation op;
+  op.set_gate(g);
+  QCUT_CHECK(op.matrix().rows() == Index{1} << static_cast<Index>(qubits.size()),
+             "Circuit::fixed_gate: matrix/qubit-count mismatch");
+  op.kind = kind;
+  op.qubits = qubits;
+  op.cbit = cbit;
+  op.label = kFixedGates[static_cast<std::size_t>(g)].label;
+  if (kind == OpKind::kCondUnitary) {
+    op.label += '?';
+  }
+  ops_.push_back(std::move(op));
+  return *this;
 }
 
 }  // namespace qcut

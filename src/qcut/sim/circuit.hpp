@@ -29,6 +29,13 @@ enum class OpKind {
   kInitialize,   ///< set listed (fresh / reset) qubits to a given pure state
 };
 
+/// The fixed (parameter-free) gates of the qelib1 set. Each has one shared,
+/// pre-classified payload per process, so appending one allocates nothing
+/// and classifies nothing.
+enum class FixedGate : std::uint8_t {
+  kH, kX, kY, kZ, kS, kSdg, kT, kTdg, kCx, kCz, kSwap, kCcx, kCswap,
+};
+
 /// The immutable payload of one op: a gate's matrix and its structure class,
 /// or an initialize op's target state.
 struct OpPayload {
@@ -61,6 +68,8 @@ struct Operation {
   /// As set_gate(u), with the class given instead of classified (a caller
   /// that wants the generic kernels passes GateClass{}).
   void set_gate(Matrix u, GateClass cls);
+  /// Makes the op's payload the shared payload of the fixed gate `g`.
+  void set_gate(FixedGate g);
   void set_init_state(Vector state);
 
  private:
@@ -97,6 +106,11 @@ class Circuit {
   Circuit& gate(const Matrix& u, const QubitList& qubits, std::string label = "U");
   Circuit& gate_if(int cbit, const Matrix& u, const QubitList& qubits,
                    std::string label = "U?");
+  /// gate() / gate_if() of the fixed gate `g`'s matrix under its standard
+  /// label ("H", "CX", "CCX", ...; "?"-suffixed when conditioned), except
+  /// that every op of `g` shares one payload.
+  Circuit& fixed_gate(FixedGate g, const QubitList& qubits);
+  Circuit& fixed_gate_if(int cbit, FixedGate g, const QubitList& qubits);
 
   Circuit& h(int q);
   Circuit& x(int q);
@@ -146,6 +160,7 @@ class Circuit {
  private:
   void check_qubits(const QubitList& qubits) const;
   void check_cbit(int cbit) const;
+  Circuit& append_fixed(FixedGate g, const QubitList& qubits, OpKind kind, int cbit);
 
   int n_qubits_;
   int n_cbits_;

@@ -1,12 +1,15 @@
 #include "qcut/sim/qasm_import.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
-#include <map>
-#include <memory>
+#include <iterator>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "qcut/sim/gates.hpp"
@@ -28,8 +31,8 @@ enum class Tok {
 
 struct Token {
   Tok kind = Tok::kEof;
-  std::string text;  // spelling (symbol text for kSym)
-  Real value = 0.0;  // numeric value for kInt / kReal
+  std::string_view text;  // spelling, a view into the source (symbol text for kSym)
+  Real value = 0.0;       // numeric value for kInt / kReal
   int line = 0;
   int col = 0;
 };
@@ -44,78 +47,91 @@ struct Token {
   fail_at(src_name, t.line, t.col, msg);
 }
 
+std::string quoted(std::string_view text) { return "'" + std::string(text) + "'"; }
+
 std::string describe(const Token& t) {
   switch (t.kind) {
     case Tok::kEof:
       return "end of input";
     case Tok::kString:
-      return "string \"" + t.text + "\"";
+      return "string \"" + std::string(t.text) + "\"";
     default:
-      return "'" + t.text + "'";
+      return quoted(t.text);
   }
 }
 
+/// strtod over exactly a numeric token's spelling. strtod never fails on it
+/// and is exact for what it can represent (the spelling always uses '.', so
+/// the locale does not matter); the copy stops strtod from reading past the
+/// token (a hex float or an exponent the lexer split off).
+Real parse_number(std::string_view spelling) {
+  char buf[64];
+  if (spelling.size() < sizeof buf) {
+    spelling.copy(buf, spelling.size());
+    buf[spelling.size()] = '\0';
+    return std::strtod(buf, nullptr);
+  }
+  return std::strtod(std::string(spelling).c_str(), nullptr);
+}
+
+bool is_digit(char c) { return std::isdigit(static_cast<unsigned char>(c)) != 0; }
+
 // Splits the whole source into tokens up front; the parser then walks the
-// vector (one-token lookahead suffices for this grammar, but the macro
+// vector (one-token lookahead suffices for this grammar, but the register
 // pre-scan is simpler on a materialized stream).
-std::vector<Token> tokenize(const std::string& src, const std::string& src_name) {
+std::vector<Token> tokenize(std::string_view src, const std::string& src_name) {
   std::vector<Token> out;
+  out.reserve(src.size() / 3 + 1);
   int line = 1;
   int col = 1;
   // Externally authored files may lead with a UTF-8 BOM; it is whitespace as
   // far as the grammar is concerned.
-  std::size_t i = (src.size() >= 3 && src[0] == '\xEF' && src[1] == '\xBB' && src[2] == '\xBF')
-                      ? 3
-                      : 0;
+  std::size_t i = src.substr(0, 3) == "\xEF\xBB\xBF" ? 3 : 0;
   const std::size_t n = src.size();
-  auto advance = [&](std::size_t k) {
-    for (std::size_t j = 0; j < k; ++j) {
-      if (src[i + j] == '\n') {
-        ++line;
-        col = 1;
-      } else {
-        ++col;
-      }
-    }
-    i += k;
+  // Appends the token of spelling src[i, j) and moves past it: no token
+  // spans a newline (strings end at one), so only the column advances.
+  const auto emit = [&](Tok kind, std::size_t j, Real value = 0.0) {
+    out.push_back(Token{kind, src.substr(i, j - i), value, line, col});
+    col += static_cast<int>(j - i);
+    i = j;
   };
   while (i < n) {
     const char c = src[i];
-    if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      advance(1);
+    if (c == '\n') {
+      ++line;
+      col = 1;
+      ++i;
+      continue;
+    }
+    if (c == ' ' || c == '\t' || c == '\r') {
+      ++col;
+      ++i;
       continue;
     }
     if (c == '/' && i + 1 < n && src[i + 1] == '/') {
-      while (i < n && src[i] != '\n') {
-        advance(1);
-      }
+      const std::size_t eol = std::min(src.find('\n', i), n);
+      col += static_cast<int>(eol - i);
+      i = eol;
       continue;
     }
-    Token t;
-    t.line = line;
-    t.col = col;
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
       std::size_t j = i;
       while (j < n && (std::isalnum(static_cast<unsigned char>(src[j])) || src[j] == '_')) {
         ++j;
       }
-      t.kind = Tok::kId;
-      t.text = src.substr(i, j - i);
-      advance(j - i);
-      out.push_back(std::move(t));
+      emit(Tok::kId, j);
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < n && std::isdigit(static_cast<unsigned char>(src[i + 1])))) {
+    if (is_digit(c) || (c == '.' && i + 1 < n && is_digit(src[i + 1]))) {
       std::size_t j = i;
       bool is_real = false;
-      while (j < n && std::isdigit(static_cast<unsigned char>(src[j]))) {
+      while (j < n && is_digit(src[j])) {
         ++j;
       }
       if (j < n && src[j] == '.') {
         is_real = true;
         ++j;
-        while (j < n && std::isdigit(static_cast<unsigned char>(src[j]))) {
+        while (j < n && is_digit(src[j])) {
           ++j;
         }
       }
@@ -124,22 +140,15 @@ std::vector<Token> tokenize(const std::string& src, const std::string& src_name)
         if (k < n && (src[k] == '+' || src[k] == '-')) {
           ++k;
         }
-        if (k < n && std::isdigit(static_cast<unsigned char>(src[k]))) {
+        if (k < n && is_digit(src[k])) {
           is_real = true;
           j = k;
-          while (j < n && std::isdigit(static_cast<unsigned char>(src[j]))) {
+          while (j < n && is_digit(src[j])) {
             ++j;
           }
         }
       }
-      t.kind = is_real ? Tok::kReal : Tok::kInt;
-      t.text = src.substr(i, j - i);
-      // strtod never fails on this spelling and is exact for what it can
-      // represent; the C locale-independence concern does not arise because
-      // the spelling always uses '.'.
-      t.value = std::strtod(t.text.c_str(), nullptr);
-      advance(j - i);
-      out.push_back(std::move(t));
+      emit(is_real ? Tok::kReal : Tok::kInt, j, parse_number(src.substr(i, j - i)));
       continue;
     }
     if (c == '"') {
@@ -150,112 +159,163 @@ std::vector<Token> tokenize(const std::string& src, const std::string& src_name)
       if (j >= n || src[j] != '"') {
         fail_at(src_name, line, col, "unterminated string literal");
       }
-      t.kind = Tok::kString;
-      t.text = src.substr(i + 1, j - i - 1);
-      advance(j - i + 1);
-      out.push_back(std::move(t));
+      out.push_back(Token{Tok::kString, src.substr(i + 1, j - i - 1), 0.0, line, col});
+      col += static_cast<int>(j + 1 - i);
+      i = j + 1;
       continue;
     }
-    if (c == '-' && i + 1 < n && src[i + 1] == '>') {
-      t.kind = Tok::kSym;
-      t.text = "->";
-      advance(2);
-      out.push_back(std::move(t));
+    if ((c == '-' && i + 1 < n && src[i + 1] == '>') ||
+        (c == '=' && i + 1 < n && src[i + 1] == '=')) {
+      emit(Tok::kSym, i + 2);
       continue;
     }
-    if (c == '=' && i + 1 < n && src[i + 1] == '=') {
-      t.kind = Tok::kSym;
-      t.text = "==";
-      advance(2);
-      out.push_back(std::move(t));
-      continue;
-    }
-    if (std::string(";,()[]{}+-*/^").find(c) != std::string::npos) {
-      t.kind = Tok::kSym;
-      t.text = std::string(1, c);
-      advance(1);
-      out.push_back(std::move(t));
+    if (c != '\0' && std::strchr(";,()[]{}+-*/^", c) != nullptr) {
+      emit(Tok::kSym, i + 1);
       continue;
     }
     fail_at(src_name, line, col, std::string("unexpected character '") + c + "'");
   }
-  Token eof;
-  eof.kind = Tok::kEof;
-  eof.text = "<eof>";
-  eof.line = line;
-  eof.col = col;
-  out.push_back(std::move(eof));
+  out.push_back(Token{Tok::kEof, "<eof>", 0.0, line, col});
   return out;
 }
 
-// ---- constant-expression AST ----------------------------------------------
+// ---- constant expressions --------------------------------------------------
 
-struct Expr;
-using ExprPtr = std::unique_ptr<Expr>;
+enum class Fn : std::uint8_t { kSin, kCos, kTan, kExp, kLn, kSqrt, kUnknown };
 
-struct Expr {
-  enum class Kind { kNum, kPi, kParam, kNeg, kBinary, kCall } kind = Kind::kNum;
-  Real num = 0.0;       // kNum
-  std::string name;     // kParam (parameter reference) / kCall (function name)
-  char op = 0;          // kBinary: + - * / ^
-  ExprPtr lhs, rhs;     // kBinary (lhs,rhs) / kNeg,kCall (lhs)
-  int line = 0, col = 0;
-};
-
-Real eval_expr(const Expr& e, const std::map<std::string, Real>& env,
-               const std::string& src_name);
-
-/// eval_expr + finiteness check: a divide-by-zero or overflowed angle must
-/// not become a NaN gate matrix.
-Real eval_param(const Expr& e, const std::map<std::string, Real>& env,
-                const std::string& src_name) {
-  const Real v = eval_expr(e, env, src_name);
-  if (!std::isfinite(v)) {
-    fail_at(src_name, e.line, e.col, "parameter expression is not finite");
+Fn function_named(std::string_view name) {
+  static constexpr std::string_view kNames[] = {"sin", "cos", "tan", "exp", "ln", "sqrt"};
+  for (std::size_t i = 0; i < std::size(kNames); ++i) {
+    if (name == kNames[i]) {
+      return static_cast<Fn>(i);
+    }
   }
-  return v;
+  return Fn::kUnknown;
 }
 
-Real eval_expr(const Expr& e, const std::map<std::string, Real>& env,
-               const std::string& src_name) {
-  switch (e.kind) {
-    case Expr::Kind::kNum:
-      return e.num;
-    case Expr::Kind::kPi:
-      return kPi;
-    case Expr::Kind::kParam: {
-      const auto it = env.find(e.name);
-      if (it == env.end()) {
-        fail_at(src_name, e.line, e.col, "unknown identifier '" + e.name + "' in expression");
+/// One instruction of a parameter expression compiled to postfix order, so
+/// evaluation visits operands before their operator exactly as a recursive
+/// walk of the expression tree would: the same operations in the same order,
+/// hence the same bits, and the same first diagnostic.
+struct ExprOp {
+  enum class Kind : std::uint8_t { kNum, kPi, kParam, kNeg, kBinary, kCall } kind = Kind::kNum;
+  char op = 0;            // kBinary: + - * / ^
+  Fn fn = Fn::kUnknown;   // kCall
+  int param = -1;         // kParam: index into the enclosing gate's parameters
+  Real num = 0.0;         // kNum
+  std::string_view name;  // kParam / kCall spelling, for diagnostics
+  int line = 0, col = 0;
+};
+using ExprCode = std::vector<ExprOp>;
+
+Real apply_fn(Fn fn, Real x) {
+  switch (fn) {
+    case Fn::kSin: return std::sin(x);
+    case Fn::kCos: return std::cos(x);
+    case Fn::kTan: return std::tan(x);
+    case Fn::kExp: return std::exp(x);
+    case Fn::kLn: return std::log(x);
+    case Fn::kSqrt: return std::sqrt(x);
+    case Fn::kUnknown: break;
+  }
+  return 0.0;
+}
+
+/// Evaluates `code` against the gate parameter values `env` (`n_env` of
+/// them; none outside a gate body), then checks finiteness: a divide-by-zero
+/// or overflowed angle must not become a NaN gate matrix. `stack` is scratch.
+Real eval_param(const ExprCode& code, const Real* env, std::size_t n_env,
+                std::vector<Real>& stack, const std::string& src_name) {
+  stack.clear();
+  for (const ExprOp& e : code) {
+    switch (e.kind) {
+      case ExprOp::Kind::kNum:
+        stack.push_back(e.num);
+        break;
+      case ExprOp::Kind::kPi:
+        stack.push_back(kPi);
+        break;
+      case ExprOp::Kind::kParam:
+        if (e.param < 0 || static_cast<std::size_t>(e.param) >= n_env) {
+          fail_at(src_name, e.line, e.col,
+                  "unknown identifier " + quoted(e.name) + " in expression");
+        }
+        stack.push_back(env[e.param]);
+        break;
+      case ExprOp::Kind::kNeg:
+        stack.back() = -stack.back();
+        break;
+      case ExprOp::Kind::kCall:
+        if (e.fn == Fn::kUnknown) {
+          fail_at(src_name, e.line, e.col, "unknown function " + quoted(e.name));
+        }
+        stack.back() = apply_fn(e.fn, stack.back());
+        break;
+      case ExprOp::Kind::kBinary: {
+        const Real b = stack.back();
+        stack.pop_back();
+        Real& a = stack.back();
+        switch (e.op) {
+          case '+': a = a + b; break;
+          case '-': a = a - b; break;
+          case '*': a = a * b; break;
+          case '/': a = a / b; break;
+          default: a = std::pow(a, b); break;
+        }
+        break;
       }
-      return it->second;
-    }
-    case Expr::Kind::kNeg:
-      return -eval_expr(*e.lhs, env, src_name);
-    case Expr::Kind::kCall: {
-      const Real x = eval_expr(*e.lhs, env, src_name);
-      if (e.name == "sin") return std::sin(x);
-      if (e.name == "cos") return std::cos(x);
-      if (e.name == "tan") return std::tan(x);
-      if (e.name == "exp") return std::exp(x);
-      if (e.name == "ln") return std::log(x);
-      if (e.name == "sqrt") return std::sqrt(x);
-      fail_at(src_name, e.line, e.col, "unknown function '" + e.name + "'");
-    }
-    case Expr::Kind::kBinary: {
-      const Real a = eval_expr(*e.lhs, env, src_name);
-      const Real b = eval_expr(*e.rhs, env, src_name);
-      switch (e.op) {
-        case '+': return a + b;
-        case '-': return a - b;
-        case '*': return a * b;
-        case '/': return a / b;
-        case '^': return std::pow(a, b);
-      }
-      break;
     }
   }
-  fail_at(src_name, e.line, e.col, "malformed expression");
+  if (!std::isfinite(stack.back())) {
+    fail_at(src_name, code.back().line, code.back().col, "parameter expression is not finite");
+  }
+  return stack.back();
+}
+
+// ---- gate set --------------------------------------------------------------
+
+/// A qelib1 gate the importer knows without a definition.
+struct Builtin {
+  enum class Kind : std::uint8_t { kId, kFixed, kRx, kRy, kRz, kU1, kU2, kU3 } kind;
+  FixedGate fixed;     ///< kFixed only
+  std::size_t qubits;  ///< arity
+  std::size_t params;
+  const char* label;   ///< the parameterized gates' op label
+  /// ccx / cswap: predefined composites, deliberately NOT builtins — a
+  /// program's own `gate ccx ...` definition shadows the prelude (apply_named
+  /// checks macros first, and define_macro does not reject the name).
+  bool prelude;
+};
+
+/// The builtin or prelude gate spelled `name`, or nullptr.
+const Builtin* builtin_gate(std::string_view name) {
+  using K = Builtin::Kind;
+  static const std::unordered_map<std::string_view, Builtin> kGates = {
+      {"h", {K::kFixed, FixedGate::kH, 1, 0, "", false}},
+      {"x", {K::kFixed, FixedGate::kX, 1, 0, "", false}},
+      {"y", {K::kFixed, FixedGate::kY, 1, 0, "", false}},
+      {"z", {K::kFixed, FixedGate::kZ, 1, 0, "", false}},
+      {"s", {K::kFixed, FixedGate::kS, 1, 0, "", false}},
+      {"sdg", {K::kFixed, FixedGate::kSdg, 1, 0, "", false}},
+      {"t", {K::kFixed, FixedGate::kT, 1, 0, "", false}},
+      {"tdg", {K::kFixed, FixedGate::kTdg, 1, 0, "", false}},
+      {"id", {K::kId, FixedGate::kH, 1, 0, "", false}},
+      {"cx", {K::kFixed, FixedGate::kCx, 2, 0, "", false}},
+      {"CX", {K::kFixed, FixedGate::kCx, 2, 0, "", false}},
+      {"cz", {K::kFixed, FixedGate::kCz, 2, 0, "", false}},
+      {"swap", {K::kFixed, FixedGate::kSwap, 2, 0, "", false}},
+      {"rx", {K::kRx, FixedGate::kH, 1, 1, "Rx", false}},
+      {"ry", {K::kRy, FixedGate::kH, 1, 1, "Ry", false}},
+      {"rz", {K::kRz, FixedGate::kH, 1, 1, "Rz", false}},
+      {"u1", {K::kU1, FixedGate::kH, 1, 1, "U1", false}},
+      {"u2", {K::kU2, FixedGate::kH, 1, 2, "U2", false}},
+      {"u3", {K::kU3, FixedGate::kH, 1, 3, "U3", false}},
+      {"U", {K::kU3, FixedGate::kH, 1, 3, "U3", false}},
+      {"ccx", {K::kFixed, FixedGate::kCcx, 3, 0, "", true}},
+      {"cswap", {K::kFixed, FixedGate::kCswap, 3, 0, "", true}},
+  };
+  const auto it = kGates.find(name);
+  return it == kGates.end() ? nullptr : &it->second;
 }
 
 // ---- program structure -----------------------------------------------------
@@ -268,15 +328,14 @@ struct Reg {
 
 /// One op inside a `gate` macro body, kept symbolic until expansion.
 struct MacroOp {
-  std::string name;  // builtin or earlier macro ("barrier" bodies are dropped at parse)
-  std::vector<ExprPtr> params;
-  std::vector<std::string> args;  // formal argument names
-  int line = 0, col = 0;
+  std::string_view name;        // builtin or earlier macro ("barrier" bodies are dropped at parse)
+  std::vector<ExprCode> params;
+  std::vector<int> args;        // indices into the macro's formal arguments
 };
 
 struct Macro {
-  std::vector<std::string> params;
-  std::vector<std::string> args;
+  std::vector<std::string_view> params;
+  std::vector<std::string_view> args;
   std::vector<MacroOp> body;
 };
 
@@ -286,12 +345,12 @@ struct Operand {
   int base = 0;
   int size = 1;       // 1 for an indexed operand
   bool whole = false; // true when the operand names the full register
-  int line = 0, col = 0;
 };
 
 class Parser {
  public:
-  Parser(const std::string& src, std::string src_name)
+  /// `src` must outlive the parser: tokens and tables are views into it.
+  Parser(std::string_view src, std::string src_name)
       : src_name_(std::move(src_name)), toks_(tokenize(src, src_name_)) {
     prescan_registers();
     circ_ = Circuit(n_qubits_ == 0 ? 1 : n_qubits_, n_cbits_);
@@ -307,7 +366,7 @@ class Parser {
       // belt and braces for the placeholder 1-wire circuit.
       throw Error(src_name_ + ": program has operations but no qreg");
     }
-    return circ_;
+    return std::move(circ_);
   }
 
  private:
@@ -323,8 +382,7 @@ class Parser {
     }
     return t;
   }
-  bool at_sym(const char* s) const { return peek().kind == Tok::kSym && peek().text == s; }
-  bool at_id(const char* s) const { return peek().kind == Tok::kId && peek().text == s; }
+  bool at_sym(std::string_view s) const { return peek().kind == Tok::kSym && peek().text == s; }
   const Token& expect_sym(const char* s) {
     if (!at_sym(s)) {
       fail_at(src_name_, peek(), std::string("expected '") + s + "', got " + describe(peek()));
@@ -363,12 +421,13 @@ class Parser {
           toks_[i + 3].kind != Tok::kInt) {
         continue;
       }
+      const std::string kw_text(kw.text);
       if (toks_[i + 3].value > 2147483647.0) {
-        fail_at(src_name_, toks_[i + 3], kw.text + " size out of range");
+        fail_at(src_name_, toks_[i + 3], kw_text + " size out of range");
       }
       const int size = static_cast<int>(toks_[i + 3].value);
       if (size <= 0) {
-        fail_at(src_name_, toks_[i + 3], kw.text + " size must be positive");
+        fail_at(src_name_, toks_[i + 3], kw_text + " size must be positive");
       }
       // Guard the accumulation itself: `+=` first and compare after would be
       // signed overflow (UB) for sizes near INT_MAX.
@@ -397,7 +456,7 @@ class Parser {
     next();
     const Token& ver = peek();
     if (ver.kind != Tok::kReal || ver.text != "2.0") {
-      fail_at(src_name_, ver, "unsupported OPENQASM version '" + ver.text + "' (only 2.0)");
+      fail_at(src_name_, ver, "unsupported OPENQASM version " + quoted(ver.text) + " (only 2.0)");
     }
     next();
     expect_sym(";");
@@ -441,10 +500,10 @@ class Parser {
     expect_sym("]");
     expect_sym(";");
     if (size <= 0) {
-      fail_at(src_name_, size_tok, kw.text + " size must be positive");
+      fail_at(src_name_, size_tok, std::string(kw.text) + " size must be positive");
     }
     if (regs_.count(name.text) || macros_.count(name.text)) {
-      fail_at(src_name_, name, "redefinition of '" + name.text + "'");
+      fail_at(src_name_, name, "redefinition of " + quoted(name.text));
     }
     Reg r;
     r.quantum = (kw.text == "qreg");
@@ -458,8 +517,10 @@ class Parser {
   void define_macro() {
     next();  // gate
     const Token name = expect_id("a gate name");
-    if (regs_.count(name.text) || macros_.count(name.text) || is_builtin(name.text)) {
-      fail_at(src_name_, name, "redefinition of '" + name.text + "'");
+    const Builtin* shadowed = builtin_gate(name.text);
+    if (regs_.count(name.text) || macros_.count(name.text) ||
+        (shadowed != nullptr && !shadowed->prelude)) {
+      fail_at(src_name_, name, "redefinition of " + quoted(name.text));
     }
     Macro m;
     if (at_sym("(")) {
@@ -470,15 +531,11 @@ class Parser {
           // 'pi' and the function names resolve to themselves inside
           // expressions; a parameter spelled that way would be silently
           // shadowed by the constant and import the wrong angle.
-          for (const char* reserved : {"pi", "sin", "cos", "tan", "exp", "ln", "sqrt"}) {
-            if (p.text == reserved) {
-              fail_at(src_name_, p, "'" + p.text + "' is reserved and cannot name a parameter");
-            }
+          if (p.text == "pi" || function_named(p.text) != Fn::kUnknown) {
+            fail_at(src_name_, p, quoted(p.text) + " is reserved and cannot name a parameter");
           }
-          for (const auto& seen : m.params) {
-            if (seen == p.text) {
-              fail_at(src_name_, p, "duplicate parameter name '" + p.text + "'");
-            }
+          if (std::find(m.params.begin(), m.params.end(), p.text) != m.params.end()) {
+            fail_at(src_name_, p, "duplicate parameter name " + quoted(p.text));
           }
           m.params.push_back(p.text);
           if (!at_sym(",")) {
@@ -491,12 +548,9 @@ class Parser {
     }
     for (;;) {
       const Token a = expect_id("a qubit argument name");
-      // A duplicate formal would make qmap silently drop all but the last
-      // call-site qubit bound to it.
-      for (const auto& seen : m.args) {
-        if (seen == a.text) {
-          fail_at(src_name_, a, "duplicate argument name '" + a.text + "'");
-        }
+      // A duplicate formal would bind one name to two call-site qubits.
+      if (std::find(m.args.begin(), m.args.end(), a.text) != m.args.end()) {
+        fail_at(src_name_, a, "duplicate argument name " + quoted(a.text));
       }
       m.args.push_back(a.text);
       if (!at_sym(",")) {
@@ -505,6 +559,7 @@ class Parser {
       next();
     }
     expect_sym("{");
+    expr_params_ = &m.params;
     while (!at_sym("}")) {
       const Token& op_tok = peek();
       if (op_tok.kind != Tok::kId) {
@@ -527,18 +582,18 @@ class Parser {
       }
       MacroOp mo;
       mo.name = op_tok.text;
-      mo.line = op_tok.line;
-      mo.col = op_tok.col;
       next();
-      if (!is_builtin(mo.name) && !is_prelude(mo.name) && !macros_.count(mo.name)) {
-        fail_at(src_name_, op_tok, "unknown gate '" + mo.name + "' in body of '" + name.text +
-                                       "' (only builtins and earlier definitions)");
+      if (builtin_gate(mo.name) == nullptr && !macros_.count(mo.name)) {
+        fail_at(src_name_, op_tok, "unknown gate " + quoted(mo.name) + " in body of " +
+                                       quoted(name.text) +
+                                       " (only builtins and earlier definitions)");
       }
       if (at_sym("(")) {
         next();
         if (!at_sym(")")) {
           for (;;) {
-            mo.params.push_back(parse_expr());
+            mo.params.emplace_back();
+            parse_expr(mo.params.back());
             if (!at_sym(",")) {
               break;
             }
@@ -549,15 +604,12 @@ class Parser {
       }
       for (;;) {
         const Token arg = expect_id("a qubit argument");
-        bool known = false;
-        for (const auto& a : m.args) {
-          known = known || (a == arg.text);
+        const auto formal = std::find(m.args.begin(), m.args.end(), arg.text);
+        if (formal == m.args.end()) {
+          fail_at(src_name_, arg, quoted(arg.text) + " is not an argument of gate " +
+                                      quoted(name.text));
         }
-        if (!known) {
-          fail_at(src_name_, arg, "'" + arg.text + "' is not an argument of gate '" +
-                                      name.text + "'");
-        }
-        mo.args.push_back(arg.text);
+        mo.args.push_back(static_cast<int>(formal - m.args.begin()));
         if (!at_sym(",")) {
           break;
         }
@@ -566,6 +618,7 @@ class Parser {
       expect_sym(";");
       m.body.push_back(std::move(mo));
     }
+    expr_params_ = nullptr;
     next();  // }
     macros_.emplace(name.text, std::move(m));
   }
@@ -586,13 +639,13 @@ class Parser {
       expect_sym(")");
       const auto it = regs_.find(reg.text);
       if (it == regs_.end() || it->second.quantum) {
-        fail_at(src_name_, reg, "'" + reg.text + "' is not a classical register");
+        fail_at(src_name_, reg, quoted(reg.text) + " is not a classical register");
       }
       if (it->second.size != 1) {
         fail_at(src_name_, reg,
                 "conditions on multi-bit registers are not representable in the IR "
-                "(got " + reg.text + "[" + std::to_string(it->second.size) + "]); "
-                "use size-1 registers");
+                "(got " + std::string(reg.text) + "[" + std::to_string(it->second.size) +
+                    "]); use size-1 registers");
       }
       if (val != 1) {
         fail_at(src_name_, val_tok,
@@ -603,7 +656,7 @@ class Parser {
       if (inner.kind == Tok::kId &&
           (inner.text == "measure" || inner.text == "reset" || inner.text == "barrier" ||
            inner.text == "if")) {
-        fail_at(src_name_, inner, "'" + inner.text + "' cannot be classically conditioned");
+        fail_at(src_name_, inner, quoted(inner.text) + " cannot be classically conditioned");
       }
       qop(it->second.base);
       return;
@@ -650,13 +703,13 @@ class Parser {
   // name (exprlist)? operand (, operand)* ;
   void gate_application(int cond_cbit) {
     const Token name = expect_id("a gate name");
-    std::vector<Real> params;
+    params_.clear();
     if (at_sym("(")) {
       next();
       if (!at_sym(")")) {
         for (;;) {
-          const ExprPtr e = parse_expr();
-          params.push_back(eval_param(*e, {}, src_name_));
+          parse_expr(code_);
+          params_.push_back(eval_param(code_, nullptr, 0, stack_, src_name_));
           if (!at_sym(",")) {
             break;
           }
@@ -665,9 +718,9 @@ class Parser {
       }
       expect_sym(")");
     }
-    std::vector<Operand> ops;
+    operands_.clear();
     for (;;) {
-      ops.push_back(operand(/*quantum=*/true));
+      operands_.push_back(operand(/*quantum=*/true));
       if (!at_sym(",")) {
         break;
       }
@@ -678,7 +731,7 @@ class Parser {
     // Broadcast: every whole-register operand must share one size; indexed
     // operands are replicated across the broadcast.
     int bsize = 1;
-    for (const auto& o : ops) {
+    for (const auto& o : operands_) {
       if (!o.whole) {
         continue;
       }
@@ -690,12 +743,11 @@ class Parser {
       bsize = o.size;
     }
     for (int j = 0; j < bsize; ++j) {
-      std::vector<int> qubits;
-      qubits.reserve(ops.size());
-      for (const auto& o : ops) {
+      QubitList qubits;
+      for (const auto& o : operands_) {
         qubits.push_back(o.base + (o.whole ? j : 0));
       }
-      apply_named(name, params, qubits, cond_cbit);
+      apply_named(name, params_.data(), params_.size(), qubits, cond_cbit);
     }
   }
 
@@ -704,17 +756,15 @@ class Parser {
     const Token name = expect_id(quantum ? "a qubit operand" : "a classical operand");
     const auto it = regs_.find(name.text);
     if (it == regs_.end()) {
-      fail_at(src_name_, name, "unknown register '" + name.text + "'");
+      fail_at(src_name_, name, "unknown register " + quoted(name.text));
     }
     const Reg& r = it->second;
     if (r.quantum != quantum) {
-      fail_at(src_name_, name, "'" + name.text + "' is a " +
+      fail_at(src_name_, name, quoted(name.text) + " is a " +
                                    (r.quantum ? "quantum" : "classical") +
                                    " register; expected the other kind here");
     }
     Operand o;
-    o.line = name.line;
-    o.col = name.col;
     if (at_sym("[")) {
       next();
       const Token& idx_tok = peek();
@@ -722,7 +772,8 @@ class Parser {
       expect_sym("]");
       if (idx < 0 || idx >= r.size) {
         fail_at(src_name_, idx_tok, "index " + std::to_string(idx) + " out of range for '" +
-                                        name.text + "[" + std::to_string(r.size) + "]'");
+                                        std::string(name.text) + "[" + std::to_string(r.size) +
+                                        "]'");
       }
       o.base = r.base + idx;
       o.size = 1;
@@ -736,244 +787,192 @@ class Parser {
   }
 
   // -- gate semantics --------------------------------------------------------
-  static bool is_builtin(const std::string& name) {
-    static const char* kNames[] = {"h",  "x",  "y",  "z",    "s",  "sdg", "t",  "tdg", "id",
-                                   "cx", "CX", "cz", "swap", "rx", "ry",  "rz", "u1",  "u2",
-                                   "u3", "U"};
-    for (const char* n : kNames) {
-      if (name == n) {
-        return true;
-      }
+  void check_arity(const Token& name, std::size_t n_qubits_got, std::size_t n_qubits,
+                   std::size_t n_params_got, std::size_t n_params) {
+    if (n_qubits_got != n_qubits) {
+      fail_at(src_name_, name, quoted(name.text) + " expects " + std::to_string(n_qubits) +
+                                   " qubit(s), got " + std::to_string(n_qubits_got));
     }
-    return false;
-  }
-
-  /// qelib1 composites the importer predefines so corpus circuits need no
-  /// in-file macro bodies for them. Deliberately NOT builtins: a program's
-  /// own `gate ccx ...` definition shadows the prelude (apply_named checks
-  /// macros first, and define_macro does not reject the name).
-  static bool is_prelude(const std::string& name) {
-    return name == "ccx" || name == "cswap";
-  }
-
-  void check_arity(const Token& name, const std::vector<int>& qubits, std::size_t n_qubits,
-                   const std::vector<Real>& params, std::size_t n_params) {
-    if (qubits.size() != n_qubits) {
-      fail_at(src_name_, name, "'" + name.text + "' expects " + std::to_string(n_qubits) +
-                                   " qubit(s), got " + std::to_string(qubits.size()));
-    }
-    if (params.size() != n_params) {
-      fail_at(src_name_, name, "'" + name.text + "' expects " + std::to_string(n_params) +
-                                   " parameter(s), got " + std::to_string(params.size()));
+    if (n_params_got != n_params) {
+      fail_at(src_name_, name, quoted(name.text) + " expects " + std::to_string(n_params) +
+                                   " parameter(s), got " + std::to_string(n_params_got));
     }
   }
 
-  void emit(const Token& name, const Matrix& u, const std::vector<int>& qubits,
-            std::string label, int cond_cbit) {
-    // The builder validates ranges and duplicate qubits; re-brand its
-    // diagnostics with the source position.
+  /// Appends the gate through `append`, re-branding the builder's operand
+  /// diagnostics (ranges, duplicate qubits) with the source position.
+  template <class Append>
+  void emit(const Token& name, Append&& append) {
     try {
-      if (cond_cbit >= 0) {
-        circ_.gate_if(cond_cbit, u, qubits, std::move(label) + "?");
-      } else {
-        circ_.gate(u, qubits, std::move(label));
-      }
+      append();
     } catch (const Error& e) {
       fail_at(src_name_, name, std::string("invalid operands: ") + e.what());
     }
   }
 
-  void apply_named(const Token& name, const std::vector<Real>& p, const std::vector<int>& qubits,
-                   int cond_cbit) {
-    const std::string& g = name.text;
-    if (const auto it = macros_.find(g); it != macros_.end()) {
-      expand_macro(name, it->second, p, qubits, cond_cbit);
+  void apply_named(const Token& name, const Real* p, std::size_t n_params,
+                   const QubitList& qubits, int cond_cbit) {
+    if (const auto it = macros_.find(name.text); it != macros_.end()) {
+      expand_macro(name, it->second, p, n_params, qubits, cond_cbit);
       return;
     }
-    if (g == "id") {
-      check_arity(name, qubits, 1, p, 0);
+    const Builtin* b = builtin_gate(name.text);
+    if (b == nullptr) {
+      fail_at(src_name_, name, "unknown gate " + quoted(name.text) +
+                                   " (not a builtin or defined macro)");
+    }
+    check_arity(name, qubits.size(), b->qubits, n_params, b->params);
+    using K = Builtin::Kind;
+    if (b->kind == K::kId) {
       return;  // explicit identity: semantically empty, dropped
     }
-    if (g == "ccx") {
-      check_arity(name, qubits, 3, p, 0);
-      emit(name, gates::ccx(), qubits, "CCX", cond_cbit);
+    if (b->kind == K::kFixed) {
+      emit(name, [&] {
+        cond_cbit >= 0 ? circ_.fixed_gate_if(cond_cbit, b->fixed, qubits)
+                       : circ_.fixed_gate(b->fixed, qubits);
+      });
       return;
     }
-    if (g == "cswap") {
-      check_arity(name, qubits, 3, p, 0);
-      emit(name, gates::cswap(), qubits, "CSWAP", cond_cbit);
-      return;
-    }
-    struct Named {
-      const char* name;
-      const Matrix& (*fn)();
-      const char* label;
-      std::size_t arity;
-    };
-    static const Named kFixed[] = {
-        {"h", gates::h, "H", 1},        {"x", gates::x, "X", 1},
-        {"y", gates::y, "Y", 1},        {"z", gates::z, "Z", 1},
-        {"s", gates::s, "S", 1},        {"sdg", gates::sdg, "Sdg", 1},
-        {"t", gates::t, "T", 1},        {"tdg", gates::tdg, "Tdg", 1},
-        {"cx", gates::cx, "CX", 2},     {"CX", gates::cx, "CX", 2},
-        {"cz", gates::cz, "CZ", 2},     {"swap", gates::swap, "SWAP", 2},
-    };
-    for (const auto& f : kFixed) {
-      if (g == f.name) {
-        check_arity(name, qubits, f.arity, p, 0);
-        emit(name, f.fn(), qubits, f.label, cond_cbit);
-        return;
-      }
-    }
-    if (g == "rx" || g == "ry" || g == "rz" || g == "u1") {
-      check_arity(name, qubits, 1, p, 1);
-      if (g == "rx") emit(name, gates::rx(p[0]), qubits, "Rx", cond_cbit);
-      if (g == "ry") emit(name, gates::ry(p[0]), qubits, "Ry", cond_cbit);
-      if (g == "rz") emit(name, gates::rz(p[0]), qubits, "Rz", cond_cbit);
-      if (g == "u1") emit(name, gates::phase(p[0]), qubits, "U1", cond_cbit);
-      return;
-    }
-    if (g == "u2") {
-      check_arity(name, qubits, 1, p, 2);
-      emit(name, gates::u3(kPi / 2.0, p[0], p[1]), qubits, "U2", cond_cbit);
-      return;
-    }
-    if (g == "u3" || g == "U") {
-      check_arity(name, qubits, 1, p, 3);
-      emit(name, gates::u3(p[0], p[1], p[2]), qubits, "U3", cond_cbit);
-      return;
-    }
-    fail_at(src_name_, name, "unknown gate '" + g + "' (not a builtin or defined macro)");
+    const Matrix u = b->kind == K::kRx   ? gates::rx(p[0])
+                     : b->kind == K::kRy ? gates::ry(p[0])
+                     : b->kind == K::kRz ? gates::rz(p[0])
+                     : b->kind == K::kU1 ? gates::phase(p[0])
+                     : b->kind == K::kU2 ? gates::u3(kPi / 2.0, p[0], p[1])
+                                         : gates::u3(p[0], p[1], p[2]);
+    emit(name, [&] {
+      cond_cbit >= 0 ? circ_.gate_if(cond_cbit, u, qubits, std::string(b->label) + "?")
+                     : circ_.gate(u, qubits, b->label);
+    });
   }
 
-  void expand_macro(const Token& site, const Macro& m, const std::vector<Real>& params,
-                    const std::vector<int>& qubits, int cond_cbit) {
-    if (params.size() != m.params.size() || qubits.size() != m.args.size()) {
-      fail_at(src_name_, site, "'" + site.text + "' expects " + std::to_string(m.params.size()) +
+  void expand_macro(const Token& site, const Macro& m, const Real* params, std::size_t n_params,
+                    const QubitList& qubits, int cond_cbit) {
+    if (n_params != m.params.size() || qubits.size() != m.args.size()) {
+      fail_at(src_name_, site, quoted(site.text) + " expects " + std::to_string(m.params.size()) +
                                    " parameter(s) and " + std::to_string(m.args.size()) +
-                                   " qubit(s), got " + std::to_string(params.size()) + " and " +
+                                   " qubit(s), got " + std::to_string(n_params) + " and " +
                                    std::to_string(qubits.size()));
     }
-    std::map<std::string, Real> env;
-    std::map<std::string, int> qmap;
-    for (std::size_t i = 0; i < m.params.size(); ++i) {
-      env[m.params[i]] = params[i];
+    // A body may name a prelude gate that a later definition shadows, so
+    // `gate ccx a,b,c { ccx a,b,c; }` would otherwise expand forever.
+    if (std::find(expanding_.begin(), expanding_.end(), &m) != expanding_.end()) {
+      fail_at(src_name_, site, quoted(site.text) + " expands into itself");
     }
-    for (std::size_t i = 0; i < m.args.size(); ++i) {
-      qmap[m.args[i]] = qubits[i];
-    }
-    for (const auto& mo : m.body) {
-      std::vector<Real> sub_params;
-      sub_params.reserve(mo.params.size());
-      for (const auto& e : mo.params) {
-        sub_params.push_back(eval_param(*e, env, src_name_));
+    expanding_.push_back(&m);
+    for (const MacroOp& mo : m.body) {
+      SmallVector<Real, 4> sub_params;
+      for (const ExprCode& e : mo.params) {
+        sub_params.push_back(eval_param(e, params, n_params, stack_, src_name_));
       }
-      std::vector<int> sub_qubits;
-      sub_qubits.reserve(mo.args.size());
-      for (const auto& a : mo.args) {
-        sub_qubits.push_back(qmap.at(a));
+      QubitList sub_qubits;
+      for (const int a : mo.args) {
+        sub_qubits.push_back(qubits[static_cast<std::size_t>(a)]);
       }
       Token inner = site;  // report errors at the call site
       inner.text = mo.name;
       // A conditioned macro call conditions every expanded op: bodies are
       // unitary-only, so the classical bit cannot change mid-expansion.
-      apply_named(inner, sub_params, sub_qubits, cond_cbit);
+      apply_named(inner, sub_params.data(), sub_params.size(), sub_qubits, cond_cbit);
     }
+    expanding_.pop_back();
   }
 
-  // -- expressions (precedence climbing) ------------------------------------
-  ExprPtr parse_expr() { return parse_additive(); }
+  // -- expressions (precedence climbing, emitted in postfix order) -----------
+  void parse_expr(ExprCode& code) {
+    code.clear();
+    parse_additive(code);
+  }
 
-  ExprPtr parse_additive() {
-    ExprPtr lhs = parse_multiplicative();
+  void parse_additive(ExprCode& code) {
+    parse_multiplicative(code);
     while (at_sym("+") || at_sym("-")) {
       const Token op = next();
-      ExprPtr rhs = parse_multiplicative();
-      lhs = make_binary(op, std::move(lhs), std::move(rhs));
+      parse_multiplicative(code);
+      push_binary(code, op);
     }
-    return lhs;
   }
 
-  ExprPtr parse_multiplicative() {
-    ExprPtr lhs = parse_unary();
+  void parse_multiplicative(ExprCode& code) {
+    parse_unary(code);
     while (at_sym("*") || at_sym("/")) {
       const Token op = next();
-      ExprPtr rhs = parse_unary();
-      lhs = make_binary(op, std::move(lhs), std::move(rhs));
+      parse_unary(code);
+      push_binary(code, op);
     }
-    return lhs;
   }
 
-  ExprPtr parse_unary() {
+  void parse_unary(ExprCode& code) {
     if (at_sym("-")) {
       const Token op = next();
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::Kind::kNeg;
-      e->lhs = parse_unary();
-      e->line = op.line;
-      e->col = op.col;
-      return e;
+      parse_unary(code);
+      ExprOp e;
+      e.kind = ExprOp::Kind::kNeg;
+      e.line = op.line;
+      e.col = op.col;
+      code.push_back(e);
+      return;
     }
-    return parse_power();
+    parse_power(code);
   }
 
-  ExprPtr parse_power() {
-    ExprPtr base = parse_atom();
+  void parse_power(ExprCode& code) {
+    parse_atom(code);
     if (at_sym("^")) {  // right-associative
       const Token op = next();
-      ExprPtr exp = parse_unary();
-      base = make_binary(op, std::move(base), std::move(exp));
+      parse_unary(code);
+      push_binary(code, op);
     }
-    return base;
   }
 
-  ExprPtr parse_atom() {
+  void parse_atom(ExprCode& code) {
     const Token& t = peek();
-    auto e = std::make_unique<Expr>();
-    e->line = t.line;
-    e->col = t.col;
+    ExprOp e;
+    e.line = t.line;
+    e.col = t.col;
     if (t.kind == Tok::kInt || t.kind == Tok::kReal) {
       next();
-      e->kind = Expr::Kind::kNum;
-      e->num = t.value;
-      return e;
+      e.kind = ExprOp::Kind::kNum;
+      e.num = t.value;
+      code.push_back(e);
+      return;
     }
     if (t.kind == Tok::kId) {
       const Token id = next();
+      e.name = id.text;
       if (id.text == "pi") {
-        e->kind = Expr::Kind::kPi;
-        return e;
-      }
-      if (at_sym("(")) {
+        e.kind = ExprOp::Kind::kPi;
+      } else if (at_sym("(")) {
         next();
-        e->kind = Expr::Kind::kCall;
-        e->name = id.text;
-        e->lhs = parse_expr();
+        parse_additive(code);
         expect_sym(")");
-        return e;
+        e.kind = ExprOp::Kind::kCall;
+        e.fn = function_named(id.text);
+      } else {
+        e.kind = ExprOp::Kind::kParam;
+        if (expr_params_ != nullptr) {
+          const auto it = std::find(expr_params_->begin(), expr_params_->end(), id.text);
+          e.param = it == expr_params_->end() ? -1 : static_cast<int>(it - expr_params_->begin());
+        }
       }
-      e->kind = Expr::Kind::kParam;
-      e->name = id.text;
-      return e;
+      code.push_back(e);
+      return;
     }
     if (t.kind == Tok::kSym && t.text == "(") {
       next();
-      ExprPtr inner = parse_expr();
+      parse_additive(code);
       expect_sym(")");
-      return inner;
+      return;
     }
     fail_at(src_name_, t, "expected an expression, got " + describe(t));
   }
 
-  static ExprPtr make_binary(const Token& op, ExprPtr lhs, ExprPtr rhs) {
-    auto e = std::make_unique<Expr>();
-    e->kind = Expr::Kind::kBinary;
-    e->op = op.text[0];
-    e->lhs = std::move(lhs);
-    e->rhs = std::move(rhs);
-    e->line = op.line;
-    e->col = op.col;
-    return e;
+  static void push_binary(ExprCode& code, const Token& op) {
+    ExprOp e;
+    e.kind = ExprOp::Kind::kBinary;
+    e.op = op.text[0];
+    e.line = op.line;
+    e.col = op.col;
+    code.push_back(e);
   }
 
   std::string src_name_;
@@ -983,8 +982,17 @@ class Parser {
   int n_cbits_ = 0;
   int next_qubit_ = 0;
   int next_cbit_ = 0;
-  std::map<std::string, Reg> regs_;
-  std::map<std::string, Macro> macros_;
+  std::unordered_map<std::string_view, Reg> regs_;
+  std::unordered_map<std::string_view, Macro> macros_;
+  /// Parameter names of the gate body being parsed; null at top level.
+  const std::vector<std::string_view>* expr_params_ = nullptr;
+  /// The macros whose expansion is in progress, outermost first.
+  std::vector<const Macro*> expanding_;
+  // Scratch reused across statements.
+  ExprCode code_;
+  std::vector<Real> params_;
+  std::vector<Real> stack_;
+  std::vector<Operand> operands_;
   Circuit circ_;
 };
 
@@ -1066,25 +1074,9 @@ Circuit strip_trailing_measurements(const Circuit& c, int* n_stripped) {
     uses_cbits = uses_cbits || kind == OpKind::kMeasure || kind == OpKind::kCondUnitary;
   }
   Circuit out(c.n_qubits(), uses_cbits ? c.n_cbits() : 0);
+  out.reserve(keep);
   for (std::size_t i = 0; i < keep; ++i) {
-    const Operation& op = c.ops()[i];
-    switch (op.kind) {
-      case OpKind::kUnitary:
-        out.gate(op.matrix(), op.qubits, op.label);
-        break;
-      case OpKind::kCondUnitary:
-        out.gate_if(op.cbit, op.matrix(), op.qubits, op.label);
-        break;
-      case OpKind::kMeasure:
-        out.measure(op.qubits[0], op.cbit);
-        break;
-      case OpKind::kReset:
-        out.reset(op.qubits[0]);
-        break;
-      case OpKind::kInitialize:
-        out.initialize(op.qubits, op.init_state(), op.label);
-        break;
-    }
+    out.push_op(c.ops()[i]);  // shares the op's payload and its classification
   }
   if (n_stripped != nullptr) {
     *n_stripped = static_cast<int>(c.size() - keep);

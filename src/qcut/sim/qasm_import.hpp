@@ -24,6 +24,16 @@
 // conditioned measure/reset, out-of-range indices, arity/parameter-count
 // mismatches, and any gate name that is neither built in nor a previously
 // defined macro.
+//
+// Cost. Import is the first serial stage of every QASM request, so it does
+// no per-token or per-op work beyond what the Circuit needs: tokens are views
+// into the source, each number is parsed once from its spelling, gate names
+// resolve through one table lookup, parameter expressions compile to postfix
+// code (a gate body's parameters bound to indices, so a macro call expands
+// without building maps), and the fixed gates (h ... swap, ccx, cswap) append
+// one shared, pre-classified payload (Circuit::fixed_gate) instead of
+// classifying and allocating per op. The parameterized gates still build and
+// classify their matrix per op.
 #pragma once
 
 #include <string>
@@ -45,8 +55,9 @@ Circuit import_qasm_file(const std::string& path);
 /// by other ops — mid-circuit measurement, feed-forward — are kept. The copy
 /// keeps the classical bits only when a kept op is a measure or a
 /// classically conditioned gate; otherwise it has none, so a fully measured
-/// circuit comes back purely quantum (cuttable). The number of dropped ops
-/// is written to `*n_stripped` when non-null.
+/// circuit comes back purely quantum (cuttable). Kept ops share their
+/// payloads and classifications with `c`'s. The number of dropped ops is
+/// written to `*n_stripped` when non-null.
 Circuit strip_trailing_measurements(const Circuit& c, int* n_stripped = nullptr);
 
 /// Structural equivalence up to global phase per operation: identical

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <limits>
 
+#include "qcut/core/cut_executor.hpp"
 #include "qcut/core/overhead.hpp"
 #include "qcut/cut/gate_cut.hpp"
 #include "qcut/cut/harada_cut.hpp"
@@ -698,6 +701,33 @@ TEST(CutPlanner, MergeStaysGrantedWhenTheMergedWidthFits) {
   EXPECT_EQ(plan.max_sim_width, 22);
 }
 
+TEST(CutPlanner, MemoizedMergeProfileEqualsAFreshProbe) {
+  // Every protocol id, the entangled families at several parameters; each
+  // spec twice, so the second lookup is served from the memo.
+  std::vector<ProtocolSpec> specs = {{ProtocolId::kHarada, 0.0},
+                                     {ProtocolId::kPeng, 0.0},
+                                     {ProtocolId::kTeleport, 0.0},
+                                     {ProtocolId::kZzGate, 0.3}};
+  for (const LinkFamily family : {LinkFamily::kNme, LinkFamily::kDistill, LinkFamily::kMixed}) {
+    for (const Real f : {0.6, 0.75, 0.9, 1.0}) {
+      specs.push_back(link_protocol_spec(LinkSpec{f, 1, family}));
+    }
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const ProtocolSpec& spec : specs) {
+      const MergeProfile memo = spec_merge_profile(spec);
+      const MergeProfile fresh = merge_profile(*make_protocol(spec));
+      EXPECT_EQ(memo.merges, fresh.merges) << to_string(spec);
+      EXPECT_EQ(memo.merged_extra, fresh.merged_extra) << to_string(spec);
+      EXPECT_EQ(memo.sender_extra, fresh.sender_extra) << to_string(spec);
+      EXPECT_EQ(memo.receiver_extra, fresh.receiver_extra) << to_string(spec);
+    }
+  }
+  // The entangled wire cuts merge; the probe is what says so.
+  EXPECT_TRUE(spec_merge_profile(specs.back()).merges);
+  EXPECT_FALSE(spec_merge_profile(specs.front()).merges);
+}
+
 TEST(CutPlanner, ZeroCutsWhenCircuitFits) {
   PlannerConfig cfg;
   cfg.max_fragment_width = 4;
@@ -951,6 +981,130 @@ TEST(PlannedExecutor, ZeroCutPlanRunsDirectly) {
   EXPECT_TRUE(res.plan.cuts.empty());
   EXPECT_NEAR(res.run.exact, 1.0, 1e-10);
   EXPECT_LE(res.run.abs_error, 0.1);  // κ = 1: plain sampling noise only
+}
+
+// ---- pinned plans -------------------------------------------------------------
+// Every CutPlan field, pinned bit for bit (reals as %.17g): the search's
+// output, including nodes_explored, must not move when its implementation
+// does.
+
+std::string g17(Real v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+std::string plan_line(const CutPlan& p) {
+  std::string s = "o=" + g17(p.total_overhead) + " k=" + g17(p.total_kappa) +
+                  " eps=" + g17(p.target_accuracy) + " shots=" + g17(p.predicted_shots) + " |";
+  for (const PlannedCut& c : p.cuts) {
+    s += c.site.kind == CutKind::kWire ? " w" + std::to_string(c.site.point.after_op) + "." +
+                                             std::to_string(c.site.point.qubit)
+                                       : " g" + std::to_string(c.site.op_index);
+    s += ":" + std::string(to_string(c.spec.id)) + "(" + g17(c.spec.param) + ")k" +
+         g17(c.kappa) + (c.entangled ? "e" : "") + "l" + std::to_string(c.link);
+  }
+  s += " | fw";
+  for (int w : p.fragment_widths) {
+    s += " " + std::to_string(w);
+  }
+  s += " max " + std::to_string(p.max_width) + " | sw";
+  for (int w : p.sim_widths) {
+    s += " " + std::to_string(w);
+  }
+  s += " max " + std::to_string(p.max_sim_width) + " | nodes " +
+       std::to_string(p.nodes_explored) + (p.budget_exhausted ? " exhausted" : "");
+  return s;
+}
+
+std::string plan_or_throw(const Circuit& circ, const PlannerConfig& cfg) {
+  try {
+    return plan_line(CutPlanner(circ, cfg).plan());
+  } catch (const Error&) {
+    return "throws";
+  }
+}
+
+TEST(CutPlannerPins, GridPlansArePinned) {
+  // The 240-config grid: hwe_ansatz_8 and GHZ-8/12/16 lines x caps 3-6 x
+  // pair budgets 0-4 x overlaps {0.6, 0.9, 1.0}, one digest per circuit
+  // over its 60 plan lines (printed on a mismatch).
+  struct GridPin {
+    const char* name;
+    Circuit circ;
+    std::uint64_t digest;
+  };
+  const GridPin pins[] = {
+      {"hwe_ansatz_8",
+       import_qasm_file(std::string(QCUT_QASM_CORPUS_DIR) + "/hwe_ansatz_8.qasm"),
+       0xd73335f561ad64e6ull},
+      {"ghz_8", ghz_line(8), 0xc0386d534e7f4e77ull},
+      {"ghz_12", ghz_line(12), 0xdfb62925d3afbef0ull},
+      {"ghz_16", ghz_line(16), 0x301419f057d08fd6ull},
+  };
+  for (const GridPin& pin : pins) {
+    std::string lines;
+    for (int cap = 3; cap <= 6; ++cap) {
+      for (int budget = 0; budget <= 4; ++budget) {
+        for (Real f : {0.6, 0.9, 1.0}) {
+          PlannerConfig cfg;
+          cfg.max_fragment_width = cap;
+          cfg.pair_budget = budget;
+          cfg.resource_overlap = f;
+          lines += "cap " + std::to_string(cap) + " budget " + std::to_string(budget) + " f " +
+                   g17(f) + ": " + plan_or_throw(pin.circ, cfg) + "\n";
+        }
+      }
+    }
+    char digest[32];
+    std::snprintf(digest, sizeof digest, "0x%016" PRIx64 "ull", testing::fnv64(lines));
+    EXPECT_EQ(testing::fnv64(lines), pin.digest) << pin.name << " digest " << digest << "\n"
+                                                 << lines;
+  }
+}
+
+TEST(CutPlannerPins, BenchClassPlansArePinned) {
+  // The end-to-end benchmark's six request classes, on its request shapes.
+  struct ClassPin {
+    testing::BenchShape shape;
+    int cap;
+    int budget;
+    Real f;
+    const char* line;
+  };
+  const ClassPin pins[] = {
+      {testing::BenchShape::kGhz30, 16, 0, 0.5,
+       "o=9 k=3 eps=0.050000000000000003 shots=3599.9999999999991 | "
+       "w16.14:harada(0)k3l-1 | fw 16 15 max 16 | sw 16 15 max 16 | nodes 1767"},
+      {testing::BenchShape::kBrick30, 16, 0, 0.5,
+       "o=9 k=3 eps=0.050000000000000003 shots=3599.9999999999991 | "
+       "w38.14:harada(0)k3l-1 | fw 16 15 max 16 | sw 16 15 max 16 | nodes 26823"},
+      {testing::BenchShape::kGhz8, 3, 0, 0.5,
+       "o=729 k=27 eps=0.050000000000000003 shots=291599.99999999994 | "
+       "w3.1:harada(0)k3l-1 w5.3:harada(0)k3l-1 w7.5:harada(0)k3l-1 | "
+       "fw 3 3 3 2 max 3 | sw 3 3 3 2 max 3 | nodes 256"},
+      {testing::BenchShape::kHwe8, 4, 0, 0.5,
+       "o=81 k=9 eps=0.050000000000000003 shots=32399.999999999993 | "
+       "w3.1:harada(0)k3l-1 w9.4:harada(0)k3l-1 | fw 4 4 2 max 4 | sw 4 4 2 max 4 | "
+       "nodes 1082"},
+      {testing::BenchShape::kHwe8, 6, 2, 0.9,
+       "o=1.4938271604938274 k=1.2222222222222223 eps=0.050000000000000003 "
+       "shots=597.53086419753083 | "
+       "w6.2:nme(0.50000000000000011)k1.2222222222222223el0 | fw 6 3 max 6 | "
+       "sw 10 max 10 | nodes 266"},
+      {testing::BenchShape::kHwe8, 5, 0, 0.5,
+       "o=9 k=3 eps=0.050000000000000003 shots=3599.9999999999991 | "
+       "w6.3:harada(0)k3l-1 | fw 5 4 max 5 | sw 5 4 max 5 | nodes 350"},
+  };
+  for (const ClassPin& pin : pins) {
+    const Circuit circ =
+        strip_trailing_measurements(import_qasm(testing::bench_shape_qasm(pin.shape)));
+    PlannerConfig cfg;
+    cfg.max_fragment_width = pin.cap;
+    cfg.pair_budget = pin.budget;
+    cfg.resource_overlap = pin.f;
+    EXPECT_EQ(plan_or_throw(circ, cfg), pin.line) << "cap " << pin.cap;
+  }
 }
 
 }  // namespace

@@ -5,11 +5,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 
 #include "qcut/common/rng.hpp"
 #include "qcut/linalg/matrix.hpp"
 #include "qcut/linalg/random.hpp"
 #include "qcut/sim/circuit.hpp"
+#include "bench_shapes.hpp"
 
 namespace qcut::testing {
 
@@ -37,6 +39,15 @@ inline Circuit random_unitary_circuit(int n, int depth, Rng& rng) {
     }
   }
   return c;
+}
+
+/// FNV-1a 64 of `bytes`: the digest the pinned-output tests compare.
+inline std::uint64_t fnv64(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  return h;
 }
 
 inline void expect_matrix_near(const Matrix& a, const Matrix& b, Real tol = 1e-9,

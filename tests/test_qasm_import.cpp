@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +20,7 @@
 #include "qcut/sim/gates.hpp"
 #include "qcut/sim/qasm.hpp"
 #include "qcut/sim/qasm_import.hpp"
+#include "qcut/svc/cache.hpp"
 #include "test_helpers.hpp"
 
 #ifndef QCUT_QASM_CORPUS_DIR
@@ -188,6 +191,22 @@ TEST(QasmImport, InFileDefinitionsShadowThePrelude) {
   ASSERT_EQ(c.size(), 2u);
   EXPECT_EQ(c.ops()[0].label, "H");
   EXPECT_EQ(c.ops()[1].label, "CX");
+}
+
+TEST(QasmImport, PreludeShadowThatExpandsIntoItselfIsDiagnosed) {
+  // A body may name the prelude ccx/cswap, and a definition may shadow
+  // them, so a definition can reach itself: diagnosed, not a stack overflow.
+  for (const char* src : {"OPENQASM 2.0;\ngate ccx a,b,c { ccx a,b,c; }\nqreg q[3];\n"
+                          "ccx q[0],q[1],q[2];\n",
+                          "OPENQASM 2.0;\ngate ccx a,b,c { cswap a,b,c; }\n"
+                          "gate cswap a,b,c { ccx a,b,c; }\nqreg q[3];\ncswap q[0],q[1],q[2];\n"}) {
+    try {
+      import_qasm(src, "<loop>");
+      ADD_FAILURE() << "imported a self-expanding gate";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("expands into itself"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(QasmImport, PreludeCompositesWorkInsideMacroBodies) {
@@ -533,6 +552,139 @@ TEST(QasmImport, CircuitsEquivalentDetectsMismatches) {
   Circuit d(2, 0);
   d.gate(Cplx{0.0, 1.0} * gates::h(), {0}, "H'").cx(0, 1);
   EXPECT_TRUE(circuits_equivalent(a, d, 1e-9, &why)) << why;
+}
+
+// ---- pinned outputs ---------------------------------------------------------
+// The importer's output bit for bit: svc::circuit_hash (every matrix entry,
+// qubit, cbit and initialize amplitude) of the import and of its
+// strip_trailing_measurements copy, the op count, a digest of the label
+// sequence, and every gate op's class equal to classify_gate of its matrix.
+
+struct ImportPin {
+  const char* name;
+  std::uint64_t hash;
+  std::uint64_t stripped_hash;
+  std::size_t ops;
+  std::uint64_t labels;
+};
+
+std::uint64_t label_digest(const Circuit& c) {
+  std::string all;
+  for (const Operation& op : c.ops()) {
+    all += op.label;
+    all += '\n';
+  }
+  return testing::fnv64(all);
+}
+
+bool same_class(const GateClass& a, const GateClass& b) {
+  return a.structure == b.structure && a.dim == b.dim && a.diag == b.diag &&
+         a.phase_index == b.phase_index && a.cycles == b.cycles;
+}
+
+void expect_pinned(const Circuit& c, const ImportPin& pin) {
+  const Circuit stripped = strip_trailing_measurements(c);
+  char row[160];
+  std::snprintf(row, sizeof row,
+                "{\"%s\", 0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull, %zu, 0x%016" PRIx64 "ull},",
+                pin.name, svc::circuit_hash(c), svc::circuit_hash(stripped), c.size(),
+                label_digest(c));
+  EXPECT_EQ(svc::circuit_hash(c), pin.hash) << row;
+  EXPECT_EQ(svc::circuit_hash(stripped), pin.stripped_hash) << row;
+  EXPECT_EQ(c.size(), pin.ops) << row;
+  EXPECT_EQ(label_digest(c), pin.labels) << row;
+  for (const Circuit* circ : {&c, &stripped}) {
+    for (std::size_t i = 0; i < circ->size(); ++i) {
+      const Operation& op = circ->ops()[i];
+      if (op.kind == OpKind::kUnitary || op.kind == OpKind::kCondUnitary) {
+        EXPECT_TRUE(same_class(op.gclass(), classify_gate(op.matrix())))
+            << pin.name << ": op " << i << " ('" << op.label << "') is misclassified";
+      }
+    }
+  }
+}
+
+TEST(QasmImportPins, CorpusImportsToPinnedCircuits) {
+  static const ImportPin kPins[] = {
+      {"barrier_reset.qasm", 0xd2464f9a70c52027ull, 0xcb9f2b7fc5103f24ull,
+       11, 0x6caefb12a106a5bdull},
+      {"bell_pair.qasm", 0x621451eaca30d46bull, 0xeb36c1285cd1aa4full,
+       4, 0x653758de56923a08ull},
+      {"ccx_adder.qasm", 0xd96f62d89e5643e7ull, 0x3bafe6091dc662e3ull,
+       37, 0x49295fb7171ab426ull},
+      {"comment_heavy.qasm", 0x34ea48248b80c38aull, 0x565ba721cde5a43eull,
+       5, 0x76226b4b4ac0f102ull},
+      {"cond_two_qubit.qasm", 0x4acf976d62c03b14ull, 0x4acf976d62c03b14ull,
+       7, 0x8a7951a392e3886bull},
+      {"expr_angles.qasm", 0x3c0e3ea9ed96a1d3ull, 0x3c0e3ea9ed96a1d3ull,
+       14, 0xebfd432c58312214ull},
+      {"ghz_3.qasm", 0x40994fb400df35c6ull, 0x40994fb400df35c6ull,
+       3, 0x15de91a85ccdf08bull},
+      {"ghz_30_wide.qasm", 0x6dd42c2001103b53ull, 0x6dd42c2001103b53ull,
+       30, 0x3da3e24a4901b754ull},
+      {"ghz_5_broadcast.qasm", 0xd4d60b199e4cc7a9ull, 0x485c19ddd6ef8b50ull,
+       10, 0x37ad9589a47022cfull},
+      {"ghz_8.qasm", 0x357a3a9bd8cc33f9ull, 0x357a3a9bd8cc33f9ull,
+       8, 0xeb9c1fdf79f1d18aull},
+      {"hwe_ansatz_8.qasm", 0x7d0a1ddd82052082ull, 0x7d0a1ddd82052082ull,
+       21, 0x96c3d9410992b2a6ull},
+      {"macro_bell.qasm", 0x324ed278b2595033ull, 0x324ed278b2595033ull,
+       8, 0x936e8acd56740564ull},
+      {"macro_nested.qasm", 0x5dd6c842d43b735bull, 0x5dd6c842d43b735bull,
+       23, 0xdd335d825ca3e056ull},
+      {"named_gates_tour.qasm", 0x6d00fdf0d673e687ull, 0x6d00fdf0d673e687ull,
+       19, 0xd21de1da0f413d00ull},
+      {"prelude_toffoli_fredkin.qasm", 0xfa2046896af77a22ull, 0x8a1510267ab6a5feull,
+       8, 0x6b8fbbc36e183436ull},
+      {"qft_3.qasm", 0x452424809635500bull, 0x452424809635500bull,
+       19, 0x1b89f34b4645477eull},
+      {"qft_4.qasm", 0xd4a84cb9ad0b643full, 0xd4a84cb9ad0b643full,
+       36, 0xd4b7cbd9c71c6ef9ull},
+      {"qft_5_measured.qasm", 0xc963909077a5ee24ull, 0xdc2e1c07a3e8d5a1ull,
+       62, 0xcc6fabfab4b088a5ull},
+      {"random_u3_4.qasm", 0x322783abd2cf7c9dull, 0x322783abd2cf7c9dull,
+       11, 0x7d281852b4bf7c48ull},
+      {"teleport.qasm", 0x9332753f91a64291ull, 0x9332753f91a64291ull,
+       10, 0x50a6f509ae290b21ull},
+      {"teleport_rotated.qasm", 0x998761b72a59c82full, 0xf693fdd8da80eccdull,
+       11, 0x6b40549039979a85ull},
+      {"two_qreg.qasm", 0x82f35857ada14cc0ull, 0x648ee610a80ea71dull,
+       12, 0x8ac62ee2c6d1e428ull},
+      {"vqe_ansatz_4.qasm", 0xe01e07ba3c4c4a17ull, 0xe01e07ba3c4c4a17ull,
+       11, 0x290c254f0ff1ac7cull},
+      {"vqe_ansatz_6.qasm", 0xc5cb743f742f8922ull, 0xea0c0792ae7d9806ull,
+       29, 0x7d2c8cd89ece2348ull},
+      {"w_state_3.qasm", 0x60ea819e1bf40f94ull, 0x60ea819e1bf40f94ull,
+       8, 0x790930c796f8f904ull},
+      {"wide_30_brickwork.qasm", 0xe417138047c89869ull, 0xe417138047c89869ull,
+       89, 0xff7e3a73be8d75eeull},
+  };
+  const std::vector<std::filesystem::path> files = corpus_files();
+  ASSERT_EQ(files.size(), std::size(kPins));
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    ASSERT_EQ(files[i].filename().string(), kPins[i].name);
+    expect_pinned(import_qasm_file(files[i].string()), kPins[i]);
+  }
+}
+
+TEST(QasmImportPins, BenchShapesImportToPinnedCircuits) {
+  static const ImportPin kPins[] = {
+      {"ghz_30_wide+ry", 0x0eaa4aad7be108a3ull, 0x0eaa4aad7be108a3ull,
+       31, 0x99c475eb8f2fb511ull},
+      {"wide_30_brickwork", 0x335a4290e14507e5ull, 0x335a4290e14507e5ull,
+       89, 0xff7e3a73be8d75eeull},
+      {"ghz_8+ry", 0x7c05f2117b1f9245ull, 0x7c05f2117b1f9245ull,
+       9, 0x9f82bf995e1be653ull},
+      {"hwe_ansatz_8", 0xab1b22b2c27ad556ull, 0xab1b22b2c27ad556ull,
+       21, 0x96c3d9410992b2a6ull},
+  };
+  const testing::BenchShape shapes[] = {testing::BenchShape::kGhz30,
+                                        testing::BenchShape::kBrick30,
+                                        testing::BenchShape::kGhz8, testing::BenchShape::kHwe8};
+  ASSERT_EQ(std::size(shapes), std::size(kPins));
+  for (std::size_t i = 0; i < std::size(shapes); ++i) {
+    expect_pinned(import_qasm(testing::bench_shape_qasm(shapes[i]), "<request>"), kPins[i]);
+  }
 }
 
 }  // namespace
