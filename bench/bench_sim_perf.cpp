@@ -17,7 +17,7 @@
 //    full branch enumeration per (fragment, read assignment), and gate
 //    classification stripped (the old dense kernels). This is the yardstick
 //    the speedup floor pins.
-//  * optimized        — FragmentBackend: shared split skeletons, prefix-once
+//  * optimized        — BatchedBranchBackend: shared split skeletons, prefix-once
 //    suffix-per-assignment enumeration, trailing-measure amplitude fold,
 //    specialized kernels, work units across the thread pool.
 // Results must be bit-identical across pool sizes {1, 2, 8} — checked here
@@ -25,8 +25,9 @@
 //
 // Kernel section: amp-updates/sec and effective GB/s per kernel, plus the
 // QFT-16 workload (h + cu1 + swap — the corpus QFT gate mix) applied with
-// classified dispatch vs. the dense kernels; the ratio is the pinned
-// single-thread kernel win.
+// classified dispatch vs. the dense kernels, one pass of each per rep in
+// alternating order; the median per-rep ratio is the pinned single-thread
+// kernel win.
 //
 // SIMD tier section: the same kernels measured under each *forced* dispatch
 // tier (scalar / AVX2) — a tier the build or CPU lacks is skipped with an
@@ -68,10 +69,12 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "../tests/exact_oracles.hpp"
 #include "qcut/common/cli.hpp"
 #include "qcut/cut/fragment.hpp"
 #include "qcut/cut/nme_cut.hpp"
@@ -235,7 +238,7 @@ FragmentRow measure_fragment_workload(const std::string& name, const qcut::Circu
       const auto t0 = Clock::now();
       for (int r = 0; r < reps; ++r) {
         for (const qcut::QpdTerm& t : stripped.terms()) {
-          acc_base += qcut::fragment_term_prob_one_baseline(qcut::split_term(t));
+          acc_base += qcut::testing::fragment_term_prob_one_baseline(qcut::split_term(t));
         }
       }
       row.serial_seconds = seconds_since(t0);
@@ -245,10 +248,10 @@ FragmentRow measure_fragment_workload(const std::string& name, const qcut::Circu
     qcut::Real acc_opt = 0.0;
     const auto t0 = Clock::now();
     for (int r = 0; r < reps; ++r) {
-      const qcut::FragmentBackend frag(qpd, 0, &pool);
-      frag.prewarm();
+      const qcut::BatchedBranchBackend backend(qpd, &pool);
+      backend.prewarm();
       for (std::size_t i = 0; i < qpd.size(); ++i) {
-        acc_opt += frag.cache().prob_one(i);
+        acc_opt += backend.cache().prob_one(i);
       }
     }
     row.optimized_seconds = seconds_since(t0);
@@ -277,9 +280,9 @@ FragmentRow measure_fragment_workload(const std::string& name, const qcut::Circu
 /// returns the exact per-term vector.
 std::vector<qcut::Real> fragment_probs_with_pool(const qcut::Qpd& qpd, std::size_t pool_size) {
   qcut::ThreadPool pool(pool_size);
-  const qcut::FragmentBackend frag(qpd, 0, &pool);
-  frag.prewarm();
-  return frag.cache().all_prob_one();
+  const qcut::BatchedBranchBackend backend(qpd, &pool);
+  backend.prewarm();
+  return backend.cache().all_prob_one();
 }
 
 // ---- QFT kernel workload ----------------------------------------------------
@@ -302,38 +305,47 @@ qcut::Circuit build_qft(int n) {
 struct QftKernelResult {
   int qubits = 0;
   std::size_t ops = 0;
-  double dense_seconds = 0.0;
-  double classified_seconds = 0.0;
-  double speedup = 0.0;
+  int reps = 0;
+  double dense_seconds = 0.0;       ///< summed over reps
+  double classified_seconds = 0.0;  ///< summed over reps
+  double speedup = 0.0;             ///< median over reps of dense/classified
 };
 
+/// One QFT pass per kernel set per rep, dense and classified adjacent, the
+/// side that runs first alternating from rep to rep; the speedup is the
+/// median of the per-rep dense/classified ratios. A slow spell on a shared
+/// host then lands inside one rep's ratio, or on one side of a few, instead
+/// of on a whole block of one side.
 QftKernelResult measure_qft_kernels(int n, int reps) {
   const qcut::Circuit qft = build_qft(n);
   qcut::Rng rng(23);
   QftKernelResult res;
   res.qubits = n;
   res.ops = qft.size();
+  res.reps = reps;
 
   const qcut::GateClass dense{};  // forces the dense kernels
-  qcut::Statevector sv(n, qcut::random_statevector(qcut::Index{1} << n, rng));
-  auto t0 = Clock::now();
-  for (int r = 0; r < reps; ++r) {
+  qcut::Statevector sv_dense(n, qcut::random_statevector(qcut::Index{1} << n, rng));
+  qcut::Statevector sv_classified(n, qcut::random_statevector(qcut::Index{1} << n, rng));
+  const auto timed_pass = [&qft, &dense](qcut::Statevector& sv, bool classified) {
+    const auto t0 = Clock::now();
     for (const qcut::Operation& op : qft.ops()) {
-      sv.apply(op.matrix(), op.qubits, dense);
+      sv.apply(op.matrix(), op.qubits, classified ? op.gclass() : dense);
     }
-  }
-  res.dense_seconds = seconds_since(t0);
-
-  qcut::Statevector sv2(n, qcut::random_statevector(qcut::Index{1} << n, rng));
-  t0 = Clock::now();
+    return seconds_since(t0);
+  };
+  std::vector<double> ratios;
   for (int r = 0; r < reps; ++r) {
-    for (const qcut::Operation& op : qft.ops()) {
-      sv2.apply(op.matrix(), op.qubits, op.gclass());
+    double d = 0.0, c = 0.0;
+    for (const bool classified : {r % 2 == 1, r % 2 == 0}) {
+      (classified ? c : d) = timed_pass(classified ? sv_classified : sv_dense, classified);
     }
+    res.dense_seconds += d;
+    res.classified_seconds += c;
+    ratios.push_back(c > 0.0 ? d / c : 0.0);
   }
-  res.classified_seconds = seconds_since(t0);
-  res.speedup =
-      res.classified_seconds > 0.0 ? res.dense_seconds / res.classified_seconds : 0.0;
+  std::nth_element(ratios.begin(), ratios.begin() + reps / 2, ratios.end());
+  res.speedup = ratios[static_cast<std::size_t>(reps / 2)];
   return res;
 }
 
@@ -419,7 +431,6 @@ struct FusionBench {
   std::size_t ops_before = 0;
   std::size_t ops_after = 0;
   std::size_t fused_1q = 0;
-  std::size_t merged_diagonal = 0;
   double unfused_seconds = 0.0;
   double fused_seconds = 0.0;
   double speedup = 0.0;
@@ -449,7 +460,6 @@ FusionBench measure_fusion(int n, int layers, int reps) {
   res.ops_before = stats.ops_before;
   res.ops_after = stats.ops_after;
   res.fused_1q = stats.fused_1q;
-  res.merged_diagonal = stats.merged_diagonal;
 
   const qcut::Vector init = qcut::random_statevector(qcut::Index{1} << n, rng);
   qcut::Statevector a(n, init);
@@ -604,66 +614,70 @@ std::vector<CrossoverRow> measure_fusion_crossover() {
 struct ObsOverheadBench {
   int qubits = 0;
   std::size_t ops = 0;
-  int reps = 0;
+  int pairs = 0;             ///< rep pairs: one off-first and one on-first rep each
   int passes = 0;            ///< QFT passes per timed sample
   double off_seconds = 0.0;  ///< best sample, metrics disabled
   double on_seconds = 0.0;   ///< best sample, metrics enabled
-  double overhead_frac = 0.0;  ///< median over reps of on/off - 1
+  double overhead_frac = 0.0;  ///< median over pairs of the pair's on/off ratio - 1
 };
 
 /// Times the QFT classified-kernel workload with the metrics registry off vs
-/// on, one sample of each per rep; the side that runs first alternates from
-/// rep to rep, so neither always pays for the warm-up after the previous
-/// section. The overhead is the median over reps of the on/off ratio of a
-/// rep's two adjacent samples: frequency drift between reps cancels inside
-/// each ratio, and one slow sample moves the median by at most one rank
-/// (the ratio of two minima let a single fast outlier on either side decide
-/// the gate).
+/// on, one sample of each per rep. Reps come in adjacent pairs: the first
+/// rep of a pair times its off sample first, the second its on sample
+/// first. A pair's ratio is the geometric mean of its two reps' on/off
+/// ratios, so an order effect (the second sample of a rep running faster or
+/// slower than the first) cancels inside each pair, and frequency drift
+/// between pairs cancels inside each rep. The overhead is the median over
+/// pairs: one slow sample moves it by at most one rank.
 /// The enabled cost (one relaxed fetch_add per Statevector::apply) upper
 /// bounds the disabled cost (one relaxed load + branch), so gating the
-/// enabled/disabled ratio at <= 2% proves the ISSUE's "compiled in but
-/// disabled" budget with margin. Each sample times `passes` QFT passes: one
-/// pass of the block-granular kernels takes about 2 ms, and 4 passes give
-/// samples of the 7–9 ms one pass took when the 2% ceiling was set.
-ObsOverheadBench measure_obs_overhead(int n, int reps, int passes) {
+/// enabled/disabled ratio at <= 2% proves the "compiled in but disabled"
+/// budget with margin. Each sample times `passes` QFT passes: one pass of
+/// the block-granular kernels takes about 2 ms, and 4 passes give samples of
+/// the 7–9 ms one pass took when the 2% ceiling was set.
+ObsOverheadBench measure_obs_overhead(int n, int pairs, int passes) {
   const qcut::Circuit qft = build_qft(n);
   qcut::Rng rng(31);
   ObsOverheadBench res;
   res.qubits = n;
   res.ops = qft.size();
-  res.reps = reps;
+  res.pairs = pairs;
   res.passes = passes;
   qcut::Statevector sv(n, qcut::random_statevector(qcut::Index{1} << n, rng));
 
-  const bool was_enabled = qcut::obs::metrics_enabled();
-  double best_off = 0.0;
-  double best_on = 0.0;
-  std::vector<double> ratios;
-  for (int r = 0; r < reps; ++r) {
-    const auto timed_passes = [&]() {
-      const auto t0 = Clock::now();
-      for (int p = 0; p < passes; ++p) {
-        for (const qcut::Operation& op : qft.ops()) {
-          sv.apply(op.matrix(), op.qubits, op.gclass());
-        }
+  const auto timed_passes = [&]() {
+    const auto t0 = Clock::now();
+    for (int p = 0; p < passes; ++p) {
+      for (const qcut::Operation& op : qft.ops()) {
+        sv.apply(op.matrix(), op.qubits, op.gclass());
       }
-      return seconds_since(t0);
-    };
-    double on = 0.0, off = 0.0;
-    for (const bool enabled : {r % 2 == 1, r % 2 == 0}) {
-      qcut::obs::set_metrics_enabled(enabled);
-      (enabled ? on : off) = timed_passes();
     }
-    if (r == 0 || off < best_off) best_off = off;
-    if (r == 0 || on < best_on) best_on = on;
-    ratios.push_back(off > 0.0 ? on / off : 1.0);
+    return seconds_since(t0);
+  };
+  const bool was_enabled = qcut::obs::metrics_enabled();
+  double best_off = std::numeric_limits<double>::infinity();
+  double best_on = best_off;
+  std::vector<double> ratios;
+  for (int pr = 0; pr < pairs; ++pr) {
+    double log_ratio = 0.0;
+    for (const bool on_first : {false, true}) {
+      double on = 0.0, off = 0.0;
+      for (const bool enabled : {on_first, !on_first}) {
+        qcut::obs::set_metrics_enabled(enabled);
+        (enabled ? on : off) = timed_passes();
+      }
+      best_off = std::min(best_off, off);
+      best_on = std::min(best_on, on);
+      log_ratio += off > 0.0 && on > 0.0 ? std::log(on / off) : 0.0;
+    }
+    ratios.push_back(std::exp(log_ratio / 2.0));
   }
   qcut::obs::set_metrics_enabled(was_enabled);
 
   res.off_seconds = best_off;
   res.on_seconds = best_on;
-  std::nth_element(ratios.begin(), ratios.begin() + reps / 2, ratios.end());
-  res.overhead_frac = ratios[static_cast<std::size_t>(reps / 2)] - 1.0;
+  std::nth_element(ratios.begin(), ratios.begin() + pairs / 2, ratios.end());
+  res.overhead_frac = ratios[static_cast<std::size_t>(pairs / 2)] - 1.0;
   return res;
 }
 
@@ -806,13 +820,13 @@ int main(int argc, char** argv) {
     qcut::Real est1 = 0.0, est2 = 0.0, est8 = 0.0;
     for (const std::size_t n_threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       qcut::ThreadPool pool(n_threads);
-      const qcut::FragmentBackend frag(wide_qpd, 0, &pool);
+      const qcut::BatchedBranchBackend backend(wide_qpd, &pool);
       qcut::EngineConfig ec;
       ec.pool = &pool;
       const qcut::ExecutionEngine engine(ec);
       const auto plan =
           qcut::ShotPlan::allocated(wide_qpd, 200000, qcut::AllocRule::kProportional);
-      const qcut::Real est = engine.run(wide_qpd, plan, frag, seed).estimate;
+      const qcut::Real est = engine.run(wide_qpd, plan, backend, seed).estimate;
       (n_threads == 1 ? est1 : n_threads == 2 ? est2 : est8) = est;
     }
     frag_bit_identical = frag_bit_identical && est1 == est2 && est1 == est8;
@@ -854,10 +868,11 @@ int main(int argc, char** argv) {
                 kr.gb_per_sec);
   }
 
-  const QftKernelResult qft = measure_qft_kernels(16, 10);
-  std::printf("\nQFT-%d workload (%zu ops, single thread): dense %.3fs, classified %.3fs "
-              "-> %.2fx (floor: 1.5x)\n",
-              qft.qubits, qft.ops, qft.dense_seconds, qft.classified_seconds, qft.speedup);
+  const QftKernelResult qft = measure_qft_kernels(16, 11);
+  std::printf("\nQFT-%d workload (%zu ops, single thread, %d alternating reps): dense %.3fs, "
+              "classified %.3fs -> median %.2fx (floor: 1.5x)\n",
+              qft.qubits, qft.ops, qft.reps, qft.dense_seconds, qft.classified_seconds,
+              qft.speedup);
 
   // ---- SIMD dispatch tiers -------------------------------------------------
   const qcut::SimdTier initial_tier = qcut::active_simd_tier();
@@ -959,8 +974,8 @@ int main(int argc, char** argv) {
   // ---- gate fusion A/B -----------------------------------------------------
   const FusionBench fusion = measure_fusion(16, 8, 10);
   std::printf("\n=== Gate fusion (rz-ry-rz Euler layers + cx ladder, 16 qubits) ===\n");
-  std::printf("ops %zu -> %zu (1q fused: %zu, diagonal merged: %zu)\n", fusion.ops_before,
-              fusion.ops_after, fusion.fused_1q, fusion.merged_diagonal);
+  std::printf("ops %zu -> %zu (1q fused: %zu)\n", fusion.ops_before, fusion.ops_after,
+              fusion.fused_1q);
   std::printf("unfused %.3fs, fused %.3fs -> %.2fx; max amplitude diff %.2e\n",
               fusion.unfused_seconds, fusion.fused_seconds, fusion.speedup,
               fusion.max_amp_diff);
@@ -968,8 +983,8 @@ int main(int argc, char** argv) {
   // ---- observability overhead ----------------------------------------------
   const ObsOverheadBench obs_bench = measure_obs_overhead(16, 15, 4);
   std::printf("\n=== Observability overhead (QFT-%d classified kernels, median on/off ratio "
-              "of %d x %d passes) ===\n",
-              obs_bench.qubits, obs_bench.reps, obs_bench.passes);
+              "of %d off-first/on-first rep pairs x %d passes) ===\n",
+              obs_bench.qubits, obs_bench.pairs, obs_bench.passes);
   std::printf("metrics off %.4fs, on %.4fs (best samples) -> median %+.2f%% (ceiling: 2%%)\n",
               obs_bench.off_seconds, obs_bench.on_seconds, 100.0 * obs_bench.overhead_frac);
 
@@ -1017,7 +1032,7 @@ int main(int argc, char** argv) {
        << ",\n    \"bit_identical_pools_1_2_8\": " << json_bool(frag_bit_identical)
        << "\n  },\n";
   json << "  \"qft_kernel\": {\"qubits\": " << qft.qubits << ", \"ops\": " << qft.ops
-       << ", \"dense_seconds\": " << qft.dense_seconds
+       << ", \"reps\": " << qft.reps << ", \"dense_seconds\": " << qft.dense_seconds
        << ", \"classified_seconds\": " << qft.classified_seconds
        << ", \"speedup\": " << qft.speedup << ", \"speedup_floor\": 1.5},\n";
   json << "  \"simd\": {\n    \"active\": \"" << qcut::simd_tier_name(initial_tier)
@@ -1045,7 +1060,6 @@ int main(int argc, char** argv) {
   json << "  \"fusion\": {\"qubits\": " << fusion.qubits
        << ", \"ops_before\": " << fusion.ops_before << ", \"ops_after\": " << fusion.ops_after
        << ", \"fused_1q\": " << fusion.fused_1q
-       << ", \"merged_diagonal\": " << fusion.merged_diagonal
        << ", \"unfused_seconds\": " << fusion.unfused_seconds
        << ", \"fused_seconds\": " << fusion.fused_seconds
        << ", \"speedup\": " << fusion.speedup
@@ -1062,7 +1076,7 @@ int main(int argc, char** argv) {
   }
   json << "    ]\n  },\n";
   json << "  \"observability\": {\"qubits\": " << obs_bench.qubits
-       << ", \"ops\": " << obs_bench.ops << ", \"reps\": " << obs_bench.reps
+       << ", \"ops\": " << obs_bench.ops << ", \"pairs\": " << obs_bench.pairs
        << ", \"passes\": " << obs_bench.passes
        << ", \"metrics_off_seconds\": " << obs_bench.off_seconds
        << ", \"metrics_on_seconds\": " << obs_bench.on_seconds

@@ -3,11 +3,10 @@
 //
 // Estimation runs on the qcut::exec engine: shots are planned as term
 // batches, executed on the configured ExecutionBackend, and recombined
-// deterministically. BatchedBranchBackend (branch-cached binomial sampling,
-// statistically identical in law to per-shot simulation) is the default here;
-// planned runs (PlannedExecutor) execute that default on FragmentBackend,
-// which computes the same per-term probabilities fragment by fragment.
-// SerialShotBackend is the full per-shot statevector reference.
+// deterministically. BatchedBranchBackend (binomial sampling from each term's
+// exact P(−1), computed fragment by fragment) is the default for planned and
+// unplanned runs alike; SerialShotBackend is the full per-shot statevector
+// reference.
 #pragma once
 
 #include <memory>
@@ -25,9 +24,6 @@ struct CutRunConfig {
   std::uint64_t seed = 1234;
   /// Execution backend. This absorbed the retired `fast` bool (PR 9): the
   /// old `fast = false` is spelled `backend = BackendKind::kSerialShot`.
-  /// Planned execution (PlannedExecutor, svc::estimate) runs the default
-  /// kBatchedBranch as kFragment — see PlannedExecutor::routed_backend;
-  /// unplanned runs (CutExecutor, run_qpd_estimate) use it as given.
   BackendKind backend = BackendKind::kBatchedBranch;
   /// Thread pool for the engine's batch-parallel driver; nullptr → global.
   ThreadPool* pool = nullptr;
@@ -36,7 +32,7 @@ struct CutRunConfig {
   /// Service-layer hook: run against this caller-owned backend (bound to the
   /// same QPD, outliving the call) instead of constructing one — a warm
   /// backend carries branch/skeleton caches across requests. `backend` must
-  /// name its kind (for the report); routing is disabled when set.
+  /// name its kind (for the report).
   const ExecutionBackend* shared_backend = nullptr;
   /// Capture the RunReport's counters from a per-thread sink instead of a
   /// global-registry delta. Only accurate when the whole run executes on the

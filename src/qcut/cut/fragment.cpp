@@ -163,7 +163,7 @@ void fold_branches_tail(const std::vector<Branch>& branches, const TailFold& tai
 /// with a running XOR of the per-fragment estimate parities. The 2^n_cross
 /// sigma sweep is chunked at a fixed size and the per-chunk partial sums are
 /// combined in chunk index order — deterministic for any pool (including
-/// none), so both evaluators and every pool size produce the same bits.
+/// none), so every pool size produces the same bits.
 constexpr std::uint64_t kSigmaChunk = 1024;
 
 Real recombine(const FragmentSplit& split, const FragTables& tables, ThreadPool* pool) {
@@ -645,36 +645,6 @@ Real fragment_term_prob_one(const FragmentSplit& split, ThreadPool* pool) {
     tables[f] = std::move(ev[f].tab);
   }
   return recombine(split, tables, pool);
-}
-
-Real fragment_term_prob_one_baseline(const FragmentSplit& split) {
-  check_split_limits(split);
-  FragTables tables(split.fragments.size());
-  for (std::size_t f = 0; f < split.fragments.size(); ++f) {
-    const TermFragment& tf = split.fragments[f];
-    const std::size_t r = tf.reads.size();
-    const std::size_t w = tf.writes.size();
-    // Allocations hoisted out of the read-assignment loop: the initial state
-    // and the classical register are reused across all 2^r enumerations.
-    Vector initial(std::size_t{1} << tf.circuit.n_qubits(), Cplx{0.0, 0.0});
-    initial[0] = Cplx{1.0, 0.0};
-    std::vector<int> init_cbits(static_cast<std::size_t>(tf.circuit.n_cbits()), 0);
-    const std::vector<std::size_t> wr_idx = hoisted_positions(tf.writes);
-    const std::vector<std::size_t> est_idx = hoisted_positions(tf.estimate_cbits);
-    auto& tab = tables[f];
-    tab.assign(std::size_t{1} << r, std::vector<Real>((std::size_t{1} << w) * 2, 0.0));
-    for (std::size_t ra = 0; ra < (std::size_t{1} << r); ++ra) {
-      for (std::size_t j = 0; j < r; ++j) {
-        init_cbits[static_cast<std::size_t>(tf.reads[j])] = static_cast<int>((ra >> j) & 1);
-      }
-      fold_branches(run_branches(tf.circuit, initial, init_cbits), wr_idx, est_idx, tab[ra]);
-    }
-  }
-  return recombine(split, tables, nullptr);
-}
-
-Real fragment_term_prob_one(const QpdTerm& term) {
-  return fragment_term_prob_one(split_term(term), nullptr);
 }
 
 }  // namespace qcut

@@ -31,9 +31,9 @@
 // Fast path: all the structure above — components, local indices, classical-
 // bit roles — depends only on the op *skeleton* of the term circuit (kinds,
 // qubit lists, cbits), never on the gadget matrices. All gadget variants of
-// one cut plan share that skeleton, so FragmentBackend computes it once per
-// structure (SplitSkeletonCache) and per-term splitting reduces to replaying
-// ops with remapped qubits. Evaluation then simulates each fragment's
+// one cut plan share that skeleton, so BatchedBranchBackend computes it once
+// per structure (SplitSkeletonCache) and per-term splitting reduces to
+// replaying ops with remapped qubits. Evaluation then simulates each fragment's
 // unconditioned prefix once, re-runs only the read-dependent suffix per
 // cross-bit assignment, and can distribute the (fragment, read-assignment)
 // work units over a ThreadPool — with a fixed-order reduction, so the result
@@ -144,17 +144,18 @@ std::shared_ptr<const SplitSkeleton> cached_skeleton(SplitSkeletonCache& cache, 
 /// prefix-caching boundary — and cond_suffix_begin is remapped onto the fused
 /// op list. Exact up to float reassociation in the composed 2x2 products;
 /// fragment_term_prob_one on a fused split matches the unfused value to
-/// ~1e-12. Fuses whatever its width: FragmentBackend calls it only on the
-/// fragments that pass fusion_pays.
+/// ~1e-12. Fuses whatever its width: BatchedBranchBackend calls it only on
+/// the fragments that pass fusion_pays.
 void fuse_fragment(TermFragment& tf, FusionStats* stats = nullptr);
 
 /// fuse_fragment on every fragment of `split`, whatever its width.
 void fuse_split_circuits(FragmentSplit& split, FusionStats* stats = nullptr);
 
 /// Exact P(outcome = −1) of the term — the parity-one probability of its
-/// estimate cbits — computed fragment-locally from `split`. Identical (up to
-/// float reassociation ≲ 1e-15) to term_prob_one on the spliced circuit, but
-/// memory-bounded by split.max_width instead of the spliced width.
+/// estimate cbits — computed fragment-locally from `split`. Equal (up to
+/// float reassociation ≲ 1e-15) to enumerating the whole spliced term
+/// circuit, but memory-bounded by split.max_width instead of the spliced
+/// width.
 ///
 /// The evaluator simulates each fragment's unconditioned prefix once,
 /// re-runs only the read-dependent suffix per cross-bit assignment, and —
@@ -172,14 +173,5 @@ void fuse_split_circuits(FragmentSplit& split, FusionStats* stats = nullptr);
 /// branches plus one unit's branches, each at most 2^width amplitudes. The
 /// pooled path holds every fragment's prefix at once.
 Real fragment_term_prob_one(const FragmentSplit& split, ThreadPool* pool = nullptr);
-
-/// Convenience: split_term + fragment_term_prob_one (serial).
-Real fragment_term_prob_one(const QpdTerm& term);
-
-/// Reference evaluator retained from the pre-fast-path implementation: one
-/// full branch enumeration per (fragment, read assignment), no prefix
-/// sharing, strictly serial. The equivalence tests pin the fast path against
-/// it, and bench_sim_perf uses it as the serial-baseline yardstick.
-Real fragment_term_prob_one_baseline(const FragmentSplit& split);
 
 }  // namespace qcut

@@ -29,33 +29,20 @@ std::uint64_t SerialShotBackend::run_batch(const TermBatch& batch, Rng& rng) con
   return ones;
 }
 
-BatchedBranchBackend::BatchedBranchBackend(const Qpd& qpd)
-    : qpd_(&qpd), cache_(std::make_shared<BranchCache>(qpd)) {}
-
-BatchedBranchBackend::BatchedBranchBackend(const Qpd& qpd, std::vector<Real> prob_one)
-    : qpd_(&qpd), cache_(std::make_shared<BranchCache>(qpd, std::move(prob_one))) {}
-
-std::uint64_t BatchedBranchBackend::run_batch(const TermBatch& batch, Rng& rng) const {
-  QCUT_CHECK(batch.term < qpd_->size(), "BatchedBranchBackend: term out of range");
-  return rng.binomial(batch.shots, cache_->prob_one(batch.term));
-}
-
-FragmentBackend::FragmentBackend(const Qpd& qpd, int max_fragment_width, ThreadPool* pool,
-                                 std::shared_ptr<SplitSkeletonCache> skeletons)
+BatchedBranchBackend::BatchedBranchBackend(const Qpd& qpd, ThreadPool* pool,
+                                           std::shared_ptr<SplitSkeletonCache> skeletons)
     : qpd_(&qpd), pool_(pool) {
-  const int cap = max_fragment_width > 0 ? max_fragment_width : Statevector::kMaxQubits;
-  QCUT_CHECK(cap <= Statevector::kMaxQubits,
-             "FragmentBackend: width cap exceeds the statevector engine cap");
   const auto skels =
       skeletons != nullptr ? std::move(skeletons) : std::make_shared<SplitSkeletonCache>();
-  cache_ = std::make_shared<BranchCache>(qpd, [cap, pool, skels](const QpdTerm& term) {
+  cache_ = std::make_shared<BranchCache>(qpd, [pool, skels](const QpdTerm& term) {
     FragmentSplit split = [&] {
       obs::TraceSpan span("fragment.split");
       return split_term(term, *cached_skeleton(*skels, term.circuit));
     }();
-    QCUT_CHECK(split.max_width <= cap,
-               "FragmentBackend: a term fragment exceeds the width cap (" +
-                   std::to_string(split.max_width) + " > " + std::to_string(cap) +
+    QCUT_CHECK(split.max_width <= Statevector::kMaxQubits,
+               "BatchedBranchBackend: a term fragment exceeds the statevector cap (" +
+                   std::to_string(split.max_width) + " > " +
+                   std::to_string(Statevector::kMaxQubits) +
                    " qubits) — add cuts, and note that entangled-resource cuts "
                    "(nme/distill) merge both sides into one fragment: wide runs "
                    "need entanglement-free plans (pair_budget = 0)");
@@ -71,12 +58,15 @@ FragmentBackend::FragmentBackend(const Qpd& qpd, int max_fragment_width, ThreadP
   });
 }
 
-std::uint64_t FragmentBackend::run_batch(const TermBatch& batch, Rng& rng) const {
-  QCUT_CHECK(batch.term < qpd_->size(), "FragmentBackend: term out of range");
+BatchedBranchBackend::BatchedBranchBackend(const Qpd& qpd, std::vector<Real> prob_one)
+    : qpd_(&qpd), cache_(std::make_shared<BranchCache>(qpd, std::move(prob_one))) {}
+
+std::uint64_t BatchedBranchBackend::run_batch(const TermBatch& batch, Rng& rng) const {
+  QCUT_CHECK(batch.term < qpd_->size(), "BatchedBranchBackend: term out of range");
   return rng.binomial(batch.shots, cache_->prob_one(batch.term));
 }
 
-void FragmentBackend::prewarm() const {
+void BatchedBranchBackend::prewarm() const {
   if (pool_ != nullptr) {
     cache_->prewarm(*pool_);
   } else {
@@ -90,15 +80,8 @@ const char* to_string(BackendKind kind) {
       return "serial-shot";
     case BackendKind::kBatchedBranch:
       return "batched-branch";
-    case BackendKind::kFragment:
-      return "fragment";
   }
   return "unknown";
-}
-
-std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind, const Qpd& qpd,
-                                               ThreadPool* pool) {
-  return make_backend(kind, qpd, pool, nullptr);
 }
 
 std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind, const Qpd& qpd,
@@ -108,13 +91,10 @@ std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind, const Qpd& qpd,
     case BackendKind::kSerialShot:
       return std::make_unique<SerialShotBackend>(qpd);
     case BackendKind::kBatchedBranch:
-      return std::make_unique<BatchedBranchBackend>(qpd);
-    case BackendKind::kFragment:
-      // The global pool is resolved here, not by the callers, so backends
-      // that never use a pool cannot construct it as a side effect.
-      return std::make_unique<FragmentBackend>(qpd, /*max_fragment_width=*/0,
-                                               pool != nullptr ? pool : &global_pool(),
-                                               std::move(skeletons));
+      // The global pool is resolved here, not by the callers, so the
+      // serial-shot backend cannot construct it as a side effect.
+      return std::make_unique<BatchedBranchBackend>(
+          qpd, pool != nullptr ? pool : &global_pool(), std::move(skeletons));
   }
   throw Error("make_backend: unknown backend kind");
 }

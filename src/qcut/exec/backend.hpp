@@ -1,20 +1,22 @@
 // Execution backends: how a TermBatch turns into an outcome count.
 //
 // Every backend produces the number of −1 outcomes ("ones") among the batch's
-// shots. They are interchangeable in law:
+// shots. The two are interchangeable in law:
 //  * SerialShotBackend    — the reference semantics: every shot is a full
 //    stochastic statevector simulation of the term circuit (what a quantum
 //    device does). Kept for validation and as the honest-cost baseline.
-//  * BatchedBranchBackend — enumerates the term's measurement branches once
-//    (through its own BranchCache) and services the whole batch with a
-//    single binomial draw. Orders of magnitude fewer statevector evolutions;
-//    the engine-equivalence tests pin the distributional match.
-//  * FragmentBackend      — the same binomial draw, with each term's P(−1)
-//    computed fragment by fragment; only the split-skeleton cache can be
-//    shared across backends.
+//  * BatchedBranchBackend — the exact backend every estimate runs on unless
+//    it asks for serial shots. It computes each term's exact P(−1) once
+//    (through its BranchCache) and services a whole batch with a single
+//    binomial draw. The probability is evaluated fragment by fragment
+//    (qcut/cut/fragment.hpp): the term circuit splits into the connected
+//    components of its qubit-interaction graph, each fragment's branches are
+//    enumerated on their own, and the fragments recombine through the
+//    cross-fragment classical bits. Memory is bounded by the widest fragment,
+//    never by the spliced width; an uncut term is one fragment.
 //
 // Backends are bound to one Qpd and must be callable concurrently from many
-// threads (they are — SerialShotBackend is stateless, the branch caches are
+// threads (they are — SerialShotBackend is stateless, the branch cache is
 // thread-safe).
 #pragma once
 
@@ -52,54 +54,32 @@ class SerialShotBackend final : public ExecutionBackend {
   const Qpd* qpd_;
 };
 
-/// Branch-cached binomial sampling over the whole spliced circuit: the
-/// default for unplanned runs. Planned runs execute FragmentBackend instead
-/// (PlannedExecutor::routed_backend); this one remains their test oracle.
+/// Branch-cached binomial sampling over fragment-local exact probabilities.
 class BatchedBranchBackend final : public ExecutionBackend {
  public:
-  explicit BatchedBranchBackend(const Qpd& qpd);
-  /// Reuses precomputed per-term probabilities (e.g. across repetitions).
+  /// Lazy: each term's P(−1) is computed on its first batch. Per term, the
+  /// circuit is split through one SplitSkeletonCache shared by all terms
+  /// (the 8^K gadget variants of a cut plan share their split structure, so
+  /// per-term splitting is a cheap op replay), checked against the
+  /// statevector cap, fused on the fragments that pass sim/fusion.hpp's
+  /// width rule, and evaluated by fragment_term_prob_one. `skeletons` shares
+  /// a caller-owned cache across requests (the service layer's
+  /// process-lifetime one); nullptr gives a private one. When `pool` is
+  /// non-null, each term's (fragment, read-assignment) work units spread
+  /// across it *if* the caller is not already one of its workers (calls from
+  /// the engine's batch-parallel driver run inline — the engine already
+  /// parallelizes across terms). Results are bit-identical for any pool (or
+  /// none).
+  explicit BatchedBranchBackend(const Qpd& qpd, ThreadPool* pool = nullptr,
+                                std::shared_ptr<SplitSkeletonCache> skeletons = nullptr);
+  /// Pre-seeded: reuses precomputed per-term probabilities (e.g. across
+  /// repetitions); never enumerates.
   BatchedBranchBackend(const Qpd& qpd, std::vector<Real> prob_one);
 
   std::string name() const override { return "batched-branch"; }
   std::uint64_t run_batch(const TermBatch& batch, Rng& rng) const override;
 
-  const BranchCache& cache() const noexcept { return *cache_; }
-
- private:
-  const Qpd* qpd_;
-  std::shared_ptr<BranchCache> cache_;
-};
-
-/// Fragment-local branch-cached sampling: each term's exact −1-outcome
-/// probability is computed by enumerating its *fragments* independently
-/// (qcut/cut/fragment.hpp) and recombining through the cross-fragment
-/// classical bits — the spliced state is never materialized, so memory is
-/// bounded by the widest fragment instead of the total spliced width. Batches
-/// then sample the same single binomial as BatchedBranchBackend, so the two
-/// backends are identical in law: the exact per-term probabilities agree up
-/// to float reassociation (the equivalence tests pin 1e-12).
-class FragmentBackend final : public ExecutionBackend {
- public:
-  /// `max_fragment_width` caps the widest fragment this backend will
-  /// enumerate (0 defaults to the statevector engine's hard cap). When `pool`
-  /// is non-null, each term's (fragment, read-assignment) work units are
-  /// distributed across it *if* the caller is not already one of its workers
-  /// (calls arriving from the engine's batch-parallel driver run inline —
-  /// the engine already parallelizes across terms). Splitting reuses one
-  /// SplitSkeletonCache across all terms: the 8^K gadget variants of a cut
-  /// plan share their split structure, so per-term splitting is a cheap op
-  /// replay; `skeletons` shares a caller-owned cache across requests (the
-  /// service layer's process-lifetime one), nullptr gives a private one.
-  /// Results are bit-identical for any pool (or none).
-  explicit FragmentBackend(const Qpd& qpd, int max_fragment_width = 0,
-                           ThreadPool* pool = nullptr,
-                           std::shared_ptr<SplitSkeletonCache> skeletons = nullptr);
-
-  std::string name() const override { return "fragment"; }
-  std::uint64_t run_batch(const TermBatch& batch, Rng& rng) const override;
-
-  /// Forces every term's fragment enumeration, distributing terms across the
+  /// Forces every term's probability, distributing terms across the
   /// constructor's pool (the serial sweep when none was given). Always the
   /// same pool as the per-term work units — two different pools would evade
   /// the worker-reentrancy guard and oversubscribe.
@@ -116,23 +96,18 @@ class FragmentBackend final : public ExecutionBackend {
 enum class BackendKind {
   kSerialShot,
   kBatchedBranch,
-  kFragment,
 };
 
 const char* to_string(BackendKind kind);
 
-/// Factory bound to `qpd` (which must outlive the backend). `pool` is used
-/// only by kFragment (for within-term work-unit distribution); the other
-/// backends ignore it.
+/// Factory bound to `qpd` (which must outlive the backend). kBatchedBranch
+/// distributes within-term work units over `pool` (nullptr → the global
+/// pool) and splits through `skeletons` (nullptr → a private cache; the
+/// service layer passes its process-lifetime one so split skeletons survive
+/// across requests). kSerialShot ignores both.
 std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind, const Qpd& qpd,
-                                               ThreadPool* pool = nullptr);
-
-/// As above, sharing a caller-owned skeleton cache with kFragment backends
-/// (ignored by the other kinds; nullptr falls back to a private cache). The
-/// service layer passes its process-lifetime cache here so split skeletons
-/// survive across requests.
-std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind, const Qpd& qpd,
-                                               ThreadPool* pool,
-                                               std::shared_ptr<SplitSkeletonCache> skeletons);
+                                               ThreadPool* pool = nullptr,
+                                               std::shared_ptr<SplitSkeletonCache> skeletons =
+                                                   nullptr);
 
 }  // namespace qcut

@@ -141,9 +141,9 @@ EstimationResult ExecutionEngine::estimate_allocated(const Qpd& qpd, std::uint64
   if (cfg_.shared_backend != nullptr) {
     return run(qpd, plan, *cfg_.shared_backend, seed);
   }
-  // The fragment backend also gets the engine's pool: when the plan is too
-  // small for batch parallelism (wide runs often have few batches and huge
-  // per-term enumeration cost), the per-term (fragment, read-assignment)
+  // The batched-branch backend also gets the engine's pool: when the plan is
+  // too small for batch parallelism (wide runs often have few batches and
+  // huge per-term enumeration cost), the per-term (fragment, read-assignment)
   // units still spread across it. Either way the result is bit-identical.
   const auto backend = make_backend(cfg_.backend, qpd, cfg_.pool);
   return run(qpd, plan, *backend, seed);

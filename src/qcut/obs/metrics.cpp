@@ -23,7 +23,6 @@ constexpr const char* kCounterNames[kCounterCount] = {
     "fusion_ops_before",
     "fusion_ops_after",
     "fusion_fused_1q",
-    "fusion_merged_diagonal",
     "fusion_merged_monomial",
     "fusion_dropped_identity",
     "dispatch_dense_1q",

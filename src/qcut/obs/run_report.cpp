@@ -220,7 +220,6 @@ std::string RunReport::to_json(int indent) const {
           safe_ratio(static_cast<double>(ops_before - (ops_after <= ops_before ? ops_after : ops_before)),
                      static_cast<double>(ops_before)));
   w.field("fused_1q", c[Counter::kFusionFused1q]);
-  w.field("merged_diagonal", c[Counter::kFusionMergedDiagonal]);
   w.field("merged_monomial", c[Counter::kFusionMergedMonomial]);
   w.field("dropped_identity", c[Counter::kFusionDroppedIdentity]);
   w.close();

@@ -244,7 +244,7 @@ CutPlanner::Verdict CutPlanner::evaluate(const std::vector<std::size_t>& subset,
   // dominates every actual QPD term, so checking it once per grant count is
   // sound. Grants go best-slot-to-earliest-cut; when the merged width would
   // exceed the engine cap the planner backs off one pair at a time — the
-  // plan is repaired at plan time instead of dying in the fragment backend.
+  // plan is repaired at plan time instead of dying in the exact backend.
   out.tier = Verdict::Tier::kSimulation;
   for (std::size_t s = s_max + 1; s-- > 0;) {
     const std::size_t n_frags = part.widths.size();

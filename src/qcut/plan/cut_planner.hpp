@@ -20,7 +20,7 @@
 //     initialize spanning both sides of the cut, merging the two fragments in
 //     the simulator. The merged component width — fragment widths plus the
 //     protocols' helper extras (merge_profile) — must fit the statevector
-//     engine. Plans that would previously die in the fragment backend's
+//     engine. Plans that would previously die in the exact backend's
 //     width check at run time are now rejected (or repaired, by granting
 //     fewer/no pairs) at plan time.
 //
@@ -123,9 +123,9 @@ struct CutPlan {
   std::vector<int> fragment_widths;    ///< unmerged (device) widths, descending
   int max_width = 0;
   /// Merged component widths including protocol helper extras, descending —
-  /// what the simulator's fragment backend will actually hold. Entangled
-  /// cuts merge their two fragments; without entangled cuts these equal
-  /// fragment_widths.
+  /// what the exact backend's fragment evaluation will actually hold.
+  /// Entangled cuts merge their two fragments; without entangled cuts these
+  /// equal fragment_widths.
   std::vector<int> sim_widths;
   int max_sim_width = 0;
   std::size_t nodes_explored = 0;      ///< search-tree nodes visited

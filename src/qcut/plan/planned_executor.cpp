@@ -42,16 +42,8 @@ Qpd PlannedExecutor::build_qpd(const std::string& observable) const {
   return build_qpd(Observable::parse(observable));
 }
 
-BackendKind PlannedExecutor::routed_backend(BackendKind requested) {
-  // Every planned term's exact P(−1) comes from fragment-by-fragment
-  // enumeration: a merged fragment is never wider than the spliced circuit,
-  // so this path is feasible wherever the spliced one is, and far cheaper.
-  // The serial-shot reference and an explicit kFragment are left alone.
-  return requested == BackendKind::kBatchedBranch ? BackendKind::kFragment : requested;
-}
-
 BackendKind PlannedExecutor::routed_backend(const Qpd& /*qpd*/, const CutRunConfig& cfg) {
-  return routed_backend(cfg.backend);
+  return cfg.backend;
 }
 
 std::optional<Real> PlannedExecutor::exact_reference(const Observable& observable) const {
@@ -77,12 +69,6 @@ CutRunResult PlannedExecutor::run_with(const Qpd& qpd, std::optional<Real> exact
                "or pass an explicit shot count");
     eff.shots = static_cast<std::uint64_t>(predicted);
   }
-  // A caller-owned shared backend already fixes the execution path; routing
-  // would report a kind the run does not use.
-  if (eff.shared_backend == nullptr) {
-    eff.backend = routed_backend(eff.backend);
-  }
-
   CutRunResult res = exact.has_value() ? run_qpd_estimate(qpd, *exact, eff)
                                        : run_qpd_estimate(qpd, eff);
   res.report.shots_budget = plan_.predicted_shots;

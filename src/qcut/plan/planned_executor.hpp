@@ -5,20 +5,18 @@
 // factoring the host op into locals ⊗ e^{iθZZ}), splices everything into the
 // host circuit via cut_circuit_sites (the product QPD of the n cuts,
 // κ = Π κ_i), and estimates the observable on the batched execution engine —
-// the same engine-backed path CutExecutor uses for single-wire experiments.
+// the same engine and backends CutExecutor uses for single-wire experiments.
 //
-// The spliced term circuits are an IR, not an execution obligation: run()
-// computes every term's exact P(−1) on the fragment-local backend, which
-// simulates each fragment of every term independently and recombines through
-// the cut boundaries' classical bits. Width is then bounded by the plan's max
-// *merged* fragment width (CutPlan::max_sim_width): entangled-resource cuts
-// splice a pre-shared-state initialize spanning both sides, so the simulator
-// holds their two fragments as one. A merged fragment is never wider than the
-// spliced circuit, so this path is feasible wherever whole-circuit
-// enumeration is, and much cheaper. The planner's merge-aware feasibility
-// keeps max_sim_width within the engine cap — a plan that cannot fit is
-// rejected (or repaired by granting fewer pairs) at plan time, never
-// discovered as a width error at run time.
+// The spliced term circuits are an IR, not an execution obligation: the
+// exact backend (BatchedBranchBackend) simulates each fragment of every term
+// independently and recombines through the cut boundaries' classical bits.
+// Width is then bounded by the plan's max *merged* fragment width
+// (CutPlan::max_sim_width): entangled-resource cuts splice a
+// pre-shared-state initialize spanning both sides, so the simulator holds
+// their two fragments as one. The planner's merge-aware feasibility keeps
+// max_sim_width within the engine cap — a plan that cannot fit is rejected
+// (or repaired by granting fewer pairs) at plan time, never discovered as a
+// width error at run time.
 #pragma once
 
 #include <memory>
@@ -51,7 +49,7 @@ class PlannedExecutor {
   Qpd build_qpd(const std::string& observable) const;
 
   /// One estimation run. cfg.shots = 0 uses the plan's predicted budget κ²/ε²
-  /// (rounded up). The backend kind is routed_backend(cfg.backend).
+  /// (rounded up). cfg.backend runs as given.
   ///
   /// The exact uncut expectation is attached when the circuit is narrow
   /// enough to simulate monolithically; otherwise result.has_exact is false.
@@ -67,19 +65,14 @@ class PlannedExecutor {
   /// hoisted out. `qpd` must be build_qpd(observable) and `exact`
   /// exact_reference(observable) of THIS executor (possibly cached across
   /// requests by the service layer); everything else — shot-budget
-  /// resolution, backend routing, report fields — is identical to run(), so
+  /// resolution, backend, report fields — is identical to run(), so
   /// cached inputs estimate bit-identically to freshly built ones.
   CutRunResult run_with(const Qpd& qpd, std::optional<Real> exact,
                         const CutRunConfig& cfg) const;
 
-  /// The backend kind a planned run executes when `requested` is asked for:
-  /// the default kBatchedBranch becomes kFragment whatever the width, and
-  /// kSerialShot / kFragment are kept. Spliced whole-circuit enumeration
-  /// (BatchedBranchBackend) serves only unplanned runs and test oracles.
-  static BackendKind routed_backend(BackendKind requested);
-  /// routed_backend(cfg.backend): the choice does not depend on the QPD.
-  /// Kept only because qbench/src/stages.cpp calls this form; it goes, with
-  /// the planned-path kBatchedBranch alias, in the next benchmark change.
+  /// Returns cfg.backend: a planned run executes the kind it asks for.
+  /// Kept only because qbench/src/stages.cpp calls it; it goes with that
+  /// call in the next benchmark change.
   static BackendKind routed_backend(const Qpd& qpd, const CutRunConfig& cfg);
 
  private:

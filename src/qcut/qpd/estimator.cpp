@@ -32,12 +32,7 @@ EstimationResult estimate_allocated(const Qpd& qpd, std::uint64_t shots, Rng& rn
 
 std::vector<Real> exact_term_prob_one(const Qpd& qpd) {
   obs::TraceSpan span("estimator.exact_probs", static_cast<std::uint64_t>(qpd.size()));
-  std::vector<Real> p;
-  p.reserve(qpd.size());
-  for (const auto& t : qpd.terms()) {
-    p.push_back(term_prob_one(t));
-  }
-  return p;
+  return BatchedBranchBackend(qpd).cache().all_prob_one();
 }
 
 EstimationResult estimate_allocated_fast(const Qpd& qpd, const std::vector<Real>& prob_one,

@@ -45,7 +45,8 @@ EstimationResult estimate_allocated(const Qpd& qpd, std::uint64_t shots, Rng& rn
                                     AllocRule rule = AllocRule::kProportional);
 
 /// Exact single-shot statistics of each term: P(outcome = -1), i.e.
-/// P(estimate_cbit = 1), computed by exact branch enumeration.
+/// P(estimate_cbit = 1), computed serially by BatchedBranchBackend's
+/// fragment-local branch enumeration.
 std::vector<Real> exact_term_prob_one(const Qpd& qpd);
 
 /// Fast path: like estimate_allocated but draws each term's "#ones" from a

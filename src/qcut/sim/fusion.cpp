@@ -34,8 +34,8 @@ std::string fused_label(const std::string& later, const std::string& earlier) {
 }
 
 /// Pass 1: single-qubit run composition. Emits into `out` (op list with the
-/// original ops' classifications preserved; composed gates are re-classified
-/// by Circuit::gate when pass 2 rebuilds the circuit).
+/// original ops' classifications preserved; composed gates are classified
+/// by Operation::set_gate).
 class OneQubitFuser {
  public:
   OneQubitFuser(int n_qubits, FusionStats& stats)
@@ -105,10 +105,6 @@ class OneQubitFuser {
   std::vector<Pending> pending_;
   FusionStats& stats_;
 };
-
-bool is_unconditioned_diagonal(const Operation& op) {
-  return op.kind == OpKind::kUnitary && op.gclass().structure == GateStructure::kDiagonal;
-}
 
 bool is_monomial_unitary(const Operation& op) {
   return op.kind == OpKind::kUnitary && (op.gclass().structure == GateStructure::kDiagonal ||
@@ -246,11 +242,9 @@ struct MonomialState {
   }
 };
 
-/// Pass 1.5: collapse contiguous runs of diagonal / permutation gates on one
-/// small wire cluster through the monomial column form. This is what merges
-/// ACROSS the diagonal/permutation boundary — x·diag·x is again diagonal,
-/// cx·cx cancels outright — patterns the diagonal-only pass 2 cannot see
-/// because a permutation breaks its runs. A run extends while the next op's
+/// Pass 2: collapse contiguous runs of diagonal / permutation gates on one
+/// small wire cluster through the monomial column form — x·diag·x is again
+/// diagonal, cx·cx cancels outright. A run extends while the next op's
 /// wires stay inside the cluster (or grow it, 1q seed → containing gate, up
 /// to 3 wires); it is rewritten only when the composed product classifies
 /// better than its pieces (diagonal, permutation, or the exact identity) —
@@ -317,60 +311,6 @@ void merge_monomial_runs(std::vector<Operation>& ops, FusionStats& stats) {
   ops = std::move(out);
 }
 
-/// Pass 2: merge each maximal run of consecutive unconditioned diagonal
-/// unitaries, grouping by identical qubit list (diagonal gates commute with
-/// one another regardless of wires, so reordering within the run is exact).
-/// Merged groups re-enter through Circuit::gate and are re-classified —
-/// cu1·cu1 stays a sparse phase, rz·rz† collapses to the identity and is
-/// dropped. Everything else replays via push_op, keeping its classification.
-void emit_diagonal_merged(const std::vector<Operation>& ops, Circuit& out, FusionStats& stats) {
-  std::size_t i = 0;
-  while (i < ops.size()) {
-    if (!is_unconditioned_diagonal(ops[i])) {
-      out.push_op(ops[i]);
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < ops.size() && is_unconditioned_diagonal(ops[j])) {
-      ++j;
-    }
-    // Group [i, j) by qubit list, first-occurrence order.
-    std::vector<char> used(j - i, 0);
-    for (std::size_t a = i; a < j; ++a) {
-      if (used[a - i]) {
-        continue;
-      }
-      Vector diag = ops[a].gclass().diag;
-      std::string label = ops[a].label;
-      std::size_t merged = 0;
-      for (std::size_t b = a + 1; b < j; ++b) {
-        if (!used[b - i] && ops[b].qubits == ops[a].qubits) {
-          used[b - i] = 1;
-          ++merged;
-          const Vector& d = ops[b].gclass().diag;
-          for (std::size_t e = 0; e < diag.size(); ++e) {
-            diag[e] *= d[e];
-          }
-          label = fused_label(ops[b].label, label);
-        }
-      }
-      if (merged == 0) {
-        out.push_op(ops[a]);
-        continue;
-      }
-      stats.merged_diagonal += merged;
-      if (std::all_of(diag.begin(), diag.end(),
-                      [](const Cplx& d) { return d == Cplx{1.0, 0.0}; })) {
-        ++stats.dropped_identity;
-        continue;
-      }
-      out.gate(Matrix::diag(diag), ops[a].qubits, label);
-    }
-    i = j;
-  }
-}
-
 }  // namespace
 
 Circuit fuse_range(const Circuit& c, std::size_t begin, std::size_t end, FusionStats* stats) {
@@ -390,13 +330,15 @@ Circuit fuse_range(const Circuit& c, std::size_t begin, std::size_t end, FusionS
   merge_monomial_runs(pass1, st);
 
   Circuit out(c.n_qubits(), c.n_cbits());
-  emit_diagonal_merged(pass1, out, st);
+  out.reserve(pass1.size());
+  for (Operation& op : pass1) {
+    out.push_op(std::move(op));
+  }
   st.ops_after += out.size();
 
   obs::count(obs::Counter::kFusionOpsBefore, st.ops_before);
   obs::count(obs::Counter::kFusionOpsAfter, st.ops_after);
   obs::count(obs::Counter::kFusionFused1q, st.fused_1q);
-  obs::count(obs::Counter::kFusionMergedDiagonal, st.merged_diagonal);
   obs::count(obs::Counter::kFusionMergedMonomial, st.merged_monomial);
   obs::count(obs::Counter::kFusionDroppedIdentity, st.dropped_identity);
   if (stats != nullptr) {

@@ -1,6 +1,6 @@
 // Gate fusion over the Circuit IR.
 //
-// Three rewrite passes that reduce the number of full-state sweeps a circuit
+// Two rewrite passes that reduce the number of full-state sweeps a circuit
 // costs, without changing its semantics:
 //
 //  1. Single-qubit run composition: maximal runs of 1q unitaries on the same
@@ -15,30 +15,24 @@
 //     gates on one small wire cluster composes exactly in monomial column
 //     form (one nonzero per column). The run is rewritten whenever the
 //     product classifies better than its pieces — x·diag·x is diagonal
-//     again, cx·cx is the identity and drops out — merges ACROSS the
-//     diagonal/permutation boundary that the diagonal-run pass cannot see.
-//     A generic monomial product keeps the original structured ops.
-//  3. Diagonal-run merge: within a consecutive run of unconditioned diagonal
-//     unitaries (all of which commute, regardless of wires), the ops sharing
-//     one qubit list merge into a single diagonal sweep (elementwise product
-//     of their diagonals), emitted in first-occurrence order.
+//     again, cu1·cu1 is one sparse phase, cx·cx is the identity and drops
+//     out. A generic monomial product keeps the original structured ops.
 //
-// Fused ops re-enter the IR through Circuit::gate, so they are re-classified
-// (GateClass) and the statevector engine dispatches its specialized kernels
-// on the *fused* structure — e.g. rz·rz stays a diagonal sweep, x·x drops
-// out entirely. Only gates that are exactly the identity are dropped; a
-// global-phase identity is kept (amplitude-level equivalence is the
-// contract, not just probability-level).
+// Fused ops are classified (GateClass) when they are built
+// (Operation::set_gate), so the statevector engine dispatches its
+// specialized kernels on the *fused* structure — e.g. rz·rz stays a
+// diagonal sweep, x·x drops out entirely. Only gates that are exactly the
+// identity are dropped; a global-phase identity is kept (amplitude-level
+// equivalence is the contract, not just probability-level).
 //
 // Equivalence: fused and unfused circuits agree on all branch probabilities,
 // classical bits, and amplitudes to ~1e-12 (matrix products round at the
 // usual float level). The fusion-equivalence property test pins this.
 //
 // When to fuse: the pass costs time linear in the op count, while a sweep it
-// saves costs time linear in 2^width. So fusion pays only on wide circuits,
-// and the exact-probability paths apply one rule, fusion_pays(width): the
-// fragment backend per fragment, the spliced term_prob_one per term circuit.
-// fuse_range / fuse_circuit themselves always fuse.
+// saves costs time linear in 2^width. So fusion pays only on wide circuits:
+// the exact backend (BatchedBranchBackend) fuses a term's fragment only when
+// fusion_pays(its width). fuse_range / fuse_circuit themselves always fuse.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +45,6 @@ struct FusionStats {
   std::size_t ops_before = 0;        ///< ops seen across fused ranges
   std::size_t ops_after = 0;         ///< ops emitted
   std::size_t fused_1q = 0;          ///< 1q unitaries absorbed into a run product
-  std::size_t merged_diagonal = 0;   ///< diagonal ops absorbed into a merged sweep
   std::size_t merged_monomial = 0;   ///< diag/perm ops absorbed into a monomial collapse
   std::size_t dropped_identity = 0;  ///< exact-identity ops elided
 
@@ -59,14 +52,13 @@ struct FusionStats {
     ops_before += other.ops_before;
     ops_after += other.ops_after;
     fused_1q += other.fused_1q;
-    merged_diagonal += other.merged_diagonal;
     merged_monomial += other.merged_monomial;
     dropped_identity += other.dropped_identity;
     return *this;
   }
 };
 
-/// Narrowest circuit, in qubits, that the exact-probability paths fuse.
+/// Narrowest fragment, in qubits, that the exact backend fuses.
 /// bench_sim_perf's fusion_crossover row (sim_perf.json) times, per QPD term
 /// and serially, the fuse pass plus the fused evaluation against the unfused
 /// evaluation, on planned GHZ-chain and brickwork splits. On a 4-vCPU Xeon

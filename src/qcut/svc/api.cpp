@@ -176,8 +176,8 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
     if (res.eval_cache_hit) {
       obs::count(obs::Counter::kEvalCacheHit);
     }
-    // Run against the entry's warm backend; report the kind it realizes.
-    rcfg.backend = entry->kind;
+    // Run against the entry's warm backend (built for rcfg.backend: the
+    // kind is part of the eval key).
     rcfg.shared_backend = entry->backend.get();
     res.run = entry->executor.run_with(entry->qpd, entry->exact, rcfg);
   } else {

@@ -14,10 +14,9 @@
 //    (canonical circuit hash, planner config);
 //  * the eval entry — the spliced QPD, its warm ExecutionBackend (holding
 //    the exact per-term P(−1) probabilities once computed) and the uncut
-//    exact reference ⟨O⟩, keyed by (plan key, observable, routed backend
-//    kind);
+//    exact reference ⟨O⟩, keyed by (plan key, observable, backend kind);
 //  * the SplitSkeletonCache — per-term fragment split structure, shared by
-//    every fragment-backend entry (cut/fragment.hpp owns the type; the
+//    every batched-branch entry (cut/fragment.hpp owns the type; the
 //    service just holds a capacity-bounded, process-lifetime instance).
 //
 // Reuse is always bit-identical: parses, plans and references are
@@ -65,9 +64,7 @@ std::string planner_config_key(const PlannerConfig& cfg);
 /// Plan-cache key: circuit identity + planner configuration.
 std::string plan_key(std::uint64_t circuit_hash, const PlannerConfig& cfg);
 
-/// Eval-cache key: plan identity + observable + the backend kind that
-/// actually runs (PlannedExecutor::routed_backend of the requested one, so a
-/// kBatchedBranch and a kFragment request share one entry). Shots and seed
+/// Eval-cache key: plan identity + observable + backend kind. Shots and seed
 /// are deliberately absent — a warm backend is exact, so it serves any
 /// budget and any seed bit-identically.
 std::string eval_key(const std::string& plan_key, const Observable& observable,
@@ -89,18 +86,17 @@ struct ParsedCircuit {
 struct EvalEntry {
   PlannedExecutor executor;
   Qpd qpd;                ///< executor.build_qpd(observable); backend points at it
-  BackendKind kind;       ///< the routed kind the backend realizes
   std::optional<Real> exact;  ///< executor.exact_reference(observable)
-  std::unique_ptr<ExecutionBackend> backend;
+  std::unique_ptr<ExecutionBackend> backend;  ///< of kind cfg.backend
 
-  EvalEntry(PlannedExecutor ex, Qpd q, BackendKind k, std::optional<Real> e)
-      : executor(std::move(ex)), qpd(std::move(q)), kind(k), exact(e) {}
+  EvalEntry(PlannedExecutor ex, Qpd q, std::optional<Real> e)
+      : executor(std::move(ex)), qpd(std::move(q)), exact(e) {}
 
-  /// Builds a ready entry: routes the backend kind exactly as
-  /// PlannedExecutor::run would under `cfg`, computes the exact reference
-  /// under the same width rule as run(), then constructs the backend
-  /// against the entry's own (heap-stable) QPD. Fragment backends share
-  /// `skeletons` so split structure is reused across entries.
+  /// Builds a ready entry: computes the exact reference under the same
+  /// width rule as PlannedExecutor::run, then constructs a cfg.backend
+  /// backend against the entry's own (heap-stable) QPD. Batched-branch
+  /// backends share `skeletons` so split structure is reused across
+  /// entries.
   static std::shared_ptr<EvalEntry> build(PlannedExecutor executor, const Observable& observable,
                                           const CutRunConfig& cfg,
                                           std::shared_ptr<SplitSkeletonCache> skeletons);

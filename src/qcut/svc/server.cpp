@@ -567,7 +567,10 @@ WireEstimateResponse QcutServer::execute(const WireEstimateRequest& wreq, std::u
   req.planner.max_nodes = wreq.max_nodes;
   req.run_cfg.shots = wreq.shots;
   req.run_cfg.seed = wreq.seed;
-  req.run_cfg.backend = static_cast<BackendKind>(wreq.backend);
+  // Wire value 2 named the retired fragment kind, whose exact path is now
+  // the batched-branch backend's: it decodes to kind 1, so old clients keep
+  // their answers bit for bit.
+  req.run_cfg.backend = static_cast<BackendKind>(std::min<std::uint8_t>(wreq.backend, 1));
   req.run_cfg.pool = &pool_;
   // Requests execute wholly on this pool worker (inline fallbacks), so a
   // per-thread sink captures exactly this request's counters.

@@ -133,8 +133,8 @@ struct WireEstimateRequest {
   std::uint64_t max_cuts = 8;
   std::uint64_t exhaustive_limit = 12;
   std::uint64_t max_nodes = 1000000;
-  /// BackendKind as integer: 0 serial-shot, 1 batched-branch (the default,
-  /// which planned execution runs as 2 = fragment), 2 fragment.
+  /// BackendKind as integer: 0 serial-shot, 1 batched-branch (the
+  /// default). 2, the retired fragment kind, is still accepted and runs as 1.
   std::uint8_t backend = 1;
   std::string request_id;
   /// Client deadline in milliseconds, measured from server admission; the

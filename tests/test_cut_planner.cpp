@@ -657,7 +657,7 @@ TEST(CutPlanner, MixedLinkRunsTheWernerProtocolEndToEnd) {
 TEST(CutPlanner, MergeAwareFeasibilityRepairsWidePlans) {
   // GHZ(30) at cap 16 needs one cut ({16, 15}). Granting the NME pair would
   // merge both fragments in the simulator: 31 segments + 1 helper = 32 > 28.
-  // The old planner emitted that plan and the fragment backend threw at RUN
+  // The old planner emitted that plan and the exact backend threw at RUN
   // time; now the planner repairs it at PLAN time by withholding the pair.
   const Circuit ghz = ghz_line(30);
   PlannerConfig cfg;
@@ -674,7 +674,7 @@ TEST(CutPlanner, MergeAwareFeasibilityRepairsWidePlans) {
   EXPECT_LE(plan.max_sim_width, Statevector::kMaxQubits);
 
   // The repaired plan must actually run — this is the path that used to die
-  // in the FragmentBackend width check.
+  // in the exact backend's width check.
   const PlannedExecutor exec(ghz, plan);
   CutRunConfig rcfg;
   rcfg.shots = 2000;

@@ -9,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "exact_oracles.hpp"
 #include "qcut/common/stats.hpp"
 #include "qcut/core/cut_executor.hpp"
 #include "qcut/cut/harada_cut.hpp"
@@ -86,8 +87,10 @@ TEST(ShotPlanTest, SampledMatchesMultinomialLaw) {
 }
 
 TEST(BranchCacheTest, LazyAndMatchesExactEnumeration) {
+  // Filled lazily from the spliced oracle; the library's exact path
+  // (exact_term_prob_one, fragment by fragment) agrees with it.
   const Qpd qpd = NmeCut{0.5}.build_qpd(fixed_input());
-  const BranchCache cache(qpd);
+  const BranchCache cache(qpd, &testing::term_prob_one);
   EXPECT_EQ(cache.computed_terms(), 0u);
   const Real p0 = cache.prob_one(0);
   EXPECT_EQ(cache.computed_terms(), 1u);
@@ -287,7 +290,7 @@ class SlowEnumerationBackend final : public ExecutionBackend {
           }
           std::this_thread::sleep_for(std::chrono::milliseconds(30));
           in_flight_.fetch_sub(1);
-          return term_prob_one(term);
+          return testing::term_prob_one(term);
         }) {}
 
   std::string name() const override { return "slow-enumeration"; }

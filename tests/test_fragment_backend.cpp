@@ -1,17 +1,22 @@
-// Fragment-local execution: split_term structure, fragment-vs-spliced
-// equivalence of the exact term probabilities (the `all_prob_one` law), and
-// the >20-qubit planned run that only the fragment path can execute.
+// Fragment-local execution: split_term structure, the exact backend's
+// per-term probabilities against the spliced whole-circuit oracle (the
+// `all_prob_one` law) on every protocol, and the >20-qubit planned run that
+// only the fragment path can execute.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "exact_oracles.hpp"
 #include "qcut/core/cut_executor.hpp"
 #include "qcut/cut/circuit_cutter.hpp"
 #include "qcut/cut/fragment.hpp"
+#include "qcut/cut/gate_cut.hpp"
 #include "qcut/cut/harada_cut.hpp"
 #include "qcut/cut/nme_cut.hpp"
 #include "qcut/cut/peng_cut.hpp"
 #include "qcut/exec/backend.hpp"
+#include "qcut/linalg/random.hpp"
+#include "qcut/obs/metrics.hpp"
 #include "qcut/plan/circuit_graph.hpp"
 #include "qcut/plan/planned_executor.hpp"
 #include "qcut/sim/qasm_import.hpp"
@@ -21,8 +26,10 @@
 namespace qcut {
 namespace {
 
+using qcut::testing::fragment_term_prob_one_baseline;
 using qcut::testing::ghz_line;
 using qcut::testing::random_unitary_circuit;
+using qcut::testing::term_prob_one;
 
 std::string all_z(int n) { return std::string(static_cast<std::size_t>(n), 'Z'); }
 
@@ -83,23 +90,56 @@ Circuit hwe_ansatz_8() {
   return import_qasm_file(std::string(QCUT_QASM_CORPUS_DIR) + "/hwe_ansatz_8.qasm");
 }
 
-TEST(FragmentBackend, MatchesSplicedProbabilitiesOnRandomCutCircuits) {
-  // Property test: on random circuits with 1–2 random wire cuts, and on the
-  // planned 8-qubit QPDs of the narrow benchmark workloads, the
-  // fragment-local backend and the spliced BranchCache must agree on every
-  // term's exact −1-outcome probability to 1e-12.
-  const auto expect_match = [](const Qpd& qpd, const std::string& what) {
-    const FragmentBackend frag(qpd);
-    const BranchCache spliced(qpd);
-    const std::vector<Real> frag_p = frag.cache().all_prob_one();
-    const std::vector<Real> ref_p = spliced.all_prob_one();
-    ASSERT_EQ(frag_p.size(), ref_p.size());
-    for (std::size_t i = 0; i < frag_p.size(); ++i) {
-      EXPECT_NEAR(frag_p[i], ref_p[i], 1e-12)
-          << what << " term " << i << " (" << qpd.terms()[i].label << ")";
-    }
-  };
+/// Every term's P(−1) from the exact backend matches the spliced
+/// whole-circuit oracle to 1e-12.
+void expect_matches_oracle(const Qpd& qpd, const std::string& what) {
+  const BatchedBranchBackend backend(qpd);
+  const std::vector<Real> got = backend.cache().all_prob_one();
+  ASSERT_EQ(got.size(), qpd.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_NEAR(got[i], term_prob_one(qpd.terms()[i]), 1e-12)
+        << what << " term " << i << " (" << qpd.terms()[i].label << ")";
+  }
+}
 
+TEST(BatchedBranchBackend, MatchesSplicedOracleOnEveryProtocol) {
+  // Every protocol the estimator can run, on the unplanned single-wire
+  // experiment (Haar-random input, each Pauli observable) and cut inside a
+  // 4-qubit GHZ line; the ZZ gate cut through cut_cz_gate and cut_zz_gate.
+  const std::vector<std::pair<std::string, std::shared_ptr<const WireCutProtocol>>> wire = {
+      {"peng", make_wire_protocol({ProtocolId::kPeng, 0.0})},
+      {"harada", make_wire_protocol({ProtocolId::kHarada, 0.0})},
+      {"teleport", make_wire_protocol({ProtocolId::kTeleport, 0.0})},
+      {"nme f=0.6", std::make_shared<NmeCut>(NmeCut::from_overlap(0.6))},
+      {"nme f=0.9", std::make_shared<NmeCut>(NmeCut::from_overlap(0.9))},
+      {"nme f=1.0", std::make_shared<NmeCut>(NmeCut::from_overlap(1.0))},
+      {"distill k=0.5", make_wire_protocol({ProtocolId::kDistill, 0.5})},
+      {"mixed qI=0.9", make_wire_protocol({ProtocolId::kMixedNme, 0.9})},
+  };
+  Rng rng(23);
+  for (const auto& [name, proto] : wire) {
+    for (const char obs : {'X', 'Y', 'Z'}) {
+      const CutInput input{haar_unitary(2, rng), obs};
+      expect_matches_oracle(proto->build_qpd(input), name + " single wire " + obs);
+    }
+    expect_matches_oracle(cut_circuit(ghz_line(4), CutPoint{2, 1}, *proto, all_z(4)),
+                          name + " in ghz_line(4)");
+  }
+
+  Circuit base(3, 0);
+  base.h(0).h(1).ry(2, 0.3).cx(1, 2);
+  for (const char* obs : {"ZZZ", "XXI", "YXZ"}) {
+    expect_matches_oracle(cut_cz_gate(base, /*pos=*/2, 0, 1, obs), std::string("cz ") + obs);
+    expect_matches_oracle(cut_zz_gate(base, /*pos=*/4, 0, 2, 0.37, obs),
+                          std::string("zz(0.37) ") + obs);
+  }
+}
+
+TEST(BatchedBranchBackend, MatchesSplicedOracleOnRandomCutCircuits) {
+  // Property test: on random circuits with 1–2 random wire cuts, and on the
+  // planned 8-qubit QPDs of the narrow benchmark workloads, the exact
+  // backend and the spliced oracle must agree on every term's exact
+  // −1-outcome probability to 1e-12.
   Rng rng(101);
   const HaradaCut harada;
   const PengCut peng;
@@ -130,39 +170,42 @@ TEST(FragmentBackend, MatchesSplicedProbabilitiesOnRandomCutCircuits) {
     }
     const Qpd qpd = cut_circuit_sites(circ, sites, protos, all_z(n));
     ++cut_instances;
-    expect_match(qpd, "trial " + std::to_string(trial));
+    expect_matches_oracle(qpd, "trial " + std::to_string(trial));
   }
   EXPECT_GE(cut_instances, 8);
 
   PlannerConfig ghz_cap3;
   ghz_cap3.max_fragment_width = 3;
-  expect_match(planned_qpd(ghz_line(8), ghz_cap3), "ghz_8 cap 3");
+  expect_matches_oracle(planned_qpd(ghz_line(8), ghz_cap3), "ghz_8 cap 3");
   PlannerConfig hwe_cap4;
   hwe_cap4.max_fragment_width = 4;
-  expect_match(planned_qpd(hwe_ansatz_8(), hwe_cap4), "hwe_ansatz_8 cap 4");
+  expect_matches_oracle(planned_qpd(hwe_ansatz_8(), hwe_cap4), "hwe_ansatz_8 cap 4");
   // The paper's NME setting: cap 6, two pairs at overlap 0.9.
   PlannerConfig nme;
   nme.max_fragment_width = 6;
   nme.pair_budget = 2;
   nme.resource_overlap = 0.9;
-  expect_match(planned_qpd(hwe_ansatz_8(), nme), "hwe_ansatz_8 nme cap 6");
+  expect_matches_oracle(planned_qpd(hwe_ansatz_8(), nme), "hwe_ansatz_8 nme cap 6");
 }
 
-TEST(FragmentBackend, UncutTermIsSingleFragmentPerComponent) {
+TEST(BatchedBranchBackend, UncutTermIsSingleFragmentPerComponent) {
   // Without cuts the interaction graph of a GHZ line is one component: the
-  // fragment backend degenerates to the spliced enumeration.
+  // fragment evaluation degenerates to the spliced enumeration.
   const Qpd qpd = uncut_qpd(ghz_line(5), all_z(5));
-  const FragmentBackend frag(qpd);
-  EXPECT_NEAR(frag.cache().prob_one(0), term_prob_one(qpd.terms()[0]), 1e-14);
+  const BatchedBranchBackend backend(qpd);
+  EXPECT_NEAR(backend.cache().prob_one(0), term_prob_one(qpd.terms()[0]), 1e-14);
 }
 
-TEST(FragmentBackend, RejectsFragmentsAboveTheWidthCap) {
-  const Qpd qpd = uncut_qpd(ghz_line(8), all_z(8));
-  const FragmentBackend frag(qpd, /*max_fragment_width=*/4);
-  EXPECT_THROW(frag.cache().prob_one(0), Error);
+TEST(BatchedBranchBackend, RejectsFragmentsAboveTheStatevectorCap) {
+  // One uncut fragment a wire wider than the engine cap: the width check
+  // throws before any state is allocated.
+  const int n = Statevector::kMaxQubits + 1;
+  const Qpd qpd = uncut_qpd(ghz_line(n), all_z(n));
+  const BatchedBranchBackend backend(qpd);
+  EXPECT_THROW(backend.cache().prob_one(0), Error);
 }
 
-TEST(FragmentBackend, FusesOnlyTheFragmentsWideEnoughForFusionToPay) {
+TEST(BatchedBranchBackend, FusesOnlyTheFragmentsWideEnoughForFusionToPay) {
   // ghz_line cut on wire 1 after op 2: a 2-qubit sender {0, 1} and a
   // receiver of kMinFusionWidth wires ({2, .., n - 1} plus the receiver
   // wire). Only the receiver passes the width rule, so the fusion counters
@@ -183,8 +226,8 @@ TEST(FragmentBackend, FusesOnlyTheFragmentsWideEnoughForFusionToPay) {
   const bool was_enabled = obs::metrics_enabled();
   obs::set_metrics_enabled(true);
   const obs::MetricsSnapshot before = obs::metrics_snapshot();
-  const FragmentBackend frag(qpd, /*max_fragment_width=*/0, /*pool=*/nullptr);
-  const std::vector<Real> got = frag.cache().all_prob_one();
+  const BatchedBranchBackend backend(qpd);
+  const std::vector<Real> got = backend.cache().all_prob_one();
   const obs::MetricsSnapshot d = obs::metrics_delta(before, obs::metrics_snapshot());
   obs::set_metrics_enabled(was_enabled);
 
@@ -195,7 +238,7 @@ TEST(FragmentBackend, FusesOnlyTheFragmentsWideEnoughForFusionToPay) {
   }
 }
 
-TEST(FragmentBackend, WideEntangledCutFailsPerTermWithClearError) {
+TEST(BatchedBranchBackend, WideEntangledCutFailsPerTermWithClearError) {
   // An NME cut on a circuit wider than the statevector cap: the teleport
   // terms merge both sides (plus the helper wire) into one fragment wider
   // than Statevector::kMaxQubits and must fail with the width-cap Error
@@ -206,14 +249,14 @@ TEST(FragmentBackend, WideEntangledCutFailsPerTermWithClearError) {
   const NmeCut nme(0.6);
   const Qpd qpd = cut_circuit(circ, CutPoint{n / 2, n / 2 - 1}, nme, all_z(n));
   ASSERT_EQ(qpd.size(), 3u);
-  const FragmentBackend frag(qpd);
-  EXPECT_THROW(frag.cache().prob_one(0), Error);  // teleport-H: merged, too wide
-  const Real p = frag.cache().prob_one(2);        // measure-flip: splits fine
+  const BatchedBranchBackend backend(qpd);
+  EXPECT_THROW(backend.cache().prob_one(0), Error);  // teleport-H: merged, too wide
+  const Real p = backend.cache().prob_one(2);        // measure-flip: splits fine
   EXPECT_GE(p, 0.0);
   EXPECT_LE(p, 1.0 + 1e-12);
 }
 
-TEST(FragmentBackend, ZeroProbabilityBranchYieldsFiniteProbabilities) {
+TEST(BatchedBranchBackend, ZeroProbabilityBranchYieldsFiniteProbabilities) {
   // x(0) puts the cut wire in |1⟩: the measure-flip gadget's measurement has
   // p(outcome 0) = 0 exactly, and peng's prep branches discard a
   // deterministic bit. No path may renormalize the dead branch into NaNs.
@@ -221,11 +264,10 @@ TEST(FragmentBackend, ZeroProbabilityBranchYieldsFiniteProbabilities) {
   c.x(0).cx(0, 1);
   const PengCut peng;
   const Qpd qpd = cut_circuit(c, CutPoint{1, 0}, peng, "ZZ");
-  const FragmentBackend frag(qpd);
-  const BranchCache spliced(qpd);
+  const BatchedBranchBackend backend(qpd);
   for (std::size_t i = 0; i < qpd.size(); ++i) {
-    const Real p_frag = frag.cache().prob_one(i);
-    const Real p_ref = spliced.prob_one(i);
+    const Real p_frag = backend.cache().prob_one(i);
+    const Real p_ref = term_prob_one(qpd.terms()[i]);
     EXPECT_TRUE(std::isfinite(p_frag)) << qpd.terms()[i].label;
     EXPECT_TRUE(std::isfinite(p_ref)) << qpd.terms()[i].label;
     EXPECT_NEAR(p_frag, p_ref, 1e-12);
@@ -234,12 +276,11 @@ TEST(FragmentBackend, ZeroProbabilityBranchYieldsFiniteProbabilities) {
   }
   CutRunConfig cfg;
   cfg.shots = 2000;
-  cfg.backend = BackendKind::kFragment;
   const CutRunResult res = run_qpd_estimate(qpd, uncut_circuit_expectation(c, "ZZ"), cfg);
   EXPECT_TRUE(std::isfinite(res.estimate));
 }
 
-TEST(FragmentBackend, WideGhzPlannedRunExecutesFragmentLocally) {
+TEST(BatchedBranchBackend, WideGhzPlannedRunExecutesFragmentLocally) {
   // The acceptance scenario: a 30-qubit GHZ line — wider than the statevector
   // cap (Statevector::kMaxQubits = 28) — planned into ≤16-qubit fragments and
   // estimated end-to-end at the predicted κ²/ε² budget.
@@ -271,7 +312,7 @@ TEST(FragmentBackend, WideGhzPlannedRunExecutesFragmentLocally) {
   EXPECT_NEAR(out.run.estimate, 1.0, 3.0 * pcfg.target_accuracy);
 }
 
-TEST(FragmentBackend, TwentyFourQubitSingleFragmentRunsEndToEnd) {
+TEST(BatchedBranchBackend, TwentyFourQubitSingleFragmentRunsEndToEnd) {
   // Acceptance for the widened engine cap: a 24-qubit GHZ line plans with
   // ZERO cuts under the defaulted width cap (Statevector::kMaxQubits = 28)
   // and executes end-to-end through PlannedExecutor as a single fragment of
@@ -341,15 +382,15 @@ TEST(FragmentParallel, PoolSizeBitIdentity) {
 
   std::vector<Real> serial;
   {
-    const FragmentBackend frag(qpd);
-    serial = frag.cache().all_prob_one();
+    const BatchedBranchBackend backend(qpd);
+    serial = backend.cache().all_prob_one();
   }
   std::vector<Real> estimates;
   for (const std::size_t n_threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     ThreadPool pool(n_threads);
-    const FragmentBackend frag(qpd, 0, &pool);
-    frag.prewarm();
-    const std::vector<Real> probs = frag.cache().all_prob_one();
+    const BatchedBranchBackend backend(qpd, &pool);
+    backend.prewarm();
+    const std::vector<Real> probs = backend.cache().all_prob_one();
     ASSERT_EQ(probs.size(), serial.size());
     for (std::size_t i = 0; i < probs.size(); ++i) {
       EXPECT_EQ(probs[i], serial[i]) << "pool " << n_threads << " term " << i;
@@ -358,7 +399,7 @@ TEST(FragmentParallel, PoolSizeBitIdentity) {
     ec.pool = &pool;
     const ExecutionEngine engine(ec);
     const auto plan = ShotPlan::allocated(qpd, 50000, AllocRule::kProportional);
-    estimates.push_back(engine.run(qpd, plan, frag, /*seed=*/20260730).estimate);
+    estimates.push_back(engine.run(qpd, plan, backend, /*seed=*/20260730).estimate);
   }
   EXPECT_EQ(estimates[0], estimates[1]);
   EXPECT_EQ(estimates[0], estimates[2]);
@@ -402,9 +443,9 @@ TEST(FragmentSplit, SkeletonCacheMatchesFreshSplitAcrossAllGadgetVariants) {
 }
 
 TEST(FragmentParallel, OptimizedEvaluatorMatchesBaselineOnRandomCutCircuits) {
-  // The prefix-sharing + trailing-measure-fold evaluator vs. the retained
-  // PR-3 reference, on random circuits with random cuts: 1e-12 per term, and
-  // the pooled evaluation bit-identical to the poolless one.
+  // The prefix-sharing + trailing-measure-fold evaluator vs. the serial
+  // oracle, on random circuits with random cuts: 1e-12 per term, and the
+  // pooled evaluation bit-identical to the poolless one.
   Rng rng(211);
   const HaradaCut harada;
   const PengCut peng;
@@ -516,12 +557,9 @@ TEST(FragmentParallel, InlineFragmentAtATimeMatchesTopLevelBitForBit) {
   }
 }
 
-TEST(FragmentBackend, SmallPlannedRunsAgreeBetweenFragmentAndSplicedBackends) {
-  // On circuits small enough to run both ways, the two backends draw from
-  // binomials with probabilities equal to 1e-12 — same seed, same plan, and
-  // (numerically always, here pinned) the same estimates. Planned runs only
-  // execute on the fragment backend, so the spliced side runs the same QPD
-  // through run_qpd_estimate directly.
+TEST(BatchedBranchBackend, PlannedAndUnplannedRunsOfOneQpdDrawTheSameBits) {
+  // A planned run and run_qpd_estimate on the same QPD execute the same
+  // backend: same seed, same plan, same bits.
   const Circuit circ = ghz_line(6);
   PlannerConfig pcfg;
   pcfg.max_fragment_width = 3;
@@ -531,44 +569,41 @@ TEST(FragmentBackend, SmallPlannedRunsAgreeBetweenFragmentAndSplicedBackends) {
   const CutPlan plan = planner.plan();
   const PlannedExecutor exec(circ, plan);
 
-  CutRunConfig spliced_cfg;
-  spliced_cfg.shots = 5000;
-  spliced_cfg.seed = 99;
-  ASSERT_EQ(spliced_cfg.backend, BackendKind::kBatchedBranch);
+  CutRunConfig cfg;
+  cfg.shots = 5000;
+  cfg.seed = 99;
+  ASSERT_EQ(cfg.backend, BackendKind::kBatchedBranch);
 
-  const CutRunResult a =
-      run_qpd_estimate(exec.build_qpd(all_z(6)), *exec.exact_reference(Observable::z_all(6)),
-                       spliced_cfg);
-  const CutRunResult b = exec.run(all_z(6), spliced_cfg);
+  const CutRunResult a = run_qpd_estimate(
+      exec.build_qpd(all_z(6)), *exec.exact_reference(Observable::z_all(6)), cfg);
+  const CutRunResult b = exec.run(all_z(6), cfg);
   EXPECT_EQ(a.report.backend, "batched-branch");
-  EXPECT_EQ(b.report.backend, "fragment");
+  EXPECT_EQ(b.report.backend, "batched-branch");
   EXPECT_TRUE(a.has_exact);
   EXPECT_TRUE(b.has_exact);
-  EXPECT_DOUBLE_EQ(a.exact, b.exact);
-  EXPECT_NEAR(a.estimate, b.estimate, 1e-9);
+  EXPECT_EQ(a.exact, b.exact);
+  EXPECT_EQ(a.estimate, b.estimate);
 }
 
-TEST(FragmentBackend, DefaultPlannedRunsExecuteOnTheFragmentPath) {
-  // Planned execution routes the default backend kind to the fragment path
-  // at every width, including below the statevector cap: an 8-qubit
-  // hwe_ansatz_8 plan at cap 4 runs fragment by fragment.
+TEST(BatchedBranchBackend, DefaultPlannedRunsExecuteOnTheFragmentPath) {
+  // Planned execution runs the default backend fragment by fragment at every
+  // width, including below the statevector cap: an 8-qubit hwe_ansatz_8
+  // plan at cap 4 reports batched-branch and counts fragment work units.
   const Circuit hwe = hwe_ansatz_8();
   ASSERT_LE(hwe.n_qubits(), Statevector::kMaxQubits);
   PlannerConfig pcfg;
   pcfg.max_fragment_width = 4;
   const CutRunConfig rcfg;
   ASSERT_EQ(rcfg.backend, BackendKind::kBatchedBranch);
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
   const PlannedRunResult out = plan_and_run(hwe, all_z(8), pcfg, rcfg);
+  obs::set_metrics_enabled(was_enabled);
   EXPECT_FALSE(out.plan.cuts.empty());
-  EXPECT_EQ(out.run.report.backend, "fragment");
+  EXPECT_EQ(out.run.report.backend, "batched-branch");
   EXPECT_TRUE(out.run.has_exact);
-  if (out.run.report.metrics_enabled) {
-    EXPECT_GT(out.run.report.counters[obs::Counter::kFragmentUnits], 0u);
-  }
-
-  EXPECT_EQ(PlannedExecutor::routed_backend(BackendKind::kBatchedBranch), BackendKind::kFragment);
-  EXPECT_EQ(PlannedExecutor::routed_backend(BackendKind::kFragment), BackendKind::kFragment);
-  EXPECT_EQ(PlannedExecutor::routed_backend(BackendKind::kSerialShot), BackendKind::kSerialShot);
+  ASSERT_TRUE(out.run.report.metrics_enabled);
+  EXPECT_GT(out.run.report.counters[obs::Counter::kFragmentUnits], 0u);
 }
 
 }  // namespace

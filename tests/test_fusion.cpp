@@ -9,7 +9,6 @@
 #include "qcut/cut/circuit_cutter.hpp"
 #include "qcut/cut/fragment.hpp"
 #include "qcut/cut/harada_cut.hpp"
-#include "qcut/exec/branch_cache.hpp"
 #include "qcut/linalg/random.hpp"
 #include "qcut/sim/executor.hpp"
 #include "qcut/sim/fusion.hpp"
@@ -133,8 +132,8 @@ TEST(Fusion, ComposesSingleQubitRunsAcrossCommutingGates) {
   c.t(0).cx(1, 2).t(0).h(1);
   FusionStats stats;
   const Circuit fused = fuse_circuit(c, &stats);
-  EXPECT_EQ(stats.fused_1q + stats.merged_diagonal, 1u);  // t*t merged once
-  EXPECT_EQ(fused.size(), 3u);                            // [t*t or s], cx, h
+  EXPECT_EQ(stats.fused_1q, 1u);  // t*t composed once
+  EXPECT_EQ(fused.size(), 3u);    // t*t, cx, h
 }
 
 TEST(Fusion, DropsExactIdentityProducts) {
@@ -183,8 +182,7 @@ TEST(Fusion, MeasurementIsABarrier) {
 
 TEST(Fusion, CollapsesDiagonalPermutationSandwiches) {
   // cx·cp·cx on one wire pair: a permutation conjugating a diagonal is again
-  // diagonal, so the whole sandwich collapses to ONE diagonal sweep — a merge
-  // the diagonal-only pass cannot see (the cx breaks its runs).
+  // diagonal, so the whole sandwich collapses to ONE diagonal sweep.
   Circuit c(2, 0);
   c.cx(0, 1).gate(gates::controlled(gates::phase(0.7)), {0, 1}, "cp").cx(0, 1);
   FusionStats stats;
@@ -287,23 +285,13 @@ TEST(Fusion, MergesDiagonalRunsAcrossWires) {
   const Circuit fused = fuse_circuit(c, &stats);
   EXPECT_EQ(fused.size(), 2u);
   // A contiguous same-wire-pair diagonal run is claimed by the monomial
-  // collapse (it runs first and handles the contiguous case).
+  // collapse.
   Circuit d(2, 0);
   d.cz(0, 1).gate(gates::controlled(gates::phase(0.4)), {0, 1}, "cu1").cz(0, 1);
   FusionStats dstats;
   const Circuit dfused = fuse_circuit(d, &dstats);
   EXPECT_EQ(dfused.size(), 1u);
   EXPECT_EQ(dstats.merged_monomial, 2u);
-  // The diagonal pass still earns its keep on NON-contiguous same-list pairs:
-  // commuting past the interleaved cz(2,3) (which pass 1 cannot drift a 2q
-  // gate around) is reordering the monomial collapse never does.
-  Circuit e(4, 0);
-  e.gate(gates::controlled(gates::phase(0.4)), {0, 1}, "cp").cz(2, 3).gate(
-      gates::controlled(gates::phase(0.5)), {0, 1}, "cp");
-  FusionStats estats;
-  const Circuit efused = fuse_circuit(e, &estats);
-  EXPECT_EQ(efused.size(), 2u);
-  EXPECT_EQ(estats.merged_diagonal, 1u);
 }
 
 TEST(Fusion, SplitCircuitsFuseWithoutCrossingThePrefixBoundary) {
@@ -345,31 +333,6 @@ TEST(Fusion, SplitCircuitsFuseWithoutCrossingThePrefixBoundary) {
       const Real b = fragment_term_prob_one(fused, nullptr);
       EXPECT_NEAR(a, b, 1e-12) << "trial " << trial << " term " << term.label;
     }
-  }
-}
-
-TEST(Fusion, NarrowSplicedTermEnumeratesTheUnfusedCircuit) {
-  // Every spliced term of a 1-cut 4-qubit circuit is narrower than
-  // kMinFusionWidth, so term_prob_one enumerates the term circuit as
-  // spliced: the same bits as a run_branches parity sum over it, although
-  // fusion would have shrunk the circuit.
-  Circuit circ(4, 0);
-  circ.h(0).t(0).cx(0, 1).rz(1, 0.3).rz(1, 0.4).cx(2, 3).t(2).t(2).h(3);
-  const Qpd qpd = cut_circuit(circ, CutPoint{3, /*qubit=*/1}, HaradaCut(), "ZZZZ");
-  for (const QpdTerm& term : qpd.terms()) {
-    ASSERT_FALSE(fusion_pays(term.circuit.n_qubits())) << term.label;
-    ASSERT_LT(fuse_circuit(term.circuit).size(), term.circuit.size()) << term.label;
-    Real unfused = 0.0;
-    for (const Branch& b : run_branches(term.circuit)) {
-      int parity = 0;
-      for (const int cb : term.estimate_cbits) {
-        parity ^= b.cbits[static_cast<std::size_t>(cb)];
-      }
-      if (parity == 1) {
-        unfused += b.prob;
-      }
-    }
-    EXPECT_EQ(term_prob_one(term), unfused) << term.label;
   }
 }
 

@@ -16,7 +16,7 @@
 #include "qcut/cut/circuit_cutter.hpp"
 #include "qcut/cut/fragment.hpp"
 #include "qcut/cut/harada_cut.hpp"
-#include "qcut/exec/branch_cache.hpp"
+#include "qcut/exec/backend.hpp"
 #include "qcut/obs/metrics.hpp"
 #include "qcut/obs/run_report.hpp"
 #include "qcut/obs/trace.hpp"
@@ -112,7 +112,8 @@ TEST_F(ObsTest, BranchCacheCountsOneMissPerTermThenHits) {
   const Circuit circ = ghz_line(3);
   const HaradaCut proto;
   const Qpd qpd = cut_circuit(circ, CutPoint{2, 1}, proto, "ZZZ");
-  const BranchCache cache(qpd);
+  const BatchedBranchBackend backend(qpd);
+  const BranchCache& cache = backend.cache();
 
   const obs::MetricsSnapshot before = obs::metrics_snapshot();
   cache.prob_one(0);
@@ -191,7 +192,6 @@ TEST_F(ObsTest, FusionRegistryMirrorsReturnedStatsAndCountsStatlessCalls) {
   EXPECT_EQ(d[Counter::kFusionOpsBefore], st.ops_before);
   EXPECT_EQ(d[Counter::kFusionOpsAfter], st.ops_after);
   EXPECT_EQ(d[Counter::kFusionFused1q], st.fused_1q);
-  EXPECT_EQ(d[Counter::kFusionMergedDiagonal], st.merged_diagonal);
   EXPECT_EQ(d[Counter::kFusionMergedMonomial], st.merged_monomial);
   EXPECT_EQ(d[Counter::kFusionDroppedIdentity], st.dropped_identity);
   EXPECT_GT(st.fused_1q, 0u);
@@ -206,8 +206,8 @@ TEST_F(ObsTest, FusionRegistryMirrorsReturnedStatsAndCountsStatlessCalls) {
 }
 
 TEST_F(ObsTest, PinnedFragmentWorkloadHasExactCacheAccounting) {
-  // Fixed cut, fixed seed, fragment backend: the counter deltas are fully
-  // determined by the QPD structure and shot plan.
+  // Fixed cut, fixed seed, the default (fragment-local) exact backend: the
+  // counter deltas are fully determined by the QPD structure and shot plan.
   const Circuit circ = ghz_line(6);
   const HaradaCut proto;
   const Qpd qpd = cut_circuit(circ, CutPoint{3, 2}, proto, all_z(6));
@@ -216,7 +216,6 @@ TEST_F(ObsTest, PinnedFragmentWorkloadHasExactCacheAccounting) {
   CutRunConfig cfg;
   cfg.shots = 3000;
   cfg.seed = 11;
-  cfg.backend = BackendKind::kFragment;
 
   const obs::MetricsSnapshot before = obs::metrics_snapshot();
   const CutRunResult res = run_qpd_estimate(qpd, exact, cfg);
@@ -257,7 +256,7 @@ TEST_F(ObsTest, PinnedFragmentWorkloadHasExactCacheAccounting) {
             d[Counter::kSkeletonCacheMiss]);
   EXPECT_EQ(res.report.counters[Counter::kShotsSampled], d[Counter::kShotsSampled]);
   EXPECT_EQ(res.report.shots_sampled, res.details.shots_used);
-  EXPECT_EQ(res.report.backend, std::string("fragment"));
+  EXPECT_EQ(res.report.backend, std::string("batched-branch"));
   EXPECT_EQ(res.report.kappa, res.details.kappa);
   EXPECT_GT(res.report.wall_time_ns, 0u);
   EXPECT_FALSE(res.report.simd_tier.empty());
@@ -381,7 +380,6 @@ TEST_F(ObsTest, TraceFileIsWellFormedCoversThePipelineAndSpansNest) {
     CutRunConfig rcfg;
     rcfg.shots = 2000;
     rcfg.seed = 77;
-    rcfg.backend = BackendKind::kFragment;
     plan_and_run(ghz_line(8), all_z(8), pcfg, rcfg);
   }
   EXPECT_GT(obs::trace_event_count(), 0u);

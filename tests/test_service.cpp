@@ -121,15 +121,15 @@ TEST(ServiceEstimate, CachelessPathIsPlanAndRun) {
 }
 
 TEST(ServiceEstimate, CachedRepeatIsBitIdenticalAndHits) {
-  // The 4-qubit IR workload and the fragment-routed 8-qubit QASM one (whose
-  // warm repeat is also a circuit-memo hit).
+  // The 4-qubit IR workload and the 8-qubit QASM one (whose warm repeat is
+  // also a circuit-memo hit).
   for (const EstimateRequest& req : {workload_request(), hwe8_request()}) {
     const int n = req.observable.n_qubits();
     ServiceCaches caches;
     const EstimateResult cold = estimate(req, &caches);
     EXPECT_FALSE(cold.plan_cache_hit) << n;
     EXPECT_FALSE(cold.eval_cache_hit) << n;
-    EXPECT_EQ(cold.run.report.backend, "fragment") << n;
+    EXPECT_EQ(cold.run.report.backend, "batched-branch") << n;
     const EstimateResult warm = estimate(req, &caches);
     EXPECT_TRUE(warm.plan_cache_hit) << n;
     EXPECT_TRUE(warm.eval_cache_hit) << n;
@@ -193,33 +193,14 @@ TEST(ServiceEstimate, WarmQasmHitSkipsTheParseAndTheExactReference) {
   EXPECT_EQ(warm.estimate, cold.estimate);
 }
 
-TEST(ServiceEstimate, BatchedAndFragmentRequestsShareOneEvalEntry) {
-  // The eval key holds the kind that runs, not the kind asked for: the
-  // default (kBatchedBranch, wire value 1) and kFragment (2) both run on the
-  // fragment backend, so the second request is a warm hit on the first's
-  // entry and draws the same bits.
-  ServiceCaches caches;
-  EstimateRequest batched = hwe8_request();
-  batched.run_cfg.backend = BackendKind::kBatchedBranch;
-  EstimateRequest fragment = batched;
-  fragment.run_cfg.backend = BackendKind::kFragment;
-  const EstimateResult a = estimate(batched, &caches);
-  const EstimateResult b = estimate(fragment, &caches);
-  EXPECT_FALSE(a.eval_cache_hit);
-  EXPECT_TRUE(b.eval_cache_hit);
-  EXPECT_EQ(caches.evals.size(), 1u);
-  EXPECT_EQ(a.estimate, b.estimate);
-  EXPECT_EQ(a.shots_used, b.shots_used);
-  EXPECT_EQ(b.run.report.backend, "fragment");
-
+TEST(ServiceEstimate, EvalKeyHoldsTheBackendKind) {
   // The serial-shot reference is a different execution path with its own
   // entry.
-  EXPECT_NE(eval_key("p", Observable::z_all(2), batched.run_cfg),
-            eval_key("p", Observable::z_all(2), [] {
-              CutRunConfig c;
-              c.backend = BackendKind::kSerialShot;
-              return c;
-            }()));
+  CutRunConfig batched;
+  CutRunConfig serial;
+  serial.backend = BackendKind::kSerialShot;
+  EXPECT_NE(eval_key("p", Observable::z_all(2), batched),
+            eval_key("p", Observable::z_all(2), serial));
 }
 
 TEST(ServiceEstimate, MalformedQasmIsRejectedEveryTimeAndNeverMemoized) {
@@ -873,6 +854,51 @@ TEST(ServerTest, MalformedRequestsGetDiagnosticsAndTheConnectionSurvives) {
   // Same connection, valid request: still served.
   const WireEstimateResponse ok = client.estimate(wire_workload_request());
   EXPECT_EQ(ok.status, static_cast<std::uint8_t>(WireStatus::kOk)) << ok.error;
+  server.stop();
+}
+
+TEST(ServerTest, RetiredFragmentWireValueAnswersLikeTheDefault) {
+  // Wire value 2 named the retired fragment kind. It decodes to the default
+  // kind 1: on a fresh server it gets the byte-identical response (bar the
+  // report's timings), and after a value-1 request it is a warm eval hit on
+  // that request's entry. Value 3 is still unknown.
+  const auto answer_on_fresh_server = [](std::uint8_t backend) {
+    QcutServer server{ServerConfig{}};
+    server.start();
+    QcutClient client("127.0.0.1", server.port());
+    WireEstimateRequest req = wire_hwe8_request();
+    req.backend = backend;
+    WireEstimateResponse resp = client.estimate(req);
+    server.stop();
+    return resp;
+  };
+  WireEstimateResponse one = answer_on_fresh_server(1);
+  WireEstimateResponse two = answer_on_fresh_server(2);
+  ASSERT_EQ(one.status, static_cast<std::uint8_t>(WireStatus::kOk)) << one.error;
+  ASSERT_EQ(two.status, static_cast<std::uint8_t>(WireStatus::kOk)) << two.error;
+  EXPECT_NE(one.report_json.find("\"batched-branch\""), std::string::npos) << one.report_json;
+  EXPECT_NE(two.report_json.find("\"batched-branch\""), std::string::npos) << two.report_json;
+  one.report_json.clear();
+  two.report_json.clear();
+  EXPECT_EQ(encode_estimate_response(one), encode_estimate_response(two));
+
+  QcutServer server{ServerConfig{}};
+  server.start();
+  QcutClient client("127.0.0.1", server.port());
+  WireEstimateRequest req = wire_hwe8_request();
+  req.backend = 1;
+  const WireEstimateResponse first = client.estimate(req);
+  req.backend = 2;
+  const WireEstimateResponse second = client.estimate(req);
+  ASSERT_EQ(second.status, static_cast<std::uint8_t>(WireStatus::kOk)) << second.error;
+  EXPECT_EQ(second.eval_cache_hit, 1);
+  EXPECT_EQ(second.estimate, first.estimate);
+
+  req.backend = 3;
+  const WireEstimateResponse bad = client.estimate(req);
+  EXPECT_EQ(bad.status, static_cast<std::uint8_t>(WireStatus::kError));
+  EXPECT_EQ(bad.code, static_cast<std::uint8_t>(ErrorCode::kInvalidRequest));
+  EXPECT_NE(bad.error.find("backend"), std::string::npos) << bad.error;
   server.stop();
 }
 
