@@ -20,8 +20,10 @@
 //  * optimized        — BatchedBranchBackend: shared split skeletons, prefix-once
 //    suffix-per-assignment enumeration, trailing-measure amplitude fold,
 //    specialized kernels, work units across the thread pool.
-// Results must be bit-identical across pool sizes {1, 2, 8} — checked here
-// on every run, not just in the test suite.
+// Each rep times one pass of each way, adjacent and in alternating order;
+// the speedups are medians of per-rep ratios. Results must be bit-identical
+// across pool sizes {1, 2, 8} — checked here on every run, not just in the
+// test suite.
 //
 // Kernel section: amp-updates/sec and effective GB/s per kernel, plus the
 // QFT-16 workload (h + cu1 + swap — the corpus QFT gate mix) applied with
@@ -70,6 +72,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -193,7 +196,10 @@ struct FragmentRow {
   double optimized_seconds = 0.0;
   double serial_terms_per_sec = 0.0;
   double optimized_terms_per_sec = 0.0;
-  double speedup = 0.0;
+  double speedup = 0.0;  ///< median over reps of baseline/optimized
+  /// Per rep: one baseline pass and one optimized pass over every term.
+  std::vector<double> serial_pass_seconds;
+  std::vector<double> optimized_pass_seconds;
   bool ok = false;
   std::string error;
 };
@@ -207,6 +213,18 @@ qcut::Circuit ghz_line(int n) {
   return c;
 }
 
+/// Median of `v` (by copy; v non-empty).
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2), v.end());
+  return v[v.size() / 2];
+}
+
+/// Each rep times one baseline pass and one optimized pass over every term,
+/// adjacent, the side that runs first alternating from rep to rep; the row's
+/// speedup is the median of the per-rep baseline/optimized ratios. A slow
+/// spell on a shared host then lands inside one rep's ratio, or on one side
+/// of a few, instead of on a whole block of one side.
+///
 /// `with_baseline = false` skips the PR-3 yardstick: workloads whose generic
 /// entangled states defeat branch pruning (wide_30_brickwork) make the old
 /// per-measure branch enumeration exponential — literally intractable, which
@@ -232,36 +250,53 @@ FragmentRow measure_fragment_workload(const std::string& name, const qcut::Circu
     row.max_fragment_width = plan.max_width;
     const double work = static_cast<double>(reps) * static_cast<double>(qpd.size());
 
+    const qcut::Qpd stripped = with_baseline ? strip_classification(qpd) : qcut::Qpd{};
     qcut::Real acc_base = 0.0;
-    if (with_baseline) {
-      const qcut::Qpd stripped = strip_classification(qpd);
-      const auto t0 = Clock::now();
-      for (int r = 0; r < reps; ++r) {
-        for (const qcut::QpdTerm& t : stripped.terms()) {
-          acc_base += qcut::testing::fragment_term_prob_one_baseline(qcut::split_term(t));
-        }
-      }
-      row.serial_seconds = seconds_since(t0);
-      row.serial_terms_per_sec = row.serial_seconds > 0.0 ? work / row.serial_seconds : 0.0;
-    }
-
     qcut::Real acc_opt = 0.0;
-    const auto t0 = Clock::now();
-    for (int r = 0; r < reps; ++r) {
+    const auto baseline_pass = [&] {
+      const auto t0 = Clock::now();
+      for (const qcut::QpdTerm& t : stripped.terms()) {
+        acc_base += qcut::testing::fragment_term_prob_one_baseline(qcut::split_term(t));
+      }
+      row.serial_pass_seconds.push_back(seconds_since(t0));
+    };
+    const auto optimized_pass = [&] {
+      const auto t0 = Clock::now();
       const qcut::BatchedBranchBackend backend(qpd, &pool);
       backend.prewarm();
       for (std::size_t i = 0; i < qpd.size(); ++i) {
         acc_opt += backend.cache().prob_one(i);
       }
+      row.optimized_pass_seconds.push_back(seconds_since(t0));
+    };
+    std::vector<double> ratios;
+    for (int r = 0; r < reps; ++r) {
+      if (!with_baseline) {
+        optimized_pass();
+        continue;
+      }
+      if (r % 2 == 0) {
+        baseline_pass();
+        optimized_pass();
+      } else {
+        optimized_pass();
+        baseline_pass();
+      }
+      const double opt = row.optimized_pass_seconds.back();
+      ratios.push_back(opt > 0.0 ? row.serial_pass_seconds.back() / opt : 0.0);
     }
-    row.optimized_seconds = seconds_since(t0);
+    const auto sum = [](const std::vector<double>& v) {
+      return std::accumulate(v.begin(), v.end(), 0.0);
+    };
+    row.serial_seconds = sum(row.serial_pass_seconds);
+    row.serial_terms_per_sec = row.serial_seconds > 0.0 ? work / row.serial_seconds : 0.0;
+    row.optimized_seconds = sum(row.optimized_pass_seconds);
     row.optimized_terms_per_sec =
         row.optimized_seconds > 0.0 ? work / row.optimized_seconds : 0.0;
 
     row.ok = true;
     if (with_baseline) {
-      row.speedup =
-          row.optimized_seconds > 0.0 ? row.serial_seconds / row.optimized_seconds : 0.0;
+      row.speedup = median(ratios);
       // The two evaluators must agree (they are pinned to 1e-12 per term in
       // the test suite; this is a cheap cross-check against silent drift).
       row.ok = std::abs(acc_base - acc_opt) <= 1e-9 * work;
@@ -344,8 +379,7 @@ QftKernelResult measure_qft_kernels(int n, int reps) {
     res.classified_seconds += c;
     ratios.push_back(c > 0.0 ? d / c : 0.0);
   }
-  std::nth_element(ratios.begin(), ratios.begin() + reps / 2, ratios.end());
-  res.speedup = ratios[static_cast<std::size_t>(reps / 2)];
+  res.speedup = median(ratios);
   return res;
 }
 
@@ -676,8 +710,7 @@ ObsOverheadBench measure_obs_overhead(int n, int pairs, int passes) {
 
   res.off_seconds = best_off;
   res.on_seconds = best_on;
-  std::nth_element(ratios.begin(), ratios.begin() + pairs / 2, ratios.end());
-  res.overhead_frac = ratios[static_cast<std::size_t>(pairs / 2)] - 1.0;
+  res.overhead_frac = median(ratios) - 1.0;
   return res;
 }
 
@@ -757,16 +790,23 @@ int main(int argc, char** argv) {
   std::printf("%-24s %6s %5s %6s %14s %14s %9s\n", "workload", "terms", "cuts", "width",
               "base terms/s", "opt terms/s", "speedup");
 
+  // Every row with a baseline runs kFragmentReps reps; rep r of the
+  // aggregate sums every such row's rep-r passes, and the aggregate speedup
+  // is the median of those per-rep ratios.
+  constexpr int kFragmentReps = 9;
   std::vector<FragmentRow> frag_rows;
   bool fragment_workloads_ok = true;
-  double frag_serial_total = 0.0, frag_opt_total = 0.0;
+  std::vector<double> frag_serial_by_rep(kFragmentReps, 0.0);
+  std::vector<double> frag_opt_by_rep(kFragmentReps, 0.0);
   const auto report_row = [&](FragmentRow fr) {
     if (!fr.ok) {
       fragment_workloads_ok = false;
       std::printf("%-24s FAILED: %s\n", fr.name.c_str(), fr.error.c_str());
     } else if (fr.has_baseline) {
-      frag_serial_total += fr.serial_seconds;
-      frag_opt_total += fr.optimized_seconds;
+      for (std::size_t r = 0; r < frag_serial_by_rep.size(); ++r) {
+        frag_serial_by_rep[r] += fr.serial_pass_seconds[r];
+        frag_opt_by_rep[r] += fr.optimized_pass_seconds[r];
+      }
       std::printf("%-24s %6zu %5zu %6d %14.1f %14.1f %8.2fx\n", fr.name.c_str(), fr.terms,
                   fr.cuts, fr.max_fragment_width, fr.serial_terms_per_sec,
                   fr.optimized_terms_per_sec, fr.speedup);
@@ -776,7 +816,8 @@ int main(int argc, char** argv) {
     }
     frag_rows.push_back(std::move(fr));
   };
-  report_row(measure_fragment_workload("planned-ghz-30", ghz_line(30), /*width_cap=*/12, poolN, 3));
+  report_row(measure_fragment_workload("planned-ghz-30", ghz_line(30), /*width_cap=*/12, poolN,
+                                      kFragmentReps));
   const auto corpus_workload = [&](const std::string& name, const char* file, int cap, int reps,
                                    bool with_baseline) {
     try {
@@ -790,17 +831,23 @@ int main(int argc, char** argv) {
       report_row(std::move(fr));
     }
   };
-  corpus_workload("qasm-ghz-30-wide", "ghz_30_wide.qasm", 16, 3, true);
-  corpus_workload("qasm-hwe-ansatz-8", "hwe_ansatz_8.qasm", 5, 20, true);
+  corpus_workload("qasm-ghz-30-wide", "ghz_30_wide.qasm", 16, kFragmentReps, true);
+  corpus_workload("qasm-hwe-ansatz-8", "hwe_ansatz_8.qasm", 5, kFragmentReps, true);
   // Optimized-only showcase: the pre-PR-5 enumeration is exponential in the
   // trailing measures of this workload's entangled 16-wide fragments (the
   // serial baseline does not terminate in useful time — by design, that cost
   // is what the trailing-measure fold removed).
   corpus_workload("qasm-wide-30-brickwork", "wide_30_brickwork.qasm", 16, 3, false);
 
-  const double frag_speedup = frag_opt_total > 0.0 ? frag_serial_total / frag_opt_total : 0.0;
-  std::printf("\nfragment-path speedup (aggregate): %.1fx (floor: 4x on >= 4 threads)\n",
-              frag_speedup);
+  std::vector<double> frag_ratios;
+  for (std::size_t r = 0; r < frag_opt_by_rep.size(); ++r) {
+    const double opt = frag_opt_by_rep[r];
+    frag_ratios.push_back(opt > 0.0 ? frag_serial_by_rep[r] / opt : 0.0);
+  }
+  const double frag_speedup = median(frag_ratios);
+  std::printf("\nfragment-path speedup (aggregate, median of %d per-rep ratios): %.1fx "
+              "(floor: 4x on >= 4 threads)\n",
+              kFragmentReps, frag_speedup);
 
   // Bit-identity across pool sizes {1, 2, 8}: per-term probabilities and
   // end-to-end engine estimates must match exactly, not approximately.

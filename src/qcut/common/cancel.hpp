@@ -8,17 +8,15 @@
 // no token is installed (same ≤2% discipline as QCUT_METRICS, gated by
 // bench_sim_perf).
 //
-// Propagation is by thread-local scope, mirroring ScopedMetricsSink: the
-// service layer installs a ScopedCancelScope around each request, which runs
-// single-threaded on one pool worker (the engine and fragment evaluator fall
-// back inline there). Drivers that DO fan out re-install the current token
-// inside their pool lambdas (engine batch loop, fragment unit loop), so
-// worker threads poll the same token as the spawning request.
+// The token travels in the thread's RequestContext (common/
+// request_context.hpp): the service layer installs it around each request,
+// and ThreadPool::submit carries it into every task the request fans out,
+// so pool workers poll the same token as the spawning request.
 //
 // A tripped poll throws qcut::Error with ErrorCode::kCancelled or
 // kDeadlineExceeded — cancellation rides the existing exception path out of
-// parallel_for (first exception rethrown) and up to the service layer, which
-// maps the code onto the wire.
+// parallel_for (lowest-index chunk's exception rethrown) and up to the
+// service layer, which maps the code onto the wire.
 #pragma once
 
 #include <atomic>
@@ -26,6 +24,7 @@
 #include <cstdint>
 
 #include "qcut/common/error.hpp"
+#include "qcut/common/request_context.hpp"
 
 namespace qcut {
 
@@ -82,46 +81,21 @@ class CancelToken {
 };
 
 namespace detail {
-// Exposed only so cancel_poll can inline its fast path; not part of the API.
-// Defined inline with a constant initializer, so every translation unit
-// reads it directly. Declared `extern`, it was read through a TLS wrapper
-// function in other units, and gcc 12's UBSan flagged those reads as loads
-// of a null pointer.
-inline thread_local CancelToken* t_cancel = nullptr;
-
 /// Out-of-line slow path: checks the flag, then the clock; throws the typed
 /// Error (and bumps the matching obs counter) when the token tripped.
 void cancel_poll_slow(CancelToken* token);
 }  // namespace detail
 
-/// The token governing the current thread's work, or nullptr. Drivers that
-/// fan out to pool workers capture this and re-install it in their lambdas.
-inline CancelToken* current_cancel_token() noexcept { return detail::t_cancel; }
+/// The token governing the current thread's work, or nullptr.
+inline CancelToken* current_cancel_token() noexcept { return detail::t_context.cancel; }
 
 /// Quantum-boundary poll. No token installed → one thread-local load and a
 /// predicted branch. Token installed → flag check + one steady_clock read;
 /// throws qcut::Error{kCancelled | kDeadlineExceeded} when tripped.
 inline void cancel_poll() {
-  if (CancelToken* token = detail::t_cancel) {
+  if (CancelToken* token = detail::t_context.cancel) {
     detail::cancel_poll_slow(token);
   }
 }
-
-/// RAII thread-local token scope (nests; previous token restored on exit).
-/// Installing nullptr detaches the thread from any token — pool lambdas pass
-/// whatever current_cancel_token() returned at capture time, attached or not.
-class ScopedCancelScope {
- public:
-  explicit ScopedCancelScope(CancelToken* token) noexcept : prev_(detail::t_cancel) {
-    detail::t_cancel = token;
-  }
-  ~ScopedCancelScope() { detail::t_cancel = prev_; }
-
-  ScopedCancelScope(const ScopedCancelScope&) = delete;
-  ScopedCancelScope& operator=(const ScopedCancelScope&) = delete;
-
- private:
-  CancelToken* prev_;
-};
 
 }  // namespace qcut

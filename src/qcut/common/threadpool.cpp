@@ -1,9 +1,12 @@
 #include "qcut/common/threadpool.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <exception>
 
 #include "qcut/common/error.hpp"
 #include "qcut/common/fault.hpp"
+#include "qcut/common/request_context.hpp"
 #include "qcut/obs/metrics.hpp"
 
 namespace qcut {
@@ -31,62 +34,78 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-bool ThreadPool::on_worker_thread() const noexcept {
-  // workers_ is immutable after construction, so no lock is needed.
-  const auto id = std::this_thread::get_id();
-  for (const auto& w : workers_) {
-    if (w.get_id() == id) {
-      return true;
-    }
-  }
-  return false;
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// The pool whose worker this thread is, set once by worker_loop.
+thread_local const ThreadPool* t_worker_of = nullptr;
+
+std::uint64_t nanos(Clock::duration d) {
+  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
 }
 
+}  // namespace
+
 std::future<void> ThreadPool::submit(std::function<void()> task) {
-  // The fault hook lives INSIDE the packaged task: an injected throw is then
-  // captured into the task's future exactly like a real task failure, instead
-  // of escaping worker_loop and terminating the worker.
-  std::packaged_task<void()> pt([task = std::move(task)] {
-    fault::maybe_inject(fault::Site::kPoolTask);
-    task();
+  // The task runs under its submitter's context, counting into a task-local
+  // sink that is merged into the submitter's before the packaged task makes
+  // the future ready, throwing or not. The fault hook lives INSIDE the
+  // packaged task: an injected throw is then captured into the task's future
+  // exactly like a real task failure, instead of escaping worker_loop.
+  std::packaged_task<void()> pt([this, task = std::move(task), ctx = current_request_context(),
+                                 enqueued_at = Clock::now()] {
+    const auto picked_up = Clock::now();
+    obs::MetricsSink local;
+    std::exception_ptr error;
+    {
+      const ScopedRequestContext scope({ctx.cancel, ctx.sink != nullptr ? &local : nullptr});
+      try {
+        fault::maybe_inject(fault::Site::kPoolTask);
+        task();
+      } catch (...) {
+        error = std::current_exception();
+      }
+      const std::uint64_t wait_ns = nanos(picked_up - enqueued_at);
+      const std::uint64_t run_ns = nanos(Clock::now() - picked_up);
+      tasks_run_.fetch_add(1, std::memory_order_relaxed);
+      queue_wait_ns_.fetch_add(wait_ns, std::memory_order_relaxed);
+      busy_ns_.fetch_add(run_ns, std::memory_order_relaxed);
+      obs::count(obs::Counter::kPoolTasks);
+      obs::count(obs::Counter::kPoolQueueWaitNanos, wait_ns);
+      obs::count(obs::Counter::kPoolBusyNanos, run_ns);
+    }
+    if (ctx.sink != nullptr) {
+      local.merge_into(*ctx.sink);
+    }
+    if (error) {
+      std::rethrow_exception(error);
+    }
   });
   std::future<void> fut = pt.get_future();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     QCUT_CHECK(!stop_, "submit on stopped ThreadPool");
-    queue_.push_back({std::move(pt), std::chrono::steady_clock::now()});
+    queue_.push_back(std::move(pt));
   }
   cv_.notify_one();
   return fut;
 }
 
 void ThreadPool::worker_loop() {
+  t_worker_of = this;
   while (true) {
-    QueuedTask qt;
+    std::packaged_task<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (stop_ && queue_.empty()) {
         return;
       }
-      qt = std::move(queue_.front());
+      task = std::move(queue_.front());
       queue_.pop_front();
     }
-    const auto picked_up = std::chrono::steady_clock::now();
-    const std::uint64_t wait_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(picked_up - qt.enqueued_at)
-            .count());
-    qt.task();  // exceptions are captured in the packaged_task's future
-    const std::uint64_t run_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - picked_up)
-            .count());
-    tasks_run_.fetch_add(1, std::memory_order_relaxed);
-    queue_wait_ns_.fetch_add(wait_ns, std::memory_order_relaxed);
-    busy_ns_.fetch_add(run_ns, std::memory_order_relaxed);
-    obs::count(obs::Counter::kPoolTasks);
-    obs::count(obs::Counter::kPoolQueueWaitNanos, wait_ns);
-    obs::count(obs::Counter::kPoolBusyNanos, run_ns);
+    task();  // exceptions are captured in the packaged_task's future
   }
 }
 
@@ -106,14 +125,44 @@ void ThreadPool::parallel_for_chunked(
     return;
   }
   chunk = std::max<std::size_t>(1, chunk);
-  std::vector<std::future<void>> futures;
-  futures.reserve((end - begin + chunk - 1) / chunk);
-  for (std::size_t lo = begin; lo < end; lo += chunk) {
-    const std::size_t hi = std::min(end, lo + chunk);
-    futures.push_back(submit([&body, lo, hi] { body(lo, hi); }));
+  const std::size_t n_chunks = (end - begin + chunk - 1) / chunk;
+  // Inline on one of this pool's workers, where waiting on futures only the
+  // blocked workers could serve would deadlock, and wherever pooling cannot
+  // overlap anything.
+  if (t_worker_of == this || n_chunks == 1 || size() == 1) {
+    for (std::size_t lo = begin; lo < end; lo += chunk) {
+      body(lo, std::min(end, lo + chunk));
+    }
+    return;
   }
-  for (auto& f : futures) {
-    f.get();  // rethrows the first captured exception
+  // Each chunk keeps its own exception, so no body exception crosses a
+  // packaged_task, and every chunk finishes before one is rethrown: none
+  // outlives `body`. A get() that throws is an injected pool.task fault.
+  std::vector<std::exception_ptr> errors(n_chunks);
+  std::vector<std::future<void>> futures;
+  futures.reserve(n_chunks);
+  for (std::size_t c = 0; c < n_chunks; ++c) {
+    const std::size_t lo = begin + c * chunk;
+    const std::size_t hi = std::min(end, lo + chunk);
+    futures.push_back(submit([&body, &error = errors[c], lo, hi] {
+      try {
+        body(lo, hi);
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }));
+  }
+  for (std::size_t c = 0; c < n_chunks; ++c) {
+    try {
+      futures[c].get();
+    } catch (...) {
+      errors[c] = std::current_exception();
+    }
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e) {
+      std::rethrow_exception(e);
+    }
   }
 }
 

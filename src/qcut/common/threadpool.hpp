@@ -3,10 +3,12 @@
 // The benchmark harness distributes Monte-Carlo trials across the pool; each
 // task derives its own Rng stream from (seed, task index), so the numerical
 // results are identical for any pool size, including size 1.
+// Callers never check where they run: parallel_for runs inline where
+// pooling would deadlock or cannot help, and every task runs under its
+// submitter's RequestContext (common/request_context.hpp).
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -31,17 +33,17 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return workers_.size(); }
 
-  /// True when the calling thread is one of this pool's workers. Used by
-  /// nested-parallelism guards: parallel_for from a worker would deadlock
-  /// (it blocks on futures only the blocked workers could serve), so callers
-  /// fall back to inline execution instead.
-  bool on_worker_thread() const noexcept;
-
-  /// Enqueues a task; returns a future for its completion.
+  /// Enqueues a task; returns a future for its completion. The task runs
+  /// under the submitter's RequestContext; the counts it makes are merged
+  /// into the submitter's sink before the future is ready, so a submitter
+  /// with a sink waits on the future before the sink dies.
   std::future<void> submit(std::function<void()> task);
 
   /// Runs body(i) for i in [begin, end) across the pool and waits for all.
-  /// Exceptions from tasks are rethrown (the first one encountered).
+  /// The chunks run inline, in index order, on the calling thread when it is
+  /// one of this pool's workers, when the range is a single chunk, or when
+  /// the pool has one worker. Otherwise every chunk runs to completion and
+  /// then the lowest-index chunk's exception, if any, is rethrown.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
 
@@ -63,15 +65,10 @@ class ThreadPool {
   std::uint64_t busy_ns() const noexcept { return busy_ns_.load(std::memory_order_relaxed); }
 
  private:
-  struct QueuedTask {
-    std::packaged_task<void()> task;
-    std::chrono::steady_clock::time_point enqueued_at;
-  };
-
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::deque<QueuedTask> queue_;
+  std::deque<std::packaged_task<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;

@@ -41,16 +41,14 @@ CutRunResult run_qpd_estimate(const Qpd& qpd, Real exact, const CutRunConfig& cf
   res.exact = exact;
   const ExecutionEngine engine(engine_config(cfg));
 
-  // Bracket the estimation with a registry snapshot so the report carries
-  // exactly this run's counter delta. Reads only — the estimate is
-  // bit-identical with metrics on or off. Scoped reports capture from a
-  // per-thread sink instead: exact under concurrent requests, provided the
-  // run stays on this thread (the service layer's mode).
-  std::optional<obs::ScopedMetricsSink> sink;
-  if (cfg.scoped_report) {
-    sink.emplace();
-  }
-  const obs::MetricsSnapshot before = obs::metrics_snapshot();
+  // The run counts into its own sink, on this thread and on every pool task
+  // it fans out to, so the report carries exactly this run's counters even
+  // while other runs count concurrently. Reads only — the estimate is
+  // bit-identical with metrics on or off.
+  obs::MetricsSink sink;
+  RequestContext ctx = current_request_context();
+  ctx.sink = &sink;
+  const ScopedRequestContext scope(ctx);
   const auto t0 = std::chrono::steady_clock::now();
   {
     obs::TraceSpan span("qpd.estimate", qpd.size());
@@ -61,8 +59,7 @@ CutRunResult run_qpd_estimate(const Qpd& qpd, Real exact, const CutRunConfig& cf
   res.abs_error = std::abs(res.estimate - res.exact);
 
   res.report.metrics_enabled = obs::metrics_enabled();
-  res.report.counters =
-      cfg.scoped_report ? sink->snapshot() : obs::metrics_delta(before, obs::metrics_snapshot());
+  res.report.counters = sink.snapshot();
   res.report.backend = to_string(cfg.backend);
   res.report.simd_tier = simd_tier_name(active_simd_tier());
   res.report.pool_threads = cfg.pool != nullptr ? cfg.pool->size() : global_pool().size();

@@ -34,12 +34,6 @@ struct CutRunConfig {
   /// backend carries branch/skeleton caches across requests. `backend` must
   /// name its kind (for the report).
   const ExecutionBackend* shared_backend = nullptr;
-  /// Capture the RunReport's counters from a per-thread sink instead of a
-  /// global-registry delta. Only accurate when the whole run executes on the
-  /// calling thread (the service layer guarantees this by running requests
-  /// on pool workers, where the engine and fragment evaluator fall back
-  /// inline); the default global delta is exact for run-at-a-time drivers.
-  bool scoped_report = false;
 };
 
 struct CutRunResult {
@@ -51,7 +45,7 @@ struct CutRunResult {
   /// fragment path); compare against an analytic value instead.
   bool has_exact = true;
   EstimationResult details;
-  /// Resource accounting for this run (metrics-registry delta + config);
+  /// Resource accounting for this run (its own metrics sink + config);
   /// serialize with report.to_json(). Filled whether or not metrics are
   /// enabled — disabled runs just carry zero counters.
   obs::RunReport report;

@@ -159,6 +159,19 @@ void fold_branches_tail(const std::vector<Branch>& branches, const TailFold& tai
   }
 }
 
+/// body(i) for i in [lo, hi): through `pool`'s parallel_for when there is
+/// one (it runs inline wherever pooling cannot help), else in index order.
+void for_range(ThreadPool* pool, std::size_t lo, std::size_t hi,
+               const std::function<void(std::size_t)>& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(lo, hi, body);
+    return;
+  }
+  for (std::size_t i = lo; i < hi; ++i) {
+    body(i);
+  }
+}
+
 /// Chain-rule product over fragments, summed over cross-bit assignments,
 /// with a running XOR of the per-fragment estimate parities. The 2^n_cross
 /// sigma sweep is chunked at a fixed size and the per-chunk partial sums are
@@ -226,17 +239,10 @@ Real recombine(const FragmentSplit& split, const FragTables& tables, ThreadPool*
   // count depends only on n_cross, never on the pool.
   const std::size_t n_chunks = static_cast<std::size_t>(n_sigma / kSigmaChunk);
   std::vector<Real> partial(n_chunks, 0.0);
-  const auto run_chunk = [&](std::size_t c) {
+  for_range(pool, 0, n_chunks, [&](std::size_t c) {
     const std::uint64_t s0 = static_cast<std::uint64_t>(c) * kSigmaChunk;
     partial[c] = sigma_range(s0, s0 + kSigmaChunk);
-  };
-  if (pool != nullptr && pool->size() > 1 && !pool->on_worker_thread()) {
-    pool->parallel_for(0, n_chunks, run_chunk);
-  } else {
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      run_chunk(c);
-    }
-  }
+  });
   Real acc = 0.0;
   for (std::size_t c = 0; c < n_chunks; ++c) {
     acc += partial[c];
@@ -524,7 +530,6 @@ Real fragment_term_prob_one(const FragmentSplit& split, ThreadPool* pool) {
   obs::TraceSpan eval_span("fragment.eval", static_cast<std::uint64_t>(n_frags));
 
   struct FragEval {
-    std::vector<Branch> prefix;             ///< branches after the unconditioned prefix
     std::vector<std::vector<Real>> tab;     ///< [read asg][write pattern * 2 + parity]
     std::vector<std::size_t> wr_idx;        ///< hoisted write-cbit positions
     std::vector<std::size_t> est_idx;       ///< hoisted estimate-cbit positions
@@ -533,9 +538,7 @@ Real fragment_term_prob_one(const FragmentSplit& split, ThreadPool* pool) {
   };
   std::vector<FragEval> ev(n_frags);
 
-  // Flattened (fragment, read assignment) work units — one independent
-  // enumeration each, with a preassigned result slot.
-  std::vector<std::pair<std::size_t, std::size_t>> units;
+  std::size_t n_units = 0;
   for (std::size_t f = 0; f < n_frags; ++f) {
     const TermFragment& tf = split.fragments[f];
     const std::size_t r = tf.reads.size();
@@ -546,61 +549,24 @@ Real fragment_term_prob_one(const FragmentSplit& split, ThreadPool* pool) {
     ev[f].est_idx = hoisted_positions(tf.estimate_cbits);
     ev[f].tail = make_tail_fold(tf);
     ev[f].prefix_end = std::min(tf.cond_suffix_begin, ev[f].tail.tail_begin);
-    for (std::size_t ra = 0; ra < (std::size_t{1} << r); ++ra) {
-      units.emplace_back(f, ra);
-    }
+    n_units += std::size_t{1} << r;
   }
-  obs::count(obs::Counter::kFragmentUnits, units.size());
+  obs::count(obs::Counter::kFragmentUnits, n_units);
   obs::count(obs::Counter::kFragmentPrefixRuns, n_frags);
 
-  // Parallel only when the caller is not already a worker of `pool`:
-  // re-entering parallel_for from a worker would deadlock (the engine's
-  // batch-parallel driver funnels here from workers — those calls run
-  // inline; the engine already parallelizes across terms).
-  const bool parallel = pool != nullptr && pool->size() > 1 && !pool->on_worker_thread();
-
-  // Units are the fragment path's cancellation quantum; the token is
-  // captured here and re-installed inside the lambdas, which may run on pool
-  // workers carrying no thread-local scope of their own.
-  CancelToken* cancel = current_cancel_token();
-
-  // Stage A: simulate each fragment's unconditioned prefix once.
-  const auto run_prefix = [&, cancel](std::size_t f) {
-    ScopedCancelScope cancel_scope(cancel);
-    cancel_poll();
-    obs::TraceSpan span("fragment.prefix", static_cast<std::uint64_t>(f));
-    const TermFragment& tf = split.fragments[f];
-    std::vector<Branch> branches;
-    branches.push_back({1.0, std::vector<int>(static_cast<std::size_t>(tf.circuit.n_cbits()), 0),
-                        Statevector(tf.circuit.n_qubits())});
-    advance_branches(branches, tf.circuit, 0, ev[f].prefix_end);
-    ev[f].prefix = std::move(branches);
-  };
-
-  // Stage B: per unit, continue the prefix through the read-dependent suffix
-  // with the read bits preset, then fold the branches into the unit's table
-  // row. Units touch disjoint slots, so scheduling cannot change the result.
-  const auto run_unit = [&, cancel](std::size_t u) {
-    ScopedCancelScope cancel_scope(cancel);
+  // (fragment, read assignment) units are the fragment path's cancellation
+  // quantum. Per unit, continue `branches`, the fragment's prefix, through
+  // the read-dependent suffix with the read bits preset, then fold them into
+  // the unit's table row. Units touch disjoint rows, so scheduling cannot
+  // change the result. `u` numbers the unit across fragments (its trace id).
+  const auto run_unit = [&](std::size_t f, std::size_t ra, std::size_t u,
+                            std::vector<Branch> branches) {
     cancel_poll();
     fault::maybe_inject(fault::Site::kFragmentUnit);
     obs::TraceSpan span("fragment.unit", static_cast<std::uint64_t>(u));
-    const std::size_t f = units[u].first;
-    const std::size_t ra = units[u].second;
     const TermFragment& tf = split.fragments[f];
     const std::size_t r = tf.reads.size();
     const std::size_t tail_begin = ev[f].tail.tail_begin;
-    // A fragment's sole unit consumes the prefix in place, and so does its
-    // last unit when the units run in order on this thread (the earlier ones
-    // have copied it by then). Pooled units of one fragment may run in any
-    // order, so they copy.
-    const bool last = ra + 1 == (std::size_t{1} << r);
-    std::vector<Branch> branches;
-    if (r == 0 || (last && !parallel)) {
-      branches = std::move(ev[f].prefix);
-    } else {
-      branches = ev[f].prefix;
-    }
     if (r > 0) {
       for (Branch& b : branches) {
         for (std::size_t j = 0; j < r; ++j) {
@@ -616,28 +582,25 @@ Real fragment_term_prob_one(const FragmentSplit& split, ThreadPool* pool) {
     }
   };
 
-  if (parallel) {
-    // Pooled: every prefix, then every unit, each stage spread over the pool.
-    const auto spread = [pool](std::size_t n, const std::function<void(std::size_t)>& body) {
-      if (n > 1) {
-        pool->parallel_for(0, n, body);
-      } else if (n == 1) {
-        body(0);
-      }
-    };
-    spread(n_frags, run_prefix);
-    spread(units.size(), run_unit);
-  } else {
-    // Inline: one fragment at a time — its prefix, then its units (units are
-    // laid out fragment-major) — so at most one fragment's branch states are
-    // alive at once and each prefix is released by its last unit.
-    std::size_t u = 0;
-    for (std::size_t f = 0; f < n_frags; ++f) {
-      run_prefix(f);
-      for (; u < units.size() && units[u].first == f; ++u) {
-        run_unit(u);
-      }
+  // One fragment at a time: its unconditioned prefix, simulated once, then
+  // its units over the pool, the last of which takes the prefix by move
+  // after the others have copied it. So at most one fragment's branch
+  // states are alive at once.
+  std::size_t u0 = 0;
+  for (std::size_t f = 0; f < n_frags; ++f) {
+    cancel_poll();
+    const TermFragment& tf = split.fragments[f];
+    std::vector<Branch> prefix;
+    {
+      obs::TraceSpan span("fragment.prefix", static_cast<std::uint64_t>(f));
+      prefix.push_back({1.0, std::vector<int>(static_cast<std::size_t>(tf.circuit.n_cbits()), 0),
+                        Statevector(tf.circuit.n_qubits())});
+      advance_branches(prefix, tf.circuit, 0, ev[f].prefix_end);
     }
+    const std::size_t last = ev[f].tab.size() - 1;
+    for_range(pool, 0, last, [&](std::size_t ra) { run_unit(f, ra, u0 + ra, prefix); });
+    run_unit(f, last, u0 + last, std::move(prefix));
+    u0 += last + 1;
   }
 
   FragTables tables(n_frags);

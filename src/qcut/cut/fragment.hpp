@@ -35,7 +35,7 @@
 // per structure (SplitSkeletonCache) and per-term splitting reduces to
 // replaying ops with remapped qubits. Evaluation then simulates each fragment's
 // unconditioned prefix once, re-runs only the read-dependent suffix per
-// cross-bit assignment, and can distribute the (fragment, read-assignment)
+// cross-bit assignment, and can distribute those (fragment, read-assignment)
 // work units over a ThreadPool — with a fixed-order reduction, so the result
 // is bit-identical for any pool size (including none).
 #pragma once
@@ -157,21 +157,18 @@ void fuse_split_circuits(FragmentSplit& split, FusionStats* stats = nullptr);
 /// circuit, but memory-bounded by split.max_width instead of the spliced
 /// width.
 ///
-/// The evaluator simulates each fragment's unconditioned prefix once,
-/// re-runs only the read-dependent suffix per cross-bit assignment, and —
-/// when `pool` is non-null, has more than one worker, and the caller is not
-/// already one of its workers — distributes the (fragment, read-assignment)
-/// work units across the pool. Per-unit results land in preassigned slots
-/// and the final reduction runs in fixed index order, so the value is
-/// bit-identical for every pool size, including the serial fallback.
-///
-/// Otherwise (no pool, or called from one of its workers, as the engine's
-/// batch-parallel driver does) the evaluation runs inline, one fragment at a
-/// time: the fragment's prefix, then its units in read-assignment order,
-/// the last of which takes the prefix by move, then the next fragment. The
-/// branch states alive at once are then those of one fragment: its prefix
-/// branches plus one unit's branches, each at most 2^width amplitudes. The
-/// pooled path holds every fragment's prefix at once.
+/// The evaluator takes one fragment at a time: it simulates the fragment's
+/// unconditioned prefix once, then re-runs only the read-dependent suffix per
+/// cross-bit assignment. Those (fragment, read-assignment) work units go
+/// through `pool`'s parallel_for when `pool` is non-null, which runs them
+/// inline when the caller is one of its workers (as the engine's
+/// batch-parallel driver is) or when pooling cannot help. The last unit of
+/// a fragment takes the prefix by move after the others have copied it, so
+/// the branch states alive at once are those of one fragment: its prefix
+/// plus its running units' branches, each at most 2^width amplitudes.
+/// Per-unit results land in preassigned slots and the final reduction runs
+/// in fixed index order, so the value is bit-identical for every pool size,
+/// including none.
 Real fragment_term_prob_one(const FragmentSplit& split, ThreadPool* pool = nullptr);
 
 }  // namespace qcut

@@ -67,11 +67,13 @@ std::uint64_t BatchedBranchBackend::run_batch(const TermBatch& batch, Rng& rng) 
 }
 
 void BatchedBranchBackend::prewarm() const {
-  if (pool_ != nullptr) {
-    cache_->prewarm(*pool_);
-  } else {
+  // Each term's value is computed exactly as prob_one would compute it
+  // (terms are independent), so the cache is bit-identical for any pool.
+  if (pool_ == nullptr) {
     (void)cache_->all_prob_one();
+    return;
   }
+  pool_->parallel_for(0, qpd_->size(), [this](std::size_t i) { (void)cache_->prob_one(i); });
 }
 
 const char* to_string(BackendKind kind) {

@@ -66,10 +66,9 @@ class BatchedBranchBackend final : public ExecutionBackend {
   /// a caller-owned cache across requests (the service layer's
   /// process-lifetime one); nullptr gives a private one. When `pool` is
   /// non-null, each term's (fragment, read-assignment) work units spread
-  /// across it *if* the caller is not already one of its workers (calls from
-  /// the engine's batch-parallel driver run inline — the engine already
-  /// parallelizes across terms). Results are bit-identical for any pool (or
-  /// none).
+  /// across it; calls from one of its workers (the engine's batch-parallel
+  /// driver) run them inline, since the engine already parallelizes across
+  /// terms. Results are bit-identical for any pool (or none).
   explicit BatchedBranchBackend(const Qpd& qpd, ThreadPool* pool = nullptr,
                                 std::shared_ptr<SplitSkeletonCache> skeletons = nullptr);
   /// Pre-seeded: reuses precomputed per-term probabilities (e.g. across
@@ -81,8 +80,9 @@ class BatchedBranchBackend final : public ExecutionBackend {
 
   /// Forces every term's probability, distributing terms across the
   /// constructor's pool (the serial sweep when none was given). Always the
-  /// same pool as the per-term work units — two different pools would evade
-  /// the worker-reentrancy guard and oversubscribe.
+  /// same pool as the per-term work units — with two different pools, the
+  /// units would not see that they already run on a worker, and would
+  /// oversubscribe.
   void prewarm() const;
 
   const BranchCache& cache() const noexcept { return *cache_; }

@@ -47,12 +47,4 @@ std::vector<Real> BranchCache::all_prob_one() const {
   return all;
 }
 
-void BranchCache::prewarm(ThreadPool& pool) const {
-  if (preseeded_ || prob_.size() < 2 || pool.size() < 2 || pool.on_worker_thread()) {
-    (void)all_prob_one();
-    return;
-  }
-  pool.parallel_for(0, prob_.size(), [this](std::size_t i) { (void)prob_one(i); });
-}
-
 }  // namespace qcut

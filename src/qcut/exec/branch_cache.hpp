@@ -23,7 +23,6 @@
 #include <mutex>
 #include <vector>
 
-#include "qcut/common/threadpool.hpp"
 #include "qcut/qpd/qpd.hpp"
 
 namespace qcut {
@@ -49,12 +48,6 @@ class BranchCache {
 
   /// Forces every term and returns the full probability vector.
   std::vector<Real> all_prob_one() const;
-
-  /// Forces every term, distributing the per-term computations across
-  /// `pool`. Each term's value is computed exactly as prob_one would compute
-  /// it (terms are independent), so the cache contents are bit-identical for
-  /// any pool size. Falls back to the serial sweep from a pool worker.
-  void prewarm(ThreadPool& pool) const;
 
   /// Number of terms computed so far (introspection for tests/benches).
   std::size_t computed_terms() const noexcept { return computed_.load(std::memory_order_relaxed); }

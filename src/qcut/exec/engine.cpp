@@ -80,12 +80,8 @@ EstimationResult ExecutionEngine::run(const Qpd& qpd, const ShotPlan& plan,
   // Per-batch counts first (integer, order-independent), reduced per term in
   // index order afterwards — the estimate is bit-identical for any pool size.
   std::vector<std::uint64_t> batch_ones(plan.batches.size(), 0);
-  // Batch starts are the engine's cancellation quantum. The token is captured
-  // here and re-installed inside the lambda: parallel_for runs it on pool
-  // workers whose thread-local scope is not the requesting thread's.
-  CancelToken* cancel = current_cancel_token();
-  const auto run_batch = [&, cancel](std::size_t b) {
-    ScopedCancelScope scope(cancel);
+  // Batch starts are the engine's cancellation quantum.
+  const auto run_batch = [&](std::size_t b) {
     cancel_poll();
     fault::maybe_inject(fault::Site::kExecBatch);
     obs::TraceSpan span("engine.batch", static_cast<std::uint64_t>(plan.batches[b].term));
@@ -93,39 +89,31 @@ EstimationResult ExecutionEngine::run(const Qpd& qpd, const ShotPlan& plan,
     batch_ones[b] = backend.run_batch(plan.batches[b], rng);
   };
 
-  // Inline fallback when already on one of the pool's workers: re-entering
-  // parallel_for there would deadlock (the blocked worker is needed to serve
-  // its own subtasks). Same bits either way — streams are per batch.
-  ThreadPool* pool = cfg_.pool != nullptr ? cfg_.pool : &global_pool();
-  if (plan.batches.size() < cfg_.min_batches_to_parallelize || pool->on_worker_thread()) {
-    for (std::size_t b = 0; b < plan.batches.size(); ++b) {
-      run_batch(b);
+  // Dispatch the first batch of every term before any term's second one. A
+  // term's first batch runs its exact enumeration under the backend's
+  // per-term once-flag (BranchCache), and later batches of that term wait on
+  // it; queued in term order, the idle workers would pick up term 0's later
+  // batches and block, so the terms would enumerate one after another. The
+  // pool's FIFO queue starts the distinct terms together. Same bits in any
+  // order, and inline too: streams are per batch.
+  const std::size_t n = plan.batches.size();
+  std::vector<std::size_t> first_batch(qpd.size(), n);  // n: term not seen yet
+  std::vector<std::size_t> order;
+  order.reserve(n);
+  for (std::size_t b = 0; b < n; ++b) {
+    std::size_t& first = first_batch[plan.batches[b].term];
+    if (first == n) {
+      first = b;
+      order.push_back(b);
     }
-  } else {
-    // Dispatch the first batch of every term before any term's second one. A
-    // term's first batch runs its exact enumeration under the backend's
-    // per-term once-flag (BranchCache), and later batches of that term wait
-    // on it; queued in term order, the idle workers would pick up term 0's
-    // later batches and block, so the terms would enumerate one after
-    // another. The pool's FIFO queue starts the distinct terms together.
-    const std::size_t n = plan.batches.size();
-    std::vector<std::size_t> first_batch(qpd.size(), n);  // n: term not seen yet
-    std::vector<std::size_t> order;
-    order.reserve(n);
-    for (std::size_t b = 0; b < n; ++b) {
-      std::size_t& first = first_batch[plan.batches[b].term];
-      if (first == n) {
-        first = b;
-        order.push_back(b);
-      }
-    }
-    for (std::size_t b = 0; b < n; ++b) {
-      if (first_batch[plan.batches[b].term] != b) {
-        order.push_back(b);
-      }
-    }
-    pool->parallel_for(0, n, [&](std::size_t i) { run_batch(order[i]); });
   }
+  for (std::size_t b = 0; b < n; ++b) {
+    if (first_batch[plan.batches[b].term] != b) {
+      order.push_back(b);
+    }
+  }
+  ThreadPool& pool = cfg_.pool != nullptr ? *cfg_.pool : global_pool();
+  pool.parallel_for(0, n, [&](std::size_t i) { run_batch(order[i]); });
 
   std::vector<std::uint64_t> ones_per_term(qpd.size(), 0);
   for (std::size_t b = 0; b < plan.batches.size(); ++b) {

@@ -15,9 +15,9 @@
 // so the terms' exact enumerations (one per term, behind the backend's
 // per-term once-flag) start together on different workers instead of one
 // after another; a later batch of a term still waits for that term's
-// enumeration. When run() is invoked from a worker of its own pool (an outer
-// sweep already distributes work), it detects the re-entry and falls back to
-// inline execution in batch order — same bits, no deadlock. Outer sweeps
+// enumeration. Invoked from a worker of its own pool (an outer sweep already
+// distributes work), run() executes its batches inline on that worker: the
+// pool's parallel_for decides that — same bits, no deadlock. Outer sweeps
 // that drive a single rng through many estimates (e.g. run_fig6's per-state
 // loop) use run_plan_with_rng instead.
 #pragma once
@@ -39,8 +39,6 @@ struct EngineConfig {
   /// Plan split granularity (shots per batch) for the convenience entry
   /// points. Affects parallelism and stream layout, never the law.
   std::uint64_t max_batch_shots = ShotPlan::kDefaultMaxBatchShots;
-  /// Plans with fewer batches run inline on the calling thread.
-  std::size_t min_batches_to_parallelize = 2;
   /// When non-null, the convenience entry points (estimate_allocated /
   /// estimate_sampled) run against this caller-owned backend instead of
   /// constructing one — the service layer's cross-request reuse hook: a warm

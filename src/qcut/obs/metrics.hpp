@@ -9,15 +9,16 @@
 //  2. Counting must never perturb results: instrumentation only ever *reads*
 //     simulation state, so estimates are bit-identical with metrics on or off
 //     (pinned by test_obs.cpp).
-//  3. Zero dependencies: <atomic>, <array>, <cstdint>, <string> only.
+//  3. No dependencies beyond <atomic>, <array>, <cstdint>, <string> and the
+//     dependency-free common/request_context.hpp.
 //
 // The registry is process-global. Snapshots are cheap (kCounterCount relaxed
-// loads); callers that want per-run numbers take a snapshot before and after
-// and subtract (metrics_delta) — see obs/run_report.hpp. Concurrent runs in
-// one process therefore see each other's counts in the registry. Per-request
-// numbers come from a ScopedMetricsSink instead: the server sets
-// CutRunConfig::scoped_report on every request, and the run records its
-// report's counters from a sink installed on its own thread.
+// loads), and a before/after metrics_delta brackets whatever ran in the
+// process meanwhile, concurrent runs included. Per-run numbers come from a
+// MetricsSink installed in the run's RequestContext (common/
+// request_context.hpp) instead: every count the run makes lands there too,
+// on whichever pool worker it runs, and no other run's counts do. Each
+// run_qpd_estimate reads its RunReport counters from its own sink.
 //
 // Knobs: metrics start enabled; QCUT_METRICS=0 (or "off") disables them at
 // process start, set_metrics_enabled() toggles at run time.
@@ -27,6 +28,8 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+
+#include "qcut/common/request_context.hpp"
 
 namespace qcut {
 namespace obs {
@@ -91,40 +94,11 @@ inline constexpr int kCounterCount = static_cast<int>(Counter::kCount);
 /// Stable snake_case name of a counter — the JSON key RunReport emits.
 const char* counter_name(Counter c) noexcept;
 
-/// Per-thread counter sink for request-scoped accounting (see
-/// ScopedMetricsSink). Plain integers — a sink is only ever written by the
-/// thread it is installed on.
-struct MetricsLocal {
-  std::array<std::uint64_t, kCounterCount> values{};
-};
-
 namespace detail {
 // Exposed only so the count() fast path can inline; not part of the API.
 extern std::atomic<bool> g_metrics_enabled;
 extern std::array<std::atomic<std::uint64_t>, kCounterCount> g_counters;
-// Inline with a constant initializer for the same reason as
-// qcut::detail::t_cancel (common/cancel.hpp): gcc 12's UBSan flags reads of
-// an `extern thread_local` pointer through its TLS wrapper as null loads.
-inline thread_local MetricsLocal* t_sink = nullptr;
 }  // namespace detail
-
-inline bool metrics_enabled() noexcept {
-  return detail::g_metrics_enabled.load(std::memory_order_relaxed);
-}
-
-/// Adds `n` to counter `c`. The disabled path is one relaxed load, one
-/// thread-local load, and two predicted branches; the enabled path adds one
-/// relaxed fetch_add (plus a plain add when a per-thread sink is installed).
-inline void count(Counter c, std::uint64_t n = 1) noexcept {
-  if (MetricsLocal* sink = detail::t_sink) {
-    sink->values[static_cast<std::size_t>(c)] += n;
-  }
-  if (metrics_enabled()) {
-    detail::g_counters[static_cast<std::size_t>(c)].fetch_add(n, std::memory_order_relaxed);
-  }
-}
-
-void set_metrics_enabled(bool enabled) noexcept;
 
 /// Point-in-time copy of every counter.
 struct MetricsSnapshot {
@@ -135,6 +109,58 @@ struct MetricsSnapshot {
   }
 };
 
+/// One request's (or one pool task's) counters. The thread it is installed
+/// on adds with a relaxed load and store, a plain add: it is the only
+/// writer while it counts. Pool tasks count into a task-local sink and merge
+/// it into their submitter's with fetch_add before the task's future is
+/// ready, while the submitter waits on that future.
+class MetricsSink {
+ public:
+  void add(Counter c, std::uint64_t n) noexcept {
+    std::atomic<std::uint64_t>& v = values_[static_cast<std::size_t>(c)];
+    v.store(v.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  }
+
+  /// Adds every counter into `target`.
+  void merge_into(MetricsSink& target) const noexcept {
+    for (std::size_t i = 0; i < values_.size(); ++i) {
+      if (const std::uint64_t v = values_[i].load(std::memory_order_relaxed)) {
+        target.values_[i].fetch_add(v, std::memory_order_relaxed);
+      }
+    }
+  }
+
+  MetricsSnapshot snapshot() const noexcept {
+    MetricsSnapshot s;
+    for (std::size_t i = 0; i < values_.size(); ++i) {
+      s.values[i] = values_[i].load(std::memory_order_relaxed);
+    }
+    return s;
+  }
+
+ private:
+  std::array<std::atomic<std::uint64_t>, kCounterCount> values_{};
+};
+
+inline bool metrics_enabled() noexcept {
+  return detail::g_metrics_enabled.load(std::memory_order_relaxed);
+}
+
+/// Adds `n` to counter `c`. The disabled path is one relaxed load and a
+/// predicted branch; the enabled path adds one relaxed fetch_add, plus a
+/// plain add when the thread's RequestContext carries a sink.
+inline void count(Counter c, std::uint64_t n = 1) noexcept {
+  if (!metrics_enabled()) {
+    return;
+  }
+  if (MetricsSink* sink = qcut::detail::t_context.sink) {
+    sink->add(c, n);
+  }
+  detail::g_counters[static_cast<std::size_t>(c)].fetch_add(n, std::memory_order_relaxed);
+}
+
+void set_metrics_enabled(bool enabled) noexcept;
+
 MetricsSnapshot metrics_snapshot() noexcept;
 
 /// after - before, per counter (saturating at 0 should a reset intervene).
@@ -142,36 +168,6 @@ MetricsSnapshot metrics_delta(const MetricsSnapshot& before, const MetricsSnapsh
 
 /// Zeroes every counter (tests; not used on production paths).
 void metrics_reset() noexcept;
-
-/// RAII per-thread counter scope: while alive, every obs::count issued by
-/// the *installing thread* is additionally recorded into a private local
-/// array, regardless of the global enable switch. The service layer wraps
-/// each request in one of these — requests execute entirely on one pool
-/// worker (the engine and fragment evaluator fall back inline on their own
-/// workers), so the sink captures exactly that request's counters even when
-/// many requests run concurrently against the shared global registry.
-/// Scopes nest (the previous sink is restored on destruction); counts from
-/// OTHER threads are not captured — install only around single-threaded
-/// sections.
-class ScopedMetricsSink {
- public:
-  ScopedMetricsSink() noexcept : prev_(detail::t_sink) { detail::t_sink = &local_; }
-  ~ScopedMetricsSink() { detail::t_sink = prev_; }
-
-  ScopedMetricsSink(const ScopedMetricsSink&) = delete;
-  ScopedMetricsSink& operator=(const ScopedMetricsSink&) = delete;
-
-  /// The counts captured so far, as a snapshot.
-  MetricsSnapshot snapshot() const noexcept {
-    MetricsSnapshot s;
-    s.values = local_.values;
-    return s;
-  }
-
- private:
-  MetricsLocal local_;
-  MetricsLocal* prev_;
-};
 
 /// {"branch_cache_hit": 1, ...} — every counter, in declaration order.
 std::string metrics_json(const MetricsSnapshot& snap, int indent = 0);

@@ -10,15 +10,13 @@
 //    shots sampled vs the κ²/ε² budget, branch/skeleton cache hit rates,
 //    fusion op reduction, per-structure kernel dispatch counts, thread-pool
 //    task count / queue wait / utilization, and branches enumerated vs
-//    pruned. run_qpd_estimate fills one per run (a metrics-registry delta
-//    over the run), PlannedExecutor adds the plan's predicted budget, and
+//    pruned. run_qpd_estimate fills one per run (from the run's own
+//    MetricsSink), PlannedExecutor adds the plan's predicted budget, and
 //    example_auto_cut --report writes it to disk.
 //
-// By default the counter delta is taken on the process-global registry, so
-// two runs estimating concurrently in one process see each other's counts.
-// With CutRunConfig::scoped_report (set by the server on every request) the
-// counters come from a per-request ScopedMetricsSink instead, exact under
-// concurrent requests.
+// The counters are exactly this run's: the sink receives every count the run
+// makes, on the calling thread and on every pool task it fans out to, and
+// none from runs executing concurrently in the same process.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +62,7 @@ struct RunReport {
   /// Plan shape (planned runs only; 0/0 otherwise).
   std::size_t plan_cuts = 0;
   int max_fragment_width = 0;
-  /// Registry delta over the run — all counters in obs/metrics.hpp.
+  /// This run's counts of every counter in obs/metrics.hpp.
   MetricsSnapshot counters;
 
   /// Full JSON document: provenance, config, shots-vs-budget, cache hit

@@ -40,24 +40,17 @@ std::atomic<int> g_parallel_min_qubits{22};
 
 constexpr Index kChunkGroups = Index{1} << 16;
 
-/// The pool to distribute chunks over, or nullptr for inline execution.
-/// Inline when: the state is below the parallel threshold (keeps the
-/// fragment hot path allocation-free), the pool has a single worker, or the
-/// caller already runs on one of its workers (nested parallel_for would
-/// deadlock on the pool's own futures). The global pool is constructed
-/// lazily, and only once a >= threshold state is actually swept.
+/// The pool to distribute chunks over, or nullptr for inline execution
+/// below the parallel threshold (keeps the fragment hot path allocation-free).
+/// The pool's parallel_for itself runs inline on a one-worker pool or on one
+/// of its own workers. The global pool is constructed lazily, and only once a
+/// >= threshold state is actually swept.
 ThreadPool* sweep_pool(int n_qubits) {
   if (n_qubits < g_parallel_min_qubits.load(std::memory_order_relaxed)) {
     return nullptr;
   }
   ThreadPool* pool = g_parallel_pool.load(std::memory_order_acquire);
-  if (pool == nullptr) {
-    pool = &global_pool();
-  }
-  if (pool->size() < 2 || pool->on_worker_thread()) {
-    return nullptr;
-  }
-  return pool;
+  return pool != nullptr ? pool : &global_pool();
 }
 
 /// Runs body(g0, g1) over the fixed chunks of [0, groups).
@@ -88,22 +81,14 @@ Real sweep_reduce(Index groups, int n_qubits, const Body& body) {
   if (groups <= kChunkGroups) {
     return body(Index{0}, groups);
   }
-  const Index n_chunks = (groups + kChunkGroups - 1) / kChunkGroups;
-  std::vector<Real> partial(static_cast<std::size_t>(n_chunks), 0.0);
-  const auto run_chunk = [&](std::size_t c) {
-    const Index g0 = static_cast<Index>(c) * kChunkGroups;
-    partial[c] = body(g0, std::min(groups, g0 + kChunkGroups));
-  };
-  if (ThreadPool* pool = sweep_pool(n_qubits)) {
-    pool->parallel_for(0, static_cast<std::size_t>(n_chunks), run_chunk);
-  } else {
-    for (std::size_t c = 0; c < static_cast<std::size_t>(n_chunks); ++c) {
-      run_chunk(c);
-    }
-  }
+  std::vector<Real> partial(static_cast<std::size_t>((groups + kChunkGroups - 1) / kChunkGroups),
+                            0.0);
+  sweep(groups, n_qubits, [&](Index g0, Index g1) {
+    partial[static_cast<std::size_t>(g0 / kChunkGroups)] = body(g0, g1);
+  });
   Real acc = 0.0;
-  for (std::size_t c = 0; c < static_cast<std::size_t>(n_chunks); ++c) {
-    acc += partial[c];
+  for (const Real p : partial) {
+    acc += p;
   }
   return acc;
 }

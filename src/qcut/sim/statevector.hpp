@@ -100,9 +100,9 @@ class Statevector {
   /// `pool` (nullptr = the lazily constructed global_pool(), resolved only
   /// when such a state is actually simulated); narrower states always run
   /// inline. The pool choice NEVER changes results: chunk boundaries and the
-  /// reduction order depend only on the state size. Calls from inside a
-  /// worker of the chosen pool run inline (nested parallel_for would
-  /// deadlock). Intended for startup/test setup; not thread-safe against
+  /// reduction order depend only on the state size. Sweeps from inside a
+  /// worker of the chosen pool run inline, as its parallel_for does for any
+  /// nested call. Intended for startup/test setup; not thread-safe against
   /// concurrent sweeps.
   static void set_parallel_config(ThreadPool* pool, int min_parallel_qubits);
   static int parallel_min_qubits() noexcept;

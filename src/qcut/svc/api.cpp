@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "qcut/common/cancel.hpp"
 #include "qcut/common/error.hpp"
@@ -92,11 +91,12 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
   if (token != nullptr && req.deadline_ms > 0 && !token->has_deadline()) {
     token->set_deadline_after_ms(req.deadline_ms);
   }
-  std::optional<ScopedCancelScope> cancel_scope;
+  RequestContext ctx = current_request_context();
   if (token != nullptr) {
-    cancel_scope.emplace(token);
-    cancel_poll();  // an already-tripped token fails at the door, not mid-plan
+    ctx.cancel = token;
   }
+  const ScopedRequestContext scope(ctx);
+  cancel_poll();  // an already-tripped token fails at the door, not mid-plan
 
   bool memoize = false;
   const ParsedCircuit parsed = resolve_circuit(req, caches, &memoize);

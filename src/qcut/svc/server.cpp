@@ -443,13 +443,16 @@ WireEstimateResponse QcutServer::handle_estimate_watched(const WireEstimateReque
   // wrapper (e.g. an injected pool.task fault) and rescue it below.
   auto promise = std::make_shared<std::promise<WireEstimateResponse>>(std::move(join.promise));
   auto fulfilled = std::make_shared<std::atomic<bool>>(false);
+  // The pool carries this thread's context into the task: every
+  // cancel_poll() below estimate() — planner DFS, batch loop, fragment
+  // units — sees the request's token.
+  RequestContext ctx = current_request_context();
+  ctx.cancel = cancel.get();
+  const ScopedRequestContext scope(ctx);
   std::future<void> task_done =
       pool_.submit([this, req, key, serial, cancel, promise, fulfilled]() {
         const auto t0 = std::chrono::steady_clock::now();
         WireEstimateResponse resp;
-        // Install the request's token on this worker: every cancel_poll()
-        // below estimate() — planner DFS, batch loop, fragment units — sees it.
-        ScopedCancelScope cancel_scope(cancel.get());
         try {
           resp = execute(req, serial);
         } catch (const Error& e) {
@@ -572,11 +575,8 @@ WireEstimateResponse QcutServer::execute(const WireEstimateRequest& wreq, std::u
   // their answers bit for bit.
   req.run_cfg.backend = static_cast<BackendKind>(std::min<std::uint8_t>(wreq.backend, 1));
   req.run_cfg.pool = &pool_;
-  // Requests execute wholly on this pool worker (inline fallbacks), so a
-  // per-thread sink captures exactly this request's counters.
-  req.run_cfg.scoped_report = true;
-  // The admission-armed token is already installed on this worker; handing
-  // it to estimate() too buys the front-door poll (fail before planning).
+  // The admission-armed token already governs this task; handing it to
+  // estimate() too buys the front-door poll (fail before planning).
   req.cancel = current_cancel_token();
 
   const EstimateResult res = estimate(req, &caches_);

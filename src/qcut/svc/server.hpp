@@ -7,13 +7,15 @@
 //  * connection threads parse frames and submit request execution to the
 //    shared ThreadPool, then block on the result — so the POOL, not the
 //    connection count, bounds estimation concurrency;
-//  * pool workers execute requests. The engine and the fragment evaluator
-//    detect being on their own pool's worker and fall back inline, so each
-//    request runs single-threaded on its worker — which is exactly what lets
-//    a ScopedMetricsSink capture that request's counters precisely, and what
-//    makes request throughput scale with workers without nested-parallelism
-//    deadlocks. Results stay bit-identical to in-process runs because
-//    randomness is per-batch counter-streams, never scheduling-dependent.
+//  * pool workers execute requests. The connection thread installs the
+//    request's cancel token in its RequestContext before submitting, and
+//    the pool carries that context into the task. Inside a request, the
+//    engine's and fragment evaluator's parallel_for calls come from one of
+//    the pool's own workers and run inline: each request runs
+//    single-threaded on its worker, so request throughput scales with
+//    workers without nested-parallelism deadlocks. Results stay
+//    bit-identical to in-process runs because randomness is per-batch
+//    counter-streams, never scheduling-dependent.
 //
 // Admission control: at most `max_inflight` requests may be queued-or-running
 // on the pool. Beyond that the server answers kRetryAfter with a suggested

@@ -72,14 +72,14 @@ TEST(CancelTokenTest, PollThrowsTypedErrorsOnlyWhenAScopeIsInstalled) {
   EXPECT_EQ(current_cancel_token(), nullptr);
 
   CancelToken outer;
-  ScopedCancelScope outer_scope(&outer);
+  ScopedRequestContext outer_scope({&outer, nullptr});
   EXPECT_EQ(current_cancel_token(), &outer);
   cancel_poll();  // installed but untripped: silent
 
   {
     CancelToken inner;
     inner.cancel();
-    ScopedCancelScope inner_scope(&inner);
+    ScopedRequestContext inner_scope({&inner, nullptr});
     EXPECT_EQ(current_cancel_token(), &inner);
     try {
       cancel_poll();

@@ -257,8 +257,8 @@ TEST(EngineTest, CutExecutorDefaultsToBatchedBackend) {
 
 TEST(EngineTest, NestedRunFromPoolWorkerFallsBackInline) {
   // Calling engine.run from a task of its own pool must not deadlock (the
-  // engine detects the re-entry and executes inline) and must return the
-  // same bits as a top-level run.
+  // pool's parallel_for detects the re-entry and runs the batches inline)
+  // and must return the same bits as a top-level run.
   const Qpd qpd = NmeCut{0.6}.build_qpd(fixed_input());
   ThreadPool pool(2);
   const ShotPlan plan = ShotPlan::allocated(qpd, 10000, AllocRule::kProportional,

@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "qcut/common/fault.hpp"
+#include "qcut/common/threadpool.hpp"
 #include "qcut/core/cut_executor.hpp"
 #include "qcut/cut/circuit_cutter.hpp"
 #include "qcut/cut/fragment.hpp"
@@ -260,6 +262,71 @@ TEST_F(ObsTest, PinnedFragmentWorkloadHasExactCacheAccounting) {
   EXPECT_EQ(res.report.kappa, res.details.kappa);
   EXPECT_GT(res.report.wall_time_ns, 0u);
   EXPECT_FALSE(res.report.simd_tier.empty());
+}
+
+TEST_F(ObsTest, FannedOutRunReportsItsOwnCountersWhileAnotherThreadCounts) {
+  // A planned run whose batches spread over a 4-worker pool counts on the
+  // workers, while another thread bumps the same counters the whole time
+  // (every batch sleeps 2 ms, so the two overlap). The report must carry
+  // exactly the run's own counts.
+  const Circuit circ = ghz_line(8);
+  PlannerConfig pcfg;
+  pcfg.max_fragment_width = 3;
+  const PlannedExecutor executor(circ, CutPlanner(circ, pcfg).plan());
+  const Qpd qpd = executor.build_qpd(all_z(8));
+  ThreadPool pool(4);
+  CutRunConfig cfg;
+  cfg.shots = 4000;
+  cfg.seed = 5;
+  cfg.pool = &pool;
+  cfg.max_batch_shots = 256;
+
+  std::atomic<bool> done{false};
+  std::thread bumper([&done] {
+    while (!done.load()) {
+      obs::count(Counter::kBranchCacheMiss);
+      obs::count(Counter::kFragmentUnits);
+      std::this_thread::yield();
+    }
+  });
+  const obs::MetricsSnapshot before = obs::metrics_snapshot();
+  fault::arm_faults("exec.batch:delay_ms=2");
+  CutRunResult res;
+  try {
+    res = executor.run_with(qpd, std::nullopt, cfg);
+  } catch (...) {
+    fault::disarm_faults();
+    done = true;
+    bumper.join();
+    throw;
+  }
+  fault::disarm_faults();
+  const obs::MetricsSnapshot d = obs::metrics_delta(before, obs::metrics_snapshot());
+  done = true;
+  bumper.join();
+
+  // One enumeration per term with shots, one unit per (fragment, read
+  // assignment) of those terms.
+  std::uint64_t terms = 0;
+  std::uint64_t units = 0;
+  for (std::size_t i = 0; i < qpd.size(); ++i) {
+    if (res.details.shots_per_term[i] == 0) {
+      continue;
+    }
+    ++terms;
+    for (const TermFragment& tf : split_term(qpd.terms()[i]).fragments) {
+      units += std::uint64_t{1} << tf.reads.size();
+    }
+  }
+  ASSERT_GT(terms, 1u);
+  const obs::MetricsSnapshot& c = res.report.counters;
+  EXPECT_EQ(c[Counter::kBranchCacheMiss], terms);
+  EXPECT_EQ(c[Counter::kFragmentUnits], units);
+  EXPECT_EQ(c[Counter::kShotsSampled], res.details.shots_used);
+  EXPECT_EQ(c[Counter::kPoolTasks], c[Counter::kBatchesRun]);  // every batch ran pooled
+  // The overlap really happened: the registry saw the other thread's counts.
+  EXPECT_GT(d[Counter::kBranchCacheMiss], terms);
+  EXPECT_GT(d[Counter::kFragmentUnits], units);
 }
 
 TEST_F(ObsTest, BranchEnumerationCountsSplitsAndPrunes) {

@@ -1,13 +1,16 @@
 // Thread pool: correctness, exception propagation, schedule-independent
-// results with per-task RNG streams, and the task/queue-wait accounting the
-// observability layer reads.
+// results with per-task RNG streams, nested parallel_for, the request
+// context a task inherits from its submitter, and the task/queue-wait
+// accounting the observability layer reads.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <string>
 #include <thread>
 
+#include "qcut/common/cancel.hpp"
 #include "qcut/common/error.hpp"
 #include "qcut/common/rng.hpp"
 #include "qcut/common/threadpool.hpp"
@@ -67,6 +70,54 @@ TEST(ThreadPool, PropagatesExceptions) {
                                    }
                                  }),
                Error);
+}
+
+TEST(ThreadPool, RethrowsTheLowestIndexExceptionAfterEveryChunkFinished) {
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  try {
+    pool.parallel_for(0, 16, [&finished](std::size_t i) {
+      if (i == 11 || i == 3) {
+        throw Error("chunk " + std::to_string(i));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(i == 15 ? 20 : 1));
+      finished.fetch_add(1);
+    });
+    FAIL() << "no exception";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "chunk 3");
+  }
+  // No chunk outlives the call (the body's captures would dangle).
+  EXPECT_EQ(finished.load(), 14);
+}
+
+TEST(ThreadPool, NestedParallelForOnTheSamePoolCoversItsRangeOnce) {
+  // Every worker runs an outer chunk that calls parallel_for on its own
+  // pool: those inner calls run inline instead of waiting on tasks that only
+  // the blocked workers could serve.
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(8 * 16);
+  pool.parallel_for(0, 8, [&pool, &hits](std::size_t i) {
+    pool.parallel_for(0, 16, [&hits, i](std::size_t j) { hits[i * 16 + j].fetch_add(1); });
+  });
+  for (const auto& h : hits) {
+    EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST(ThreadPool, TasksRunUnderTheSubmittersCancelToken) {
+  ThreadPool pool(4);
+  CancelToken token;
+  const ScopedRequestContext scope({&token, nullptr});
+  std::vector<CancelToken*> seen(64, nullptr);
+  pool.parallel_for(0, seen.size(),
+                    [&seen](std::size_t i) { seen[i] = current_cancel_token(); });
+  for (CancelToken* t : seen) {
+    EXPECT_EQ(t, &token);
+  }
+  CancelToken* submitted = nullptr;
+  pool.submit([&submitted] { submitted = current_cancel_token(); }).get();
+  EXPECT_EQ(submitted, &token);
 }
 
 TEST(ThreadPool, ResultsIndependentOfPoolSize) {
