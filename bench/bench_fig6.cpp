@@ -13,6 +13,7 @@
 #include "qcut/common/cli.hpp"
 #include "qcut/common/csv.hpp"
 #include "qcut/core/experiment.hpp"
+#include "../tests/pool_scope.hpp"
 
 int main(int argc, char** argv) {
   qcut::Cli cli(argc, argv);
@@ -30,7 +31,10 @@ int main(int argc, char** argv) {
   std::printf("states per point: %d, shot grid 250..5000, observable Z, %zu threads\n",
               cfg.n_states, pool.size());
 
-  const auto rows = qcut::run_fig6(cfg, &pool);
+  const auto rows = [&] {
+    const qcut::testing::ScopedPool scope(pool);
+    return qcut::run_fig6(cfg);
+  }();
   std::printf("%s\n", qcut::format_fig6(rows).c_str());
 
   qcut::CsvWriter csv("fig6.csv", {"f", "shots", "mean_error", "sem", "kappa"});

@@ -40,7 +40,7 @@
 // at the highest stride and at strides 16, 8, 4, 2 and 1, each row one fixed
 // position (min over 15 round-robin batches of 12 applications). A family's
 // slowest position must cost at most 3x one 1q-dense pass at the highest
-// stride.
+// stride, as the median over batches of the per-batch ratio.
 //
 // Fusion section: an rz-ry-rz + cx-ladder workload applied unfused vs fused
 // (fuse_circuit), with op counts, wall time, and an amplitude cross-check.
@@ -78,6 +78,7 @@
 #include <vector>
 
 #include "../tests/exact_oracles.hpp"
+#include "../tests/pool_scope.hpp"
 #include "qcut/common/cli.hpp"
 #include "qcut/cut/fragment.hpp"
 #include "qcut/cut/nme_cut.hpp"
@@ -113,13 +114,16 @@ struct BackendRow {
   qcut::Real estimate = 0.0;
 };
 
+/// Runs `plan` on `backend` with the engine's batches on `pool`.
 BackendRow measure(const std::string& name, const qcut::Qpd& qpd, const qcut::ShotPlan& plan,
-                   const qcut::ExecutionBackend& backend, const qcut::ExecutionEngine& engine,
-                   std::size_t threads, std::uint64_t seed) {
+                   const qcut::ExecutionBackend& backend, qcut::ThreadPool& pool,
+                   std::uint64_t seed) {
   BackendRow row;
   row.name = name;
   row.shots = plan.total_shots;
-  row.threads = threads;
+  row.threads = pool.size();
+  const qcut::testing::ScopedPool scope(pool);
+  const qcut::ExecutionEngine engine;
   const auto start = Clock::now();
   const qcut::EstimationResult res = engine.run(qpd, plan, backend, seed);
   row.seconds = seconds_since(start);
@@ -262,8 +266,8 @@ FragmentRow measure_fragment_workload(const std::string& name, const qcut::Circu
     };
     const auto optimized_pass = [&] {
       const auto t0 = Clock::now();
-      const qcut::BatchedBranchBackend backend(qpd, &pool);
-      backend.prewarm();
+      const qcut::BatchedBranchBackend backend(qpd);
+      pool.parallel_for(0, qpd.size(), [&](std::size_t i) { (void)backend.cache().prob_one(i); });
       for (std::size_t i = 0; i < qpd.size(); ++i) {
         acc_opt += backend.cache().prob_one(i);
       }
@@ -315,8 +319,8 @@ FragmentRow measure_fragment_workload(const std::string& name, const qcut::Circu
 /// returns the exact per-term vector.
 std::vector<qcut::Real> fragment_probs_with_pool(const qcut::Qpd& qpd, std::size_t pool_size) {
   qcut::ThreadPool pool(pool_size);
-  const qcut::BatchedBranchBackend backend(qpd, &pool);
-  backend.prewarm();
+  const qcut::BatchedBranchBackend backend(qpd);
+  pool.parallel_for(0, qpd.size(), [&](std::size_t i) { (void)backend.cache().prob_one(i); });
   return backend.cache().all_prob_one();
 }
 
@@ -404,6 +408,7 @@ struct PositionRow {
   qcut::Index stride = 0;     ///< the target qubit's stride
   std::vector<int> qubits;    ///< operands as applied (target last for 2q)
   double us_per_op = 0.0;     ///< min over batches of the mean per application
+  std::vector<double> batch_us;  ///< each batch's mean per application
 };
 
 struct PositionFamily {
@@ -416,9 +421,10 @@ struct PositionFamily {
 /// family targets the qubit with that stride; a 2q family pairs it with its
 /// neighbour one stride up (qubit 1 for the top position), target last. Each
 /// row is the min over kPositionBatches of the mean of kPositionReps
-/// applications at one fixed position. The batches run round-robin over all
-/// rows, so a slow spell on a shared host lands on every row alike instead
-/// of on whichever family was being timed.
+/// applications at one fixed position, and keeps every batch's mean. The
+/// batches run round-robin over all rows, so a slow spell on a shared host
+/// lands on every row of a batch alike instead of on whichever family was
+/// being timed, and cancels in that batch's ratios.
 constexpr int kPositionBatches = 15;
 constexpr int kPositionReps = 12;
 
@@ -453,6 +459,7 @@ std::vector<PositionRow> measure_positions(const std::vector<PositionFamily>& fa
       }
       const double us = 1e6 * seconds_since(t0) / kPositionReps;
       if (b == 0 || us < rows[i].us_per_op) rows[i].us_per_op = us;
+      rows[i].batch_us.push_back(us);
     }
   }
   return rows;
@@ -597,7 +604,7 @@ std::vector<CrossoverRow> measure_fusion_crossover() {
       }
       const auto t0 = Clock::now();
       for (const qcut::FragmentSplit& s : row.splits) {
-        (void)qcut::fragment_term_prob_one(s, nullptr);
+        (void)qcut::fragment_term_prob_one(s);
       }
       const double pass_s = seconds_since(t0);
       row.reps = std::clamp(static_cast<int>(200e-6 / std::max(pass_s, 1e-9)) + 1, 1, 64);
@@ -608,7 +615,7 @@ std::vector<CrossoverRow> measure_fusion_crossover() {
     const auto t0 = Clock::now();
     for (int r = 0; r < reps; ++r) {
       for (const qcut::FragmentSplit& s : splits) {
-        (void)qcut::fragment_term_prob_one(s, nullptr);
+        (void)qcut::fragment_term_prob_one(s);
       }
     }
     return seconds_since(t0);
@@ -745,16 +752,9 @@ int main(int argc, char** argv) {
 
   {
     const qcut::SerialShotBackend serial(qpd);
-    qcut::EngineConfig ec;
-    ec.pool = &pool1;  // backend object is passed to run() explicitly
-    const qcut::ExecutionEngine engine(ec);
     const auto plan = qcut::ShotPlan::allocated(qpd, serial_shots, qcut::AllocRule::kProportional);
-    rows.push_back(measure("serial", qpd, plan, serial, engine, 1, seed));
-
-    qcut::EngineConfig ecp = ec;
-    ecp.pool = &poolN;
-    const qcut::ExecutionEngine engine_par(ecp);
-    rows.push_back(measure("parallel-serial", qpd, plan, serial, engine_par, poolN.size(), seed));
+    rows.push_back(measure("serial", qpd, plan, serial, pool1, seed));
+    rows.push_back(measure("parallel-serial", qpd, plan, serial, poolN, seed));
   }
   {
     const qcut::BatchedBranchBackend batched(qpd);
@@ -762,16 +762,9 @@ int main(int argc, char** argv) {
     // so the batched and parallel rows measure steady-state sampling cost
     // symmetrically (the JSON is a perf trajectory — keep it unbiased).
     batched.cache().all_prob_one();
-    qcut::EngineConfig ec;
-    ec.pool = &pool1;
-    const qcut::ExecutionEngine engine(ec);
     const auto plan = qcut::ShotPlan::allocated(qpd, batched_shots, qcut::AllocRule::kProportional);
-    rows.push_back(measure("batched", qpd, plan, batched, engine, 1, seed));
-
-    qcut::EngineConfig ecp = ec;
-    ecp.pool = &poolN;
-    const qcut::ExecutionEngine engine_par(ecp);
-    rows.push_back(measure("parallel", qpd, plan, batched, engine_par, poolN.size(), seed));
+    rows.push_back(measure("batched", qpd, plan, batched, pool1, seed));
+    rows.push_back(measure("parallel", qpd, plan, batched, poolN, seed));
   }
 
   for (const auto& r : rows) {
@@ -867,10 +860,9 @@ int main(int argc, char** argv) {
     qcut::Real est1 = 0.0, est2 = 0.0, est8 = 0.0;
     for (const std::size_t n_threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       qcut::ThreadPool pool(n_threads);
-      const qcut::BatchedBranchBackend backend(wide_qpd, &pool);
-      qcut::EngineConfig ec;
-      ec.pool = &pool;
-      const qcut::ExecutionEngine engine(ec);
+      const qcut::testing::ScopedPool scope(pool);
+      const qcut::BatchedBranchBackend backend(wide_qpd);
+      const qcut::ExecutionEngine engine;
       const auto plan =
           qcut::ShotPlan::allocated(wide_qpd, 200000, qcut::AllocRule::kProportional);
       const qcut::Real est = engine.run(wide_qpd, plan, backend, seed).estimate;
@@ -995,7 +987,8 @@ int main(int argc, char** argv) {
   }
   const std::vector<PositionRow> positions = measure_positions(families);
   const double position_ref_us = positions.front().us_per_op;  // ry at the highest stride
-  std::printf("\n=== Kernels by target position (%d qubits, us per op, min of %d x %d) ===\n",
+  std::printf("\n=== Kernels by target position (%d qubits, us per op, min of %d x %d; "
+              "worst/ref the median of per-batch ratios) ===\n",
               kPositionQubits, kPositionBatches, kPositionReps);
   std::printf("%-14s", "family");
   for (const int bit : kPositionBits) {
@@ -1005,13 +998,21 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, double>> worst_ratio;
   for (std::size_t f = 0; f < families.size(); ++f) {
     std::printf("%-14s", families[f].name);
-    double worst = 0.0;
     for (std::size_t p = 0; p < std::size(kPositionBits); ++p) {
-      const PositionRow& row = positions[f * std::size(kPositionBits) + p];
-      std::printf(" %9.1f", row.us_per_op);
-      worst = std::max(worst, row.us_per_op);
+      std::printf(" %9.1f", positions[f * std::size(kPositionBits) + p].us_per_op);
     }
-    const double ratio = position_ref_us > 0.0 ? worst / position_ref_us : 0.0;
+    // Batch b's ratio: the family's slowest position in b over the
+    // reference row in b.
+    std::vector<double> ratios;
+    for (int b = 0; b < kPositionBatches; ++b) {
+      double worst = 0.0;
+      for (std::size_t p = 0; p < std::size(kPositionBits); ++p) {
+        worst = std::max(worst, positions[f * std::size(kPositionBits) + p].batch_us[b]);
+      }
+      const double ref = positions.front().batch_us[b];
+      ratios.push_back(ref > 0.0 ? worst / ref : 0.0);
+    }
+    const double ratio = median(ratios);
     worst_ratio.emplace_back(families[f].name, ratio);
     std::printf(" %9.2fx\n", ratio);
   }
@@ -1028,7 +1029,7 @@ int main(int argc, char** argv) {
               fusion.max_amp_diff);
 
   // ---- observability overhead ----------------------------------------------
-  const ObsOverheadBench obs_bench = measure_obs_overhead(16, 15, 4);
+  const ObsOverheadBench obs_bench = measure_obs_overhead(16, 31, 4);
   std::printf("\n=== Observability overhead (QFT-%d classified kernels, median on/off ratio "
               "of %d off-first/on-first rep pairs x %d passes) ===\n",
               obs_bench.qubits, obs_bench.pairs, obs_bench.passes);

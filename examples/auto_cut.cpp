@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   req.run_cfg.seed = 2024;
 
   const svc::EstimateResult result = svc::estimate(req);
-  std::printf("%s\n", result.plan.to_string().c_str());
+  std::printf("%s\n", result.plan->to_string().c_str());
 
   // What the same cap costs without any entanglement: the planner's budget
   // knob is exactly the paper's message, κ per cut shrinking from 3 toward 1.

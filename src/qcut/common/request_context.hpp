@@ -1,12 +1,21 @@
 // What a request's work carries to every thread it runs on: the cancel token
-// its quantum boundaries poll (common/cancel.hpp) and the metrics sink its
-// counters land in (obs/metrics.hpp). ThreadPool::submit captures the
-// submitter's context and installs it around the task.
+// its quantum boundaries poll (common/cancel.hpp), the metrics sink its
+// counters land in (obs/metrics.hpp) and the pool its parallel work runs on
+// (common/threadpool.hpp). ThreadPool::submit captures the submitter's
+// context and installs it around the task.
+//
+// Choosing a pool for a run:
+//   ThreadPool pool(4);
+//   RequestContext ctx = current_request_context();
+//   ctx.pool = &pool;
+//   const ScopedRequestContext scope(ctx);
+//   ... svc::estimate(req) ...   // its batches fan out over `pool`
 #pragma once
 
 namespace qcut {
 
 class CancelToken;
+class ThreadPool;
 namespace obs {
 class MetricsSink;
 }
@@ -14,6 +23,8 @@ class MetricsSink;
 struct RequestContext {
   CancelToken* cancel = nullptr;
   obs::MetricsSink* sink = nullptr;
+  /// nullptr → global_pool(); read through request_pool().
+  ThreadPool* pool = nullptr;
 };
 
 namespace detail {

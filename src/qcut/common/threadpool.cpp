@@ -59,7 +59,8 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
     obs::MetricsSink local;
     std::exception_ptr error;
     {
-      const ScopedRequestContext scope({ctx.cancel, ctx.sink != nullptr ? &local : nullptr});
+      const ScopedRequestContext scope(
+          {ctx.cancel, ctx.sink != nullptr ? &local : nullptr, ctx.pool});
       try {
         fault::maybe_inject(fault::Site::kPoolTask);
         task();
@@ -169,6 +170,11 @@ void ThreadPool::parallel_for_chunked(
 ThreadPool& global_pool() {
   static ThreadPool pool;
   return pool;
+}
+
+ThreadPool& request_pool() {
+  ThreadPool* pool = current_request_context().pool;
+  return pool != nullptr ? *pool : global_pool();
 }
 
 }  // namespace qcut

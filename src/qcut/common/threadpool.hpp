@@ -5,7 +5,9 @@
 // results are identical for any pool size, including size 1.
 // Callers never check where they run: parallel_for runs inline where
 // pooling would deadlock or cannot help, and every task runs under its
-// submitter's RequestContext (common/request_context.hpp).
+// submitter's RequestContext (common/request_context.hpp). Library code
+// holds no pool: its parallel work runs on request_pool(), the pool that
+// context names (global_pool() when it names none).
 #pragma once
 
 #include <atomic>
@@ -79,5 +81,9 @@ class ThreadPool {
 
 /// Process-wide default pool (lazily constructed, sized to hardware).
 ThreadPool& global_pool();
+
+/// The pool the current request runs its parallel work on: the context's
+/// pool when one is installed, else global_pool().
+ThreadPool& request_pool();
 
 }  // namespace qcut

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "qcut/common/threadpool.hpp"
 #include "qcut/cut/distill_cut.hpp"
 #include "qcut/cut/gate_cut.hpp"
 #include "qcut/cut/harada_cut.hpp"
@@ -21,7 +22,6 @@ namespace {
 EngineConfig engine_config(const CutRunConfig& cfg) {
   EngineConfig ec;
   ec.backend = cfg.backend;
-  ec.pool = cfg.pool;
   ec.max_batch_shots = cfg.max_batch_shots;
   ec.shared_backend = cfg.shared_backend;
   return ec;
@@ -62,7 +62,7 @@ CutRunResult run_qpd_estimate(const Qpd& qpd, Real exact, const CutRunConfig& cf
   res.report.counters = sink.snapshot();
   res.report.backend = to_string(cfg.backend);
   res.report.simd_tier = simd_tier_name(active_simd_tier());
-  res.report.pool_threads = cfg.pool != nullptr ? cfg.pool->size() : global_pool().size();
+  res.report.pool_threads = request_pool().size();
   res.report.kappa = res.details.kappa;
   res.report.shots_sampled = res.details.shots_used;
   res.report.wall_time_ns = static_cast<std::uint64_t>(
@@ -95,7 +95,7 @@ Real CutExecutor::mean_abs_error(const CutInput& input, const CutRunConfig& cfg,
   // term circuits are enumerated at most once for the whole sweep.
   const ShotPlan plan = ShotPlan::allocated(qpd, cfg.shots, cfg.rule, /*sigmas=*/nullptr,
                                             cfg.max_batch_shots);
-  const auto backend = make_backend(cfg.backend, qpd, cfg.pool);
+  const auto backend = make_backend(cfg.backend, qpd);
   Real acc = 0.0;
   for (int t = 0; t < trials; ++t) {
     const EstimationResult er =

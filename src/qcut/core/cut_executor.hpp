@@ -25,8 +25,6 @@ struct CutRunConfig {
   /// Execution backend. This absorbed the retired `fast` bool (PR 9): the
   /// old `fast = false` is spelled `backend = BackendKind::kSerialShot`.
   BackendKind backend = BackendKind::kBatchedBranch;
-  /// Thread pool for the engine's batch-parallel driver; nullptr → global.
-  ThreadPool* pool = nullptr;
   /// Shots per term batch (parallelism granularity, never affects the law).
   std::uint64_t max_batch_shots = ShotPlan::kDefaultMaxBatchShots;
   /// Service-layer hook: run against this caller-owned backend (bound to the

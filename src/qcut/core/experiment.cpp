@@ -4,19 +4,17 @@
 #include <sstream>
 
 #include "qcut/common/stats.hpp"
+#include "qcut/common/threadpool.hpp"
 #include "qcut/cut/nme_cut.hpp"
 #include "qcut/exec/engine.hpp"
 #include "qcut/linalg/random.hpp"
 
 namespace qcut {
 
-std::vector<Fig6Row> run_fig6(const Fig6Config& cfg, ThreadPool* pool) {
+std::vector<Fig6Row> run_fig6(const Fig6Config& cfg) {
   QCUT_CHECK(cfg.n_states >= 1, "run_fig6: need at least one state");
   QCUT_CHECK(!cfg.shot_grid.empty(), "run_fig6: empty shot grid");
   QCUT_CHECK(!cfg.overlaps.empty(), "run_fig6: empty overlap list");
-  if (pool == nullptr) {
-    pool = &global_pool();
-  }
 
   auto factory = cfg.protocol_factory;
   if (!factory) {
@@ -39,7 +37,7 @@ std::vector<Fig6Row> run_fig6(const Fig6Config& cfg, ThreadPool* pool) {
     const std::size_t n_chunks = (n_states + chunk - 1) / chunk;
     std::vector<std::vector<RunningStats>> chunk_stats(
         n_chunks, std::vector<RunningStats>(cfg.shot_grid.size()));
-    pool->parallel_for_chunked(0, n_states, chunk, [&](std::size_t lo, std::size_t hi) {
+    const auto run_states = [&](std::size_t lo, std::size_t hi) {
       std::vector<RunningStats>& local = chunk_stats[lo / chunk];
       for (std::size_t s = lo; s < hi; ++s) {
         // One deterministic stream per (overlap, state): reproducible
@@ -65,7 +63,8 @@ std::vector<Fig6Row> run_fig6(const Fig6Config& cfg, ThreadPool* pool) {
           local[g].add(std::abs(er.estimate - exact));
         }
       }
-    });
+    };
+    request_pool().parallel_for_chunked(0, n_states, chunk, run_states);
 
     std::vector<RunningStats> stats(cfg.shot_grid.size());
     for (std::size_t c = 0; c < n_chunks; ++c) {

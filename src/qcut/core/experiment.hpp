@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "qcut/common/threadpool.hpp"
 #include "qcut/cut/wire_cut.hpp"
 #include "qcut/qpd/shot_alloc.hpp"
 
@@ -41,10 +40,10 @@ struct Fig6Row {
   Real kappa = 0.0;       ///< protocol overhead at this f
 };
 
-/// Runs the full sweep; rows ordered by (overlap, shots). Work is distributed
-/// over `pool` (nullptr → qcut::global_pool()); per-state RNG streams make
-/// the result independent of thread count.
-std::vector<Fig6Row> run_fig6(const Fig6Config& cfg, ThreadPool* pool = nullptr);
+/// Runs the full sweep; rows ordered by (overlap, shots). The states are
+/// distributed over request_pool(); per-state RNG streams make the result
+/// independent of thread count.
+std::vector<Fig6Row> run_fig6(const Fig6Config& cfg);
 
 /// Renders rows as an aligned text table (one block per overlap).
 std::string format_fig6(const std::vector<Fig6Row>& rows);

@@ -1,7 +1,6 @@
 #include "qcut/cut/fragment.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 
 #include "qcut/common/cancel.hpp"
@@ -159,27 +158,13 @@ void fold_branches_tail(const std::vector<Branch>& branches, const TailFold& tai
   }
 }
 
-/// body(i) for i in [lo, hi): through `pool`'s parallel_for when there is
-/// one (it runs inline wherever pooling cannot help), else in index order.
-void for_range(ThreadPool* pool, std::size_t lo, std::size_t hi,
-               const std::function<void(std::size_t)>& body) {
-  if (pool != nullptr) {
-    pool->parallel_for(lo, hi, body);
-    return;
-  }
-  for (std::size_t i = lo; i < hi; ++i) {
-    body(i);
-  }
-}
-
 /// Chain-rule product over fragments, summed over cross-bit assignments,
 /// with a running XOR of the per-fragment estimate parities. The 2^n_cross
 /// sigma sweep is chunked at a fixed size and the per-chunk partial sums are
-/// combined in chunk index order — deterministic for any pool (including
-/// none), so every pool size produces the same bits.
+/// combined in chunk index order.
 constexpr std::uint64_t kSigmaChunk = 1024;
 
-Real recombine(const FragmentSplit& split, const FragTables& tables, ThreadPool* pool) {
+Real recombine(const FragmentSplit& split, const FragTables& tables) {
   obs::TraceSpan span("fragment.recombine",
                       static_cast<std::uint64_t>(split.cross_cbits.size()));
   const std::vector<int>& cross = split.cross_cbits;
@@ -235,17 +220,10 @@ Real recombine(const FragmentSplit& split, const FragTables& tables, ThreadPool*
   if (n_sigma <= kSigmaChunk) {
     return sigma_range(0, n_sigma);
   }
-  // Both powers of two, so the chunks tile [0, 2^n_cross) exactly; the chunk
-  // count depends only on n_cross, never on the pool.
-  const std::size_t n_chunks = static_cast<std::size_t>(n_sigma / kSigmaChunk);
-  std::vector<Real> partial(n_chunks, 0.0);
-  for_range(pool, 0, n_chunks, [&](std::size_t c) {
-    const std::uint64_t s0 = static_cast<std::uint64_t>(c) * kSigmaChunk;
-    partial[c] = sigma_range(s0, s0 + kSigmaChunk);
-  });
+  // Both powers of two, so the chunks tile [0, 2^n_cross) exactly.
   Real acc = 0.0;
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    acc += partial[c];
+  for (std::uint64_t s0 = 0; s0 < n_sigma; s0 += kSigmaChunk) {
+    acc += sigma_range(s0, s0 + kSigmaChunk);
   }
   return acc;
 }
@@ -524,7 +502,7 @@ void fuse_split_circuits(FragmentSplit& split, FusionStats* stats) {
   }
 }
 
-Real fragment_term_prob_one(const FragmentSplit& split, ThreadPool* pool) {
+Real fragment_term_prob_one(const FragmentSplit& split) {
   check_split_limits(split);
   const std::size_t n_frags = split.fragments.size();
   obs::TraceSpan eval_span("fragment.eval", static_cast<std::uint64_t>(n_frags));
@@ -583,9 +561,9 @@ Real fragment_term_prob_one(const FragmentSplit& split, ThreadPool* pool) {
   };
 
   // One fragment at a time: its unconditioned prefix, simulated once, then
-  // its units over the pool, the last of which takes the prefix by move
-  // after the others have copied it. So at most one fragment's branch
-  // states are alive at once.
+  // its units, the last of which takes the prefix by move after the others
+  // have copied it. So at most one fragment's branch states are alive at
+  // once.
   std::size_t u0 = 0;
   for (std::size_t f = 0; f < n_frags; ++f) {
     cancel_poll();
@@ -598,7 +576,9 @@ Real fragment_term_prob_one(const FragmentSplit& split, ThreadPool* pool) {
       advance_branches(prefix, tf.circuit, 0, ev[f].prefix_end);
     }
     const std::size_t last = ev[f].tab.size() - 1;
-    for_range(pool, 0, last, [&](std::size_t ra) { run_unit(f, ra, u0 + ra, prefix); });
+    for (std::size_t ra = 0; ra < last; ++ra) {
+      run_unit(f, ra, u0 + ra, prefix);
+    }
     run_unit(f, last, u0 + last, std::move(prefix));
     u0 += last + 1;
   }
@@ -607,7 +587,7 @@ Real fragment_term_prob_one(const FragmentSplit& split, ThreadPool* pool) {
   for (std::size_t f = 0; f < n_frags; ++f) {
     tables[f] = std::move(ev[f].tab);
   }
-  return recombine(split, tables, pool);
+  return recombine(split, tables);
 }
 
 }  // namespace qcut

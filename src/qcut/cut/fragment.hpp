@@ -34,10 +34,9 @@
 // one cut plan share that skeleton, so BatchedBranchBackend computes it once
 // per structure (SplitSkeletonCache) and per-term splitting reduces to
 // replaying ops with remapped qubits. Evaluation then simulates each fragment's
-// unconditioned prefix once, re-runs only the read-dependent suffix per
-// cross-bit assignment, and can distribute those (fragment, read-assignment)
-// work units over a ThreadPool — with a fixed-order reduction, so the result
-// is bit-identical for any pool size (including none).
+// unconditioned prefix once and re-runs only the read-dependent suffix per
+// cross-bit assignment, in index order on the calling thread: the engine
+// runs the terms concurrently, so a term's own work stays on one thread.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +45,6 @@
 #include <vector>
 
 #include "qcut/common/single_flight_cache.hpp"
-#include "qcut/common/threadpool.hpp"
 #include "qcut/qpd/qpd.hpp"
 #include "qcut/sim/fusion.hpp"
 
@@ -159,16 +157,11 @@ void fuse_split_circuits(FragmentSplit& split, FusionStats* stats = nullptr);
 ///
 /// The evaluator takes one fragment at a time: it simulates the fragment's
 /// unconditioned prefix once, then re-runs only the read-dependent suffix per
-/// cross-bit assignment. Those (fragment, read-assignment) work units go
-/// through `pool`'s parallel_for when `pool` is non-null, which runs them
-/// inline when the caller is one of its workers (as the engine's
-/// batch-parallel driver is) or when pooling cannot help. The last unit of
-/// a fragment takes the prefix by move after the others have copied it, so
-/// the branch states alive at once are those of one fragment: its prefix
-/// plus its running units' branches, each at most 2^width amplitudes.
-/// Per-unit results land in preassigned slots and the final reduction runs
-/// in fixed index order, so the value is bit-identical for every pool size,
-/// including none.
-Real fragment_term_prob_one(const FragmentSplit& split, ThreadPool* pool = nullptr);
+/// cross-bit assignment. Those (fragment, read-assignment) work units and
+/// the recombination's chunks run in index order on the calling thread. The
+/// last unit of a fragment takes the prefix by move after the others have
+/// copied it, so the branch states alive at once are those of one fragment:
+/// its prefix plus one unit's branches, each at most 2^width amplitudes.
+Real fragment_term_prob_one(const FragmentSplit& split);
 
 }  // namespace qcut

@@ -29,12 +29,12 @@ std::uint64_t SerialShotBackend::run_batch(const TermBatch& batch, Rng& rng) con
   return ones;
 }
 
-BatchedBranchBackend::BatchedBranchBackend(const Qpd& qpd, ThreadPool* pool,
+BatchedBranchBackend::BatchedBranchBackend(const Qpd& qpd,
                                            std::shared_ptr<SplitSkeletonCache> skeletons)
-    : qpd_(&qpd), pool_(pool) {
+    : qpd_(&qpd) {
   const auto skels =
       skeletons != nullptr ? std::move(skeletons) : std::make_shared<SplitSkeletonCache>();
-  cache_ = std::make_shared<BranchCache>(qpd, [pool, skels](const QpdTerm& term) {
+  cache_ = std::make_shared<BranchCache>(qpd, [skels](const QpdTerm& term) {
     FragmentSplit split = [&] {
       obs::TraceSpan span("fragment.split");
       return split_term(term, *cached_skeleton(*skels, term.circuit));
@@ -54,7 +54,7 @@ BatchedBranchBackend::BatchedBranchBackend(const Qpd& qpd, ThreadPool* pool,
         fuse_fragment(tf);
       }
     }
-    return fragment_term_prob_one(split, pool);
+    return fragment_term_prob_one(split);
   });
 }
 
@@ -64,16 +64,6 @@ BatchedBranchBackend::BatchedBranchBackend(const Qpd& qpd, std::vector<Real> pro
 std::uint64_t BatchedBranchBackend::run_batch(const TermBatch& batch, Rng& rng) const {
   QCUT_CHECK(batch.term < qpd_->size(), "BatchedBranchBackend: term out of range");
   return rng.binomial(batch.shots, cache_->prob_one(batch.term));
-}
-
-void BatchedBranchBackend::prewarm() const {
-  // Each term's value is computed exactly as prob_one would compute it
-  // (terms are independent), so the cache is bit-identical for any pool.
-  if (pool_ == nullptr) {
-    (void)cache_->all_prob_one();
-    return;
-  }
-  pool_->parallel_for(0, qpd_->size(), [this](std::size_t i) { (void)cache_->prob_one(i); });
 }
 
 const char* to_string(BackendKind kind) {
@@ -87,16 +77,12 @@ const char* to_string(BackendKind kind) {
 }
 
 std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind, const Qpd& qpd,
-                                               ThreadPool* pool,
                                                std::shared_ptr<SplitSkeletonCache> skeletons) {
   switch (kind) {
     case BackendKind::kSerialShot:
       return std::make_unique<SerialShotBackend>(qpd);
     case BackendKind::kBatchedBranch:
-      // The global pool is resolved here, not by the callers, so the
-      // serial-shot backend cannot construct it as a side effect.
-      return std::make_unique<BatchedBranchBackend>(
-          qpd, pool != nullptr ? pool : &global_pool(), std::move(skeletons));
+      return std::make_unique<BatchedBranchBackend>(qpd, std::move(skeletons));
   }
   throw Error("make_backend: unknown backend kind");
 }

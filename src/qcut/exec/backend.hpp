@@ -64,12 +64,10 @@ class BatchedBranchBackend final : public ExecutionBackend {
   /// statevector cap, fused on the fragments that pass sim/fusion.hpp's
   /// width rule, and evaluated by fragment_term_prob_one. `skeletons` shares
   /// a caller-owned cache across requests (the service layer's
-  /// process-lifetime one); nullptr gives a private one. When `pool` is
-  /// non-null, each term's (fragment, read-assignment) work units spread
-  /// across it; calls from one of its workers (the engine's batch-parallel
-  /// driver) run them inline, since the engine already parallelizes across
-  /// terms. Results are bit-identical for any pool (or none).
-  explicit BatchedBranchBackend(const Qpd& qpd, ThreadPool* pool = nullptr,
+  /// process-lifetime one); nullptr gives a private one. A term's work
+  /// runs on the thread that first asks for it; the engine parallelizes
+  /// across terms.
+  explicit BatchedBranchBackend(const Qpd& qpd,
                                 std::shared_ptr<SplitSkeletonCache> skeletons = nullptr);
   /// Pre-seeded: reuses precomputed per-term probabilities (e.g. across
   /// repetitions); never enumerates.
@@ -78,18 +76,10 @@ class BatchedBranchBackend final : public ExecutionBackend {
   std::string name() const override { return "batched-branch"; }
   std::uint64_t run_batch(const TermBatch& batch, Rng& rng) const override;
 
-  /// Forces every term's probability, distributing terms across the
-  /// constructor's pool (the serial sweep when none was given). Always the
-  /// same pool as the per-term work units — with two different pools, the
-  /// units would not see that they already run on a worker, and would
-  /// oversubscribe.
-  void prewarm() const;
-
   const BranchCache& cache() const noexcept { return *cache_; }
 
  private:
   const Qpd* qpd_;
-  ThreadPool* pool_ = nullptr;
   std::shared_ptr<BranchCache> cache_;
 };
 
@@ -101,12 +91,10 @@ enum class BackendKind {
 const char* to_string(BackendKind kind);
 
 /// Factory bound to `qpd` (which must outlive the backend). kBatchedBranch
-/// distributes within-term work units over `pool` (nullptr → the global
-/// pool) and splits through `skeletons` (nullptr → a private cache; the
-/// service layer passes its process-lifetime one so split skeletons survive
-/// across requests). kSerialShot ignores both.
+/// splits through `skeletons` (nullptr → a private cache; the service layer
+/// passes its process-lifetime one so split skeletons survive across
+/// requests). kSerialShot ignores it.
 std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind, const Qpd& qpd,
-                                               ThreadPool* pool = nullptr,
                                                std::shared_ptr<SplitSkeletonCache> skeletons =
                                                    nullptr);
 

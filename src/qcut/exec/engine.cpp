@@ -5,6 +5,7 @@
 #include "qcut/common/cancel.hpp"
 #include "qcut/common/error.hpp"
 #include "qcut/common/fault.hpp"
+#include "qcut/common/threadpool.hpp"
 #include "qcut/obs/metrics.hpp"
 #include "qcut/obs/trace.hpp"
 
@@ -112,8 +113,7 @@ EstimationResult ExecutionEngine::run(const Qpd& qpd, const ShotPlan& plan,
       order.push_back(b);
     }
   }
-  ThreadPool& pool = cfg_.pool != nullptr ? *cfg_.pool : global_pool();
-  pool.parallel_for(0, n, [&](std::size_t i) { run_batch(order[i]); });
+  request_pool().parallel_for(0, n, [&](std::size_t i) { run_batch(order[i]); });
 
   std::vector<std::uint64_t> ones_per_term(qpd.size(), 0);
   for (std::size_t b = 0; b < plan.batches.size(); ++b) {
@@ -129,11 +129,7 @@ EstimationResult ExecutionEngine::estimate_allocated(const Qpd& qpd, std::uint64
   if (cfg_.shared_backend != nullptr) {
     return run(qpd, plan, *cfg_.shared_backend, seed);
   }
-  // The batched-branch backend also gets the engine's pool: when the plan is
-  // too small for batch parallelism (wide runs often have few batches and
-  // huge per-term enumeration cost), the per-term (fragment, read-assignment)
-  // units still spread across it. Either way the result is bit-identical.
-  const auto backend = make_backend(cfg_.backend, qpd, cfg_.pool);
+  const auto backend = make_backend(cfg_.backend, qpd);
   return run(qpd, plan, *backend, seed);
 }
 
@@ -144,7 +140,7 @@ EstimationResult ExecutionEngine::estimate_sampled(const Qpd& qpd, std::uint64_t
   if (cfg_.shared_backend != nullptr) {
     return run(qpd, plan, *cfg_.shared_backend, seed);
   }
-  const auto backend = make_backend(cfg_.backend, qpd, cfg_.pool);
+  const auto backend = make_backend(cfg_.backend, qpd);
   return run(qpd, plan, *backend, seed);
 }
 

@@ -15,17 +15,17 @@
 // so the terms' exact enumerations (one per term, behind the backend's
 // per-term once-flag) start together on different workers instead of one
 // after another; a later batch of a term still waits for that term's
-// enumeration. Invoked from a worker of its own pool (an outer sweep already
-// distributes work), run() executes its batches inline on that worker: the
-// pool's parallel_for decides that — same bits, no deadlock. Outer sweeps
-// that drive a single rng through many estimates (e.g. run_fig6's per-state
-// loop) use run_plan_with_rng instead.
+// enumeration. The batches run on request_pool(), the pool of the calling
+// request's context (common/request_context.hpp). Invoked from a worker of
+// that pool (an outer sweep already distributes work), run() executes its
+// batches inline on that worker: the pool's parallel_for decides that —
+// same bits, no deadlock. Outer sweeps that drive a single rng through many
+// estimates (e.g. run_fig6's per-state loop) use run_plan_with_rng instead.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
-#include "qcut/common/threadpool.hpp"
 #include "qcut/exec/backend.hpp"
 #include "qcut/exec/shot_plan.hpp"
 #include "qcut/qpd/estimator.hpp"
@@ -34,8 +34,6 @@ namespace qcut {
 
 struct EngineConfig {
   BackendKind backend = BackendKind::kBatchedBranch;
-  /// nullptr → qcut::global_pool().
-  ThreadPool* pool = nullptr;
   /// Plan split granularity (shots per batch) for the convenience entry
   /// points. Affects parallelism and stream layout, never the law.
   std::uint64_t max_batch_shots = ShotPlan::kDefaultMaxBatchShots;

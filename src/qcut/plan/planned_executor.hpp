@@ -82,7 +82,7 @@ class PlannedExecutor {
 };
 
 struct PlannedRunResult {
-  CutPlan plan;
+  std::shared_ptr<const CutPlan> plan;
   CutRunResult run;
 };
 

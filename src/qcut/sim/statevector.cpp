@@ -35,33 +35,23 @@ std::size_t checked_dim(int n_qubits) {
 // is bit-identical for any pool configuration; the pool only decides
 // wall-clock, not values.
 
-std::atomic<ThreadPool*> g_parallel_pool{nullptr};
 std::atomic<int> g_parallel_min_qubits{22};
 
 constexpr Index kChunkGroups = Index{1} << 16;
 
-/// The pool to distribute chunks over, or nullptr for inline execution
-/// below the parallel threshold (keeps the fragment hot path allocation-free).
-/// The pool's parallel_for itself runs inline on a one-worker pool or on one
-/// of its own workers. The global pool is constructed lazily, and only once a
+/// Runs body(g0, g1) over the fixed chunks of [0, groups): on request_pool()
+/// from the threshold width up (whose parallel_for runs inline on one of its
+/// own workers), else inline, which keeps the fragment hot path
+/// allocation-free. The global pool is constructed lazily, and only once a
 /// >= threshold state is actually swept.
-ThreadPool* sweep_pool(int n_qubits) {
-  if (n_qubits < g_parallel_min_qubits.load(std::memory_order_relaxed)) {
-    return nullptr;
-  }
-  ThreadPool* pool = g_parallel_pool.load(std::memory_order_acquire);
-  return pool != nullptr ? pool : &global_pool();
-}
-
-/// Runs body(g0, g1) over the fixed chunks of [0, groups).
 template <typename Body>
 void sweep(Index groups, int n_qubits, const Body& body) {
   if (groups <= kChunkGroups) {
     body(Index{0}, groups);
     return;
   }
-  if (ThreadPool* pool = sweep_pool(n_qubits)) {
-    pool->parallel_for_chunked(
+  if (n_qubits >= g_parallel_min_qubits.load(std::memory_order_relaxed)) {
+    request_pool().parallel_for_chunked(
         0, static_cast<std::size_t>(groups), static_cast<std::size_t>(kChunkGroups),
         [&body](std::size_t lo, std::size_t hi) {
           body(static_cast<Index>(lo), static_cast<Index>(hi));
@@ -155,14 +145,9 @@ KernelGeometry kernel_geometry(const StrideList& strides) {
 
 }  // namespace
 
-void Statevector::set_parallel_config(ThreadPool* pool, int min_parallel_qubits) {
-  QCUT_CHECK(min_parallel_qubits >= 1, "set_parallel_config: threshold must be >= 1");
-  g_parallel_pool.store(pool, std::memory_order_release);
+void Statevector::set_parallel_min_qubits(int min_parallel_qubits) {
+  QCUT_CHECK(min_parallel_qubits >= 1, "set_parallel_min_qubits: threshold must be >= 1");
   g_parallel_min_qubits.store(min_parallel_qubits, std::memory_order_relaxed);
-}
-
-int Statevector::parallel_min_qubits() noexcept {
-  return g_parallel_min_qubits.load(std::memory_order_relaxed);
 }
 
 Statevector::Statevector(int n_qubits)

@@ -8,10 +8,10 @@
 // The hot sweeps run on the block-granular SIMD kernel table
 // (sim/simd_kernels.hpp, one kernel call per sweep chunk at every qubit
 // position) and — for states at or above the parallel threshold — are
-// chunked over a ThreadPool. Chunk boundaries are fixed in group space,
-// independent of the pool size, and every reduction sums per-chunk partials
-// in chunk index order, so results are bit-identical for any pool size
-// (including no pool).
+// chunked over the request's pool (request_pool(), common/threadpool.hpp).
+// Chunk boundaries are fixed in group space, independent of the pool size,
+// and every reduction sums per-chunk partials in chunk index order, so
+// results are bit-identical for any pool size (including no pool).
 #pragma once
 
 #include <vector>
@@ -22,8 +22,6 @@
 #include "qcut/sim/gate_class.hpp"
 
 namespace qcut {
-
-class ThreadPool;
 
 class Statevector {
  public:
@@ -95,17 +93,14 @@ class Statevector {
 
   Real norm() const;
 
-  /// Process-wide threading policy for the amplitude sweeps. States with
-  /// n_qubits >= min_parallel_qubits distribute their fixed-size chunks over
-  /// `pool` (nullptr = the lazily constructed global_pool(), resolved only
-  /// when such a state is actually simulated); narrower states always run
-  /// inline. The pool choice NEVER changes results: chunk boundaries and the
+  /// Process-wide sweep threshold (default 22). States with n_qubits >=
+  /// min_parallel_qubits distribute their fixed-size chunks over
+  /// request_pool() (common/threadpool.hpp); narrower states always run
+  /// inline. The pool NEVER changes results: chunk boundaries and the
   /// reduction order depend only on the state size. Sweeps from inside a
-  /// worker of the chosen pool run inline, as its parallel_for does for any
-  /// nested call. Intended for startup/test setup; not thread-safe against
-  /// concurrent sweeps.
-  static void set_parallel_config(ThreadPool* pool, int min_parallel_qubits);
-  static int parallel_min_qubits() noexcept;
+  /// worker of that pool run inline, as its parallel_for does for any nested
+  /// call. A test seam; not thread-safe against concurrent sweeps.
+  static void set_parallel_min_qubits(int min_parallel_qubits);
 
  private:
   struct Unchecked {};  ///< tag: internal construction of already-valid states

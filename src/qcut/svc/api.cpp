@@ -133,21 +133,21 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
   // Plan: served from the cross-request cache when the (circuit, planner
   // config) key matches; the planner is deterministic, so a cached plan IS
   // the plan a fresh search would return.
-  std::shared_ptr<CutPlan> plan;
   std::string pkey;
   if (caches != nullptr) {
     pkey = plan_key(parsed.hash, pcfg);
     const auto search = [&] {
       obs::count(obs::Counter::kPlanCacheMiss);  // before the search, so a failed one counts
-      return std::make_shared<CutPlan>(CutPlanner(circ, pcfg).plan());
+      return std::make_shared<const CutPlan>(CutPlanner(circ, pcfg).plan());
     };
-    plan = caches->plans.get_or_build(pkey, search, &res.plan_cache_hit);
+    res.plan = caches->plans.get_or_build(pkey, search, &res.plan_cache_hit);
     if (res.plan_cache_hit) {
       obs::count(obs::Counter::kPlanCacheHit);
     }
   } else {
-    plan = std::make_shared<CutPlan>(CutPlanner(circ, pcfg).plan());
+    res.plan = std::make_shared<const CutPlan>(CutPlanner(circ, pcfg).plan());
   }
+  const CutPlan& plan = *res.plan;
   if (memoize) {
     caches->circuits.put(req.circuit_qasm, std::make_shared<const ParsedCircuit>(parsed));
   }
@@ -158,7 +158,7 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
   if (req.shot_cap > 0) {
     std::uint64_t want = rcfg.shots;
     if (want == 0) {
-      const Real predicted = std::ceil(plan->predicted_shots);
+      const Real predicted = std::ceil(plan.predicted_shots);
       want = predicted > 1e18 ? req.shot_cap : static_cast<std::uint64_t>(predicted);
     }
     rcfg.shots = std::min(want, req.shot_cap);
@@ -167,7 +167,7 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
   if (caches != nullptr) {
     const auto build = [&] {
       obs::count(obs::Counter::kEvalCacheMiss);
-      return EvalEntry::build(PlannedExecutor(circ, *plan), req.observable, rcfg,
+      return EvalEntry::build(PlannedExecutor(circ, plan), req.observable, rcfg,
                               caches->skeletons);
     };
     const std::string ekey = eval_key(pkey, req.observable, rcfg);
@@ -181,7 +181,7 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
     rcfg.shared_backend = entry->backend.get();
     res.run = entry->executor.run_with(entry->qpd, entry->exact, rcfg);
   } else {
-    const PlannedExecutor executor(circ, *plan);
+    const PlannedExecutor executor(circ, plan);
     res.run = executor.run(req.observable, rcfg);
   }
 
@@ -192,8 +192,7 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
   res.shots_used = res.run.details.shots_used;
   res.kappa = res.run.details.kappa;
   res.ci_halfwidth = ci_halfwidth(res.estimate, res.kappa, res.shots_used);
-  res.plan_summary = summarize(*plan);
-  res.plan = *plan;
+  res.plan_summary = summarize(plan);
   return res;
 }
 

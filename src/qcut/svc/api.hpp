@@ -15,10 +15,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
 #include "qcut/common/cancel.hpp"
+#include "qcut/common/request_context.hpp"
+#include "qcut/common/threadpool.hpp"
 #include "qcut/plan/cut_planner.hpp"
 #include "qcut/plan/planned_executor.hpp"
 #include "qcut/sim/observable.hpp"
@@ -58,7 +61,8 @@ struct EstimateRequest {
   /// estimate() runs against an internal deadline-only token.
   CancelToken* cancel = nullptr;
   PlannerConfig planner;
-  /// Execution config: shots (0 → predicted budget), seed, backend, pool.
+  /// Execution config: shots (0 → predicted budget), seed, backend. The
+  /// run's pool is the caller's RequestContext::pool.
   CutRunConfig run_cfg;
 };
 
@@ -88,8 +92,9 @@ struct EstimateResult {
   bool eval_cache_hit = false;
   bool coalesced = false;   ///< answered by an in-flight twin (daemon only)
   /// Full artifacts for in-process callers; the wire protocol ships the
-  /// summary plus run.report JSON instead.
-  CutPlan plan;
+  /// summary plus run.report JSON instead. The plan is immutable; a cached
+  /// one is shared with the plan cache, not copied.
+  std::shared_ptr<const CutPlan> plan;
   CutRunResult run;
 };
 

@@ -114,7 +114,7 @@ std::shared_ptr<EvalEntry> EvalEntry::build(PlannedExecutor executor, const Obse
   auto entry = std::make_shared<EvalEntry>(std::move(executor), std::move(qpd), exact);
   // Bound to entry->qpd, whose address is stable for the entry's lifetime
   // (the entry is heap-allocated and the Qpd never reassigned).
-  entry->backend = make_backend(cfg.backend, entry->qpd, cfg.pool, std::move(skeletons));
+  entry->backend = make_backend(cfg.backend, entry->qpd, std::move(skeletons));
   return entry;
 }
 

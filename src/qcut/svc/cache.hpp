@@ -124,7 +124,7 @@ class ServiceCaches {
   /// while the plan it leads to is resident, so a parse is inserted only
   /// after its request passed validation and resolved a plan.
   SingleFlightCache<const ParsedCircuit> circuits;
-  SingleFlightCache<CutPlan> plans;
+  SingleFlightCache<const CutPlan> plans;
   SingleFlightCache<EvalEntry> evals;
   std::shared_ptr<SplitSkeletonCache> skeletons;
 };

@@ -445,9 +445,11 @@ WireEstimateResponse QcutServer::handle_estimate_watched(const WireEstimateReque
   auto fulfilled = std::make_shared<std::atomic<bool>>(false);
   // The pool carries this thread's context into the task: every
   // cancel_poll() below estimate() — planner DFS, batch loop, fragment
-  // units — sees the request's token.
+  // units — sees the request's token, and all of the request's parallel
+  // work names pool_, where it runs inline on the request's worker.
   RequestContext ctx = current_request_context();
   ctx.cancel = cancel.get();
+  ctx.pool = &pool_;
   const ScopedRequestContext scope(ctx);
   std::future<void> task_done =
       pool_.submit([this, req, key, serial, cancel, promise, fulfilled]() {
@@ -574,7 +576,6 @@ WireEstimateResponse QcutServer::execute(const WireEstimateRequest& wreq, std::u
   // the batched-branch backend's: it decodes to kind 1, so old clients keep
   // their answers bit for bit.
   req.run_cfg.backend = static_cast<BackendKind>(std::min<std::uint8_t>(wreq.backend, 1));
-  req.run_cfg.pool = &pool_;
   // The admission-armed token already governs this task; handing it to
   // estimate() too buys the front-door poll (fail before planning).
   req.cancel = current_cancel_token();

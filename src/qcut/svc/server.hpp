@@ -8,14 +8,15 @@
 //    shared ThreadPool, then block on the result — so the POOL, not the
 //    connection count, bounds estimation concurrency;
 //  * pool workers execute requests. The connection thread installs the
-//    request's cancel token in its RequestContext before submitting, and
-//    the pool carries that context into the task. Inside a request, the
-//    engine's and fragment evaluator's parallel_for calls come from one of
-//    the pool's own workers and run inline: each request runs
-//    single-threaded on its worker, so request throughput scales with
-//    workers without nested-parallelism deadlocks. Results stay
-//    bit-identical to in-process runs because randomness is per-batch
-//    counter-streams, never scheduling-dependent.
+//    request's cancel token and this pool in its RequestContext before
+//    submitting, and the pool carries that context into the task. The
+//    process runs one pool: inside a request, the engine's batches and the
+//    statevector sweeps of wide states (the only parallel levels) name
+//    request_pool(), which is this pool, so they run inline on the
+//    request's worker. Each request runs single-threaded, so request
+//    throughput scales with workers without nested-parallelism deadlocks.
+//    Results stay bit-identical to in-process runs because randomness is
+//    per-batch counter-streams, never scheduling-dependent.
 //
 // Admission control: at most `max_inflight` requests may be queued-or-running
 // on the pool. Beyond that the server answers kRetryAfter with a suggested

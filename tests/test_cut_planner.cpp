@@ -940,9 +940,9 @@ TEST(PlannedExecutor, MeanErrorOverTrialsTracksTargetAccuracy) {
   pcfg.max_fragment_width = 3;
   pcfg.target_accuracy = 0.1;
   const PlannedRunResult first = plan_and_run(ghz, "XXXXX", pcfg, CutRunConfig{});
-  ASSERT_EQ(first.plan.cuts.size(), 1u);
+  ASSERT_EQ(first.plan->cuts.size(), 1u);
 
-  const PlannedExecutor exec(ghz, first.plan);
+  const PlannedExecutor exec(ghz, *first.plan);
   Real acc = 0.0;
   const int trials = 30;
   for (int t = 0; t < trials; ++t) {
@@ -978,7 +978,7 @@ TEST(PlannedExecutor, ZeroCutPlanRunsDirectly) {
   CutRunConfig rcfg;
   rcfg.shots = 4000;
   const PlannedRunResult res = plan_and_run(ghz, "XXX", pcfg, rcfg);
-  EXPECT_TRUE(res.plan.cuts.empty());
+  EXPECT_TRUE(res.plan->cuts.empty());
   EXPECT_NEAR(res.run.exact, 1.0, 1e-10);
   EXPECT_LE(res.run.abs_error, 0.1);  // κ = 1: plain sampling noise only
 }

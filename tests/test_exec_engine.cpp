@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "exact_oracles.hpp"
+#include "pool_scope.hpp"
 #include "qcut/common/stats.hpp"
 #include "qcut/core/cut_executor.hpp"
 #include "qcut/cut/harada_cut.hpp"
@@ -175,9 +176,9 @@ TEST(EngineTest, BitIdenticalAcrossPoolSizes) {
 
     std::vector<Real> estimates;
     for (ThreadPool* pool : {&p1, &p2, &p8}) {
+      const qcut::testing::ScopedPool scope(*pool);
       EngineConfig cfg;
       cfg.backend = kind;
-      cfg.pool = pool;
       const ExecutionEngine engine(cfg);
       estimates.push_back(engine.run(qpd, plan, *backend, /*seed=*/20240320).estimate);
     }
@@ -261,12 +262,11 @@ TEST(EngineTest, NestedRunFromPoolWorkerFallsBackInline) {
   // and must return the same bits as a top-level run.
   const Qpd qpd = NmeCut{0.6}.build_qpd(fixed_input());
   ThreadPool pool(2);
+  const qcut::testing::ScopedPool scope(pool);
   const ShotPlan plan = ShotPlan::allocated(qpd, 10000, AllocRule::kProportional,
                                             /*sigmas=*/nullptr, /*max_batch_shots=*/128);
   const BatchedBranchBackend backend(qpd);
-  EngineConfig cfg;
-  cfg.pool = &pool;
-  const ExecutionEngine engine(cfg);
+  const ExecutionEngine engine;
 
   const Real top_level = engine.run(qpd, plan, backend, /*seed=*/7).estimate;
   std::vector<Real> nested(4, 0.0);
@@ -326,9 +326,8 @@ TEST(EngineTest, DistinctTermsEnumerateConcurrently) {
   // Returns the estimate and the peak number of enumerations in flight.
   const auto run_on = [&](std::size_t workers) {
     ThreadPool pool(workers);
-    EngineConfig cfg;
-    cfg.pool = &pool;
-    const ExecutionEngine engine(cfg);
+    const qcut::testing::ScopedPool scope(pool);
+    const ExecutionEngine engine;
     const SlowEnumerationBackend backend(qpd);
     const obs::MetricsSnapshot before = obs::metrics_snapshot();
     const Real estimate = engine.run(qpd, plan, backend, /*seed=*/4242).estimate;
@@ -355,11 +354,15 @@ TEST(EngineTest, CutExecutorRunIsPoolSizeInvariant) {
   cfg.seed = 99;
   cfg.max_batch_shots = 128;
   CutExecutor exec(make_wire_protocol({ProtocolId::kNme, 0.6}));
-  cfg.pool = &p1;
-  const auto r1 = exec.run(fixed_input(), cfg);
-  cfg.pool = &p8;
-  const auto r8 = exec.run(fixed_input(), cfg);
+  const auto run_on = [&](ThreadPool& pool) {
+    const qcut::testing::ScopedPool scope(pool);
+    return exec.run(fixed_input(), cfg);
+  };
+  const auto r1 = run_on(p1);
+  const auto r8 = run_on(p8);
   EXPECT_EQ(r1.estimate, r8.estimate);
+  EXPECT_EQ(r1.report.pool_threads, 1u);
+  EXPECT_EQ(r8.report.pool_threads, 8u);
 }
 
 }  // namespace

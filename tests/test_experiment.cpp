@@ -6,6 +6,7 @@
 
 #include "qcut/core/experiment.hpp"
 #include "qcut/cut/distill_cut.hpp"
+#include "pool_scope.hpp"
 
 namespace qcut {
 namespace {
@@ -64,9 +65,13 @@ TEST(Fig6, ErrorScalesRoughlyAsKappaOverSqrtShots) {
 }
 
 TEST(Fig6, DeterministicAcrossPoolSizes) {
-  ThreadPool p1(1), p4(4);
-  const auto rows1 = run_fig6(small_config(), &p1);
-  const auto rows4 = run_fig6(small_config(), &p4);
+  const auto rows_on = [](std::size_t workers) {
+    ThreadPool pool(workers);
+    const qcut::testing::ScopedPool scope(pool);
+    return run_fig6(small_config());
+  };
+  const auto rows1 = rows_on(1);
+  const auto rows4 = rows_on(4);
   ASSERT_EQ(rows1.size(), rows4.size());
   for (std::size_t i = 0; i < rows1.size(); ++i) {
     EXPECT_DOUBLE_EQ(rows1[i].mean_error, rows4[i].mean_error) << "row " << i;

@@ -220,7 +220,7 @@ TEST(BatchedBranchBackend, FusesOnlyTheFragmentsWideEnoughForFusionToPay) {
     ASSERT_FALSE(fusion_pays(split.fragments[0].circuit.n_qubits())) << term.label;
     ASSERT_TRUE(fusion_pays(split.fragments[1].circuit.n_qubits())) << term.label;
     wide_ops += split.fragments[1].circuit.size();
-    unfused.push_back(fragment_term_prob_one(split, nullptr));
+    unfused.push_back(fragment_term_prob_one(split));
   }
 
   const bool was_enabled = obs::metrics_enabled();
@@ -300,15 +300,15 @@ TEST(BatchedBranchBackend, WideGhzPlannedRunExecutesFragmentLocally) {
   rcfg.seed = 20240731;
 
   const PlannedRunResult out = plan_and_run(circ, all_z(n), pcfg, rcfg);
-  EXPECT_LE(out.plan.max_width, 16);
-  ASSERT_FALSE(out.plan.cuts.empty());
-  for (const PlannedCut& pc : out.plan.cuts) {
+  EXPECT_LE(out.plan->max_width, 16);
+  ASSERT_FALSE(out.plan->cuts.empty());
+  for (const PlannedCut& pc : out.plan->cuts) {
     EXPECT_FALSE(pc.entangled);
   }
   // No monolithic reference exists this wide; the analytic value stands in.
   EXPECT_FALSE(out.run.has_exact);
   EXPECT_TRUE(std::isnan(out.run.exact));
-  EXPECT_GE(out.run.details.shots_used, static_cast<std::uint64_t>(out.plan.predicted_shots));
+  EXPECT_GE(out.run.details.shots_used, static_cast<std::uint64_t>(out.plan->predicted_shots));
   EXPECT_NEAR(out.run.estimate, 1.0, 3.0 * pcfg.target_accuracy);
 }
 
@@ -326,17 +326,16 @@ TEST(BatchedBranchBackend, TwentyFourQubitSingleFragmentRunsEndToEnd) {
   rcfg.shots = 64;
   rcfg.seed = 7;
   const PlannedRunResult out = plan_and_run(ghz_line(n), all_z(n), pcfg, rcfg);
-  EXPECT_TRUE(out.plan.cuts.empty());
-  EXPECT_EQ(out.plan.max_width, n);
+  EXPECT_TRUE(out.plan->cuts.empty());
+  EXPECT_EQ(out.plan->max_width, n);
   EXPECT_NEAR(out.run.estimate, 1.0, 1e-9);
 }
 
-TEST(FragmentParallel, ManyCrossBitRecombinationPoolBitIdentity) {
+TEST(FragmentParallel, ManyCrossBitRecombinationIsExact) {
   // 14 single-qubit fragments chained by classical feed-forward: 13 cross
   // bits → 2^13 sigma assignments, well past the recombination sweep's fixed
-  // chunk size (1024). The pooled chain-rule sweep fills per-chunk partials
-  // and sums them in chunk order, so every pool size must reproduce the
-  // serial value bit-for-bit.
+  // chunk size (1024). The chain-rule sweep sums its per-chunk partials in
+  // chunk order.
   const int n = 14;
   Circuit c(n, n);
   for (int q = 0; q < n; ++q) {
@@ -355,22 +354,18 @@ TEST(FragmentParallel, ManyCrossBitRecombinationPoolBitIdentity) {
   ASSERT_EQ(split.fragments.size(), static_cast<std::size_t>(n));
   ASSERT_EQ(split.cross_cbits.size(), static_cast<std::size_t>(n - 1));
 
-  const Real serial = fragment_term_prob_one(split, nullptr);
+  const Real p = fragment_term_prob_one(split);
   // h then (possibly) X still measures 1 with probability 1/2: the chain's
   // final bit is unbiased.
-  EXPECT_NEAR(serial, 0.5, 1e-12);
-  EXPECT_NEAR(fragment_term_prob_one_baseline(split), serial, 1e-12);
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ThreadPool pool(workers);
-    EXPECT_EQ(fragment_term_prob_one(split, &pool), serial) << "pool size " << workers;
-  }
+  EXPECT_NEAR(p, 0.5, 1e-12);
+  EXPECT_NEAR(fragment_term_prob_one_baseline(split), p, 1e-12);
 }
 
 TEST(FragmentParallel, PoolSizeBitIdentity) {
   // Mirrors test_exec_engine's pool-size law for the fragment fast path: the
-  // per-term probabilities AND the end-to-end engine estimates must be
-  // byte-identical for pools of size 1, 2, and 8 (and the poolless serial
-  // path) — parallelism must never change a single bit.
+  // per-term probabilities, forced across the pool's workers, AND the
+  // end-to-end engine estimates must be byte-identical for pools of size 1,
+  // 2, and 8 (and the serial sweep) — parallelism must never change a bit.
   const Circuit circ = ghz_line(12);
   PlannerConfig pcfg;
   pcfg.max_fragment_width = 5;
@@ -388,16 +383,15 @@ TEST(FragmentParallel, PoolSizeBitIdentity) {
   std::vector<Real> estimates;
   for (const std::size_t n_threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     ThreadPool pool(n_threads);
-    const BatchedBranchBackend backend(qpd, &pool);
-    backend.prewarm();
+    const qcut::testing::ScopedPool scope(pool);
+    const BatchedBranchBackend backend(qpd);
+    pool.parallel_for(0, qpd.size(), [&](std::size_t i) { (void)backend.cache().prob_one(i); });
     const std::vector<Real> probs = backend.cache().all_prob_one();
     ASSERT_EQ(probs.size(), serial.size());
     for (std::size_t i = 0; i < probs.size(); ++i) {
       EXPECT_EQ(probs[i], serial[i]) << "pool " << n_threads << " term " << i;
     }
-    EngineConfig ec;
-    ec.pool = &pool;
-    const ExecutionEngine engine(ec);
+    const ExecutionEngine engine;
     const auto plan = ShotPlan::allocated(qpd, 50000, AllocRule::kProportional);
     estimates.push_back(engine.run(qpd, plan, backend, /*seed=*/20260730).estimate);
   }
@@ -444,12 +438,10 @@ TEST(FragmentSplit, SkeletonCacheMatchesFreshSplitAcrossAllGadgetVariants) {
 
 TEST(FragmentParallel, OptimizedEvaluatorMatchesBaselineOnRandomCutCircuits) {
   // The prefix-sharing + trailing-measure-fold evaluator vs. the serial
-  // oracle, on random circuits with random cuts: 1e-12 per term, and the
-  // pooled evaluation bit-identical to the poolless one.
+  // oracle, on random circuits with random cuts: 1e-12 per term.
   Rng rng(211);
   const HaradaCut harada;
   const PengCut peng;
-  ThreadPool pool(3);
   int checked = 0;
   for (int trial = 0; trial < 8; ++trial) {
     const int n = 4 + static_cast<int>(rng.uniform_u64(3));
@@ -467,10 +459,8 @@ TEST(FragmentParallel, OptimizedEvaluatorMatchesBaselineOnRandomCutCircuits) {
     for (const QpdTerm& term : qpd.terms()) {
       const FragmentSplit split = split_term(term);
       const Real base = fragment_term_prob_one_baseline(split);
-      const Real opt = fragment_term_prob_one(split, nullptr);
-      const Real pooled = fragment_term_prob_one(split, &pool);
+      const Real opt = fragment_term_prob_one(split);
       EXPECT_NEAR(opt, base, 1e-12) << "trial " << trial << " " << term.label;
-      EXPECT_EQ(opt, pooled) << "trial " << trial << " " << term.label;
       ++checked;
     }
   }
@@ -527,11 +517,11 @@ QpdTerm random_two_read_term(Rng& rng) {
 }
 
 TEST(FragmentParallel, InlineFragmentAtATimeMatchesTopLevelBitForBit) {
-  // Called from a pool worker, the evaluator runs inline one fragment at a
-  // time: the last unit of a fragment takes its prefix by move, and the last
-  // surviving outcome of each measure or reset projects its parent state in
-  // place. Both must leave every bit of the answer unchanged: the inline
-  // value equals the top-level pooled call and the poolless call exactly.
+  // The evaluator runs one fragment at a time on its calling thread: the
+  // last unit of a fragment takes its prefix by move, and the last surviving
+  // outcome of each measure or reset projects its parent state in place.
+  // Both must leave every bit of the answer unchanged: calls from pool
+  // workers equal the top-level call exactly, and both match the oracles.
   Rng rng(307);
   ThreadPool pool(3);
   for (int trial = 0; trial < 10; ++trial) {
@@ -541,13 +531,11 @@ TEST(FragmentParallel, InlineFragmentAtATimeMatchesTopLevelBitForBit) {
     ASSERT_EQ(split.fragments[2].reads.size(), 2u) << "trial " << trial;
     ASSERT_LT(split.fragments[2].cond_suffix_begin, split.fragments[2].circuit.size());
 
-    const Real top_level = fragment_term_prob_one(split, &pool);
-    const Real serial = fragment_term_prob_one(split, nullptr);
+    const Real top_level = fragment_term_prob_one(split);
     std::vector<Real> inline_values(4, -1.0);
     pool.parallel_for(0, inline_values.size(), [&](std::size_t i) {
-      inline_values[i] = fragment_term_prob_one(split, &pool);
+      inline_values[i] = fragment_term_prob_one(split);
     });
-    EXPECT_EQ(serial, top_level) << "trial " << trial;
     for (const Real v : inline_values) {
       EXPECT_EQ(v, top_level) << "trial " << trial;
     }
@@ -599,7 +587,7 @@ TEST(BatchedBranchBackend, DefaultPlannedRunsExecuteOnTheFragmentPath) {
   obs::set_metrics_enabled(true);
   const PlannedRunResult out = plan_and_run(hwe, all_z(8), pcfg, rcfg);
   obs::set_metrics_enabled(was_enabled);
-  EXPECT_FALSE(out.plan.cuts.empty());
+  EXPECT_FALSE(out.plan->cuts.empty());
   EXPECT_EQ(out.run.report.backend, "batched-branch");
   EXPECT_TRUE(out.run.has_exact);
   ASSERT_TRUE(out.run.report.metrics_enabled);

@@ -329,8 +329,8 @@ TEST(Fusion, SplitCircuitsFuseWithoutCrossingThePrefixBoundary) {
       // fuse_split_circuits fuses whatever the width: these 2-3 qubit
       // fragments must still go through the fused path.
       EXPECT_TRUE(any_shrank) << "trial " << trial << " term " << term.label;
-      const Real a = fragment_term_prob_one(plain, nullptr);
-      const Real b = fragment_term_prob_one(fused, nullptr);
+      const Real a = fragment_term_prob_one(plain);
+      const Real b = fragment_term_prob_one(fused);
       EXPECT_NEAR(a, b, 1e-12) << "trial " << trial << " term " << term.label;
     }
   }

@@ -12,6 +12,7 @@
 #include "qcut/linalg/random.hpp"
 #include "qcut/sim/circuit.hpp"
 #include "bench_shapes.hpp"
+#include "pool_scope.hpp"
 
 namespace qcut::testing {
 

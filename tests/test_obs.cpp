@@ -278,7 +278,6 @@ TEST_F(ObsTest, FannedOutRunReportsItsOwnCountersWhileAnotherThreadCounts) {
   CutRunConfig cfg;
   cfg.shots = 4000;
   cfg.seed = 5;
-  cfg.pool = &pool;
   cfg.max_batch_shots = 256;
 
   std::atomic<bool> done{false};
@@ -293,6 +292,7 @@ TEST_F(ObsTest, FannedOutRunReportsItsOwnCountersWhileAnotherThreadCounts) {
   fault::arm_faults("exec.batch:delay_ms=2");
   CutRunResult res;
   try {
+    const qcut::testing::ScopedPool scope(pool);
     res = executor.run_with(qpd, std::nullopt, cfg);
   } catch (...) {
     fault::disarm_faults();
@@ -507,7 +507,7 @@ TEST_F(ObsTest, RunReportJsonCarriesEverySectionTheCiGateRequires) {
   rcfg.seed = 3;
   const PlannedRunResult out = plan_and_run(ghz_line(8), all_z(8), pcfg, rcfg);
 
-  EXPECT_EQ(out.run.report.plan_cuts, out.plan.cuts.size());
+  EXPECT_EQ(out.run.report.plan_cuts, out.plan->cuts.size());
   EXPECT_GT(out.run.report.shots_budget, 0.0);
 
   const std::string json = out.run.report.to_json();

@@ -25,6 +25,7 @@
 #include "qcut/obs/metrics.hpp"
 #include "qcut/plan/planned_executor.hpp"
 #include "qcut/sim/qasm.hpp"
+#include "qcut/sim/statevector.hpp"
 #include "qcut/svc/api.hpp"
 #include "qcut/svc/cache.hpp"
 #include "qcut/svc/server.hpp"
@@ -157,11 +158,10 @@ TEST(ServiceEstimate, CachedRepeatIsBitIdenticalAndHits) {
     // {1, 2, 8} all reproduce the answer above.
     for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       ThreadPool pool(workers);
-      EstimateRequest pooled = req;
-      pooled.run_cfg.pool = &pool;
+      const qcut::testing::ScopedPool scope(pool);
       ServiceCaches pool_caches;
-      for (const EstimateResult& r : {estimate(pooled, &pool_caches),
-                                      estimate(pooled, &pool_caches), estimate(pooled, nullptr)}) {
+      for (const EstimateResult& r : {estimate(req, &pool_caches), estimate(req, &pool_caches),
+                                      estimate(req, nullptr)}) {
         EXPECT_EQ(r.estimate, cold.estimate) << n << " qubits, pool " << workers;
         EXPECT_EQ(r.shots_used, cold.shots_used) << n << " qubits, pool " << workers;
       }
@@ -326,9 +326,11 @@ TEST(ServiceEstimate, ConcurrentColdRequestsPlanOnceAndBuildOneEvalEntry) {
     std::vector<EstimateRequest> reqs(2, hwe8_request());
     reqs[1].run_cfg.seed = 6;
     std::vector<EstimateResult> alone;
-    for (EstimateRequest& req : reqs) {
-      req.run_cfg.pool = &pool;
-      alone.push_back(estimate(req, nullptr));
+    {
+      const qcut::testing::ScopedPool scope(pool);
+      for (const EstimateRequest& req : reqs) {
+        alone.push_back(estimate(req, nullptr));
+      }
     }
 
     ServiceCaches caches;
@@ -338,6 +340,7 @@ TEST(ServiceEstimate, ConcurrentColdRequestsPlanOnceAndBuildOneEvalEntry) {
     std::vector<std::thread> threads;
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       threads.emplace_back([&, i] {
+        const qcut::testing::ScopedPool scope(pool);
         while (!go.load()) {
           std::this_thread::yield();
         }
@@ -359,6 +362,64 @@ TEST(ServiceEstimate, ConcurrentColdRequestsPlanOnceAndBuildOneEvalEntry) {
       EXPECT_EQ(raced[i].exact, alone[i].exact) << "pool " << workers;
     }
     EXPECT_NE(raced[0].estimate, raced[1].estimate) << "pool " << workers;
+  }
+}
+
+/// 8 qubits, two layers: ry on every qubit, then cx on the even pairs
+/// (layer 0) or the odd pairs (layer 1). At cap 4 its plan takes 2 cuts.
+Circuit two_layer_ry_cx_8() {
+  Circuit c(8, 0);
+  for (int layer = 0; layer < 2; ++layer) {
+    for (int q = 0; q < 8; ++q) {
+      c.ry(q, 0.2 + 0.15 * q + 0.5 * layer);
+    }
+    for (int q = layer; q + 1 < 8; q += 2) {
+      c.cx(q, q + 1);
+    }
+  }
+  return c;
+}
+
+TEST(ServiceEstimate, WarmEntryRunsOnTheRequestsPoolNotTheBuildersPool) {
+  // A cached eval entry's backend holds no pool: a warm request's work runs
+  // on the pool of the request at hand, never on the one that built the
+  // entry. Pool A builds the entry with a 1-shot run (most terms are still
+  // unevaluated), then a 50,000-shot eval hit under pool B evaluates them.
+  // With A alive, A runs none of that work; with A destroyed, nothing
+  // touches it (a backend that kept A would use it after free, which the
+  // ASan job reports). Either way the answer is B's cacheless one.
+  EstimateRequest req;
+  req.circuit = two_layer_ry_cx_8();
+  req.observable = Observable::z_all(8);
+  req.planner.max_fragment_width = 4;
+  req.run_cfg.seed = 17;
+  for (const bool destroy_a : {false, true}) {
+    ServiceCaches caches;
+    auto pool_a = std::make_unique<ThreadPool>(4);
+    {
+      const qcut::testing::ScopedPool scope(*pool_a);
+      EstimateRequest one_shot = req;
+      one_shot.run_cfg.shots = 1;
+      const EstimateResult built = estimate(one_shot, &caches);
+      ASSERT_EQ(built.plan->cuts.size(), 2u);
+      ASSERT_EQ(built.run.details.shots_per_term.size(), 9u);
+      EXPECT_FALSE(built.eval_cache_hit);
+    }
+    const std::uint64_t a_tasks = pool_a->tasks_run();
+    if (destroy_a) {
+      pool_a.reset();
+    }
+    ThreadPool pool_b(4);
+    const qcut::testing::ScopedPool scope(pool_b);
+    req.run_cfg.shots = 50000;
+    const EstimateResult warm = estimate(req, &caches);
+    EXPECT_TRUE(warm.eval_cache_hit) << "destroy A: " << destroy_a;
+    if (pool_a != nullptr) {
+      EXPECT_EQ(pool_a->tasks_run(), a_tasks) << "the warm request ran work on pool A";
+    }
+    const EstimateResult cacheless = estimate(req, nullptr);
+    EXPECT_EQ(warm.estimate, cacheless.estimate) << "destroy A: " << destroy_a;
+    EXPECT_EQ(warm.shots_used, cacheless.shots_used) << "destroy A: " << destroy_a;
   }
 }
 
@@ -795,6 +856,37 @@ int open_fd_count() {
   }
   ::closedir(dir);
   return n;
+}
+
+TEST(ServerTest, OnePoolPerProcessWideSweepsStayOnTheRequestsWorker) {
+  // The daemon names its own pool in every request's context, so statevector
+  // sweeps from the threshold width up run inline on the request's worker:
+  // the global pool never runs a task. The threshold is lowered to 18 so an
+  // 18-qubit uncut GHZ (its fragment and its exact reference) crosses it.
+  struct ThresholdGuard {
+    ~ThresholdGuard() { Statevector::set_parallel_min_qubits(22); }
+  } guard;
+  Statevector::set_parallel_min_qubits(18);
+  ServerConfig cfg;
+  cfg.workers = 2;
+  QcutServer server(cfg);
+  server.start();
+
+  WireEstimateRequest req;
+  req.circuit_qasm = to_qasm(ghz_line(18));
+  req.observable = std::string(18, 'Z');
+  req.max_fragment_width = 18;
+  req.shots = 2000;
+  req.seed = 3;
+  const std::uint64_t global_tasks = global_pool().tasks_run();
+  QcutClient client("127.0.0.1", server.port());
+  const WireEstimateResponse resp = client.estimate(req);
+  ASSERT_EQ(resp.status, static_cast<std::uint8_t>(WireStatus::kOk)) << resp.error;
+  EXPECT_EQ(resp.plan_cuts, 0u);
+  EXPECT_EQ(resp.has_exact, 1);
+  EXPECT_NEAR(resp.exact, 1.0, 1e-12);  // even Z parity on GHZ
+  EXPECT_EQ(global_pool().tasks_run(), global_tasks);
+  server.stop();
 }
 
 TEST(ServerTest, StopLeavesSocketsThatReuseAClosedConnectionsFdAlone) {

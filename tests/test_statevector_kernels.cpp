@@ -14,6 +14,7 @@
 #include "qcut/sim/gates.hpp"
 #include "qcut/sim/simd_dispatch.hpp"
 #include "qcut/sim/statevector.hpp"
+#include "pool_scope.hpp"
 
 namespace qcut {
 namespace {
@@ -380,10 +381,10 @@ TEST(SimdTiers, ForcingAnUnavailableTierThrows) {
 
 // ---- parallel sweep bit-identity --------------------------------------------
 
-/// Restores the process-wide parallel config on scope exit.
+/// Restores the default sweep threshold on scope exit.
 class ParallelConfigGuard {
  public:
-  ~ParallelConfigGuard() { Statevector::set_parallel_config(nullptr, 22); }
+  ~ParallelConfigGuard() { Statevector::set_parallel_min_qubits(22); }
 };
 
 TEST(ParallelSweeps, PoolSizeBitIdentity) {
@@ -397,8 +398,8 @@ TEST(ParallelSweeps, PoolSizeBitIdentity) {
   const Vector amps = random_statevector(Index{1} << n, rng);
   const Circuit c = kernel_mix_circuit(n, 24, rng);
 
-  const auto run_with = [&](ThreadPool* pool, int threshold) {
-    Statevector::set_parallel_config(pool, threshold);
+  const auto run_with = [&](int threshold) {
+    Statevector::set_parallel_min_qubits(threshold);
     Statevector sv(n, amps);
     for (const Operation& op : c.ops()) {
       sv.apply(op.matrix(), op.qubits, op.gclass());
@@ -409,11 +410,12 @@ TEST(ParallelSweeps, PoolSizeBitIdentity) {
   };
 
   // Serial reference: the default threshold (22) keeps an 18-qubit state
-  // inline even if a pool is configured.
-  const auto ref = run_with(nullptr, 22);
+  // inline whatever the request's pool.
+  const auto ref = run_with(22);
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     ThreadPool pool(workers);
-    const auto got = run_with(&pool, n);
+    const qcut::testing::ScopedPool scope(pool);
+    const auto got = run_with(n);
     EXPECT_EQ(got.second, ref.second) << "prob, pool size " << workers;
     ASSERT_EQ(got.first.size(), ref.first.size());
     for (std::size_t i = 0; i < got.first.size(); ++i) {
@@ -628,8 +630,8 @@ TEST(KernelPositions, LowQubitCircuitIsPoolSizeBitIdentical) {
     Vector amp;
     std::vector<Real> reals;
   };
-  const auto run_with = [&](ThreadPool* pool, int threshold) {
-    Statevector::set_parallel_config(pool, threshold);
+  const auto run_with = [&](int threshold) {
+    Statevector::set_parallel_min_qubits(threshold);
     Statevector sv(n, amps);
     for (const Operation& op : c.ops()) {
       sv.apply(op.matrix(), op.qubits, op.gclass());
@@ -648,10 +650,11 @@ TEST(KernelPositions, LowQubitCircuitIsPoolSizeBitIdentical) {
 
   for (const SimdTier tier : available_tiers()) {
     force_simd_tier(tier);
-    const Run ref = run_with(nullptr, 22);
+    const Run ref = run_with(22);
     for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       ThreadPool pool(workers);
-      const Run got = run_with(&pool, n);
+      const qcut::testing::ScopedPool scope(pool);
+      const Run got = run_with(n);
       const std::string tag =
           std::string(simd_tier_name(tier)) + " pool " + std::to_string(workers);
       ASSERT_EQ(got.reals.size(), ref.reals.size());
