@@ -23,7 +23,9 @@
 // Each rep times one pass of each way, adjacent and in alternating order;
 // the speedups are medians of per-rep ratios. Results must be bit-identical
 // across pool sizes {1, 2, 8} — checked here on every run, not just in the
-// test suite.
+// test suite. Each row also records the minor page faults per term of one
+// more optimized pass, run serially on the calling thread once the reps have
+// warmed the statevector buffer list (record only, no floor).
 //
 // Kernel section: amp-updates/sec and effective GB/s per kernel, plus the
 // QFT-16 workload (h + cu1 + swap — the corpus QFT gate mix) applied with
@@ -65,6 +67,8 @@
 // sim_perf.json defaults to the executable's directory (the build tree), so
 // running from a source checkout leaves no stray file; --out (or the legacy
 // --json) overrides the destination.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -204,6 +208,7 @@ struct FragmentRow {
   /// Per rep: one baseline pass and one optimized pass over every term.
   std::vector<double> serial_pass_seconds;
   std::vector<double> optimized_pass_seconds;
+  double warm_minor_faults_per_term = 0.0;
   bool ok = false;
   std::string error;
 };
@@ -215,6 +220,18 @@ qcut::Circuit ghz_line(int n) {
     c.cx(q, q + 1);
   }
   return c;
+}
+
+/// Minor page faults of the calling thread so far (0 where the platform has
+/// no per-thread count).
+long thread_minor_faults() {
+#ifdef RUSAGE_THREAD
+  rusage ru{};
+  getrusage(RUSAGE_THREAD, &ru);
+  return ru.ru_minflt;
+#else
+  return 0;
+#endif
 }
 
 /// Median of `v` (by copy; v non-empty).
@@ -288,6 +305,15 @@ FragmentRow measure_fragment_workload(const std::string& name, const qcut::Circu
       }
       const double opt = row.optimized_pass_seconds.back();
       ratios.push_back(opt > 0.0 ? row.serial_pass_seconds.back() / opt : 0.0);
+    }
+    {
+      const qcut::BatchedBranchBackend backend(qpd);
+      const long before = thread_minor_faults();
+      for (std::size_t i = 0; i < qpd.size(); ++i) {
+        (void)backend.cache().prob_one(i);
+      }
+      row.warm_minor_faults_per_term =
+          static_cast<double>(thread_minor_faults() - before) / static_cast<double>(qpd.size());
     }
     const auto sum = [](const std::vector<double>& v) {
       return std::accumulate(v.begin(), v.end(), 0.0);
@@ -780,8 +806,8 @@ int main(int argc, char** argv) {
   // ---- fragment-path throughput --------------------------------------------
   std::printf("\n=== Fragment-path throughput (serial PR-3 baseline vs optimized, %zu threads) ===\n",
               poolN.size());
-  std::printf("%-24s %6s %5s %6s %14s %14s %9s\n", "workload", "terms", "cuts", "width",
-              "base terms/s", "opt terms/s", "speedup");
+  std::printf("%-24s %6s %5s %6s %14s %14s %9s %12s\n", "workload", "terms", "cuts", "width",
+              "base terms/s", "opt terms/s", "speedup", "faults/term");
 
   // Every row with a baseline runs kFragmentReps reps; rep r of the
   // aggregate sums every such row's rep-r passes, and the aggregate speedup
@@ -800,12 +826,13 @@ int main(int argc, char** argv) {
         frag_serial_by_rep[r] += fr.serial_pass_seconds[r];
         frag_opt_by_rep[r] += fr.optimized_pass_seconds[r];
       }
-      std::printf("%-24s %6zu %5zu %6d %14.1f %14.1f %8.2fx\n", fr.name.c_str(), fr.terms,
-                  fr.cuts, fr.max_fragment_width, fr.serial_terms_per_sec,
-                  fr.optimized_terms_per_sec, fr.speedup);
+      std::printf("%-24s %6zu %5zu %6d %14.1f %14.1f %8.2fx %12.1f\n", fr.name.c_str(),
+                  fr.terms, fr.cuts, fr.max_fragment_width, fr.serial_terms_per_sec,
+                  fr.optimized_terms_per_sec, fr.speedup, fr.warm_minor_faults_per_term);
     } else {
-      std::printf("%-24s %6zu %5zu %6d %14s %14.1f %9s\n", fr.name.c_str(), fr.terms, fr.cuts,
-                  fr.max_fragment_width, "intractable", fr.optimized_terms_per_sec, "n/a");
+      std::printf("%-24s %6zu %5zu %6d %14s %14.1f %9s %12.1f\n", fr.name.c_str(), fr.terms,
+                  fr.cuts, fr.max_fragment_width, "intractable", fr.optimized_terms_per_sec, "n/a",
+                  fr.warm_minor_faults_per_term);
     }
     frag_rows.push_back(std::move(fr));
   };
@@ -1071,7 +1098,9 @@ int main(int argc, char** argv) {
          << ", \"baseline_tractable\": " << json_bool(fr.has_baseline)
          << ", \"serial_terms_per_sec\": " << fr.serial_terms_per_sec
          << ", \"optimized_terms_per_sec\": " << fr.optimized_terms_per_sec
-         << ", \"speedup\": " << fr.speedup << "}" << (i + 1 < frag_rows.size() ? "," : "")
+         << ", \"speedup\": " << fr.speedup
+         << ", \"warm_minor_faults_per_term\": " << fr.warm_minor_faults_per_term << "}"
+         << (i + 1 < frag_rows.size() ? "," : "")
          << "\n";
   }
   json << "    ],\n    \"aggregate_speedup\": " << frag_speedup

@@ -2,7 +2,7 @@
 // its quantum boundaries poll (common/cancel.hpp), the metrics sink its
 // counters land in (obs/metrics.hpp) and the pool its parallel work runs on
 // (common/threadpool.hpp). ThreadPool::submit captures the submitter's
-// context and installs it around the task.
+// context and installs it around the task, naming the pool it runs on.
 //
 // Choosing a pool for a run:
 //   ThreadPool pool(4);

@@ -48,11 +48,12 @@ std::uint64_t nanos(Clock::duration d) {
 }  // namespace
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
-  // The task runs under its submitter's context, counting into a task-local
-  // sink that is merged into the submitter's before the packaged task makes
-  // the future ready, throwing or not. The fault hook lives INSIDE the
-  // packaged task: an injected throw is then captured into the task's future
-  // exactly like a real task failure, instead of escaping worker_loop.
+  // The task runs under its submitter's context, with this pool as its
+  // request pool, counting into a task-local sink that is merged into the
+  // submitter's before the packaged task makes the future ready, throwing or
+  // not. The fault hook lives INSIDE the packaged task: an injected throw is
+  // then captured into the task's future exactly like a real task failure,
+  // instead of escaping worker_loop.
   std::packaged_task<void()> pt([this, task = std::move(task), ctx = current_request_context(),
                                  enqueued_at = Clock::now()] {
     const auto picked_up = Clock::now();
@@ -60,7 +61,7 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
     std::exception_ptr error;
     {
       const ScopedRequestContext scope(
-          {ctx.cancel, ctx.sink != nullptr ? &local : nullptr, ctx.pool});
+          {ctx.cancel, ctx.sink != nullptr ? &local : nullptr, this});
       try {
         fault::maybe_inject(fault::Site::kPoolTask);
         task();

@@ -36,7 +36,8 @@ class ThreadPool {
   std::size_t size() const noexcept { return workers_.size(); }
 
   /// Enqueues a task; returns a future for its completion. The task runs
-  /// under the submitter's RequestContext; the counts it makes are merged
+  /// under the submitter's RequestContext with this pool as its pool, so its
+  /// nested parallel work stays here (inline); the counts it makes are merged
   /// into the submitter's sink before the future is ready, so a submitter
   /// with a sink waits on the future before the sink dies.
   std::future<void> submit(std::function<void()> task);

@@ -390,6 +390,13 @@ FragmentSplit split_term(const QpdTerm& term, const SplitSkeleton& skel) {
   // boundary (first fragment-local op reading a cross bit) is term-specific
   // — op counts differ across gadget variants — so it is computed here, not
   // in the skeleton.
+  std::vector<std::size_t> n_ops(n_frags, 0);
+  for (const Operation& op : c.ops()) {
+    ++n_ops[static_cast<std::size_t>(skel.frag_of_wire[static_cast<std::size_t>(op.qubits[0])])];
+  }
+  for (std::size_t f = 0; f < n_frags; ++f) {
+    split.fragments[f].circuit.reserve(n_ops[f]);
+  }
   std::vector<char> suffix_found(n_frags, 0);
   for (const Operation& op : c.ops()) {
     const std::size_t f =

@@ -80,10 +80,9 @@ struct SimdKernels {
   double (*norm2)(const Cplx* amp, const BlockSweep& b, Index off);
 
   /// Projection (hi = 0, live in {0, lo}): dst[base + live] =
-  /// src[base + live] * f, and the dead half dst[base + (lo - live)] ends up
-  /// 0. In place (dst == src) the kernel zeroes it; a separate dst must come
-  /// zero-filled, and the kernel may leave its dead half unwritten. Both give
-  /// the same bits.
+  /// src[base + live] * f, and the kernel writes +0 to the dead half
+  /// dst[base + (lo - live)], in place (dst == src) or not: a separate dst
+  /// may hold any earlier values.
   void (*project)(Cplx* dst, const Cplx* src, const BlockSweep& b, Index live, Cplx f);
 
   /// Signed norm over the index range [i0, i1): sum of

@@ -339,14 +339,11 @@ void project_avx2(Cplx* dst, const Cplx* src, const BlockSweep& b, Index live, C
     return;
   }
   const Index dead = b.lo - live;
-  const bool in_place = dst == src;
   const __m256d zero = _mm256_setzero_pd();
   for_blocks(b, [&](Index base, Index len) {
     for (Index i = base; i < base + len; i += 2) {
       store(dst + live + i, cmul(load(src + live + i), fb));
-      if (in_place) {
-        store(dst + dead + i, zero);
-      }
+      store(dst + dead + i, zero);
     }
   });
 }

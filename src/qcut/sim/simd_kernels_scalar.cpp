@@ -99,13 +99,10 @@ double norm2_scalar(const Cplx* amp, const BlockSweep& b, Index off) {
 
 void project_scalar(Cplx* dst, const Cplx* src, const BlockSweep& b, Index live, Cplx f) {
   const Index dead = b.lo - live;
-  const bool in_place = dst == src;
   for_runs(b, [&](Index base, Index len, Index step) {
     for (Index i = base; i < base + len * step; i += step) {
       dst[i + live] = src[i + live] * f;
-      if (in_place) {
-        dst[i + dead] = Cplx{0.0, 0.0};
-      }
+      dst[i + dead] = Cplx{0.0, 0.0};
     }
   });
 }

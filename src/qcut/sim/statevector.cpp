@@ -3,6 +3,19 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <mutex>
+#include <new>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define QCUT_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define QCUT_ASAN 1
+#endif
+#endif
+#ifdef QCUT_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "qcut/common/threadpool.hpp"
 #include "qcut/linalg/pauli.hpp"
@@ -21,6 +34,91 @@ std::size_t checked_dim(int n_qubits) {
   QCUT_CHECK(n_qubits >= 1 && n_qubits <= Statevector::kMaxQubits,
              "Statevector: unsupported qubit count");
   return std::size_t{1} << n_qubits;
+}
+
+// ---- amplitude buffer recycling ---------------------------------------------
+//
+// One LIFO stack per power-of-two class, a buffer's class being
+// floor(log2(capacity)). A take scans upward from the state's own class, so
+// it gets the smallest free buffer that fits. Freed 2^12..2^21-amplitude
+// vectors would otherwise go back to the kernel (glibc's mmap threshold and
+// heap trim), and the next state would fault the same pages in again.
+// Narrower states stay on malloc: were they recycled too, a small state
+// could pin a large buffer (a take serves upward), and on narrow circuits
+// with many live branch states the list grew to its cap.
+// Under AddressSanitizer a retained buffer is poisoned, so a read through a
+// dead state's pointer is still reported rather than seeing a live state.
+
+/// Marks a retained buffer's bytes unreadable (poison) or readable again.
+void set_poisoned(const Vector& v, bool poisoned) noexcept {
+#ifdef QCUT_ASAN
+  if (poisoned) {
+    ASAN_POISON_MEMORY_REGION(v.data(), v.capacity() * sizeof(Cplx));
+  } else {
+    ASAN_UNPOISON_MEMORY_REGION(v.data(), v.capacity() * sizeof(Cplx));
+  }
+#else
+  (void)v;
+  (void)poisoned;
+#endif
+}
+
+struct BufferList {
+  std::mutex mutex;
+  std::vector<Vector> free[Statevector::kMaxQubits + 1];
+  std::size_t bytes = 0;
+};
+
+/// Never destroyed: a Statevector may outlive any static object.
+BufferList& buffer_list() {
+  static BufferList* const list = new BufferList;
+  return *list;
+}
+
+/// A retained buffer with room for 2^n_qubits amplitudes, holding an earlier
+/// state's values, or an empty vector when none is free or the state is too
+/// narrow to recycle. n_qubits must already be validated.
+Vector take_buffer(int n_qubits) {
+  if (n_qubits < Statevector::kRecycleMinQubits) {
+    return {};
+  }
+  BufferList& list = buffer_list();
+  const std::lock_guard<std::mutex> lock(list.mutex);
+  for (int c = n_qubits; c <= Statevector::kMaxQubits; ++c) {
+    std::vector<Vector>& stack = list.free[c];
+    if (!stack.empty()) {
+      Vector v = std::move(stack.back());
+      stack.pop_back();
+      list.bytes -= v.capacity() * sizeof(Cplx);
+      set_poisoned(v, false);
+      return v;
+    }
+  }
+  return {};
+}
+
+/// Moves `v` into the list when it is large enough and fits under the cap;
+/// otherwise leaves it for its owner to free, outside the lock.
+void give_buffer(Vector& v) noexcept {
+  const std::size_t capacity = v.capacity();
+  const std::size_t bytes = capacity * sizeof(Cplx);
+  if (capacity < (std::size_t{1} << Statevector::kRecycleMinQubits) ||
+      bytes >= Statevector::kRecycleCapBytes) {
+    return;
+  }
+  BufferList& list = buffer_list();
+  const std::lock_guard<std::mutex> lock(list.mutex);
+  if (list.bytes + bytes >= Statevector::kRecycleCapBytes) {
+    return;
+  }
+  const int c = 63 - __builtin_clzll(static_cast<unsigned long long>(capacity));
+  try {
+    list.free[c].push_back(std::move(v));
+    list.bytes += bytes;
+    set_poisoned(list.free[c].back(), true);
+  } catch (const std::bad_alloc&) {
+    // The stack could not grow; v is untouched and its owner frees it.
+  }
 }
 
 // ---- threading policy -------------------------------------------------------
@@ -150,8 +248,10 @@ void Statevector::set_parallel_min_qubits(int min_parallel_qubits) {
   g_parallel_min_qubits.store(min_parallel_qubits, std::memory_order_relaxed);
 }
 
-Statevector::Statevector(int n_qubits)
-    : n_qubits_(n_qubits), amp_(checked_dim(n_qubits), Cplx{0.0, 0.0}) {
+Statevector::Statevector(int n_qubits) : n_qubits_(n_qubits) {
+  const std::size_t dim = checked_dim(n_qubits);
+  amp_ = take_buffer(n_qubits);
+  amp_.assign(dim, Cplx{0.0, 0.0});
   amp_[0] = Cplx{1.0, 0.0};
 }
 
@@ -161,6 +261,35 @@ Statevector::Statevector(int n_qubits, Vector amplitudes)
   QCUT_CHECK(amp_.size() == (std::size_t{1} << n_qubits),
              "Statevector: amplitude count mismatch");
   QCUT_CHECK(approx_eq(vec_norm(amp_), 1.0, 1e-8), "Statevector: state must be normalized");
+}
+
+Statevector::Statevector(const Statevector& other)
+    : n_qubits_(other.n_qubits_), amp_(take_buffer(other.n_qubits_)) {
+  amp_.assign(other.amp_.begin(), other.amp_.end());
+}
+
+Statevector& Statevector::operator=(const Statevector& other) {
+  if (this != &other) {
+    *this = Statevector(other);
+  }
+  return *this;
+}
+
+Statevector& Statevector::operator=(Statevector&& other) noexcept {
+  if (this != &other) {
+    give_buffer(amp_);
+    amp_ = std::move(other.amp_);
+    n_qubits_ = other.n_qubits_;
+  }
+  return *this;
+}
+
+Statevector::~Statevector() { give_buffer(amp_); }
+
+std::size_t Statevector::recycled_bytes() {
+  BufferList& list = buffer_list();
+  const std::lock_guard<std::mutex> lock(list.mutex);
+  return list.bytes;
 }
 
 void Statevector::apply(const Matrix& u, const QubitList& qubits) {
@@ -369,8 +498,9 @@ namespace {
 
 /// The shared body of project() and projected(): the live half's squared norm
 /// p, then dst = src collapsed to the live half and renormalized by
-/// 1/sqrt(p) — the same kernels, chunks and combine order whether dst is src
-/// or a fresh zero-filled vector. dst is left untouched when p = 0.
+/// 1/sqrt(p), every amplitude of dst written — the same kernels, chunks and
+/// combine order whether dst is src or another buffer. dst is all zeros when
+/// p = 0.
 Real collapse(Cplx* dst, const Cplx* src, int n_qubits, Index s, int outcome) {
   const SimdKernels& kr = active_kernels();
   const Index groups = (Index{1} << n_qubits) >> 1;
@@ -383,6 +513,8 @@ Real collapse(Cplx* dst, const Cplx* src, int n_qubits, Index s, int outcome) {
     sweep(groups, n_qubits, [&](Index g0, Index g1) {
       kr.project(dst, src, BlockSweep{g0, g1 - g0, s, 0}, live, inv);
     });
+  } else {
+    std::fill(dst, dst + (groups << 1), Cplx{0.0, 0.0});
   }
   return p;
 }
@@ -392,17 +524,14 @@ Real collapse(Cplx* dst, const Cplx* src, int n_qubits, Index s, int outcome) {
 Real Statevector::project(int qubit, int outcome) {
   QCUT_CHECK(qubit >= 0 && qubit < n_qubits_, "project: qubit out of range");
   QCUT_CHECK(outcome == 0 || outcome == 1, "project: outcome must be 0/1");
-  const Real p = collapse(amp_.data(), amp_.data(), n_qubits_, Index{1} << bitpos(qubit), outcome);
-  if (p <= 0.0) {
-    std::fill(amp_.begin(), amp_.end(), Cplx{0.0, 0.0});
-  }
-  return p;
+  return collapse(amp_.data(), amp_.data(), n_qubits_, Index{1} << bitpos(qubit), outcome);
 }
 
 Statevector Statevector::projected(const Statevector& src, int qubit, int outcome) {
   QCUT_CHECK(qubit >= 0 && qubit < src.n_qubits_, "projected: qubit out of range");
   QCUT_CHECK(outcome == 0 || outcome == 1, "projected: outcome must be 0/1");
-  Vector out(static_cast<std::size_t>(src.dim()), Cplx{0.0, 0.0});
+  Vector out = take_buffer(src.n_qubits_);
+  out.resize(src.amp_.size());
   collapse(out.data(), src.amp_.data(), src.n_qubits_, Index{1} << src.bitpos(qubit), outcome);
   return Statevector(Unchecked{}, src.n_qubits_, std::move(out));
 }

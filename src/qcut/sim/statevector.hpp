@@ -12,8 +12,20 @@
 // Chunk boundaries are fixed in group space, independent of the pool size,
 // and every reduction sums per-chunk partials in chunk index order, so
 // results are bit-identical for any pool size (including no pool).
+//
+// Amplitude buffers of 2^kRecycleMinQubits amplitudes and more are recycled
+// through one process-wide, mutex-guarded free list. A Statevector owns its
+// buffer exclusively; the destructor and move assignment hand it to the list,
+// and the |0...0⟩ constructor, copies and projected() take the smallest
+// retained buffer that is large enough (a 2^16 buffer serves a 2^15 state),
+// allocating only when every such buffer is in use. Retained bytes are
+// capped at kRecycleCapBytes: a buffer that would reach the cap goes back to
+// malloc. A taken buffer holds a previous state's amplitudes, and every
+// taker writes all of it before the state is used, so recycling never
+// changes a value. Smaller states stay on malloc.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "qcut/common/rng.hpp"
@@ -33,11 +45,26 @@ class Statevector {
   /// over-wide construction throws qcut::Error instead of dying on OOM.
   static constexpr int kMaxQubits = 28;
 
+  /// The narrowest state whose buffer is recycled (2^12 amplitudes, 64 KiB).
+  static constexpr int kRecycleMinQubits = 12;
+  /// Retained buffer bytes stay below this; a 22-qubit state and anything
+  /// wider is never retained.
+  static constexpr std::size_t kRecycleCapBytes = std::size_t{64} << 20;
+
   /// |0...0⟩ on n qubits.
   explicit Statevector(int n_qubits);
   /// Takes ownership of explicit amplitudes (must have power-of-two size and
   /// unit norm).
   Statevector(int n_qubits, Vector amplitudes);
+
+  Statevector(const Statevector& other);
+  Statevector(Statevector&& other) noexcept = default;
+  Statevector& operator=(const Statevector& other);
+  Statevector& operator=(Statevector&& other) noexcept;
+  ~Statevector();
+
+  /// Bytes of amplitude buffers the free list retains right now.
+  static std::size_t recycled_bytes();
 
   int n_qubits() const noexcept { return n_qubits_; }
   const Vector& amplitudes() const noexcept { return amp_; }
@@ -69,9 +96,10 @@ class Statevector {
   Real project(int qubit, int outcome);
 
   /// Projected copy: `src` collapsed to `qubit = outcome` and renormalized,
-  /// built in a single pass (same arithmetic as copy-then-project without the
-  /// intermediate full copy). This is the branch-enumeration fast path: every
-  /// measure/reset op copies each surviving branch's state once per outcome.
+  /// built in a single pass that writes every amplitude (same arithmetic as
+  /// copy-then-project without the intermediate full copy). This is the
+  /// branch-enumeration fast path: every measure/reset op copies each
+  /// surviving branch's state once per outcome.
   /// A p = 0 projection yields the all-zero vector, exactly like project().
   static Statevector projected(const Statevector& src, int qubit, int outcome);
 

@@ -1,0 +1,193 @@
+// Answer pins: the estimates of the end-to-end benchmark's request classes,
+// held bit for bit against committed digests. The other bit-identity tests
+// compare two runs of one build (pool sizes, cold against warm, daemon
+// against in process), so a change that moves every run the same way passes
+// them; this one compares against values recorded from an earlier tree.
+//
+// Per request, the digested text holds every term's exact P(-1) and the
+// answer (estimate, exact value, shots, kappa, cut count), all as %a. The
+// answers are rerun cacheless and through one ServiceCaches (cold, then
+// warm), at pools {1, 2, 8}, with metrics off and on; every run must give
+// the recorded text.
+//
+// The SIMD tiers are not bit-identical to each other, a build whose
+// baseline targets FMA (-march=x86-64-v3) contracts multiply-adds outside
+// the kernels too, and compilers differ in where they contract by default
+// (gcc fast, clang on), so there is one digest per (tier, FMA baseline,
+// compiler). A flavor with no recorded digest still checks that every run
+// gives the same text, then skips and prints its digest. A change that
+// moves answers on purpose re-records them: run this test, take the digest
+// it prints, and say why in CHANGES.md.
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "pool_scope.hpp"
+#include "qcut/common/threadpool.hpp"
+#include "qcut/obs/metrics.hpp"
+#include "qcut/plan/planned_executor.hpp"
+#include "qcut/qpd/estimator.hpp"
+#include "qcut/sim/qasm_import.hpp"
+#include "qcut/sim/simd_dispatch.hpp"
+#include "qcut/svc/api.hpp"
+#include "qcut/svc/cache.hpp"
+#include "test_helpers.hpp"
+
+namespace qcut {
+namespace {
+
+using testing::BenchShape;
+
+struct PinClass {
+  const char* name;
+  BenchShape shape;
+  int n_qubits;
+  int cap;
+  int pair_budget;
+  Real overlap;
+};
+
+// qbench's request classes, plus the paper's NME plan (hwe-8, cap 6, two
+// pairs at overlap 0.9).
+constexpr PinClass kClasses[] = {
+    {"ghz30_cap16", BenchShape::kGhz30, 30, 16, 0, 0.5},
+    {"brick30_cap16", BenchShape::kBrick30, 30, 16, 0, 0.5},
+    {"ghz8_cap3", BenchShape::kGhz8, 8, 3, 0, 0.5},
+    {"hwe8_cap4", BenchShape::kHwe8, 8, 4, 0, 0.5},
+    {"hwe8_cap5", BenchShape::kHwe8, 8, 5, 0, 0.5},
+    {"hwe8_cap6_nme", BenchShape::kHwe8, 8, 6, 2, 0.9},
+};
+constexpr std::uint64_t kSeeds[] = {3102, 3103};
+constexpr std::uint64_t kShots = 100000;
+
+struct Pin {
+  const char* flavor;
+  std::uint64_t digest;
+};
+
+// Recorded with gcc from the tree before amplitude buffers were recycled.
+constexpr Pin kPins[] = {
+    {"scalar", 0xc8f1b9530c28ccadull},
+    {"avx2", 0xa2b6196376b171c5ull},
+    {"scalar+fma", 0x384a32e8ceea62d3ull},
+    {"avx2+fma", 0x4ad72c180a249dd7ull},
+};
+
+std::string flavor() {
+  std::string f = simd_tier_name(active_simd_tier());
+#ifdef __FMA__
+  f += "+fma";
+#endif
+#ifdef __clang__
+  f += "+clang";
+#endif
+  return f;
+}
+
+std::string hex(Real x) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%a", x);
+  return buf;
+}
+
+svc::EstimateRequest make_request(const PinClass& c, std::uint64_t seed) {
+  svc::EstimateRequest req;
+  req.circuit_qasm = testing::bench_shape_qasm(c.shape);
+  req.observable = Observable::parse(std::string(static_cast<std::size_t>(c.n_qubits), 'Z'));
+  req.planner.max_fragment_width = c.cap;
+  req.planner.pair_budget = c.pair_budget;
+  req.planner.resource_overlap = c.overlap;
+  req.run_cfg.shots = kShots;
+  req.run_cfg.seed = seed;
+  return req;
+}
+
+/// Every term's exact P(-1) per class, from the plan a cacheless request
+/// resolves.
+std::string term_prob_lines() {
+  std::string text;
+  for (const PinClass& c : kClasses) {
+    const svc::EstimateRequest req = make_request(c, kSeeds[0]);
+    const svc::EstimateResult res = svc::estimate(req);
+    const PlannedExecutor ex(strip_trailing_measurements(import_qasm(req.circuit_qasm)),
+                             *res.plan);
+    text += std::string(c.name) + " P(-1):";
+    for (const Real p : exact_term_prob_one(ex.build_qpd(req.observable))) {
+      text += " " + hex(p);
+    }
+    text += "\n";
+  }
+  return text;
+}
+
+/// One answer line per (class, seed).
+std::string answer_lines(svc::ServiceCaches* caches) {
+  std::string text;
+  for (const PinClass& c : kClasses) {
+    for (const std::uint64_t seed : kSeeds) {
+      const svc::EstimateResult res = svc::estimate(make_request(c, seed), caches);
+      text += std::string(c.name) + " seed " + std::to_string(seed) +
+              " estimate=" + hex(res.estimate) + " has_exact=" + (res.has_exact ? "1" : "0") +
+              " exact=" + hex(res.exact) + " shots=" + std::to_string(res.shots_used) +
+              " kappa=" + hex(res.kappa) + " cuts=" + std::to_string(res.plan_summary.cuts) +
+              "\n";
+    }
+  }
+  return text;
+}
+
+TEST(AnswerPins, EveryRunMatchesTheRecordedDigest) {
+  const std::string f = flavor();
+  const Pin* pin = nullptr;
+  for (const Pin& p : kPins) {
+    if (f == p.flavor) {
+      pin = &p;
+    }
+  }
+
+  const std::string probs = term_prob_lines();
+  // With no recorded digest, the first run's stands in for it.
+  bool have_want = pin != nullptr;
+  std::uint64_t want = have_want ? pin->digest : 0;
+  bool printed = false;
+  const auto check = [&](const std::string& answers, const std::string& how) {
+    const std::string text = probs + answers;
+    const std::uint64_t got = testing::fnv64(text);
+    if (!have_want) {
+      want = got;
+      have_want = true;
+    }
+    char digest[32];
+    std::snprintf(digest, sizeof digest, "0x%016" PRIx64 "ull", got);
+    EXPECT_EQ(got, want) << f << ", " << how << ": digest " << digest
+                         << (printed ? std::string() : "\n" + text);
+    printed = printed || got != want;
+  };
+
+  const bool metrics_before = obs::metrics_enabled();
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    ThreadPool pool(workers);
+    const testing::ScopedPool scope(pool);
+    for (const bool metrics : {false, true}) {
+      obs::set_metrics_enabled(metrics);
+      const std::string how = "pool " + std::to_string(workers) + ", metrics " +
+                              (metrics ? "on" : "off");
+      check(answer_lines(nullptr), how + ", cacheless");
+      svc::ServiceCaches caches;
+      check(answer_lines(&caches), how + ", cold caches");
+      check(answer_lines(&caches), how + ", warm caches");
+    }
+  }
+  obs::set_metrics_enabled(metrics_before);
+  if (pin == nullptr) {
+    char digest[32];
+    std::snprintf(digest, sizeof digest, "0x%016" PRIx64 "ull", want);
+    GTEST_SKIP() << "no digest recorded for " << f << "; every run gave " << digest;
+  }
+}
+
+}  // namespace
+}  // namespace qcut

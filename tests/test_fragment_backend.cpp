@@ -4,6 +4,8 @@
 // only the fragment path can execute.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cmath>
 
 #include "exact_oracles.hpp"
@@ -592,6 +594,39 @@ TEST(BatchedBranchBackend, DefaultPlannedRunsExecuteOnTheFragmentPath) {
   EXPECT_TRUE(out.run.has_exact);
   ASSERT_TRUE(out.run.report.metrics_enabled);
   EXPECT_GT(out.run.report.counters[obs::Counter::kFragmentUnits], 0u);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define QCUT_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define QCUT_TEST_SANITIZED 1
+#endif
+#endif
+
+TEST(FragmentEvaluation, WarmWideTermReusesItsAmplitudeBuffers) {
+  // A 16-qubit GHZ term's states are 1 MiB each. Once one evaluation has
+  // run, the next takes every buffer from the statevector free list instead
+  // of faulting fresh pages in (256 minor faults without the list).
+#if defined(QCUT_TEST_SANITIZED) || !defined(RUSAGE_THREAD)
+  GTEST_SKIP() << "sanitizer allocators, or no per-thread rusage";
+#else
+  const auto minor_faults = [] {
+    rusage ru{};
+    getrusage(RUSAGE_THREAD, &ru);
+    return ru.ru_minflt;
+  };
+  const int n = 16;
+  const Qpd qpd = uncut_qpd(ghz_line(n), all_z(n));
+  const FragmentSplit split = split_term(qpd.terms()[0]);
+  const Real cold = fragment_term_prob_one(split);
+  const long before = minor_faults();
+  const Real warm = fragment_term_prob_one(split);
+  const long faults = minor_faults() - before;
+  EXPECT_EQ(warm, cold);
+  EXPECT_LE(faults, 32);
+  RecordProperty("minor_faults", static_cast<int>(faults));
+#endif
 }
 
 }  // namespace

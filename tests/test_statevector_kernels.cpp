@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <string>
 
 #include "qcut/common/threadpool.hpp"
 #include "qcut/linalg/kron.hpp"
@@ -666,6 +669,162 @@ TEST(KernelPositions, LowQubitCircuitIsPoolSizeBitIdentical) {
         ASSERT_EQ(got.amp[i], ref.amp[i]) << tag << " amp " << i;
       }
     }
+  }
+}
+
+// ---- amplitude buffer recycling ---------------------------------------------
+
+/// Amplitudes compared as bytes, so +0 and -0 differ.
+bool same_bits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(Cplx)) == 0;
+}
+
+/// Destroys a random n-qubit state, which leaves its buffer, still holding
+/// those amplitudes, on top of the free list; returns the buffer's address.
+const Cplx* retire_random_state(int n, Rng& rng) {
+  const Statevector retired(n, random_statevector(Index{1} << n, rng));
+  return retired.amplitudes().data();
+}
+
+/// Takes every buffer the free list retains into a live state, so the list
+/// is empty, and has room, whatever earlier tests left in it.
+std::vector<Statevector> hold_retained_buffers() {
+  std::vector<Statevector> held;
+  while (Statevector::recycled_bytes() > 0) {
+    held.emplace_back(Statevector::kRecycleMinQubits);
+  }
+  return held;
+}
+
+TEST(BufferRecycling, RecycledStatesAreBitEqualToFreshOnes) {
+  // Each way of taking a buffer writes all of it, so a state built in a
+  // buffer that still holds another state's amplitudes has the bits of one
+  // built in fresh memory: |0...0>, a copy, a copy assignment, and projected()
+  // for both outcomes (against copy-then-project in place) and for p = 0.
+  TierGuard guard;
+  const std::vector<Statevector> held = hold_retained_buffers();
+  Rng rng(43);
+  const int n = Statevector::kRecycleMinQubits + 1;
+  const std::size_t dim = std::size_t{1} << n;
+  const Statevector src(n, random_statevector(static_cast<Index>(dim), rng));
+  const Statevector ground(n);
+  Vector zeros(dim, Cplx{0.0, 0.0});
+  Vector basis0 = zeros;
+  basis0[0] = Cplx{1.0, 0.0};
+  for (const SimdTier tier : available_tiers()) {
+    force_simd_tier(tier);
+    const std::string tag = simd_tier_name(tier);
+
+    const Cplx* buf = retire_random_state(n, rng);
+    const Statevector zero(n);
+    ASSERT_EQ(zero.amplitudes().data(), buf) << tag << ": |0...0> took a new buffer";
+    EXPECT_TRUE(same_bits(zero.amplitudes(), basis0)) << tag;
+
+    buf = retire_random_state(n, rng);
+    const Statevector copy(src);
+    ASSERT_EQ(copy.amplitudes().data(), buf) << tag << ": the copy took a new buffer";
+    EXPECT_TRUE(same_bits(copy.amplitudes(), src.amplitudes())) << tag;
+
+    Statevector assigned(1);
+    buf = retire_random_state(n, rng);
+    assigned = src;
+    ASSERT_EQ(assigned.amplitudes().data(), buf) << tag << ": the assignment took a new buffer";
+    EXPECT_TRUE(same_bits(assigned.amplitudes(), src.amplitudes())) << tag;
+
+    for (const int q : {0, n / 2, n - 1}) {
+      for (int outcome = 0; outcome <= 1; ++outcome) {
+        Statevector ref = src;
+        ref.project(q, outcome);
+        buf = retire_random_state(n, rng);
+        const Statevector one_pass = Statevector::projected(src, q, outcome);
+        ASSERT_EQ(one_pass.amplitudes().data(), buf) << tag << ": projected took a new buffer";
+        EXPECT_TRUE(same_bits(one_pass.amplitudes(), ref.amplitudes()))
+            << tag << " q=" << q << " outcome=" << outcome;
+      }
+    }
+
+    buf = retire_random_state(n, rng);
+    const Statevector dead = Statevector::projected(ground, 0, 1);
+    ASSERT_EQ(dead.amplitudes().data(), buf) << tag << ": projected took a new buffer";
+    EXPECT_TRUE(same_bits(dead.amplitudes(), zeros)) << tag << ": p = 0";
+  }
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+#define QCUT_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define QCUT_TEST_ASAN 1
+#endif
+#endif
+
+TEST(BufferRecyclingDeathTest, ReadThroughARetiredBufferIsReported) {
+  // A retained buffer is poisoned, so AddressSanitizer still reports a read
+  // through a dead state's pointer instead of letting it see whatever state
+  // takes the buffer next. The read goes through Real (std::complex's
+  // array-oriented access): gcc 12 does not check a load of a complex
+  // value's own parts, freed or poisoned.
+#ifndef QCUT_TEST_ASAN
+  GTEST_SKIP() << "needs AddressSanitizer";
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<Statevector> held = hold_retained_buffers();
+  Rng rng(7);
+  const Cplx* dead = retire_random_state(Statevector::kRecycleMinQubits, rng);
+  ASSERT_GT(Statevector::recycled_bytes(), 0u);
+  const Real* dead_reals = reinterpret_cast<const Real*>(dead);
+  EXPECT_DEATH(std::printf("%g\n", dead_reals[2]), "use-after-poison");
+#endif
+}
+
+TEST(BufferRecycling, RetainedBytesStayBelowTheCap) {
+  // More 18-qubit states than the cap holds die one by one: the list keeps
+  // buffers until one more would reach the cap, then frees the rest. A wide
+  // state that would take the list past the cap is freed too.
+  const int n = 18;
+  const std::size_t bytes = (std::size_t{1} << n) * sizeof(Cplx);
+  {
+    std::vector<Statevector> live;
+    for (std::size_t i = 0; i < Statevector::kRecycleCapBytes / bytes + 4; ++i) {
+      live.emplace_back(n);
+    }
+    while (!live.empty()) {
+      live.pop_back();
+      EXPECT_LT(Statevector::recycled_bytes(), Statevector::kRecycleCapBytes);
+    }
+  }
+  const std::size_t full = Statevector::recycled_bytes();
+  EXPECT_GE(full + bytes, Statevector::kRecycleCapBytes);
+  for (const int wide : {21, 22}) {
+    { const Statevector big(wide); }
+    EXPECT_EQ(Statevector::recycled_bytes(), full) << wide << " qubits";
+  }
+}
+
+TEST(BufferRecycling, ConcurrentStatesAcrossAPoolStayExact) {
+  // Four workers build, copy, project and destroy 16-qubit states at once,
+  // all through the one free list: every result keeps its exact bits.
+  ThreadPool pool(4);
+  const int n = 16;
+  std::vector<int> exact(64, 0);
+  pool.parallel_for(0, exact.size(), [&exact, n](std::size_t i) {
+    const int q = static_cast<int>(i % static_cast<std::size_t>(n));
+    bool ok = true;
+    for (int rep = 0; rep < 3; ++rep) {
+      Statevector sv(n);
+      sv.apply(gates::h(), {q});
+      sv.apply(gates::rx(0.1 * static_cast<Real>(i + 1)), {(q + 1) % n});
+      const Statevector copy = sv;
+      Statevector ref = sv;
+      ref.project(q, 1);
+      const Statevector one_pass = Statevector::projected(copy, q, 1);
+      ok = ok && same_bits(copy.amplitudes(), sv.amplitudes()) &&
+           same_bits(one_pass.amplitudes(), ref.amplitudes());
+    }
+    exact[i] = ok ? 1 : 0;
+  });
+  for (std::size_t i = 0; i < exact.size(); ++i) {
+    EXPECT_EQ(exact[i], 1) << "task " << i;
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include "qcut/common/cancel.hpp"
 #include "qcut/common/error.hpp"
+#include "qcut/common/request_context.hpp"
 #include "qcut/common/rng.hpp"
 #include "qcut/common/threadpool.hpp"
 #include "qcut/obs/metrics.hpp"
@@ -118,6 +119,32 @@ TEST(ThreadPool, TasksRunUnderTheSubmittersCancelToken) {
   CancelToken* submitted = nullptr;
   pool.submit([&submitted] { submitted = current_cancel_token(); }).get();
   EXPECT_EQ(submitted, &token);
+}
+
+TEST(ThreadPool, SubmittedTaskRunsItsNestedWorkInlineOnItsOwnPool) {
+  // Submitted straight to a 2-worker pool from a context that names no pool:
+  // the task's request pool is that pool, so its nested parallel_for runs
+  // inline on the task's worker, and the global pool runs nothing.
+  ThreadPool pool(2);
+  const ScopedRequestContext scope(RequestContext{});
+  const std::uint64_t global_before = global_pool().tasks_run();
+  const ThreadPool* task_pool = nullptr;
+  std::thread::id task_thread;
+  std::vector<std::thread::id> nested(64);
+  pool.submit([&] {
+        task_pool = &request_pool();
+        task_thread = std::this_thread::get_id();
+        request_pool().parallel_for(0, nested.size(), [&nested](std::size_t i) {
+          nested[i] = std::this_thread::get_id();
+        });
+      })
+      .get();
+  EXPECT_EQ(task_pool, &pool);
+  EXPECT_NE(task_thread, std::this_thread::get_id());
+  for (const std::thread::id id : nested) {
+    EXPECT_EQ(id, task_thread);
+  }
+  EXPECT_EQ(global_pool().tasks_run(), global_before);
 }
 
 TEST(ThreadPool, ResultsIndependentOfPoolSize) {
