@@ -189,7 +189,5 @@ void disarm_faults() {
   }
 }
 
-bool faults_armed() noexcept { return detail::g_fault_armed.load(std::memory_order_acquire); }
-
 }  // namespace fault
 }  // namespace qcut

@@ -71,8 +71,5 @@ void arm_faults(const std::string& spec);
 /// Disarms every site; maybe_inject returns to the one-load fast path.
 void disarm_faults();
 
-/// True when any site is armed.
-bool faults_armed() noexcept;
-
 }  // namespace fault
 }  // namespace qcut

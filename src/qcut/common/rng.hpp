@@ -63,7 +63,7 @@ class Rng {
   std::uint64_t binomial(std::uint64_t n, Real p) noexcept;
 
   /// Draws an index from an unnormalized non-negative weight vector.
-  /// O(m) per draw; use qpd::AliasSampler for repeated draws.
+  /// O(m) per draw.
   std::size_t categorical(const std::vector<Real>& weights) noexcept;
 
  private:

@@ -53,9 +53,11 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   // submitter's before the packaged task makes the future ready, throwing or
   // not. The fault hook lives INSIDE the packaged task: an injected throw is
   // then captured into the task's future exactly like a real task failure,
-  // instead of escaping worker_loop.
+  // instead of escaping worker_loop. The task is released as soon as it has
+  // run or failed, before the future is ready: what it captured dies on the
+  // worker even while the submitter still holds the future.
   std::packaged_task<void()> pt([this, task = std::move(task), ctx = current_request_context(),
-                                 enqueued_at = Clock::now()] {
+                                 enqueued_at = Clock::now()]() mutable {
     const auto picked_up = Clock::now();
     obs::MetricsSink local;
     std::exception_ptr error;
@@ -68,6 +70,7 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
       } catch (...) {
         error = std::current_exception();
       }
+      task = nullptr;
       const std::uint64_t wait_ns = nanos(picked_up - enqueued_at);
       const std::uint64_t run_ns = nanos(Clock::now() - picked_up);
       tasks_run_.fetch_add(1, std::memory_order_relaxed);

@@ -39,7 +39,10 @@ class ThreadPool {
   /// under the submitter's RequestContext with this pool as its pool, so its
   /// nested parallel work stays here (inline); the counts it makes are merged
   /// into the submitter's sink before the future is ready, so a submitter
-  /// with a sink waits on the future before the sink dies.
+  /// with a sink waits on the future before the sink dies. The task, with
+  /// what it captured, is destroyed on the worker once it has run (or an
+  /// injected pool.task fault has kept it from running), before the future
+  /// is ready.
   std::future<void> submit(std::function<void()> task);
 
   /// Runs body(i) for i in [begin, end) across the pool and waits for all.

@@ -39,14 +39,6 @@ Matrix Matrix::diag(const Vector& d) {
   return m;
 }
 
-Matrix Matrix::col(const Vector& v) {
-  Matrix m(static_cast<Index>(v.size()), 1);
-  for (Index i = 0; i < m.rows(); ++i) {
-    m(i, 0) = v[static_cast<std::size_t>(i)];
-  }
-  return m;
-}
-
 Matrix Matrix::outer(const Vector& u, const Vector& v) {
   Matrix m(static_cast<Index>(u.size()), static_cast<Index>(v.size()));
   for (Index r = 0; r < m.rows(); ++r) {

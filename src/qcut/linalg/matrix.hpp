@@ -31,8 +31,6 @@ class Matrix {
   static Matrix zero(Index rows, Index cols);
   /// Diagonal matrix from a vector.
   static Matrix diag(const Vector& d);
-  /// Column vector (n x 1) from a Vector.
-  static Matrix col(const Vector& v);
   /// Outer product |u><v| (u * v^dagger).
   static Matrix outer(const Vector& u, const Vector& v);
   /// Rank-1 projector |v><v|.

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "qcut/sim/simd_dispatch.hpp"
+#include "qcut_git_sha.hpp"
 
 namespace qcut {
 namespace obs {
@@ -114,11 +115,7 @@ Provenance provenance() {
   // (force_simd_tier can switch it) and the timestamp are read per call.
   static const Provenance constant = [] {
     Provenance p;
-#ifdef QCUT_GIT_SHA
     p.git_sha = QCUT_GIT_SHA;
-#else
-    p.git_sha = "unknown";
-#endif
 #if defined(__VERSION__)
     p.compiler = __VERSION__;
 #else

@@ -29,7 +29,7 @@ namespace qcut {
 namespace obs {
 
 struct Provenance {
-  std::string git_sha;            ///< configure-time `git rev-parse --short HEAD`
+  std::string git_sha;            ///< build-time `git rev-parse --short HEAD`
   std::string compiler;           ///< __VERSION__
   std::string build_type;         ///< "release" (NDEBUG) or "debug"
   std::string simd_tier;          ///< active dispatch tier at call time

@@ -45,10 +45,11 @@ CircuitGraph::CircuitGraph(const Circuit& circ) : circ_(&circ) {
     }
   }
 
-  wire_ops_.resize(static_cast<std::size_t>(circ.n_qubits()));
+  // Indices (into circ.ops()) of the ops acting on each wire, time-ordered.
+  std::vector<std::vector<std::size_t>> wire_ops(static_cast<std::size_t>(circ.n_qubits()));
   for (std::size_t t = 0; t < circ.size(); ++t) {
     for (int q : circ.ops()[t].qubits) {
-      wire_ops_[static_cast<std::size_t>(q)].push_back(t);
+      wire_ops[static_cast<std::size_t>(q)].push_back(t);
     }
   }
 
@@ -59,7 +60,7 @@ CircuitGraph::CircuitGraph(const Circuit& circ) : circ_(&circ) {
   // split it buys is free anyway (the continuation is independent of the
   // sender side without any QPD).
   for (int q = 0; q < circ.n_qubits(); ++q) {
-    const auto& ops = wire_ops_[static_cast<std::size_t>(q)];
+    const auto& ops = wire_ops[static_cast<std::size_t>(q)];
     for (std::size_t i = 1; i < ops.size(); ++i) {
       if (circ.ops()[ops[i]].kind == OpKind::kInitialize) {
         continue;
@@ -85,11 +86,6 @@ CircuitGraph::CircuitGraph(const Circuit& circ) : circ_(&circ) {
     c.gate_kappa = g.kappa;
     all_candidates_.push_back(c);
   }
-}
-
-const std::vector<std::size_t>& CircuitGraph::wire_ops(int q) const {
-  QCUT_CHECK(q >= 0 && q < circ_->n_qubits(), "CircuitGraph: wire out of range");
-  return wire_ops_[static_cast<std::size_t>(q)];
 }
 
 FragmentPartition CircuitGraph::partition(const std::vector<CutPoint>& wire_cuts,

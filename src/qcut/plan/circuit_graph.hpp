@@ -71,9 +71,6 @@ class CircuitGraph {
   const Circuit& circuit() const noexcept { return *circ_; }
   int n_qubits() const noexcept { return circ_->n_qubits(); }
 
-  /// Indices (into circuit().ops()) of the ops acting on wire q, time-ordered.
-  const std::vector<std::size_t>& wire_ops(int q) const;
-
   /// The canonical candidate wire-cut locations: one CutPoint per gap between
   /// two consecutive ops on a wire, placed directly after the earlier op (any
   /// other position inside the gap yields the identical partition). Gaps
@@ -118,7 +115,6 @@ class CircuitGraph {
 
  private:
   const Circuit* circ_;
-  std::vector<std::vector<std::size_t>> wire_ops_;  // per wire, time-ordered
   std::vector<CutPoint> candidates_;
   std::vector<GateCandidate> gate_candidates_;
   std::vector<CutCandidate> all_candidates_;

@@ -35,16 +35,6 @@ MergeProfile spec_merge_profile(const ProtocolSpec& spec) {
       &hit);
 }
 
-std::vector<CutPoint> CutPlan::points() const {
-  std::vector<CutPoint> out;
-  for (const PlannedCut& c : cuts) {
-    if (c.site.kind == CutKind::kWire) {
-      out.push_back(c.site.point);
-    }
-  }
-  return out;
-}
-
 std::vector<CutSite> CutPlan::sites() const {
   std::vector<CutSite> out;
   out.reserve(cuts.size());

@@ -133,8 +133,6 @@ struct CutPlan {
   /// the best feasible set found, not necessarily the global optimum.
   bool budget_exhausted = false;
 
-  /// The wire-cut locations (gate cuts excluded).
-  std::vector<CutPoint> points() const;
   /// All cut sites, plan order.
   std::vector<CutSite> sites() const;
   /// Number of gate cuts in the plan.

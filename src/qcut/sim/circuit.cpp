@@ -89,7 +89,6 @@ Circuit& Circuit::gate_if(int cbit, const Matrix& u, const QubitList& qubits,
 
 Circuit& Circuit::h(int q) { return fixed_gate(FixedGate::kH, {q}); }
 Circuit& Circuit::x(int q) { return fixed_gate(FixedGate::kX, {q}); }
-Circuit& Circuit::y(int q) { return fixed_gate(FixedGate::kY, {q}); }
 Circuit& Circuit::z(int q) { return fixed_gate(FixedGate::kZ, {q}); }
 Circuit& Circuit::s(int q) { return fixed_gate(FixedGate::kS, {q}); }
 Circuit& Circuit::sdg(int q) { return fixed_gate(FixedGate::kSdg, {q}); }

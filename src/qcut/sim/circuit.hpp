@@ -114,7 +114,6 @@ class Circuit {
 
   Circuit& h(int q);
   Circuit& x(int q);
-  Circuit& y(int q);
   Circuit& z(int q);
   Circuit& s(int q);
   Circuit& sdg(int q);

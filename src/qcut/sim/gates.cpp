@@ -6,11 +6,6 @@
 
 namespace qcut::gates {
 
-const Matrix& i2() {
-  static const Matrix m = Matrix::identity(2);
-  return m;
-}
-
 const Matrix& h() {
   static const Matrix m{{Cplx{kInvSqrt2, 0}, Cplx{kInvSqrt2, 0}},
                         {Cplx{kInvSqrt2, 0}, Cplx{-kInvSqrt2, 0}}};

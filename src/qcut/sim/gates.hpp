@@ -7,7 +7,6 @@
 
 namespace qcut::gates {
 
-const Matrix& i2();
 const Matrix& h();
 const Matrix& x();
 const Matrix& y();

@@ -3,6 +3,8 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -22,18 +24,12 @@ namespace svc {
 
 namespace {
 
-/// recv() until exactly `n` bytes arrive. Returns false on orderly shutdown
-/// at a frame boundary (n bytes requested, 0 received so far); throws on
-/// mid-frame EOF or socket errors.
-bool recv_all(int fd, std::uint8_t* buf, std::size_t n) {
+/// recv() until exactly `n` bytes arrive; throws on EOF or socket errors.
+void recv_all(int fd, std::uint8_t* buf, std::size_t n) {
   std::size_t got = 0;
   while (got < n) {
     const ssize_t r = ::recv(fd, buf + got, n - got, 0);
-    if (r == 0) {
-      QCUT_CHECK(got == 0, "wire: connection closed mid-frame (" + std::to_string(got) + " of " +
-                               std::to_string(n) + " bytes)");
-      return false;
-    }
+    QCUT_CHECK(r != 0, "wire: server closed the connection");
     if (r < 0) {
       if (errno == EINTR) {
         continue;
@@ -42,7 +38,6 @@ bool recv_all(int fd, std::uint8_t* buf, std::size_t n) {
     }
     got += static_cast<std::size_t>(r);
   }
-  return true;
 }
 
 void send_all(int fd, const std::uint8_t* buf, std::size_t n) {
@@ -57,44 +52,6 @@ void send_all(int fd, const std::uint8_t* buf, std::size_t n) {
     }
     sent += static_cast<std::size_t>(r);
   }
-}
-
-void send_frame(int fd, const Frame& frame) {
-  const std::vector<std::uint8_t> bytes = encode_frame(frame);
-  send_all(fd, bytes.data(), bytes.size());
-}
-
-/// Reads one frame; false on orderly close at a frame boundary.
-bool recv_frame(int fd, Frame* out) {
-  std::uint8_t header[kFrameHeaderSize];
-  if (!recv_all(fd, header, sizeof header)) {
-    return false;
-  }
-  const FrameHeader h = decode_frame_header(header, sizeof header);
-  out->type = h.type;
-  out->payload.resize(h.payload_len);
-  if (h.payload_len > 0) {
-    QCUT_CHECK(recv_all(fd, out->payload.data(), out->payload.size()),
-               "wire: connection closed mid-payload");
-  }
-  return true;
-}
-
-/// True when the peer has hung up (or the socket is dead). Non-blocking
-/// MSG_PEEK: pending pipelined bytes mean the client is alive and waiting.
-bool peer_closed(int fd) {
-  if (fd < 0) {
-    return false;
-  }
-  std::uint8_t b = 0;
-  const ssize_t r = ::recv(fd, &b, 1, MSG_PEEK | MSG_DONTWAIT);
-  if (r == 0) {
-    return true;  // orderly shutdown from the peer
-  }
-  if (r < 0) {
-    return !(errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR);
-  }
-  return false;
 }
 
 int connect_tcp(const std::string& host, int port) {
@@ -127,6 +84,30 @@ int connect_tcp(const std::string& host, int port) {
   return fd;
 }
 
+WireEstimateResponse error_response(const std::exception& e) {
+  WireEstimateResponse resp;
+  resp.status = static_cast<std::uint8_t>(WireStatus::kError);
+  resp.error = e.what();
+  const Error* err = dynamic_cast<const Error*>(&e);
+  resp.code = static_cast<std::uint8_t>(err != nullptr ? err->code() : ErrorCode::kInternal);
+  return resp;
+}
+
+std::vector<std::uint8_t> response_frame(const WireEstimateResponse& resp) {
+  return encode_frame(Frame{MsgType::kEstimateResponse, encode_estimate_response(resp)});
+}
+
+/// epoll tags of the listen socket and the eventfd; connection ids follow.
+constexpr std::uint64_t kListenTag = 0;
+constexpr std::uint64_t kWakeTag = 1;
+
+bool watch(int epoll_fd, int op, int fd, std::uint32_t events, std::uint64_t tag) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = tag;
+  return ::epoll_ctl(epoll_fd, op, fd, &ev) == 0;
+}
+
 }  // namespace
 
 QcutServer::QcutServer(ServerConfig cfg)
@@ -139,7 +120,8 @@ QcutServer::QcutServer(ServerConfig cfg)
 QcutServer::~QcutServer() { stop(); }
 
 void QcutServer::start() {
-  QCUT_CHECK(listen_fd_ < 0, "QcutServer: already started");
+  QCUT_CHECK(listen_fd_ < 0 && phase_.load() == Phase::kServing,
+             "QcutServer: already started");
 
   addrinfo hints{};
   hints.ai_family = AF_INET;
@@ -149,109 +131,68 @@ void QcutServer::start() {
   const int rc =
       ::getaddrinfo(cfg_.host.c_str(), std::to_string(cfg_.port).c_str(), &hints, &res);
   QCUT_CHECK(rc == 0, "QcutServer: cannot resolve '" + cfg_.host + "': " + gai_strerror(rc));
+  const std::unique_ptr<addrinfo, void (*)(addrinfo*)> owned(res, ::freeaddrinfo);
 
-  listen_fd_ = ::socket(res->ai_family, res->ai_socktype, res->ai_protocol);
-  if (listen_fd_ < 0) {
-    ::freeaddrinfo(res);
-    throw Error(std::string("QcutServer: socket failed: ") + std::strerror(errno));
-  }
   const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (::bind(listen_fd_, res->ai_addr, res->ai_addrlen) != 0 || ::listen(listen_fd_, 64) != 0) {
+  listen_fd_ = ::socket(res->ai_family, res->ai_socktype | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                        res->ai_protocol);
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (listen_fd_ < 0 || epoll_fd_ < 0 || wake_fd_ < 0 ||
+      ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one) != 0 ||
+      ::bind(listen_fd_, res->ai_addr, res->ai_addrlen) != 0 || ::listen(listen_fd_, 64) != 0 ||
+      !watch(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, EPOLLIN, kListenTag) ||
+      !watch(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, EPOLLIN, kWakeTag)) {
     const std::string err = std::strerror(errno);
-    ::freeaddrinfo(res);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    stop();  // closes what was opened
     throw Error("QcutServer: cannot listen on " + cfg_.host + ":" + std::to_string(cfg_.port) +
                 ": " + err);
   }
-  ::freeaddrinfo(res);
 
   sockaddr_in bound{};
   socklen_t blen = sizeof bound;
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &blen);
   port_ = static_cast<int>(ntohs(bound.sin_port));
-
-  running_.store(true);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  io_thread_ = std::thread([this] { io_loop(); });
 }
 
 void QcutServer::stop() {
-  if (!running_.exchange(false)) {
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    return;
+  if (io_thread_.joinable()) {
+    set_phase(Phase::kStopping);
+    io_thread_.join();
   }
-  // Wake accept() with shutdown and join the accept thread before closing:
-  // the loop reads listen_fd_, and a closed fd number could be reused by
-  // another socket while accept() still runs on it.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
-  }
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (auto& [fd, thread] : conns_) {
-      ::shutdown(fd, SHUT_RDWR);
-      threads.push_back(std::move(thread));
+  for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd_}) {
+    if (*fd >= 0) {
+      ::close(*fd);
+      *fd = -1;
     }
-    conns_.clear();
-    for (std::thread& t : finished_conns_) {
-      threads.push_back(std::move(t));
-    }
-    finished_conns_.clear();
-  }
-  for (std::thread& t : threads) {
-    t.join();
   }
 }
 
 bool QcutServer::drain(std::uint64_t budget_ms) {
-  if (budget_ms == 0) {
-    budget_ms = cfg_.drain_ms;
-  }
-  if (!running_.load()) {
+  if (!io_thread_.joinable()) {
     return true;  // never started or already stopped: trivially drained
   }
-  draining_.store(true, std::memory_order_relaxed);
-
-  // Stop the intake: close the listen socket so no new connections arrive.
-  // Live connections keep serving — their new estimate requests get the
+  // The loop closes the listen socket so no new connections arrive. Live
+  // connections keep serving — their new estimate requests get the
   // retryable draining rejection, their in-flight ones run to completion.
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-  }
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
-  }
+  set_phase(Phase::kDraining);
 
   const auto wait_idle_until = [this](std::chrono::steady_clock::time_point end) {
     std::unique_lock<std::mutex> lock(idle_mu_);
-    return idle_cv_.wait_until(lock, end, [this] {
-      return inflight_.load(std::memory_order_relaxed) == 0 &&
-             busy_conns_.load(std::memory_order_relaxed) == 0;
-    });
+    return idle_cv_.wait_until(lock, end, [this] { return idle_; });
   };
 
   bool clean = wait_idle_until(std::chrono::steady_clock::now() +
-                               std::chrono::milliseconds(budget_ms));
+                               std::chrono::milliseconds(budget_ms == 0 ? cfg_.drain_ms
+                                                                        : budget_ms));
   if (!clean) {
     // Budget exhausted: cancel the stragglers. Their workers hit the next
     // poll quantum, unwind with kCancelled, and their clients receive clean
-    // `cancelled` responses over still-open sockets.
-    {
-      std::lock_guard<std::mutex> lock(tokens_mu_);
-      for (auto& entry : active_tokens_) {
-        entry.second->cancel();
-      }
-    }
-    // Bounded settle: cancellation is cooperative, so give the polls a
-    // moment to land and the responses a moment to flush.
+    // `cancelled` responses over still-open sockets. Cancellation is
+    // cooperative, so give the polls a bounded moment to land and the
+    // responses a moment to flush.
+    set_phase(Phase::kCancelling);
     clean = wait_idle_until(std::chrono::steady_clock::now() +
                             std::chrono::milliseconds(1000));
   }
@@ -259,190 +200,206 @@ bool QcutServer::drain(std::uint64_t budget_ms) {
   return clean;
 }
 
-void QcutServer::release(std::atomic<std::size_t>& counter) {
-  std::lock_guard<std::mutex> lock(idle_mu_);  // no drop between drain's check and wait
-  counter.fetch_sub(1, std::memory_order_relaxed);
-  idle_cv_.notify_all();
+void QcutServer::set_phase(Phase phase) {
+  phase_.store(phase);
+  ::eventfd_write(wake_fd_, 1);
 }
 
-void QcutServer::accept_loop() {
-  while (running_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+void QcutServer::io_loop() {
+  epoll_event events[64];
+  for (;;) {
+    const int n = ::epoll_wait(epoll_fd_, events, 64, -1);  // -1: EINTR, no events
+    for (int i = 0; i < n; ++i) {
+      const std::uint64_t tag = events[i].data.u64;
+      if (tag == kListenTag) {
+        accept_connections();
+      } else if (tag == kWakeTag) {
+        finish_jobs();
+      } else {
+        on_connection(tag, events[i].events);
+      }
+    }
+    const Phase phase = phase_.load();
+    if (phase == Phase::kServing) {
+      continue;
+    }
+    if (listen_fd_ >= 0) {
+      ::close(listen_fd_);  // also leaves the epoll set
+      listen_fd_ = -1;
+    }
+    if (phase >= Phase::kCancelling) {
+      for (auto& entry : jobs_) {
+        entry.second.cancel->cancel();
+      }
+    }
+    if (phase == Phase::kStopping) {
+      while (!conns_.empty()) {
+        close_connection(conns_.begin());
+      }
+      // Leave only once every task has posted: after that none touches
+      // the server, so stop() may return and the server may die.
+      if (jobs_.empty()) {
+        return;
+      }
+      continue;
+    }
+    {
+      std::lock_guard<std::mutex> lock(idle_mu_);
+      idle_ = jobs_.empty() && std::none_of(conns_.begin(), conns_.end(), [](auto& e) {
+                return !e.second.key.empty() || !e.second.out.empty();
+              });
+    }
+    idle_cv_.notify_all();
+  }
+}
+
+void QcutServer::accept_connections() {
+  for (;;) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
-      if (errno == EINTR) {
+      if (errno == EINTR || errno == ECONNABORTED) {
         continue;
       }
-      break;  // listen socket shut down by stop() or drain()
+      return;  // backlog empty; on a resource limit, the next wake retries
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    std::vector<std::thread> finished;
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      if (!running_.load()) {
-        ::close(fd);
-        break;
-      }
-      finished.swap(finished_conns_);
-      conns_.emplace(fd, std::thread([this, fd] { serve_connection(fd); }));
+    const std::uint64_t id = next_conn_id_++;
+    if (!watch(epoll_fd_, EPOLL_CTL_ADD, fd, EPOLLIN | EPOLLRDHUP, id)) {
+      ::close(fd);
+      continue;
     }
-    // Reap connections that have ended: each has left conns_ and is at
-    // most a close() away from returning.
-    for (std::thread& t : finished) {
-      t.join();
-    }
+    Conn& c = conns_[id];
+    c.fd = fd;
+    c.events = EPOLLIN | EPOLLRDHUP;
   }
 }
 
-void QcutServer::serve_connection(int fd) {
-  // Counts connections mid-frame (request received, response not yet sent):
-  // drain() refuses to tear sockets down while any response is still owed.
-  struct BusyGuard {
-    QcutServer& server;
-    ~BusyGuard() { server.release(server.busy_conns_); }
-  };
+void QcutServer::on_connection(std::uint64_t id, std::uint32_t events) {
+  const auto it = conns_.find(id);
+  if (it == conns_.end()) {
+    return;  // closed earlier in this batch of events
+  }
+  Conn& c = it->second;
+  if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
+    close_connection(it);
+  } else if (!c.key.empty()) {
+    // Input while a request is outstanding: it waits in the kernel, and
+    // until the answer goes out only a hang-up is watched (settle()). With
+    // EPOLLRDHUP the peer shut its sending side: it still waits for answers
+    // when it pipelined bytes first; with none, it hung up, and its waiter
+    // leaves.
+    std::uint8_t b = 0;
+    c.parked = true;
+    c.peer_shut = (events & EPOLLRDHUP) != 0;
+    settle(it, !c.peer_shut || !c.in.empty() ||
+                   ::recv(c.fd, &b, 1, MSG_PEEK | MSG_DONTWAIT) > 0);
+  } else {
+    const bool readable = (events & (EPOLLIN | EPOLLRDHUP)) != 0;
+    std::uint8_t chunk[1 << 16];
+    const ssize_t r = readable ? ::recv(c.fd, chunk, sizeof chunk, 0) : 0;
+    if (r > 0) {
+      c.in.insert(c.in.end(), chunk, chunk + r);
+    }
+    // EOF, mid-frame or not, or a transport error ends the connection.
+    const bool open = r > 0 || !readable || (r < 0 && errno == EAGAIN);
+    settle(it, open && advance(id, c));
+  }
+}
+
+bool QcutServer::advance(std::uint64_t id, Conn& c) {
   try {
-    Frame frame;
-    while (running_.load() && recv_frame(fd, &frame)) {
-      busy_conns_.fetch_add(1, std::memory_order_relaxed);
-      const BusyGuard busy{*this};
-      switch (frame.type) {
-        case MsgType::kEstimateRequest: {
-          WireEstimateResponse resp;
-          bool client_gone = false;
-          try {
-            resp = handle_estimate_watched(decode_estimate_request(frame.payload), fd,
-                                           &client_gone);
-          } catch (const std::exception& e) {
-            // Malformed payloads get a typed error frame; the connection
-            // survives (framing is still intact).
-            send_frame(fd, Frame{MsgType::kError, encode_error(e.what())});
-            continue;
-          }
-          if (client_gone) {
-            continue;  // peer hung up mid-request; the recv loop sees the close
-          }
-          send_frame(fd, Frame{MsgType::kEstimateResponse, encode_estimate_response(resp)});
-          break;
+    for (;;) {
+      while (!c.out.empty()) {
+        const ssize_t r = ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
+        if (r < 0) {
+          return errno == EAGAIN;  // EPOLLOUT resumes; anything else is fatal
         }
-        case MsgType::kMetricsRequest:
-          send_frame(fd, Frame{MsgType::kMetricsResponse, encode_metrics_response(metrics_text())});
-          break;
-        default:
-          send_frame(fd, Frame{MsgType::kError,
-                               encode_error("server: unexpected message type " +
-                                            std::to_string(static_cast<int>(frame.type)))});
-          break;
+        c.out.erase(c.out.begin(), c.out.begin() + r);
+      }
+      if (!c.key.empty() || c.in.size() < kFrameHeaderSize) {
+        return true;
+      }
+      const FrameHeader h = decode_frame_header(c.in.data(), kFrameHeaderSize);
+      const std::size_t size = kFrameHeaderSize + h.payload_len;
+      if (c.in.size() < size) {
+        return true;
+      }
+      const auto end = c.in.begin() + static_cast<std::ptrdiff_t>(size);
+      const std::vector<std::uint8_t> payload(c.in.begin() + kFrameHeaderSize, end);
+      c.in.erase(c.in.begin(), end);
+      if (h.type == MsgType::kEstimateRequest) {
+        try {
+          start_estimate(id, c, payload);
+        } catch (const std::exception& e) {
+          // Malformed payloads get a typed error frame; the connection
+          // survives (framing is still intact).
+          c.out = encode_frame(Frame{MsgType::kError, encode_error(e.what())});
+        }
+      } else if (h.type == MsgType::kMetricsRequest) {
+        c.out = encode_frame(
+            Frame{MsgType::kMetricsResponse, encode_metrics_response(metrics_text())});
+      } else {
+        c.out = encode_frame(Frame{MsgType::kError,
+                                   encode_error("server: unexpected message type " +
+                                                std::to_string(static_cast<int>(h.type)))});
       }
     }
   } catch (const std::exception&) {
-    // Frame-desync or transport failure: drop the connection. The protocol
-    // has no resync point inside a stream, so closing is the safe answer.
+    // Frame desync: drop the connection. The protocol has no resync point
+    // inside a stream, so closing is the safe answer.
+    return false;
   }
-  {
-    // Deregister before closing: once the number is free, accept() or any
-    // other socket may reuse it, and stop() must not shut that one down.
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    const auto it = conns_.find(fd);
-    if (it != conns_.end()) {  // absent when stop() has already taken it
-      finished_conns_.push_back(std::move(it->second));
-      conns_.erase(it);
-    }
-  }
-  ::close(fd);
 }
 
-std::uint64_t QcutServer::effective_deadline_ms(std::uint64_t requested_ms) const noexcept {
-  if (cfg_.max_deadline_ms == 0) {
-    return requested_ms;  // no ceiling configured: the client's ask stands
-  }
-  return requested_ms == 0 ? cfg_.max_deadline_ms
-                           : std::min(requested_ms, cfg_.max_deadline_ms);
-}
-
-WireEstimateResponse QcutServer::handle_estimate(const WireEstimateRequest& req) {
-  return handle_estimate_watched(req, /*watch_fd=*/-1, /*client_gone=*/nullptr);
-}
-
-WireEstimateResponse QcutServer::handle_estimate_watched(const WireEstimateRequest& req,
-                                                         int watch_fd, bool* client_gone) {
+void QcutServer::start_estimate(std::uint64_t id, Conn& c,
+                                const std::vector<std::uint8_t>& payload) {
+  WireEstimateRequest req = decode_estimate_request(payload);
   obs::count(obs::Counter::kSvcRequests);
 
   // A draining server starts nothing new; the rejection is retryable so the
-  // client can fail over (or wait out the restart).
-  if (draining_.load(std::memory_order_relaxed)) {
+  // client can fail over (or wait out the restart). Past the admission cap
+  // the pool (not the socket count) bounds concurrency: the client is told
+  // to back off for about one service time.
+  if (draining() || inflight_.load() >= cfg_.max_inflight) {
     obs::count(obs::Counter::kSvcRejected);
     WireEstimateResponse resp;
     resp.status = static_cast<std::uint8_t>(WireStatus::kRetryAfter);
-    resp.retry_after_ms = cfg_.drain_ms == 0 ? 1000 : cfg_.drain_ms;
     resp.code = static_cast<std::uint8_t>(ErrorCode::kOverloaded);
-    resp.error = "server draining — not accepting new requests";
-    return resp;
-  }
-
-  // Admission control: the pool (not the socket count) bounds concurrency;
-  // past the cap the client is told to back off for about one service time.
-  if (inflight_.load(std::memory_order_relaxed) >= cfg_.max_inflight) {
-    obs::count(obs::Counter::kSvcRejected);
-    WireEstimateResponse resp;
-    resp.status = static_cast<std::uint8_t>(WireStatus::kRetryAfter);
-    const std::uint64_t ewma_us = ewma_service_us_.load(std::memory_order_relaxed);
-    resp.retry_after_ms = ewma_us == 0 ? 50 : (ewma_us + 999) / 1000;
-    resp.code = static_cast<std::uint8_t>(ErrorCode::kOverloaded);
-    resp.error = "server at capacity (" + std::to_string(cfg_.max_inflight) +
-                 " requests in flight) — retry after " + std::to_string(resp.retry_after_ms) +
-                 " ms";
-    return resp;
+    if (draining()) {
+      resp.retry_after_ms = cfg_.drain_ms == 0 ? 1000 : cfg_.drain_ms;
+      resp.error = "server draining — not accepting new requests";
+    } else {
+      const std::uint64_t ewma_us = ewma_service_us_.load(std::memory_order_relaxed);
+      resp.retry_after_ms = ewma_us == 0 ? 50 : (ewma_us + 999) / 1000;
+      resp.error = "server at capacity (" + std::to_string(cfg_.max_inflight) +
+                   " requests in flight) — retry after " +
+                   std::to_string(resp.retry_after_ms) + " ms";
+    }
+    c.out = response_frame(resp);
+    return;
   }
 
   // Coalescing key = the exact wire payload: only bit-identical requests
   // (including seed, budget and deadline) merge, so merged answers are the
   // answers each request would have gotten alone.
-  const std::vector<std::uint8_t> payload = encode_estimate_request(req);
-  const std::string key(payload.begin(), payload.end());
+  c.key.assign(payload.begin(), payload.end());
   auto cancel = std::make_shared<CancelToken>();
-  auto join = coalescer_.join(key, cancel);
-  if (!join.leader) {
+  if (!coalescer_.join(c.key, id, cancel)) {
     obs::count(obs::Counter::kSvcCoalesced);
-    // Follower: wait on the leader's future, watching our socket when asked.
-    // A vanished client leaves the key — which cancels the leader's run only
-    // when nobody else is waiting — and sends nothing.
-    if (watch_fd >= 0) {
-      while (join.future.wait_for(std::chrono::milliseconds(10)) !=
-             std::future_status::ready) {
-        if (peer_closed(watch_fd)) {
-          coalescer_.leave(key);
-          if (client_gone != nullptr) {
-            *client_gone = true;
-          }
-          return {};
-        }
-      }
-    }
-    WireEstimateResponse resp = join.future.get();
-    resp.coalesced = 1;
-    return resp;
+    return;  // follower: answered when the leader's job finishes
   }
 
   // Leader. The deadline is armed at admission, so pool-queue wait counts
   // against it — a saturated server times out instead of silently stretching.
-  const std::uint64_t deadline = effective_deadline_ms(req.deadline_ms);
-  if (deadline > 0) {
-    cancel->set_deadline_after_ms(deadline);
+  // cfg.max_deadline_ms clamps the client's ask, and also applies when the
+  // client asked for nothing; 0 → unbounded.
+  std::uint64_t deadline = req.deadline_ms;
+  if (cfg_.max_deadline_ms > 0) {
+    deadline = deadline == 0 ? cfg_.max_deadline_ms : std::min(deadline, cfg_.max_deadline_ms);
   }
+  cancel->set_deadline_after_ms(deadline);
   const std::uint64_t serial = request_serial_.fetch_add(1, std::memory_order_relaxed) + 1;
-  {
-    std::lock_guard<std::mutex> lock(tokens_mu_);
-    active_tokens_[serial] = cancel;
-  }
-  inflight_.fetch_add(1, std::memory_order_relaxed);
-
-  // shared_ptr wrapper: ThreadPool::submit takes std::function, which
-  // requires a copyable callable; std::promise is move-only. `fulfilled`
-  // lets the leader detect a promise orphaned by a failure in the pool's own
-  // wrapper (e.g. an injected pool.task fault) and rescue it below.
-  auto promise = std::make_shared<std::promise<WireEstimateResponse>>(std::move(join.promise));
-  auto fulfilled = std::make_shared<std::atomic<bool>>(false);
   // The pool carries this thread's context into the task: every
   // cancel_poll() below estimate() — planner DFS, batch loop, fragment
   // units — sees the request's token, and all of the request's parallel
@@ -451,86 +408,107 @@ WireEstimateResponse QcutServer::handle_estimate_watched(const WireEstimateReque
   ctx.cancel = cancel.get();
   ctx.pool = &pool_;
   const ScopedRequestContext scope(ctx);
-  std::future<void> task_done =
-      pool_.submit([this, req, key, serial, cancel, promise, fulfilled]() {
-        const auto t0 = std::chrono::steady_clock::now();
-        WireEstimateResponse resp;
-        try {
-          resp = execute(req, serial);
-        } catch (const Error& e) {
-          resp.status = static_cast<std::uint8_t>(WireStatus::kError);
-          resp.error = e.what();
-          resp.code = static_cast<std::uint8_t>(e.code());
-        } catch (const std::exception& e) {
-          resp.status = static_cast<std::uint8_t>(WireStatus::kError);
-          resp.error = e.what();
-          resp.code = static_cast<std::uint8_t>(ErrorCode::kInternal);
-        }
-        const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-        const std::uint64_t prev = ewma_service_us_.load(std::memory_order_relaxed);
-        const std::uint64_t sample = static_cast<std::uint64_t>(us);
-        ewma_service_us_.store(prev == 0 ? sample : prev - prev / 8 + sample / 8,
-                               std::memory_order_relaxed);
-        release(inflight_);
-        {
-          std::lock_guard<std::mutex> lock(tokens_mu_);
-          active_tokens_.erase(serial);
-        }
-        // Retire the coalescing key BEFORE publishing the value: the client
-        // sees the response only after set_value, so its next request can
-        // never join a leader that already answered (it would inherit stale
-        // cache flags).
-        coalescer_.complete(key);
-        promise->set_value(std::move(resp));
-        fulfilled->store(true, std::memory_order_release);
+  // The task owns its answer, encoded for the leader, and the pool
+  // destroys the task on the worker once it has run, so the deleter posts
+  // the answer to the loop exactly once — empty when an injected pool.task
+  // fault kept the body from running. The eventfd write stays under the
+  // lock: once the loop can see the answer, the worker touches the server
+  // no more, so stop() may return.
+  const std::shared_ptr<std::optional<std::vector<std::uint8_t>>> answer(
+      new std::optional<std::vector<std::uint8_t>>(), [this, serial](auto* a) {
+        const std::lock_guard<std::mutex> lock(finished_mu_);
+        finished_.emplace_back(serial, std::move(*a));
+        ::eventfd_write(wake_fd_, 1);
+        delete a;
       });
+  std::future<void> done = pool_.submit([this, req = std::move(req), serial, cancel, answer] {
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      *answer = response_frame(execute(req, serial));
+    } catch (const std::exception& e) {
+      *answer = response_frame(error_response(e));
+    }
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    const std::uint64_t prev = ewma_service_us_.load(std::memory_order_relaxed);
+    const std::uint64_t sample = static_cast<std::uint64_t>(us);
+    ewma_service_us_.store(prev == 0 ? sample : prev - prev / 8 + sample / 8,
+                           std::memory_order_relaxed);
+  });
+  jobs_.emplace(serial, Job{c.key, id, std::move(cancel), std::move(done)});
+  inflight_.fetch_add(1);
+}
 
-  // Wait on our own submission (not just join.future): if the pool wrapper
-  // throws before the lambda runs, the promise is never fulfilled and every
-  // waiter would hang — the get() below surfaces that and we rescue.
-  bool gone = false;
-  if (watch_fd >= 0) {
-    while (task_done.wait_for(std::chrono::milliseconds(10)) != std::future_status::ready) {
-      if (!gone && peer_closed(watch_fd)) {
-        gone = true;
-        if (client_gone != nullptr) {
-          *client_gone = true;
-        }
-        // We stop caring about the answer, but stay to shepherd the task:
-        // leave() cancels the run iff we were its last waiter.
-        coalescer_.leave(key);
+void QcutServer::finish_jobs() {
+  eventfd_t ignored = 0;
+  ::eventfd_read(wake_fd_, &ignored);
+  std::vector<std::pair<std::uint64_t, std::optional<std::vector<std::uint8_t>>>> finished;
+  {
+    std::lock_guard<std::mutex> lock(finished_mu_);
+    finished.swap(finished_);
+  }
+  for (auto& [serial, answer] : finished) {
+    const auto job = jobs_.find(serial);
+    if (!answer) {
+      // The body always answers, so the pool's wrapper failed before it ran.
+      // The wrapper makes the future ready just after releasing the task,
+      // so get() waits microseconds and throws why.
+      try {
+        job->second.done.get();
+      } catch (const std::exception& e) {
+        answer = response_frame(error_response(e));
       }
     }
-  } else {
-    task_done.wait();
-  }
-  try {
-    task_done.get();
-  } catch (const std::exception& e) {
-    if (!fulfilled->load(std::memory_order_acquire)) {
-      // The pool wrapper failed before our lambda ran: redo the bookkeeping
-      // it never reached so waiters get a typed answer instead of a hang.
-      WireEstimateResponse resp;
-      resp.status = static_cast<std::uint8_t>(WireStatus::kError);
-      resp.error = e.what();
-      const Error* err = dynamic_cast<const Error*>(&e);
-      resp.code = static_cast<std::uint8_t>(err != nullptr ? err->code() : ErrorCode::kInternal);
-      release(inflight_);
-      {
-        std::lock_guard<std::mutex> lock(tokens_mu_);
-        active_tokens_.erase(serial);
+    // Retire the key before any answer goes out: a client's next request
+    // can never join a run that already answered it. Followers get the
+    // answer flagged `coalesced`, re-encoded once.
+    std::vector<std::uint8_t> coalesced;
+    for (const std::uint64_t waiter : coalescer_.complete(job->second.key)) {
+      if (waiter != job->second.leader && coalesced.empty()) {
+        WireEstimateResponse resp = decode_estimate_response(decode_frame(*answer).payload);
+        resp.coalesced = 1;
+        coalesced = response_frame(resp);
       }
-      coalescer_.complete(key);
-      promise->set_value(std::move(resp));
-      fulfilled->store(true, std::memory_order_release);
+      const auto it = conns_.find(waiter);
+      it->second.key.clear();
+      it->second.out = waiter == job->second.leader ? *answer : coalesced;
+      settle(it, advance(waiter, it->second));
     }
+    jobs_.erase(job);
+    inflight_.fetch_sub(1);
   }
-  if (gone) {
-    return {};
+}
+
+void QcutServer::settle(ConnIt it, bool keep) {
+  Conn& c = it->second;
+  // One request at a time. The interest set stays as it is while a request
+  // is outstanding (no epoll_ctl on the common path) until input arrives:
+  // then only a hang-up is watched until the answer goes out, so pipelined
+  // bytes wait in the kernel and nothing spins. Owed bytes are written
+  // before more is read, so a client that never reads cannot grow `out`.
+  c.parked = c.parked && !c.key.empty();
+  std::uint32_t events = EPOLLIN | EPOLLRDHUP;
+  if (c.parked) {
+    events = c.peer_shut ? 0u : static_cast<std::uint32_t>(EPOLLRDHUP);
+  } else if (!c.out.empty()) {
+    events = EPOLLOUT;
   }
-  return join.future.get();
+  if (keep && events != c.events) {
+    keep = watch(epoll_fd_, EPOLL_CTL_MOD, c.fd, events, it->first);
+    c.events = events;
+  }
+  if (!keep) {
+    close_connection(it);
+  }
+}
+
+void QcutServer::close_connection(ConnIt it) {
+  if (!it->second.key.empty()) {
+    coalescer_.leave(it->second.key, it->first);  // cancels the run iff it was the last waiter
+  }
+  ::close(it->second.fd);  // also leaves the epoll set
+  conns_.erase(it);
 }
 
 WireEstimateResponse QcutServer::execute(const WireEstimateRequest& wreq, std::uint64_t serial) {
@@ -612,7 +590,7 @@ std::string QcutServer::metrics_text() const {
   }
   os << "qcut_svc_inflight " << inflight_.load(std::memory_order_relaxed) << "\n";
   os << "qcut_svc_max_inflight " << cfg_.max_inflight << "\n";
-  os << "qcut_svc_draining " << (draining_.load(std::memory_order_relaxed) ? 1 : 0) << "\n";
+  os << "qcut_svc_draining " << (draining() ? 1 : 0) << "\n";
   os << "qcut_svc_pool_workers " << pool_.size() << "\n";
   os << "qcut_plan_cache_size " << caches_.plans.size() << "\n";
   os << "qcut_eval_cache_size " << caches_.evals.size() << "\n";
@@ -628,9 +606,13 @@ QcutClient::~QcutClient() {
 }
 
 Frame QcutClient::roundtrip(const Frame& frame) {
-  send_frame(fd_, frame);
-  Frame resp;
-  QCUT_CHECK(recv_frame(fd_, &resp), "wire: server closed the connection");
+  const std::vector<std::uint8_t> bytes = encode_frame(frame);
+  send_all(fd_, bytes.data(), bytes.size());
+  std::uint8_t header[kFrameHeaderSize];
+  recv_all(fd_, header, sizeof header);
+  const FrameHeader h = decode_frame_header(header, sizeof header);
+  Frame resp{h.type, std::vector<std::uint8_t>(h.payload_len)};
+  recv_all(fd_, resp.payload.data(), resp.payload.size());
   return resp;
 }
 

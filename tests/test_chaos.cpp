@@ -290,7 +290,7 @@ TEST(ChaosServerTest, MidRequestDisconnectCancelsTheLeaderAndServerStaysHealthy)
   std::this_thread::sleep_for(std::chrono::milliseconds(100));  // let it start
   ::close(fd);
 
-  // The watch loop notices the hangup, leave() cancels the sole waiter's
+  // The server sees the hangup (EPOLLRDHUP), leave() cancels the sole waiter's
   // run, and the cancellation lands at the next poll inside the delay loop.
   const auto t_end = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   std::uint64_t cancellations = 0;

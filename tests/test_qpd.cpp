@@ -1,7 +1,6 @@
-// QPD bookkeeping, alias sampling, shot allocation.
+// QPD bookkeeping and shot allocation.
 #include <gtest/gtest.h>
 
-#include "qcut/qpd/alias_sampler.hpp"
 #include "qcut/qpd/qpd.hpp"
 #include "qcut/qpd/shot_alloc.hpp"
 #include "qcut/sim/gates.hpp"
@@ -47,38 +46,6 @@ TEST(Qpd, RejectsInvalidTerms) {
   QpdTerm none = dummy_term(1.0);
   none.estimate_cbits.clear();
   EXPECT_THROW(qpd.add(std::move(none)), Error);
-}
-
-TEST(AliasSampler, MatchesDistribution) {
-  const std::vector<Real> w = {2.0, 1.0, 0.0, 5.0};
-  AliasSampler sampler(w);
-  EXPECT_NEAR(sampler.probability(0), 0.25, 1e-12);
-  EXPECT_NEAR(sampler.probability(3), 0.625, 1e-12);
-
-  Rng rng(1);
-  std::vector<int> counts(w.size(), 0);
-  const int total = 200000;
-  for (int i = 0; i < total; ++i) {
-    ++counts[sampler.sample(rng)];
-  }
-  EXPECT_NEAR(counts[0] / static_cast<Real>(total), 0.25, 0.005);
-  EXPECT_NEAR(counts[1] / static_cast<Real>(total), 0.125, 0.005);
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(counts[3] / static_cast<Real>(total), 0.625, 0.005);
-}
-
-TEST(AliasSampler, SingleCategory) {
-  AliasSampler s({3.0});
-  Rng rng(2);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(s.sample(rng), 0u);
-  }
-}
-
-TEST(AliasSampler, RejectsBadWeights) {
-  EXPECT_THROW(AliasSampler({}), Error);
-  EXPECT_THROW(AliasSampler({-1.0, 2.0}), Error);
-  EXPECT_THROW(AliasSampler({0.0, 0.0}), Error);
 }
 
 TEST(ShotAlloc, SumsToTotal) {

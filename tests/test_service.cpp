@@ -5,13 +5,18 @@
 // recovery).
 #include <dirent.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cctype>
 #include <chrono>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -551,66 +556,54 @@ TEST(ServiceCachesTest, CircuitHashIgnoresLabelsButNotStructure) {
   EXPECT_NE(plan_key(circuit_hash(a), p1), plan_key(circuit_hash(a), p2));
 }
 
-TEST(CoalescingMapTest, FollowersShareTheLeadersResult) {
-  CoalescingMap<int> map;
-  auto leader = map.join("k");
-  ASSERT_TRUE(leader.leader);
-  auto follower = map.join("k");
-  EXPECT_FALSE(follower.leader);
+TEST(CoalescingMapTest, CompleteReturnsEveryWaiterInJoinOrder) {
+  CoalescingMap map;
+  ASSERT_TRUE(map.join("k", 1));
+  EXPECT_FALSE(map.join("k", 2));
+  EXPECT_FALSE(map.join("k", 3));
   EXPECT_EQ(map.inflight(), 1u);
+  EXPECT_EQ(map.waiters("k"), 3u);
 
-  leader.promise.set_value(7);
-  map.complete("k");
-  EXPECT_EQ(follower.future.get(), 7);
-  EXPECT_EQ(leader.future.get(), 7);
+  EXPECT_EQ(map.complete("k"), (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(map.inflight(), 0u);
+  EXPECT_TRUE(map.complete("k").empty());  // already retired
 
   // After completion the key starts fresh.
-  auto next = map.join("k");
-  EXPECT_TRUE(next.leader);
-  next.promise.set_value(8);
-  map.complete("k");
+  EXPECT_TRUE(map.join("k", 4));
+  EXPECT_EQ(map.complete("k"), (std::vector<std::uint64_t>{4}));
 
   // Distinct keys never merge.
-  auto x = map.join("x");
-  auto y = map.join("y");
-  EXPECT_TRUE(x.leader);
-  EXPECT_TRUE(y.leader);
-  x.promise.set_value(1);
-  y.promise.set_value(2);
-  map.complete("x");
-  map.complete("y");
+  EXPECT_TRUE(map.join("x", 5));
+  EXPECT_TRUE(map.join("y", 6));
+  EXPECT_EQ(map.complete("x"), (std::vector<std::uint64_t>{5}));
+  EXPECT_EQ(map.complete("y"), (std::vector<std::uint64_t>{6}));
 }
 
 TEST(CoalescingMapTest, LeaveCancelsTheLeaderOnlyWhenTheLastWaiterGoes) {
-  CoalescingMap<int> map;
+  CoalescingMap map;
   auto cancel = std::make_shared<CancelToken>();
-  auto leader = map.join("k", cancel);
-  ASSERT_TRUE(leader.leader);
-  auto follower = map.join("k");
-  EXPECT_FALSE(follower.leader);
+  ASSERT_TRUE(map.join("k", 1, cancel));
+  EXPECT_FALSE(map.join("k", 2));
   EXPECT_EQ(map.waiters("k"), 2u);
 
-  map.leave("k");  // one of two waiters departs: the run still has a reader
+  map.leave("k", 1);  // the leader's client departs: the run still has a reader
   EXPECT_FALSE(cancel->cancelled());
   EXPECT_EQ(map.waiters("k"), 1u);
+  map.leave("k", 1);  // an unknown waiter: no-op
+  EXPECT_EQ(map.waiters("k"), 1u);
 
-  map.leave("k");  // the LAST waiter departs: nobody is left to read the answer
+  map.leave("k", 2);  // the LAST waiter departs: nobody is left to read the answer
   EXPECT_TRUE(cancel->cancelled());
 
-  leader.promise.set_value(1);
-  map.complete("k");
-  map.leave("k");  // no-op after completion
-  auto next = map.join("k");
-  EXPECT_TRUE(next.leader);
-  next.promise.set_value(2);
+  EXPECT_TRUE(map.complete("k").empty());
+  map.leave("k", 2);  // no-op after completion
+  EXPECT_TRUE(map.join("k", 3));
   map.complete("k");
 
   // A leader with no token: leave() of the last waiter is simply a no-op.
-  auto plain = map.join("p");
-  map.leave("p");
-  plain.promise.set_value(3);
-  map.complete("p");
+  EXPECT_TRUE(map.join("p", 4));
+  map.leave("p", 4);
+  EXPECT_TRUE(map.complete("p").empty());
 }
 
 // ---- live server over loopback TCP ----------------------------------------
@@ -843,10 +836,10 @@ TEST(ServerTest, MetricsDumpHasTheDocumentedSchema) {
   server.stop();
 }
 
-/// Open file descriptors of this process (the directory stream's own fd
-/// included, so only differences are meaningful).
-int open_fd_count() {
-  DIR* dir = ::opendir("/proc/self/fd");
+/// Entries of a /proc directory (".", ".." and, for /proc/self/fd, the
+/// directory stream's own fd included, so only differences are meaningful).
+int proc_entries(const char* path) {
+  DIR* dir = ::opendir(path);
   if (dir == nullptr) {
     return -1;
   }
@@ -856,6 +849,155 @@ int open_fd_count() {
   }
   ::closedir(dir);
   return n;
+}
+
+int open_fd_count() { return proc_entries("/proc/self/fd"); }
+
+/// A plain blocking loopback socket to the server, for byte-level framing
+/// tests. A nonzero `rcvbuf` shrinks its receive buffer before connecting.
+int raw_connect(int port, int rcvbuf = 0) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  return fd;
+}
+
+std::vector<std::uint8_t> estimate_frame(const WireEstimateRequest& req) {
+  return encode_frame(Frame{MsgType::kEstimateRequest, encode_estimate_request(req)});
+}
+
+/// Reads one whole frame; a short read (EOF or a receive timeout) throws.
+Frame read_frame(int fd) {
+  std::vector<std::uint8_t> bytes(kFrameHeaderSize);
+  QCUT_CHECK(::recv(fd, bytes.data(), bytes.size(), MSG_WAITALL) ==
+                 static_cast<ssize_t>(bytes.size()),
+             "short read of a frame header");
+  const FrameHeader h = decode_frame_header(bytes.data(), bytes.size());
+  bytes.resize(kFrameHeaderSize + h.payload_len);
+  QCUT_CHECK(h.payload_len == 0 ||
+                 ::recv(fd, bytes.data() + kFrameHeaderSize, h.payload_len, MSG_WAITALL) ==
+                     static_cast<ssize_t>(h.payload_len),
+             "short read of a frame payload");
+  return decode_frame(bytes);
+}
+
+TEST(ServerTest, IdleConnectionsAddNoThreads) {
+  // One I/O thread serves every connection: the server costs its workers
+  // plus that thread, however many clients sit connected.
+  const int before = proc_entries("/proc/self/task");
+  ServerConfig cfg;
+  cfg.workers = 4;
+  QcutServer server(cfg);
+  server.start();
+  std::vector<std::unique_ptr<QcutClient>> clients;
+  const auto threads_with = [&](std::size_t n) {
+    while (clients.size() < n) {
+      clients.push_back(std::make_unique<QcutClient>("127.0.0.1", server.port()));
+      (void)clients.back()->metrics();  // accepted and served; idle from here on
+    }
+    return proc_entries("/proc/self/task");
+  };
+  const int one = threads_with(1);
+  const int many = threads_with(128);
+  EXPECT_EQ(many, one);
+  EXPECT_EQ(one - before, 4 + 1);
+  clients.clear();
+  server.stop();
+}
+
+TEST(ServerTest, SplitAndPipelinedFramesAreAnsweredInOrder) {
+  // One request sent a byte per write, then three frames in one write (the
+  // first a repeat, so it is a warm hit). Each answer equals, bit for bit
+  // (bar the report's timings), the answer to the same sequence sent one
+  // request at a time to a fresh server.
+  std::vector<WireEstimateRequest> order(4, wire_workload_request());
+  for (std::size_t i = 2; i < order.size(); ++i) {
+    order[i].seed = 100 + i;
+    order[i].shots = 1000 * i;
+  }
+  const auto comparable = [](WireEstimateResponse resp) {
+    resp.report_json.clear();
+    return encode_estimate_response(resp);
+  };
+  std::vector<std::vector<std::uint8_t>> expected;
+  {
+    QcutServer server{ServerConfig{}};
+    server.start();
+    QcutClient client("127.0.0.1", server.port());
+    for (const WireEstimateRequest& req : order) {
+      expected.push_back(comparable(client.estimate(req)));
+    }
+  }
+
+  QcutServer server{ServerConfig{}};
+  server.start();
+  const int fd = raw_connect(server.port());
+  for (const std::uint8_t byte : estimate_frame(order[0])) {
+    ASSERT_EQ(::send(fd, &byte, 1, MSG_NOSIGNAL), 1);
+  }
+  std::vector<std::uint8_t> pipelined;
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const std::vector<std::uint8_t> frame = estimate_frame(order[i]);
+    pipelined.insert(pipelined.end(), frame.begin(), frame.end());
+  }
+  ASSERT_EQ(::send(fd, pipelined.data(), pipelined.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(pipelined.size()));
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const Frame frame = read_frame(fd);
+    ASSERT_EQ(frame.type, MsgType::kEstimateResponse) << i;
+    EXPECT_EQ(comparable(decode_estimate_response(frame.payload)), expected[i]) << i;
+  }
+  ::close(fd);
+  server.stop();
+}
+
+TEST(ServerTest, AClientThatNeverReadsStallsNoOne) {
+  ServerConfig cfg;
+  cfg.workers = 2;
+  QcutServer server(cfg);
+  server.start();
+
+  // The hog pipelines 4,000 metrics requests (~5 MB of answers) through a
+  // tiny receive window and never reads: the server's writes to it stall.
+  const int hog = raw_connect(server.port(), /*rcvbuf=*/4096);
+  const std::vector<std::uint8_t> one = encode_frame(Frame{MsgType::kMetricsRequest, {}});
+  std::vector<std::uint8_t> burst;
+  for (int i = 0; i < 4000; ++i) {
+    burst.insert(burst.end(), one.begin(), one.end());
+  }
+  // Blocks for as long as the server, rightly, stops reading the hog.
+  std::thread pusher([&] { (void)::send(hog, burst.data(), burst.size(), MSG_NOSIGNAL); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  // Another client is still answered, within a receive timeout.
+  const int other = raw_connect(server.port());
+  const timeval timeout{10, 0};
+  ::setsockopt(other, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  const std::vector<std::uint8_t> request = estimate_frame(wire_workload_request());
+  ASSERT_EQ(::send(other, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  const Frame answer = read_frame(other);
+  ASSERT_EQ(answer.type, MsgType::kEstimateResponse);
+  EXPECT_EQ(decode_estimate_response(answer.payload).status,
+            static_cast<std::uint8_t>(WireStatus::kOk));
+
+  // The hog's answers still sit unread, and stop() does not wait on them.
+  int unread = 0;
+  ::ioctl(hog, FIONREAD, &unread);
+  EXPECT_GT(unread, 0);
+  server.stop();
+  pusher.join();
+  ::close(hog);
+  ::close(other);
 }
 
 TEST(ServerTest, OnePoolPerProcessWideSweepsStayOnTheRequestsWorker) {
@@ -902,7 +1044,7 @@ TEST(ServerTest, StopLeavesSocketsThatReuseAClosedConnectionsFdAlone) {
     QcutClient client("127.0.0.1", server.port());
     (void)client.metrics();
   }
-  // Wait for the connection thread to see the hangup and close its end.
+  // Wait for the server to see the hangup and close its end.
   const auto t_end = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (open_fd_count() > baseline && std::chrono::steady_clock::now() < t_end) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));

@@ -6,12 +6,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
 
 #include "qcut/common/cancel.hpp"
 #include "qcut/common/error.hpp"
+#include "qcut/common/fault.hpp"
 #include "qcut/common/request_context.hpp"
 #include "qcut/common/rng.hpp"
 #include "qcut/common/threadpool.hpp"
@@ -71,6 +74,36 @@ TEST(ThreadPool, PropagatesExceptions) {
                                    }
                                  }),
                Error);
+}
+
+TEST(ThreadPool, ASubmittedTaskIsReleasedBeforeItsFutureIsReady) {
+  // What a task captured dies on the worker once it has run, or once an
+  // injected pool.task fault has kept it from running, even while the
+  // submitter still holds the future: a capture's destructor can signal
+  // completion either way.
+  ThreadPool pool(1);
+  for (const bool fault_armed : {false, true}) {
+    if (fault_armed) {
+      fault::arm_faults("pool.task:throw");
+    }
+    std::atomic<bool> released{false};
+    std::shared_ptr<int> capture(new int(0), [&released](int* p) {
+      released.store(true);
+      delete p;
+    });
+    std::future<void> done = pool.submit([capture = std::move(capture)] {});
+    done.wait();
+    fault::disarm_faults();
+    EXPECT_TRUE(released.load()) << "fault armed: " << fault_armed;
+    EXPECT_EQ(fault_armed, [&done] {
+      try {
+        done.get();
+        return false;
+      } catch (const Error&) {
+        return true;
+      }
+    }());
+  }
 }
 
 TEST(ThreadPool, RethrowsTheLowestIndexExceptionAfterEveryChunkFinished) {
