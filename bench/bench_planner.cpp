@@ -142,8 +142,6 @@ struct Row {
   Real abs_error = 0.0;
 };
 
-std::string all_z(int n) { return std::string(static_cast<std::size_t>(n), 'Z'); }
-
 Row run_instance(const std::string& family, const Circuit& circ, const PlannerConfig& pcfg,
                  bool execute, bool brute_check, std::uint64_t seed,
                  std::size_t brute_max_candidates = 16) {
@@ -179,7 +177,7 @@ Row run_instance(const std::string& family, const Circuit& circ, const PlannerCo
     rcfg.shots = 0;  // planner-predicted budget
     rcfg.seed = seed;
     row.executed = true;
-    row.abs_error = exec.run(all_z(circ.n_qubits()), rcfg).abs_error;
+    row.abs_error = exec.run(Observable::z_all(circ.n_qubits()), rcfg).abs_error;
   }
   return row;
 }

@@ -127,9 +127,8 @@ BackendRow measure(const std::string& name, const qcut::Qpd& qpd, const qcut::Sh
   row.shots = plan.total_shots;
   row.threads = pool.size();
   const qcut::testing::ScopedPool scope(pool);
-  const qcut::ExecutionEngine engine;
   const auto start = Clock::now();
-  const qcut::EstimationResult res = engine.run(qpd, plan, backend, seed);
+  const qcut::EstimationResult res = qcut::run_plan(qpd, plan, backend, seed);
   row.seconds = seconds_since(start);
   row.shots_per_sec = row.seconds > 0.0 ? static_cast<double>(row.shots) / row.seconds : 0.0;
   row.estimate = res.estimate;
@@ -265,7 +264,7 @@ FragmentRow measure_fragment_workload(const std::string& name, const qcut::Circu
     const qcut::CutPlan plan = planner.plan();
     const qcut::PlannedExecutor exec(circ, plan);
     const qcut::Qpd qpd =
-        exec.build_qpd(std::string(static_cast<std::size_t>(circ.n_qubits()), 'Z'));
+        exec.build_qpd(qcut::Observable::z_all(circ.n_qubits()));
     row.terms = qpd.size();
     row.cuts = plan.cuts.size();
     row.max_fragment_width = plan.max_width;
@@ -618,7 +617,7 @@ std::vector<CrossoverRow> measure_fusion_crossover() {
       pcfg.pair_budget = 0;
       const qcut::PlannedExecutor exec(circ, qcut::CutPlanner(circ, pcfg).plan());
       const qcut::Qpd qpd =
-          exec.build_qpd(std::string(static_cast<std::size_t>(circ.n_qubits()), 'Z'));
+          exec.build_qpd(qcut::Observable::z_all(circ.n_qubits()));
       CrossoverRow row;
       row.shape = brickwork ? "brickwork" : "ghz";
       row.terms = qpd.size();
@@ -879,7 +878,7 @@ int main(int argc, char** argv) {
     const qcut::Circuit circ = ghz_line(30);
     const qcut::CutPlanner planner(circ, pcfg);
     const qcut::PlannedExecutor exec(circ, planner.plan());
-    const qcut::Qpd wide_qpd = exec.build_qpd(std::string(30, 'Z'));
+    const qcut::Qpd wide_qpd = exec.build_qpd(qcut::Observable::z_all(30));
     const std::vector<qcut::Real> p1 = fragment_probs_with_pool(wide_qpd, 1);
     const std::vector<qcut::Real> p2 = fragment_probs_with_pool(wide_qpd, 2);
     const std::vector<qcut::Real> p8 = fragment_probs_with_pool(wide_qpd, 8);
@@ -889,10 +888,9 @@ int main(int argc, char** argv) {
       qcut::ThreadPool pool(n_threads);
       const qcut::testing::ScopedPool scope(pool);
       const qcut::BatchedBranchBackend backend(wide_qpd);
-      const qcut::ExecutionEngine engine;
       const auto plan =
           qcut::ShotPlan::allocated(wide_qpd, 200000, qcut::AllocRule::kProportional);
-      const qcut::Real est = engine.run(wide_qpd, plan, backend, seed).estimate;
+      const qcut::Real est = qcut::run_plan(wide_qpd, plan, backend, seed).estimate;
       (n_threads == 1 ? est1 : n_threads == 2 ? est2 : est8) = est;
     }
     frag_bit_identical = frag_bit_identical && est1 == est2 && est1 == est8;

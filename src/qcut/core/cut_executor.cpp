@@ -19,14 +19,6 @@ namespace qcut {
 
 namespace {
 
-EngineConfig engine_config(const CutRunConfig& cfg) {
-  EngineConfig ec;
-  ec.backend = cfg.backend;
-  ec.max_batch_shots = cfg.max_batch_shots;
-  ec.shared_backend = cfg.shared_backend;
-  return ec;
-}
-
 /// Independent master seed per trial, derived deterministically from the
 /// run seed (batch substreams are carved from the trial seed by the engine).
 std::uint64_t trial_seed(std::uint64_t seed, std::uint64_t trial) {
@@ -36,10 +28,11 @@ std::uint64_t trial_seed(std::uint64_t seed, std::uint64_t trial) {
 
 }  // namespace
 
-CutRunResult run_qpd_estimate(const Qpd& qpd, Real exact, const CutRunConfig& cfg) {
+CutRunResult run_qpd_estimate(const Qpd& qpd, std::optional<Real> exact, const CutRunConfig& cfg,
+                              const ExecutionBackend& backend) {
   CutRunResult res;
-  res.exact = exact;
-  const ExecutionEngine engine(engine_config(cfg));
+  res.has_exact = exact.has_value();
+  res.exact = exact.value_or(std::numeric_limits<Real>::quiet_NaN());
 
   // The run counts into its own sink, on this thread and on every pool task
   // it fans out to, so the report carries exactly this run's counters even
@@ -52,7 +45,9 @@ CutRunResult run_qpd_estimate(const Qpd& qpd, Real exact, const CutRunConfig& cf
   const auto t0 = std::chrono::steady_clock::now();
   {
     obs::TraceSpan span("qpd.estimate", qpd.size());
-    res.details = engine.estimate_allocated(qpd, cfg.shots, cfg.seed, cfg.rule);
+    const ShotPlan plan =
+        ShotPlan::allocated(qpd, cfg.shots, cfg.rule, /*sigmas=*/nullptr, cfg.max_batch_shots);
+    res.details = run_plan(qpd, plan, backend, cfg.seed);
   }
   const auto t1 = std::chrono::steady_clock::now();
   res.estimate = res.details.estimate;
@@ -60,7 +55,7 @@ CutRunResult run_qpd_estimate(const Qpd& qpd, Real exact, const CutRunConfig& cf
 
   res.report.metrics_enabled = obs::metrics_enabled();
   res.report.counters = sink.snapshot();
-  res.report.backend = to_string(cfg.backend);
+  res.report.backend = backend.name();
   res.report.simd_tier = simd_tier_name(active_simd_tier());
   res.report.pool_threads = request_pool().size();
   res.report.kappa = res.details.kappa;
@@ -70,10 +65,12 @@ CutRunResult run_qpd_estimate(const Qpd& qpd, Real exact, const CutRunConfig& cf
   return res;
 }
 
+CutRunResult run_qpd_estimate(const Qpd& qpd, Real exact, const CutRunConfig& cfg) {
+  return run_qpd_estimate(qpd, exact, cfg, *make_backend(cfg.backend, qpd));
+}
+
 CutRunResult run_qpd_estimate(const Qpd& qpd, const CutRunConfig& cfg) {
-  CutRunResult res = run_qpd_estimate(qpd, std::numeric_limits<Real>::quiet_NaN(), cfg);
-  res.has_exact = false;
-  return res;
+  return run_qpd_estimate(qpd, std::nullopt, cfg, *make_backend(cfg.backend, qpd));
 }
 
 CutExecutor::CutExecutor(std::shared_ptr<const WireCutProtocol> protocol)
@@ -90,7 +87,6 @@ Real CutExecutor::mean_abs_error(const CutInput& input, const CutRunConfig& cfg,
   QCUT_CHECK(trials >= 1, "mean_abs_error: need at least one trial");
   const Real exact = uncut_expectation(input);
   const Qpd qpd = protocol_->build_qpd(input);
-  const ExecutionEngine engine(engine_config(cfg));
   // Plan and backend (with its branch cache) are shared across trials: the
   // term circuits are enumerated at most once for the whole sweep.
   const ShotPlan plan = ShotPlan::allocated(qpd, cfg.shots, cfg.rule, /*sigmas=*/nullptr,
@@ -99,7 +95,7 @@ Real CutExecutor::mean_abs_error(const CutInput& input, const CutRunConfig& cfg,
   Real acc = 0.0;
   for (int t = 0; t < trials; ++t) {
     const EstimationResult er =
-        engine.run(qpd, plan, *backend, trial_seed(cfg.seed, static_cast<std::uint64_t>(t)));
+        run_plan(qpd, plan, *backend, trial_seed(cfg.seed, static_cast<std::uint64_t>(t)));
     acc += std::abs(er.estimate - exact);
   }
   return acc / static_cast<Real>(trials);

@@ -1,15 +1,18 @@
 // High-level façade: pick a protocol, run a cut experiment, get estimate and
 // error. This is the API the examples and the Fig. 6 harness sit on.
 //
-// Estimation runs on the qcut::exec engine: shots are planned as term
-// batches, executed on the configured ExecutionBackend, and recombined
-// deterministically. BatchedBranchBackend (binomial sampling from each term's
-// exact P(−1), computed fragment by fragment) is the default for planned and
-// unplanned runs alike; SerialShotBackend is the full per-shot statevector
-// reference.
+// Every estimate, planned or not, cached or not, ends in run_qpd_estimate:
+// shots are planned as term batches, run by run_plan (exec/engine.hpp) on the
+// ExecutionBackend the caller passes, and recombined deterministically. No
+// config carries a backend object: CutRunConfig::backend only names the kind
+// that callers without a backend of their own instantiate.
+// BatchedBranchBackend (binomial sampling from each term's exact P(−1),
+// computed fragment by fragment) is the default; SerialShotBackend is the
+// full per-shot statevector reference.
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "qcut/cut/wire_cut.hpp"
 #include "qcut/exec/engine.hpp"
@@ -22,16 +25,11 @@ struct CutRunConfig {
   std::uint64_t shots = 1000;
   AllocRule rule = AllocRule::kProportional;  ///< the paper's allocation
   std::uint64_t seed = 1234;
-  /// Execution backend. This absorbed the retired `fast` bool (PR 9): the
-  /// old `fast = false` is spelled `backend = BackendKind::kSerialShot`.
+  /// Backend kind the run paths instantiate (make_backend); a caller that
+  /// already holds a backend passes it to run_qpd_estimate instead.
   BackendKind backend = BackendKind::kBatchedBranch;
   /// Shots per term batch (parallelism granularity, never affects the law).
   std::uint64_t max_batch_shots = ShotPlan::kDefaultMaxBatchShots;
-  /// Service-layer hook: run against this caller-owned backend (bound to the
-  /// same QPD, outliving the call) instead of constructing one — a warm
-  /// backend carries branch/skeleton caches across requests. `backend` must
-  /// name its kind (for the report).
-  const ExecutionBackend* shared_backend = nullptr;
 };
 
 struct CutRunResult {
@@ -49,13 +47,17 @@ struct CutRunResult {
   obs::RunReport report;
 };
 
-/// Estimates `qpd` on the engine `cfg` configures and packages the result
-/// against the caller-supplied exact reference value. The shared backend of
-/// CutExecutor::run and the planner's PlannedExecutor.
-CutRunResult run_qpd_estimate(const Qpd& qpd, Real exact, const CutRunConfig& cfg);
+/// The one estimate every run path ends in: plans cfg.shots over `qpd` by
+/// cfg.rule (split into cfg.max_batch_shots batches), runs the plan on
+/// `backend` (bound to `qpd`) with cfg.seed, and packages the result against
+/// `exact` (has_exact = false without one: a circuit too wide to simulate
+/// monolithically has no cheap exact ⟨O⟩). report.backend names `backend`.
+CutRunResult run_qpd_estimate(const Qpd& qpd, std::optional<Real> exact, const CutRunConfig& cfg,
+                              const ExecutionBackend& backend);
 
-/// As above without a reference value (has_exact = false): for circuits too
-/// wide to simulate monolithically, where no exact ⟨O⟩ is computable.
+/// Forwarders to the above on a fresh make_backend(cfg.backend, qpd), with
+/// and without a reference value.
+CutRunResult run_qpd_estimate(const Qpd& qpd, Real exact, const CutRunConfig& cfg);
 CutRunResult run_qpd_estimate(const Qpd& qpd, const CutRunConfig& cfg);
 
 class CutExecutor {

@@ -66,16 +66,6 @@ std::uint64_t BatchedBranchBackend::run_batch(const TermBatch& batch, Rng& rng) 
   return rng.binomial(batch.shots, cache_->prob_one(batch.term));
 }
 
-const char* to_string(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kSerialShot:
-      return "serial-shot";
-    case BackendKind::kBatchedBranch:
-      return "batched-branch";
-  }
-  return "unknown";
-}
-
 std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind, const Qpd& qpd,
                                                std::shared_ptr<SplitSkeletonCache> skeletons) {
   switch (kind) {

@@ -88,8 +88,6 @@ enum class BackendKind {
   kBatchedBranch,
 };
 
-const char* to_string(BackendKind kind);
-
 /// Factory bound to `qpd` (which must outlive the backend). kBatchedBranch
 /// splits through `skeletons` (nullptr → a private cache; the service layer
 /// passes its process-lifetime one so split skeletons survive across

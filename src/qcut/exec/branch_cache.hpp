@@ -10,7 +10,7 @@
 //
 // The cache is lazy and thread-safe: concurrent batches of the same term
 // serialize on a per-term std::call_once, while distinct terms compute in
-// parallel — each term has its own once-flag, and ExecutionEngine::run
+// parallel — each term has its own once-flag, and run_plan (exec/engine.hpp)
 // dispatches every term's first batch before any term's second, so the
 // pool's workers start the distinct terms' computations together instead of
 // queueing behind one term's flag.

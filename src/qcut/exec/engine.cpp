@@ -11,14 +11,6 @@
 
 namespace qcut {
 
-namespace {
-
-/// Substream id for randomness consumed during plan construction (the sampled
-/// plan's multinomial split). Far outside the dense batch-id range, so it can
-/// never collide with a batch stream.
-constexpr std::uint64_t kPlanStream = 0x706c616e2d69644cULL;  // "plan-idL"
-}  // namespace
-
 EstimationResult combine_counts(const Qpd& qpd, const ShotPlan& plan,
                                 const std::vector<std::uint64_t>& ones_per_term) {
   QCUT_CHECK(ones_per_term.size() == qpd.size(), "combine_counts: count/term mismatch");
@@ -65,16 +57,11 @@ EstimationResult run_plan_with_rng(const Qpd& qpd, const ShotPlan& plan,
   return combine_counts(qpd, plan, ones_per_term);
 }
 
-ExecutionEngine::ExecutionEngine(EngineConfig cfg) : cfg_(cfg) {
-  QCUT_CHECK(cfg_.max_batch_shots >= 1, "ExecutionEngine: max_batch_shots must be >= 1");
-}
-
-EstimationResult ExecutionEngine::run(const Qpd& qpd, const ShotPlan& plan,
-                                      const ExecutionBackend& backend,
-                                      std::uint64_t seed) const {
-  QCUT_CHECK(!qpd.empty(), "ExecutionEngine::run: empty QPD");
+EstimationResult run_plan(const Qpd& qpd, const ShotPlan& plan, const ExecutionBackend& backend,
+                          std::uint64_t seed) {
+  QCUT_CHECK(!qpd.empty(), "run_plan: empty QPD");
   QCUT_CHECK(plan.shots_per_term.size() == qpd.size(),
-             "ExecutionEngine::run: plan built for a different QPD");
+             "run_plan: plan built for a different QPD");
   obs::TraceSpan run_span("engine.run", static_cast<std::uint64_t>(plan.batches.size()));
   obs::count(obs::Counter::kBatchesRun, plan.batches.size());
 
@@ -120,28 +107,6 @@ EstimationResult ExecutionEngine::run(const Qpd& qpd, const ShotPlan& plan,
     ones_per_term[plan.batches[b].term] += batch_ones[b];
   }
   return combine_counts(qpd, plan, ones_per_term);
-}
-
-EstimationResult ExecutionEngine::estimate_allocated(const Qpd& qpd, std::uint64_t shots,
-                                                     std::uint64_t seed, AllocRule rule) const {
-  const ShotPlan plan =
-      ShotPlan::allocated(qpd, shots, rule, /*sigmas=*/nullptr, cfg_.max_batch_shots);
-  if (cfg_.shared_backend != nullptr) {
-    return run(qpd, plan, *cfg_.shared_backend, seed);
-  }
-  const auto backend = make_backend(cfg_.backend, qpd);
-  return run(qpd, plan, *backend, seed);
-}
-
-EstimationResult ExecutionEngine::estimate_sampled(const Qpd& qpd, std::uint64_t shots,
-                                                   std::uint64_t seed) const {
-  Rng plan_rng(seed, kPlanStream);
-  const ShotPlan plan = ShotPlan::sampled(qpd, shots, plan_rng, cfg_.max_batch_shots);
-  if (cfg_.shared_backend != nullptr) {
-    return run(qpd, plan, *cfg_.shared_backend, seed);
-  }
-  const auto backend = make_backend(cfg_.backend, qpd);
-  return run(qpd, plan, *backend, seed);
 }
 
 }  // namespace qcut

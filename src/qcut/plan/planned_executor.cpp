@@ -1,5 +1,6 @@
 #include "qcut/plan/planned_executor.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "qcut/obs/trace.hpp"
@@ -27,6 +28,7 @@ PlannedExecutor::PlannedExecutor(Circuit circ, CutPlan plan)
 }
 
 Qpd PlannedExecutor::build_qpd(const Observable& observable) const {
+  obs::TraceSpan span("plan.build_qpd");
   if (plan_.cuts.empty()) {
     return uncut_qpd(circ_, observable.to_string());
   }
@@ -36,10 +38,6 @@ Qpd PlannedExecutor::build_qpd(const Observable& observable) const {
     protos.push_back(p.get());
   }
   return cut_circuit_sites(circ_, plan_.sites(), protos, observable.to_string());
-}
-
-Qpd PlannedExecutor::build_qpd(const std::string& observable) const {
-  return build_qpd(Observable::parse(observable));
 }
 
 BackendKind PlannedExecutor::routed_backend(const Qpd& /*qpd*/, const CutRunConfig& cfg) {
@@ -56,21 +54,27 @@ std::optional<Real> PlannedExecutor::exact_reference(const Observable& observabl
   return uncut_circuit_expectation(circ_, observable.to_string());
 }
 
-CutRunResult PlannedExecutor::run_with(const Qpd& qpd, std::optional<Real> exact,
-                                       const CutRunConfig& cfg) const {
-  obs::TraceSpan run_span("planned_run", static_cast<std::uint64_t>(plan_.cuts.size()));
-  CutRunConfig eff = cfg;
-  if (eff.shots == 0) {
-    const Real predicted = std::ceil(plan_.predicted_shots);
+std::uint64_t resolve_shots(const CutPlan& plan, std::uint64_t requested, std::uint64_t cap) {
+  std::uint64_t shots = requested;
+  if (shots == 0) {
+    const Real predicted = std::ceil(plan.predicted_shots);
     // κ²/ε² grows without bound; casting past the integer range would be UB
     // and silently run a garbage shot count.
-    QCUT_CHECK(predicted <= 1e18,
-               "PlannedExecutor: predicted shot budget exceeds 1e18 — loosen target_accuracy "
-               "or pass an explicit shot count");
-    eff.shots = static_cast<std::uint64_t>(predicted);
+    QCUT_CHECK(predicted <= 1e18 || cap > 0,
+               "resolve_shots: predicted shot budget exceeds 1e18 — loosen target_accuracy, "
+               "pass an explicit shot count or set a shot cap");
+    shots = predicted <= 1e18 ? static_cast<std::uint64_t>(predicted) : cap;
   }
-  CutRunResult res = exact.has_value() ? run_qpd_estimate(qpd, *exact, eff)
-                                       : run_qpd_estimate(qpd, eff);
+  return cap > 0 ? std::min(shots, cap) : shots;
+}
+
+CutRunResult PlannedExecutor::run_with(const Qpd& qpd, std::optional<Real> exact,
+                                       const CutRunConfig& cfg,
+                                       const ExecutionBackend& backend) const {
+  obs::TraceSpan run_span("planned_run", static_cast<std::uint64_t>(plan_.cuts.size()));
+  CutRunConfig eff = cfg;
+  eff.shots = resolve_shots(plan_, cfg.shots);
+  CutRunResult res = run_qpd_estimate(qpd, exact, eff, backend);
   res.report.shots_budget = plan_.predicted_shots;
   res.report.plan_cuts = plan_.cuts.size();
   res.report.max_fragment_width = plan_.max_width;
@@ -78,15 +82,8 @@ CutRunResult PlannedExecutor::run_with(const Qpd& qpd, std::optional<Real> exact
 }
 
 CutRunResult PlannedExecutor::run(const Observable& observable, const CutRunConfig& cfg) const {
-  const Qpd qpd = [this, &observable] {
-    obs::TraceSpan span("plan.build_qpd");
-    return build_qpd(observable);
-  }();
-  return run_with(qpd, exact_reference(observable), cfg);
-}
-
-CutRunResult PlannedExecutor::run(const std::string& observable, const CutRunConfig& cfg) const {
-  return run(Observable::parse(observable), cfg);
+  const Qpd qpd = build_qpd(observable);
+  return run_with(qpd, exact_reference(observable), cfg, *make_backend(cfg.backend, qpd));
 }
 
 PlannedRunResult plan_and_run(const Circuit& circ, const Observable& observable,
@@ -104,11 +101,6 @@ PlannedRunResult plan_and_run(const Circuit& circ, const Observable& observable,
   out.plan = res.plan;
   out.run = res.run;
   return out;
-}
-
-PlannedRunResult plan_and_run(const Circuit& circ, const std::string& observable,
-                              const PlannerConfig& pcfg, const CutRunConfig& rcfg) {
-  return plan_and_run(circ, Observable::parse(observable), pcfg, rcfg);
 }
 
 }  // namespace qcut

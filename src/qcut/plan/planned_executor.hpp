@@ -4,8 +4,10 @@
 // ProtocolSpec descriptors (wire cuts via make_protocol; gate cuts by
 // factoring the host op into locals ⊗ e^{iθZZ}), splices everything into the
 // host circuit via cut_circuit_sites (the product QPD of the n cuts,
-// κ = Π κ_i), and estimates the observable on the batched execution engine —
-// the same engine and backends CutExecutor uses for single-wire experiments.
+// κ = Π κ_i), and estimates the observable through run_with, the single
+// planned run: it resolves the shot budget and calls run_qpd_estimate on the
+// backend it is handed — the same path CutExecutor uses for single-wire
+// experiments.
 //
 // The spliced term circuits are an IR, not an execution obligation: the
 // exact backend (BatchedBranchBackend) simulates each fragment of every term
@@ -21,7 +23,6 @@
 
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "qcut/core/cut_executor.hpp"
@@ -43,32 +44,26 @@ class PlannedExecutor {
 
   /// The joint (product) QPD realizing all planned cuts for `observable`.
   /// A plan with zero cuts yields the single-term "QPD" that just runs the
-  /// circuit and measures the observable.
+  /// circuit and measures the observable. Traced as `plan.build_qpd`.
   Qpd build_qpd(const Observable& observable) const;
-  /// String shim: parses (and so validates) the Pauli string, then delegates.
-  Qpd build_qpd(const std::string& observable) const;
 
-  /// One estimation run. cfg.shots = 0 uses the plan's predicted budget κ²/ε²
-  /// (rounded up). cfg.backend runs as given.
-  ///
-  /// The exact uncut expectation is attached when the circuit is narrow
-  /// enough to simulate monolithically; otherwise result.has_exact is false.
+  /// One estimation run: builds the QPD, the exact reference and a
+  /// cfg.backend backend, then calls run_with.
   CutRunResult run(const Observable& observable, const CutRunConfig& cfg) const;
-  /// String shim: parses the Pauli string, then delegates.
-  CutRunResult run(const std::string& observable, const CutRunConfig& cfg) const;
 
   /// The monolithic uncut ⟨O⟩ of the circuit, or nullopt when the circuit is
   /// wider than Statevector::kMaxQubits (no cheap exact value exists there).
   std::optional<Real> exact_reference(const Observable& observable) const;
 
-  /// Service hook: run() with the QPD construction and the exact reference
-  /// hoisted out. `qpd` must be build_qpd(observable) and `exact`
-  /// exact_reference(observable) of THIS executor (possibly cached across
-  /// requests by the service layer); everything else — shot-budget
-  /// resolution, backend, report fields — is identical to run(), so
-  /// cached inputs estimate bit-identically to freshly built ones.
-  CutRunResult run_with(const Qpd& qpd, std::optional<Real> exact,
-                        const CutRunConfig& cfg) const;
+  /// The single planned run. `qpd` must be build_qpd(observable), `exact`
+  /// exact_reference(observable) of THIS executor and `backend` bound to
+  /// `qpd` (all possibly cached across requests by the service layer; a
+  /// warm backend estimates bit-identically to a fresh one). cfg.shots = 0
+  /// runs the plan's predicted budget (resolve_shots); cfg.backend is not
+  /// read, the report names `backend`. The exact uncut expectation is
+  /// attached when given; otherwise result.has_exact is false.
+  CutRunResult run_with(const Qpd& qpd, std::optional<Real> exact, const CutRunConfig& cfg,
+                        const ExecutionBackend& backend) const;
 
   /// Returns cfg.backend: a planned run executes the kind it asks for.
   /// Kept only because qbench/src/stages.cpp calls it; it goes with that
@@ -81,6 +76,12 @@ class PlannedExecutor {
   std::vector<std::shared_ptr<const CutProtocol>> protocols_;
 };
 
+/// The shot count a run of `plan` executes: `requested` when non-zero, else
+/// the predicted budget κ²/ε² rounded up; then at most `cap` when cap > 0. A
+/// prediction above 1e18 (past the integer range) falls back to the cap, and
+/// throws when there is none.
+std::uint64_t resolve_shots(const CutPlan& plan, std::uint64_t requested, std::uint64_t cap = 0);
+
 struct PlannedRunResult {
   std::shared_ptr<const CutPlan> plan;
   CutRunResult run;
@@ -91,9 +92,6 @@ struct PlannedRunResult {
 /// Implemented on the service front door (svc::estimate) without caching, so
 /// the in-process and daemon paths can never drift.
 PlannedRunResult plan_and_run(const Circuit& circ, const Observable& observable,
-                              const PlannerConfig& pcfg, const CutRunConfig& rcfg);
-/// String shim: parses the Pauli string, then delegates.
-PlannedRunResult plan_and_run(const Circuit& circ, const std::string& observable,
                               const PlannerConfig& pcfg, const CutRunConfig& rcfg);
 
 }  // namespace qcut

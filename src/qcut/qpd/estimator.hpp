@@ -14,8 +14,9 @@
 //    seconds; a gtest asserts its distribution matches the slow path.
 //
 // All entry points are thin wrappers over the qcut::exec execution engine
-// (ShotPlan + ExecutionBackend + combine_counts); use ExecutionEngine
-// directly for batch-parallel, pool-size-invariant estimation.
+// (ShotPlan + ExecutionBackend + run_plan_with_rng) and keep the single
+// caller-driven rng stream; run_plan (exec/engine.hpp) runs batch-parallel
+// and pool-size-invariant.
 #pragma once
 
 #include <cstdint>

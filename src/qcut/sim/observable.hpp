@@ -10,9 +10,6 @@
 // unchanged — so every layer below can trust the value and the service's
 // wire protocol can ship it as its string form without a second validation
 // pass on the far side.
-//
-// String overloads remain on the public entry points as thin shims that
-// construct an Observable and delegate; new code should pass the typed value.
 #pragma once
 
 #include <string>

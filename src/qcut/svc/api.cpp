@@ -152,38 +152,31 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
     caches->circuits.put(req.circuit_qasm, std::make_shared<const ParsedCircuit>(parsed));
   }
 
-  // Resolve the shot policy before execution so the cap can bound the
-  // ε-predicted budget (run_with resolves shots == 0 identically).
   CutRunConfig rcfg = req.run_cfg;
-  if (req.shot_cap > 0) {
-    std::uint64_t want = rcfg.shots;
-    if (want == 0) {
-      const Real predicted = std::ceil(plan.predicted_shots);
-      want = predicted > 1e18 ? req.shot_cap : static_cast<std::uint64_t>(predicted);
-    }
-    rcfg.shots = std::min(want, req.shot_cap);
-  }
+  rcfg.shots = resolve_shots(plan, rcfg.shots, req.shot_cap);
 
+  // Every request runs on an EvalEntry: a cached one (warm backend, built
+  // for rcfg.backend: the kind is part of the eval key) when caches are
+  // given, else a private one. Either way the run below is the same code.
+  const auto build = [&](std::shared_ptr<SplitSkeletonCache> skeletons) {
+    return EvalEntry::build(PlannedExecutor(circ, plan), req.observable, rcfg.backend,
+                            std::move(skeletons));
+  };
+  std::shared_ptr<EvalEntry> entry;
   if (caches != nullptr) {
-    const auto build = [&] {
+    const auto miss = [&] {
       obs::count(obs::Counter::kEvalCacheMiss);
-      return EvalEntry::build(PlannedExecutor(circ, plan), req.observable, rcfg,
-                              caches->skeletons);
+      return build(caches->skeletons);
     };
-    const std::string ekey = eval_key(pkey, req.observable, rcfg);
-    const std::shared_ptr<EvalEntry> entry =
-        caches->evals.get_or_build(ekey, build, &res.eval_cache_hit);
+    entry = caches->evals.get_or_build(eval_key(pkey, req.observable, rcfg.backend), miss,
+                                       &res.eval_cache_hit);
     if (res.eval_cache_hit) {
       obs::count(obs::Counter::kEvalCacheHit);
     }
-    // Run against the entry's warm backend (built for rcfg.backend: the
-    // kind is part of the eval key).
-    rcfg.shared_backend = entry->backend.get();
-    res.run = entry->executor.run_with(entry->qpd, entry->exact, rcfg);
   } else {
-    const PlannedExecutor executor(circ, plan);
-    res.run = executor.run(req.observable, rcfg);
+    entry = build(/*skeletons=*/nullptr);
   }
+  res.run = entry->executor.run_with(entry->qpd, entry->exact, rcfg, *entry->backend);
 
   res.run.report.request_id = req.request_id;
   res.estimate = res.run.estimate;

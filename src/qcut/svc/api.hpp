@@ -9,9 +9,11 @@
 //
 // plan_and_run() is implemented on top of estimate() (without caches), and
 // the qcut-server daemon calls estimate() with its process-lifetime
-// ServiceCaches — both paths run the identical plan/splice/execute code, so
-// a daemon answer is bit-identical to an in-process run of the same request
-// (pinned by test_service.cpp). Cache hits only ever save time.
+// ServiceCaches. Both paths run the identical code: the shot budget is
+// resolved once (resolve_shots), an EvalEntry (svc/cache.hpp) is taken from
+// the caches or built privately, and its executor's run_with runs on its
+// backend. So a daemon answer is bit-identical to an in-process run of the
+// same request (pinned by test_service.cpp). Cache hits only ever save time.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +47,8 @@ struct EstimateRequest {
   /// planner predicts (and shots = 0 runs) the κ²/ε² budget for it.
   Real epsilon = 0.0;
   /// Hard ceiling on the executed shot count, applied after the ε-predicted
-  /// budget is resolved. 0 → uncapped.
+  /// budget is resolved (resolve_shots); it also stands in for a prediction
+  /// past 1e18. 0 → uncapped.
   std::uint64_t shot_cap = 0;
   /// Echoed into the result's RunReport and trace spans; assign unique ids
   /// to correlate daemon-side artifacts with client requests.
@@ -98,10 +101,10 @@ struct EstimateResult {
   CutRunResult run;
 };
 
-/// Validates and executes one request. `caches` null → plan and evaluate
-/// from scratch (the plan_and_run path); non-null → serve the parsed QASM
-/// circuit, the plan and the warm QPD/backend/exact reference from the
-/// caches when keys match, bit-identically.
+/// Validates and executes one request. `caches` null → plan and build a
+/// private EvalEntry (the plan_and_run path); non-null → serve the parsed
+/// QASM circuit, the plan and the warm EvalEntry (QPD, backend, exact
+/// reference) from the caches when keys match, bit-identically.
 /// Throws qcut::Error with request-level diagnostics on invalid input.
 EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches = nullptr);
 

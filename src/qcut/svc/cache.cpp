@@ -100,21 +100,21 @@ std::string plan_key(std::uint64_t circuit_hash, const PlannerConfig& cfg) {
 }
 
 std::string eval_key(const std::string& plan_key, const Observable& observable,
-                     const CutRunConfig& cfg) {
+                     BackendKind kind) {
   std::ostringstream os;
-  os << plan_key << "|" << observable.to_string() << "|b" << static_cast<int>(cfg.backend);
+  os << plan_key << "|" << observable.to_string() << "|b" << static_cast<int>(kind);
   return os.str();
 }
 
 std::shared_ptr<EvalEntry> EvalEntry::build(PlannedExecutor executor, const Observable& observable,
-                                            const CutRunConfig& cfg,
+                                            BackendKind kind,
                                             std::shared_ptr<SplitSkeletonCache> skeletons) {
   Qpd qpd = executor.build_qpd(observable);
   const std::optional<Real> exact = executor.exact_reference(observable);
   auto entry = std::make_shared<EvalEntry>(std::move(executor), std::move(qpd), exact);
   // Bound to entry->qpd, whose address is stable for the entry's lifetime
   // (the entry is heap-allocated and the Qpd never reassigned).
-  entry->backend = make_backend(cfg.backend, entry->qpd, std::move(skeletons));
+  entry->backend = make_backend(kind, entry->qpd, std::move(skeletons));
   return entry;
 }
 

@@ -14,7 +14,9 @@
 //    (canonical circuit hash, planner config);
 //  * the eval entry — the spliced QPD, its warm ExecutionBackend (holding
 //    the exact per-term P(−1) probabilities once computed) and the uncut
-//    exact reference ⟨O⟩, keyed by (plan key, observable, backend kind);
+//    exact reference ⟨O⟩, keyed by (plan key, observable, backend kind). A
+//    cacheless svc::estimate builds the same entry privately, so both
+//    paths run one piece of code;
 //  * the SplitSkeletonCache — per-term fragment split structure, shared by
 //    every batched-branch entry (cut/fragment.hpp owns the type; the
 //    service just holds a capacity-bounded, process-lifetime instance).
@@ -68,7 +70,7 @@ std::string plan_key(std::uint64_t circuit_hash, const PlannerConfig& cfg);
 /// are deliberately absent — a warm backend is exact, so it serves any
 /// budget and any seed bit-identically.
 std::string eval_key(const std::string& plan_key, const Observable& observable,
-                     const CutRunConfig& cfg);
+                     BackendKind kind);
 
 /// A request circuit past the front door's parse: trailing measurements
 /// stripped, with its canonical circuit_hash. The circuit-memo value.
@@ -77,28 +79,29 @@ struct ParsedCircuit {
   std::uint64_t hash = 0;
 };
 
-/// One warm evaluation context: the executor (plan protocols instantiated),
-/// the spliced QPD, an ExecutionBackend bound to it, and the uncut exact
-/// reference. The backend's probability caches (BranchCache / skeletons)
-/// fill on first use and serve every later request with the same key. All
-/// members are immutable or internally synchronized after build(), so one
-/// entry serves concurrent requests.
+/// One evaluation context: the executor (plan protocols instantiated), the
+/// spliced QPD, an ExecutionBackend bound to it, and the uncut exact
+/// reference. svc::estimate runs every request through one: a cached entry's
+/// backend probability caches (BranchCache / skeletons) fill on first use and
+/// serve every later request with the same key, and a cacheless request
+/// builds a private entry. All members are immutable or internally
+/// synchronized after build(), so one entry serves concurrent requests.
 struct EvalEntry {
   PlannedExecutor executor;
   Qpd qpd;                ///< executor.build_qpd(observable); backend points at it
   std::optional<Real> exact;  ///< executor.exact_reference(observable)
-  std::unique_ptr<ExecutionBackend> backend;  ///< of kind cfg.backend
+  std::unique_ptr<ExecutionBackend> backend;  ///< of the kind build() was given
 
   EvalEntry(PlannedExecutor ex, Qpd q, std::optional<Real> e)
       : executor(std::move(ex)), qpd(std::move(q)), exact(e) {}
 
-  /// Builds a ready entry: computes the exact reference under the same
-  /// width rule as PlannedExecutor::run, then constructs a cfg.backend
-  /// backend against the entry's own (heap-stable) QPD. Batched-branch
-  /// backends share `skeletons` so split structure is reused across
-  /// entries.
+  /// Builds a ready entry: the QPD, the exact reference (under
+  /// exact_reference's width rule), then a `kind` backend against the
+  /// entry's own (heap-stable) QPD. Batched-branch backends split through
+  /// `skeletons` (nullptr → a private cache), so the service's shared cache
+  /// reuses split structure across entries.
   static std::shared_ptr<EvalEntry> build(PlannedExecutor executor, const Observable& observable,
-                                          const CutRunConfig& cfg,
+                                          BackendKind kind,
                                           std::shared_ptr<SplitSkeletonCache> skeletons);
 };
 

@@ -165,7 +165,7 @@ TEST(CircuitGraph, GapsFeedingAnInitializeAreNotCandidates) {
   const CutPlan plan = planner.plan();
   ASSERT_FALSE(plan.cuts.empty());
   const PlannedExecutor exec(c, plan);
-  EXPECT_NO_THROW(exec.build_qpd("ZIZZ"));
+  EXPECT_NO_THROW(exec.build_qpd(Observable::parse("ZIZZ")));
 }
 
 TEST(CircuitGraph, IdleWireIsItsOwnFragment) {
@@ -587,14 +587,14 @@ TEST(CutPlanner, GateCutWinsWhenItBeatsEveryWirePlan) {
   // spliced branches include the cp's local phase factors).
   const PlannedExecutor exec(c, plan);
   for (const std::string obs : {"ZZZZ", "XYXZ"}) {
-    const Qpd qpd = exec.build_qpd(obs);
+    const Qpd qpd = exec.build_qpd(Observable::parse(obs));
     EXPECT_NEAR(exact_value(qpd), uncut_circuit_expectation(c, obs), 1e-8) << obs;
     EXPECT_NEAR(qpd.kappa(), plan.total_kappa, 1e-9);
   }
   CutRunConfig rcfg;
   rcfg.shots = 20000;
   rcfg.seed = 7;
-  const CutRunResult res = exec.run("ZZZZ", rcfg);
+  const CutRunResult res = exec.run(Observable::z_all(4), rcfg);
   EXPECT_LE(res.abs_error, 0.15);
 }
 
@@ -647,7 +647,7 @@ TEST(CutPlanner, MixedLinkRunsTheWernerProtocolEndToEnd) {
   EXPECT_NEAR(plan.total_kappa, mixed_cut_overhead(0.9), 1e-12);
 
   const PlannedExecutor exec(ghz, plan);
-  const Qpd qpd = exec.build_qpd("ZZZZZ");
+  const Qpd qpd = exec.build_qpd(Observable::z_all(5));
   EXPECT_NEAR(exact_value(qpd), uncut_circuit_expectation(ghz, "ZZZZZ"), 1e-8);
   EXPECT_NEAR(qpd.kappa(), plan.total_kappa, 1e-9);
 }
@@ -679,7 +679,7 @@ TEST(CutPlanner, MergeAwareFeasibilityRepairsWidePlans) {
   CutRunConfig rcfg;
   rcfg.shots = 2000;
   rcfg.seed = 11;
-  const CutRunResult res = exec.run(std::string(30, 'Z'), rcfg);
+  const CutRunResult res = exec.run(Observable::z_all(30), rcfg);
   EXPECT_FALSE(res.has_exact);  // 30 qubits: no monolithic reference
   EXPECT_LE(std::abs(res.estimate), 1.0 + 1e-9);
 }
@@ -917,14 +917,14 @@ TEST(PlannedExecutor, GhzConvergesWithinThreeSigmaAtPredictedBudget) {
   const PlannedExecutor exec(ghz, plan);
   for (const std::string obs : {"XXXXXX", "ZZZZZZ"}) {
     const Real exact = uncut_circuit_expectation(ghz, obs);
-    const Qpd qpd = exec.build_qpd(obs);
+    const Qpd qpd = exec.build_qpd(Observable::parse(obs));
     EXPECT_NEAR(exact_value(qpd), exact, 1e-8) << obs;
     EXPECT_NEAR(qpd.kappa(), plan.total_kappa, 1e-9) << obs;
 
     CutRunConfig rcfg;
     rcfg.shots = 0;  // the planner-predicted budget
     rcfg.seed = 20240731;
-    const CutRunResult res = exec.run(obs, rcfg);
+    const CutRunResult res = exec.run(Observable::parse(obs), rcfg);
     EXPECT_EQ(res.exact, exact);
     EXPECT_GE(res.details.shots_used,
               static_cast<std::uint64_t>(plan.predicted_shots * 0.99));
@@ -939,7 +939,7 @@ TEST(PlannedExecutor, MeanErrorOverTrialsTracksTargetAccuracy) {
   PlannerConfig pcfg;
   pcfg.max_fragment_width = 3;
   pcfg.target_accuracy = 0.1;
-  const PlannedRunResult first = plan_and_run(ghz, "XXXXX", pcfg, CutRunConfig{});
+  const PlannedRunResult first = plan_and_run(ghz, Observable::x_all(5), pcfg, CutRunConfig{});
   ASSERT_EQ(first.plan->cuts.size(), 1u);
 
   const PlannedExecutor exec(ghz, *first.plan);
@@ -949,7 +949,7 @@ TEST(PlannedExecutor, MeanErrorOverTrialsTracksTargetAccuracy) {
     CutRunConfig rcfg;
     rcfg.shots = 0;
     rcfg.seed = 1000 + static_cast<std::uint64_t>(t);
-    acc += exec.run("XXXXX", rcfg).abs_error;
+    acc += exec.run(Observable::x_all(5), rcfg).abs_error;
   }
   EXPECT_LE(acc / trials, 1.5 * pcfg.target_accuracy);
 }
@@ -965,10 +965,10 @@ TEST(PlannedExecutor, RejectsOverflowingPredictedBudget) {
   const PlannedExecutor exec(ghz, plan);
   CutRunConfig rcfg;
   rcfg.shots = 0;
-  EXPECT_THROW(exec.run("XXXXXX", rcfg), Error);
+  EXPECT_THROW(exec.run(Observable::x_all(6), rcfg), Error);
   // An explicit shot count keeps working regardless of ε.
   rcfg.shots = 500;
-  EXPECT_NO_THROW(exec.run("XXXXXX", rcfg));
+  EXPECT_NO_THROW(exec.run(Observable::x_all(6), rcfg));
 }
 
 TEST(PlannedExecutor, ZeroCutPlanRunsDirectly) {
@@ -977,7 +977,7 @@ TEST(PlannedExecutor, ZeroCutPlanRunsDirectly) {
   pcfg.max_fragment_width = 3;
   CutRunConfig rcfg;
   rcfg.shots = 4000;
-  const PlannedRunResult res = plan_and_run(ghz, "XXX", pcfg, rcfg);
+  const PlannedRunResult res = plan_and_run(ghz, Observable::x_all(3), pcfg, rcfg);
   EXPECT_TRUE(res.plan->cuts.empty());
   EXPECT_NEAR(res.run.exact, 1.0, 1e-10);
   EXPECT_LE(res.run.abs_error, 0.1);  // κ = 1: plain sampling noise only

@@ -125,17 +125,15 @@ TEST(EngineTest, BackendsAgreeInDistribution) {
   const std::uint64_t shots = 300;
   const int trials = 200;
 
-  EngineConfig serial_cfg;
-  serial_cfg.backend = BackendKind::kSerialShot;
-  EngineConfig batched_cfg;
-  batched_cfg.backend = BackendKind::kBatchedBranch;
-  const ExecutionEngine serial_engine(serial_cfg), batched_engine(batched_cfg);
+  const ShotPlan plan = ShotPlan::allocated(qpd, shots, AllocRule::kProportional);
+  const SerialShotBackend serial(qpd);
+  const BatchedBranchBackend batched(qpd);
 
   RunningStats serial_stats, batched_stats;
   for (int t = 0; t < trials; ++t) {
     const auto seed = static_cast<std::uint64_t>(t);
-    serial_stats.add(serial_engine.estimate_allocated(qpd, shots, seed).estimate);
-    batched_stats.add(batched_engine.estimate_allocated(qpd, shots, 1000000 + seed).estimate);
+    serial_stats.add(run_plan(qpd, plan, serial, seed).estimate);
+    batched_stats.add(run_plan(qpd, plan, batched, 1000000 + seed).estimate);
   }
   EXPECT_NEAR(serial_stats.mean(), target, 5.0 * serial_stats.sem() + 1e-6);
   EXPECT_NEAR(batched_stats.mean(), target, 5.0 * batched_stats.sem() + 1e-6);
@@ -149,15 +147,18 @@ TEST(EngineTest, SampledPathIsUnbiasedOnBothBackends) {
   const Qpd qpd = HaradaCut{}.build_qpd(fixed_input());
   const Real target = std::cos(1.1);
   for (BackendKind kind : {BackendKind::kSerialShot, BackendKind::kBatchedBranch}) {
-    EngineConfig cfg;
-    cfg.backend = kind;
-    const ExecutionEngine engine(cfg);
+    const auto backend = make_backend(kind, qpd);
     RunningStats stats;
     const int trials = kind == BackendKind::kSerialShot ? 150 : 400;
     for (int t = 0; t < trials; ++t) {
-      stats.add(engine.estimate_sampled(qpd, 200, static_cast<std::uint64_t>(17 + t)).estimate);
+      // The multinomial term split and the batches draw from disjoint
+      // substreams of one seed.
+      const auto seed = static_cast<std::uint64_t>(17 + t);
+      Rng plan_rng(seed, /*stream=*/~std::uint64_t{0});
+      const ShotPlan plan = ShotPlan::sampled(qpd, 200, plan_rng);
+      stats.add(run_plan(qpd, plan, *backend, seed).estimate);
     }
-    EXPECT_NEAR(stats.mean(), target, 5.0 * stats.sem() + 1e-6) << to_string(kind);
+    EXPECT_NEAR(stats.mean(), target, 5.0 * stats.sem() + 1e-6) << backend->name();
   }
 }
 
@@ -177,13 +178,10 @@ TEST(EngineTest, BitIdenticalAcrossPoolSizes) {
     std::vector<Real> estimates;
     for (ThreadPool* pool : {&p1, &p2, &p8}) {
       const qcut::testing::ScopedPool scope(*pool);
-      EngineConfig cfg;
-      cfg.backend = kind;
-      const ExecutionEngine engine(cfg);
-      estimates.push_back(engine.run(qpd, plan, *backend, /*seed=*/20240320).estimate);
+      estimates.push_back(run_plan(qpd, plan, *backend, /*seed=*/20240320).estimate);
     }
-    EXPECT_EQ(estimates[0], estimates[1]) << to_string(kind);
-    EXPECT_EQ(estimates[0], estimates[2]) << to_string(kind);
+    EXPECT_EQ(estimates[0], estimates[1]) << backend->name();
+    EXPECT_EQ(estimates[0], estimates[2]) << backend->name();
   }
 }
 
@@ -191,13 +189,13 @@ TEST(EngineTest, BatchSplitDoesNotChangeTheLaw) {
   // Different max_batch_shots give different streams but the same statistics.
   const Qpd qpd = NmeCut{0.5}.build_qpd(fixed_input());
   const Real target = std::cos(1.1);
+  const BatchedBranchBackend backend(qpd);
   for (std::uint64_t split : {std::uint64_t{64}, std::uint64_t{1024}, ShotPlan::kNoSplit}) {
-    EngineConfig cfg;
-    cfg.max_batch_shots = split;
-    const ExecutionEngine engine(cfg);
+    const ShotPlan plan =
+        ShotPlan::allocated(qpd, 2000, AllocRule::kProportional, /*sigmas=*/nullptr, split);
     RunningStats stats;
     for (int t = 0; t < 300; ++t) {
-      stats.add(engine.estimate_allocated(qpd, 2000, static_cast<std::uint64_t>(t)).estimate);
+      stats.add(run_plan(qpd, plan, backend, static_cast<std::uint64_t>(t)).estimate);
     }
     EXPECT_NEAR(stats.mean(), target, 5.0 * stats.sem() + 1e-6) << "split=" << split;
   }
@@ -257,7 +255,7 @@ TEST(EngineTest, CutExecutorDefaultsToBatchedBackend) {
 }
 
 TEST(EngineTest, NestedRunFromPoolWorkerFallsBackInline) {
-  // Calling engine.run from a task of its own pool must not deadlock (the
+  // Calling run_plan from a task of its own pool must not deadlock (the
   // pool's parallel_for detects the re-entry and runs the batches inline)
   // and must return the same bits as a top-level run.
   const Qpd qpd = NmeCut{0.6}.build_qpd(fixed_input());
@@ -266,12 +264,11 @@ TEST(EngineTest, NestedRunFromPoolWorkerFallsBackInline) {
   const ShotPlan plan = ShotPlan::allocated(qpd, 10000, AllocRule::kProportional,
                                             /*sigmas=*/nullptr, /*max_batch_shots=*/128);
   const BatchedBranchBackend backend(qpd);
-  const ExecutionEngine engine;
 
-  const Real top_level = engine.run(qpd, plan, backend, /*seed=*/7).estimate;
+  const Real top_level = run_plan(qpd, plan, backend, /*seed=*/7).estimate;
   std::vector<Real> nested(4, 0.0);
   pool.parallel_for(0, nested.size(), [&](std::size_t i) {
-    nested[i] = engine.run(qpd, plan, backend, /*seed=*/7).estimate;
+    nested[i] = run_plan(qpd, plan, backend, /*seed=*/7).estimate;
   });
   for (Real e : nested) {
     EXPECT_EQ(e, top_level);
@@ -327,10 +324,9 @@ TEST(EngineTest, DistinctTermsEnumerateConcurrently) {
   const auto run_on = [&](std::size_t workers) {
     ThreadPool pool(workers);
     const qcut::testing::ScopedPool scope(pool);
-    const ExecutionEngine engine;
     const SlowEnumerationBackend backend(qpd);
     const obs::MetricsSnapshot before = obs::metrics_snapshot();
-    const Real estimate = engine.run(qpd, plan, backend, /*seed=*/4242).estimate;
+    const Real estimate = run_plan(qpd, plan, backend, /*seed=*/4242).estimate;
     const obs::MetricsSnapshot delta = obs::metrics_delta(before, obs::metrics_snapshot());
     EXPECT_EQ(delta[obs::Counter::kBranchCacheMiss], qpd.size()) << "pool " << workers;
     EXPECT_EQ(delta[obs::Counter::kBranchCacheHit] + delta[obs::Counter::kBranchCacheMiss],

@@ -85,7 +85,7 @@ TEST(FragmentSplit, EntangledResourceMergesFragments) {
 /// The planned QPD of `circ` under `pcfg` for the all-Z observable.
 Qpd planned_qpd(const Circuit& circ, const PlannerConfig& pcfg) {
   const PlannedExecutor exec(circ, CutPlanner(circ, pcfg).plan());
-  return exec.build_qpd(all_z(circ.n_qubits()));
+  return exec.build_qpd(Observable::z_all(circ.n_qubits()));
 }
 
 Circuit hwe_ansatz_8() {
@@ -301,7 +301,7 @@ TEST(BatchedBranchBackend, WideGhzPlannedRunExecutesFragmentLocally) {
   rcfg.shots = 0;  // planner-predicted budget
   rcfg.seed = 20240731;
 
-  const PlannedRunResult out = plan_and_run(circ, all_z(n), pcfg, rcfg);
+  const PlannedRunResult out = plan_and_run(circ, Observable::z_all(n), pcfg, rcfg);
   EXPECT_LE(out.plan->max_width, 16);
   ASSERT_FALSE(out.plan->cuts.empty());
   for (const PlannedCut& pc : out.plan->cuts) {
@@ -327,7 +327,7 @@ TEST(BatchedBranchBackend, TwentyFourQubitSingleFragmentRunsEndToEnd) {
   CutRunConfig rcfg;
   rcfg.shots = 64;
   rcfg.seed = 7;
-  const PlannedRunResult out = plan_and_run(ghz_line(n), all_z(n), pcfg, rcfg);
+  const PlannedRunResult out = plan_and_run(ghz_line(n), Observable::z_all(n), pcfg, rcfg);
   EXPECT_TRUE(out.plan->cuts.empty());
   EXPECT_EQ(out.plan->max_width, n);
   EXPECT_NEAR(out.run.estimate, 1.0, 1e-9);
@@ -374,7 +374,7 @@ TEST(FragmentParallel, PoolSizeBitIdentity) {
   pcfg.pair_budget = 0;
   const CutPlanner planner(circ, pcfg);
   const PlannedExecutor exec(circ, planner.plan());
-  const Qpd qpd = exec.build_qpd(all_z(12));
+  const Qpd qpd = exec.build_qpd(Observable::z_all(12));
   ASSERT_GE(qpd.size(), 4u);
 
   std::vector<Real> serial;
@@ -393,9 +393,8 @@ TEST(FragmentParallel, PoolSizeBitIdentity) {
     for (std::size_t i = 0; i < probs.size(); ++i) {
       EXPECT_EQ(probs[i], serial[i]) << "pool " << n_threads << " term " << i;
     }
-    const ExecutionEngine engine;
     const auto plan = ShotPlan::allocated(qpd, 50000, AllocRule::kProportional);
-    estimates.push_back(engine.run(qpd, plan, backend, /*seed=*/20260730).estimate);
+    estimates.push_back(run_plan(qpd, plan, backend, /*seed=*/20260730).estimate);
   }
   EXPECT_EQ(estimates[0], estimates[1]);
   EXPECT_EQ(estimates[0], estimates[2]);
@@ -565,8 +564,8 @@ TEST(BatchedBranchBackend, PlannedAndUnplannedRunsOfOneQpdDrawTheSameBits) {
   ASSERT_EQ(cfg.backend, BackendKind::kBatchedBranch);
 
   const CutRunResult a = run_qpd_estimate(
-      exec.build_qpd(all_z(6)), *exec.exact_reference(Observable::z_all(6)), cfg);
-  const CutRunResult b = exec.run(all_z(6), cfg);
+      exec.build_qpd(Observable::z_all(6)), *exec.exact_reference(Observable::z_all(6)), cfg);
+  const CutRunResult b = exec.run(Observable::z_all(6), cfg);
   EXPECT_EQ(a.report.backend, "batched-branch");
   EXPECT_EQ(b.report.backend, "batched-branch");
   EXPECT_TRUE(a.has_exact);
@@ -587,7 +586,7 @@ TEST(BatchedBranchBackend, DefaultPlannedRunsExecuteOnTheFragmentPath) {
   ASSERT_EQ(rcfg.backend, BackendKind::kBatchedBranch);
   const bool was_enabled = obs::metrics_enabled();
   obs::set_metrics_enabled(true);
-  const PlannedRunResult out = plan_and_run(hwe, all_z(8), pcfg, rcfg);
+  const PlannedRunResult out = plan_and_run(hwe, Observable::z_all(8), pcfg, rcfg);
   obs::set_metrics_enabled(was_enabled);
   EXPECT_FALSE(out.plan->cuts.empty());
   EXPECT_EQ(out.run.report.backend, "batched-branch");

@@ -273,7 +273,7 @@ TEST_F(ObsTest, FannedOutRunReportsItsOwnCountersWhileAnotherThreadCounts) {
   PlannerConfig pcfg;
   pcfg.max_fragment_width = 3;
   const PlannedExecutor executor(circ, CutPlanner(circ, pcfg).plan());
-  const Qpd qpd = executor.build_qpd(all_z(8));
+  const Qpd qpd = executor.build_qpd(Observable::z_all(8));
   ThreadPool pool(4);
   CutRunConfig cfg;
   cfg.shots = 4000;
@@ -293,7 +293,7 @@ TEST_F(ObsTest, FannedOutRunReportsItsOwnCountersWhileAnotherThreadCounts) {
   CutRunResult res;
   try {
     const qcut::testing::ScopedPool scope(pool);
-    res = executor.run_with(qpd, std::nullopt, cfg);
+    res = executor.run_with(qpd, std::nullopt, cfg, BatchedBranchBackend(qpd));
   } catch (...) {
     fault::disarm_faults();
     done = true;
@@ -360,7 +360,7 @@ TEST_F(ObsTest, EstimatesAreBitIdenticalWithMetricsAndTracingToggled) {
     CutRunConfig rcfg;
     rcfg.shots = 2000;
     rcfg.seed = 77;
-    return plan_and_run(ghz_line(8), all_z(8), pcfg, rcfg).run.estimate;
+    return plan_and_run(ghz_line(8), Observable::z_all(8), pcfg, rcfg).run.estimate;
   };
   const Real with_metrics = run();
   obs::set_metrics_enabled(false);
@@ -447,7 +447,7 @@ TEST_F(ObsTest, TraceFileIsWellFormedCoversThePipelineAndSpansNest) {
     CutRunConfig rcfg;
     rcfg.shots = 2000;
     rcfg.seed = 77;
-    plan_and_run(ghz_line(8), all_z(8), pcfg, rcfg);
+    plan_and_run(ghz_line(8), Observable::z_all(8), pcfg, rcfg);
   }
   EXPECT_GT(obs::trace_event_count(), 0u);
   obs::write_trace(path);
@@ -505,7 +505,7 @@ TEST_F(ObsTest, RunReportJsonCarriesEverySectionTheCiGateRequires) {
   CutRunConfig rcfg;
   rcfg.shots = 1000;
   rcfg.seed = 3;
-  const PlannedRunResult out = plan_and_run(ghz_line(8), all_z(8), pcfg, rcfg);
+  const PlannedRunResult out = plan_and_run(ghz_line(8), Observable::z_all(8), pcfg, rcfg);
 
   EXPECT_EQ(out.run.report.plan_cuts, out.plan->cuts.size());
   EXPECT_GT(out.run.report.shots_budget, 0.0);

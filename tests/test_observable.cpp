@@ -1,11 +1,10 @@
-// The typed Observable: construction-time validation, exact round-tripping,
-// and the string shims on the public entry points delegating to it.
+// The typed Observable: construction-time validation and exact
+// round-tripping.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "qcut/common/error.hpp"
-#include "qcut/plan/planned_executor.hpp"
 #include "qcut/sim/observable.hpp"
 
 namespace qcut {
@@ -32,6 +31,7 @@ TEST(Observable, RejectsEmptyAndInvalidCharactersWithPosition) {
   }
   EXPECT_THROW(Observable::parse("z"), Error);   // lowercase is not accepted
   EXPECT_THROW(Observable::parse("Z Z"), Error);
+  EXPECT_THROW(Observable::parse("ZZB"), Error);
 }
 
 TEST(Observable, FactoriesAndAccessors) {
@@ -50,25 +50,6 @@ TEST(Observable, FactoriesAndAccessors) {
   EXPECT_TRUE(Observable::parse("III").is_identity());
   EXPECT_FALSE(mixed.is_identity());
   EXPECT_EQ(Observable(), Observable::parse("Z"));  // documented default
-}
-
-TEST(Observable, StringShimsDelegateToTypedOverloads) {
-  // Typed and string forms of the planned-execution entry points must give
-  // bit-identical results: the shim parses and delegates, nothing more.
-  Circuit circ(3, 0);
-  circ.h(0).cx(0, 1).cx(1, 2).rz(1, 0.4);
-  PlannerConfig pcfg;
-  pcfg.max_fragment_width = 2;
-  CutRunConfig rcfg;
-  rcfg.shots = 2000;
-  rcfg.seed = 7;
-  const PlannedRunResult typed = plan_and_run(circ, Observable::z_all(3), pcfg, rcfg);
-  const PlannedRunResult stringly = plan_and_run(circ, "ZZZ", pcfg, rcfg);
-  EXPECT_EQ(typed.run.estimate, stringly.run.estimate);
-  EXPECT_EQ(typed.run.exact, stringly.run.exact);
-
-  // And a bad string surfaces at the front door, not in the cutter.
-  EXPECT_THROW(plan_and_run(circ, "ZZB", pcfg, rcfg), Error);
 }
 
 }  // namespace

@@ -201,11 +201,8 @@ TEST(ServiceEstimate, WarmQasmHitSkipsTheParseAndTheExactReference) {
 TEST(ServiceEstimate, EvalKeyHoldsTheBackendKind) {
   // The serial-shot reference is a different execution path with its own
   // entry.
-  CutRunConfig batched;
-  CutRunConfig serial;
-  serial.backend = BackendKind::kSerialShot;
-  EXPECT_NE(eval_key("p", Observable::z_all(2), batched),
-            eval_key("p", Observable::z_all(2), serial));
+  EXPECT_NE(eval_key("p", Observable::z_all(2), BackendKind::kBatchedBranch),
+            eval_key("p", Observable::z_all(2), BackendKind::kSerialShot));
 }
 
 TEST(ServiceEstimate, MalformedQasmIsRejectedEveryTimeAndNeverMemoized) {
@@ -306,6 +303,43 @@ TEST(ServiceEstimate, EpsilonDrivesBudgetAndShotCapBoundsIt) {
   req.shot_cap = loose.shots_used / 2;
   const EstimateResult capped = estimate(req, nullptr);
   EXPECT_EQ(capped.shots_used, req.shot_cap);
+}
+
+TEST(ServiceEstimate, ShotCapBoundsABudgetPastTheIntegerRange) {
+  // κ²/ε² above 1e18 has no integer shot count: with a cap the request runs
+  // exactly the cap, on the cacheless and the cached path; without one it
+  // throws.
+  EstimateRequest req = workload_request();
+  req.run_cfg.shots = 0;
+  req.epsilon = 1e-10;  // κ ≥ 1 → κ²/ε² ≥ 1e20
+  ServiceCaches caches;
+  for (ServiceCaches* c : {static_cast<ServiceCaches*>(nullptr), &caches}) {
+    req.shot_cap = 3000;
+    const EstimateResult capped = estimate(req, c);
+    EXPECT_GT(capped.plan_summary.predicted_shots, 1e18);
+    EXPECT_EQ(capped.shots_used, 3000u);
+    req.shot_cap = 0;
+    EXPECT_THROW(estimate(req, c), Error);
+  }
+}
+
+TEST(ServiceEstimate, SerialShotRequestsReportTheBackendThatRan) {
+  // The report names the backend that ran: a serial-shot request, cacheless
+  // and then cold and warm through one cache, never reads batched-branch.
+  EstimateRequest req = workload_request();
+  req.run_cfg.backend = BackendKind::kSerialShot;
+  req.run_cfg.shots = 400;  // every shot is a statevector simulation
+  ServiceCaches caches;
+  const EstimateResult cacheless = estimate(req, nullptr);
+  const EstimateResult cold = estimate(req, &caches);
+  const EstimateResult warm = estimate(req, &caches);
+  for (const EstimateResult* r : {&cacheless, &cold, &warm}) {
+    EXPECT_EQ(r->run.report.backend, "serial-shot");
+  }
+  EXPECT_FALSE(cold.eval_cache_hit);
+  EXPECT_TRUE(warm.eval_cache_hit);
+  EXPECT_EQ(warm.estimate, cold.estimate);
+  EXPECT_EQ(warm.estimate, cacheless.estimate);
 }
 
 TEST(ServiceEstimate, FrontDoorValidationNamesTheProblem) {
