@@ -9,7 +9,10 @@
 //  * parallel         — BatchedBranchBackend through the engine on an
 //    N-thread pool (same bit-identical result by construction);
 //  * parallel-serial  — SerialShotBackend through the engine on the pool
-//    (per-shot simulation, batch-parallel).
+//    (per-shot simulation, term-parallel).
+// Each row records the tasks its run submitted to its pool (record only):
+// the engine fans out one index per term, so the parallel rows read at most
+// the term count.
 //
 // Fragment path (the wide-circuit hot path): planned GHZ-30 plus QASM-corpus
 // workloads, each measured two ways —
@@ -116,6 +119,7 @@ struct BackendRow {
   double seconds = 0.0;
   double shots_per_sec = 0.0;
   qcut::Real estimate = 0.0;
+  std::uint64_t pool_tasks = 0;  ///< tasks the run submitted to its pool
 };
 
 /// Runs `plan` on `backend` with the engine's batches on `pool`.
@@ -127,9 +131,11 @@ BackendRow measure(const std::string& name, const qcut::Qpd& qpd, const qcut::Sh
   row.shots = plan.total_shots;
   row.threads = pool.size();
   const qcut::testing::ScopedPool scope(pool);
+  const std::uint64_t tasks_before = pool.tasks_run();
   const auto start = Clock::now();
   const qcut::EstimationResult res = qcut::run_plan(qpd, plan, backend, seed);
   row.seconds = seconds_since(start);
+  row.pool_tasks = pool.tasks_run() - tasks_before;
   row.shots_per_sec = row.seconds > 0.0 ? static_cast<double>(row.shots) / row.seconds : 0.0;
   row.estimate = res.estimate;
   return row;
@@ -769,8 +775,8 @@ int main(int argc, char** argv) {
   const qcut::Qpd qpd = proto.build_qpd(input);
 
   std::printf("=== Engine perf: NmeCut(0.6) workload, %zu QPD terms ===\n\n", qpd.size());
-  std::printf("%-16s %12s %8s %12s %16s\n", "backend", "shots", "threads", "seconds",
-              "shots/sec");
+  std::printf("%-16s %12s %8s %12s %16s %10s\n", "backend", "shots", "threads", "seconds",
+              "shots/sec", "pool tasks");
 
   std::vector<BackendRow> rows;
   qcut::ThreadPool pool1(1), poolN(threads);
@@ -793,8 +799,9 @@ int main(int argc, char** argv) {
   }
 
   for (const auto& r : rows) {
-    std::printf("%-16s %12llu %8zu %12.4f %16.0f\n", r.name.c_str(),
-                static_cast<unsigned long long>(r.shots), r.threads, r.seconds, r.shots_per_sec);
+    std::printf("%-16s %12llu %8zu %12.4f %16.0f %10llu\n", r.name.c_str(),
+                static_cast<unsigned long long>(r.shots), r.threads, r.seconds, r.shots_per_sec,
+                static_cast<unsigned long long>(r.pool_tasks));
   }
 
   const double speedup = rows[0].shots_per_sec > 0.0
@@ -1078,12 +1085,14 @@ int main(int argc, char** argv) {
   // ---- machine-readable record for perf-trajectory tracking across PRs -----
   std::ofstream json(json_path);
   json << "{\n  \"provenance\": " << qcut::obs::provenance_json(2) << ",\n";
-  json << "  \"workload\": \"nme_f0.6_haar_Z\",\n  \"backends\": [\n";
+  json << "  \"workload\": \"nme_f0.6_haar_Z\",\n  \"terms\": " << qpd.size()
+       << ",\n  \"backends\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
     json << "    {\"name\": \"" << r.name << "\", \"shots\": " << r.shots
          << ", \"threads\": " << r.threads << ", \"seconds\": " << r.seconds
-         << ", \"shots_per_sec\": " << r.shots_per_sec << "}"
+         << ", \"shots_per_sec\": " << r.shots_per_sec << ", \"pool_tasks\": " << r.pool_tasks
+         << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"speedup_batched_over_serial\": " << speedup << ",\n";

@@ -9,7 +9,7 @@
 //   RequestContext ctx = current_request_context();
 //   ctx.pool = &pool;
 //   const ScopedRequestContext scope(ctx);
-//   ... svc::estimate(req) ...   // its batches fan out over `pool`
+//   ... svc::estimate(req) ...   // its terms fan out over `pool`
 #pragma once
 
 namespace qcut {

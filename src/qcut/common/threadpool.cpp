@@ -36,18 +36,18 @@ ThreadPool::~ThreadPool() {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /// The pool whose worker this thread is, set once by worker_loop.
 thread_local const ThreadPool* t_worker_of = nullptr;
 
-std::uint64_t nanos(Clock::duration d) {
+std::uint64_t nanos(std::chrono::steady_clock::duration d) {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
 }
 
 }  // namespace
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
+void ThreadPool::run_task(const RequestContext& ctx, Clock::time_point enqueued_at,
+                          const std::function<void()>& run,
+                          const std::function<void()>& release) {
   // The task runs under its submitter's context, with this pool as its
   // request pool, counting into a task-local sink that is merged into the
   // submitter's before the packaged task makes the future ready, throwing or
@@ -56,42 +56,41 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   // instead of escaping worker_loop. The task is released as soon as it has
   // run or failed, before the future is ready: what it captured dies on the
   // worker even while the submitter still holds the future.
-  std::packaged_task<void()> pt([this, task = std::move(task), ctx = current_request_context(),
-                                 enqueued_at = Clock::now()]() mutable {
-    const auto picked_up = Clock::now();
-    obs::MetricsSink local;
-    std::exception_ptr error;
-    {
-      const ScopedRequestContext scope(
-          {ctx.cancel, ctx.sink != nullptr ? &local : nullptr, this});
-      try {
-        fault::maybe_inject(fault::Site::kPoolTask);
-        task();
-      } catch (...) {
-        error = std::current_exception();
-      }
-      task = nullptr;
-      const std::uint64_t wait_ns = nanos(picked_up - enqueued_at);
-      const std::uint64_t run_ns = nanos(Clock::now() - picked_up);
-      tasks_run_.fetch_add(1, std::memory_order_relaxed);
-      queue_wait_ns_.fetch_add(wait_ns, std::memory_order_relaxed);
-      busy_ns_.fetch_add(run_ns, std::memory_order_relaxed);
-      obs::count(obs::Counter::kPoolTasks);
-      obs::count(obs::Counter::kPoolQueueWaitNanos, wait_ns);
-      obs::count(obs::Counter::kPoolBusyNanos, run_ns);
+  const auto picked_up = Clock::now();
+  obs::MetricsSink local;
+  std::exception_ptr error;
+  {
+    const ScopedRequestContext scope({ctx.cancel, ctx.sink != nullptr ? &local : nullptr, this});
+    try {
+      fault::maybe_inject(fault::Site::kPoolTask);
+      run();
+    } catch (...) {
+      error = std::current_exception();
     }
-    if (ctx.sink != nullptr) {
-      local.merge_into(*ctx.sink);
-    }
-    if (error) {
-      std::rethrow_exception(error);
-    }
-  });
-  std::future<void> fut = pt.get_future();
+    release();
+    const std::uint64_t wait_ns = nanos(picked_up - enqueued_at);
+    const std::uint64_t run_ns = nanos(Clock::now() - picked_up);
+    tasks_run_.fetch_add(1, std::memory_order_relaxed);
+    queue_wait_ns_.fetch_add(wait_ns, std::memory_order_relaxed);
+    busy_ns_.fetch_add(run_ns, std::memory_order_relaxed);
+    obs::count(obs::Counter::kPoolTasks);
+    obs::count(obs::Counter::kPoolQueueWaitNanos, wait_ns);
+    obs::count(obs::Counter::kPoolBusyNanos, run_ns);
+  }
+  if (ctx.sink != nullptr) {
+    local.merge_into(*ctx.sink);
+  }
+  if (error) {
+    std::rethrow_exception(error);
+  }
+}
+
+std::future<void> ThreadPool::enqueue(std::packaged_task<void()> task) {
+  std::future<void> fut = task.get_future();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     QCUT_CHECK(!stop_, "submit on stopped ThreadPool");
-    queue_.push_back(std::move(pt));
+    queue_.push_back(std::move(task));
   }
   cv_.notify_one();
   return fut;
@@ -140,28 +139,33 @@ void ThreadPool::parallel_for_chunked(
     }
     return;
   }
-  // Each chunk keeps its own exception, so no body exception crosses a
-  // packaged_task, and every chunk finishes before one is rethrown: none
-  // outlives `body`. A get() that throws is an injected pool.task fault.
-  std::vector<std::exception_ptr> errors(n_chunks);
-  std::vector<std::future<void>> futures;
-  futures.reserve(n_chunks);
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    const std::size_t lo = begin + c * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    futures.push_back(submit([&body, &error = errors[c], lo, hi] {
+  // At most size() tasks claim the chunks from one counter. Each chunk keeps
+  // its own exception, so no body exception crosses a packaged_task, and
+  // every claimed chunk finishes before one is rethrown: none outlives
+  // `body`. A get() that throws is an injected pool.task fault, raised before
+  // its task claimed a chunk (the other tasks claim the rest); it lands in
+  // the last slot, after every chunk's.
+  std::vector<std::exception_ptr> errors(n_chunks + 1);
+  std::atomic<std::size_t> next{0};
+  const auto claim = [&] {
+    for (std::size_t c; (c = next.fetch_add(1, std::memory_order_relaxed)) < n_chunks;) {
+      const std::size_t lo = begin + c * chunk;
       try {
-        body(lo, hi);
+        body(lo, std::min(end, lo + chunk));
       } catch (...) {
-        error = std::current_exception();
+        errors[c] = std::current_exception();
       }
-    }));
+    }
+  };
+  std::vector<std::future<void>> tasks(std::min(size(), n_chunks));
+  for (std::future<void>& task : tasks) {
+    task = submit(claim);
   }
-  for (std::size_t c = 0; c < n_chunks; ++c) {
+  for (std::future<void>& task : tasks) {
     try {
-      futures[c].get();
+      task.get();
     } catch (...) {
-      errors[c] = std::current_exception();
+      errors.back() = std::current_exception();
     }
   }
   for (const std::exception_ptr& e : errors) {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -18,8 +19,11 @@
 #include <functional>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
+
+#include "qcut/common/request_context.hpp"
 
 namespace qcut {
 
@@ -42,14 +46,17 @@ class ThreadPool {
   /// with a sink waits on the future before the sink dies. The task, with
   /// what it captured, is destroyed on the worker once it has run (or an
   /// injected pool.task fault has kept it from running), before the future
-  /// is ready.
-  std::future<void> submit(std::function<void()> task);
+  /// is ready. The callable moves into the queued task as it is.
+  template <class F>
+  std::future<void> submit(F task);
 
   /// Runs body(i) for i in [begin, end) across the pool and waits for all.
   /// The chunks run inline, in index order, on the calling thread when it is
   /// one of this pool's workers, when the range is a single chunk, or when
-  /// the pool has one worker. Otherwise every chunk runs to completion and
-  /// then the lowest-index chunk's exception, if any, is rethrown.
+  /// the pool has one worker. Otherwise at most size() tasks claim the
+  /// chunks from one counter, every claimed chunk runs to completion, and
+  /// then the lowest-index chunk's exception, if any, is rethrown (else an
+  /// injected pool.task fault's).
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
 
@@ -71,6 +78,13 @@ class ThreadPool {
   std::uint64_t busy_ns() const noexcept { return busy_ns_.load(std::memory_order_relaxed); }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  /// Runs a submitted task on its worker: `run` calls the callable, then
+  /// `release` destroys it.
+  void run_task(const RequestContext& ctx, Clock::time_point enqueued_at,
+                const std::function<void()>& run, const std::function<void()>& release);
+  std::future<void> enqueue(std::packaged_task<void()> task);
   void worker_loop();
 
   std::vector<std::thread> workers_;
@@ -82,6 +96,15 @@ class ThreadPool {
   std::atomic<std::uint64_t> queue_wait_ns_{0};
   std::atomic<std::uint64_t> busy_ns_{0};
 };
+
+template <class F>
+std::future<void> ThreadPool::submit(F task) {
+  return enqueue(std::packaged_task<void()>(
+      [this, task = std::optional<F>(std::move(task)), ctx = current_request_context(),
+       enqueued_at = Clock::now()]() mutable {
+        run_task(ctx, enqueued_at, [&task] { (*task)(); }, [&task] { task.reset(); });
+      }));
+}
 
 /// Process-wide default pool (lazily constructed, sized to hardware).
 ThreadPool& global_pool();

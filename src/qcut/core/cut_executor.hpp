@@ -28,7 +28,7 @@ struct CutRunConfig {
   /// Backend kind the run paths instantiate (make_backend); a caller that
   /// already holds a backend passes it to run_qpd_estimate instead.
   BackendKind backend = BackendKind::kBatchedBranch;
-  /// Shots per term batch (parallelism granularity, never affects the law).
+  /// Shots per term batch (one RNG substream each; never affects the law).
   std::uint64_t max_batch_shots = ShotPlan::kDefaultMaxBatchShots;
 };
 

@@ -53,7 +53,7 @@ std::vector<Fig6Row> run_fig6(const Fig6Config& cfg) {
         // Branch-cached backend: each term circuit is enumerated once and
         // then serves every shot-grid entry of this state. The serial driver
         // keeps the per-state rng stream (we are already inside a pool task —
-        // the engine's batch-parallel driver must not be nested here).
+        // the engine's term-parallel driver must not be nested here).
         const BatchedBranchBackend backend(qpd);
 
         for (std::size_t g = 0; g < cfg.shot_grid.size(); ++g) {

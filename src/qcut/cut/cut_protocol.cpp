@@ -13,10 +13,6 @@
 
 namespace qcut {
 
-const char* to_string(CutKind kind) {
-  return kind == CutKind::kWire ? "wire" : "gate";
-}
-
 const char* to_string(ProtocolId id) {
   switch (id) {
     case ProtocolId::kHarada:

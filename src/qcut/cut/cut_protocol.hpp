@@ -37,8 +37,6 @@ enum class CutKind {
   kGate,  ///< one two-qubit gate (Mitarai–Fujii style decomposition)
 };
 
-const char* to_string(CutKind kind);
-
 /// Every concrete protocol the system can instantiate.
 enum class ProtocolId {
   kHarada,    ///< entanglement-free optimum, κ = 3

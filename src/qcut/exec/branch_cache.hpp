@@ -8,12 +8,10 @@
 // draw, so a whole batch is a single binomial draw: the same law as per-shot
 // statevector simulation at a tiny fraction of the cost.
 //
-// The cache is lazy and thread-safe: concurrent batches of the same term
+// The cache is lazy and thread-safe: concurrent callers for the same term
 // serialize on a per-term std::call_once, while distinct terms compute in
-// parallel — each term has its own once-flag, and run_plan (exec/engine.hpp)
-// dispatches every term's first batch before any term's second, so the
-// pool's workers start the distinct terms' computations together instead of
-// queueing behind one term's flag.
+// parallel. run_plan (exec/engine.hpp) runs each term's batches in order on
+// one thread, so none of them waits on another's flag.
 #pragma once
 
 #include <atomic>

@@ -68,39 +68,23 @@ EstimationResult run_plan(const Qpd& qpd, const ShotPlan& plan, const ExecutionB
   // Per-batch counts first (integer, order-independent), reduced per term in
   // index order afterwards — the estimate is bit-identical for any pool size.
   std::vector<std::uint64_t> batch_ones(plan.batches.size(), 0);
-  // Batch starts are the engine's cancellation quantum.
-  const auto run_batch = [&](std::size_t b) {
-    cancel_poll();
-    fault::maybe_inject(fault::Site::kExecBatch);
-    obs::TraceSpan span("engine.batch", static_cast<std::uint64_t>(plan.batches[b].term));
-    Rng rng(seed, plan.batches[b].stream);
-    batch_ones[b] = backend.run_batch(plan.batches[b], rng);
-  };
-
-  // Dispatch the first batch of every term before any term's second one. A
-  // term's first batch runs its exact enumeration under the backend's
-  // per-term once-flag (BranchCache), and later batches of that term wait on
-  // it; queued in term order, the idle workers would pick up term 0's later
-  // batches and block, so the terms would enumerate one after another. The
-  // pool's FIFO queue starts the distinct terms together. Same bits in any
-  // order, and inline too: streams are per batch.
-  const std::size_t n = plan.batches.size();
-  std::vector<std::size_t> first_batch(qpd.size(), n);  // n: term not seen yet
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  for (std::size_t b = 0; b < n; ++b) {
-    std::size_t& first = first_batch[plan.batches[b].term];
-    if (first == n) {
-      first = b;
-      order.push_back(b);
+  // One pool index per term, running its batches in plan order.
+  std::vector<std::size_t> starts;  // first batch of each term, then the end
+  for (std::size_t b = 0; b < plan.batches.size(); ++b) {
+    if (b == 0 || plan.batches[b].term != plan.batches[b - 1].term) {
+      starts.push_back(b);
     }
   }
-  for (std::size_t b = 0; b < n; ++b) {
-    if (first_batch[plan.batches[b].term] != b) {
-      order.push_back(b);
+  starts.push_back(plan.batches.size());
+  request_pool().parallel_for(0, starts.size() - 1, [&](std::size_t t) {
+    for (std::size_t b = starts[t]; b < starts[t + 1]; ++b) {
+      cancel_poll();  // batch starts are the engine's cancellation quantum
+      fault::maybe_inject(fault::Site::kExecBatch);
+      obs::TraceSpan span("engine.batch", static_cast<std::uint64_t>(plan.batches[b].term));
+      Rng rng(seed, plan.batches[b].stream);
+      batch_ones[b] = backend.run_batch(plan.batches[b], rng);
     }
-  }
-  request_pool().parallel_for(0, n, [&](std::size_t i) { run_batch(order[i]); });
+  });
 
   std::vector<std::uint64_t> ones_per_term(qpd.size(), 0);
   for (std::size_t b = 0; b < plan.batches.size(); ++b) {

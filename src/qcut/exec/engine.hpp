@@ -11,17 +11,16 @@
 //  * the combine step implements both estimator laws (allocated / sampled)
 //    from the per-term counts alone.
 //
-// Nesting note: the engine parallelizes over batches of ONE estimate. It
-// queues the first batch of every distinct term ahead of all later batches,
-// so the terms' exact enumerations (one per term, behind the backend's
-// per-term once-flag) start together on different workers instead of one
-// after another; a later batch of a term still waits for that term's
-// enumeration. The batches run on request_pool(), the pool of the calling
-// request's context (common/request_context.hpp). Invoked from a worker of
-// that pool (an outer sweep already distributes work), run_plan executes its
-// batches inline on that worker: the pool's parallel_for decides that —
-// same bits, no deadlock. Outer sweeps that drive a single rng through many
-// estimates (e.g. run_fig6's per-state loop) use run_plan_with_rng instead.
+// Parallelism: the engine fans out the terms of ONE estimate, one pool index
+// per term with shots, and each index runs its term's batches in plan
+// order: the first computes the term's P(−1) (behind the backend's per-term
+// once-flag) and the rest follow on the same thread, while the distinct
+// terms run on different workers. The indices run on request_pool(), the
+// pool of the calling request's context (common/request_context.hpp);
+// invoked from a worker of that pool, run_plan runs them inline on that
+// worker (the pool's parallel_for decides that — same bits, no deadlock).
+// Outer sweeps that drive a single rng through many estimates (e.g.
+// run_fig6's per-state loop) use run_plan_with_rng instead.
 #pragma once
 
 #include <cstdint>

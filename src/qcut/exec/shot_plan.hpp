@@ -44,11 +44,11 @@ struct ShotPlan {
   PlanKind kind = PlanKind::kAllocated;
   std::uint64_t total_shots = 0;
   std::vector<std::uint64_t> shots_per_term;  ///< one entry per QPD term
-  std::vector<TermBatch> batches;             ///< only terms with shots > 0
+  /// Only terms with shots > 0; a term's batches are adjacent, in stream order.
+  std::vector<TermBatch> batches;
 
-  /// Default split granularity: large enough that per-batch overhead is
-  /// negligible, small enough that typical budgets yield several batches per
-  /// term for the parallel driver to spread.
+  /// Default split granularity: one RNG substream per batch. It fixes the
+  /// bits of every estimate, not their law or the parallelism (per term).
   static constexpr std::uint64_t kDefaultMaxBatchShots = 4096;
   /// One batch per term (no splitting) — exact legacy shot ordering.
   static constexpr std::uint64_t kNoSplit = std::numeric_limits<std::uint64_t>::max();

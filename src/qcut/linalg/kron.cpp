@@ -41,15 +41,6 @@ Matrix kron_all(const std::vector<Matrix>& ops) {
   return acc;
 }
 
-Vector kron_all(const std::vector<Vector>& states) {
-  QCUT_CHECK(!states.empty(), "kron_all: empty list");
-  Vector acc = states.front();
-  for (std::size_t i = 1; i < states.size(); ++i) {
-    acc = kron(acc, states[i]);
-  }
-  return acc;
-}
-
 Matrix embed(const Matrix& op, const QubitList& qubits, int n_qubits) {
   const Index k = static_cast<Index>(qubits.size());
   QCUT_CHECK(op.rows() == (Index{1} << k) && op.cols() == op.rows(),

@@ -16,7 +16,6 @@ Vector kron(const Vector& u, const Vector& v);
 
 /// Left-fold Kronecker product of a list (ops[0] ⊗ ops[1] ⊗ ...).
 Matrix kron_all(const std::vector<Matrix>& ops);
-Vector kron_all(const std::vector<Vector>& states);
 
 /// Embeds a k-qubit operator acting on the given (distinct) qubit indices
 /// into an n-qubit operator, identity elsewhere. Qubit 0 is the most

@@ -254,24 +254,6 @@ Vector normalized(const Vector& v) {
   return out;
 }
 
-Vector operator+(const Vector& a, const Vector& b) {
-  QCUT_CHECK(a.size() == b.size(), "vector addition: size mismatch");
-  Vector out = a;
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    out[i] += b[i];
-  }
-  return out;
-}
-
-Vector operator-(const Vector& a, const Vector& b) {
-  QCUT_CHECK(a.size() == b.size(), "vector subtraction: size mismatch");
-  Vector out = a;
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    out[i] -= b[i];
-  }
-  return out;
-}
-
 Vector operator*(Cplx s, const Vector& v) {
   Vector out = v;
   for (auto& x : out) {

@@ -108,8 +108,6 @@ Cplx inner(const Vector& u, const Vector& v);
 Real vec_norm(const Vector& v);
 /// v / ||v||; throws on the zero vector.
 Vector normalized(const Vector& v);
-Vector operator+(const Vector& a, const Vector& b);
-Vector operator-(const Vector& a, const Vector& b);
 Vector operator*(Cplx s, const Vector& v);
 bool approx_equal(const Vector& a, const Vector& b, Real tol = kTightTol);
 

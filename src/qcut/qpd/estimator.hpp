@@ -15,7 +15,7 @@
 //
 // All entry points are thin wrappers over the qcut::exec execution engine
 // (ShotPlan + ExecutionBackend + run_plan_with_rng) and keep the single
-// caller-driven rng stream; run_plan (exec/engine.hpp) runs batch-parallel
+// caller-driven rng stream; run_plan (exec/engine.hpp) runs term-parallel
 // and pool-size-invariant.
 #pragma once
 

@@ -93,10 +93,6 @@ WireEstimateResponse error_response(const std::exception& e) {
   return resp;
 }
 
-std::vector<std::uint8_t> response_frame(const WireEstimateResponse& resp) {
-  return encode_frame(Frame{MsgType::kEstimateResponse, encode_estimate_response(resp)});
-}
-
 /// epoll tags of the listen socket and the eventfd; connection ids follow.
 constexpr std::uint64_t kListenTag = 0;
 constexpr std::uint64_t kWakeTag = 1;
@@ -334,15 +330,13 @@ bool QcutServer::advance(std::uint64_t id, Conn& c) {
         } catch (const std::exception& e) {
           // Malformed payloads get a typed error frame; the connection
           // survives (framing is still intact).
-          c.out = encode_frame(Frame{MsgType::kError, encode_error(e.what())});
+          c.out = encode_text_frame(MsgType::kError, e.what());
         }
       } else if (h.type == MsgType::kMetricsRequest) {
-        c.out = encode_frame(
-            Frame{MsgType::kMetricsResponse, encode_metrics_response(metrics_text())});
+        c.out = encode_text_frame(MsgType::kMetricsResponse, metrics_text());
       } else {
-        c.out = encode_frame(Frame{MsgType::kError,
-                                   encode_error("server: unexpected message type " +
-                                                std::to_string(static_cast<int>(h.type)))});
+        c.out = encode_text_frame(MsgType::kError, "server: unexpected message type " +
+                                                       std::to_string(static_cast<int>(h.type)));
       }
     }
   } catch (const std::exception&) {
@@ -376,7 +370,7 @@ void QcutServer::start_estimate(std::uint64_t id, Conn& c,
                    " requests in flight) — retry after " +
                    std::to_string(resp.retry_after_ms) + " ms";
     }
-    c.out = response_frame(resp);
+    c.out = encode_frame(resp);
     return;
   }
 
@@ -424,9 +418,9 @@ void QcutServer::start_estimate(std::uint64_t id, Conn& c,
   std::future<void> done = pool_.submit([this, req = std::move(req), serial, cancel, answer] {
     const auto t0 = std::chrono::steady_clock::now();
     try {
-      *answer = response_frame(execute(req, serial));
+      *answer = encode_frame(execute(req, serial));
     } catch (const std::exception& e) {
-      *answer = response_frame(error_response(e));
+      *answer = encode_frame(error_response(e));
     }
     const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                         std::chrono::steady_clock::now() - t0)
@@ -457,7 +451,7 @@ void QcutServer::finish_jobs() {
       try {
         job->second.done.get();
       } catch (const std::exception& e) {
-        answer = response_frame(error_response(e));
+        answer = encode_frame(error_response(e));
       }
     }
     // Retire the key before any answer goes out: a client's next request
@@ -468,7 +462,7 @@ void QcutServer::finish_jobs() {
       if (waiter != job->second.leader && coalesced.empty()) {
         WireEstimateResponse resp = decode_estimate_response(decode_frame(*answer).payload);
         resp.coalesced = 1;
-        coalesced = response_frame(resp);
+        coalesced = encode_frame(resp);
       }
       const auto it = conns_.find(waiter);
       it->second.key.clear();
@@ -605,8 +599,7 @@ QcutClient::~QcutClient() {
   }
 }
 
-Frame QcutClient::roundtrip(const Frame& frame) {
-  const std::vector<std::uint8_t> bytes = encode_frame(frame);
+Frame QcutClient::roundtrip(const std::vector<std::uint8_t>& bytes) {
   send_all(fd_, bytes.data(), bytes.size());
   std::uint8_t header[kFrameHeaderSize];
   recv_all(fd_, header, sizeof header);
@@ -617,7 +610,7 @@ Frame QcutClient::roundtrip(const Frame& frame) {
 }
 
 WireEstimateResponse QcutClient::estimate(const WireEstimateRequest& req) {
-  const Frame resp = roundtrip(Frame{MsgType::kEstimateRequest, encode_estimate_request(req)});
+  const Frame resp = roundtrip(encode_frame(req));
   if (resp.type == MsgType::kError) {
     WireEstimateResponse out;
     out.status = static_cast<std::uint8_t>(WireStatus::kError);
@@ -631,7 +624,7 @@ WireEstimateResponse QcutClient::estimate(const WireEstimateRequest& req) {
 }
 
 std::string QcutClient::metrics() {
-  const Frame resp = roundtrip(Frame{MsgType::kMetricsRequest, {}});
+  const Frame resp = roundtrip(encode_frame(Frame{MsgType::kMetricsRequest, {}}));
   QCUT_CHECK(resp.type == MsgType::kMetricsResponse,
              "wire: expected a metrics response, got type " +
                  std::to_string(static_cast<int>(resp.type)));

@@ -14,7 +14,7 @@
 //    installs the request's cancel token and this pool in its
 //    RequestContext before submitting, and the pool carries that context
 //    into the task. The process runs one pool: inside a request, the
-//    engine's batches and the statevector sweeps of wide states (the only
+//    engine's terms and the statevector sweeps of wide states (the only
 //    parallel levels) name request_pool(), which is this pool, so they run
 //    inline on the request's worker. Each request runs single-threaded, so
 //    request throughput scales with workers without nested-parallelism
@@ -296,7 +296,7 @@ class QcutClient {
   std::string metrics();
 
  private:
-  Frame roundtrip(const Frame& frame);
+  Frame roundtrip(const std::vector<std::uint8_t>& bytes);
 
   int fd_ = -1;
 };

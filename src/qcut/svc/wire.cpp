@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "qcut/common/error.hpp"
 #include "qcut/common/fault.hpp"
@@ -9,96 +10,123 @@
 namespace qcut {
 namespace svc {
 
-void WireWriter::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v & 0xff));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void WireWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void WireWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void WireWriter::f64(Real v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(Real) == sizeof bits, "Real must be 64-bit");
-  std::memcpy(&bits, &v, sizeof bits);
-  u64(bits);
-}
-
-void WireWriter::str(const std::string& s) {
-  QCUT_CHECK(s.size() <= kMaxPayload, "wire: string exceeds the payload cap");
-  u32(static_cast<std::uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-void WireReader::need(std::size_t bytes) const {
-  QCUT_CHECK(n_ - off_ >= bytes,
-             "wire: truncated field — need " + std::to_string(bytes) + " bytes at offset " +
-                 std::to_string(off_) + " of " + std::to_string(n_));
-}
-
-std::uint8_t WireReader::u8() {
-  need(1);
-  return p_[off_++];
-}
-
-std::uint16_t WireReader::u16() {
-  need(2);
-  std::uint16_t v = static_cast<std::uint16_t>(p_[off_] | (p_[off_ + 1] << 8));
-  off_ += 2;
-  return v;
-}
-
-std::uint32_t WireReader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p_[off_ + static_cast<std::size_t>(i)]) << (8 * i);
-  }
-  off_ += 4;
-  return v;
-}
-
-std::uint64_t WireReader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p_[off_ + static_cast<std::size_t>(i)]) << (8 * i);
-  }
-  off_ += 8;
-  return v;
-}
-
-Real WireReader::f64() {
-  const std::uint64_t bits = u64();
-  Real v = 0.0;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-std::string WireReader::str() {
-  const std::uint32_t len = u32();
-  need(len);
-  std::string s(reinterpret_cast<const char*>(p_ + off_), len);
-  off_ += len;
-  return s;
-}
-
-void WireReader::expect_done() const {
-  QCUT_CHECK(done(), "wire: " + std::to_string(n_ - off_) +
-                         " trailing bytes after a complete message (offset " +
-                         std::to_string(off_) + ")");
-}
-
 namespace {
+
+/// Appends little-endian fields to a buffer reserved up front, each integer
+/// as one block.
+class WireWriter {
+ public:
+  explicit WireWriter(std::size_t bytes) { buf_.reserve(bytes); }
+
+  /// Starts the buffer with a frame header for `type`; take() fills in its
+  /// payload length and checks it against kMaxPayload.
+  void frame_header(MsgType type) {
+    put(kWireMagic);
+    put(kWireVersion);
+    put(static_cast<std::uint16_t>(type));
+    put(std::uint32_t{0});
+    framed_ = true;
+  }
+  void u8(std::uint8_t v) { buf_.push_back(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void f64(Real v) {  // IEEE-754 bit pattern via u64
+    std::uint64_t bits = 0;
+    static_assert(sizeof(Real) == sizeof bits, "Real must be 64-bit");
+    std::memcpy(&bits, &v, sizeof bits);
+    put(bits);
+  }
+  void str(const std::string& s) {
+    QCUT_CHECK(s.size() <= kMaxPayload, "wire: string exceeds the payload cap");
+    put(static_cast<std::uint32_t>(s.size()));
+    raw(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+  }
+  void raw(const std::uint8_t* data, std::size_t size) {
+    buf_.insert(buf_.end(), data, data + size);
+  }
+
+  std::vector<std::uint8_t> take() {
+    if (framed_) {
+      const std::size_t payload = buf_.size() - kFrameHeaderSize;
+      QCUT_CHECK(payload <= kMaxPayload, "wire: payload of " + std::to_string(payload) +
+                                             " bytes exceeds the " +
+                                             std::to_string(kMaxPayload) + "-byte frame cap");
+      for (std::size_t i = 0; i < 4; ++i) {
+        buf_[kFrameHeaderSize - 4 + i] = static_cast<std::uint8_t>(payload >> (8 * i));
+      }
+    }
+    return std::move(buf_);
+  }
+
+ private:
+  template <class T>
+  void put(T v) {
+    std::uint8_t le[sizeof v];
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    raw(le, sizeof v);
+  }
+
+  std::vector<std::uint8_t> buf_;
+  bool framed_ = false;
+};
+
+/// Reads the fields back, throwing qcut::Error("wire: ...") with byte
+/// offsets on truncation. expect_done() rejects trailing bytes: a frame
+/// must decode to exactly its payload.
+class WireReader {
+ public:
+  WireReader(const std::uint8_t* data, std::size_t size) : p_(data), n_(size) {}
+  explicit WireReader(const std::vector<std::uint8_t>& buf)
+      : WireReader(buf.data(), buf.size()) {}
+
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint16_t u16() { return get<std::uint16_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
+  Real f64() {
+    const std::uint64_t bits = u64();
+    Real v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+  }
+  std::string str() {
+    const std::uint32_t len = u32();
+    need(len);
+    std::string s(reinterpret_cast<const char*>(p_ + off_), len);
+    off_ += len;
+    return s;
+  }
+
+  void expect_done() const {
+    QCUT_CHECK(off_ == n_, "wire: " + std::to_string(n_ - off_) +
+                               " trailing bytes after a complete message (offset " +
+                               std::to_string(off_) + ")");
+  }
+
+ private:
+  void need(std::size_t bytes) const {
+    QCUT_CHECK(n_ - off_ >= bytes,
+               "wire: truncated field — need " + std::to_string(bytes) + " bytes at offset " +
+                   std::to_string(off_) + " of " + std::to_string(n_));
+  }
+
+  template <class T>
+  T get() {
+    need(sizeof(T));
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v = static_cast<T>(v | static_cast<T>(p_[off_ + i]) << (8 * i));
+    }
+    off_ += sizeof(T);
+    return v;
+  }
+
+  const std::uint8_t* p_;
+  std::size_t n_;
+  std::size_t off_ = 0;
+};
 
 bool known_type(std::uint16_t t) {
   return t >= static_cast<std::uint16_t>(MsgType::kEstimateRequest) &&
@@ -108,17 +136,10 @@ bool known_type(std::uint16_t t) {
 }  // namespace
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
-  QCUT_CHECK(frame.payload.size() <= kMaxPayload,
-             "wire: payload of " + std::to_string(frame.payload.size()) +
-                 " bytes exceeds the " + std::to_string(kMaxPayload) + "-byte frame cap");
-  WireWriter w;
-  w.u32(kWireMagic);
-  w.u16(kWireVersion);
-  w.u16(static_cast<std::uint16_t>(frame.type));
-  w.u32(static_cast<std::uint32_t>(frame.payload.size()));
-  std::vector<std::uint8_t> out = w.take();
-  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
-  return out;
+  WireWriter w(kFrameHeaderSize + frame.payload.size());
+  w.frame_header(frame.type);
+  w.raw(frame.payload.data(), frame.payload.size());
+  return w.take();
 }
 
 FrameHeader decode_frame_header(const std::uint8_t* data, std::size_t size) {
@@ -161,8 +182,9 @@ Frame decode_frame(const std::vector<std::uint8_t>& bytes) {
   return f;
 }
 
-std::vector<std::uint8_t> encode_estimate_request(const WireEstimateRequest& req) {
-  WireWriter w;
+namespace {
+
+void write(WireWriter& w, const WireEstimateRequest& req) {
   w.str(req.circuit_qasm);
   w.str(req.observable);
   w.f64(req.epsilon);
@@ -180,7 +202,62 @@ std::vector<std::uint8_t> encode_estimate_request(const WireEstimateRequest& req
   w.u8(req.backend);
   w.str(req.request_id);
   w.u64(req.deadline_ms);
+}
+
+void write(WireWriter& w, const WireEstimateResponse& res) {
+  w.u8(res.status);
+  w.u64(res.retry_after_ms);
+  w.str(res.error);
+  w.f64(res.estimate);
+  w.f64(res.ci_halfwidth);
+  w.u8(res.has_exact);
+  w.f64(res.exact);
+  w.u64(res.shots_used);
+  w.f64(res.kappa);
+  w.u64(res.plan_cuts);
+  w.u64(res.plan_gate_cuts);
+  w.f64(res.plan_total_kappa);
+  w.f64(res.plan_predicted_shots);
+  w.u32(static_cast<std::uint32_t>(res.plan_max_width));
+  w.u32(static_cast<std::uint32_t>(res.plan_max_sim_width));
+  w.u8(res.plan_cache_hit);
+  w.u8(res.eval_cache_hit);
+  w.u8(res.coalesced);
+  w.str(res.report_json);
+  w.u8(res.code);
+}
+
+void write(WireWriter& w, const std::string& text) { w.str(text); }
+
+std::size_t text_bytes(const WireEstimateRequest& req) {
+  return req.circuit_qasm.size() + req.observable.size() + req.request_id.size();
+}
+std::size_t text_bytes(const WireEstimateResponse& res) {
+  return res.error.size() + res.report_json.size();
+}
+std::size_t text_bytes(const std::string& text) { return text.size(); }
+
+/// `msg`'s payload, or given a frame type its whole frame, in one buffer
+/// reserved up front: every message's fixed-width fields and string
+/// lengths fit in 128 bytes.
+template <class Msg>
+std::vector<std::uint8_t> encode(const Msg& msg, std::optional<MsgType> frame = std::nullopt) {
+  WireWriter w(kFrameHeaderSize + 128 + text_bytes(msg));
+  if (frame) {
+    w.frame_header(*frame);
+  }
+  write(w, msg);
   return w.take();
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_estimate_request(const WireEstimateRequest& req) {
+  return encode(req);
+}
+
+std::vector<std::uint8_t> encode_frame(const WireEstimateRequest& req) {
+  return encode(req, MsgType::kEstimateRequest);
 }
 
 WireEstimateRequest decode_estimate_request(const std::vector<std::uint8_t>& payload) {
@@ -209,28 +286,11 @@ WireEstimateRequest decode_estimate_request(const std::vector<std::uint8_t>& pay
 }
 
 std::vector<std::uint8_t> encode_estimate_response(const WireEstimateResponse& res) {
-  WireWriter w;
-  w.u8(res.status);
-  w.u64(res.retry_after_ms);
-  w.str(res.error);
-  w.f64(res.estimate);
-  w.f64(res.ci_halfwidth);
-  w.u8(res.has_exact);
-  w.f64(res.exact);
-  w.u64(res.shots_used);
-  w.f64(res.kappa);
-  w.u64(res.plan_cuts);
-  w.u64(res.plan_gate_cuts);
-  w.f64(res.plan_total_kappa);
-  w.f64(res.plan_predicted_shots);
-  w.u32(static_cast<std::uint32_t>(res.plan_max_width));
-  w.u32(static_cast<std::uint32_t>(res.plan_max_sim_width));
-  w.u8(res.plan_cache_hit);
-  w.u8(res.eval_cache_hit);
-  w.u8(res.coalesced);
-  w.str(res.report_json);
-  w.u8(res.code);
-  return w.take();
+  return encode(res);
+}
+
+std::vector<std::uint8_t> encode_frame(const WireEstimateResponse& res) {
+  return encode(res, MsgType::kEstimateResponse);
 }
 
 WireEstimateResponse decode_estimate_response(const std::vector<std::uint8_t>& payload) {
@@ -260,12 +320,6 @@ WireEstimateResponse decode_estimate_response(const std::vector<std::uint8_t>& p
   return res;
 }
 
-std::vector<std::uint8_t> encode_metrics_response(const std::string& text) {
-  WireWriter w;
-  w.str(text);
-  return w.take();
-}
-
 std::string decode_metrics_response(const std::vector<std::uint8_t>& payload) {
   WireReader r(payload);
   std::string text = r.str();
@@ -274,9 +328,7 @@ std::string decode_metrics_response(const std::vector<std::uint8_t>& payload) {
 }
 
 std::vector<std::uint8_t> encode_error(const std::string& message) {
-  WireWriter w;
-  w.str(message);
-  return w.take();
+  return encode(message);
 }
 
 std::string decode_error(const std::vector<std::uint8_t>& payload) {
@@ -284,6 +336,10 @@ std::string decode_error(const std::vector<std::uint8_t>& payload) {
   std::string message = r.str();
   r.expect_done();
   return message;
+}
+
+std::vector<std::uint8_t> encode_text_frame(MsgType type, const std::string& text) {
+  return encode(text, type);
 }
 
 }  // namespace svc

@@ -3,13 +3,13 @@
 // Frame layout (all integers little-endian):
 //
 //   u32 magic   = 0x54554351 ("QCUT" as bytes Q,C,U,T)
-//   u16 version = 1
+//   u16 version = 2
 //   u16 type    (MsgType)
 //   u32 payload_len   (<= kMaxPayload = 16 MiB)
 //   u8  payload[payload_len]
 //
-// Payloads are flat field sequences written by WireWriter and read back by
-// WireReader: fixed-width little-endian integers, doubles shipped as their
+// Payloads are flat field sequences (wire.cpp's WireWriter and WireReader):
+// fixed-width little-endian integers, doubles shipped as their
 // IEEE-754 bit pattern (bit-exact round trip, NaN-safe — the "exact" field
 // of a wide run is NaN on purpose), strings as u32 length + raw bytes.
 // Decoding is strict: truncated fields, oversized frames, bad magic/version
@@ -47,57 +47,16 @@ enum class MsgType : std::uint16_t {
   kError = 5,  ///< payload: string diagnostic (malformed request, etc.)
 };
 
-/// Appends little-endian fields to a byte buffer.
-class WireWriter {
- public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void f64(Real v);  ///< IEEE-754 bit pattern via u64
-  void str(const std::string& s);
-
-  const std::vector<std::uint8_t>& bytes() const noexcept { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
-
- private:
-  std::vector<std::uint8_t> buf_;
-};
-
-/// Reads the fields back, throwing qcut::Error("wire: ...") with byte
-/// offsets on truncation. expect_done() rejects trailing bytes — a frame
-/// must decode to exactly its payload.
-class WireReader {
- public:
-  WireReader(const std::uint8_t* data, std::size_t size) : p_(data), n_(size) {}
-  explicit WireReader(const std::vector<std::uint8_t>& buf)
-      : WireReader(buf.data(), buf.size()) {}
-
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  Real f64();
-  std::string str();
-
-  std::size_t offset() const noexcept { return off_; }
-  bool done() const noexcept { return off_ == n_; }
-  void expect_done() const;
-
- private:
-  void need(std::size_t bytes) const;
-
-  const std::uint8_t* p_;
-  std::size_t n_;
-  std::size_t off_ = 0;
-};
-
 struct Frame {
   MsgType type = MsgType::kError;
   std::vector<std::uint8_t> payload;
 };
 
 /// Serializes header + payload. Throws if the payload exceeds kMaxPayload.
+/// The overloads below build a message's frame the same way, header and
+/// payload in one buffer sized up front: encode_frame(req) is
+/// encode_frame(Frame{MsgType::kEstimateRequest, encode_estimate_request(req)})
+/// byte for byte.
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
 struct FrameHeader {
@@ -175,18 +134,23 @@ struct WireEstimateResponse {
 };
 
 std::vector<std::uint8_t> encode_estimate_request(const WireEstimateRequest& req);
+std::vector<std::uint8_t> encode_frame(const WireEstimateRequest& req);
 WireEstimateRequest decode_estimate_request(const std::vector<std::uint8_t>& payload);
 
 std::vector<std::uint8_t> encode_estimate_response(const WireEstimateResponse& res);
+std::vector<std::uint8_t> encode_frame(const WireEstimateResponse& res);
 WireEstimateResponse decode_estimate_response(const std::vector<std::uint8_t>& payload);
 
 /// Metrics request payload is empty; the response is the plaintext dump
-/// (one "qcut_<counter> <value>" line per counter, plus service gauges).
-std::vector<std::uint8_t> encode_metrics_response(const std::string& text);
+/// (one "qcut_<counter> <value>" line per counter, plus service gauges),
+/// framed by encode_text_frame.
 std::string decode_metrics_response(const std::vector<std::uint8_t>& payload);
 
 std::vector<std::uint8_t> encode_error(const std::string& message);
 std::string decode_error(const std::vector<std::uint8_t>& payload);
+
+/// An error or metrics-response frame: its payload is the one string.
+std::vector<std::uint8_t> encode_text_frame(MsgType type, const std::string& text);
 
 }  // namespace svc
 }  // namespace qcut

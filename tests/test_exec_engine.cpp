@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <utility>
@@ -304,12 +305,11 @@ class SlowEnumerationBackend final : public ExecutionBackend {
 };
 
 TEST(EngineTest, DistinctTermsEnumerateConcurrently) {
-  // Each term is enumerated once, by whichever of its batches runs first;
-  // its later batches wait for that. The engine queues every term's first
-  // batch ahead of all later batches, so on a 4-worker pool the three harada
-  // terms enumerate together instead of one after another (queued in term
-  // order, the idle workers would all block on term 0 and the peak would
-  // read 1). Scheduling never changes the bits or the cache accounting.
+  // Each term is enumerated once, by its first batch; the engine gives each
+  // term one pool index that runs its batches in order, so on a 4-worker
+  // pool the three harada terms enumerate together on different workers,
+  // and no batch ever waits for another term's enumeration. Scheduling never
+  // changes the bits or the cache accounting.
   const Qpd qpd = HaradaCut{}.build_qpd(fixed_input());
   ASSERT_EQ(qpd.size(), 3u);
   const ShotPlan plan = ShotPlan::allocated(qpd, 20000, AllocRule::kProportional,
@@ -341,6 +341,78 @@ TEST(EngineTest, DistinctTermsEnumerateConcurrently) {
     EXPECT_EQ(run_on(workers).first, on_four) << "pool " << workers;
   }
   obs::set_metrics_enabled(metrics_were_enabled);
+}
+
+/// Records the term, stream and thread of every batch, in arrival order.
+/// Each batch then sleeps briefly, so that a pool which handed out batches
+/// one by one would spread a term's batches over its workers.
+class RecordingBackend final : public ExecutionBackend {
+ public:
+  struct Arrival {
+    std::size_t term;
+    std::uint64_t stream;
+    std::thread::id thread;
+  };
+
+  explicit RecordingBackend(const Qpd& qpd) : inner_(qpd) {}
+
+  std::string name() const override { return "recording"; }
+  std::uint64_t run_batch(const TermBatch& batch, Rng& rng) const override {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      arrivals_.push_back({batch.term, batch.stream, std::this_thread::get_id()});
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    return inner_.run_batch(batch, rng);
+  }
+
+  std::vector<Arrival> arrivals() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return arrivals_;
+  }
+
+ private:
+  BatchedBranchBackend inner_;
+  mutable std::mutex mu_;
+  mutable std::vector<Arrival> arrivals_;
+};
+
+TEST(EngineTest, EachTermsBatchesRunInPlanOrderOnOneThread) {
+  const Qpd qpd = NmeCut{0.6}.build_qpd(fixed_input());
+  const ShotPlan plan = ShotPlan::allocated(qpd, 20000, AllocRule::kProportional,
+                                            /*sigmas=*/nullptr, /*max_batch_shots=*/128);
+  const auto run_on = [&](std::size_t workers, RecordingBackend& backend) {
+    ThreadPool pool(workers);
+    const qcut::testing::ScopedPool scope(pool);
+    return run_plan(qpd, plan, backend, /*seed=*/31).estimate;
+  };
+  RecordingBackend serial(qpd);
+  const Real on_one = run_on(1, serial);
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    RecordingBackend backend(qpd);
+    EXPECT_EQ(run_on(workers, backend), on_one) << "pool " << workers;
+    const std::vector<RecordingBackend::Arrival> arrivals = backend.arrivals();
+    ASSERT_EQ(arrivals.size(), plan.batches.size()) << "pool " << workers;
+    for (std::size_t t = 0; t < qpd.size(); ++t) {
+      std::vector<std::uint64_t> streams;
+      std::set<std::thread::id> threads;
+      for (const RecordingBackend::Arrival& a : arrivals) {
+        if (a.term == t) {
+          streams.push_back(a.stream);
+          threads.insert(a.thread);
+        }
+      }
+      std::vector<std::uint64_t> planned;
+      for (const TermBatch& b : plan.batches) {
+        if (b.term == t) {
+          planned.push_back(b.stream);
+        }
+      }
+      EXPECT_EQ(streams, planned) << "pool " << workers << ", term " << t;
+      EXPECT_EQ(threads.size(), planned.empty() ? 0u : 1u)
+          << "pool " << workers << ", term " << t;
+    }
+  }
 }
 
 TEST(EngineTest, CutExecutorRunIsPoolSizeInvariant) {

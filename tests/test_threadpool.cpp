@@ -106,23 +106,53 @@ TEST(ThreadPool, ASubmittedTaskIsReleasedBeforeItsFutureIsReady) {
   }
 }
 
-TEST(ThreadPool, RethrowsTheLowestIndexExceptionAfterEveryChunkFinished) {
+TEST(ThreadPool, ParallelForSubmitsAtMostSizeTasks) {
+  // The indices are claimed from one counter by at most size() tasks, not
+  // submitted one task each.
   ThreadPool pool(4);
-  std::atomic<int> finished{0};
+  std::vector<std::atomic<int>> hits(1000);
+  const std::uint64_t before = pool.tasks_run();
+  pool.parallel_for(0, hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  EXPECT_LE(pool.tasks_run() - before, 4u);
+  for (const auto& h : hits) {
+    EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST(ThreadPool, ParallelForRethrowsTheLowestIndexAfterEveryIndexRan) {
+  // No index outlives the call (the body's captures would dangle): even the
+  // slow last index has run when the lowest-index exception is rethrown.
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
   try {
-    pool.parallel_for(0, 16, [&finished](std::size_t i) {
-      if (i == 11 || i == 3) {
-        throw Error("chunk " + std::to_string(i));
+    pool.parallel_for(0, 64, [&ran](std::size_t i) {
+      if (i == 63) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(i == 15 ? 20 : 1));
-      finished.fetch_add(1);
+      ran.fetch_add(1);
+      if (i == 7 || i == 3) {
+        throw Error("index " + std::to_string(i));
+      }
     });
     FAIL() << "no exception";
   } catch (const Error& e) {
-    EXPECT_STREQ(e.what(), "chunk 3");
+    EXPECT_STREQ(e.what(), "index 3");
   }
-  // No chunk outlives the call (the body's captures would dangle).
-  EXPECT_EQ(finished.load(), 14);
+  EXPECT_EQ(ran.load(), 64);
+}
+
+TEST(ThreadPool, ParallelForSurfacesAnInjectedTaskFault) {
+  ThreadPool pool(4);
+  fault::arm_faults("pool.task:throw");
+  try {
+    pool.parallel_for(0, 64, [](std::size_t) {});
+    fault::disarm_faults();
+    FAIL() << "no exception";
+  } catch (const Error& e) {
+    fault::disarm_faults();
+    EXPECT_NE(std::string(e.what()).find("fault injected at pool.task"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ThreadPool, NestedParallelForOnTheSamePoolCoversItsRangeOnce) {

@@ -1,7 +1,8 @@
 // Property tests for the service wire protocol: encode∘decode ≡ identity on
 // randomized messages (doubles compared by bit pattern, NaN included), and
 // strict rejection — with usable diagnostics — of truncated, oversized,
-// corrupted, and trailing-byte inputs.
+// corrupted, and trailing-byte inputs. Three fixed frames pin the layout
+// by digest.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -279,6 +280,82 @@ TEST(WireProtocol, TruncatedPayloadFieldsReportOffsets) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("offset"), std::string::npos) << msg;
   }
+}
+
+/// Fixed messages whose encoded frames are pinned below.
+WireEstimateRequest pinned_request() {
+  WireEstimateRequest req;
+  req.circuit_qasm =
+      "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[3];\nh q[0];\n"
+      "cx q[0],q[1];\nry(0.375) q[2];\ncx q[1],q[2];\n";
+  req.observable = "ZXZ";
+  req.epsilon = 0.05;
+  req.shots = 100000;
+  req.shot_cap = 2000000;
+  req.seed = 3102;
+  req.max_fragment_width = -6;
+  req.resource_overlap = 0.9;
+  req.pair_budget = 2;
+  req.allow_gate_cuts = 0;
+  req.target_accuracy = 0.025;
+  req.max_cuts = 8;
+  req.exhaustive_limit = 12;
+  req.max_nodes = 1000000;
+  req.backend = 1;
+  req.request_id = "pin-1";
+  req.deadline_ms = 250;
+  return req;
+}
+
+WireEstimateResponse pinned_response() {
+  WireEstimateResponse res;
+  res.status = 0;
+  res.retry_after_ms = 17;
+  res.estimate = -0.123456789;
+  res.ci_halfwidth = 0.0078125;
+  res.has_exact = 0;
+  res.exact = std::nan("");
+  res.shots_used = 99999;
+  res.kappa = 2.2360679774997896;
+  res.plan_cuts = 2;
+  res.plan_gate_cuts = 1;
+  res.plan_total_kappa = 5.0;
+  res.plan_predicted_shots = 8000.5;
+  res.plan_max_width = 6;
+  res.plan_max_sim_width = -1;
+  res.plan_cache_hit = 1;
+  res.eval_cache_hit = 0;
+  res.coalesced = 1;
+  res.report_json =
+      "{\"backend\": \"batched-branch\", \"shots\": {\"sampled\": 99999}, "
+      "\"pool\": {\"threads\": 4, \"tasks\": 3}, \"stages\": [\"plan.search\", "
+      "\"engine.run\", \"fragment.eval\"]}";
+  res.code = 0;
+  return res;
+}
+
+std::uint64_t frame_digest(const std::vector<std::uint8_t>& frame) {
+  return testing::fnv64(std::string(frame.begin(), frame.end()));
+}
+
+TEST(WireProtocol, EncodedFramesMatchTheirPinnedDigests) {
+  // The wire layout is fixed: these FNV-64 digests were recorded from an
+  // encoder that built each payload and its header in separate buffers, and
+  // the one-buffer frame encoders must reproduce them byte for byte.
+  const WireEstimateRequest req = pinned_request();
+  const WireEstimateResponse res = pinned_response();
+  const std::string error = "server: unexpected message type 9";
+  EXPECT_EQ(frame_digest(encode_frame(req)), 0xe5ed4b5c8a47ea8bull);
+  EXPECT_EQ(frame_digest(encode_frame(res)), 0x06e29e1b79ebcc4eull);
+  EXPECT_EQ(frame_digest(encode_text_frame(MsgType::kError, error)), 0x39afbf50ab19b333ull);
+  EXPECT_EQ(encode_frame(req),
+            encode_frame(Frame{MsgType::kEstimateRequest, encode_estimate_request(req)}));
+  EXPECT_EQ(encode_frame(res),
+            encode_frame(Frame{MsgType::kEstimateResponse, encode_estimate_response(res)}));
+  EXPECT_EQ(encode_text_frame(MsgType::kError, error),
+            encode_frame(Frame{MsgType::kError, encode_error(error)}));
+  EXPECT_EQ(encode_frame(req).size(), 232u);
+  EXPECT_EQ(encode_frame(res).size(), 266u);
 }
 
 TEST(WireProtocol, ReaderRejectsTrailingBytesInPayloads) {
