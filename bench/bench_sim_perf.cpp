@@ -20,9 +20,10 @@
 //    full branch enumeration per (fragment, read assignment), and gate
 //    classification stripped (the old dense kernels). This is the yardstick
 //    the speedup floor pins.
-//  * optimized        — BatchedBranchBackend: shared split skeletons, prefix-once
-//    suffix-per-assignment enumeration, trailing-measure amplitude fold,
-//    specialized kernels, work units across the thread pool.
+//  * optimized        — BatchedBranchBackend: each fragment variant built from
+//    the cut layout and evaluated once, prefix-once suffix-per-assignment
+//    enumeration, trailing-measure amplitude fold, specialized kernels, the
+//    variants' terms across the thread pool.
 // Each rep times one pass of each way, adjacent and in alternating order;
 // the speedups are medians of per-rep ratios. Results must be bit-identical
 // across pool sizes {1, 2, 8} — checked here on every run, not just in the
@@ -122,7 +123,8 @@ struct BackendRow {
   std::uint64_t pool_tasks = 0;  ///< tasks the run submitted to its pool
 };
 
-/// Runs `plan` on `backend` with the engine's batches on `pool`.
+/// Runs `plan` on `backend` with `pool` as the request pool (the engine's
+/// one fan-out, the backend's prepare(), runs there; the draws inline).
 BackendRow measure(const std::string& name, const qcut::Qpd& qpd, const qcut::ShotPlan& plan,
                    const qcut::ExecutionBackend& backend, qcut::ThreadPool& pool,
                    std::uint64_t seed) {
@@ -289,7 +291,10 @@ FragmentRow measure_fragment_workload(const std::string& name, const qcut::Circu
     const auto optimized_pass = [&] {
       const auto t0 = Clock::now();
       const qcut::BatchedBranchBackend backend(qpd);
-      pool.parallel_for(0, qpd.size(), [&](std::size_t i) { (void)backend.cache().prob_one(i); });
+      {
+        const qcut::testing::ScopedPool scope(pool);
+        backend.prepare();
+      }
       for (std::size_t i = 0; i < qpd.size(); ++i) {
         acc_opt += backend.cache().prob_one(i);
       }
@@ -312,6 +317,9 @@ FragmentRow measure_fragment_workload(const std::string& name, const qcut::Circu
       ratios.push_back(opt > 0.0 ? row.serial_pass_seconds.back() / opt : 0.0);
     }
     {
+      // A one-worker pool runs the evaluation inline, on this thread.
+      qcut::ThreadPool one(1);
+      const qcut::testing::ScopedPool scope(one);
       const qcut::BatchedBranchBackend backend(qpd);
       const long before = thread_minor_faults();
       for (std::size_t i = 0; i < qpd.size(); ++i) {
@@ -350,9 +358,8 @@ FragmentRow measure_fragment_workload(const std::string& name, const qcut::Circu
 /// returns the exact per-term vector.
 std::vector<qcut::Real> fragment_probs_with_pool(const qcut::Qpd& qpd, std::size_t pool_size) {
   qcut::ThreadPool pool(pool_size);
-  const qcut::BatchedBranchBackend backend(qpd);
-  pool.parallel_for(0, qpd.size(), [&](std::size_t i) { (void)backend.cache().prob_one(i); });
-  return backend.cache().all_prob_one();
+  const qcut::testing::ScopedPool scope(pool);
+  return qcut::BatchedBranchBackend(qpd).cache().all_prob_one();
 }
 
 // ---- QFT kernel workload ----------------------------------------------------

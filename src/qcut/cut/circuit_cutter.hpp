@@ -17,8 +17,22 @@
 // joint QPD is the product decomposition — Π m_i terms, coefficient products,
 // κ = Π κ_i — exactly product_qpd's semantics realized inside one host
 // circuit. This is what the automatic planner (qcut/plan/) executes.
+//
+// The cutter works in two parts. cut_layout validates the sites and computes
+// everything the Π m_i terms share: each branch's ops, recorded once on
+// canonical wires, and each term's receiver, helper and classical-bit
+// layout. emit_term_ops then writes one term's ops, in splice order, through
+// a sink. Splicing a term (cut_qpd with splice = true) sends every op into
+// the term circuit; the exact backend sends only one fragment's ops into a
+// fragment variant (cut/fragment.hpp), so a fragment that only some cuts
+// touch is built and evaluated once, not once per term. Both use the one
+// emission routine, so a variant is op for op the fragment split_term cuts
+// from the spliced term. Every Qpd the cutter returns carries its layout.
 #pragma once
 
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -65,6 +79,80 @@ inline bool operator==(const CutSite& a, const CutSite& b) {
   return a.kind == b.kind &&
          (a.kind == CutKind::kWire ? a.point == b.point : a.op_index == b.op_index);
 }
+
+/// Everything the terms of an n-cut product QPD share, computed once per cut
+/// plan before any op is emitted. Terms enumerate the branch tuples, last
+/// cut fastest.
+struct CutLayout {
+  /// One branch of one cut: a wire gadget or a gate-cut term.
+  struct Branch {
+    Real coefficient = 0.0;
+    int extra_qubits = 0;  ///< helper wires beyond the cut's two
+    int cbits = 0;
+    int pairs = 0;
+    int sign_cbit = -1;  ///< gate cuts: the signed-measurement bit, relative
+    std::string label;
+    /// The branch's ops on canonical wires: 0 = the cut wire (or the gate's
+    /// first qubit), 1 = its receiver (or second qubit), 2.. = helpers; bits
+    /// from 0. A gate branch starts with the cut's branch-independent locals.
+    Circuit ops;
+    /// Equal ids (within one cut) ⇔ equal split structure: helper and bit
+    /// counts, sign bit, multi-qubit interactions and classical events. Terms
+    /// whose branches agree here share one fragment skeleton.
+    std::size_t structure = 0;
+  };
+  struct Cut {
+    CutSite site;
+    int wire_a = 0;  ///< host wire of canonical wire 0: the cut's carrier (or gate qubit a)
+    int wire_b = 0;  ///< host wire of canonical wire 1: its receiver (or gate qubit b)
+    std::vector<Branch> branches;
+  };
+
+  Circuit circuit;                      ///< the host circuit
+  std::vector<Cut> cuts;                ///< input order
+  std::vector<std::size_t> wire_order;  ///< wire cuts in splice order (position, then input)
+  std::vector<std::size_t> gate_order;  ///< gate cuts by host op index
+  std::vector<std::size_t> gate_at;     ///< host op index -> gate cut, cuts.size() = none
+  /// Per measured original qubit: its final carrier wire and its basis
+  /// change plus measurement, recorded on wire 0 and bit 0.
+  std::vector<std::pair<int, Circuit>> measures;
+
+  std::size_t n_terms = 1;
+  // Per term t and cut j, at [t * cuts.size() + j]: the branch taken, the
+  // first helper wire and the first classical bit.
+  std::vector<std::uint32_t> branch;
+  std::vector<int> helper_base;
+  std::vector<int> cbit_base;
+  // Per term: the spliced registers (observable bits last).
+  std::vector<int> term_qubits;
+  std::vector<int> term_cbits;
+
+  const Branch& branch_of(std::size_t term, std::size_t cut) const {
+    return cuts[cut].branches[branch[term * cuts.size() + cut]];
+  }
+};
+
+/// Validates the sites by cut_circuit_sites' rules and computes their
+/// layout. Zero sites give uncut_qpd's single term.
+std::shared_ptr<const CutLayout> cut_layout(const Circuit& circ, const std::vector<CutSite>& sites,
+                                            const std::vector<const CutProtocol*>& protocols,
+                                            const std::string& observable);
+
+/// Receives each emitted op: `op` as recorded, the host wire of each of its
+/// qubit indices (`wires[op.qubits[i]]`), and the offset of its classical
+/// bit (when it has one).
+using OpSink = std::function<void(const Operation& op, const int* wires, int cbit0)>;
+
+/// Writes term `term`'s ops in splice order through `sink`: the host ops on
+/// their current carriers, each cut's branch ops where the cut fires, then
+/// the observable's measurements.
+void emit_term_ops(const CutLayout& layout, std::size_t term, const OpSink& sink);
+
+/// The QPD of `layout`'s terms, carrying the layout. With `splice`, every
+/// term circuit is spliced whole; without it the QPD is factored: its terms
+/// carry coefficients, estimate bits and registers but no ops, and only the
+/// exact backend can run it (SerialShotBackend and split_term throw).
+Qpd cut_qpd(std::shared_ptr<const CutLayout> layout, bool splice);
 
 /// Cuts `circ` (unitary ops only, no classical bits) at `point` with
 /// `protocol`, measuring the n-qubit Pauli string `observable` (indexed by

@@ -28,15 +28,19 @@
 // over assignments of the cross-fragment bits, tracking the estimate-bit
 // parity. The full spliced state is never materialized.
 //
-// Fast path: all the structure above — components, local indices, classical-
-// bit roles — depends only on the op *skeleton* of the term circuit (kinds,
-// qubit lists, cbits), never on the gadget matrices. All gadget variants of
-// one cut plan share that skeleton, so BatchedBranchBackend computes it once
-// per structure (SplitSkeletonCache) and per-term splitting reduces to
-// replaying ops with remapped qubits. Evaluation then simulates each fragment's
-// unconditioned prefix once and re-runs only the read-dependent suffix per
-// cross-bit assignment, in index order on the calling thread: the engine
-// runs the terms concurrently, so a term's own work stays on one thread.
+// Fragment variants: all the structure above — components, local indices,
+// classical-bit roles — depends only on the op *skeleton* of a term (kinds,
+// qubit lists, cbits), never on the gadget matrices, and a fragment's ops
+// depend only on the branches of the cuts whose gadget wires lie in it. So
+// FragmentVariants groups a QPD's (term, fragment) pairs by (skeleton,
+// fragment, branches of the cuts touching it): each group is one variant,
+// built once from the cut layout (cut/circuit_cutter.hpp) without splicing
+// any term, and evaluated once into a fragment table; every term's P(−1) is
+// then the recombination of its variants' tables. A variant's evaluation
+// simulates the fragment's unconditioned prefix once and re-runs only the
+// read-dependent suffix per cross-bit assignment, in index order on the
+// calling thread: the exact backend runs distinct variants concurrently, so
+// one variant's work stays on one thread.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +48,6 @@
 #include <string>
 #include <vector>
 
-#include "qcut/common/single_flight_cache.hpp"
 #include "qcut/qpd/qpd.hpp"
 #include "qcut/sim/fusion.hpp"
 
@@ -111,30 +114,8 @@ struct SplitSkeleton {
 SplitSkeleton build_split_skeleton(const Circuit& c);
 
 /// Splits `term`'s circuit into connected components of the qubit-interaction
-/// graph. Equivalent to instantiating a freshly built skeleton.
+/// graph. Throws qcut::Error on a term without ops (a factored QPD's).
 FragmentSplit split_term(const QpdTerm& term);
-
-/// Cheap split: replays `term`'s ops into fragments laid out by `skel`
-/// (which must have been built from a circuit with the same structural key —
-/// the replay re-checks that every op stays inside one fragment).
-FragmentSplit split_term(const QpdTerm& term, const SplitSkeleton& skel);
-
-/// Structural signature: equal keys guarantee interchangeable skeletons. The
-/// key encodes register sizes, the sorted-unique multi-qubit interaction
-/// sets, and the ordered classical-event subsequence (measure / conditional
-/// ops with their wire and cbit). Matrices, init states, single-qubit gates,
-/// and op counts are deliberately excluded — they do not affect the split
-/// structure, so gadget variants that only differ there share a skeleton.
-std::string split_structure_key(const Circuit& c);
-
-/// Split skeletons by split_structure_key. Per run it is unbounded (one plan
-/// touches a handful of structures); the service shares one bounded,
-/// process-lifetime instance across requests.
-using SplitSkeletonCache = SingleFlightCache<const SplitSkeleton>;
-
-/// The skeleton of `c`'s structure, built once per structure even under
-/// concurrent lookups. Counts kSkeletonCacheHit / kSkeletonCacheMiss.
-std::shared_ptr<const SplitSkeleton> cached_skeleton(SplitSkeletonCache& cache, const Circuit& c);
 
 /// Rewrites `tf`'s circuit through the gate-fusion passes (sim/fusion.hpp),
 /// in place. The unconditioned prefix [0, cond_suffix_begin) and the
@@ -142,26 +123,105 @@ std::shared_ptr<const SplitSkeleton> cached_skeleton(SplitSkeletonCache& cache, 
 /// prefix-caching boundary — and cond_suffix_begin is remapped onto the fused
 /// op list. Exact up to float reassociation in the composed 2x2 products;
 /// fragment_term_prob_one on a fused split matches the unfused value to
-/// ~1e-12. Fuses whatever its width: BatchedBranchBackend calls it only on
-/// the fragments that pass fusion_pays.
+/// ~1e-12. Fuses whatever its width: FragmentVariants calls it only on the
+/// fragments that pass fusion_pays.
 void fuse_fragment(TermFragment& tf, FusionStats* stats = nullptr);
 
 /// fuse_fragment on every fragment of `split`, whatever its width.
 void fuse_split_circuits(FragmentSplit& split, FusionStats* stats = nullptr);
 
+/// One fragment's conditional distribution P_F(write bits, estimate parity |
+/// read bits), row-major: entry [ra * row + wp * 2 + parity] for read
+/// assignment ra and write pattern wp.
+struct FragmentTable {
+  std::size_t row = 0;
+  std::vector<Real> p;
+};
+
+/// Where each fragment's reads and writes sit among a split's cross bits:
+/// recombine's loop-invariant positions, computed once per skeleton.
+struct CrossPositions {
+  std::size_t n_cross = 0;
+  std::vector<std::vector<std::size_t>> read_pos;   ///< per fragment
+  std::vector<std::vector<std::size_t>> write_pos;  ///< per fragment
+};
+
 /// Exact P(outcome = −1) of the term — the parity-one probability of its
-/// estimate cbits — computed fragment-locally from `split`. Equal (up to
-/// float reassociation ≲ 1e-15) to enumerating the whole spliced term
+/// estimate cbits — computed fragment-locally from `split`: each fragment's
+/// table, then the chain-rule recombination over the cross bits. Equal (up
+/// to float reassociation ≲ 1e-15) to enumerating the whole spliced term
 /// circuit, but memory-bounded by split.max_width instead of the spliced
 /// width.
 ///
-/// The evaluator takes one fragment at a time: it simulates the fragment's
-/// unconditioned prefix once, then re-runs only the read-dependent suffix per
-/// cross-bit assignment. Those (fragment, read-assignment) work units and
-/// the recombination's chunks run in index order on the calling thread. The
-/// last unit of a fragment takes the prefix by move after the others have
-/// copied it, so the branch states alive at once are those of one fragment:
-/// its prefix plus one unit's branches, each at most 2^width amplitudes.
+/// A fragment's table is one evaluation: the unconditioned prefix is
+/// simulated once, then each read assignment's (fragment, read-assignment)
+/// work unit continues it through the read-dependent suffix, in index order
+/// on the calling thread. The last unit takes the prefix by move after the
+/// others have copied it, so the branch states alive at once are the prefix
+/// plus one unit's branches, each at most 2^width amplitudes.
 Real fragment_term_prob_one(const FragmentSplit& split);
+
+/// A QPD's (term, fragment) pairs grouped into fragment variants, each
+/// evaluated once. With the QPD's cut layout, terms whose branches agree in
+/// structure share a skeleton (built once from one term's emitted ops), and
+/// a variant is keyed by (skeleton, fragment, branch of every cut whose
+/// gadget wires lie in the fragment); its op list is the emission of its
+/// first term restricted to the fragment, which is op for op what
+/// split_term cuts from any of its terms spliced. A QPD without a layout
+/// (hand-built, multi-wire products) gets one skeleton per term and one
+/// variant per (term, fragment), from split_term. Construction checks every
+/// fragment against the statevector cap and the recombination limits.
+class FragmentVariants {
+ public:
+  explicit FragmentVariants(const Qpd& qpd);
+
+  std::size_t size() const noexcept { return variants_.size(); }
+
+  /// The terms, ascending, whose fragments include a variant no earlier term
+  /// has.
+  const std::vector<std::size_t>& introducing_terms() const noexcept { return introducing_; }
+
+  /// Builds the variants `term` introduces, in fragment order, fuses those
+  /// that pass sim/fusion.hpp's width rule and evaluates each into
+  /// `tables[variant]` (sized size()). Calls for distinct terms write
+  /// distinct entries, so they may run concurrently.
+  void evaluate_new(std::size_t term, std::vector<FragmentTable>& tables) const;
+
+  /// Every term's P(−1), in term order, from the variants' tables.
+  std::vector<Real> recombine_all(const std::vector<FragmentTable>& tables) const;
+
+  /// `term`'s fragments as its variants are built, unfused: each from the
+  /// term that introduced it.
+  FragmentSplit split(std::size_t term) const;
+
+ private:
+  /// The terms that share one skeleton.
+  struct Group {
+    SplitSkeleton skel;
+    CrossPositions pos;
+    /// Per fragment: the cuts whose gadget wires lie in it (a layout's QPD
+    /// only), and per mixed-radix code of their branches, the variant.
+    std::vector<std::vector<std::size_t>> cuts_of;
+    std::vector<std::vector<std::size_t>> slots;
+  };
+  struct Variant {
+    std::size_t term;      ///< the term that introduced it
+    std::size_t fragment;  ///< its fragment index in that term's skeleton
+  };
+
+  /// Builds `term`'s fragments f with want[f] into out[f].
+  void build(std::size_t term, const std::vector<char>& want, std::vector<TermFragment>& out) const;
+  std::size_t variant(std::size_t term, std::size_t fragment) const {
+    return term_variants_[first_[term] + fragment];
+  }
+
+  const Qpd* qpd_;
+  std::vector<Group> groups_;
+  std::vector<std::size_t> group_of_;      ///< per term
+  std::vector<std::size_t> first_;         ///< per term: offset into term_variants_
+  std::vector<std::size_t> term_variants_;  ///< per (term, fragment): its variant
+  std::vector<Variant> variants_;
+  std::vector<std::size_t> introducing_;
+};
 
 }  // namespace qcut

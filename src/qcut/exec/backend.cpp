@@ -3,15 +3,15 @@
 #include <string>
 
 #include "qcut/common/error.hpp"
-#include "qcut/cut/fragment.hpp"
-#include "qcut/obs/trace.hpp"
 #include "qcut/sim/executor.hpp"
-#include "qcut/sim/statevector.hpp"
 
 namespace qcut {
 
 SerialShotBackend::SerialShotBackend(const Qpd& qpd) : qpd_(&qpd) {
   QCUT_CHECK(!qpd.empty(), "SerialShotBackend: empty QPD");
+  QCUT_CHECK(qpd.has_term_circuits(),
+             "SerialShotBackend: the QPD is factored (its terms carry no circuit); "
+             "build it spliced to simulate shots");
 }
 
 std::uint64_t SerialShotBackend::run_batch(const TermBatch& batch, Rng& rng) const {
@@ -29,50 +29,21 @@ std::uint64_t SerialShotBackend::run_batch(const TermBatch& batch, Rng& rng) con
   return ones;
 }
 
-BatchedBranchBackend::BatchedBranchBackend(const Qpd& qpd,
-                                           std::shared_ptr<SplitSkeletonCache> skeletons)
-    : qpd_(&qpd) {
-  const auto skels =
-      skeletons != nullptr ? std::move(skeletons) : std::make_shared<SplitSkeletonCache>();
-  cache_ = std::make_shared<BranchCache>(qpd, [skels](const QpdTerm& term) {
-    FragmentSplit split = [&] {
-      obs::TraceSpan span("fragment.split");
-      return split_term(term, *cached_skeleton(*skels, term.circuit));
-    }();
-    QCUT_CHECK(split.max_width <= Statevector::kMaxQubits,
-               "BatchedBranchBackend: a term fragment exceeds the statevector cap (" +
-                   std::to_string(split.max_width) + " > " +
-                   std::to_string(Statevector::kMaxQubits) +
-                   " qubits) — add cuts, and note that entangled-resource cuts "
-                   "(nme/distill) merge both sides into one fragment: wide runs "
-                   "need entanglement-free plans (pair_budget = 0)");
-    // Gate fusion before evaluation, only on the fragments that pass
-    // sim/fusion.hpp's width rule. The prefix/suffix boundary is preserved,
-    // so prefix caching is unaffected.
-    for (TermFragment& tf : split.fragments) {
-      if (fusion_pays(tf.circuit.n_qubits())) {
-        fuse_fragment(tf);
-      }
-    }
-    return fragment_term_prob_one(split);
-  });
-}
+BatchedBranchBackend::BatchedBranchBackend(const Qpd& qpd) : cache_(qpd) {}
 
 BatchedBranchBackend::BatchedBranchBackend(const Qpd& qpd, std::vector<Real> prob_one)
-    : qpd_(&qpd), cache_(std::make_shared<BranchCache>(qpd, std::move(prob_one))) {}
+    : cache_(qpd, std::move(prob_one)) {}
 
 std::uint64_t BatchedBranchBackend::run_batch(const TermBatch& batch, Rng& rng) const {
-  QCUT_CHECK(batch.term < qpd_->size(), "BatchedBranchBackend: term out of range");
-  return rng.binomial(batch.shots, cache_->prob_one(batch.term));
+  return rng.binomial(batch.shots, cache_.prob_one(batch.term));
 }
 
-std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind, const Qpd& qpd,
-                                               std::shared_ptr<SplitSkeletonCache> skeletons) {
+std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind, const Qpd& qpd) {
   switch (kind) {
     case BackendKind::kSerialShot:
       return std::make_unique<SerialShotBackend>(qpd);
     case BackendKind::kBatchedBranch:
-      return std::make_unique<BatchedBranchBackend>(qpd, std::move(skeletons));
+      return std::make_unique<BatchedBranchBackend>(qpd);
   }
   throw Error("make_backend: unknown backend kind");
 }

@@ -2,22 +2,24 @@
 //
 // The Monte-Carlo estimators only ever consume one number per term: the exact
 // single-shot probability that the term's ±1 outcome is −1 (parity of the
-// estimate cbits equals 1). The cache computes it once per term through a
-// caller-supplied ProbFn — BatchedBranchBackend plugs in fragment-local
-// branch enumeration — and every later shot of the term is a Bernoulli
-// draw, so a whole batch is a single binomial draw: the same law as per-shot
-// statevector simulation at a tiny fraction of the cost.
+// estimate cbits equals 1). prepare() computes all of them at once, and every
+// shot of a term is then a Bernoulli draw, so a whole batch is a single
+// binomial draw: the same law as per-shot statevector simulation at a tiny
+// fraction of the cost.
 //
-// The cache is lazy and thread-safe: concurrent callers for the same term
-// serialize on a per-term std::call_once, while distinct terms compute in
-// parallel. run_plan (exec/engine.hpp) runs each term's batches in order on
-// one thread, so none of them waits on another's flag.
+// prepare() evaluates each fragment variant of the QPD once
+// (cut/fragment.hpp): one parallel_for on request_pool() over the terms that
+// introduce a variant, each task building and evaluating only its new
+// variants, in fragment order, so a worker holds at most one fragment's
+// branch states. Then every term's P(−1) is recombined in term order. It
+// runs once per cache, thread-safely: concurrent callers wait for the first
+// (a pool worker runs it inline), and a call that throws (cancellation, an
+// injected fault) leaves the next call to start over. So a warm cache runs
+// no pool task.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -27,12 +29,8 @@ namespace qcut {
 
 class BranchCache {
  public:
-  /// Computes a term's exact P(outcome = −1).
-  using ProbFn = std::function<Real(const QpdTerm&)>;
-
-  /// Lazy cache: each term's probability is computed by `prob_fn` on first
-  /// use.
-  BranchCache(const Qpd& qpd, ProbFn prob_fn);
+  /// Lazy cache: prepare() computes every term's probability.
+  explicit BranchCache(const Qpd& qpd);
 
   /// Pre-seeded cache: `prob_one` (one entry per term) was computed
   /// externally; no enumeration will run.
@@ -40,11 +38,14 @@ class BranchCache {
 
   const Qpd& qpd() const noexcept { return *qpd_; }
 
-  /// Thread-safe: computes the term's probability on first call, then serves
-  /// the cached value.
+  /// Computes every term's P(−1) unless done; counts one kBranchCacheMiss
+  /// per term it computes.
+  void prepare() const;
+
+  /// The term's probability (after prepare()); counts a kBranchCacheHit.
   Real prob_one(std::size_t term) const;
 
-  /// Forces every term and returns the full probability vector.
+  /// prepare(), then the full probability vector.
   std::vector<Real> all_prob_one() const;
 
   /// Number of terms computed so far (introspection for tests/benches).
@@ -52,10 +53,12 @@ class BranchCache {
 
  private:
   const Qpd* qpd_;
-  ProbFn prob_fn_;
-  bool preseeded_ = false;
+  mutable std::mutex mu_;  ///< held by the one prepare() that computes
   mutable std::vector<Real> prob_;
-  mutable std::unique_ptr<std::once_flag[]> once_;
+  /// Set once prob_ is complete. Not std::call_once: a throwing call must
+  /// leave the next one free to start over, and in a ThreadSanitizer build
+  /// a call_once whose callable had thrown hung the next call.
+  mutable std::atomic<bool> ready_{false};
   mutable std::atomic<std::size_t> computed_{0};
 };
 

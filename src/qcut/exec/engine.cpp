@@ -5,7 +5,6 @@
 #include "qcut/common/cancel.hpp"
 #include "qcut/common/error.hpp"
 #include "qcut/common/fault.hpp"
-#include "qcut/common/threadpool.hpp"
 #include "qcut/obs/metrics.hpp"
 #include "qcut/obs/trace.hpp"
 
@@ -49,6 +48,7 @@ EstimationResult combine_counts(const Qpd& qpd, const ShotPlan& plan,
 
 EstimationResult run_plan_with_rng(const Qpd& qpd, const ShotPlan& plan,
                                    const ExecutionBackend& backend, Rng& rng) {
+  backend.prepare();
   std::vector<std::uint64_t> ones_per_term(qpd.size(), 0);
   for (const TermBatch& batch : plan.batches) {
     cancel_poll();
@@ -65,30 +65,17 @@ EstimationResult run_plan(const Qpd& qpd, const ShotPlan& plan, const ExecutionB
   obs::TraceSpan run_span("engine.run", static_cast<std::uint64_t>(plan.batches.size()));
   obs::count(obs::Counter::kBatchesRun, plan.batches.size());
 
-  // Per-batch counts first (integer, order-independent), reduced per term in
-  // index order afterwards — the estimate is bit-identical for any pool size.
-  std::vector<std::uint64_t> batch_ones(plan.batches.size(), 0);
-  // One pool index per term, running its batches in plan order.
-  std::vector<std::size_t> starts;  // first batch of each term, then the end
-  for (std::size_t b = 0; b < plan.batches.size(); ++b) {
-    if (b == 0 || plan.batches[b].term != plan.batches[b - 1].term) {
-      starts.push_back(b);
-    }
-  }
-  starts.push_back(plan.batches.size());
-  request_pool().parallel_for(0, starts.size() - 1, [&](std::size_t t) {
-    for (std::size_t b = starts[t]; b < starts[t + 1]; ++b) {
-      cancel_poll();  // batch starts are the engine's cancellation quantum
-      fault::maybe_inject(fault::Site::kExecBatch);
-      obs::TraceSpan span("engine.batch", static_cast<std::uint64_t>(plan.batches[b].term));
-      Rng rng(seed, plan.batches[b].stream);
-      batch_ones[b] = backend.run_batch(plan.batches[b], rng);
-    }
-  });
-
+  // The one fan-out (exact probabilities, once per backend), then every
+  // draw inline in plan order; counts are integers, so the per-term sums
+  // are the same in any order.
+  backend.prepare();
   std::vector<std::uint64_t> ones_per_term(qpd.size(), 0);
-  for (std::size_t b = 0; b < plan.batches.size(); ++b) {
-    ones_per_term[plan.batches[b].term] += batch_ones[b];
+  for (const TermBatch& batch : plan.batches) {
+    cancel_poll();  // batch starts are the engine's cancellation quantum
+    fault::maybe_inject(fault::Site::kExecBatch);
+    obs::TraceSpan span("engine.batch", static_cast<std::uint64_t>(batch.term));
+    Rng rng(seed, batch.stream);
+    ones_per_term[batch.term] += backend.run_batch(batch, rng);
   }
   return combine_counts(qpd, plan, ones_per_term);
 }

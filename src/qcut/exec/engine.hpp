@@ -11,14 +11,13 @@
 //  * the combine step implements both estimator laws (allocated / sampled)
 //    from the per-term counts alone.
 //
-// Parallelism: the engine fans out the terms of ONE estimate, one pool index
-// per term with shots, and each index runs its term's batches in plan
-// order: the first computes the term's P(−1) (behind the backend's per-term
-// once-flag) and the rest follow on the same thread, while the distinct
-// terms run on different workers. The indices run on request_pool(), the
-// pool of the calling request's context (common/request_context.hpp);
-// invoked from a worker of that pool, run_plan runs them inline on that
-// worker (the pool's parallel_for decides that — same bits, no deadlock).
+// Parallelism: run_plan first calls backend.prepare(), the one fan-out: the
+// exact backend computes every term's P(−1) there, on request_pool(), the
+// pool of the calling request's context (common/request_context.hpp), and
+// only once per backend, so a warm backend runs no pool task. Invoked from a
+// worker of that pool, the fan-out runs inline on that worker (the pool's
+// parallel_for decides that — same bits, no deadlock). Then every batch's
+// draw runs inline, in plan order, on the calling thread.
 // Outer sweeps that drive a single rng through many estimates (e.g.
 // run_fig6's per-state loop) use run_plan_with_rng instead.
 #pragma once
@@ -31,9 +30,9 @@
 
 namespace qcut {
 
-/// Runs every batch of `plan` against `backend` with per-batch substreams of
-/// `seed`, then recombines. Bit-identical across pool sizes. The backend must
-/// be bound to `qpd`.
+/// Prepares `backend`, runs every batch of `plan` against it with per-batch
+/// substreams of `seed`, then recombines. Bit-identical across pool sizes.
+/// The backend must be bound to `qpd`.
 EstimationResult run_plan(const Qpd& qpd, const ShotPlan& plan, const ExecutionBackend& backend,
                           std::uint64_t seed);
 

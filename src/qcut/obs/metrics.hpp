@@ -35,10 +35,12 @@ namespace qcut {
 namespace obs {
 
 enum class Counter : int {
-  // BranchCache (exec/branch_cache.cpp): per-term exact-probability lookups.
+  // BranchCache (exec/branch_cache.cpp): a miss per term whose exact
+  // probability prepare() computes, a hit per batch draw served from one.
   kBranchCacheHit = 0,
   kBranchCacheMiss,
-  // cached_skeleton (cut/fragment.cpp): split-structure lookups.
+  // FragmentVariants (cut/fragment.cpp): a miss per split skeleton built, a
+  // hit per term that shares an earlier term's.
   kSkeletonCacheHit,
   kSkeletonCacheMiss,
   // Gate fusion (sim/fusion.cpp): every fuse_range call. The exact backend
@@ -74,7 +76,7 @@ enum class Counter : int {
   // Cut planner (plan/cut_planner.cpp): search-tree nodes visited.
   kPlanNodesExplored,
   // Service layer (src/qcut/svc/): cross-request caches and request flow.
-  // A skeleton, plan or eval lookup that waited for a concurrent build hits.
+  // A plan or eval lookup that waited for a concurrent build hits.
   kPlanCacheHit,      ///< plan served from the cross-request plan cache
   kPlanCacheMiss,     ///< plan search ran
   kEvalCacheHit,      ///< QPD + warm backend reused across requests

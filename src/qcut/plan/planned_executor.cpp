@@ -28,16 +28,18 @@ PlannedExecutor::PlannedExecutor(Circuit circ, CutPlan plan)
 }
 
 Qpd PlannedExecutor::build_qpd(const Observable& observable) const {
+  return qpd_for(observable, BackendKind::kSerialShot);
+}
+
+Qpd PlannedExecutor::qpd_for(const Observable& observable, BackendKind kind) const {
   obs::TraceSpan span("plan.build_qpd");
-  if (plan_.cuts.empty()) {
-    return uncut_qpd(circ_, observable.to_string());
-  }
   std::vector<const CutProtocol*> protos;
   protos.reserve(protocols_.size());
   for (const auto& p : protocols_) {
     protos.push_back(p.get());
   }
-  return cut_circuit_sites(circ_, plan_.sites(), protos, observable.to_string());
+  return cut_qpd(cut_layout(circ_, plan_.sites(), protos, observable.to_string()),
+                 /*splice=*/kind != BackendKind::kBatchedBranch);
 }
 
 BackendKind PlannedExecutor::routed_backend(const Qpd& /*qpd*/, const CutRunConfig& cfg) {
@@ -82,7 +84,7 @@ CutRunResult PlannedExecutor::run_with(const Qpd& qpd, std::optional<Real> exact
 }
 
 CutRunResult PlannedExecutor::run(const Observable& observable, const CutRunConfig& cfg) const {
-  const Qpd qpd = build_qpd(observable);
+  const Qpd qpd = qpd_for(observable, cfg.backend);
   return run_with(qpd, exact_reference(observable), cfg, *make_backend(cfg.backend, qpd));
 }
 

@@ -10,8 +10,10 @@
 // experiments.
 //
 // The spliced term circuits are an IR, not an execution obligation: the
-// exact backend (BatchedBranchBackend) simulates each fragment of every term
-// independently and recombines through the cut boundaries' classical bits.
+// exact backend (BatchedBranchBackend) runs the factored QPD (qpd_for),
+// whose terms carry no circuit. It builds each distinct fragment variant
+// from the cut layout, simulates it once, and recombines every term through
+// the cut boundaries' classical bits.
 // Width is then bounded by the plan's max *merged* fragment width
 // (CutPlan::max_sim_width): entangled-resource cuts splice a
 // pre-shared-state initialize spanning both sides, so the simulator holds
@@ -42,20 +44,27 @@ class PlannedExecutor {
   const CutPlan& plan() const noexcept { return plan_; }
   const Circuit& circuit() const noexcept { return circ_; }
 
-  /// The joint (product) QPD realizing all planned cuts for `observable`.
-  /// A plan with zero cuts yields the single-term "QPD" that just runs the
-  /// circuit and measures the observable. Traced as `plan.build_qpd`.
+  /// The joint (product) QPD realizing all planned cuts for `observable`,
+  /// every term circuit spliced. A plan with zero cuts yields the
+  /// single-term "QPD" that just runs the circuit and measures the
+  /// observable. Traced as `plan.build_qpd`.
   Qpd build_qpd(const Observable& observable) const;
 
-  /// One estimation run: builds the QPD, the exact reference and a
-  /// cfg.backend backend, then calls run_with.
+  /// The QPD a `kind` backend runs: factored (terms without circuits, built
+  /// from the cut layout) for kBatchedBranch, spliced for kSerialShot.
+  /// Traced as `plan.build_qpd`.
+  Qpd qpd_for(const Observable& observable, BackendKind kind) const;
+
+  /// One estimation run: builds qpd_for(observable, cfg.backend), the exact
+  /// reference and a cfg.backend backend, then calls run_with.
   CutRunResult run(const Observable& observable, const CutRunConfig& cfg) const;
 
   /// The monolithic uncut ⟨O⟩ of the circuit, or nullopt when the circuit is
   /// wider than Statevector::kMaxQubits (no cheap exact value exists there).
   std::optional<Real> exact_reference(const Observable& observable) const;
 
-  /// The single planned run. `qpd` must be build_qpd(observable), `exact`
+  /// The single planned run. `qpd` must be a QPD of `observable` from this
+  /// executor (build_qpd or qpd_for), `exact`
   /// exact_reference(observable) of THIS executor and `backend` bound to
   /// `qpd` (all possibly cached across requests by the service layer; a
   /// warm backend estimates bit-identically to a fresh one). cfg.shots = 0

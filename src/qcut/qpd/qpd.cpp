@@ -7,13 +7,22 @@
 namespace qcut {
 
 Qpd& Qpd::add(QpdTerm term) {
+  QCUT_CHECK(has_term_circuits_, "Qpd::add: a factored QPD takes no more terms");
   QCUT_CHECK(std::abs(term.coefficient) > 0.0, "Qpd::add: zero coefficient");
   QCUT_CHECK(!term.estimate_cbits.empty(), "Qpd::add: no estimate cbits");
   for (int cb : term.estimate_cbits) {
     QCUT_CHECK(cb >= 0 && cb < term.circuit.n_cbits(), "Qpd::add: estimate cbit out of range");
   }
   terms_.push_back(std::move(term));
+  layout_.reset();
+  has_term_circuits_ = true;
   return *this;
+}
+
+void Qpd::set_layout(std::shared_ptr<const CutLayout> layout, bool term_circuits) {
+  QCUT_CHECK(layout != nullptr || term_circuits, "Qpd::set_layout: a factored QPD needs its layout");
+  layout_ = std::move(layout);
+  has_term_circuits_ = term_circuits;
 }
 
 Real Qpd::kappa() const {

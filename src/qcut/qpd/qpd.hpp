@@ -6,12 +6,15 @@
 //   Tr[O E(ρ)] = κ Σ_i p_i sign(c_i) E[outcome_i],  κ = Σ|c_i|, p_i = |c_i|/κ.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "qcut/sim/circuit.hpp"
 
 namespace qcut {
+
+struct CutLayout;
 
 struct QpdTerm {
   Real coefficient = 0.0;  ///< signed c_i
@@ -52,8 +55,19 @@ class Qpd {
   /// see bench_pair_consumption.
   Real expected_pairs_per_sample() const;
 
+  /// The cut layout the terms were built from (cut/circuit_cutter.hpp), or
+  /// null for a hand-built QPD. add() drops it: the terms then no longer
+  /// match it.
+  const std::shared_ptr<const CutLayout>& layout() const noexcept { return layout_; }
+  /// False for a factored QPD, whose terms carry registers but no ops.
+  bool has_term_circuits() const noexcept { return has_term_circuits_; }
+  /// Attaches the layout of every term added so far (the cutter's hook).
+  void set_layout(std::shared_ptr<const CutLayout> layout, bool term_circuits);
+
  private:
   std::vector<QpdTerm> terms_;
+  std::shared_ptr<const CutLayout> layout_;
+  bool has_term_circuits_ = true;
 };
 
 }  // namespace qcut

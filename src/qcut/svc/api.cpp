@@ -158,15 +158,14 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
   // Every request runs on an EvalEntry: a cached one (warm backend, built
   // for rcfg.backend: the kind is part of the eval key) when caches are
   // given, else a private one. Either way the run below is the same code.
-  const auto build = [&](std::shared_ptr<SplitSkeletonCache> skeletons) {
-    return EvalEntry::build(PlannedExecutor(circ, plan), req.observable, rcfg.backend,
-                            std::move(skeletons));
+  const auto build = [&] {
+    return EvalEntry::build(PlannedExecutor(circ, plan), req.observable, rcfg.backend);
   };
   std::shared_ptr<EvalEntry> entry;
   if (caches != nullptr) {
     const auto miss = [&] {
       obs::count(obs::Counter::kEvalCacheMiss);
-      return build(caches->skeletons);
+      return build();
     };
     entry = caches->evals.get_or_build(eval_key(pkey, req.observable, rcfg.backend), miss,
                                        &res.eval_cache_hit);
@@ -174,7 +173,7 @@ EstimateResult estimate(const EstimateRequest& req, ServiceCaches* caches) {
       obs::count(obs::Counter::kEvalCacheHit);
     }
   } else {
-    entry = build(/*skeletons=*/nullptr);
+    entry = build();
   }
   res.run = entry->executor.run_with(entry->qpd, entry->exact, rcfg, *entry->backend);
 

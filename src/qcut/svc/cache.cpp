@@ -107,14 +107,13 @@ std::string eval_key(const std::string& plan_key, const Observable& observable,
 }
 
 std::shared_ptr<EvalEntry> EvalEntry::build(PlannedExecutor executor, const Observable& observable,
-                                            BackendKind kind,
-                                            std::shared_ptr<SplitSkeletonCache> skeletons) {
-  Qpd qpd = executor.build_qpd(observable);
+                                            BackendKind kind) {
+  Qpd qpd = executor.qpd_for(observable, kind);
   const std::optional<Real> exact = executor.exact_reference(observable);
   auto entry = std::make_shared<EvalEntry>(std::move(executor), std::move(qpd), exact);
   // Bound to entry->qpd, whose address is stable for the entry's lifetime
   // (the entry is heap-allocated and the Qpd never reassigned).
-  entry->backend = make_backend(kind, entry->qpd, std::move(skeletons));
+  entry->backend = make_backend(kind, entry->qpd);
   return entry;
 }
 

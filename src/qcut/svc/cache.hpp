@@ -2,7 +2,7 @@
 //
 // The daemon answers many estimation requests per process, and most fleets
 // send the same few circuits over and over (parameter sweeps, retries,
-// dashboards re-polling). Four artifacts are worth keeping warm across
+// dashboards re-polling). Three artifacts are worth keeping warm across
 // requests:
 //
 //  * the parsed circuit — a memo from a QASM request's exact bytes to the
@@ -12,14 +12,12 @@
 //    bypass it;
 //  * the CutPlan — the planner's subset search over cut candidates, keyed by
 //    (canonical circuit hash, planner config);
-//  * the eval entry — the spliced QPD, its warm ExecutionBackend (holding
-//    the exact per-term P(−1) probabilities once computed) and the uncut
-//    exact reference ⟨O⟩, keyed by (plan key, observable, backend kind). A
-//    cacheless svc::estimate builds the same entry privately, so both
-//    paths run one piece of code;
-//  * the SplitSkeletonCache — per-term fragment split structure, shared by
-//    every batched-branch entry (cut/fragment.hpp owns the type; the
-//    service just holds a capacity-bounded, process-lifetime instance).
+//  * the eval entry — the QPD (factored for the exact backend, spliced for
+//    serial shots), its warm ExecutionBackend (holding the exact per-term
+//    P(−1) probabilities once computed) and the uncut exact reference ⟨O⟩,
+//    keyed by (plan key, observable, backend kind). A cacheless
+//    svc::estimate builds the same entry privately, so both paths run one
+//    piece of code.
 //
 // Reuse is always bit-identical: parses, plans and references are
 // deterministic functions of their key, and a warm backend holds exact
@@ -41,7 +39,6 @@
 #include <string>
 
 #include "qcut/common/single_flight_cache.hpp"
-#include "qcut/cut/fragment.hpp"
 #include "qcut/exec/backend.hpp"
 #include "qcut/plan/cut_planner.hpp"
 #include "qcut/plan/planned_executor.hpp"
@@ -80,15 +77,15 @@ struct ParsedCircuit {
 };
 
 /// One evaluation context: the executor (plan protocols instantiated), the
-/// spliced QPD, an ExecutionBackend bound to it, and the uncut exact
-/// reference. svc::estimate runs every request through one: a cached entry's
-/// backend probability caches (BranchCache / skeletons) fill on first use and
-/// serve every later request with the same key, and a cacheless request
-/// builds a private entry. All members are immutable or internally
-/// synchronized after build(), so one entry serves concurrent requests.
+/// QPD, an ExecutionBackend bound to it, and the uncut exact reference.
+/// svc::estimate runs every request through one: a cached entry's backend
+/// probability cache (BranchCache) fills on first use and serves every later
+/// request with the same key, and a cacheless request builds a private
+/// entry. All members are immutable or internally synchronized after
+/// build(), so one entry serves concurrent requests.
 struct EvalEntry {
   PlannedExecutor executor;
-  Qpd qpd;                ///< executor.build_qpd(observable); backend points at it
+  Qpd qpd;                ///< executor.qpd_for(observable, kind); backend points at it
   std::optional<Real> exact;  ///< executor.exact_reference(observable)
   std::unique_ptr<ExecutionBackend> backend;  ///< of the kind build() was given
 
@@ -97,19 +94,15 @@ struct EvalEntry {
 
   /// Builds a ready entry: the QPD, the exact reference (under
   /// exact_reference's width rule), then a `kind` backend against the
-  /// entry's own (heap-stable) QPD. Batched-branch backends split through
-  /// `skeletons` (nullptr → a private cache), so the service's shared cache
-  /// reuses split structure across entries.
+  /// entry's own (heap-stable) QPD.
   static std::shared_ptr<EvalEntry> build(PlannedExecutor executor, const Observable& observable,
-                                          BackendKind kind,
-                                          std::shared_ptr<SplitSkeletonCache> skeletons);
+                                          BackendKind kind);
 };
 
 /// Entry caps of the service caches; 0 = unbounded.
 struct ServiceCachesConfig {
   std::size_t plan_capacity = 64;
   std::size_t eval_capacity = 32;
-  std::size_t skeleton_capacity = 512;
 };
 
 /// The process-lifetime cache bundle one service instance owns: the daemon
@@ -120,8 +113,7 @@ class ServiceCaches {
   explicit ServiceCaches(ServiceCachesConfig cfg = {})
       : circuits(cfg.plan_capacity),
         plans(cfg.plan_capacity),
-        evals(cfg.eval_capacity),
-        skeletons(std::make_shared<SplitSkeletonCache>(cfg.skeleton_capacity)) {}
+        evals(cfg.eval_capacity) {}
 
   /// QASM text → parsed circuit. Sized like `plans`: a memo entry only pays
   /// while the plan it leads to is resident, so a parse is inserted only
@@ -129,7 +121,6 @@ class ServiceCaches {
   SingleFlightCache<const ParsedCircuit> circuits;
   SingleFlightCache<const CutPlan> plans;
   SingleFlightCache<EvalEntry> evals;
-  std::shared_ptr<SplitSkeletonCache> skeletons;
 };
 
 }  // namespace svc

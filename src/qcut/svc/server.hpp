@@ -31,8 +31,8 @@
 // never change any answer.
 //
 // Caching: the server owns a process-lifetime ServiceCaches (parsed QASM
-// circuits, plans, warm QPD+backend+exact-reference entries, fragment
-// skeletons) — see svc/cache.hpp.
+// circuits, plans, warm QPD+backend+exact-reference entries) — see
+// svc/cache.hpp.
 #pragma once
 
 #include <algorithm>

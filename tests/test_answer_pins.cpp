@@ -6,9 +6,11 @@
 //
 // Per request, the digested text holds every term's exact P(-1) and the
 // answer (estimate, exact value, shots, kappa, cut count), all as %a. The
-// answers are rerun cacheless and through one ServiceCaches (cold, then
-// warm), at pools {1, 2, 8}, with metrics off and on; every run must give
-// the recorded text.
+// answers are rerun cacheless, through one ServiceCaches (cold, then warm),
+// through the benchmark's staged replay (import, plan, splice, exact
+// reference, then run_qpd_estimate on a fresh backend) and through an
+// in-process QcutServer over loopback (cold, then warm), at pools {1, 2, 8},
+// with metrics off and on; every run must give the recorded text.
 //
 // The SIMD tiers are not bit-identical to each other, a build whose
 // baseline targets FMA (-march=x86-64-v3) contracts multiply-adds outside
@@ -27,13 +29,16 @@
 
 #include "pool_scope.hpp"
 #include "qcut/common/threadpool.hpp"
+#include "qcut/cut/circuit_cutter.hpp"
 #include "qcut/obs/metrics.hpp"
 #include "qcut/plan/planned_executor.hpp"
 #include "qcut/qpd/estimator.hpp"
 #include "qcut/sim/qasm_import.hpp"
 #include "qcut/sim/simd_dispatch.hpp"
+#include "qcut/sim/statevector.hpp"
 #include "qcut/svc/api.hpp"
 #include "qcut/svc/cache.hpp"
+#include "qcut/svc/server.hpp"
 #include "test_helpers.hpp"
 
 namespace qcut {
@@ -123,20 +128,70 @@ std::string term_prob_lines() {
   return text;
 }
 
-/// One answer line per (class, seed).
-std::string answer_lines(svc::ServiceCaches* caches) {
+std::string answer_line(const PinClass& c, std::uint64_t seed, Real estimate, bool has_exact,
+                        Real exact, std::uint64_t shots, Real kappa, std::size_t cuts) {
+  return std::string(c.name) + " seed " + std::to_string(seed) + " estimate=" + hex(estimate) +
+         " has_exact=" + (has_exact ? "1" : "0") + " exact=" + hex(exact) +
+         " shots=" + std::to_string(shots) + " kappa=" + hex(kappa) +
+         " cuts=" + std::to_string(cuts) + "\n";
+}
+
+/// One answer line per (class, seed), from `answer`(class, seed).
+template <class Answer>
+std::string lines(const Answer& answer) {
   std::string text;
   for (const PinClass& c : kClasses) {
     for (const std::uint64_t seed : kSeeds) {
-      const svc::EstimateResult res = svc::estimate(make_request(c, seed), caches);
-      text += std::string(c.name) + " seed " + std::to_string(seed) +
-              " estimate=" + hex(res.estimate) + " has_exact=" + (res.has_exact ? "1" : "0") +
-              " exact=" + hex(res.exact) + " shots=" + std::to_string(res.shots_used) +
-              " kappa=" + hex(res.kappa) + " cuts=" + std::to_string(res.plan_summary.cuts) +
-              "\n";
+      text += answer(c, seed);
     }
   }
   return text;
+}
+
+std::string answer_lines(svc::ServiceCaches* caches) {
+  return lines([caches](const PinClass& c, std::uint64_t seed) {
+    const svc::EstimateResult res = svc::estimate(make_request(c, seed), caches);
+    return answer_line(c, seed, res.estimate, res.has_exact, res.exact, res.shots_used, res.kappa,
+                       res.plan_summary.cuts);
+  });
+}
+
+/// The benchmark's staged replay of svc::estimate: import, plan, splice the
+/// QPD, the exact reference below the statevector cap, then
+/// run_qpd_estimate on a fresh backend.
+std::string staged_lines() {
+  return lines([](const PinClass& c, std::uint64_t seed) {
+    const svc::EstimateRequest req = make_request(c, seed);
+    const Circuit circ = strip_trailing_measurements(import_qasm(req.circuit_qasm, "<request>"));
+    const CutPlan plan = CutPlanner(circ, req.planner).plan();
+    const Qpd qpd = PlannedExecutor(circ, plan).build_qpd(req.observable);
+    const bool narrow = circ.n_qubits() <= Statevector::kMaxQubits;
+    const CutRunResult res =
+        narrow ? run_qpd_estimate(qpd, uncut_circuit_expectation(circ, req.observable.to_string()),
+                                  req.run_cfg)
+               : run_qpd_estimate(qpd, req.run_cfg);
+    return answer_line(c, seed, res.estimate, res.has_exact, res.exact, res.details.shots_used,
+                       res.details.kappa, plan.cuts.size());
+  });
+}
+
+/// The same requests over the wire to `server`.
+std::string daemon_lines(const svc::QcutServer& server) {
+  svc::QcutClient client("127.0.0.1", server.port());
+  return lines([&client](const PinClass& c, std::uint64_t seed) {
+    svc::WireEstimateRequest req;
+    req.circuit_qasm = testing::bench_shape_qasm(c.shape);
+    req.observable = std::string(static_cast<std::size_t>(c.n_qubits), 'Z');
+    req.max_fragment_width = c.cap;
+    req.pair_budget = c.pair_budget;
+    req.resource_overlap = c.overlap;
+    req.shots = kShots;
+    req.seed = seed;
+    const svc::WireEstimateResponse res = client.estimate(req);
+    EXPECT_EQ(res.status, static_cast<std::uint8_t>(svc::WireStatus::kOk)) << res.error;
+    return answer_line(c, seed, res.estimate, res.has_exact != 0, res.exact, res.shots_used,
+                       res.kappa, res.plan_cuts);
+  });
 }
 
 TEST(AnswerPins, EveryRunMatchesTheRecordedDigest) {
@@ -179,6 +234,14 @@ TEST(AnswerPins, EveryRunMatchesTheRecordedDigest) {
       svc::ServiceCaches caches;
       check(answer_lines(&caches), how + ", cold caches");
       check(answer_lines(&caches), how + ", warm caches");
+      check(staged_lines(), how + ", staged replay");
+      svc::ServerConfig cfg;
+      cfg.workers = workers;
+      svc::QcutServer server(cfg);
+      server.start();
+      check(daemon_lines(server), how + ", daemon cold");
+      check(daemon_lines(server), how + ", daemon warm");
+      server.stop();
     }
   }
   obs::set_metrics_enabled(metrics_before);

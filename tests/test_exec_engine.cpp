@@ -2,7 +2,6 @@
 // equivalence in law, and bit-identical parallel execution.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <mutex>
@@ -89,23 +88,24 @@ TEST(ShotPlanTest, SampledMatchesMultinomialLaw) {
 }
 
 TEST(BranchCacheTest, LazyAndMatchesExactEnumeration) {
-  // Filled lazily from the spliced oracle; the library's exact path
-  // (exact_term_prob_one, fragment by fragment) agrees with it.
+  // Nothing is computed until prepare(); then every term at once, and
+  // repeated calls compute nothing more. The library's exact path (fragment
+  // variants) agrees with the spliced oracle.
   const Qpd qpd = NmeCut{0.5}.build_qpd(fixed_input());
-  const BranchCache cache(qpd, &testing::term_prob_one);
+  const BranchCache cache(qpd);
   EXPECT_EQ(cache.computed_terms(), 0u);
-  const Real p0 = cache.prob_one(0);
-  EXPECT_EQ(cache.computed_terms(), 1u);
-  EXPECT_EQ(cache.prob_one(0), p0);  // served from cache, no recompute
-  EXPECT_EQ(cache.computed_terms(), 1u);
-
-  const auto reference = exact_term_prob_one(qpd);
-  const auto all = cache.all_prob_one();
-  ASSERT_EQ(all.size(), reference.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    EXPECT_NEAR(all[i], reference[i], 1e-12) << "term " << i;
-  }
+  cache.prepare();
   EXPECT_EQ(cache.computed_terms(), qpd.size());
+  const Real p0 = cache.prob_one(0);
+  cache.prepare();
+  EXPECT_EQ(cache.prob_one(0), p0);  // served from cache, no recompute
+  EXPECT_EQ(cache.computed_terms(), qpd.size());
+
+  const auto all = cache.all_prob_one();
+  ASSERT_EQ(all.size(), qpd.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_NEAR(all[i], testing::term_prob_one(qpd.terms()[i]), 1e-12) << "term " << i;
+  }
 }
 
 TEST(BranchCacheTest, PreseededCacheNeverEnumerates) {
@@ -276,76 +276,48 @@ TEST(EngineTest, NestedRunFromPoolWorkerFallsBackInline) {
   }
 }
 
-/// A BranchCache-backed binomial backend whose per-term enumeration sleeps,
-/// recording how many enumerations were ever in flight at once.
-class SlowEnumerationBackend final : public ExecutionBackend {
- public:
-  explicit SlowEnumerationBackend(const Qpd& qpd)
-      : cache_(qpd, [this](const QpdTerm& term) {
-          const int now = in_flight_.fetch_add(1) + 1;
-          int seen = peak_.load();
-          while (now > seen && !peak_.compare_exchange_weak(seen, now)) {
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(30));
-          in_flight_.fetch_sub(1);
-          return testing::term_prob_one(term);
-        }) {}
-
-  std::string name() const override { return "slow-enumeration"; }
-  std::uint64_t run_batch(const TermBatch& batch, Rng& rng) const override {
-    return rng.binomial(batch.shots, cache_.prob_one(batch.term));
-  }
-
-  int peak_in_flight() const { return peak_.load(); }
-
- private:
-  mutable std::atomic<int> in_flight_{0};
-  mutable std::atomic<int> peak_{0};
-  BranchCache cache_;
-};
-
-TEST(EngineTest, DistinctTermsEnumerateConcurrently) {
-  // Each term is enumerated once, by its first batch; the engine gives each
-  // term one pool index that runs its batches in order, so on a 4-worker
-  // pool the three harada terms enumerate together on different workers,
-  // and no batch ever waits for another term's enumeration. Scheduling never
-  // changes the bits or the cache accounting.
+TEST(EngineTest, TermsIntroducingVariantsEvaluateInOneFanOut) {
+  // A cold run computes every term's P(−1) in one fan-out over the terms
+  // that introduce a fragment variant (the three harada terms of a single
+  // wire cut share none), at most one task per worker; a warm run of the
+  // same backend runs no pool task. Scheduling never changes the bits or
+  // the cache accounting.
   const Qpd qpd = HaradaCut{}.build_qpd(fixed_input());
   ASSERT_EQ(qpd.size(), 3u);
   const ShotPlan plan = ShotPlan::allocated(qpd, 20000, AllocRule::kProportional,
                                             /*sigmas=*/nullptr, /*max_batch_shots=*/128);
-  for (std::size_t t = 0; t < qpd.size(); ++t) {
-    ASSERT_GE(plan.shots_per_term[t], 4u * 128u) << "term " << t;  // many batches per term
-  }
 
   const bool metrics_were_enabled = obs::metrics_enabled();
   obs::set_metrics_enabled(true);
-  // Returns the estimate and the peak number of enumerations in flight.
   const auto run_on = [&](std::size_t workers) {
     ThreadPool pool(workers);
     const qcut::testing::ScopedPool scope(pool);
-    const SlowEnumerationBackend backend(qpd);
-    const obs::MetricsSnapshot before = obs::metrics_snapshot();
+    const BatchedBranchBackend backend(qpd);
+    obs::MetricsSnapshot before = obs::metrics_snapshot();
     const Real estimate = run_plan(qpd, plan, backend, /*seed=*/4242).estimate;
-    const obs::MetricsSnapshot delta = obs::metrics_delta(before, obs::metrics_snapshot());
+    obs::MetricsSnapshot delta = obs::metrics_delta(before, obs::metrics_snapshot());
     EXPECT_EQ(delta[obs::Counter::kBranchCacheMiss], qpd.size()) << "pool " << workers;
-    EXPECT_EQ(delta[obs::Counter::kBranchCacheHit] + delta[obs::Counter::kBranchCacheMiss],
-              plan.batches.size())
+    EXPECT_EQ(delta[obs::Counter::kBranchCacheHit], plan.batches.size()) << "pool " << workers;
+    EXPECT_EQ(delta[obs::Counter::kPoolTasks], workers == 1 ? 0u : std::min<std::size_t>(3, workers))
         << "pool " << workers;
-    return std::make_pair(estimate, backend.peak_in_flight());
+    before = obs::metrics_snapshot();
+    EXPECT_EQ(run_plan(qpd, plan, backend, /*seed=*/4242).estimate, estimate);
+    delta = obs::metrics_delta(before, obs::metrics_snapshot());
+    EXPECT_EQ(delta[obs::Counter::kBranchCacheMiss], 0u) << "pool " << workers;
+    EXPECT_EQ(delta[obs::Counter::kPoolTasks], 0u) << "pool " << workers;
+    return estimate;
   };
 
-  const auto [on_four, peak] = run_on(4);
-  EXPECT_GE(peak, 3);
+  const Real on_four = run_on(4);
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    EXPECT_EQ(run_on(workers).first, on_four) << "pool " << workers;
+    EXPECT_EQ(run_on(workers), on_four) << "pool " << workers;
   }
   obs::set_metrics_enabled(metrics_were_enabled);
 }
 
 /// Records the term, stream and thread of every batch, in arrival order.
 /// Each batch then sleeps briefly, so that a pool which handed out batches
-/// one by one would spread a term's batches over its workers.
+/// would spread them over its workers.
 class RecordingBackend final : public ExecutionBackend {
  public:
   struct Arrival {
@@ -357,6 +329,7 @@ class RecordingBackend final : public ExecutionBackend {
   explicit RecordingBackend(const Qpd& qpd) : inner_(qpd) {}
 
   std::string name() const override { return "recording"; }
+  void prepare() const override { inner_.prepare(); }
   std::uint64_t run_batch(const TermBatch& batch, Rng& rng) const override {
     {
       const std::lock_guard<std::mutex> lock(mu_);
@@ -377,7 +350,9 @@ class RecordingBackend final : public ExecutionBackend {
   mutable std::vector<Arrival> arrivals_;
 };
 
-TEST(EngineTest, EachTermsBatchesRunInPlanOrderOnOneThread) {
+TEST(EngineTest, EveryBatchRunsInPlanOrderOnTheCallingThread) {
+  // Draws never fan out: whatever the pool, the batches arrive in plan
+  // order, all on the thread that called run_plan, with the bits of pool 1.
   const Qpd qpd = NmeCut{0.6}.build_qpd(fixed_input());
   const ShotPlan plan = ShotPlan::allocated(qpd, 20000, AllocRule::kProportional,
                                             /*sigmas=*/nullptr, /*max_batch_shots=*/128);
@@ -393,24 +368,10 @@ TEST(EngineTest, EachTermsBatchesRunInPlanOrderOnOneThread) {
     EXPECT_EQ(run_on(workers, backend), on_one) << "pool " << workers;
     const std::vector<RecordingBackend::Arrival> arrivals = backend.arrivals();
     ASSERT_EQ(arrivals.size(), plan.batches.size()) << "pool " << workers;
-    for (std::size_t t = 0; t < qpd.size(); ++t) {
-      std::vector<std::uint64_t> streams;
-      std::set<std::thread::id> threads;
-      for (const RecordingBackend::Arrival& a : arrivals) {
-        if (a.term == t) {
-          streams.push_back(a.stream);
-          threads.insert(a.thread);
-        }
-      }
-      std::vector<std::uint64_t> planned;
-      for (const TermBatch& b : plan.batches) {
-        if (b.term == t) {
-          planned.push_back(b.stream);
-        }
-      }
-      EXPECT_EQ(streams, planned) << "pool " << workers << ", term " << t;
-      EXPECT_EQ(threads.size(), planned.empty() ? 0u : 1u)
-          << "pool " << workers << ", term " << t;
+    for (std::size_t b = 0; b < arrivals.size(); ++b) {
+      EXPECT_EQ(arrivals[b].term, plan.batches[b].term) << "pool " << workers << ", batch " << b;
+      EXPECT_EQ(arrivals[b].stream, plan.batches[b].stream) << "pool " << workers;
+      EXPECT_EQ(arrivals[b].thread, std::this_thread::get_id()) << "pool " << workers;
     }
   }
 }

@@ -6,7 +6,9 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "exact_oracles.hpp"
 #include "qcut/core/cut_executor.hpp"
@@ -21,6 +23,7 @@
 #include "qcut/obs/metrics.hpp"
 #include "qcut/plan/circuit_graph.hpp"
 #include "qcut/plan/planned_executor.hpp"
+#include "qcut/qpd/estimator.hpp"
 #include "qcut/sim/qasm_import.hpp"
 #include "qcut/sim/statevector.hpp"
 #include "test_helpers.hpp"
@@ -28,6 +31,7 @@
 namespace qcut {
 namespace {
 
+using qcut::testing::BenchShape;
 using qcut::testing::fragment_term_prob_one_baseline;
 using qcut::testing::ghz_line;
 using qcut::testing::random_unitary_circuit;
@@ -240,20 +244,28 @@ TEST(BatchedBranchBackend, FusesOnlyTheFragmentsWideEnoughForFusionToPay) {
   }
 }
 
-TEST(BatchedBranchBackend, WideEntangledCutFailsPerTermWithClearError) {
+TEST(BatchedBranchBackend, WideEntangledCutFailsWithClearError) {
   // An NME cut on a circuit wider than the statevector cap: the teleport
   // terms merge both sides (plus the helper wire) into one fragment wider
-  // than Statevector::kMaxQubits and must fail with the width-cap Error
-  // (wide runs need entanglement-free plans), while the gadget's
-  // measure-flip term still splits and computes.
+  // than Statevector::kMaxQubits, so the backend fails with the width-cap
+  // Error before it evaluates anything (wide runs need entanglement-free
+  // plans), while the gadget's measure-flip term on its own still splits
+  // and computes.
   const int n = Statevector::kMaxQubits + 4;  // merged fragment: n + 1 wires
   const Circuit circ = ghz_line(n);
   const NmeCut nme(0.6);
   const Qpd qpd = cut_circuit(circ, CutPoint{n / 2, n / 2 - 1}, nme, all_z(n));
   ASSERT_EQ(qpd.size(), 3u);
   const BatchedBranchBackend backend(qpd);
-  EXPECT_THROW(backend.cache().prob_one(0), Error);  // teleport-H: merged, too wide
-  const Real p = backend.cache().prob_one(2);        // measure-flip: splits fine
+  try {
+    backend.prepare();
+    ADD_FAILURE() << "a merged fragment above the cap was evaluated";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds the statevector cap"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(backend.cache().prob_one(2), Error);  // the next call fails the same way
+  const Real p = fragment_term_prob_one(split_term(qpd.terms()[2]));  // measure-flip
   EXPECT_GE(p, 0.0);
   EXPECT_LE(p, 1.0 + 1e-12);
 }
@@ -387,7 +399,7 @@ TEST(FragmentParallel, PoolSizeBitIdentity) {
     ThreadPool pool(n_threads);
     const qcut::testing::ScopedPool scope(pool);
     const BatchedBranchBackend backend(qpd);
-    pool.parallel_for(0, qpd.size(), [&](std::size_t i) { (void)backend.cache().prob_one(i); });
+    backend.prepare();  // the one fan-out, on this pool
     const std::vector<Real> probs = backend.cache().all_prob_one();
     ASSERT_EQ(probs.size(), serial.size());
     for (std::size_t i = 0; i < probs.size(); ++i) {
@@ -400,41 +412,179 @@ TEST(FragmentParallel, PoolSizeBitIdentity) {
   EXPECT_EQ(estimates[0], estimates[2]);
 }
 
-TEST(FragmentSplit, SkeletonCacheMatchesFreshSplitAcrossAllGadgetVariants) {
-  // Every gadget variant of a 2-cut plan, split two ways: fresh (structure
-  // recomputed) vs. through the shared SplitSkeletonCache. Metadata must
-  // match exactly and the evaluated probabilities to 1e-12.
-  const Circuit circ = ghz_line(8);
-  const HaradaCut harada;
-  const PengCut peng;
-  const std::vector<CutSite> sites{CutSite::wire({2, 1}), CutSite::wire({5, 4})};
-  const Qpd qpd = cut_circuit_sites(circ, sites, {&harada, &peng}, all_z(8));
-  ASSERT_GE(qpd.size(), 9u);
-
-  SplitSkeletonCache cache;
-  for (const QpdTerm& term : qpd.terms()) {
-    const FragmentSplit fresh = split_term(term);
-    const FragmentSplit cached = split_term(term, *cached_skeleton(cache, term.circuit));
-    ASSERT_EQ(fresh.fragments.size(), cached.fragments.size()) << term.label;
-    EXPECT_EQ(fresh.max_width, cached.max_width);
-    EXPECT_EQ(fresh.cross_cbits, cached.cross_cbits);
-    for (std::size_t f = 0; f < fresh.fragments.size(); ++f) {
-      const TermFragment& a = fresh.fragments[f];
-      const TermFragment& b = cached.fragments[f];
-      EXPECT_EQ(a.wires, b.wires) << term.label;
-      EXPECT_EQ(a.reads, b.reads) << term.label;
-      EXPECT_EQ(a.writes, b.writes) << term.label;
-      EXPECT_EQ(a.estimate_cbits, b.estimate_cbits) << term.label;
-      EXPECT_EQ(a.cond_suffix_begin, b.cond_suffix_begin) << term.label;
-      EXPECT_EQ(a.circuit.size(), b.circuit.size()) << term.label;
+/// The factored path against the spliced one, on every term of `spliced`
+/// (a cutter QPD, so it carries its layout): each fragment the variants
+/// build equals the fragment split_term cuts from the spliced term, op for
+/// op (kind, qubits, cbit, payload address), and every factored P(−1)
+/// equals split_term → fusion where it pays → fragment_term_prob_one on the
+/// spliced term, bit for bit.
+void expect_variants_match_spliced(const Qpd& spliced, const std::string& what) {
+  ASSERT_NE(spliced.layout(), nullptr) << what;
+  const Qpd factored = cut_qpd(spliced.layout(), /*splice=*/false);
+  ASSERT_FALSE(factored.has_term_circuits()) << what;
+  ASSERT_EQ(factored.size(), spliced.size()) << what;
+  const FragmentVariants variants(factored);
+  const std::vector<Real> got = exact_term_prob_one(factored);
+  std::size_t pairs = 0;
+  for (std::size_t t = 0; t < spliced.size(); ++t) {
+    const QpdTerm& term = spliced.terms()[t];
+    EXPECT_EQ(factored.terms()[t].coefficient, term.coefficient) << what;
+    EXPECT_EQ(factored.terms()[t].estimate_cbits, term.estimate_cbits) << what;
+    EXPECT_EQ(factored.terms()[t].label, term.label) << what;
+    FragmentSplit want = split_term(term);
+    const FragmentSplit have = variants.split(t);
+    EXPECT_EQ(have.max_width, want.max_width) << what << " " << term.label;
+    EXPECT_EQ(have.cross_cbits, want.cross_cbits) << what << " " << term.label;
+    ASSERT_EQ(have.fragments.size(), want.fragments.size()) << what << " " << term.label;
+    pairs += want.fragments.size();
+    for (std::size_t f = 0; f < want.fragments.size(); ++f) {
+      const TermFragment& a = have.fragments[f];
+      const TermFragment& b = want.fragments[f];
+      const std::string where = what + " " + term.label + " fragment " + std::to_string(f);
+      EXPECT_EQ(a.wires, b.wires) << where;
+      EXPECT_EQ(a.reads, b.reads) << where;
+      EXPECT_EQ(a.writes, b.writes) << where;
+      EXPECT_EQ(a.estimate_cbits, b.estimate_cbits) << where;
+      EXPECT_EQ(a.cond_suffix_begin, b.cond_suffix_begin) << where;
+      EXPECT_EQ(a.circuit.n_qubits(), b.circuit.n_qubits()) << where;
+      EXPECT_EQ(a.circuit.n_cbits(), b.circuit.n_cbits()) << where;
+      ASSERT_EQ(a.circuit.size(), b.circuit.size()) << where;
+      for (std::size_t k = 0; k < a.circuit.size(); ++k) {
+        const Operation& x = a.circuit.ops()[k];
+        const Operation& y = b.circuit.ops()[k];
+        EXPECT_EQ(x.kind, y.kind) << where << " op " << k;
+        EXPECT_TRUE(std::equal(x.qubits.begin(), x.qubits.end(), y.qubits.begin(),
+                               y.qubits.end()))
+            << where << " op " << k;
+        EXPECT_EQ(x.cbit, y.cbit) << where << " op " << k;
+        EXPECT_EQ(&x.matrix(), &y.matrix()) << where << " op " << k;
+        EXPECT_EQ(&x.init_state(), &y.init_state()) << where << " op " << k;
+      }
     }
-    EXPECT_NEAR(fragment_term_prob_one(fresh), fragment_term_prob_one(cached), 1e-12)
-        << term.label;
+    for (TermFragment& tf : want.fragments) {
+      if (fusion_pays(tf.circuit.n_qubits())) {
+        fuse_fragment(tf);
+      }
+    }
+    const Real oracle = fragment_term_prob_one(want);
+    EXPECT_EQ(std::memcmp(&got[t], &oracle, sizeof(Real)), 0)
+        << what << " " << term.label << ": " << got[t] << " vs " << oracle;
   }
-  // The point of the cache: the plan's gadget variants share skeletons, so
-  // far fewer structures are built than terms exist.
-  EXPECT_LT(cache.size(), qpd.size());
-  EXPECT_GE(cache.size(), 1u);
+  EXPECT_LE(variants.size(), pairs) << what;
+}
+
+Qpd planned_pin_qpd(BenchShape shape, int n, int cap, int pairs, Real overlap) {
+  const Circuit circ =
+      strip_trailing_measurements(import_qasm(qcut::testing::bench_shape_qasm(shape)));
+  PlannerConfig pcfg;
+  pcfg.max_fragment_width = cap;
+  pcfg.pair_budget = pairs;
+  pcfg.resource_overlap = overlap;
+  const PlannedExecutor exec(circ, CutPlanner(circ, pcfg).plan());
+  return exec.build_qpd(Observable::z_all(n));
+}
+
+TEST(FragmentVariants, MatchTheSplicedSplitOnPlannedAndHandCutQpds) {
+  // The benchmark's six request classes, planned.
+  expect_variants_match_spliced(planned_pin_qpd(BenchShape::kGhz30, 30, 16, 0, 0.5), "ghz30");
+  expect_variants_match_spliced(planned_pin_qpd(BenchShape::kBrick30, 30, 16, 0, 0.5),
+                                "brick30");
+  expect_variants_match_spliced(planned_pin_qpd(BenchShape::kGhz8, 8, 3, 0, 0.5), "ghz8 cap 3");
+  expect_variants_match_spliced(planned_pin_qpd(BenchShape::kHwe8, 8, 4, 0, 0.5), "hwe8 cap 4");
+  expect_variants_match_spliced(planned_pin_qpd(BenchShape::kHwe8, 8, 5, 0, 0.5), "hwe8 cap 5");
+  expect_variants_match_spliced(planned_pin_qpd(BenchShape::kHwe8, 8, 6, 2, 0.9),
+                                "hwe8 cap 6 nme");
+
+  // Two gate cuts and a wire cut in one plan: CZs on (0,1), (2,3) and
+  // (4,5) of a 6-qubit chain, the middle wire cut between them.
+  Circuit chain(6, 0);
+  for (int q = 0; q < 6; ++q) {
+    chain.h(q);
+  }
+  chain.cz(0, 1).cx(1, 2).cz(2, 3).cx(3, 4).cz(4, 5).ry(3, 0.3);
+  std::vector<std::shared_ptr<const CutProtocol>> owned;
+  std::vector<CutSite> sites;
+  for (const std::size_t op : {std::size_t{6}, std::size_t{10}}) {
+    const ZzFactorization zz = zz_factor_diagonal(chain.ops()[op].matrix());
+    ASSERT_TRUE(zz.ok);
+    owned.push_back(std::make_shared<ZzGateCut>(zz.theta, zz.local_a, zz.local_b));
+    sites.push_back(CutSite::gate(op));
+  }
+  owned.push_back(make_wire_protocol({ProtocolId::kHarada, 0.0}));
+  sites.push_back(CutSite::wire({8, 2}));
+  std::vector<const CutProtocol*> protos;
+  for (const auto& p : owned) {
+    protos.push_back(p.get());
+  }
+  expect_variants_match_spliced(cut_circuit_sites(chain, sites, protos, "ZZZZZZ"),
+                                "two gate cuts and a wire cut");
+  expect_variants_match_spliced(cut_circuit_sites(chain, sites, protos, "XIYZIZ"),
+                                "two gate cuts and a wire cut, mixed observable");
+
+  // Entangled-resource wire cuts, two per circuit: NME, virtual
+  // distillation and the mixed-resource teleport, each next to harada.
+  const Circuit ghz = ghz_line(6);
+  const std::vector<CutSite> wire_sites{CutSite::wire({2, 1}), CutSite::wire({4, 3})};
+  const auto harada = make_wire_protocol({ProtocolId::kHarada, 0.0});
+  for (const auto& [name, proto] :
+       std::vector<std::pair<std::string, std::shared_ptr<const WireCutProtocol>>>{
+           {"nme f=0.9", std::make_shared<NmeCut>(NmeCut::from_overlap(0.9))},
+           {"distill k=0.5", make_wire_protocol({ProtocolId::kDistill, 0.5})},
+           {"mixed qI=0.9", make_wire_protocol({ProtocolId::kMixedNme, 0.9})}}) {
+    expect_variants_match_spliced(
+        cut_circuit_sites(ghz, wire_sites, {proto.get(), harada.get()}, all_z(6)), name);
+  }
+}
+
+TEST(FragmentVariants, MatchTheSplicedSplitOnRandomMultiCutCircuits) {
+  Rng rng(419);
+  const std::vector<std::shared_ptr<const WireCutProtocol>> protos = {
+      make_wire_protocol({ProtocolId::kHarada, 0.0}),
+      make_wire_protocol({ProtocolId::kPeng, 0.0}),
+      make_wire_protocol({ProtocolId::kTeleport, 0.0}),
+      std::make_shared<NmeCut>(NmeCut::from_overlap(0.6)),
+  };
+  int checked = 0;
+  for (int trial = 0; trial < 16; ++trial) {
+    const int n = 4 + static_cast<int>(rng.uniform_u64(3));  // 4..6
+    const Circuit circ = random_unitary_circuit(n, 3 * n, rng);
+    const CircuitGraph graph(circ);
+    const auto& cand = graph.candidates();
+    if (cand.size() < 2) {
+      continue;
+    }
+    std::vector<CutSite> sites;
+    std::vector<const CutProtocol*> chosen;
+    const std::size_t n_cuts = 2 + rng.uniform_u64(2);  // 2..3
+    for (std::size_t j = 0; j < n_cuts; ++j) {
+      const CutPoint p = cand[rng.uniform_u64(cand.size())];
+      if (std::any_of(sites.begin(), sites.end(),
+                      [&p](const CutSite& q) { return q.point == p; })) {
+        continue;
+      }
+      sites.push_back(CutSite::wire(p));
+      chosen.push_back(protos[rng.uniform_u64(protos.size())].get());
+    }
+    expect_variants_match_spliced(cut_circuit_sites(circ, sites, chosen, all_z(n)),
+                                  "trial " + std::to_string(trial));
+    ++checked;
+  }
+  EXPECT_GE(checked, 10);
+}
+
+TEST(FragmentVariants, FactoredQpdCarriesNoCircuitsAndOnlyTheExactBackendRunsIt) {
+  const Qpd spliced = cut_circuit(ghz_line(4), CutPoint{2, 1}, HaradaCut(), all_z(4));
+  const Qpd factored = cut_qpd(spliced.layout(), /*splice=*/false);
+  for (const QpdTerm& term : factored.terms()) {
+    EXPECT_TRUE(term.circuit.ops().empty());
+    EXPECT_THROW(split_term(term), Error);
+  }
+  EXPECT_THROW(SerialShotBackend{factored}, Error);
+  EXPECT_THROW(make_backend(BackendKind::kSerialShot, factored), Error);
+  const std::vector<Real> got = BatchedBranchBackend(factored).cache().all_prob_one();
+  for (std::size_t t = 0; t < spliced.size(); ++t) {
+    EXPECT_NEAR(got[t], term_prob_one(spliced.terms()[t]), 1e-12) << spliced.terms()[t].label;
+  }
 }
 
 TEST(FragmentParallel, OptimizedEvaluatorMatchesBaselineOnRandomCutCircuits) {

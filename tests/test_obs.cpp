@@ -27,12 +27,15 @@
 #include "qcut/sim/fusion.hpp"
 #include "qcut/sim/gates.hpp"
 #include "qcut/sim/statevector.hpp"
+#include "qcut/svc/api.hpp"
+#include "qcut/svc/cache.hpp"
 #include "test_helpers.hpp"
 
 namespace qcut {
 namespace {
 
 using obs::Counter;
+using qcut::testing::BenchShape;
 using qcut::testing::ghz_line;
 
 std::string all_z(int n) { return std::string(static_cast<std::size_t>(n), 'Z'); }
@@ -118,66 +121,26 @@ TEST_F(ObsTest, BranchCacheCountsOneMissPerTermThenHits) {
   const BranchCache& cache = backend.cache();
 
   const obs::MetricsSnapshot before = obs::metrics_snapshot();
-  cache.prob_one(0);
-  cache.prob_one(0);
-  cache.all_prob_one();  // term 0 hits again; every other term misses once
+  cache.prob_one(0);     // computes every term: one miss each
+  cache.prob_one(0);     // a hit per draw served
+  cache.all_prob_one();  // neither
   const obs::MetricsSnapshot d = obs::metrics_delta(before, obs::metrics_snapshot());
   EXPECT_EQ(d[Counter::kBranchCacheMiss], qpd.size());
   EXPECT_EQ(d[Counter::kBranchCacheHit], 2u);
 }
 
-TEST_F(ObsTest, SkeletonCacheSharesOneBuildAcrossGadgetVariants) {
+TEST_F(ObsTest, GadgetVariantsShareOneSkeleton) {
   const Circuit circ = ghz_line(4);
   const HaradaCut proto;
   const Qpd qpd = cut_circuit(circ, CutPoint{2, 1}, proto, "ZZZZ");
-  SplitSkeletonCache cache;
 
   const obs::MetricsSnapshot before = obs::metrics_snapshot();
-  for (const QpdTerm& term : qpd.terms()) {
-    cached_skeleton(cache, term.circuit);
-  }
+  const FragmentVariants variants(qpd);
   const obs::MetricsSnapshot d = obs::metrics_delta(before, obs::metrics_snapshot());
-  // All gadget variants of one cut share a single skeleton (PR 5); only the
-  // first lookup builds.
+  // All gadget variants of one cut split alike, so the layout's structure
+  // ids give every term the first term's skeleton.
   EXPECT_EQ(d[Counter::kSkeletonCacheMiss], 1u);
   EXPECT_EQ(d[Counter::kSkeletonCacheHit], qpd.size() - 1);
-}
-
-TEST_F(ObsTest, SkeletonCacheBuildsOnceUnderConcurrentLookups) {
-  // Single flight: threads racing on one structure wait for the first build
-  // instead of repeating it, so the miss count stays exactly one.
-  const Circuit circ = ghz_line(4);
-  const HaradaCut proto;
-  const Qpd qpd = cut_circuit(circ, CutPoint{2, 1}, proto, "ZZZZ");
-  SplitSkeletonCache cache;
-  constexpr int kThreads = 8;
-  std::vector<std::vector<std::shared_ptr<const SplitSkeleton>>> got(kThreads);
-  std::atomic<bool> go{false};
-
-  const obs::MetricsSnapshot before = obs::metrics_snapshot();
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      while (!go.load()) {
-        std::this_thread::yield();
-      }
-      for (const QpdTerm& term : qpd.terms()) {
-        got[static_cast<std::size_t>(t)].push_back(cached_skeleton(cache, term.circuit));
-      }
-    });
-  }
-  go.store(true);
-  for (std::thread& th : threads) {
-    th.join();
-  }
-  const obs::MetricsSnapshot d = obs::metrics_delta(before, obs::metrics_snapshot());
-  EXPECT_EQ(d[Counter::kSkeletonCacheMiss], 1u);
-  EXPECT_EQ(d[Counter::kSkeletonCacheHit], kThreads * qpd.size() - 1);
-  for (const auto& per_thread : got) {
-    for (const auto& skel : per_thread) {
-      EXPECT_EQ(skel, got[0][0]);
-    }
-  }
 }
 
 TEST_F(ObsTest, FusionRegistryMirrorsReturnedStatsAndCountsStatlessCalls) {
@@ -223,23 +186,17 @@ TEST_F(ObsTest, PinnedFragmentWorkloadHasExactCacheAccounting) {
   const CutRunResult res = run_qpd_estimate(qpd, exact, cfg);
   const obs::MetricsSnapshot d = obs::metrics_delta(before, obs::metrics_snapshot());
 
-  std::uint64_t terms_with_shots = 0;
-  for (const std::uint64_t s : res.details.shots_per_term) {
-    terms_with_shots += s > 0 ? 1 : 0;
-  }
-  ASSERT_GT(terms_with_shots, 0u);
-
-  // Each sampled term enumerates exactly once (miss); every further batch of
-  // the term is a hit. Each miss splits the term circuit: one skeleton build
-  // total (shared), the rest hits; a classical 1-cut splits into exactly two
-  // fragments, each simulating its unconditioned prefix once.
-  EXPECT_EQ(d[Counter::kBranchCacheMiss], terms_with_shots);
-  EXPECT_EQ(d[Counter::kBranchCacheHit] + d[Counter::kBranchCacheMiss],
-            d[Counter::kBatchesRun]);
+  // Every term is computed once (miss) before the draws, and every batch's
+  // draw is a hit. One skeleton build total (shared), the rest hits; a
+  // classical 1-cut splits into exactly two fragments, both touched by the
+  // cut, so each term's are its own variants, each simulating its
+  // unconditioned prefix once.
+  EXPECT_EQ(d[Counter::kBranchCacheMiss], qpd.size());
+  EXPECT_EQ(d[Counter::kBranchCacheHit], d[Counter::kBatchesRun]);
   EXPECT_EQ(d[Counter::kSkeletonCacheMiss], 1u);
-  EXPECT_EQ(d[Counter::kSkeletonCacheHit], terms_with_shots - 1);
-  EXPECT_EQ(d[Counter::kFragmentPrefixRuns], 2 * terms_with_shots);
-  EXPECT_GE(d[Counter::kFragmentUnits], 2 * terms_with_shots);
+  EXPECT_EQ(d[Counter::kSkeletonCacheHit], qpd.size() - 1);
+  EXPECT_EQ(d[Counter::kFragmentPrefixRuns], 2 * qpd.size());
+  EXPECT_GE(d[Counter::kFragmentUnits], 2 * qpd.size());
   EXPECT_EQ(d[Counter::kShotsSampled], res.details.shots_used);
   EXPECT_EQ(d[Counter::kShotsSampled], cfg.shots);
   // On this workload every measure (cut write + estimate tail) is trailing,
@@ -265,10 +222,11 @@ TEST_F(ObsTest, PinnedFragmentWorkloadHasExactCacheAccounting) {
 }
 
 TEST_F(ObsTest, FannedOutRunReportsItsOwnCountersWhileAnotherThreadCounts) {
-  // A planned run whose terms spread over a 4-worker pool counts on the
-  // workers, while another thread bumps the same counters the whole time
-  // (every batch sleeps 2 ms, so the two overlap). The report must carry
-  // exactly the run's own counts.
+  // A planned run whose fragment variants spread over a 4-worker pool
+  // counts on the workers, while another thread bumps the same counters the
+  // whole time (every batch sleeps 2 ms, so the two overlap). The report
+  // must carry exactly the run's own counts: those of the same evaluation
+  // inline on one thread.
   const Circuit circ = ghz_line(8);
   PlannerConfig pcfg;
   pcfg.max_fragment_width = 3;
@@ -280,6 +238,18 @@ TEST_F(ObsTest, FannedOutRunReportsItsOwnCountersWhileAnotherThreadCounts) {
   cfg.seed = 5;
   cfg.max_batch_shots = 256;
 
+  obs::MetricsSnapshot before = obs::metrics_snapshot();
+  {
+    ThreadPool one(1);
+    const qcut::testing::ScopedPool scope(one);
+    BatchedBranchBackend(qpd).prepare();
+  }
+  const obs::MetricsSnapshot inline_counts = obs::metrics_delta(before, obs::metrics_snapshot());
+  const std::uint64_t units = inline_counts[Counter::kFragmentUnits];
+  const std::uint64_t introducing = FragmentVariants(qpd).introducing_terms().size();
+  ASSERT_GT(introducing, 1u);
+  ASSERT_EQ(inline_counts[Counter::kBranchCacheMiss], qpd.size());
+
   std::atomic<bool> done{false};
   std::thread bumper([&done] {
     while (!done.load()) {
@@ -288,7 +258,7 @@ TEST_F(ObsTest, FannedOutRunReportsItsOwnCountersWhileAnotherThreadCounts) {
       std::this_thread::yield();
     }
   });
-  const obs::MetricsSnapshot before = obs::metrics_snapshot();
+  before = obs::metrics_snapshot();
   fault::arm_faults("exec.batch:delay_ms=2");
   CutRunResult res;
   try {
@@ -305,29 +275,75 @@ TEST_F(ObsTest, FannedOutRunReportsItsOwnCountersWhileAnotherThreadCounts) {
   done = true;
   bumper.join();
 
-  // One enumeration per term with shots, one unit per (fragment, read
-  // assignment) of those terms.
-  std::uint64_t terms = 0;
-  std::uint64_t units = 0;
-  for (std::size_t i = 0; i < qpd.size(); ++i) {
-    if (res.details.shots_per_term[i] == 0) {
-      continue;
-    }
-    ++terms;
-    for (const TermFragment& tf : split_term(qpd.terms()[i]).fragments) {
-      units += std::uint64_t{1} << tf.reads.size();
-    }
-  }
-  ASSERT_GT(terms, 1u);
   const obs::MetricsSnapshot& c = res.report.counters;
-  EXPECT_EQ(c[Counter::kBranchCacheMiss], terms);
+  EXPECT_EQ(c[Counter::kBranchCacheMiss], qpd.size());
   EXPECT_EQ(c[Counter::kFragmentUnits], units);
   EXPECT_EQ(c[Counter::kShotsSampled], res.details.shots_used);
-  // One pool index per term with shots, claimed by at most size() tasks.
-  EXPECT_EQ(c[Counter::kPoolTasks], std::min<std::uint64_t>(terms, pool.size()));
+  // One pool index per term that introduces a variant, claimed by at most
+  // size() tasks; the draws run inline.
+  EXPECT_EQ(c[Counter::kPoolTasks], std::min<std::uint64_t>(introducing, pool.size()));
   // The overlap really happened: the registry saw the other thread's counts.
-  EXPECT_GT(d[Counter::kBranchCacheMiss], terms);
+  EXPECT_GT(d[Counter::kBranchCacheMiss], qpd.size());
   EXPECT_GT(d[Counter::kFragmentUnits], units);
+}
+
+/// The benchmark's request class `shape` at width cap `cap`, one cold and
+/// one warm request through fresh caches; returns both reports' counters.
+std::pair<obs::MetricsSnapshot, obs::MetricsSnapshot> cold_and_warm_counts(
+    BenchShape shape, int n, int cap, int pairs, Real overlap) {
+  svc::EstimateRequest req;
+  req.circuit_qasm = qcut::testing::bench_shape_qasm(shape);
+  req.observable = Observable::z_all(n);
+  req.planner.max_fragment_width = cap;
+  req.planner.pair_budget = pairs;
+  req.planner.resource_overlap = overlap;
+  req.run_cfg.shots = 100000;
+  req.run_cfg.seed = 3102;
+  svc::ServiceCaches caches;
+  const svc::EstimateResult cold = svc::estimate(req, &caches);
+  const svc::EstimateResult warm = svc::estimate(req, &caches);
+  EXPECT_FALSE(cold.eval_cache_hit);
+  EXPECT_TRUE(warm.eval_cache_hit);
+  return {cold.run.report.counters, warm.run.report.counters};
+}
+
+TEST_F(ObsTest, ColdRequestsEvaluateEachFragmentVariantOnceAndWarmOnesRunNoPoolTask) {
+  // Fragment prefix runs and work units per cold request of the
+  // benchmark's classes: a fragment touched by a strict subset of the cuts
+  // is evaluated once for all the terms that share it. Before fragment
+  // variants, ghz8_cap3 ran 108 prefixes and 189 units, hwe8_cap4 27 and
+  // 54. The 1-cut classes share nothing, so their counts did not move.
+  struct Want {
+    const char* name;
+    BenchShape shape;
+    int n;
+    int cap;
+    int pairs;
+    Real overlap;
+    std::uint64_t prefix_runs;
+    std::uint64_t units;
+    std::uint64_t terms;
+  };
+  const Want wants[] = {
+      {"ghz8_cap3", BenchShape::kGhz8, 8, 3, 0, 0.5, 24, 45, 27},
+      {"hwe8_cap4", BenchShape::kHwe8, 8, 4, 0, 0.5, 15, 42, 9},
+      {"hwe8_cap5", BenchShape::kHwe8, 8, 5, 0, 0.5, 6, 9, 3},
+      {"hwe8_cap6_nme", BenchShape::kHwe8, 8, 6, 2, 0.9, 4, 5, 3},
+      {"ghz30_cap16", BenchShape::kGhz30, 30, 16, 0, 0.5, 6, 9, 3},
+      {"brick30_cap16", BenchShape::kBrick30, 30, 16, 0, 0.5, 6, 9, 3},
+  };
+  ThreadPool pool(4);
+  const qcut::testing::ScopedPool scope(pool);
+  for (const Want& w : wants) {
+    const auto [cold, warm] = cold_and_warm_counts(w.shape, w.n, w.cap, w.pairs, w.overlap);
+    EXPECT_EQ(cold[Counter::kFragmentPrefixRuns], w.prefix_runs) << w.name;
+    EXPECT_EQ(cold[Counter::kFragmentUnits], w.units) << w.name;
+    EXPECT_EQ(cold[Counter::kBranchCacheMiss], w.terms) << w.name;
+    // A warm request only draws, inline: no pool task, no evaluation.
+    EXPECT_EQ(warm[Counter::kPoolTasks], 0u) << w.name;
+    EXPECT_EQ(warm[Counter::kBranchCacheMiss], 0u) << w.name;
+    EXPECT_EQ(warm[Counter::kFragmentUnits], 0u) << w.name;
+  }
 }
 
 TEST_F(ObsTest, BranchEnumerationCountsSplitsAndPrunes) {
