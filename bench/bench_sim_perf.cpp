@@ -57,6 +57,15 @@
 // (fuse + fused) / unfused, falls below 1 where fusion pays; it is what
 // kMinFusionWidth (sim/fusion.hpp) is chosen from.
 //
+// Fan-out crossover section (record only, no floor): per planned QPD (GHZ
+// chains of 8-24 qubits at 1-3 cuts, hwe-8 at cap 4, the NME hwe-8 at cap 6),
+// its FragmentVariants work and one cold evaluation of its variants on a
+// 1-worker pool against the same evaluation fanned out over 4 workers; it is
+// what kMinFanoutWork (cut/fragment.hpp) is chosen from.
+//
+// Observability section: the QFT-16 kernels with metrics off vs on, timed on
+// the thread's CPU clock; the median on/off ratio is gated at 2%.
+//
 // Output: aligned tables on stdout plus machine-readable sim_perf.json so
 // future PRs have a perf trajectory to regress against. Acceptance floors
 // (checked last, after the JSON is on disk): batched/serial >= 10x,
@@ -77,6 +86,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -85,6 +95,7 @@
 #include <utility>
 #include <vector>
 
+#include "../tests/bench_shapes.hpp"
 #include "../tests/exact_oracles.hpp"
 #include "../tests/pool_scope.hpp"
 #include "qcut/common/cli.hpp"
@@ -354,12 +365,11 @@ FragmentRow measure_fragment_workload(const std::string& name, const qcut::Circu
   return row;
 }
 
-/// Forces every term's fragment probability on a pool of the given size and
-/// returns the exact per-term vector.
+/// Forces every term's fragment probability across a pool of the given size
+/// and returns the exact per-term vector.
 std::vector<qcut::Real> fragment_probs_with_pool(const qcut::Qpd& qpd, std::size_t pool_size) {
   qcut::ThreadPool pool(pool_size);
-  const qcut::testing::ScopedPool scope(pool);
-  return qcut::BatchedBranchBackend(qpd).cache().all_prob_one();
+  return qcut::testing::fanned_out_prob_one(qpd, pool);
 }
 
 // ---- QFT kernel workload ----------------------------------------------------
@@ -688,6 +698,107 @@ std::vector<CrossoverRow> measure_fusion_crossover() {
   return rows;
 }
 
+// ---- fan-out crossover section ----------------------------------------------
+
+struct FanoutRow {
+  std::string name;
+  int qubits = 0;
+  std::size_t cuts = 0;
+  std::size_t terms = 0;
+  std::size_t variants = 0;
+  double work = 0.0;       ///< FragmentVariants::work(), what fanout_pays reads
+  int reps = 1;            ///< cold evaluations per side per batch
+  double inline_us = 0.0;  ///< per cold evaluation on a 1-worker pool
+  double pooled_us = 0.0;  ///< per cold evaluation spread over a 4-worker pool
+  qcut::Qpd qpd;
+};
+
+constexpr int kFanoutBatches = 15;
+
+/// The request path's factored QPD of `circ` planned at `cap` with
+/// `pairs` entangled pairs at `overlap`, as one row.
+FanoutRow fanout_row(std::string name, const qcut::Circuit& circ, int cap, int pairs,
+                     qcut::Real overlap) {
+  qcut::PlannerConfig pcfg;
+  pcfg.max_fragment_width = cap;
+  pcfg.pair_budget = pairs;
+  pcfg.resource_overlap = overlap;
+  const qcut::PlannedExecutor exec(circ, qcut::CutPlanner(circ, pcfg).plan());
+  FanoutRow row;
+  row.name = std::move(name);
+  row.qubits = circ.n_qubits();
+  row.cuts = exec.plan().cuts.size();
+  row.qpd = exec.qpd_for(qcut::Observable::z_all(circ.n_qubits()),
+                         qcut::BackendKind::kBatchedBranch);
+  row.terms = row.qpd.size();
+  const qcut::FragmentVariants variants(row.qpd);
+  row.variants = variants.size();
+  row.work = variants.work();
+  return row;
+}
+
+/// One cold evaluation of every fragment variant, as a cold prepare() runs
+/// it, against the same evaluation fanned out over four workers: planned GHZ
+/// chains of 8-16 qubits at 1-3 cuts, hwe-8 at cap 4, the paper's NME hwe-8
+/// at cap 6 with 2 pairs at overlap 0.9, and GHZ chains of 20 and 24 qubits
+/// to bracket the crossover from above. Each batch times `reps` cold
+/// evaluations per side, sized so a side lasts at least about 300 us, with
+/// the side that runs first alternating; each figure is the median over
+/// kFanoutBatches batches of the per-evaluation mean. Where the 1-worker
+/// time falls below the 4-worker time, fanning out does not pay; the row is
+/// what kMinFanoutWork (cut/fragment.hpp) is chosen from.
+std::vector<FanoutRow> measure_fanout_crossover() {
+  qcut::Rng rng(47);
+  std::vector<FanoutRow> rows;
+  for (const int n : {8, 10, 12, 14, 16, 20, 24}) {
+    int last_cap = 0;
+    for (const int cuts : {1, 2, 3}) {
+      const int cap = (n + cuts + cuts) / (cuts + 1);  // ceil((n + cuts) / (cuts + 1))
+      if (cap == last_cap) {
+        continue;  // the same plan as the row before (GHZ-10 at 2 and 3 cuts)
+      }
+      last_cap = cap;
+      rows.push_back(fanout_row("ghz" + std::to_string(n) + "_cap" + std::to_string(cap),
+                                crossover_circuit(false, n, rng), cap, 0, 0.5));
+    }
+  }
+  const qcut::Circuit hwe = qcut::import_qasm(
+      qcut::testing::bench_shape_qasm(qcut::testing::BenchShape::kHwe8), "<hwe8>");
+  rows.push_back(fanout_row("hwe8_cap4", hwe, 4, 0, 0.5));
+  rows.push_back(fanout_row("hwe8_cap6_nme", hwe, 6, 2, 0.9));
+
+  qcut::ThreadPool one(1), four(4);
+  const auto time_side = [](const qcut::Qpd& qpd, qcut::ThreadPool& pool, int reps) {
+    const auto t0 = Clock::now();
+    for (int r = 0; r < reps; ++r) {
+      (void)qcut::testing::fanned_out_prob_one(qpd, pool);
+    }
+    return seconds_since(t0);
+  };
+  for (FanoutRow& row : rows) {
+    row.reps = std::clamp(static_cast<int>(300e-6 / std::max(time_side(row.qpd, one, 1), 1e-9)) + 1,
+                          1, 256);
+  }
+  std::vector<std::vector<double>> inline_us(rows.size()), pooled_us(rows.size());
+  for (int b = 0; b < kFanoutBatches; ++b) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      FanoutRow& row = rows[i];
+      const double per_eval = 1e6 / row.reps;
+      for (const bool pooled : {b % 2 == 0, b % 2 != 0}) {
+        (pooled ? pooled_us : inline_us)[i].push_back(
+            per_eval * time_side(row.qpd, pooled ? four : one, row.reps));
+      }
+    }
+  }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i].inline_us = median(inline_us[i]);
+    rows[i].pooled_us = median(pooled_us[i]);
+  }
+  std::sort(rows.begin(), rows.end(),
+            [](const FanoutRow& a, const FanoutRow& b) { return a.work < b.work; });
+  return rows;
+}
+
 // ---- observability overhead section -----------------------------------------
 
 struct ObsOverheadBench {
@@ -695,13 +806,22 @@ struct ObsOverheadBench {
   std::size_t ops = 0;
   int pairs = 0;             ///< rep pairs: one off-first and one on-first rep each
   int passes = 0;            ///< QFT passes per timed sample
-  double off_seconds = 0.0;  ///< best sample, metrics disabled
-  double on_seconds = 0.0;   ///< best sample, metrics enabled
+  double off_seconds = 0.0;  ///< best sample, metrics disabled (thread CPU seconds)
+  double on_seconds = 0.0;   ///< best sample, metrics enabled (thread CPU seconds)
   double overhead_frac = 0.0;  ///< median over pairs of the pair's on/off ratio - 1
 };
 
+/// CPU seconds the calling thread has run: unlike wall time, it does not
+/// count the time another process holds the CPU.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 /// Times the QFT classified-kernel workload with the metrics registry off vs
-/// on, one sample of each per rep. Reps come in adjacent pairs: the first
+/// on, one sample of each per rep, on the thread's CPU clock (the QFT-16
+/// sweeps run below the parallel threshold, on this thread). Reps come in adjacent pairs: the first
 /// rep of a pair times its off sample first, the second its on sample
 /// first. A pair's ratio is the geometric mean of its two reps' on/off
 /// ratios, so an order effect (the second sample of a rep running faster or
@@ -725,13 +845,13 @@ ObsOverheadBench measure_obs_overhead(int n, int pairs, int passes) {
   qcut::Statevector sv(n, qcut::random_statevector(qcut::Index{1} << n, rng));
 
   const auto timed_passes = [&]() {
-    const auto t0 = Clock::now();
+    const double t0 = thread_cpu_seconds();
     for (int p = 0; p < passes; ++p) {
       for (const qcut::Operation& op : qft.ops()) {
         sv.apply(op.matrix(), op.qubits, op.gclass());
       }
     }
-    return seconds_since(t0);
+    return thread_cpu_seconds() - t0;
   };
   const bool was_enabled = qcut::obs::metrics_enabled();
   double best_off = std::numeric_limits<double>::infinity();
@@ -1069,7 +1189,8 @@ int main(int argc, char** argv) {
 
   // ---- observability overhead ----------------------------------------------
   const ObsOverheadBench obs_bench = measure_obs_overhead(16, 31, 4);
-  std::printf("\n=== Observability overhead (QFT-%d classified kernels, median on/off ratio "
+  std::printf("\n=== Observability overhead (QFT-%d classified kernels, thread CPU time, median "
+              "on/off ratio "
               "of %d off-first/on-first rep pairs x %d passes) ===\n",
               obs_bench.qubits, obs_bench.pairs, obs_bench.passes);
   std::printf("metrics off %.4fs, on %.4fs (best samples) -> median %+.2f%% (ceiling: 2%%)\n",
@@ -1087,6 +1208,19 @@ int main(int argc, char** argv) {
                 row.width, row.terms, row.fuse_us, row.fused_us, row.unfused_us,
                 (row.fuse_us + row.fused_us) / row.unfused_us,
                 qcut::fusion_pays(row.width) ? "yes" : "no");
+  }
+
+  // ---- fan-out crossover ------------------------------------------------------
+  const std::vector<FanoutRow> fanout = measure_fanout_crossover();
+  std::printf("\n=== Fan-out crossover (cold variant evaluation, us, median of %d batches; "
+              "fanned out at work >= %.0f) ===\n",
+              kFanoutBatches, qcut::kMinFanoutWork);
+  std::printf("%-16s %5s %6s %8s %12s %10s %10s %8s %7s\n", "case", "cuts", "terms",
+              "variants", "work", "1 worker", "4 workers", "ratio", "pooled?");
+  for (const FanoutRow& row : fanout) {
+    std::printf("%-16s %5zu %6zu %8zu %12.0f %10.1f %10.1f %7.2fx %7s\n", row.name.c_str(),
+                row.cuts, row.terms, row.variants, row.work, row.inline_us, row.pooled_us,
+                row.inline_us / row.pooled_us, qcut::fanout_pays(row.work) ? "yes" : "no");
   }
 
   // ---- machine-readable record for perf-trajectory tracking across PRs -----
@@ -1164,6 +1298,18 @@ int main(int argc, char** argv) {
          << ", \"fuse_us\": " << row.fuse_us << ", \"fused_eval_us\": " << row.fused_us
          << ", \"unfused_eval_us\": " << row.unfused_us << "}"
          << (i + 1 < crossover.size() ? "," : "") << "\n";
+  }
+  json << "    ]\n  },\n";
+  json << "  \"fanout_crossover\": {\"batches\": " << kFanoutBatches
+       << ", \"min_fanout_work\": " << qcut::kMinFanoutWork << ",\n    \"rows\": [\n";
+  for (std::size_t i = 0; i < fanout.size(); ++i) {
+    const FanoutRow& row = fanout[i];
+    json << "      {\"case\": \"" << row.name << "\", \"qubits\": " << row.qubits
+         << ", \"cuts\": " << row.cuts << ", \"terms\": " << row.terms
+         << ", \"variants\": " << row.variants << ", \"work\": " << std::llround(row.work)
+         << ", \"reps\": " << row.reps << ", \"inline_us\": " << row.inline_us
+         << ", \"pooled_us\": " << row.pooled_us << "}" << (i + 1 < fanout.size() ? "," : "")
+         << "\n";
   }
   json << "    ]\n  },\n";
   json << "  \"observability\": {\"qubits\": " << obs_bench.qubits

@@ -5,6 +5,7 @@
 
 #include "qcut/common/cancel.hpp"
 #include "qcut/common/fault.hpp"
+#include "qcut/common/threadpool.hpp"
 #include "qcut/common/union_find.hpp"
 #include "qcut/cut/circuit_cutter.hpp"
 #include "qcut/obs/metrics.hpp"
@@ -251,9 +252,12 @@ SplitSkeleton skeleton_of(int n, int n_cbits, const std::vector<Op>& ops) {
     std::size_t op;
   };
   std::vector<Read> reads;
+  skel.ops_of = std::move(frag_of_root);  // spent; n >= n_frags ints, no allocation
+  skel.ops_of.assign(n_frags, 0);
   for (std::size_t t = 0; t < ops.size(); ++t) {
     const Op& op = ops[t];
     const int f = skel.frag_of_wire[static_cast<std::size_t>(op.qubits[0])];
+    ++skel.ops_of[static_cast<std::size_t>(f)];
     if (op.kind == OpKind::kMeasure) {
       CbitInfo& ci = info[static_cast<std::size_t>(op.cbit)];
       if (ci.writes == 0) {
@@ -705,6 +709,10 @@ FragmentVariants::FragmentVariants(const Qpd& qpd) : qpd_(&qpd) {
         slot = variants_.size();
         variants_.push_back({t, f});
         introduces = true;
+        // add_group checks width <= 28 and reads <= 20, so the shift fits.
+        work_ += static_cast<double>(g.skel.ops_of[f]) *
+                 static_cast<double>(std::uint64_t{1}
+                                     << (g.skel.wires_of[f].size() + g.skel.reads_of[f].size()));
       }
       term_variants_.push_back(slot);
     }
@@ -773,6 +781,19 @@ void FragmentVariants::evaluate_new(std::size_t term, std::vector<FragmentTable>
     }
     tables[variant(term, f)] = fragment_table(fragments[f]);
   }
+}
+
+std::vector<Real> FragmentVariants::evaluate_all() const {
+  std::vector<FragmentTable> tables(size());
+  if (!fanout_pays(work_)) {
+    for (const std::size_t t : introducing_) {
+      evaluate_new(t, tables);
+    }
+  } else {
+    request_pool().parallel_for(0, introducing_.size(),
+                                [&](std::size_t i) { evaluate_new(introducing_[i], tables); });
+  }
+  return recombine_all(tables);
 }
 
 std::vector<Real> FragmentVariants::recombine_all(const std::vector<FragmentTable>& tables) const {

@@ -39,8 +39,9 @@
 // then the recombination of its variants' tables. A variant's evaluation
 // simulates the fragment's unconditioned prefix once and re-runs only the
 // read-dependent suffix per cross-bit assignment, in index order on the
-// calling thread: the exact backend runs distinct variants concurrently, so
-// one variant's work stays on one thread.
+// calling thread: evaluate_all runs distinct variants concurrently when the
+// QPD's work pays for the fan-out (fanout_pays), so one variant's work stays
+// on one thread.
 #pragma once
 
 #include <cstdint>
@@ -92,7 +93,8 @@ struct FragmentSplit {
 /// (b) the ordered subsequence of classical events (measure and conditional
 /// ops with their cbits) — never on the gadget matrices, 1-qubit gates, or
 /// op counts. All gadget variants of one cut plan point that keep the same
-/// connectivity and classical protocol therefore share one skeleton.
+/// connectivity and classical protocol therefore share one skeleton. Only
+/// ops_of, which weighs fanout_pays's work, counts the term it was built from.
 struct SplitSkeleton {
   int n_qubits = 0;
   int n_cbits = 0;
@@ -104,6 +106,7 @@ struct SplitSkeleton {
   std::vector<int> writer_frag;              ///< per cbit; -1 = never written
   std::vector<char> multi_frag_write;        ///< per cbit
   std::vector<int> cross_cbits;              ///< ascending
+  std::vector<int> ops_of;                   ///< per fragment: its ops in the built term
   int max_width = 0;
 };
 
@@ -161,6 +164,21 @@ struct CrossPositions {
 /// plus one unit's branches, each at most 2^width amplitudes.
 Real fragment_term_prob_one(const FragmentSplit& split);
 
+/// Least work, in fragment ops · 2^width · 2^reads summed over a QPD's
+/// variants, at which FragmentVariants::evaluate_all fans out.
+/// bench_sim_perf's fanout_crossover row (sim_perf.json) times the variants'
+/// cold evaluation on a 1-worker pool (inline) and a 4-worker pool, on
+/// planned GHZ chains of 8-24 qubits at 1-3 cuts, hwe-8 at cap 4 and the NME
+/// hwe-8 at cap 6 with 2 pairs. On a 4-vCPU Xeon (AVX2), over 25 runs, the
+/// 1-worker/4-worker ratio's median is 0.37-0.98x up to 72k work (GHZ-16 at
+/// one cut, 72k: 0.65x, 0.59-0.87x per run) but for GHZ-20 at 3 cuts (38k,
+/// 1.02x), and 1.01-1.54x from 79k up (the NME hwe-8: 1.06x, 0.91-1.32x).
+inline constexpr double kMinFanoutWork = 75e3;
+
+/// The work rule: true when evaluating variants of total `work` is slow
+/// enough for the pool to give back more than reaching it costs.
+constexpr bool fanout_pays(double work) noexcept { return work >= kMinFanoutWork; }
+
 /// A QPD's (term, fragment) pairs grouped into fragment variants, each
 /// evaluated once. With the QPD's cut layout, terms whose branches agree in
 /// structure share a skeleton (built once from one term's emitted ops), and
@@ -180,6 +198,16 @@ class FragmentVariants {
   /// The terms, ascending, whose fragments include a variant no earlier term
   /// has.
   const std::vector<std::size_t>& introducing_terms() const noexcept { return introducing_; }
+
+  /// The variants' evaluation work, as kMinFanoutWork counts it: each
+  /// fragment's op count from its group's skeleton.
+  double work() const noexcept { return work_; }
+
+  /// Every term's P(−1), in term order: evaluate_new on every introducing
+  /// term, inline in term order when fanout_pays(work()) is false, else one
+  /// parallel_for on request_pool(); then recombine_all. The bits are the
+  /// same either way.
+  std::vector<Real> evaluate_all() const;
 
   /// Builds the variants `term` introduces, in fragment order, fuses those
   /// that pass sim/fusion.hpp's width rule and evaluates each into
@@ -222,6 +250,7 @@ class FragmentVariants {
   std::vector<std::size_t> term_variants_;  ///< per (term, fragment): its variant
   std::vector<Variant> variants_;
   std::vector<std::size_t> introducing_;
+  double work_ = 0.0;
 };
 
 }  // namespace qcut

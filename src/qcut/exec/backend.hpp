@@ -65,8 +65,8 @@ class SerialShotBackend final : public ExecutionBackend {
 /// Binomial sampling over fragment-local exact probabilities.
 class BatchedBranchBackend final : public ExecutionBackend {
  public:
-  /// prepare() (or the first batch) computes every term's P(−1) through
-  /// the cache's one fan-out over fragment variants.
+  /// prepare() (or the first batch) computes every term's P(−1), each
+  /// fragment variant once, fanned out only when fanout_pays(work).
   explicit BatchedBranchBackend(const Qpd& qpd);
   /// Pre-seeded: reuses precomputed per-term probabilities (e.g. across
   /// repetitions); never enumerates.

@@ -1,6 +1,5 @@
 #include "qcut/exec/branch_cache.hpp"
 
-#include "qcut/common/threadpool.hpp"
 #include "qcut/cut/fragment.hpp"
 #include "qcut/obs/metrics.hpp"
 #include "qcut/obs/trace.hpp"
@@ -28,13 +27,7 @@ void BranchCache::prepare() const {
     return;  // computed while this call waited
   }
   obs::TraceSpan span("branch_cache.enumerate", static_cast<std::uint64_t>(prob_.size()));
-  const FragmentVariants variants(*qpd_);
-  std::vector<FragmentTable> tables(variants.size());
-  const std::vector<std::size_t>& terms = variants.introducing_terms();
-  request_pool().parallel_for(0, terms.size(), [&](std::size_t i) {
-    variants.evaluate_new(terms[i], tables);
-  });
-  prob_ = variants.recombine_all(tables);
+  prob_ = FragmentVariants(*qpd_).evaluate_all();
   computed_.store(prob_.size(), std::memory_order_relaxed);
   obs::count(obs::Counter::kBranchCacheMiss, prob_.size());
   ready_.store(true, std::memory_order_release);

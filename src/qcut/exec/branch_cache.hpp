@@ -8,10 +8,10 @@
 // fraction of the cost.
 //
 // prepare() evaluates each fragment variant of the QPD once
-// (cut/fragment.hpp): one parallel_for on request_pool() over the terms that
-// introduce a variant, each task building and evaluating only its new
-// variants, in fragment order, so a worker holds at most one fragment's
-// branch states. Then every term's P(−1) is recombined in term order. It
+// (FragmentVariants::evaluate_all, cut/fragment.hpp): the terms that
+// introduce a variant run inline in term order, or, when fanout_pays(work),
+// as one parallel_for on request_pool(); each builds and evaluates only its
+// new variants. Then every term's P(−1) is recombined in term order. It
 // runs once per cache, thread-safely: concurrent callers wait for the first
 // (a pool worker runs it inline), and a call that throws (cancellation, an
 // injected fault) leaves the next call to start over. So a warm cache runs

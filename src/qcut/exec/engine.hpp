@@ -12,12 +12,12 @@
 //    from the per-term counts alone.
 //
 // Parallelism: run_plan first calls backend.prepare(), the one fan-out: the
-// exact backend computes every term's P(−1) there, on request_pool(), the
-// pool of the calling request's context (common/request_context.hpp), and
-// only once per backend, so a warm backend runs no pool task. Invoked from a
-// worker of that pool, the fan-out runs inline on that worker (the pool's
-// parallel_for decides that — same bits, no deadlock). Then every batch's
-// draw runs inline, in plan order, on the calling thread.
+// exact backend computes every term's P(−1) there, once per backend (a warm
+// one runs no pool task), on request_pool(), the pool of the calling
+// request's context (common/request_context.hpp), when the QPD's work pays
+// for it (fanout_pays, cut/fragment.hpp), else inline; from a worker of that
+// pool it runs inline (parallel_for decides that). Same bits either way.
+// Then every batch's draw runs inline, in plan order, on the calling thread.
 // Outer sweeps that drive a single rng through many estimates (e.g.
 // run_fig6's per-state loop) use run_plan_with_rng instead.
 #pragma once

@@ -33,12 +33,7 @@ EstimationResult estimate_allocated(const Qpd& qpd, std::uint64_t shots, Rng& rn
 
 std::vector<Real> exact_term_prob_one(const Qpd& qpd) {
   obs::TraceSpan span("estimator.exact_probs", static_cast<std::uint64_t>(qpd.size()));
-  const FragmentVariants variants(qpd);
-  std::vector<FragmentTable> tables(variants.size());
-  for (const std::size_t t : variants.introducing_terms()) {
-    variants.evaluate_new(t, tables);
-  }
-  return variants.recombine_all(tables);
+  return FragmentVariants(qpd).evaluate_all();
 }
 
 EstimationResult estimate_allocated_fast(const Qpd& qpd, const std::vector<Real>& prob_one,

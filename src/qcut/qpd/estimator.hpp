@@ -46,8 +46,9 @@ EstimationResult estimate_allocated(const Qpd& qpd, std::uint64_t shots, Rng& rn
                                     AllocRule rule = AllocRule::kProportional);
 
 /// Exact single-shot statistics of each term: P(outcome = -1), i.e.
-/// P(estimate_cbit = 1), computed serially on the calling thread by the
-/// exact backend's evaluator (FragmentVariants), each fragment variant once.
+/// P(estimate_cbit = 1), computed by the exact backend's evaluator
+/// (FragmentVariants::evaluate_all), each fragment variant once: on the
+/// calling thread unless the variants' work pays for a fan-out.
 std::vector<Real> exact_term_prob_one(const Qpd& qpd);
 
 /// Fast path: like estimate_allocated but draws each term's "#ones" from a

@@ -2,8 +2,12 @@
 // benches; header-only and free of test-framework dependencies.
 #pragma once
 
+#include <cstddef>
+#include <vector>
+
 #include "qcut/common/request_context.hpp"
 #include "qcut/common/threadpool.hpp"
+#include "qcut/cut/fragment.hpp"
 
 namespace qcut::testing {
 
@@ -22,5 +26,17 @@ class ScopedPool {
 
   ScopedRequestContext scope_;
 };
+
+/// Every term's P(−1) as a cold BranchCache::prepare() computes it, with the
+/// fan-out forced whatever fanout_pays says: the terms that introduce a
+/// variant spread over `pool` (inline on a 1-worker pool).
+inline std::vector<Real> fanned_out_prob_one(const Qpd& qpd, ThreadPool& pool) {
+  const ScopedPool scope(pool);
+  const FragmentVariants variants(qpd);
+  std::vector<FragmentTable> tables(variants.size());
+  const std::vector<std::size_t>& terms = variants.introducing_terms();
+  pool.parallel_for(0, terms.size(), [&](std::size_t i) { variants.evaluate_new(terms[i], tables); });
+  return variants.recombine_all(tables);
+}
 
 }  // namespace qcut::testing

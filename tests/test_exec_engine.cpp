@@ -13,11 +13,14 @@
 #include "pool_scope.hpp"
 #include "qcut/common/stats.hpp"
 #include "qcut/core/cut_executor.hpp"
+#include "qcut/cut/fragment.hpp"
 #include "qcut/cut/harada_cut.hpp"
 #include "qcut/cut/nme_cut.hpp"
 #include "qcut/exec/engine.hpp"
 #include "qcut/obs/metrics.hpp"
+#include "qcut/plan/planned_executor.hpp"
 #include "qcut/qpd/estimator.hpp"
+#include "test_helpers.hpp"
 
 namespace qcut {
 namespace {
@@ -278,12 +281,19 @@ TEST(EngineTest, NestedRunFromPoolWorkerFallsBackInline) {
 
 TEST(EngineTest, TermsIntroducingVariantsEvaluateInOneFanOut) {
   // A cold run computes every term's P(−1) in one fan-out over the terms
-  // that introduce a fragment variant (the three harada terms of a single
-  // wire cut share none), at most one task per worker; a warm run of the
-  // same backend runs no pool task. Scheduling never changes the bits or
-  // the cache accounting.
-  const Qpd qpd = HaradaCut{}.build_qpd(fixed_input());
+  // that introduce a fragment variant (the three terms of GHZ-20's one wire
+  // cut share none, and their work passes fanout_pays), at most one task
+  // per worker; a warm run of the same backend runs no pool task.
+  // Scheduling never changes the bits or the cache accounting.
+  const Circuit circ = testing::ghz_line(20);
+  PlannerConfig pcfg;
+  pcfg.max_fragment_width = 11;
+  pcfg.pair_budget = 0;
+  const Qpd qpd =
+      PlannedExecutor(circ, CutPlanner(circ, pcfg).plan()).build_qpd(Observable::z_all(20));
   ASSERT_EQ(qpd.size(), 3u);
+  ASSERT_EQ(FragmentVariants(qpd).introducing_terms().size(), 3u);
+  ASSERT_TRUE(fanout_pays(FragmentVariants(qpd).work())) << FragmentVariants(qpd).work();
   const ShotPlan plan = ShotPlan::allocated(qpd, 20000, AllocRule::kProportional,
                                             /*sigmas=*/nullptr, /*max_batch_shots=*/128);
 

@@ -380,17 +380,21 @@ TEST(FragmentParallel, PoolSizeBitIdentity) {
   // per-term probabilities, forced across the pool's workers, AND the
   // end-to-end engine estimates must be byte-identical for pools of size 1,
   // 2, and 8 (and the serial sweep) — parallelism must never change a bit.
-  const Circuit circ = ghz_line(12);
+  // GHZ-24 at cap 9 has enough work for prepare() to fan out.
+  const Circuit circ = ghz_line(24);
   PlannerConfig pcfg;
-  pcfg.max_fragment_width = 5;
+  pcfg.max_fragment_width = 9;
   pcfg.pair_budget = 0;
   const CutPlanner planner(circ, pcfg);
   const PlannedExecutor exec(circ, planner.plan());
-  const Qpd qpd = exec.build_qpd(Observable::z_all(12));
+  const Qpd qpd = exec.build_qpd(Observable::z_all(24));
   ASSERT_GE(qpd.size(), 4u);
+  ASSERT_TRUE(fanout_pays(FragmentVariants(qpd).work())) << FragmentVariants(qpd).work();
 
   std::vector<Real> serial;
   {
+    ThreadPool one(1);
+    const qcut::testing::ScopedPool scope(one);
     const BatchedBranchBackend backend(qpd);
     serial = backend.cache().all_prob_one();
   }
@@ -410,6 +414,29 @@ TEST(FragmentParallel, PoolSizeBitIdentity) {
   }
   EXPECT_EQ(estimates[0], estimates[1]);
   EXPECT_EQ(estimates[0], estimates[2]);
+}
+
+TEST(FanoutRule, PaysFromTheThresholdUp) {
+  // The rule's boundary: kMinFanoutWork itself fans out, the double just
+  // below it does not.
+  static_assert(fanout_pays(kMinFanoutWork));
+  static_assert(!fanout_pays(0.0));
+  EXPECT_TRUE(fanout_pays(kMinFanoutWork));
+  EXPECT_TRUE(fanout_pays(2 * kMinFanoutWork));
+  EXPECT_FALSE(fanout_pays(std::nextafter(kMinFanoutWork, 0.0)));
+  EXPECT_FALSE(fanout_pays(0.0));
+  // Work counts ops · 2^width · 2^reads once per variant: one 3-qubit
+  // fragment of 4 ops that reads nothing is 4 · 2^3.
+  Circuit c(3, 3);
+  c.h(0).cx(0, 1).cx(1, 2).measure(2, 2);
+  QpdTerm term;
+  term.coefficient = 1.0;
+  term.circuit = c;
+  term.estimate_cbits = {2};
+  Qpd qpd;
+  qpd.add(term);
+  qpd.add(term);
+  EXPECT_EQ(FragmentVariants(qpd).work(), 2 * 4 * 8.0);
 }
 
 /// The factored path against the spliced one, on every term of `spliced`

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
@@ -26,6 +27,7 @@
 #include "qcut/sim/executor.hpp"
 #include "qcut/sim/fusion.hpp"
 #include "qcut/sim/gates.hpp"
+#include "qcut/sim/qasm_import.hpp"
 #include "qcut/sim/statevector.hpp"
 #include "qcut/svc/api.hpp"
 #include "qcut/svc/cache.hpp"
@@ -226,12 +228,14 @@ TEST_F(ObsTest, FannedOutRunReportsItsOwnCountersWhileAnotherThreadCounts) {
   // counts on the workers, while another thread bumps the same counters the
   // whole time (every batch sleeps 2 ms, so the two overlap). The report
   // must carry exactly the run's own counts: those of the same evaluation
-  // inline on one thread.
-  const Circuit circ = ghz_line(8);
+  // inline on one thread. GHZ-20 at cap 11 has the work to fan out.
+  const Circuit circ = ghz_line(20);
   PlannerConfig pcfg;
-  pcfg.max_fragment_width = 3;
+  pcfg.max_fragment_width = 11;
+  pcfg.pair_budget = 0;
   const PlannedExecutor executor(circ, CutPlanner(circ, pcfg).plan());
-  const Qpd qpd = executor.build_qpd(Observable::z_all(8));
+  const Qpd qpd = executor.build_qpd(Observable::z_all(20));
+  ASSERT_TRUE(fanout_pays(FragmentVariants(qpd).work())) << FragmentVariants(qpd).work();
   ThreadPool pool(4);
   CutRunConfig cfg;
   cfg.shots = 4000;
@@ -344,6 +348,38 @@ TEST_F(ObsTest, ColdRequestsEvaluateEachFragmentVariantOnceAndWarmOnesRunNoPoolT
     EXPECT_EQ(warm[Counter::kBranchCacheMiss], 0u) << w.name;
     EXPECT_EQ(warm[Counter::kFragmentUnits], 0u) << w.name;
   }
+}
+
+TEST_F(ObsTest, ColdRequestsFanOutOnlyWhenTheWorkPays) {
+  // A cold narrow request's variants are too little work to fan out: it
+  // runs no pool task, and its P(−1) equal, byte for byte, the same QPD's
+  // evaluation forced across the pool. The paper's NME class has the work
+  // and fans out its introducing terms.
+  ThreadPool pool(4);
+  const qcut::testing::ScopedPool scope(pool);
+  const Circuit ghz = import_qasm(qcut::testing::bench_shape_qasm(BenchShape::kGhz8), "<ghz8>");
+  PlannerConfig pcfg;
+  pcfg.max_fragment_width = 3;
+  pcfg.pair_budget = 0;
+  const Qpd qpd = PlannedExecutor(ghz, CutPlanner(ghz, pcfg).plan())
+                      .qpd_for(Observable::z_all(8), BackendKind::kBatchedBranch);
+  const FragmentVariants variants(qpd);
+  ASSERT_FALSE(fanout_pays(variants.work())) << variants.work();
+  ASSERT_GT(variants.introducing_terms().size(), 1u);
+
+  obs::MetricsSnapshot before = obs::metrics_snapshot();
+  const std::vector<Real> cold = BatchedBranchBackend(qpd).cache().all_prob_one();
+  EXPECT_EQ(obs::metrics_delta(before, obs::metrics_snapshot())[Counter::kPoolTasks], 0u);
+  before = obs::metrics_snapshot();
+  const std::vector<Real> pooled = qcut::testing::fanned_out_prob_one(qpd, pool);
+  EXPECT_GT(obs::metrics_delta(before, obs::metrics_snapshot())[Counter::kPoolTasks], 0u);
+  ASSERT_EQ(pooled.size(), cold.size());
+  EXPECT_EQ(std::memcmp(pooled.data(), cold.data(), cold.size() * sizeof(Real)), 0);
+
+  EXPECT_EQ(cold_and_warm_counts(BenchShape::kGhz8, 8, 3, 0, 0.5).first[Counter::kPoolTasks], 0u);
+  const auto [nme, nme_warm] = cold_and_warm_counts(BenchShape::kHwe8, 8, 6, 2, 0.9);
+  EXPECT_EQ(nme[Counter::kPoolTasks], 3u);  // 3 introducing terms on 4 workers
+  EXPECT_EQ(nme_warm[Counter::kPoolTasks], 0u);
 }
 
 TEST_F(ObsTest, BranchEnumerationCountsSplitsAndPrunes) {
