@@ -13,9 +13,9 @@
 #include "qcut/common/csv.hpp"
 #include "qcut/common/stats.hpp"
 #include "qcut/core/cut_executor.hpp"
+#include "qcut/exec/engine.hpp"
 #include "qcut/linalg/bell.hpp"
 #include "qcut/linalg/random.hpp"
-#include "qcut/qpd/estimator.hpp"
 
 namespace {
 
@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
       qcut::CutInput input{qcut::haar_unitary(2, rng), 'Z'};
       const Real exact = qcut::uncut_expectation(input);
       const qcut::Qpd qpd = e.proto->build_qpd(input);
-      const auto probs = qcut::exact_term_prob_one(qpd);
-      const auto res = qcut::estimate_allocated_fast(qpd, probs, shots, rng);
+      const auto plan = qcut::ShotPlan::allocated(qpd, shots, qcut::AllocRule::kProportional);
+      const auto res = qcut::run_plan(qpd, plan, qcut::BatchedBranchBackend(qpd), rng());
       err.add(std::abs(res.estimate - exact));
     }
     const Real kappa = e.proto->kappa();

@@ -13,9 +13,9 @@
 #include "qcut/core/cut_executor.hpp"
 #include "qcut/cut/distill_cut.hpp"
 #include "qcut/cut/nme_cut.hpp"
+#include "qcut/exec/engine.hpp"
 #include "qcut/linalg/bell.hpp"
 #include "qcut/linalg/random.hpp"
-#include "qcut/qpd/estimator.hpp"
 
 namespace {
 
@@ -71,8 +71,8 @@ int main(int argc, char** argv) {
         if (s == 0) {
           cost = cost_of(qpd);
         }
-        const auto probs = qcut::exact_term_prob_one(qpd);
-        const auto res = qcut::estimate_allocated_fast(qpd, probs, shots, rng);
+        const auto plan = qcut::ShotPlan::allocated(qpd, shots, qcut::AllocRule::kProportional);
+        const auto res = qcut::run_plan(qpd, plan, qcut::BatchedBranchBackend(qpd), rng());
         err.add(std::abs(res.estimate - exact));
       }
       std::printf("%8.2f %-10s %8.4f %8d %8d %8zu %12.6f %10.6f\n", f, label, proto->kappa(),

@@ -19,9 +19,9 @@
 #include "qcut/cut/circuit_cutter.hpp"
 #include "qcut/cut/gate_cut.hpp"
 #include "qcut/cut/nme_cut.hpp"
+#include "qcut/exec/engine.hpp"
 #include "qcut/linalg/bell.hpp"
 #include "qcut/linalg/random.hpp"
-#include "qcut/qpd/estimator.hpp"
 
 int main(int argc, char** argv) {
   using qcut::Real;
@@ -53,8 +53,9 @@ int main(int argc, char** argv) {
       with_cz.cz(0, 1);
       const qcut::Qpd qpd = qcut::cut_cz_gate(base, 1, 0, 1, "ZZ");
       kappa = qpd.kappa();
-      const auto probs = qcut::exact_term_prob_one(qpd);
-      const auto res = qcut::estimate_sampled_fast(qpd, probs, shots, rng);
+      const std::uint64_t seed = rng();
+      const auto plan = qcut::ShotPlan::sampled(qpd, shots, seed);
+      const auto res = qcut::run_plan(qpd, plan, qcut::BatchedBranchBackend(qpd), seed);
       err.add(std::abs(res.estimate - qcut::uncut_circuit_expectation(with_cz, "ZZ")));
     }
     std::printf("%-24s %8.4f %12.6f %10.6f\n", "gate-cut CZ", kappa, err.mean(), err.sem());
@@ -74,8 +75,9 @@ int main(int argc, char** argv) {
       with_cz.cz(0, 1);
       // Cut wire 0 after the pre-circuit; the CZ then runs on device B.
       const qcut::Qpd qpd = qcut::cut_circuit(with_cz, {1, 0}, proto, "ZZ");
-      const auto probs = qcut::exact_term_prob_one(qpd);
-      const auto res = qcut::estimate_sampled_fast(qpd, probs, shots, rng);
+      const std::uint64_t seed = rng();
+      const auto plan = qcut::ShotPlan::sampled(qpd, shots, seed);
+      const auto res = qcut::run_plan(qpd, plan, qcut::BatchedBranchBackend(qpd), seed);
       err.add(std::abs(res.estimate - qcut::uncut_circuit_expectation(with_cz, "ZZ")));
     }
     char label[48];

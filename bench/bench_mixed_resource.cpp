@@ -15,8 +15,8 @@
 #include "qcut/common/stats.hpp"
 #include "qcut/cut/mixed_cut.hpp"
 #include "qcut/ent/measures.hpp"
+#include "qcut/exec/engine.hpp"
 #include "qcut/linalg/random.hpp"
-#include "qcut/qpd/estimator.hpp"
 #include "qcut/sim/noise.hpp"
 
 int main(int argc, char** argv) {
@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
       qcut::CutInput input{qcut::haar_unitary(2, rng), 'Z'};
       const Real exact = qcut::uncut_expectation(input);
       const qcut::Qpd qpd = cut.build_qpd(input);
-      const auto probs = qcut::exact_term_prob_one(qpd);
-      const auto resu = qcut::estimate_allocated_fast(qpd, probs, shots, rng);
+      const auto plan = qcut::ShotPlan::allocated(qpd, shots, qcut::AllocRule::kProportional);
+      const auto resu = qcut::run_plan(qpd, plan, qcut::BatchedBranchBackend(qpd), rng());
       err.add(std::abs(resu.estimate - exact));
       bias.add(resu.estimate - exact);
     }

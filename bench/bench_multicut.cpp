@@ -11,8 +11,8 @@
 #include "qcut/common/stats.hpp"
 #include "qcut/cut/multiwire.hpp"
 #include "qcut/cut/nme_cut.hpp"
+#include "qcut/exec/engine.hpp"
 #include "qcut/linalg/bell.hpp"
-#include "qcut/qpd/estimator.hpp"
 #include "qcut/sim/gates.hpp"
 
 int main(int argc, char** argv) {
@@ -39,12 +39,14 @@ int main(int argc, char** argv) {
         exact *= std::cos(theta);
       }
       const qcut::Qpd joint = qcut::product_qpd(protos, inputs);
-      const auto probs = qcut::exact_term_prob_one(joint);
+      const qcut::BatchedBranchBackend backend(joint);
 
       qcut::RunningStats err;
       for (int t = 0; t < trials; ++t) {
-        qcut::Rng rng(31337, static_cast<std::uint64_t>(t) * 100 + static_cast<std::uint64_t>(wires));
-        const auto res = qcut::estimate_sampled_fast(joint, probs, shots, rng);
+        const auto stream = static_cast<std::uint64_t>(t) * 100 + static_cast<std::uint64_t>(wires);
+        const std::uint64_t seed = qcut::Rng(31337, stream)();
+        const auto plan = qcut::ShotPlan::sampled(joint, shots, seed);
+        const auto res = qcut::run_plan(joint, plan, backend, seed);
         err.add(std::abs(res.estimate - exact));
       }
       std::printf("%8.2f %6d %12.4f %12.6f %12.6f\n", f, wires, joint.kappa(), err.mean(),

@@ -10,9 +10,9 @@
 #include "qcut/common/csv.hpp"
 #include "qcut/core/overhead.hpp"
 #include "qcut/cut/nme_cut.hpp"
+#include "qcut/exec/engine.hpp"
 #include "qcut/linalg/bell.hpp"
 #include "qcut/linalg/random.hpp"
-#include "qcut/qpd/estimator.hpp"
 
 int main(int argc, char** argv) {
   using qcut::Real;
@@ -32,8 +32,9 @@ int main(int argc, char** argv) {
     qcut::Rng rng(7, static_cast<std::uint64_t>(f * 100));
     qcut::CutInput input{qcut::haar_unitary(2, rng), 'Z'};
     const qcut::Qpd qpd = proto.build_qpd(input);
-    const auto probs = qcut::exact_term_prob_one(qpd);
-    const auto res = qcut::estimate_sampled_fast(qpd, probs, shots, rng);
+    const std::uint64_t seed = rng();
+    const auto plan = qcut::ShotPlan::sampled(qpd, shots, seed);
+    const auto res = qcut::run_plan(qpd, plan, qcut::BatchedBranchBackend(qpd), seed);
 
     const Real theory = qcut::expected_pairs_per_sample_phi_k(k);
     const Real measured = static_cast<Real>(res.entangled_pairs_used) / static_cast<Real>(shots);

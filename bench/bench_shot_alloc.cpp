@@ -61,11 +61,10 @@ int main(int argc, char** argv) {
       for (std::size_t r = 0; r < rules.size(); ++r) {
         const auto plan = qcut::ShotPlan::allocated(
             qpd, budgets[b], rules[r].first,
-            rules[r].first == qcut::AllocRule::kNeyman ? &sigmas : nullptr,
-            qcut::ShotPlan::kNoSplit);
-        // Identical rng per rule at fixed (state, budget): paired comparison.
-        qcut::Rng rng(808 + budgets[b], static_cast<std::uint64_t>(s));
-        const auto res = qcut::run_plan_with_rng(qpd, plan, backend, rng);
+            rules[r].first == qcut::AllocRule::kNeyman ? &sigmas : nullptr);
+        // Identical seed per rule at fixed (state, budget): paired comparison.
+        const std::uint64_t seed = qcut::Rng(808 + budgets[b], static_cast<std::uint64_t>(s))();
+        const auto res = qcut::run_plan(qpd, plan, backend, seed);
         err[b][r].add(std::abs(res.estimate - exact));
       }
     }

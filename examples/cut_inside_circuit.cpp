@@ -13,8 +13,8 @@
 #include "qcut/common/stats.hpp"
 #include "qcut/cut/circuit_cutter.hpp"
 #include "qcut/cut/nme_cut.hpp"
+#include "qcut/exec/engine.hpp"
 #include "qcut/linalg/bell.hpp"
-#include "qcut/qpd/estimator.hpp"
 #include "qcut/sim/qasm.hpp"
 
 int main(int argc, char** argv) {
@@ -35,13 +35,13 @@ int main(int argc, char** argv) {
 
   for (const char* obs : {"XXX", "ZZI", "IZZ"}) {
     const Qpd qpd = cut_circuit(ghz, {/*after_op=*/2, /*qubit=*/1}, proto, obs);
-    const auto probs = exact_term_prob_one(qpd);
+    const BatchedBranchBackend backend(qpd);
     const Real exact = uncut_circuit_expectation(ghz, obs);
 
     RunningStats stats;
     for (int t = 0; t < 25; ++t) {
-      Rng rng(2024, static_cast<std::uint64_t>(t));
-      stats.add(estimate_sampled_fast(qpd, probs, shots, rng).estimate);
+      const std::uint64_t seed = Rng(2024, static_cast<std::uint64_t>(t))();
+      stats.add(run_plan(qpd, ShotPlan::sampled(qpd, shots, seed), backend, seed).estimate);
     }
     std::printf("<%s>: exact %+.4f   cut estimate %+.4f +- %.4f  (%llu shots x 25 runs)\n",
                 obs, exact, stats.mean(), stats.sem(),

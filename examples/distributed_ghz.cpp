@@ -13,8 +13,8 @@
 #include "qcut/common/stats.hpp"
 #include "qcut/cut/multiwire.hpp"
 #include "qcut/cut/nme_cut.hpp"
+#include "qcut/exec/engine.hpp"
 #include "qcut/linalg/bell.hpp"
-#include "qcut/qpd/estimator.hpp"
 #include "qcut/sim/gates.hpp"
 
 int main(int argc, char** argv) {
@@ -34,12 +34,12 @@ int main(int argc, char** argv) {
     const std::vector<const WireCutProtocol*> protos = {&proto, &proto};
     const std::vector<CutInput> inputs = {{gates::ry(theta_a), 'Z'}, {gates::ry(theta_b), 'Z'}};
     const Qpd joint = product_qpd(protos, inputs);
-    const auto probs = exact_term_prob_one(joint);
+    const BatchedBranchBackend backend(joint);
 
     RunningStats err;
     for (int t = 0; t < trials; ++t) {
-      Rng rng(4040, static_cast<std::uint64_t>(t));
-      const auto res = estimate_sampled_fast(joint, probs, shots, rng);
+      const std::uint64_t seed = Rng(4040, static_cast<std::uint64_t>(t))();
+      const auto res = run_plan(joint, ShotPlan::sampled(joint, shots, seed), backend, seed);
       err.add(std::abs(res.estimate - exact));
     }
     std::printf("%8.2f %12.4f %14.6f %12.6f\n", f, joint.kappa(), err.mean(), err.sem());

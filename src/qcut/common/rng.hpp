@@ -57,9 +57,11 @@ class Rng {
   /// Bernoulli draw with success probability p (clamped to [0,1]).
   bool bernoulli(Real p) noexcept;
 
-  /// Binomial(n, p) sample. Exact inversion for small n·p, normal-based
-  /// BTRD-style rejection is unnecessary at our sizes; for large n it uses a
-  /// sum-of-inversions on the smaller tail which is O(n·min(p,1-p)) expected.
+  /// Binomial(n, p) sample on q = min(p, 1 − p), flipped back for p > 0.5.
+  /// For n·q < 30 it sums geometric waiting times, which is exact and
+  /// O(n·q) expected. For n·q ≥ 30 it draws N(n·q, n·q·(1 − q)), clamped to
+  /// [0, n] and stochastically rounded: the mean holds, the law does not
+  /// (ROADMAP item 6).
   std::uint64_t binomial(std::uint64_t n, Real p) noexcept;
 
   /// Draws an index from an unnormalized non-negative weight vector.

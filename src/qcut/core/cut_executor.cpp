@@ -45,8 +45,7 @@ CutRunResult run_qpd_estimate(const Qpd& qpd, std::optional<Real> exact, const C
   const auto t0 = std::chrono::steady_clock::now();
   {
     obs::TraceSpan span("qpd.estimate", qpd.size());
-    const ShotPlan plan =
-        ShotPlan::allocated(qpd, cfg.shots, cfg.rule, /*sigmas=*/nullptr, cfg.max_batch_shots);
+    const ShotPlan plan = ShotPlan::allocated(qpd, cfg.shots, cfg.rule);
     res.details = run_plan(qpd, plan, backend, cfg.seed);
   }
   const auto t1 = std::chrono::steady_clock::now();
@@ -89,8 +88,7 @@ Real CutExecutor::mean_abs_error(const CutInput& input, const CutRunConfig& cfg,
   const Qpd qpd = protocol_->build_qpd(input);
   // Plan and backend (with its branch cache) are shared across trials: the
   // term circuits are enumerated at most once for the whole sweep.
-  const ShotPlan plan = ShotPlan::allocated(qpd, cfg.shots, cfg.rule, /*sigmas=*/nullptr,
-                                            cfg.max_batch_shots);
+  const ShotPlan plan = ShotPlan::allocated(qpd, cfg.shots, cfg.rule);
   const auto backend = make_backend(cfg.backend, qpd);
   Real acc = 0.0;
   for (int t = 0; t < trials; ++t) {

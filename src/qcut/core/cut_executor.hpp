@@ -28,8 +28,6 @@ struct CutRunConfig {
   /// Backend kind the run paths instantiate (make_backend); a caller that
   /// already holds a backend passes it to run_qpd_estimate instead.
   BackendKind backend = BackendKind::kBatchedBranch;
-  /// Shots per term batch (one RNG substream each; never affects the law).
-  std::uint64_t max_batch_shots = ShotPlan::kDefaultMaxBatchShots;
 };
 
 struct CutRunResult {
@@ -48,7 +46,7 @@ struct CutRunResult {
 };
 
 /// The one estimate every run path ends in: plans cfg.shots over `qpd` by
-/// cfg.rule (split into cfg.max_batch_shots batches), runs the plan on
+/// cfg.rule (in batches of ShotPlan::kDefaultMaxBatchShots), runs the plan on
 /// `backend` (bound to `qpd`) with cfg.seed, and packages the result against
 /// `exact` (has_exact = false without one: a circuit too wide to simulate
 /// monolithically has no cheap exact ⟨O⟩). report.backend names `backend`.

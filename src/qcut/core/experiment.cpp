@@ -50,16 +50,13 @@ std::vector<Fig6Row> run_fig6(const Fig6Config& cfg) {
 
         const Real exact = uncut_expectation(input);
         const Qpd qpd = protocol->build_qpd(input);
-        // Branch-cached backend: each term circuit is enumerated once and
-        // then serves every shot-grid entry of this state. The serial driver
-        // keeps the per-state rng stream (we are already inside a pool task —
-        // the engine's term-parallel driver must not be nested here).
+        // One backend per state: its exact probabilities serve every
+        // shot-grid entry, each run on its own seed from the state's stream.
         const BatchedBranchBackend backend(qpd);
 
         for (std::size_t g = 0; g < cfg.shot_grid.size(); ++g) {
-          const ShotPlan plan = ShotPlan::allocated(qpd, cfg.shot_grid[g], cfg.rule,
-                                                    /*sigmas=*/nullptr, ShotPlan::kNoSplit);
-          const auto er = run_plan_with_rng(qpd, plan, backend, rng);
+          const ShotPlan plan = ShotPlan::allocated(qpd, cfg.shot_grid[g], cfg.rule);
+          const auto er = run_plan(qpd, plan, backend, rng());
           local[g].add(std::abs(er.estimate - exact));
         }
       }

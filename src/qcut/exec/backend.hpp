@@ -1,7 +1,8 @@
 // Execution backends: how a TermBatch turns into an outcome count.
 //
 // Every backend produces the number of −1 outcomes ("ones") among the batch's
-// shots. The two are interchangeable in law:
+// shots. The two agree in mean; in law only as far as Rng::binomial is exact
+// (it is not at n·q ≥ 30: ROADMAP item 6):
 //  * SerialShotBackend    — the reference semantics: every shot is a full
 //    stochastic statevector simulation of the term circuit (what a quantum
 //    device does). Kept for validation and as the honest-cost baseline; it

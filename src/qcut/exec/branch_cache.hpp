@@ -4,8 +4,9 @@
 // single-shot probability that the term's ±1 outcome is −1 (parity of the
 // estimate cbits equals 1). prepare() computes all of them at once, and every
 // shot of a term is then a Bernoulli draw, so a whole batch is a single
-// binomial draw: the same law as per-shot statevector simulation at a tiny
-// fraction of the cost.
+// binomial draw at a tiny fraction of the cost of per-shot statevector
+// simulation. Rng::binomial uses a normal approximation at n·q ≥ 30, so the
+// draw has the per-shot mean but not exactly its law (ROADMAP item 6).
 //
 // prepare() evaluates each fragment variant of the QPD once
 // (FragmentVariants::evaluate_all, cut/fragment.hpp): the terms that

@@ -1,7 +1,5 @@
 #include "qcut/exec/engine.hpp"
 
-#include <cmath>
-
 #include "qcut/common/cancel.hpp"
 #include "qcut/common/error.hpp"
 #include "qcut/common/fault.hpp"
@@ -44,17 +42,6 @@ EstimationResult combine_counts(const Qpd& qpd, const ShotPlan& plan,
   }
   res.estimate = acc;
   return res;
-}
-
-EstimationResult run_plan_with_rng(const Qpd& qpd, const ShotPlan& plan,
-                                   const ExecutionBackend& backend, Rng& rng) {
-  backend.prepare();
-  std::vector<std::uint64_t> ones_per_term(qpd.size(), 0);
-  for (const TermBatch& batch : plan.batches) {
-    cancel_poll();
-    ones_per_term[batch.term] += backend.run_batch(batch, rng);
-  }
-  return combine_counts(qpd, plan, ones_per_term);
 }
 
 EstimationResult run_plan(const Qpd& qpd, const ShotPlan& plan, const ExecutionBackend& backend,

@@ -18,8 +18,8 @@
 // for it (fanout_pays, cut/fragment.hpp), else inline; from a worker of that
 // pool it runs inline (parallel_for decides that). Same bits either way.
 // Then every batch's draw runs inline, in plan order, on the calling thread.
-// Outer sweeps that drive a single rng through many estimates (e.g.
-// run_fig6's per-state loop) use run_plan_with_rng instead.
+// run_plan is the only way to draw shots: an outer sweep (run_fig6's
+// per-state loop, a bench's trials) passes one seed per estimate.
 #pragma once
 
 #include <cstdint>
@@ -40,12 +40,5 @@ EstimationResult run_plan(const Qpd& qpd, const ShotPlan& plan, const ExecutionB
 /// to the plan's kind. Exposed for drivers and tests.
 EstimationResult combine_counts(const Qpd& qpd, const ShotPlan& plan,
                                 const std::vector<std::uint64_t>& ones_per_term);
-
-/// Legacy serial driver: runs the plan's batches in order, drawing every
-/// batch from the single caller-supplied `rng`. This reproduces the exact
-/// random stream of the pre-engine estimators (and is safe inside ThreadPool
-/// tasks — it never touches a pool).
-EstimationResult run_plan_with_rng(const Qpd& qpd, const ShotPlan& plan,
-                                   const ExecutionBackend& backend, Rng& rng);
 
 }  // namespace qcut

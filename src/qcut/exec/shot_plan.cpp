@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "qcut/common/rng.hpp"
+
 namespace qcut {
 
 namespace {
@@ -47,14 +49,14 @@ ShotPlan ShotPlan::allocated(const Qpd& qpd, std::uint64_t shots, AllocRule rule
                          max_batch_shots);
 }
 
-ShotPlan ShotPlan::sampled(const Qpd& qpd, std::uint64_t shots, Rng& rng,
-                           std::uint64_t max_batch_shots) {
+ShotPlan ShotPlan::sampled(const Qpd& qpd, std::uint64_t shots, std::uint64_t seed) {
   QCUT_CHECK(!qpd.empty(), "ShotPlan::sampled: empty QPD");
   std::vector<std::uint64_t> counts(qpd.size(), 0);
   if (shots > 0) {
+    Rng rng(seed, kPlanStream);
     counts = multinomial(rng, shots, qpd.probabilities());
   }
-  return from_allocation(PlanKind::kSampled, qpd, std::move(counts), max_batch_shots);
+  return from_allocation(PlanKind::kSampled, qpd, std::move(counts));
 }
 
 }  // namespace qcut

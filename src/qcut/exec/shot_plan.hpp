@@ -13,15 +13,16 @@
 //    an AllocRule (proportional to |c_i| by default) and the term means are
 //    recombined as Σ c_i ⟨outcome⟩_i;
 //  * kSampled   — textbook Eq. 12 importance sampling: term counts are drawn
-//    from a multinomial over p_i = |c_i|/κ (identical in law to per-shot
-//    categorical sampling) and recombined as κ·sign(c_i)·outcome averages.
+//    from a multinomial over p_i = |c_i|/κ and recombined as
+//    κ·sign(c_i)·outcome averages. The multinomial is a chain of
+//    Rng::binomial draws, which use a normal approximation at n·q ≥ 30, so
+//    it matches per-shot categorical sampling in mean, not exactly in law
+//    (ROADMAP item 6).
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
-#include "qcut/common/rng.hpp"
 #include "qcut/qpd/qpd.hpp"
 #include "qcut/qpd/shot_alloc.hpp"
 
@@ -50,8 +51,9 @@ struct ShotPlan {
   /// Default split granularity: one RNG substream per batch. It fixes the
   /// bits of every estimate, not their law or the parallelism (per term).
   static constexpr std::uint64_t kDefaultMaxBatchShots = 4096;
-  /// One batch per term (no splitting) — exact legacy shot ordering.
-  static constexpr std::uint64_t kNoSplit = std::numeric_limits<std::uint64_t>::max();
+  /// The substream of a run's seed that a sampled plan draws its term split
+  /// from; batch streams count up from 0, so none reaches it.
+  static constexpr std::uint64_t kPlanStream = ~std::uint64_t{0};
 
   /// The paper's allocation scheme. `sigmas` is only consulted for
   /// AllocRule::kNeyman (per-term outcome standard deviations).
@@ -60,13 +62,12 @@ struct ShotPlan {
                             std::uint64_t max_batch_shots = kDefaultMaxBatchShots);
 
   /// Eq. 12 importance sampling: the multinomial term split is drawn from
-  /// `rng` (plan construction is the only place a sampled plan consumes
-  /// randomness outside its batches).
-  static ShotPlan sampled(const Qpd& qpd, std::uint64_t shots, Rng& rng,
-                          std::uint64_t max_batch_shots = kDefaultMaxBatchShots);
+  /// Rng(seed, kPlanStream), so run_plan(…, seed) on the plan draws its
+  /// batches from substreams disjoint from the split's.
+  static ShotPlan sampled(const Qpd& qpd, std::uint64_t shots, std::uint64_t seed);
 
   /// Wraps an externally computed allocation (one entry per term) into a
-  /// plan. Used by ablation benches that roll their own split.
+  /// plan; allocated and sampled end here.
   static ShotPlan from_allocation(PlanKind kind, const Qpd& qpd,
                                   std::vector<std::uint64_t> shots_per_term,
                                   std::uint64_t max_batch_shots = kDefaultMaxBatchShots);

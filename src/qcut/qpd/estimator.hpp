@@ -1,30 +1,19 @@
 // Monte-Carlo estimation of Tr[O E(ρ)] from a quasiprobability decomposition
-// (Eq. 12 of the paper).
+// (Eq. 12 of the paper): the result type and the exact quantities the
+// estimates converge to.
 //
-// Three estimators, all unbiased (up to empty-term truncation at tiny shot
-// counts, identical to practice):
-//  * estimate_sampled      — per-shot term sampling i ~ p_i (textbook Eq. 12);
-//  * estimate_allocated    — the paper's experiment: a fixed budget is split
-//    across terms proportionally to |c_i|, each subcircuit is executed
-//    shot-by-shot, and the term means are recombined as Σ c_i ⟨outcome⟩_i;
-//  * estimate_allocated_fast — statistically identical to estimate_allocated
-//    but samples each term's outcome count from Binomial(n_i, p_i^(1)) with
-//    the exact single-shot probability computed once per term. This is what
-//    lets the benches run the paper's 1000-state × 6-entanglement sweep in
-//    seconds; a gtest asserts its distribution matches the slow path.
-//
-// All entry points are thin wrappers over the qcut::exec execution engine
-// (ShotPlan + ExecutionBackend + run_plan_with_rng) and keep the single
-// caller-driven rng stream; run_plan (exec/engine.hpp) runs term-parallel
-// and pool-size-invariant.
+// Shots are drawn one way only: build a ShotPlan (exec/shot_plan.hpp:
+// allocated for the paper's experiment, sampled for textbook Eq. 12), pick a
+// backend (exec/backend.hpp: BatchedBranchBackend, pre-seeded with
+// exact_term_prob_one's probabilities to reuse them, or SerialShotBackend for
+// per-shot simulation) and call run_plan(qpd, plan, backend, seed)
+// (exec/engine.hpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "qcut/common/rng.hpp"
 #include "qcut/qpd/qpd.hpp"
-#include "qcut/qpd/shot_alloc.hpp"
 
 namespace qcut {
 
@@ -36,31 +25,11 @@ struct EstimationResult {
   std::vector<std::uint64_t> shots_per_term;
 };
 
-/// Per-shot importance sampling over terms (Eq. 12).
-EstimationResult estimate_sampled(const Qpd& qpd, std::uint64_t shots, Rng& rng);
-
-/// The paper's allocation scheme: split the budget across subcircuits
-/// proportionally to |c_i| (or the requested rule), estimate each term's
-/// outcome mean, recombine Σ c_i ⟨o⟩_i.
-EstimationResult estimate_allocated(const Qpd& qpd, std::uint64_t shots, Rng& rng,
-                                    AllocRule rule = AllocRule::kProportional);
-
 /// Exact single-shot statistics of each term: P(outcome = -1), i.e.
 /// P(estimate_cbit = 1), computed by the exact backend's evaluator
 /// (FragmentVariants::evaluate_all), each fragment variant once: on the
 /// calling thread unless the variants' work pays for a fan-out.
 std::vector<Real> exact_term_prob_one(const Qpd& qpd);
-
-/// Fast path: like estimate_allocated but draws each term's "#ones" from a
-/// binomial with the exact per-shot probability `prob_one[i]` (precompute via
-/// exact_term_prob_one and reuse across repetitions/shot counts).
-EstimationResult estimate_allocated_fast(const Qpd& qpd, const std::vector<Real>& prob_one,
-                                         std::uint64_t shots, Rng& rng,
-                                         AllocRule rule = AllocRule::kProportional);
-
-/// Per-shot-sampling fast path using the same precomputed probabilities.
-EstimationResult estimate_sampled_fast(const Qpd& qpd, const std::vector<Real>& prob_one,
-                                       std::uint64_t shots, Rng& rng);
 
 /// The exact value the estimators converge to: Σ c_i E[outcome_i].
 Real exact_value(const Qpd& qpd);

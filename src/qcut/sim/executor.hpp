@@ -5,9 +5,10 @@
 //    engine (what a quantum device does);
 //  * run_branches / run_density — exact enumeration of all measurement
 //    branches, giving the precise output distribution / channel action.
-//    This is how benches sample cheaply (binomial draws from exact branch
-//    probabilities — statistically identical in law to per-shot simulation)
-//    and how tests verify channel identities without sampling noise.
+//    This is how the engine samples cheaply (one binomial draw per batch
+//    from exact branch probabilities: per-shot simulation's mean, and its law
+//    only where Rng::binomial is exact, see ROADMAP item 6) and how tests
+//    verify channel identities without sampling noise.
 #pragma once
 
 #include <map>

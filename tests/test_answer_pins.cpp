@@ -12,6 +12,10 @@
 // in-process QcutServer over loopback (cold, then warm), at pools {1, 2, 8},
 // with metrics off and on; every run must give the recorded text.
 //
+// A second test pins the paper's Fig. 6 sweep (run_fig6 at 25 states, the
+// default grid, overlaps and seed): every row's mean error and its standard
+// error, at pools {1, 2, 8}.
+//
 // The SIMD tiers are not bit-identical to each other, a build whose
 // baseline targets FMA (-march=x86-64-v3) contracts multiply-adds outside
 // the kernels too, and compilers differ in where they contract by default
@@ -29,6 +33,7 @@
 
 #include "pool_scope.hpp"
 #include "qcut/common/threadpool.hpp"
+#include "qcut/core/experiment.hpp"
 #include "qcut/cut/circuit_cutter.hpp"
 #include "qcut/obs/metrics.hpp"
 #include "qcut/plan/planned_executor.hpp"
@@ -81,6 +86,14 @@ constexpr Pin kPins[] = {
     {"avx2+fma", 0x4ad72c180a249dd7ull},
 };
 
+// Recorded with gcc from the tree where run_fig6 first ran on run_plan.
+constexpr Pin kFig6Pins[] = {
+    {"scalar", 0x03b6696a2dbd3be2ull},
+    {"avx2", 0x03b6696a2dbd3be2ull},
+    {"scalar+fma", 0xd6eccd8636ef3195ull},
+    {"avx2+fma", 0x5c92eeb4a6982b36ull},
+};
+
 std::string flavor() {
   std::string f = simd_tier_name(active_simd_tier());
 #ifdef __FMA__
@@ -91,6 +104,54 @@ std::string flavor() {
 #endif
   return f;
 }
+
+/// Holds every run's digested text against the flavor's entry in `pins`.
+/// With no recorded digest the first run's stands in for it; finish() then
+/// skips and prints the digest to record.
+class DigestCheck {
+ public:
+  template <std::size_t N>
+  explicit DigestCheck(const Pin (&pins)[N]) : flavor_(flavor()) {
+    for (const Pin& p : pins) {
+      if (flavor_ == p.flavor) {
+        pinned_ = true;
+        have_want_ = true;
+        want_ = p.digest;
+      }
+    }
+  }
+
+  void check(const std::string& text, const std::string& how) {
+    const std::uint64_t got = testing::fnv64(text);
+    if (!have_want_) {
+      want_ = got;
+      have_want_ = true;
+    }
+    EXPECT_EQ(got, want_) << flavor_ << ", " << how << ": digest " << format(got)
+                          << (printed_ ? std::string() : "\n" + text);
+    printed_ = printed_ || got != want_;
+  }
+
+  void finish() const {
+    if (!pinned_) {
+      GTEST_SKIP() << "no digest recorded for " << flavor_ << "; every run gave "
+                   << format(want_);
+    }
+  }
+
+ private:
+  static std::string format(std::uint64_t digest) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016" PRIx64 "ull", digest);
+    return buf;
+  }
+
+  std::string flavor_;
+  bool pinned_ = false;
+  bool have_want_ = false;
+  std::uint64_t want_ = 0;
+  bool printed_ = false;
+};
 
 std::string hex(Real x) {
   char buf[40];
@@ -195,31 +256,10 @@ std::string daemon_lines(const svc::QcutServer& server) {
 }
 
 TEST(AnswerPins, EveryRunMatchesTheRecordedDigest) {
-  const std::string f = flavor();
-  const Pin* pin = nullptr;
-  for (const Pin& p : kPins) {
-    if (f == p.flavor) {
-      pin = &p;
-    }
-  }
-
+  DigestCheck digest(kPins);
   const std::string probs = term_prob_lines();
-  // With no recorded digest, the first run's stands in for it.
-  bool have_want = pin != nullptr;
-  std::uint64_t want = have_want ? pin->digest : 0;
-  bool printed = false;
   const auto check = [&](const std::string& answers, const std::string& how) {
-    const std::string text = probs + answers;
-    const std::uint64_t got = testing::fnv64(text);
-    if (!have_want) {
-      want = got;
-      have_want = true;
-    }
-    char digest[32];
-    std::snprintf(digest, sizeof digest, "0x%016" PRIx64 "ull", got);
-    EXPECT_EQ(got, want) << f << ", " << how << ": digest " << digest
-                         << (printed ? std::string() : "\n" + text);
-    printed = printed || got != want;
+    digest.check(probs + answers, how);
   };
 
   const bool metrics_before = obs::metrics_enabled();
@@ -245,11 +285,24 @@ TEST(AnswerPins, EveryRunMatchesTheRecordedDigest) {
     }
   }
   obs::set_metrics_enabled(metrics_before);
-  if (pin == nullptr) {
-    char digest[32];
-    std::snprintf(digest, sizeof digest, "0x%016" PRIx64 "ull", want);
-    GTEST_SKIP() << "no digest recorded for " << f << "; every run gave " << digest;
+  digest.finish();
+}
+
+TEST(AnswerPins, Fig6SweepMatchesTheRecordedDigest) {
+  DigestCheck digest(kFig6Pins);
+  Fig6Config cfg;
+  cfg.n_states = 25;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    ThreadPool pool(workers);
+    const testing::ScopedPool scope(pool);
+    std::string text;
+    for (const Fig6Row& r : run_fig6(cfg)) {
+      text += "f=" + hex(r.f) + " shots=" + std::to_string(r.shots) +
+              " mean_error=" + hex(r.mean_error) + " sem=" + hex(r.sem) + "\n";
+    }
+    digest.check(text, "pool " + std::to_string(workers));
   }
+  digest.finish();
 }
 
 }  // namespace

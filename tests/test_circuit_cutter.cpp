@@ -12,6 +12,7 @@
 #include "qcut/cut/mixed_cut.hpp"
 #include "qcut/cut/nme_cut.hpp"
 #include "qcut/cut/peng_cut.hpp"
+#include "qcut/exec/engine.hpp"
 #include "qcut/linalg/random.hpp"
 #include "qcut/qpd/estimator.hpp"
 #include "qcut/sim/gates.hpp"
@@ -106,11 +107,11 @@ TEST(CircuitCutter, EstimatorConvergesOnCutGhz) {
   ghz.h(0).cx(0, 1).cx(1, 2);
   const NmeCut proto(0.9);
   const Qpd qpd = cut_circuit(ghz, {2, 1}, proto, "XXX");
-  const auto probs = exact_term_prob_one(qpd);
+  const BatchedBranchBackend backend(qpd);
   RunningStats stats;
   for (int t = 0; t < 200; ++t) {
-    Rng rng(93, static_cast<std::uint64_t>(t));
-    stats.add(estimate_sampled_fast(qpd, probs, 500, rng).estimate);
+    const std::uint64_t seed = Rng(93, static_cast<std::uint64_t>(t))();
+    stats.add(run_plan(qpd, ShotPlan::sampled(qpd, 500, seed), backend, seed).estimate);
   }
   EXPECT_NEAR(stats.mean(), 1.0, 5.0 * stats.sem() + 1e-6);
 }

@@ -1,5 +1,7 @@
-// Monte-Carlo QPD estimators: unbiasedness, variance scaling with κ (the
-// heart of Eq. 12's cost analysis), and fast-path equivalence.
+// Monte-Carlo QPD estimates through run_plan: unbiasedness, variance scaling
+// with κ (the heart of Eq. 12's cost analysis), and agreement between the
+// per-shot (SerialShotBackend) and exact-probability (BatchedBranchBackend)
+// backends.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,6 +9,7 @@
 #include "qcut/common/stats.hpp"
 #include "qcut/cut/harada_cut.hpp"
 #include "qcut/cut/nme_cut.hpp"
+#include "qcut/exec/engine.hpp"
 #include "qcut/linalg/random.hpp"
 #include "qcut/qpd/estimator.hpp"
 
@@ -34,10 +37,12 @@ TEST(Estimator, SampledIsUnbiased) {
   const CutInput input = fixed_input();
   const Qpd qpd = HaradaCut{}.build_qpd(input);
   const Real target = std::cos(1.1);
+  const SerialShotBackend backend(qpd);
   Rng rng(1);
   RunningStats stats;
   for (int t = 0; t < 400; ++t) {
-    stats.add(estimate_sampled(qpd, 200, rng).estimate);
+    const std::uint64_t seed = rng();
+    stats.add(run_plan(qpd, ShotPlan::sampled(qpd, 200, seed), backend, seed).estimate);
   }
   EXPECT_NEAR(stats.mean(), target, 5.0 * stats.sem() + 1e-6);
 }
@@ -46,10 +51,12 @@ TEST(Estimator, AllocatedIsUnbiased) {
   const CutInput input = fixed_input();
   const Qpd qpd = NmeCut{0.4}.build_qpd(input);
   const Real target = std::cos(1.1);
+  const ShotPlan plan = ShotPlan::allocated(qpd, 150, AllocRule::kProportional);
+  const SerialShotBackend backend(qpd);
   Rng rng(2);
   RunningStats stats;
   for (int t = 0; t < 300; ++t) {
-    stats.add(estimate_allocated(qpd, 150, rng).estimate);
+    stats.add(run_plan(qpd, plan, backend, rng()).estimate);
   }
   EXPECT_NEAR(stats.mean(), target, 5.0 * stats.sem() + 1e-6);
 }
@@ -57,15 +64,17 @@ TEST(Estimator, AllocatedIsUnbiased) {
 TEST(Estimator, FastPathsMatchSlowPathsInDistribution) {
   const CutInput input = fixed_input();
   const Qpd qpd = HaradaCut{}.build_qpd(input);
-  const auto probs = exact_term_prob_one(qpd);
   const std::uint64_t shots = 300;
   const int trials = 400;
+  const ShotPlan plan = ShotPlan::allocated(qpd, shots, AllocRule::kProportional);
+  const SerialShotBackend serial(qpd);
+  const BatchedBranchBackend batched(qpd);
 
   RunningStats slow, fast;
   Rng rng_slow(3), rng_fast(4);
   for (int t = 0; t < trials; ++t) {
-    slow.add(estimate_allocated(qpd, shots, rng_slow).estimate);
-    fast.add(estimate_allocated_fast(qpd, probs, shots, rng_fast).estimate);
+    slow.add(run_plan(qpd, plan, serial, rng_slow()).estimate);
+    fast.add(run_plan(qpd, plan, batched, rng_fast()).estimate);
   }
   // Same mean and same variance (both estimate the same statistic).
   EXPECT_NEAR(slow.mean(), fast.mean(), 4.0 * (slow.sem() + fast.sem()) + 1e-6);
@@ -75,12 +84,14 @@ TEST(Estimator, FastPathsMatchSlowPathsInDistribution) {
 TEST(Estimator, SampledFastMatchesSampled) {
   const CutInput input = fixed_input();
   const Qpd qpd = NmeCut{0.6}.build_qpd(input);
-  const auto probs = exact_term_prob_one(qpd);
+  const SerialShotBackend serial(qpd);
+  const BatchedBranchBackend batched(qpd);
   RunningStats slow, fast;
   Rng rng_slow(5), rng_fast(6);
   for (int t = 0; t < 300; ++t) {
-    slow.add(estimate_sampled(qpd, 200, rng_slow).estimate);
-    fast.add(estimate_sampled_fast(qpd, probs, 200, rng_fast).estimate);
+    const std::uint64_t slow_seed = rng_slow(), fast_seed = rng_fast();
+    slow.add(run_plan(qpd, ShotPlan::sampled(qpd, 200, slow_seed), serial, slow_seed).estimate);
+    fast.add(run_plan(qpd, ShotPlan::sampled(qpd, 200, fast_seed), batched, fast_seed).estimate);
   }
   EXPECT_NEAR(slow.mean(), fast.mean(), 4.0 * (slow.sem() + fast.sem()) + 1e-6);
   EXPECT_NEAR(slow.variance(), fast.variance(), 0.35 * slow.variance() + 1e-6);
@@ -92,13 +103,14 @@ TEST(Estimator, VarianceScalesWithKappaSquared) {
   for (Real k : {0.0, 0.5, 1.0}) {
     const NmeCut proto(k);
     const Qpd qpd = proto.build_qpd(input);
-    const auto probs = exact_term_prob_one(qpd);
+    const BatchedBranchBackend backend(qpd);
     const Real predicted_var = sampled_estimator_variance(qpd);
     const std::uint64_t shots = 400;
     RunningStats stats;
     Rng rng(7);
     for (int t = 0; t < 600; ++t) {
-      stats.add(estimate_sampled_fast(qpd, probs, shots, rng).estimate);
+      const std::uint64_t seed = rng();
+      stats.add(run_plan(qpd, ShotPlan::sampled(qpd, shots, seed), backend, seed).estimate);
     }
     const Real expected = predicted_var / static_cast<Real>(shots);
     EXPECT_NEAR(stats.variance(), expected, 0.25 * expected + 2e-5) << "k=" << k;
@@ -114,11 +126,12 @@ TEST(Estimator, ErrorDecreasesAsKappaDecreases) {
   std::vector<Real> mean_errors;
   for (Real k : {0.0, 0.5, 1.0}) {
     const Qpd qpd = NmeCut{k}.build_qpd(input);
-    const auto probs = exact_term_prob_one(qpd);
+    const ShotPlan plan = ShotPlan::allocated(qpd, shots, AllocRule::kProportional);
+    const BatchedBranchBackend backend(qpd);
     Rng rng(8);
     RunningStats err;
     for (int t = 0; t < 500; ++t) {
-      err.add(std::abs(estimate_allocated_fast(qpd, probs, shots, rng).estimate - target));
+      err.add(std::abs(run_plan(qpd, plan, backend, rng()).estimate - target));
     }
     mean_errors.push_back(err.mean());
   }
@@ -128,17 +141,15 @@ TEST(Estimator, ErrorDecreasesAsKappaDecreases) {
 
 TEST(Estimator, ZeroShotsGiveZeroEstimate) {
   const Qpd qpd = HaradaCut{}.build_qpd(fixed_input());
-  Rng rng(9);
-  EXPECT_EQ(estimate_sampled(qpd, 0, rng).estimate, 0.0);
-  const auto probs = exact_term_prob_one(qpd);
-  EXPECT_EQ(estimate_sampled_fast(qpd, probs, 0, rng).estimate, 0.0);
+  const ShotPlan plan = ShotPlan::sampled(qpd, 0, 9);
+  EXPECT_EQ(run_plan(qpd, plan, SerialShotBackend(qpd), 9).estimate, 0.0);
+  EXPECT_EQ(run_plan(qpd, plan, BatchedBranchBackend(qpd), 9).estimate, 0.0);
 }
 
 TEST(Estimator, PairAccountingInResults) {
   const Qpd qpd = NmeCut{0.5}.build_qpd(fixed_input());
-  const auto probs = exact_term_prob_one(qpd);
-  Rng rng(10);
-  const auto res = estimate_allocated_fast(qpd, probs, 1000, rng);
+  const auto res = run_plan(qpd, ShotPlan::allocated(qpd, 1000, AllocRule::kProportional),
+                            BatchedBranchBackend(qpd), 10);
   // Teleport branches get shots ∝ a each; both consume one pair per shot.
   std::uint64_t expected = res.shots_per_term[0] + res.shots_per_term[1];
   EXPECT_EQ(res.entangled_pairs_used, expected);
@@ -146,19 +157,18 @@ TEST(Estimator, PairAccountingInResults) {
 
 TEST(Estimator, ShotsPerTermFollowAllocation) {
   const Qpd qpd = NmeCut{0.0}.build_qpd(fixed_input());  // |c| = {1,1,1}
-  const auto probs = exact_term_prob_one(qpd);
-  Rng rng(11);
-  const auto res = estimate_allocated_fast(qpd, probs, 900, rng);
+  const auto res = run_plan(qpd, ShotPlan::allocated(qpd, 900, AllocRule::kProportional),
+                            BatchedBranchBackend(qpd), 11);
   EXPECT_EQ(res.shots_per_term[0], 300u);
   EXPECT_EQ(res.shots_per_term[1], 300u);
   EXPECT_EQ(res.shots_per_term[2], 300u);
 }
 
 TEST(Estimator, MismatchedProbsThrow) {
+  // A pre-seeded backend must carry one probability per term.
   const Qpd qpd = HaradaCut{}.build_qpd(fixed_input());
-  Rng rng(12);
-  EXPECT_THROW(estimate_allocated_fast(qpd, {0.5}, 10, rng), Error);
-  EXPECT_THROW(estimate_sampled_fast(qpd, {0.5, 0.5}, 10, rng), Error);
+  EXPECT_THROW(BatchedBranchBackend(qpd, {0.5}), Error);
+  EXPECT_THROW(BatchedBranchBackend(qpd, {0.5, 0.5}), Error);
 }
 
 }  // namespace

@@ -64,21 +64,9 @@ TEST(ShotPlanTest, AllocationSumsToBudgetAndSplitsIntoBatches) {
   EXPECT_EQ(streams.size(), plan.batches.size());
 }
 
-TEST(ShotPlanTest, NoSplitGivesOneBatchPerActiveTerm) {
-  const Qpd qpd = HaradaCut{}.build_qpd(fixed_input());
-  const ShotPlan plan =
-      ShotPlan::allocated(qpd, 900, AllocRule::kProportional, nullptr, ShotPlan::kNoSplit);
-  std::size_t active = 0;
-  for (auto n : plan.shots_per_term) {
-    active += (n > 0);
-  }
-  EXPECT_EQ(plan.batches.size(), active);
-}
-
 TEST(ShotPlanTest, SampledMatchesMultinomialLaw) {
   const Qpd qpd = NmeCut{0.6}.build_qpd(fixed_input());
-  Rng rng(3);
-  const ShotPlan plan = ShotPlan::sampled(qpd, 5000, rng);
+  const ShotPlan plan = ShotPlan::sampled(qpd, 5000, /*seed=*/3);
   EXPECT_EQ(plan.kind, PlanKind::kSampled);
   EXPECT_EQ(plan.total_shots, 5000u);
   // Counts should roughly follow p_i = |c_i|/κ.
@@ -158,8 +146,7 @@ TEST(EngineTest, SampledPathIsUnbiasedOnBothBackends) {
       // The multinomial term split and the batches draw from disjoint
       // substreams of one seed.
       const auto seed = static_cast<std::uint64_t>(17 + t);
-      Rng plan_rng(seed, /*stream=*/~std::uint64_t{0});
-      const ShotPlan plan = ShotPlan::sampled(qpd, 200, plan_rng);
+      const ShotPlan plan = ShotPlan::sampled(qpd, 200, seed);
       stats.add(run_plan(qpd, plan, *backend, seed).estimate);
     }
     EXPECT_NEAR(stats.mean(), target, 5.0 * stats.sem() + 1e-6) << backend->name();
@@ -194,7 +181,8 @@ TEST(EngineTest, BatchSplitDoesNotChangeTheLaw) {
   const Qpd qpd = NmeCut{0.5}.build_qpd(fixed_input());
   const Real target = std::cos(1.1);
   const BatchedBranchBackend backend(qpd);
-  for (std::uint64_t split : {std::uint64_t{64}, std::uint64_t{1024}, ShotPlan::kNoSplit}) {
+  for (std::uint64_t split :
+       {std::uint64_t{64}, std::uint64_t{1024}, ShotPlan::kDefaultMaxBatchShots}) {
     const ShotPlan plan =
         ShotPlan::allocated(qpd, 2000, AllocRule::kProportional, /*sigmas=*/nullptr, split);
     RunningStats stats;
@@ -222,24 +210,6 @@ TEST(EngineTest, CombineCountsImplementsBothLaws) {
   expected += qpd.kappa() * signs[1] * 0.0;
   expected += qpd.kappa() * signs[2] * -100.0;  // all −1
   EXPECT_NEAR(sampled.estimate, expected / 300.0, 1e-12);
-}
-
-TEST(EngineTest, ResultAccountingMatchesLegacyEstimators) {
-  // The wrappers in estimator.cpp run on this layer with single-term batches:
-  // identical streams, so identical results — pinned here bit-for-bit.
-  const Qpd qpd = NmeCut{0.5}.build_qpd(fixed_input());
-  const auto probs = exact_term_prob_one(qpd);
-
-  Rng rng_a(77), rng_b(77);
-  const ShotPlan plan =
-      ShotPlan::allocated(qpd, 1200, AllocRule::kProportional, nullptr, ShotPlan::kNoSplit);
-  const BatchedBranchBackend backend(qpd, probs);
-  const auto via_engine = run_plan_with_rng(qpd, plan, backend, rng_a);
-  const auto via_wrapper = estimate_allocated_fast(qpd, probs, 1200, rng_b);
-  EXPECT_EQ(via_engine.estimate, via_wrapper.estimate);
-  EXPECT_EQ(via_engine.shots_used, via_wrapper.shots_used);
-  EXPECT_EQ(via_engine.entangled_pairs_used, via_wrapper.entangled_pairs_used);
-  EXPECT_EQ(via_engine.shots_per_term, via_wrapper.shots_per_term);
 }
 
 TEST(EngineTest, CutExecutorDefaultsToBatchedBackend) {
@@ -391,7 +361,6 @@ TEST(EngineTest, CutExecutorRunIsPoolSizeInvariant) {
   CutRunConfig cfg;
   cfg.shots = 50000;
   cfg.seed = 99;
-  cfg.max_batch_shots = 128;
   CutExecutor exec(make_wire_protocol({ProtocolId::kNme, 0.6}));
   const auto run_on = [&](ThreadPool& pool) {
     const qcut::testing::ScopedPool scope(pool);

@@ -7,6 +7,7 @@
 #include "qcut/common/stats.hpp"
 #include "qcut/cut/circuit_cutter.hpp"
 #include "qcut/cut/gate_cut.hpp"
+#include "qcut/exec/engine.hpp"
 #include "qcut/linalg/kron.hpp"
 #include "qcut/linalg/pauli.hpp"
 #include "qcut/linalg/random.hpp"
@@ -104,13 +105,13 @@ TEST(GateCut, SignedEstimatorConverges) {
   Circuit with_cz(2, 0);
   with_cz.h(0).h(1).cz(0, 1);
   const Qpd qpd = cut_cz_gate(base, 2, 0, 1, "XX");
-  const auto probs = exact_term_prob_one(qpd);
+  const BatchedBranchBackend backend(qpd);
   const Real target = uncut_circuit_expectation(with_cz, "XX");
 
   RunningStats stats;
   for (int t = 0; t < 300; ++t) {
-    Rng trng(5, static_cast<std::uint64_t>(t));
-    stats.add(estimate_sampled_fast(qpd, probs, 400, trng).estimate);
+    const std::uint64_t seed = Rng(5, static_cast<std::uint64_t>(t))();
+    stats.add(run_plan(qpd, ShotPlan::sampled(qpd, 400, seed), backend, seed).estimate);
   }
   EXPECT_NEAR(stats.mean(), target, 5.0 * stats.sem() + 1e-6);
 }

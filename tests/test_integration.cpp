@@ -11,6 +11,7 @@
 #include "qcut/core/experiment.hpp"
 #include "qcut/cut/multiwire.hpp"
 #include "qcut/cut/nme_cut.hpp"
+#include "qcut/exec/engine.hpp"
 #include "qcut/linalg/random.hpp"
 #include "qcut/qpd/estimator.hpp"
 #include "qcut/sim/gates.hpp"
@@ -120,12 +121,12 @@ TEST(Integration, TwoCutWiresJointEstimate) {
   const CutInput in_b{gates::ry(1.3), 'Z'};
   const NmeCut a(0.9), b(0.9);
   const Qpd joint = product_qpd({&a, &b}, {in_a, in_b});
-  const auto probs = exact_term_prob_one(joint);
+  const BatchedBranchBackend backend(joint);
 
   RunningStats stats;
   for (int t = 0; t < 150; ++t) {
-    Rng trial_rng(7, static_cast<std::uint64_t>(t));
-    stats.add(estimate_sampled_fast(joint, probs, 500, trial_rng).estimate);
+    const std::uint64_t seed = Rng(7, static_cast<std::uint64_t>(t))();
+    stats.add(run_plan(joint, ShotPlan::sampled(joint, 500, seed), backend, seed).estimate);
   }
   EXPECT_NEAR(stats.mean(), std::cos(0.7) * std::cos(1.3), 5.0 * stats.sem() + 1e-6);
 }

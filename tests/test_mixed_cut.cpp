@@ -5,9 +5,9 @@
 #include "qcut/cut/mixed_cut.hpp"
 #include "qcut/cut/nme_cut.hpp"
 #include "qcut/ent/measures.hpp"
+#include "qcut/exec/engine.hpp"
 #include "qcut/linalg/bell.hpp"
 #include "qcut/linalg/random.hpp"
-#include "qcut/qpd/estimator.hpp"
 #include "qcut/sim/noise.hpp"
 #include "test_helpers.hpp"
 
@@ -117,13 +117,13 @@ TEST(MixedCut, EstimatorConvergesUnderNoise) {
   Rng rng(5);
   CutInput input{haar_unitary(2, rng), 'Z'};
   const Qpd qpd = cut.build_qpd(input);
-  const auto probs = exact_term_prob_one(qpd);
+  const BatchedBranchBackend backend(qpd);
+  const ShotPlan plan = ShotPlan::allocated(qpd, 2000, AllocRule::kProportional);
   const Real target = uncut_expectation(input);
   Real acc = 0.0;
   const int trials = 200;
   for (int t = 0; t < trials; ++t) {
-    Rng trng(17, static_cast<std::uint64_t>(t));
-    acc += estimate_allocated_fast(qpd, probs, 2000, trng).estimate;
+    acc += run_plan(qpd, plan, backend, Rng(17, static_cast<std::uint64_t>(t))()).estimate;
   }
   EXPECT_NEAR(acc / trials, target, 0.03);
 }

@@ -10,6 +10,7 @@
 #include "qcut/cut/multiwire.hpp"
 #include "qcut/cut/nme_cut.hpp"
 #include "qcut/cut/peng_cut.hpp"
+#include "qcut/exec/engine.hpp"
 #include "qcut/linalg/random.hpp"
 #include "qcut/qpd/estimator.hpp"
 
@@ -69,13 +70,13 @@ TEST(MultiWire, EstimatorConvergesOnJointObservable) {
   const CutInput in_b{haar_unitary(2, rng), 'Z'};
   const NmeCut a(0.8), b(0.8);
   const Qpd joint = product_qpd({&a, &b}, {in_a, in_b});
-  const auto probs = exact_term_prob_one(joint);
+  const BatchedBranchBackend backend(joint);
   const Real target = exact_value(joint);
 
   RunningStats stats;
   for (int t = 0; t < 200; ++t) {
-    Rng trial_rng(55, static_cast<std::uint64_t>(t));
-    stats.add(estimate_sampled_fast(joint, probs, 400, trial_rng).estimate);
+    const std::uint64_t seed = Rng(55, static_cast<std::uint64_t>(t))();
+    stats.add(run_plan(joint, ShotPlan::sampled(joint, 400, seed), backend, seed).estimate);
   }
   EXPECT_NEAR(stats.mean(), target, 5.0 * stats.sem() + 1e-6);
 }

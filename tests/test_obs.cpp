@@ -240,7 +240,6 @@ TEST_F(ObsTest, FannedOutRunReportsItsOwnCountersWhileAnotherThreadCounts) {
   CutRunConfig cfg;
   cfg.shots = 4000;
   cfg.seed = 5;
-  cfg.max_batch_shots = 256;
 
   obs::MetricsSnapshot before = obs::metrics_snapshot();
   {

@@ -11,6 +11,7 @@
 #include "qcut/cut/mixed_cut.hpp"
 #include "qcut/cut/nme_cut.hpp"
 #include "qcut/cut/peng_cut.hpp"
+#include "qcut/exec/engine.hpp"
 #include "qcut/linalg/random.hpp"
 #include "qcut/qpd/estimator.hpp"
 #include "qcut/sim/gates.hpp"
@@ -106,15 +107,18 @@ TEST_P(ProtocolInvariantTest, SampledAndAllocatedEstimatorsAgreeInExpectation) {
   Rng rng(10);
   const CutInput input{haar_unitary(2, rng), 'Z'};
   const Qpd qpd = proto->build_qpd(input);
-  const auto probs = exact_term_prob_one(qpd);
+  const BatchedBranchBackend backend(qpd);
+  const ShotPlan allocated = ShotPlan::allocated(qpd, 800, AllocRule::kProportional);
   const Real target = uncut_expectation(input);
 
   Real acc_s = 0.0, acc_a = 0.0;
   const int trials = 150;
   for (int t = 0; t < trials; ++t) {
     Rng trng(11, static_cast<std::uint64_t>(t));
-    acc_s += estimate_sampled_fast(qpd, probs, 800, trng).estimate;
-    acc_a += estimate_allocated_fast(qpd, probs, 800, trng).estimate;
+    const std::uint64_t sampled_seed = trng(), allocated_seed = trng();
+    acc_s += run_plan(qpd, ShotPlan::sampled(qpd, 800, sampled_seed), backend, sampled_seed)
+                 .estimate;
+    acc_a += run_plan(qpd, allocated, backend, allocated_seed).estimate;
   }
   const Real tol = 6.0 * qpd.kappa() / std::sqrt(800.0 * trials) + 1e-6;
   EXPECT_NEAR(acc_s / trials, target, tol) << proto->name();
